@@ -222,17 +222,6 @@ echo "=== Release + MOSAIC_MORSELS=4: ctest ==="
 MOSAIC_MORSELS=4 ctest --test-dir build-release --output-on-failure \
   -j "${JOBS}"
 
-# Weight-epoch pinning must hold on all three exec paths. The morsel
-# leg above already raced it through morsel-split batch execution;
-# run the concurrency suite again through the row-path oracle, and
-# once more with morsels + row path combined for good measure.
-echo "=== Release + MOSAIC_ROW_PATH=1: weight-epoch concurrency ==="
-MOSAIC_ROW_PATH=1 ctest --test-dir build-release --output-on-failure \
-  -R 'test_(weight_epochs|service)'
-echo "=== Release + MOSAIC_MORSELS=4 + MOSAIC_ROW_PATH=1: weight-epoch concurrency ==="
-MOSAIC_MORSELS=4 MOSAIC_ROW_PATH=1 ctest --test-dir build-release \
-  --output-on-failure -R 'test_(weight_epochs|service)'
-
 # Tracing must never change results: run the cross-path SQL parity
 # fuzzer and the service suite with per-query tracing forced on, so
 # every parity assertion doubles as a traced-vs-untraced check. The

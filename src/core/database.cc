@@ -39,22 +39,8 @@ Table TailRows(const Table& table, size_t begin) {
   return table.Filter(rows);
 }
 
-/// Attach a weight column to a copy of `data`.
-[[nodiscard]] Result<Table> WithWeights(const Table& data,
-                          const std::vector<double>& weights) {
-  if (data.schema().FindColumn(kWeightColumn)) {
-    return Status::InvalidArgument(
-        "relation already has a 'weight' column; it clashes with Mosaic's "
-        "managed weights");
-  }
-  Table out = data;
-  MOSAIC_RETURN_IF_ERROR(out.AddDoubleColumn(kWeightColumn, weights));
-  return out;
-}
-
-/// Zero-copy counterpart of WithWeights: a view over `data`'s columns
-/// plus a span over the external weight vector. `weights` must
-/// outlive the view.
+/// A view over `data`'s columns plus a span over the external weight
+/// vector, named kWeightColumn. `weights` must outlive the view.
 [[nodiscard]] Result<TableView> MakeWeightedView(const Table& data,
                                    const std::vector<double>& weights) {
   if (data.schema().FindColumn(kWeightColumn)) {
@@ -68,14 +54,19 @@ Table TailRows(const Table& table, size_t begin) {
   return view;
 }
 
+/// Rows of `view` satisfying `predicate`; every row when it is null.
+[[nodiscard]] Result<SelectionVector> SelectWhere(const TableView& view,
+                                                  const sql::Expr* predicate) {
+  if (predicate == nullptr) return SelectionVector::All(view.num_rows());
+  return exec::SelectRows(view, *predicate);
+}
+
 /// Selection of `view`'s rows belonging to the population (all rows
 /// for the GP or a predicate-less population).
 [[nodiscard]] Result<SelectionVector> PopulationSelection(const TableView& view,
                                             const PopulationInfo& population) {
-  if (population.global || population.predicate == nullptr) {
-    return SelectionVector::All(view.num_rows());
-  }
-  return exec::SelectRows(view, *population.predicate);
+  return SelectWhere(view,
+                     population.global ? nullptr : population.predicate.get());
 }
 
 /// Average numeric cells across several per-run result tables,
@@ -149,7 +140,6 @@ Database::Database() : model_cache_(kDefaultModelCacheCapacity) {
   open_.mswg.steps_per_epoch = 30;
   open_.mswg.batch_size = 256;
   open_.mswg.projections_per_step = 16;
-  if (EnvFlag("MOSAIC_ROW_PATH")) force_row_exec_ = true;
   // MOSAIC_MORSELS=<rows> turns on morsel-split batch execution
   // engine-wide (CI runs every suite this way; see scripts/check.sh).
   // Parallelism still requires a pool — set_morsel_pool, which the
@@ -216,8 +206,8 @@ Result<Table> Database::ExecuteSystemSelect(const sql::SelectStmt& stmt,
                             "' (available: " + names + ")");
   }
   // Materialize the snapshot once, then run the ordinary executor
-  // over a zero-copy view of it — same three paths, same parity
-  // guarantees as any auxiliary table.
+  // over it — the same pipeline and parity guarantees as any
+  // auxiliary table.
   Table snapshot;
   {
     trace::ScopedSpan span(trace, trace_parent, "system_snapshot");
@@ -228,7 +218,6 @@ Result<Table> Database::ExecuteSystemSelect(const sql::SelectStmt& stmt,
     }
   }
   exec::ExecOptions opts = BatchExecOptions();
-  opts.use_row_path = force_row_exec_;
   opts.trace = trace;
   opts.trace_parent = trace_parent;
   return exec::ExecuteSelect(snapshot, stmt, opts);
@@ -239,6 +228,7 @@ exec::ExecOptions Database::BatchExecOptions() const {
   opts.morsels.morsel_size = morsel_size_;
   opts.morsels.parallelism = morsel_parallelism_;
   opts.morsels.pool = morsel_pool_;
+  opts.use_row_path = force_row_exec_;
   return opts;
 }
 
@@ -348,7 +338,6 @@ Result<Table> Database::ExecuteSelect(const sql::SelectStmt& stmt,
     }
     MOSAIC_ASSIGN_OR_RETURN(Table* table, catalog_.GetTable(stmt.from));
     exec::ExecOptions opts = BatchExecOptions();
-    opts.use_row_path = force_row_exec_;
     opts.trace = trace;
     opts.trace_parent = trace_parent;
     return exec::ExecuteSelect(*table, stmt, opts);
@@ -376,15 +365,6 @@ Result<Table> Database::ExecuteSelect(const sql::SelectStmt& stmt,
       if (trace != nullptr) {
         pin_span.Note("epoch=" + std::to_string(epoch->id));
       }
-    }
-    if (force_row_exec_) {
-      MOSAIC_ASSIGN_OR_RETURN(Table with_w,
-                              WithWeights(sample->data, epoch->weights));
-      exec::ExecOptions opts;
-      opts.use_row_path = true;
-      opts.trace = trace;
-      opts.trace_parent = trace_parent;
-      return exec::ExecuteSelect(with_w, stmt, opts);
     }
     MOSAIC_ASSIGN_OR_RETURN(TableView view,
                             MakeWeightedView(sample->data, epoch->weights));
@@ -465,11 +445,6 @@ Result<Table> Database::RestrictToPopulation(
   if (population.global || population.predicate == nullptr) {
     return sample_data;
   }
-  if (force_row_exec_) {
-    MOSAIC_ASSIGN_OR_RETURN(
-        auto rows, exec::FilterRows(sample_data, *population.predicate));
-    return sample_data.Filter(rows);
-  }
   // Batch filter + typed gather: one selection pass over spans, one
   // materialization for consumers that need an owning Table (IPF /
   // M-SWG training input).
@@ -518,20 +493,10 @@ Result<Table> Database::ExecutePopulationQuery(const sql::SelectStmt& stmt,
   switch (vis) {
     case sql::Visibility::kClosed: {
       // LAV-view answering: the sample tuples that belong to the
-      // population, no debiasing. The batch path answers over a
-      // zero-copy view of the sample restricted by a selection
-      // vector; no intermediate Table is materialized.
+      // population, no debiasing, answered over a zero-copy view of
+      // the sample restricted by a selection vector; no intermediate
+      // Table is materialized.
       MOSAIC_ASSIGN_OR_RETURN(SampleInfo* sample, ChooseSample(*population));
-      if (force_row_exec_) {
-        MOSAIC_ASSIGN_OR_RETURN(
-            Table restricted,
-            RestrictToPopulation(sample->data, *population));
-        exec::ExecOptions opts;
-        opts.use_row_path = true;
-        opts.trace = trace;
-        opts.trace_parent = trace_parent;
-        return exec::ExecuteSelect(restricted, stmt, opts);
-      }
       TableView view(sample->data);
       MOSAIC_ASSIGN_OR_RETURN(SelectionVector sel,
                               PopulationSelection(view, *population));
@@ -559,18 +524,6 @@ Result<Table> Database::ExecutePopulationQuery(const sql::SelectStmt& stmt,
         if (trace != nullptr) {
           span.Note("epoch=" + std::to_string(epoch->id));
         }
-      }
-      if (force_row_exec_) {
-        MOSAIC_ASSIGN_OR_RETURN(Table with_w,
-                                WithWeights(sample->data, epoch->weights));
-        MOSAIC_ASSIGN_OR_RETURN(Table restricted,
-                                RestrictToPopulation(with_w, *population));
-        exec::ExecOptions opts;
-        opts.weight_column = kWeightColumn;
-        opts.use_row_path = true;
-        opts.trace = trace;
-        opts.trace_parent = trace_parent;
-        return exec::ExecuteSelect(restricted, stmt, opts);
       }
       MOSAIC_ASSIGN_OR_RETURN(TableView view,
                               MakeWeightedView(sample->data, epoch->weights));
@@ -603,33 +556,19 @@ Result<Table> Database::ExecutePopulationQuery(const sql::SelectStmt& stmt,
           // to inherit (common/trace.h).
           trace::ScopedSpan gen_span(
               trace, trace_parent, ("generate " + std::to_string(k)).c_str());
-          const uint64_t seed = open_.generation_seed + k;
-          if (force_row_exec_) {
-            MOSAIC_ASSIGN_OR_RETURN(
-                Table generated,
-                GenerateFromModel(model, open_.generated_rows, seed));
-            exec::ExecOptions opts;
-            opts.weight_column = kWeightColumn;
-            opts.use_row_path = true;
-            opts.trace = trace;
-            opts.trace_parent = gen_span.id();
-            return exec::ExecuteSelect(generated, stmt, opts);
-          }
-          // Batch path: answer over a weighted view of the raw
-          // generated table; the uniform §5.3 weights are an external
-          // span and the view-restriction predicate (when the query
-          // population is a view over the GP) becomes a selection
-          // vector — no weighted or filtered copy is materialized.
+          // Answer over a weighted view of the raw generated table;
+          // the uniform §5.3 weights are an external span and the
+          // view-restriction predicate (when the query population is
+          // a view over the GP) becomes a selection vector — no
+          // weighted or filtered copy is materialized.
           MOSAIC_ASSIGN_OR_RETURN(
               GeneratedSample gen,
-              GenerateSample(model, open_.generated_rows, seed));
+              GenerateSample(model, open_.generated_rows,
+                             open_.generation_seed + k));
           MOSAIC_ASSIGN_OR_RETURN(TableView view,
                                   MakeWeightedView(gen.data, gen.weights));
-          SelectionVector sel = SelectionVector::All(view.num_rows());
-          if (model.restrict_predicate != nullptr) {
-            MOSAIC_ASSIGN_OR_RETURN(
-                sel, exec::SelectRows(view, *model.restrict_predicate));
-          }
+          MOSAIC_ASSIGN_OR_RETURN(SelectionVector sel,
+                                  SelectWhere(view, model.restrict_predicate));
           exec::ExecOptions opts = BatchExecOptions();
           opts.weight_column = kWeightColumn;
           opts.trace = trace;
@@ -957,26 +896,19 @@ Result<Database::GeneratedSample> Database::GenerateSample(
   return out;
 }
 
-Result<Table> Database::GenerateFromModel(const OpenWorldModel& model,
-                                          size_t rows, uint64_t seed) const {
-  MOSAIC_ASSIGN_OR_RETURN(GeneratedSample gen,
-                          GenerateSample(model, rows, seed));
-  MOSAIC_ASSIGN_OR_RETURN(Table weighted, WithWeights(gen.data, gen.weights));
-  if (model.restrict_predicate != nullptr) {
-    // Generated tuples represent the GP; the query population is a
-    // view.
-    MOSAIC_ASSIGN_OR_RETURN(
-        auto keep, exec::FilterRows(weighted, *model.restrict_predicate));
-    weighted = weighted.Filter(keep);
-  }
-  return weighted;
-}
-
 Result<Table> Database::GenerateOpenWorldTable(
     const std::string& population_name, size_t rows, uint64_t seed) {
   MOSAIC_ASSIGN_OR_RETURN(OpenWorldModel model,
                           PrepareOpenWorldModel(population_name));
-  return GenerateFromModel(model, rows, seed);
+  MOSAIC_ASSIGN_OR_RETURN(GeneratedSample gen,
+                          GenerateSample(model, rows, seed));
+  MOSAIC_ASSIGN_OR_RETURN(TableView view,
+                          MakeWeightedView(gen.data, gen.weights));
+  // Generated tuples represent the GP; a derived query population
+  // keeps only the rows its predicate selects.
+  MOSAIC_ASSIGN_OR_RETURN(SelectionVector sel,
+                          SelectWhere(view, model.restrict_predicate));
+  return view.Materialize(sel);
 }
 
 // ---------------------------------------------------------------------------
@@ -1490,48 +1422,9 @@ Status Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
     // epoch. A failing expression publishes nothing, and concurrent
     // readers keep the epoch they pinned.
     WeightEpochPtr prev = sample->weights.Pin();
-    if (force_row_exec_) {
-      MOSAIC_ASSIGN_OR_RETURN(Table with_w,
-                              WithWeights(sample->data, prev->weights));
-      std::vector<size_t> rows;
-      if (stmt.where != nullptr) {
-        MOSAIC_ASSIGN_OR_RETURN(rows, exec::FilterRows(with_w, *stmt.where));
-      } else {
-        rows.resize(with_w.num_rows());
-        std::iota(rows.begin(), rows.end(), size_t{0});
-      }
-      exec::Binder binder(&with_w.schema());
-      std::vector<std::vector<double>> new_weights;
-      for (const auto& [col_name, expr] : stmt.assignments) {
-        if (!EqualsIgnoreCase(col_name, kWeightColumn)) {
-          return Status::NotImplemented(
-              "UPDATE on samples currently only supports SET weight = ...");
-        }
-        MOSAIC_ASSIGN_OR_RETURN(auto bound, binder.Bind(*expr));
-        std::vector<double> values;
-        values.reserve(rows.size());
-        for (size_t r : rows) {
-          MOSAIC_ASSIGN_OR_RETURN(Value v,
-                                  exec::EvaluateExpr(*bound, with_w, r));
-          MOSAIC_ASSIGN_OR_RETURN(double w, v.ToDouble());
-          values.push_back(w);
-        }
-        new_weights.push_back(std::move(values));
-      }
-      std::vector<double> next = prev->weights;
-      for (const auto& values : new_weights) {
-        for (size_t i = 0; i < rows.size(); ++i) {
-          if (values[i] < 0.0) {
-            return Status::InvalidArgument("weights must be non-negative");
-          }
-          next[rows[i]] = values[i];
-        }
-      }
-      return PublishWeights(sample, std::move(next)).status();
-    }
-    // Batch path: weighted zero-copy view over the pinned epoch;
-    // assignments are evaluated as whole batches against the
-    // pre-update weights, then written into the copy in row order.
+    // Weighted zero-copy view over the pinned epoch; assignments are
+    // evaluated as whole batches against the pre-update weights, then
+    // written into the copy in row order.
     MOSAIC_ASSIGN_OR_RETURN(TableView view,
                             MakeWeightedView(sample->data, prev->weights));
     SelectionVector rows = SelectionVector::All(view.num_rows());
@@ -1565,15 +1458,15 @@ Status Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
     return Status::NotFound("no table or sample named '" + stmt.table + "'");
   }
   MOSAIC_ASSIGN_OR_RETURN(Table* table, catalog_.GetTable(stmt.table));
-  std::vector<size_t> rows;
+  // All assignments bind before any is evaluated, so bind errors take
+  // precedence; each then evaluates as one batch over the selected
+  // rows against the pre-update table, so a failing expression leaves
+  // the table untouched.
+  const TableView view(*table);
+  SelectionVector rows = SelectionVector::All(view.num_rows());
   if (stmt.where != nullptr) {
-    MOSAIC_ASSIGN_OR_RETURN(rows, exec::FilterRows(*table, *stmt.where));
-  } else {
-    rows.resize(table->num_rows());
-    std::iota(rows.begin(), rows.end(), size_t{0});
+    MOSAIC_ASSIGN_OR_RETURN(rows, exec::SelectRows(view, *stmt.where));
   }
-  std::vector<bool> selected(table->num_rows(), false);
-  for (size_t r : rows) selected[r] = true;
   exec::Binder binder(&table->schema());
   std::vector<std::pair<size_t, exec::BoundExprPtr>> bound_assignments;
   for (const auto& [col_name, expr] : stmt.assignments) {
@@ -1582,16 +1475,24 @@ Status Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
     MOSAIC_ASSIGN_OR_RETURN(auto bound, binder.Bind(*expr));
     bound_assignments.emplace_back(idx, std::move(bound));
   }
+  std::vector<std::pair<size_t, exec::BatchVec>> assigned;
+  for (const auto& [idx, bound] : bound_assignments) {
+    MOSAIC_ASSIGN_OR_RETURN(exec::BatchVec values,
+                            exec::EvalBatch(*bound, view, rows.rows()));
+    assigned.emplace_back(idx, std::move(values));
+  }
   // Columns are append-only; rebuild the table with updated cells.
+  // The selection is ascending, so one cursor walks it in step.
   Table updated(table->schema());
   updated.Reserve(table->num_rows());
+  size_t next = 0;
   for (size_t r = 0; r < table->num_rows(); ++r) {
     std::vector<Value> row = table->GetRow(r);
-    if (selected[r]) {
-      for (const auto& [idx, bound] : bound_assignments) {
-        MOSAIC_ASSIGN_OR_RETURN(row[idx],
-                                exec::EvaluateExpr(*bound, *table, r));
+    if (next < rows.size() && rows[next] == r) {
+      for (const auto& [idx, values] : assigned) {
+        row[idx] = values.ValueAt(next);
       }
+      ++next;
     }
     MOSAIC_RETURN_IF_ERROR(updated.AppendRow(row));
   }

@@ -206,7 +206,8 @@ class Database {
 
   /// Train (or fetch the cached) M-SWG for the population and
   /// generate one weighted open-world table: `rows` generated tuples,
-  /// each carrying weight population_size / rows in column "weight".
+  /// each carrying weight population_size / rows in column "weight",
+  /// keeping only the rows a derived population's predicate selects.
   [[nodiscard]] Result<Table> GenerateOpenWorldTable(const std::string& population,
                                        size_t rows, uint64_t seed);
 
@@ -271,13 +272,11 @@ class Database {
   /// Hit/miss/eviction counters of the trained-generator cache.
   CacheStats ModelCacheStats() const { return model_cache_.Stats(); }
 
-  /// Route SELECT execution through the legacy row-at-a-time
-  /// interpreter and materializing relation plumbing instead of the
-  /// zero-copy batch path. The two are bit-identical; this is the
-  /// parity oracle for differential tests. Also enabled by setting
-  /// MOSAIC_ROW_PATH=1 in the environment.
+  /// Test hook: answer every SELECT's final step with the row-path
+  /// parity oracle (ExecOptions::use_row_path in BatchExecOptions).
+  /// Relation routing, weight pinning and population restriction are
+  /// unchanged, so results must be bit-identical to the batch path.
   void set_force_row_exec(bool enabled) { force_row_exec_ = enabled; }
-  bool force_row_exec() const { return force_row_exec_; }
 
   /// When set, the `num_generated_samples` independent OPEN-query
   /// samples are generated on this pool instead of sequentially.
@@ -312,8 +311,8 @@ class Database {
   ThreadPool* morsel_pool() const { return morsel_pool_; }
 
  private:
-  /// ExecOptions carrying this engine's morsel configuration — the
-  /// base every batch-path SELECT builds on.
+  /// ExecOptions carrying this engine's morsel configuration and the
+  /// row-oracle test hook — the base every SELECT builds on.
   exec::ExecOptions BatchExecOptions() const;
 
   [[nodiscard]] Result<Table> ExecuteStatement(sql::Statement* stmt,
@@ -431,20 +430,15 @@ class Database {
   /// Raw generated tuples plus their uniform §5.3 weights
   /// (population_size / rows), before weight attachment and
   /// view-restriction — the single source both the materializing
-  /// (GenerateFromModel) and zero-copy (OPEN batch) consumers build
-  /// on.
+  /// (GenerateOpenWorldTable) and zero-copy (OPEN query) consumers
+  /// build on. Const and thread-safe: generation threads share the
+  /// model and differ only in their seed.
   struct GeneratedSample {
     Table data;
     std::vector<double> weights;
   };
   [[nodiscard]] Result<GeneratedSample> GenerateSample(const OpenWorldModel& model,
                                          size_t rows, uint64_t seed) const;
-
-  /// Generate one weighted open-world table from a prepared model.
-  /// Const and thread-safe: generation threads share the model and
-  /// differ only in their seed.
-  [[nodiscard]] Result<Table> GenerateFromModel(const OpenWorldModel& model, size_t rows,
-                                  uint64_t seed) const;
 
   Catalog catalog_;
   SemiOpenOptions semi_open_;

@@ -63,6 +63,22 @@ struct BatchVec {
   const std::string& StringAt(size_t i) const {
     return dict != nullptr ? dict->Decode(codes[i]) : strs[i];
   }
+
+  /// Boxed value at batch position i.
+  Value ValueAt(size_t i) const {
+    switch (type) {
+      case DataType::kInt64:
+        return Value(i64[i]);
+      case DataType::kDouble:
+        return Value(f64[i]);
+      case DataType::kBool:
+        return Value(b8[i] != 0);
+      case DataType::kString:
+        return Value(StringAt(i));
+      default:
+        return Value::Null();
+    }
+  }
 };
 
 /// Evaluate a boolean expression over `rows`; out[i] is the truth

@@ -812,6 +812,28 @@ class GroupIdIndex {
 /// serially (first-seen order is part of the executor's contract).
 constexpr size_t kGroupHashBlock = 4096;
 
+/// Dense first-seen ids for `n` packed 64-bit keys, by the two-pass
+/// build: the SIMD kernel hashes a block of keys, then the probe pass
+/// assigns ids serially in selection order. `first` receives each
+/// id's first position, so its size is the number of distinct keys.
+void AssignFirstSeenIds(const uint64_t* keys, size_t n, uint32_t* ids,
+                        std::vector<uint32_t>* first) {
+  const simd::KernelTable& k = simd::ActiveKernels();
+  AlignedVector<uint64_t> hashes(kGroupHashBlock);
+  GroupIdIndex index;
+  for (size_t base = 0; base < n; base += kGroupHashBlock) {
+    const size_t m = std::min(kGroupHashBlock, n - base);
+    k.hash_u64(keys + base, m, hashes.data());
+    for (size_t i = 0; i < m; ++i) {
+      bool inserted = false;
+      ids[base + i] = index.InsertOrGet(
+          keys[base + i], hashes[i], /*self_equal=*/true,
+          static_cast<uint32_t>(first->size()), &inserted);
+      if (inserted) first->push_back(static_cast<uint32_t>(base + i));
+    }
+  }
+}
+
 GroupKeyCol MakeGroupKey(const ColumnSpan& span, SelectionSlice rows) {
   GroupKeyCol key;
   key.type = span.type;
@@ -912,21 +934,6 @@ GroupKeyCol MakeGroupKey(const ColumnSpan& span, SelectionSlice rows) {
     }
     default:
       return Status::Internal("cannot convert batch to doubles");
-  }
-}
-
-Value BatchValueAt(const BatchVec& batch, size_t i) {
-  switch (batch.type) {
-    case DataType::kInt64:
-      return Value(batch.i64[i]);
-    case DataType::kDouble:
-      return Value(batch.f64[i]);
-    case DataType::kBool:
-      return Value(batch.b8[i] != 0);
-    case DataType::kString:
-      return Value(batch.StringAt(i));
-    default:
-      return Value::Null();
   }
 }
 
@@ -1177,13 +1184,11 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
   }
 }
 
-/// Vectorized SELECT over a view restricted to `sel`. Returns nullopt
-/// when the plan must fall back to the row path (group-key code space
-/// overflowing 64-bit packing).
-[[nodiscard]] Result<std::optional<Table>> ExecuteSelectBatch(const TableView& view,
-                                                SelectionVector sel,
-                                                const sql::SelectStmt& stmt,
-                                                const ExecOptions& opts) {
+/// Vectorized SELECT over a view restricted to `sel`.
+[[nodiscard]] Result<Table> ExecuteSelectBatch(const TableView& view,
+                                               SelectionVector sel,
+                                               const sql::SelectStmt& stmt,
+                                               const ExecOptions& opts) {
   const Schema& schema = view.schema();
   const MorselDriver morsels(opts.morsels);
   const bool weighted = !opts.weight_column.empty();
@@ -1355,7 +1360,7 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
         span.Note(std::string("sort=") + (topn ? "topn" : "full"));
       }
     }
-    return std::optional<Table>(std::move(out));
+    return out;
   }
 
   // --- Aggregation path ----------------------------------------------------
@@ -1393,58 +1398,70 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
   const size_t n = sel.size();
 
   // Covers group-key building, accumulation, and emit; the phases
-  // inside are recorded retroactively (AddTimed) so the early
-  // returns (bind errors, row-path fallback) need no unwind hooks.
+  // inside are recorded retroactively (AddTimed) so early error
+  // returns need no unwind hooks.
   trace::ScopedSpan agg_span(opts.trace, opts.trace_parent, "aggregate");
   uint64_t phase_t0 = opts.trace != nullptr ? opts.trace->NowUs() : 0;
 
   // --- Group ids: per-column dense codes packed into a uint64 key ----------
   std::vector<uint32_t> gid(n, 0);
-  std::vector<uint64_t> group_packed;
+  // Selection position of each group's first row; its key is decoded
+  // from there.
+  std::vector<uint32_t> group_first;
   std::vector<GroupKeyCol> key_cols;
   const char* idx_mode = "global";
-  if (group_cols.empty()) {
-    // Global aggregate: one group, even over zero rows.
-    group_packed.push_back(0);
-  } else {
+  if (!group_cols.empty()) {
     key_cols.reserve(group_cols.size());
-    // Guard the code-space product per multiply: each card is < 2^32,
-    // so checking after every step keeps the 128-bit product far from
-    // wrapping before the decline triggers.
-    unsigned __int128 code_space = 1;
-    bool overflow = false;
     for (size_t c : group_cols) {
       key_cols.push_back(MakeGroupKeyMorsel(view.column(c), sel, morsels));
-      code_space *= key_cols.back().card;
-      if (code_space > (static_cast<unsigned __int128>(1) << 62)) {
-        overflow = true;
-        break;
-      }
     }
-    if (overflow) {
-      return std::optional<Table>();  // fall back to the row path
-    }
-    const uint64_t packed_card = static_cast<uint64_t>(code_space);
-    // Mixed-radix packing through the widen / mul-add kernels; each
+    // Mixed-radix packing through the widen / mul-add kernels, one
+    // morsel-parallel pass per run of columns [begin, end); `extend`
+    // keeps the ids already in `packed` as the leading digit. Each
     // morsel covers its disjoint range, so the concatenation equals
     // the serial loop.
     AlignedVector<uint64_t> packed(n);
-    (void)morsels.Run(morsels.NumMorsels(n), [&](size_t m) {
-      auto [begin, end] = morsels.Range(n, m);
-      const simd::KernelTable& k = simd::ActiveKernels();
-      k.widen_u32_u64(key_cols[0].codes.data() + begin, end - begin,
-                      packed.data() + begin);
-      for (size_t c = 1; c < key_cols.size(); ++c) {
-        k.pack_mul_add(packed.data() + begin, key_cols[c].codes.data() + begin,
-                       key_cols[c].card, end - begin);
+    auto pack_run = [&](size_t begin, size_t end, bool extend) {
+      (void)morsels.Run(morsels.NumMorsels(n), [&](size_t m) {
+        auto [lo, hi] = morsels.Range(n, m);
+        const simd::KernelTable& k = simd::ActiveKernels();
+        size_t c = begin;
+        if (!extend) {
+          k.widen_u32_u64(key_cols[c++].codes.data() + lo, hi - lo,
+                          packed.data() + lo);
+        }
+        for (; c < end; ++c) {
+          k.pack_mul_add(packed.data() + lo, key_cols[c].codes.data() + lo,
+                         key_cols[c].card, hi - lo);
+        }
+        return Status::OK();
+      });
+    };
+    // Narrow keys (code-space product <= 2^62) pack in one run. When
+    // the next column would pass that, the packed prefix is densified
+    // into first-seen ids (fewer than 2^32, like every card), so the
+    // product after the next column stays below 2^64 and packing
+    // continues exactly.
+    constexpr uint64_t kPackLimit = uint64_t{1} << 62;
+    uint64_t packed_card = 1;
+    size_t run_begin = 0;
+    for (size_t c = 0; c < key_cols.size(); ++c) {
+      if (packed_card > kPackLimit / key_cols[c].card) {
+        pack_run(run_begin, c, run_begin > 0);
+        std::vector<uint32_t> prefix_first;
+        AssignFirstSeenIds(packed.data(), n, gid.data(), &prefix_first);
+        simd::ActiveKernels().widen_u32_u64(gid.data(), n, packed.data());
+        packed_card = std::max<uint64_t>(1, prefix_first.size());
+        run_begin = c;
       }
-      return Status::OK();
-    });
+      packed_card *= key_cols[c].card;
+    }
+    pack_run(run_begin, key_cols.size(), run_begin > 0);
     // Flat (direct-indexed) table when the packed code space is
     // small — both absolutely and relative to the selection, so a
     // tiny selection over a huge dictionary does not zero-fill
-    // megabytes per query. Open hashing otherwise. Group ids are
-    // first-seen order.
+    // megabytes per query. Two-pass open hashing otherwise. Group ids
+    // are first-seen order.
     constexpr uint64_t kDirectTableMax = uint64_t{1} << 20;
     if (packed_card <= kDirectTableMax &&
         packed_card <= std::max<uint64_t>(1024, 4 * n)) {
@@ -1453,33 +1470,18 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
       for (size_t i = 0; i < n; ++i) {
         int32_t& g = slot[packed[i]];
         if (g < 0) {
-          g = static_cast<int32_t>(group_packed.size());
-          group_packed.push_back(packed[i]);
+          g = static_cast<int32_t>(group_first.size());
+          group_first.push_back(static_cast<uint32_t>(i));
         }
         gid[i] = static_cast<uint32_t>(g);
       }
     } else {
-      // Two-pass open addressing: the SIMD kernel hashes a block of
-      // packed keys, then the probe pass assigns first-seen group ids
-      // serially in selection order.
       idx_mode = "two_pass";
-      const simd::KernelTable& k = simd::ActiveKernels();
-      AlignedVector<uint64_t> hashes(kGroupHashBlock);
-      GroupIdIndex index;
-      for (size_t base = 0; base < n; base += kGroupHashBlock) {
-        const size_t m = std::min(kGroupHashBlock, n - base);
-        k.hash_u64(packed.data() + base, m, hashes.data());
-        for (size_t i = 0; i < m; ++i) {
-          bool inserted = false;
-          gid[base + i] = index.InsertOrGet(
-              packed[base + i], hashes[i], /*self_equal=*/true,
-              static_cast<uint32_t>(group_packed.size()), &inserted);
-          if (inserted) group_packed.push_back(packed[base + i]);
-        }
-      }
+      AssignFirstSeenIds(packed.data(), n, gid.data(), &group_first);
     }
   }
-  const size_t num_groups = group_packed.size();
+  // A global aggregate is one group, even over zero rows.
+  const size_t num_groups = key_cols.empty() ? 1 : group_first.size();
   if (opts.trace != nullptr) {
     opts.trace->AddTimed(agg_span.id(), "group_keys", phase_t0,
                          opts.trace->NowUs());
@@ -1646,14 +1648,9 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
   sorted_groups.reserve(num_groups);
   for (size_t g = 0; g < num_groups; ++g) {
     std::vector<Value> key;
-    if (!key_cols.empty()) {
-      key.resize(key_cols.size());
-      uint64_t packed = group_packed[g];
-      for (size_t k = key_cols.size(); k-- > 1;) {
-        key[k] = key_cols[k].Decode(packed % key_cols[k].card);
-        packed /= key_cols[k].card;
-      }
-      key[0] = key_cols[0].Decode(packed);
+    key.reserve(key_cols.size());
+    for (const GroupKeyCol& col : key_cols) {
+      key.push_back(col.Decode(col.codes[group_first[g]]));
     }
     std::vector<AggAccum> accs(num_specs);
     for (size_t a = 0; a < num_specs; ++a) {
@@ -1663,10 +1660,10 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
       if (!sum_wx[a].empty()) acc.sum_wx = sum_wx[a][g];
       if (!min_pos[a].empty() && min_pos[a][g] >= 0) {
         acc.any = true;
-        acc.vmin = BatchValueAt(arg_batches[a],
-                                static_cast<size_t>(min_pos[a][g]));
-        acc.vmax = BatchValueAt(arg_batches[a],
-                                static_cast<size_t>(max_pos[a][g]));
+        acc.vmin =
+            arg_batches[a].ValueAt(static_cast<size_t>(min_pos[a][g]));
+        acc.vmax =
+            arg_batches[a].ValueAt(static_cast<size_t>(max_pos[a][g]));
       }
     }
     sorted_groups.emplace_back(std::move(key), std::move(accs));
@@ -1683,7 +1680,7 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
     opts.trace->AddTimed(agg_span.id(), "emit", phase_t0,
                          opts.trace->NowUs());
   }
-  return std::optional<Table>(std::move(out));
+  return out;
 }
 
 }  // namespace
@@ -1706,10 +1703,10 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
 namespace {
 
 /// Roll the scan/produce tallies of one SELECT into the trace's
-/// resource counters. Callers keep their original `return` statements
-/// (preserving RVO/move elision — an extra Result<Table> move showed
-/// up on the batch bench) and tally in place just before returning;
-/// with tracing off this is a single cold branch.
+/// resource counters. Callers tally their named result just before
+/// returning it, so NRVO keeps the return move-free (an extra
+/// Result<Table> move showed up on the batch bench); with tracing off
+/// this is a single cold branch.
 void CountScanProduce(const ExecOptions& opts, uint64_t rows_scanned,
                       const Result<Table>& result) {
   if (opts.trace == nullptr) return;
@@ -1731,21 +1728,8 @@ void CountScanProduce(const ExecOptions& opts, uint64_t rows_scanned,
     CountScanProduce(opts, rows_in, result);
     return result;
   }
-  TableView view(source);
-  MOSAIC_ASSIGN_OR_RETURN(
-      std::optional<Table> batched,
-      ExecuteSelectBatch(view, SelectionVector::All(source.num_rows()), stmt,
-                         opts));
-  if (batched) {
-    if (opts.trace != nullptr) {
-      trace::CountRowsScanned(opts.trace, rows_in);
-      trace::CountRowsProduced(opts.trace, batched->num_rows());
-    }
-    return std::move(*batched);
-  }
-  trace::ScopedSpan span(opts.trace, opts.trace_parent, "row_exec");
-  span.Note("batch path declined");
-  Result<Table> result = ExecuteSelectRow(source, stmt, opts);
+  Result<Table> result = ExecuteSelectBatch(
+      TableView(source), SelectionVector::All(source.num_rows()), stmt, opts);
   CountScanProduce(opts, rows_in, result);
   return result;
 }
@@ -1754,29 +1738,15 @@ void CountScanProduce(const ExecOptions& opts, uint64_t rows_scanned,
                             const sql::SelectStmt& stmt,
                             const ExecOptions& opts) {
   const uint64_t rows_in = sel.size();
-  if (!opts.use_row_path) {
-    // The batch planner only declines grouped plans (group-key code
-    // spaces overflowing 64-bit packing), so the original selection
-    // is kept for the fallback only when GROUP BY is present.
-    SelectionVector backup;
-    if (!stmt.group_by.empty()) backup = sel;
-    MOSAIC_ASSIGN_OR_RETURN(
-        std::optional<Table> batched,
-        ExecuteSelectBatch(view, std::move(sel), stmt, opts));
-    if (batched) {
-      if (opts.trace != nullptr) {
-        trace::CountRowsScanned(opts.trace, rows_in);
-        trace::CountRowsProduced(opts.trace, batched->num_rows());
-      }
-      return std::move(*batched);
-    }
-    sel = std::move(backup);
+  if (opts.use_row_path) {
+    // Row-path oracle: materialize the selected rows and run the
+    // legacy interpreter.
+    trace::ScopedSpan span(opts.trace, opts.trace_parent, "row_exec");
+    Result<Table> result = ExecuteSelectRow(view.Materialize(sel), stmt, opts);
+    CountScanProduce(opts, rows_in, result);
+    return result;
   }
-  // Row-path oracle (or batch fallback): materialize the selected
-  // rows and run the legacy interpreter.
-  trace::ScopedSpan span(opts.trace, opts.trace_parent, "row_exec");
-  Table materialized = view.Materialize(sel);
-  Result<Table> result = ExecuteSelectRow(materialized, stmt, opts);
+  Result<Table> result = ExecuteSelectBatch(view, std::move(sel), stmt, opts);
   CountScanProduce(opts, rows_in, result);
   return result;
 }

@@ -14,15 +14,17 @@
 //
 // The engine-managed weight column is hidden from `SELECT *`.
 //
-// Three execution paths produce bit-identical results:
+// Production runs one pipeline; a test-only oracle checks it:
 //
-//   batch (default) — vectorized columnar pipeline over TableView +
+//   batch — vectorized columnar pipeline over TableView +
 //     SelectionVector: WHERE predicates refine selection vectors in
 //     typed kernels (dictionary-code compares for strings), GROUP BY
 //     is a flat hash aggregation keyed on packed per-column group
-//     codes, aggregates accumulate over selected spans in tight
-//     loops, and ORDER BY sorts precomputed typed keys (partial_sort
-//     when LIMIT is present).
+//     codes (densified into first-seen ids whenever the packed code
+//     space would pass 2^62, so every plan runs here), aggregates
+//     accumulate over selected spans in tight loops, and ORDER BY
+//     sorts precomputed typed keys (partial_sort when LIMIT is
+//     present).
 //   morsel (batch + ExecOptions::morsels) — the same pipeline with
 //     the selection split into fixed-size morsels executed on a
 //     shared thread pool and merged in deterministic morsel order
@@ -30,10 +32,9 @@
 //     morsel size and thread count, enforced by
 //     tests/test_sql_fuzz.cc.
 //   row (parity oracle) — the original Value-at-a-time interpreter,
-//     kept behind ExecOptions::use_row_path for differential testing
-//     (tests/test_exec_parity.cc) and as the fallback for the rare
-//     plans the batch path declines (e.g. group-key code spaces that
-//     overflow 64-bit packing).
+//     reached only through ExecOptions::use_row_path, which tests and
+//     the executor bench set for differential checks
+//     (tests/test_exec_parity.cc). Bit-identical to the batch path.
 //
 // Thread-safety contract: every function here is a pure function of
 // its inputs — no globals, no caches — so concurrent calls over
@@ -60,8 +61,8 @@ struct ExecOptions {
   /// tuple has weight 1 (plain SQL).
   std::string weight_column;
   /// Run the legacy row-at-a-time interpreter instead of the batch
-  /// pipeline. Results are bit-identical; the row path exists as a
-  /// parity oracle and fallback.
+  /// pipeline. Results are bit-identical; the row path is the parity
+  /// oracle for tests and never runs otherwise.
   bool use_row_path = false;
   /// Morsel-parallel execution of the batch pipeline: when
   /// morsels.morsel_size > 0 the selection vector is split into

@@ -85,7 +85,6 @@ QueryService::QueryService(ServiceOptions options)
       request_pool_(options.num_request_threads),
       result_cache_(options.result_cache_capacity) {
   db_.set_model_cache_capacity(options.model_cache_capacity);
-  if (options.force_row_exec) db_.set_force_row_exec(true);
   // Intra-query morsels share the request pool (deadlock-free by the
   // morsel driver's claim-loop design). The engine may already have a
   // morsel size from MOSAIC_MORSELS; explicit options override it.

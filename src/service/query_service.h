@@ -68,10 +68,6 @@ struct ServiceOptions {
   size_t result_cache_capacity = 256;
   /// Trained-generator cache bound, applied to the owned Database.
   size_t model_cache_capacity = 16;
-  /// Serve queries through the legacy row-at-a-time executor instead
-  /// of the vectorized batch path (bit-identical results; parity
-  /// oracle / escape hatch). Result cache keys are unaffected.
-  bool force_row_exec = false;
   /// Rows per intra-query morsel for batch-path SELECTs; 0 leaves
   /// morsel execution to the MOSAIC_MORSELS environment knob (unset:
   /// disabled). Morsels run on the request pool, which is shared

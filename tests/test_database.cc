@@ -255,6 +255,43 @@ TEST(Database, UpdateAuxTable) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->GetValue(0, 0).AsInt64(), 0);
   EXPECT_EQ(r->GetValue(1, 0).AsInt64(), 20);
+
+  // Two assignments in one statement both read the pre-update row.
+  ASSERT_TRUE(db.Execute("UPDATE t SET a = b + 1, b = a WHERE a = 2").ok());
+  r = db.Execute("SELECT a, b FROM t ORDER BY b");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->num_rows(), 2u);
+  EXPECT_EQ(r->GetValue(0, 0).AsInt64(), 1);
+  EXPECT_EQ(r->GetValue(0, 1).AsInt64(), 0);
+  EXPECT_EQ(r->GetValue(1, 0).AsInt64(), 21);
+  EXPECT_EQ(r->GetValue(1, 1).AsInt64(), 2);
+
+  // A VARCHAR column, assigned only where the predicate holds.
+  ASSERT_TRUE(db.Execute("CREATE TABLE s (k INT, name VARCHAR)").ok());
+  ASSERT_TRUE(
+      db.Execute("INSERT INTO s VALUES (1, 'x'), (2, 'y'), (3, 'z')").ok());
+  ASSERT_TRUE(db.Execute("UPDATE s SET name = 'hit' WHERE k != 2").ok());
+  r = db.Execute("SELECT name FROM s ORDER BY k");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->num_rows(), 3u);
+  EXPECT_EQ(r->GetValue(0, 0).AsString(), "hit");
+  EXPECT_EQ(r->GetValue(1, 0).AsString(), "y");
+  EXPECT_EQ(r->GetValue(2, 0).AsString(), "hit");
+
+  // A failing expression rejects the whole statement and leaves the
+  // table unchanged.
+  auto bad = db.Execute("UPDATE t SET b = 1 / (a - a)");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().ToString().find("division by zero"),
+            std::string::npos)
+      << bad.status().ToString();
+  r = db.Execute("SELECT a, b FROM t ORDER BY b");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->num_rows(), 2u);
+  EXPECT_EQ(r->GetValue(0, 0).AsInt64(), 1);
+  EXPECT_EQ(r->GetValue(0, 1).AsInt64(), 0);
+  EXPECT_EQ(r->GetValue(1, 0).AsInt64(), 21);
+  EXPECT_EQ(r->GetValue(1, 1).AsInt64(), 2);
 }
 
 TEST(Database, ExecuteScriptReturnsLastResult) {
@@ -315,9 +352,9 @@ TEST(Database, DropIfExistsTolerant) {
 
 TEST_F(TinyWorld, RowAndBatchExecutionBitIdentical) {
   // End-to-end parity oracle: the same database answers every
-  // visibility level identically through the legacy row path
-  // (materializing WithWeights/Filter plumbing) and the zero-copy
-  // batch path.
+  // visibility level identically when the final executor step runs
+  // on the row-path oracle and on the batch path (routing, weight
+  // pinning and population restriction are shared).
   const std::vector<std::string> queries = {
       "SELECT * FROM RedSample",
       "SELECT color, size, weight FROM RedSample ORDER BY size LIMIT 3",

@@ -380,6 +380,65 @@ TEST(ExecParity, WeightedAggregateRewrite) {
   ExpectTablesIdentical(*row_res, *batch_res, "weighted rewrite");
 }
 
+// Group keys whose packed code space passes 64 bits: five VARCHAR
+// columns of 8192 distinct strings each span 8192^5 = 2^65 codes. The
+// batch path densifies the packed prefix into first-seen ids and keeps
+// packing, so it answers the plan itself (no row_exec span) and still
+// matches the row oracle bit for bit, with and without morsels.
+TEST(ExecParity, WideGroupKeysStayOnBatchPath) {
+  constexpr int64_t kRows = 8192;
+  const std::vector<std::string> cols = {"a", "b", "c", "d", "e"};
+  Schema s;
+  for (const auto& c : cols) {
+    ASSERT_TRUE(s.AddColumn({c, DataType::kString}).ok());
+  }
+  ASSERT_TRUE(s.AddColumn({"x", DataType::kDouble}).ok());
+  ASSERT_TRUE(s.AddColumn({"w", DataType::kDouble}).ok());
+  Table t(s);
+  for (int64_t i = 0; i < kRows; ++i) {
+    std::vector<Value> row;
+    // Odd multipliers permute 0..kRows-1, so every column holds
+    // kRows distinct strings in a different order.
+    for (int64_t k = 0; k < 5; ++k) {
+      row.emplace_back(cols[k] + std::to_string((i * (2 * k + 1)) % kRows));
+    }
+    row.emplace_back(0.25 * static_cast<double>(i % 97));
+    row.emplace_back(0.5 + static_cast<double>(i % 7));
+    ASSERT_TRUE(t.AppendRow(row).ok());
+  }
+  // The second statement repeats the keys (2^130 codes), so the
+  // packed prefix is densified twice.
+  for (const std::string sql :
+       {"SELECT a, b, c, d, e, SUM(x) AS s FROM t GROUP BY a, b, c, d, e",
+        "SELECT e, SUM(x) AS s FROM t GROUP BY a, b, c, d, e, a, b, c, d, e"}) {
+    auto stmt = sql::ParseStatement(sql);
+    ASSERT_TRUE(stmt.ok()) << sql;
+    ExecOptions row_opts;
+    row_opts.weight_column = "w";
+    row_opts.use_row_path = true;
+    auto row_res = ExecuteSelect(t, stmt->As<sql::SelectStmt>(), row_opts);
+    ASSERT_TRUE(row_res.ok()) << row_res.status().ToString();
+    ASSERT_EQ(row_res->num_rows(), static_cast<size_t>(kRows));
+    for (size_t morsel_size : {size_t{0}, size_t{1000}}) {
+      trace::QueryTrace trace;
+      ExecOptions batch_opts;
+      batch_opts.weight_column = "w";
+      batch_opts.morsels.morsel_size = morsel_size;
+      batch_opts.trace = &trace;
+      auto batch_res =
+          ExecuteSelect(t, stmt->As<sql::SelectStmt>(), batch_opts);
+      ASSERT_TRUE(batch_res.ok()) << batch_res.status().ToString();
+      ExpectTablesIdentical(*row_res, *batch_res, sql);
+      bool aggregated = false;
+      for (const trace::Span& span : trace.Spans()) {
+        EXPECT_NE(span.name, "row_exec") << sql << " morsel=" << morsel_size;
+        if (span.name == "aggregate") aggregated = true;
+      }
+      EXPECT_TRUE(aggregated) << sql << " morsel=" << morsel_size;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace exec
 }  // namespace mosaic

@@ -7,10 +7,11 @@
 //
 //   - executor-level: random schemas/tables/SELECTs straight through
 //     exec::ExecuteSelect, weighted and unweighted;
-//   - engine-level: a fixed Mosaic world queried at every visibility
-//     level (CLOSED / SEMI-OPEN / OPEN, plus direct sample and
-//     auxiliary-table access) through three Database instances that
-//     differ only in their execution path.
+//   - engine-level: a fixed Mosaic world (a GP and a derived
+//     population) queried at every visibility level (CLOSED /
+//     SEMI-OPEN / OPEN, plus direct sample and auxiliary-table access)
+//     through Database instances that differ only in their execution
+//     path.
 //
 // Queries that fail must fail identically (same status string) on
 // every path.
@@ -438,6 +439,11 @@ void SetUpFuzzWorld(core::Database* db) {
   ok("CREATE METADATA Things_M1 AS (SELECT color, cnt FROM ColorReport)");
   ok("CREATE METADATA Things_M2 AS (SELECT size, cnt FROM SizeReport)");
   ok("CREATE SAMPLE Snap AS (SELECT * FROM Things)");
+  // A derived population without its own metadata: CLOSED restricts
+  // the sample, SEMI-OPEN reweights the restriction to the GP
+  // marginals, and OPEN filters GP-generated rows by the predicate.
+  ok("CREATE POPULATION SmallThings AS "
+     "(SELECT * FROM Things WHERE size = 'S')");
   // Biased-ish deterministic sample: reds over-represented.
   Rng rng(20260726);
   static const char* colors[] = {"red", "red", "red", "blue"};
@@ -450,10 +456,12 @@ void SetUpFuzzWorld(core::Database* db) {
         static_cast<int>(rng.UniformInt(int64_t{0}, int64_t{9}))));
   }
   ok("INSERT INTO Snap VALUES " + Join(tuples, ", "));
-  // Cheap deterministic OPEN training/generation budget.
+  // Cheap deterministic OPEN training/generation budget, just large
+  // enough that generated rows cover every size (so SmallThings' OPEN
+  // restriction keeps some).
   auto* open = db->mutable_open_options();
-  open->mswg.epochs = 2;
-  open->mswg.steps_per_epoch = 4;
+  open->mswg.epochs = 6;
+  open->mswg.steps_per_epoch = 8;
   open->mswg.batch_size = 32;
   open->mswg.num_projections = 16;
   open->mswg.projections_per_step = 4;
@@ -463,12 +471,12 @@ void SetUpFuzzWorld(core::Database* db) {
   open->num_generated_samples = 2;
 }
 
-/// Random query against the fuzz world. `kind` 0 = population with a
-/// random visibility, 1 = direct sample access (weighted view), 2 =
-/// auxiliary table.
+/// Random query against the fuzz world. `kind` 0-5 = a population
+/// (4-5 the derived SmallThings) with a random visibility, 6 = direct
+/// sample access (weighted view), 7 = auxiliary table.
 std::string RandomWorldQuery(Rng* rng, int* open_queries) {
   const int kind = static_cast<int>(rng->UniformInt(uint64_t{8}));
-  std::string from = "Things";
+  std::string from = kind >= 4 && kind <= 5 ? "SmallThings" : "Things";
   std::string vis;
   std::vector<std::string> str_cols = {"color", "size"};
   std::vector<std::string> num_cols = {"n"};
@@ -675,6 +683,19 @@ TEST(SqlFuzz, VisibilityLevelsBitIdenticalAcrossPaths) {
   EXPECT_GT(open_queries, 0);
   EXPECT_GE(oks, static_cast<size_t>(kQueries) / 2)
       << "generator produced too many failing queries";
+
+  // Materialized OPEN generation applies the same restriction. The
+  // generator covers the GP, so the predicate must drop some rows.
+  auto small = batch_db.GenerateOpenWorldTable("SmallThings", 200, 7);
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  ASSERT_TRUE(small->schema().FindColumn("weight").has_value());
+  auto size_col = small->schema().FindColumn("size");
+  ASSERT_TRUE(size_col.has_value());
+  EXPECT_GT(small->num_rows(), 0u);
+  EXPECT_LT(small->num_rows(), 200u);
+  for (size_t r = 0; r < small->num_rows(); ++r) {
+    ASSERT_EQ(small->GetValue(r, *size_col).AsString(), "S") << "row " << r;
+  }
 }
 
 }  // namespace

@@ -134,6 +134,8 @@ Table TailRows(const Table& table, size_t begin) {
 }  // namespace
 
 Database::Database() : model_cache_(kDefaultModelCacheCapacity) {
+  ipf_cycles_ = metrics::Registry::Global().GetCounter(
+      "mosaic_ipf_cycles_total", "IPF raking cycles run by weight refits");
   // Ad-hoc OPEN queries get a lighter training budget than the
   // benches (which configure their own MswgOptions).
   open_.mswg.epochs = 15;
@@ -769,6 +771,7 @@ Result<WeightEpochPtr> Database::ReweightAndPin(
         stats::IterativeProportionalFit(sample->data, *plan.marginals,
                                         &weights, semi_open_.ipf));
     weight_refits_.fetch_add(1, std::memory_order_relaxed);
+    ipf_cycles_->Inc(report->iterations);
     return PublishWeights(
         sample, std::move(weights),
         WeightFitInfo{std::move(sig), report->max_l1_error,
@@ -806,6 +809,7 @@ Result<WeightEpochPtr> Database::ReweightAndPin(
     }
   }
   weight_refits_.fetch_add(1, std::memory_order_relaxed);
+  ipf_cycles_->Inc(report->iterations);
   return PublishWeights(
       sample, std::move(full),
       WeightFitInfo{std::move(sig), report->max_l1_error,
@@ -1143,6 +1147,7 @@ Status Database::ExtendWeightsAfterIngest(SampleInfo* sample,
           sample->data, (*gp)->marginals, prev->weights, &fitted, ipf);
       if (fit.ok()) {
         weight_refits_.fetch_add(1, std::memory_order_relaxed);
+        ipf_cycles_->Inc(fit->iterations);
         if (!fit->fell_back_to_cold) {
           weight_refits_incremental_.fetch_add(1, std::memory_order_relaxed);
         }

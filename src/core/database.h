@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/lru_cache.h"
+#include "common/metrics.h"
 #include "common/status.h"
 #include "common/synchronization.h"
 #include "common/thread_pool.h"
@@ -462,6 +463,9 @@ class Database {
   std::atomic<uint64_t> weight_refits_{0};
   std::atomic<uint64_t> weight_refits_skipped_{0};
   std::atomic<uint64_t> weight_refits_incremental_{0};
+  /// mosaic_ipf_cycles_total: raking cycles run by IPF refits (warm
+  /// and cold-fallback attempts both count).
+  metrics::Counter* ipf_cycles_ = nullptr;
   ThreadPool* gen_pool_ = nullptr;
   ThreadPool* morsel_pool_ = nullptr;
   size_t morsel_size_ = 0;

@@ -439,6 +439,9 @@ void Server::AcceptPending() {
       return;
     }
     if (connections_.size() >= options_.max_connections) {
+      // Count before the refusal goes out: a client that reads the
+      // refusal and then asks for stats must see it counted.
+      connections_rejected_.fetch_add(1);
       // Best-effort refusal so the client sees why, then hang up.
       const std::string frame = EncodeFrame(
           MessageType::kError,
@@ -448,7 +451,6 @@ void Server::AcceptPending() {
       [[maybe_unused]] ssize_t n =
           ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
       ::close(fd);
-      connections_rejected_.fetch_add(1);
       continue;
     }
     if (!SetNonBlocking(fd).ok()) {

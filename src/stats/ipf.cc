@@ -1,5 +1,6 @@
 #include "stats/ipf.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -49,17 +50,21 @@ namespace stats {
   IpfReport report;
   report.uncovered_target_mass = uncovered;
 
+  // The loop below is an array kernel over `cells`: no row is binned
+  // again until the next fit.
   std::vector<double>& w = *weights;
   std::vector<double> cell_mass;
+  std::vector<double> factor;
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {
     // One raking cycle: scale to each marginal in turn.
     for (size_t m = 0; m < marginals.size(); ++m) {
       const Marginal& marg = marginals[m];
+      const std::vector<int64_t>& cell = cells[m];
       cell_mass.assign(marg.NumCells(), 0.0);
       double covered_weight = 0.0;
       for (size_t r = 0; r < w.size(); ++r) {
-        if (cells[m][r] >= 0) {
-          cell_mass[static_cast<size_t>(cells[m][r])] += w[r];
+        if (cell[r] >= 0) {
+          cell_mass[static_cast<size_t>(cell[r])] += w[r];
           covered_weight += w[r];
         }
       }
@@ -78,27 +83,27 @@ namespace stats {
         return Status::ExecutionError(
             "IPF: no overlap between sample and marginal support");
       }
+      // One raking factor per cell; 1.0 leaves the rows of an empty
+      // cell (or one whose share underflows) untouched.
+      factor.assign(marg.NumCells(), 1.0);
+      for (size_t c = 0; c < marg.NumCells(); ++c) {
+        if (cell_mass[c] <= 0.0) continue;
+        double target = marg.count(c) / covered_target;
+        double current = cell_mass[c] / covered_weight;
+        if (current > 0.0) factor[c] = target / current;
+      }
       for (size_t r = 0; r < w.size(); ++r) {
-        int64_t c = cells[m][r];
-        if (c < 0) continue;
-        double cur = cell_mass[static_cast<size_t>(c)];
-        if (cur <= 0.0) continue;
-        double target = marg.count(static_cast<size_t>(c)) / covered_target;
-        double current = cur / covered_weight;
-        if (current > 0.0) {
-          w[r] *= target / current;
-        }
+        if (cell[r] >= 0) w[r] *= factor[static_cast<size_t>(cell[r])];
       }
     }
     report.iterations = iter + 1;
 
-    // Convergence check on the normalized L1 error of every marginal.
+    // Convergence check on the normalized L1 error of every marginal,
+    // judged against the tolerance widened by the uncovered mass that
+    // reweighting can never fix.
     double max_err = 0.0;
     for (size_t m = 0; m < marginals.size(); ++m) {
-      MOSAIC_ASSIGN_OR_RETURN(double err, marginals[m].L1Error(sample, w));
-      // Subtract the irreducible uncovered part of this marginal so
-      // convergence is judged on what reweighting can actually fix.
-      max_err = std::max(max_err, err);
+      max_err = std::max(max_err, marginals[m].L1ErrorOfCells(cells[m], w));
     }
     report.max_l1_error = max_err;
     if (max_err <= options.tolerance + 2.0 * uncovered) {

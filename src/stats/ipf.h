@@ -29,8 +29,11 @@ namespace stats {
 
 struct IpfOptions {
   size_t max_iterations = 200;  ///< full cycles through all marginals
-  /// Converged when the max normalized L1 marginal error (see
-  /// Marginal::L1Error) across marginals falls below this.
+  /// Converged when the max normalized L1 marginal error across
+  /// marginals falls to this plus twice the uncovered target mass.
+  /// The check runs after every cycle on the cell ids the fit
+  /// computed once, with Marginal::L1Error's arithmetic
+  /// (Marginal::L1ErrorOfCells).
   double tolerance = 1e-6;
   /// Scale the final weights so the total equals the (average)
   /// marginal total — i.e. the weighted sample represents the

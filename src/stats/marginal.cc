@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <unordered_map>
 
 #include "common/string_util.h"
 
@@ -57,7 +58,12 @@ Result<size_t> AttributeBinning::BinOf(const Value& v) const {
     return it->second;
   }
   MOSAIC_ASSIGN_OR_RETURN(double x, v.ToDouble());
-  if (x <= lo_) return size_t{0};
+  return ContinuousBinOf(x);
+}
+
+size_t AttributeBinning::ContinuousBinOf(double x) const {
+  assert(!categorical_);
+  if (x <= lo_) return 0;
   if (x >= hi_) return num_continuous_bins_ - 1;
   size_t bin = static_cast<size_t>((x - lo_) / width_);
   return std::min(bin, num_continuous_bins_ - 1);
@@ -273,25 +279,91 @@ Result<size_t> Marginal::CellOfRow(const Table& table, size_t row) const {
   return CellIndex(bins);
 }
 
-Result<std::vector<int64_t>> Marginal::CellIds(const Table& table) const {
-  std::vector<size_t> cols(attrs_.size());
-  for (size_t a = 0; a < attrs_.size(); ++a) {
-    MOSAIC_ASSIGN_OR_RETURN(cols[a],
-                            table.schema().ColumnIndex(attrs_[a].attr()));
-  }
-  std::vector<int64_t> cells(table.num_rows(), -1);
-  std::vector<size_t> bins(attrs_.size());
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    bool in_support = true;
-    for (size_t a = 0; a < attrs_.size(); ++a) {
-      auto bin = attrs_[a].BinOf(table.GetValue(r, cols[a]));
-      if (!bin.ok()) {
-        in_support = false;
-        break;
-      }
-      bins[a] = *bin;
+namespace {
+
+// BinOf as a cell-id component: -1 outside the support.
+int64_t BinOrMinusOne(const AttributeBinning& binning, const Value& v) {
+  auto bin = binning.BinOf(v);
+  return bin.ok() ? static_cast<int64_t>(*bin) : -1;
+}
+
+// Bins of n numeric values: categories through BinOf once per
+// distinct value, continuous bins by BinOf's arithmetic in place.
+template <typename T>
+void BinNumeric(const AttributeBinning& binning, const T* values, size_t n,
+                int64_t* bins) {
+  if (!binning.is_categorical()) {
+    for (size_t r = 0; r < n; ++r) {
+      bins[r] = static_cast<int64_t>(
+          binning.ContinuousBinOf(static_cast<double>(values[r])));
     }
-    if (in_support) cells[r] = static_cast<int64_t>(CellIndex(bins));
+    return;
+  }
+  std::unordered_map<T, int64_t> memo;
+  for (size_t r = 0; r < n; ++r) {
+    auto [it, inserted] = memo.try_emplace(values[r], -1);
+    if (inserted) it->second = BinOrMinusOne(binning, Value(values[r]));
+    bins[r] = it->second;
+  }
+}
+
+// Bin of every row of `col` under `binning`; -1 outside the support.
+std::vector<int64_t> BinColumn(const AttributeBinning& binning,
+                               const Column& col) {
+  const size_t n = col.size();
+  std::vector<int64_t> bins(n, -1);
+  switch (col.type()) {
+    case DataType::kString: {
+      // Codes index a per-dictionary table, filled on a code's first
+      // row (the dictionary may hold strings this column never uses).
+      constexpr int64_t kUnbinned = -2;
+      const Dictionary& dict = col.dictionary();
+      std::vector<int64_t> by_code(dict.size(), kUnbinned);
+      const int32_t* codes = col.raw_codes();
+      for (size_t r = 0; r < n; ++r) {
+        int64_t& bin = by_code[static_cast<size_t>(codes[r])];
+        if (bin == kUnbinned) {
+          bin = BinOrMinusOne(binning, Value(dict.Decode(codes[r])));
+        }
+        bins[r] = bin;
+      }
+      break;
+    }
+    case DataType::kInt64:
+      BinNumeric(binning, col.raw_int64(), n, bins.data());
+      break;
+    case DataType::kDouble:
+      BinNumeric(binning, col.raw_double(), n, bins.data());
+      break;
+    case DataType::kBool: {
+      const int64_t by_bool[2] = {BinOrMinusOne(binning, Value(false)),
+                                  BinOrMinusOne(binning, Value(true))};
+      const uint8_t* values = col.raw_bool();
+      for (size_t r = 0; r < n; ++r) bins[r] = by_bool[values[r] != 0];
+      break;
+    }
+    case DataType::kNull:  // columns are never NULL-typed
+      break;
+  }
+  return bins;
+}
+
+}  // namespace
+
+Result<std::vector<int64_t>> Marginal::CellIds(const Table& table) const {
+  std::vector<const Column*> cols(attrs_.size());
+  for (size_t a = 0; a < attrs_.size(); ++a) {
+    MOSAIC_ASSIGN_OR_RETURN(cols[a], table.ColumnByName(attrs_[a].attr()));
+  }
+  // Row-major flattening, as CellIndex: cell = cell * num_bins + bin.
+  std::vector<int64_t> cells = BinColumn(attrs_[0], *cols[0]);
+  for (size_t a = 1; a < attrs_.size(); ++a) {
+    const std::vector<int64_t> bins = BinColumn(attrs_[a], *cols[a]);
+    const auto num_bins = static_cast<int64_t>(attrs_[a].num_bins());
+    for (size_t r = 0; r < cells.size(); ++r) {
+      cells[r] = cells[r] < 0 || bins[r] < 0 ? -1
+                                             : cells[r] * num_bins + bins[r];
+    }
   }
   return cells;
 }
@@ -321,6 +393,12 @@ Result<double> Marginal::L1Error(const Table& table,
     return Status::InvalidArgument("weights size mismatch");
   }
   MOSAIC_ASSIGN_OR_RETURN(auto cells, CellIds(table));
+  return L1ErrorOfCells(cells, weights);
+}
+
+double Marginal::L1ErrorOfCells(const std::vector<int64_t>& cells,
+                                const std::vector<double>& weights) const {
+  assert(cells.size() == weights.size());
   std::vector<double> observed(NumCells(), 0.0);
   double observed_total = 0.0;
   double out_of_support = 0.0;

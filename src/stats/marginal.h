@@ -42,6 +42,10 @@ class AttributeBinning {
   /// outside the marginal's support).
   [[nodiscard]] Result<size_t> BinOf(const Value& v) const;
 
+  /// BinOf's continuous arithmetic on a plain double (requires
+  /// !is_categorical()): clamps into the edge bins.
+  size_t ContinuousBinOf(double x) const;
+
   /// Representative value of a bin: the category, or the bin center.
   Value BinRepresentative(size_t bin) const;
 
@@ -112,7 +116,10 @@ class Marginal {
   [[nodiscard]] Result<size_t> CellOfRow(const Table& table, size_t row) const;
 
   /// Cell ids for every row of `table`; -1 marks rows outside the
-  /// marginal's support. Column lookups are hoisted out of the loop.
+  /// marginal's support (exactly where CellOfRow fails). Bins straight
+  /// from column storage: dictionary codes and numeric categories go
+  /// through BinOf once per distinct value, continuous bins are
+  /// computed in place.
   [[nodiscard]] Result<std::vector<int64_t>> CellIds(const Table& table) const;
 
   /// Draw n cells with probability proportional to their counts.
@@ -125,6 +132,12 @@ class Marginal {
   /// the benches.
   [[nodiscard]] Result<double> L1Error(const Table& table,
                          const std::vector<double>& weights) const;
+
+  /// L1Error over cell ids already computed by CellIds (one weight per
+  /// cell id). IPF's convergence check calls this on the ids it
+  /// computes once per fit; L1Error is CellIds plus this.
+  double L1ErrorOfCells(const std::vector<int64_t>& cells,
+                        const std::vector<double>& weights) const;
 
   /// Pretty rendering for debugging.
   std::string ToString(size_t max_cells = 10) const;

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/rng.h"
+#include "data/flights.h"
 
 namespace mosaic {
 namespace stats {
@@ -212,6 +216,319 @@ TEST_P(IpfRandomSweep, ConvergesOnRandomInstances) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IpfRandomSweep,
                          ::testing::Range(1, 13));
+
+// ---------------------------------------------------------------------------
+// Kernel parity: IterativeProportionalFit rakes over cell ids it computes
+// once per fit. The reference below is the straightforward loop it
+// replaced: rows binned one by one through CellOfRow, two divisions per
+// row per raking step, and Marginal::L1Error (which re-bins the sample)
+// for the convergence check after every cycle. Weights and reports must
+// match it bit for bit.
+// ---------------------------------------------------------------------------
+
+Result<IpfReport> ReferenceIpf(const Table& sample,
+                               const std::vector<Marginal>& marginals,
+                               std::vector<double>* weights,
+                               const IpfOptions& options) {
+  std::vector<double>& w = *weights;
+  if (w.size() != sample.num_rows() || marginals.empty() ||
+      sample.num_rows() == 0) {
+    return Status::InvalidArgument("bad reference input");
+  }
+  std::vector<std::vector<int64_t>> cells(marginals.size());
+  for (size_t m = 0; m < marginals.size(); ++m) {
+    for (size_t r = 0; r < sample.num_rows(); ++r) {
+      auto cell = marginals[m].CellOfRow(sample, r);
+      cells[m].push_back(cell.ok() ? static_cast<int64_t>(*cell) : -1);
+    }
+  }
+  double uncovered = 0.0;
+  for (size_t m = 0; m < marginals.size(); ++m) {
+    std::vector<bool> covered(marginals[m].NumCells(), false);
+    for (int64_t c : cells[m]) {
+      if (c >= 0) covered[static_cast<size_t>(c)] = true;
+    }
+    double miss = 0.0;
+    for (size_t c = 0; c < marginals[m].NumCells(); ++c) {
+      if (!covered[c]) miss += marginals[m].count(c);
+    }
+    uncovered += miss / marginals[m].total();
+  }
+  uncovered /= static_cast<double>(marginals.size());
+
+  IpfReport report;
+  report.uncovered_target_mass = uncovered;
+  std::vector<double> cell_mass;
+  for (size_t iter = 0; iter < options.max_iterations; ++iter) {
+    for (size_t m = 0; m < marginals.size(); ++m) {
+      const Marginal& marg = marginals[m];
+      cell_mass.assign(marg.NumCells(), 0.0);
+      double covered_weight = 0.0;
+      for (size_t r = 0; r < w.size(); ++r) {
+        if (cells[m][r] >= 0) {
+          cell_mass[static_cast<size_t>(cells[m][r])] += w[r];
+          covered_weight += w[r];
+        }
+      }
+      if (covered_weight <= 0.0) return Status::ExecutionError("no weight");
+      double covered_target = 0.0;
+      for (size_t c = 0; c < marg.NumCells(); ++c) {
+        if (cell_mass[c] > 0.0) covered_target += marg.count(c);
+      }
+      if (covered_target <= 0.0) return Status::ExecutionError("no overlap");
+      for (size_t r = 0; r < w.size(); ++r) {
+        int64_t c = cells[m][r];
+        if (c < 0) continue;
+        double cur = cell_mass[static_cast<size_t>(c)];
+        if (cur <= 0.0) continue;
+        double target = marg.count(static_cast<size_t>(c)) / covered_target;
+        double current = cur / covered_weight;
+        if (current > 0.0) w[r] *= target / current;
+      }
+    }
+    report.iterations = iter + 1;
+    double max_err = 0.0;
+    for (const Marginal& marg : marginals) {
+      MOSAIC_ASSIGN_OR_RETURN(double err, marg.L1Error(sample, w));
+      max_err = std::max(max_err, err);
+    }
+    report.max_l1_error = max_err;
+    if (max_err <= options.tolerance + 2.0 * uncovered) {
+      report.converged = true;
+      break;
+    }
+  }
+  if (options.scale_to_population) {
+    double avg_total = 0.0;
+    for (const auto& m : marginals) avg_total += m.total();
+    avg_total /= static_cast<double>(marginals.size());
+    double w_total = 0.0;
+    for (double x : w) w_total += x;
+    if (w_total > 0.0) {
+      double scale = avg_total / w_total;
+      for (double& x : w) x *= scale;
+    }
+  }
+  return report;
+}
+
+// IncrementalProportionalFit's warm-then-cold policy over ReferenceIpf.
+Result<IpfReport> ReferenceIncremental(const Table& sample,
+                                       const std::vector<Marginal>& marginals,
+                                       const std::vector<double>& previous,
+                                       std::vector<double>* weights,
+                                       const IpfOptions& options) {
+  std::vector<double> warm(previous);
+  warm.resize(sample.num_rows(), 1.0);
+  IpfOptions warm_opts = options;
+  if (options.incremental_max_iterations > 0) {
+    warm_opts.max_iterations = options.incremental_max_iterations;
+  }
+  auto warm_result = ReferenceIpf(sample, marginals, &warm, warm_opts);
+  size_t warm_iterations = 0;
+  if (warm_result.ok()) {
+    IpfReport report = *warm_result;
+    report.warm_started = true;
+    bool regressed = options.incremental_regress_threshold > 0.0
+                         ? report.max_l1_error >
+                               options.incremental_regress_threshold
+                         : !report.converged;
+    if (!regressed) {
+      *weights = std::move(warm);
+      return report;
+    }
+    warm_iterations = report.iterations;
+  }
+  std::vector<double> cold(sample.num_rows(), 1.0);
+  MOSAIC_ASSIGN_OR_RETURN(IpfReport report,
+                          ReferenceIpf(sample, marginals, &cold, options));
+  report.warm_started = true;
+  report.fell_back_to_cold = true;
+  report.iterations += warm_iterations;
+  *weights = std::move(cold);
+  return report;
+}
+
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& xs) {
+  std::vector<uint64_t> out;
+  out.reserve(xs.size());
+  for (double x : xs) out.push_back(Bits(x));
+  return out;
+}
+
+void ExpectSameFit(const Result<IpfReport>& got, const std::vector<double>& w,
+                   const Result<IpfReport>& want,
+                   const std::vector<double>& want_w) {
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->iterations, want->iterations);
+  EXPECT_EQ(Bits(got->max_l1_error), Bits(want->max_l1_error));
+  EXPECT_EQ(got->converged, want->converged);
+  EXPECT_EQ(Bits(got->uncovered_target_mass),
+            Bits(want->uncovered_target_mass));
+  EXPECT_EQ(got->warm_started, want->warm_started);
+  EXPECT_EQ(got->fell_back_to_cold, want->fell_back_to_cold);
+  EXPECT_EQ(Bits(w), Bits(want_w));
+}
+
+// Small flights world: a biased sample plus marginals with an uncovered
+// category, values outside the support, and a 2-D marginal.
+class IpfKernelParity : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Rng rng(11);
+    data::FlightsOptions fo;
+    fo.num_rows = 6000;
+    population_ = data::GenerateFlights(fo, &rng);
+    data::FlightsBiasOptions bo;
+    bo.sample_fraction = 0.1;
+    auto sample = data::DrawBiasedFlightsSample(population_, bo, &rng);
+    ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+    sample_ = std::move(sample).value();
+
+    // VARCHAR marginal: every population carrier plus 'ZZ', which no
+    // sample row carries (an uncovered cell).
+    auto carrier = Marginal::FromData(population_, {"carrier"});
+    ASSERT_TRUE(carrier.ok());
+    std::vector<Value> cats = carrier->binning(0).categories();
+    std::vector<double> counts = carrier->counts();
+    cats.emplace_back("ZZ");
+    counts.push_back(0.05 * carrier->total());
+    auto with_zz = Marginal::FromCounts(
+        {AttributeBinning::Categorical("carrier", cats)}, counts);
+    ASSERT_TRUE(with_zz.ok());
+    carrier_ = std::move(with_zz).value();
+
+    // INT marginal over elapsed_time without its longest tenth of
+    // values: the sample (biased toward long flights) has rows outside
+    // its support, and short values the sample misses stay uncovered.
+    auto elapsed = Marginal::FromData(population_, {"elapsed_time"});
+    ASSERT_TRUE(elapsed.ok());
+    const auto& all = elapsed->binning(0).categories();
+    const size_t keep = all.size() - all.size() / 10;
+    std::vector<Value> kept(all.begin(), all.begin() + keep);
+    std::vector<double> kept_counts(elapsed->counts().begin(),
+                                    elapsed->counts().begin() + keep);
+    auto cut = Marginal::FromCounts(
+        {AttributeBinning::Categorical("elapsed_time", kept)}, kept_counts);
+    ASSERT_TRUE(cut.ok());
+    elapsed_ = std::move(cut).value();
+
+    auto joint = Marginal::FromData(population_, {"carrier", "taxi_out"});
+    ASSERT_TRUE(joint.ok());
+    joint_ = std::move(joint).value();
+  }
+
+  // The sample with `n` more population rows appended (an ingest).
+  Table Extended(size_t n) const {
+    Table out = sample_;
+    for (size_t r = 0; r < n; ++r) {
+      std::vector<Value> row;
+      for (size_t c = 0; c < population_.num_columns(); ++c) {
+        row.push_back(population_.GetValue(r * 7, c));
+      }
+      EXPECT_TRUE(out.AppendRow(row).ok());
+    }
+    return out;
+  }
+
+  void ExpectColdParity(const std::vector<Marginal>& margs,
+                        const IpfOptions& opts,
+                        IpfReport* report_out = nullptr) {
+    std::vector<double> w(sample_.num_rows(), 1.0);
+    std::vector<double> ref_w = w;
+    auto got = IterativeProportionalFit(sample_, margs, &w, opts);
+    auto want = ReferenceIpf(sample_, margs, &ref_w, opts);
+    ExpectSameFit(got, w, want, ref_w);
+    if (report_out != nullptr && got.ok()) *report_out = *got;
+  }
+
+  Table population_;
+  Table sample_;
+  Marginal carrier_, elapsed_, joint_;
+};
+
+TEST_F(IpfKernelParity, FixtureHasTheEdgeCases) {
+  auto carrier_cells = carrier_.CellIds(sample_);
+  auto elapsed_cells = elapsed_.CellIds(sample_);
+  ASSERT_TRUE(carrier_cells.ok() && elapsed_cells.ok());
+  const auto zz = static_cast<int64_t>(carrier_.NumCells() - 1);
+  EXPECT_EQ(std::count(carrier_cells->begin(), carrier_cells->end(), zz), 0);
+  EXPECT_GT(std::count(elapsed_cells->begin(), elapsed_cells->end(), -1), 0);
+  IpfReport report;
+  ExpectColdParity({carrier_, elapsed_}, IpfOptions(), &report);
+  EXPECT_GT(report.uncovered_target_mass, 0.0);
+}
+
+TEST_F(IpfKernelParity, ColdFitPlateausAtMaxIterations) {
+  IpfOptions opts;
+  opts.max_iterations = 40;
+  opts.tolerance = 0.0;
+  IpfReport report;
+  ExpectColdParity({carrier_, elapsed_, joint_}, opts, &report);
+  EXPECT_FALSE(report.converged);
+  EXPECT_EQ(report.iterations, 40u);
+}
+
+TEST_F(IpfKernelParity, ColdFitConvergesEarly) {
+  IpfReport report;
+  ExpectColdParity({carrier_}, IpfOptions(), &report);
+  EXPECT_TRUE(report.converged);
+  EXPECT_LT(report.iterations, IpfOptions().max_iterations);
+}
+
+TEST_F(IpfKernelParity, UnscaledAndSeededWeights) {
+  IpfOptions opts;
+  opts.scale_to_population = false;
+  opts.max_iterations = 25;
+  std::vector<double> w(sample_.num_rows());
+  for (size_t r = 0; r < w.size(); ++r) w[r] = 0.5 + 0.01 * (r % 97);
+  std::vector<double> ref_w = w;
+  std::vector<Marginal> margs = {elapsed_, joint_};
+  auto got = IterativeProportionalFit(sample_, margs, &w, opts);
+  auto want = ReferenceIpf(sample_, margs, &ref_w, opts);
+  ExpectSameFit(got, w, want, ref_w);
+}
+
+TEST_F(IpfKernelParity, WarmRefitAfterAppendingRows) {
+  std::vector<Marginal> margs = {carrier_, elapsed_};
+  IpfOptions opts;
+  opts.max_iterations = 60;
+  std::vector<double> fitted(sample_.num_rows(), 1.0);
+  auto first = IterativeProportionalFit(sample_, margs, &fitted, opts);
+  ASSERT_TRUE(first.ok());
+  Table grown = Extended(40);
+
+  // Accepted warm fit (threshold as the ingest path sets it), then a
+  // threshold no fit reaches (cold fallback), then the convergence
+  // rule with a short warm budget.
+  IpfOptions accept = opts;
+  accept.incremental_regress_threshold =
+      2.0 * first->max_l1_error + opts.tolerance;
+  IpfOptions reject = opts;
+  reject.incremental_regress_threshold = 1e-300;
+  IpfOptions by_convergence = opts;
+  by_convergence.incremental_max_iterations = 5;
+  for (const IpfOptions& o : {accept, reject, by_convergence}) {
+    std::vector<double> w, ref_w;
+    auto got = IncrementalProportionalFit(grown, margs, fitted, &w, o);
+    auto want = ReferenceIncremental(grown, margs, fitted, &ref_w, o);
+    ExpectSameFit(got, w, want, ref_w);
+  }
+  std::vector<double> w, ref_w;
+  auto got = IncrementalProportionalFit(grown, margs, fitted, &w, accept);
+  ASSERT_TRUE(got.ok());
+  EXPECT_FALSE(got->fell_back_to_cold);
+  got = IncrementalProportionalFit(grown, margs, fitted, &w, reject);
+  ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(got->fell_back_to_cold);
+}
 
 }  // namespace
 }  // namespace stats

@@ -156,6 +156,145 @@ TEST(Marginal, CellIdsMissingColumnFails) {
   EXPECT_FALSE(m->CellIds(t).ok());
 }
 
+// CellIds bins from column storage; CellOfRow bins one Value at a time.
+// They must agree on every row, with -1 exactly where CellOfRow fails.
+void ExpectCellIdsMatchCellOfRow(const Marginal& m, const Table& t) {
+  auto cells = m.CellIds(t);
+  ASSERT_TRUE(cells.ok()) << cells.status().ToString();
+  ASSERT_EQ(cells->size(), t.num_rows());
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    auto cell = m.CellOfRow(t, r);
+    EXPECT_EQ((*cells)[r], cell.ok() ? static_cast<int64_t>(*cell) : -1)
+        << m.ToString() << " row " << r;
+  }
+}
+
+Marginal OneAttr(AttributeBinning binning) {
+  std::vector<double> counts(binning.num_bins(), 1.0);
+  auto m = Marginal::FromCounts({std::move(binning)}, std::move(counts));
+  EXPECT_TRUE(m.ok());
+  return std::move(m).value();
+}
+
+// Columns of every storage type, with values inside, at the edges of,
+// and outside the binnings below.
+Table MixedColumns() {
+  Schema s;
+  EXPECT_TRUE(s.AddColumn({"name", DataType::kString}).ok());
+  EXPECT_TRUE(s.AddColumn({"count", DataType::kInt64}).ok());
+  EXPECT_TRUE(s.AddColumn({"x", DataType::kDouble}).ok());
+  EXPECT_TRUE(s.AddColumn({"flag", DataType::kBool}).ok());
+  Table t(s);
+  const char* names[] = {"b", "a", "zz", "b", "c", "a", "zz", "c"};
+  const int64_t counts[] = {3, 7, 3, -1, 100, 7, 5, 0};
+  const double xs[] = {0.5, -3.0, 10.0, 2.0, 9.99, 3.0, 0.0, 7.5};
+  for (size_t r = 0; r < 8; ++r) {
+    EXPECT_TRUE(t.AppendRow({Value(names[r]), Value(counts[r]),
+                             Value(xs[r]), Value(r % 3 == 0)})
+                    .ok());
+  }
+  return t;
+}
+
+TEST(Marginal, CellIdsMatchCellOfRowOnEveryColumnType) {
+  const Table t = MixedColumns();
+  const std::vector<Marginal> marginals = {
+      // String categories; 'zz' is outside the support.
+      OneAttr(AttributeBinning::Categorical(
+          "name", {Value("a"), Value("b"), Value("c")})),
+      // Int categories; -1, 5, 100 are outside the support.
+      OneAttr(AttributeBinning::Categorical(
+          "count", {Value(int64_t{0}), Value(int64_t{3}), Value(int64_t{7})})),
+      // An integer category matched from a double column (3.0 -> 3),
+      // and a double category matched from an int column (7 -> 7.0).
+      OneAttr(AttributeBinning::Categorical(
+          "x", {Value(int64_t{3}), Value(0.5), Value(int64_t{10})})),
+      OneAttr(AttributeBinning::Categorical(
+          "count", {Value(7.0), Value(int64_t{100})})),
+      // Continuous over doubles: -3 and 10 clamp to the edge bins, 0
+      // sits on lo, 9.99 just under hi.
+      OneAttr(AttributeBinning::Continuous("x", 0.0, 10.0, 4)),
+      // Continuous over ints, clamping -1 and 100.
+      OneAttr(AttributeBinning::Continuous("count", 0.0, 8.0, 3)),
+      // Continuous over strings: nothing is numeric, every row is -1.
+      OneAttr(AttributeBinning::Continuous("name", 0.0, 1.0, 2)),
+      // A NULL category matches no stored value (columns are
+      // non-nullable), beside a string category that does.
+      OneAttr(AttributeBinning::Categorical("name",
+                                            {Value::Null(), Value("c")})),
+      // Bool column against numeric categories (true == 1).
+      OneAttr(AttributeBinning::Categorical("flag", {Value(int64_t{1})})),
+      OneAttr(AttributeBinning::Continuous("flag", 0.0, 1.0, 2)),
+  };
+  for (const Marginal& m : marginals) ExpectCellIdsMatchCellOfRow(m, t);
+
+  auto x_cells = marginals[4].CellIds(t);
+  ASSERT_TRUE(x_cells.ok());
+  EXPECT_EQ(*x_cells,
+            (std::vector<int64_t>{0, 0, 3, 0, 3, 1, 0, 3}));
+  auto null_cells = marginals[7].CellIds(t);
+  ASSERT_TRUE(null_cells.ok());
+  EXPECT_EQ(*null_cells,
+            (std::vector<int64_t>{-1, -1, -1, -1, 1, -1, -1, 1}));
+}
+
+TEST(Marginal, CellIdsTwoDimensionalMatchCellOfRow) {
+  const Table t = MixedColumns();
+  std::vector<double> counts(3 * 4, 1.0);
+  auto m = Marginal::FromCounts(
+      {AttributeBinning::Categorical("name",
+                                     {Value("a"), Value("b"), Value("c")}),
+       AttributeBinning::Continuous("x", 0.0, 10.0, 4)},
+      counts);
+  ASSERT_TRUE(m.ok());
+  ExpectCellIdsMatchCellOfRow(*m, t);
+  // And with the out-of-support attribute second.
+  auto swapped = Marginal::FromCounts(
+      {AttributeBinning::Continuous("x", 0.0, 10.0, 4),
+       AttributeBinning::Categorical("count", {Value(int64_t{3}),
+                                               Value(int64_t{7})})},
+      std::vector<double>(4 * 2, 1.0));
+  ASSERT_TRUE(swapped.ok());
+  ExpectCellIdsMatchCellOfRow(*swapped, t);
+}
+
+TEST(Marginal, CellIdsIndependentOfDictionaryCodes) {
+  // Two tables whose dictionaries give the same strings different
+  // codes must bin each string to the same cell.
+  Schema s;
+  ASSERT_TRUE(s.AddColumn({"name", DataType::kString}).ok());
+  Table first(s), second(s);
+  for (const char* v : {"a", "b", "zz", "c"}) {
+    ASSERT_TRUE(first.AppendRow({Value(v)}).ok());
+  }
+  for (const char* v : {"c", "zz", "b", "a"}) {
+    ASSERT_TRUE(second.AppendRow({Value(v)}).ok());
+  }
+  ASSERT_NE(first.column(0).GetCode(0), second.column(0).GetCode(3));
+  const Marginal m = OneAttr(AttributeBinning::Categorical(
+      "name", {Value("a"), Value("b"), Value("c")}));
+  ExpectCellIdsMatchCellOfRow(m, first);
+  ExpectCellIdsMatchCellOfRow(m, second);
+  auto a = m.CellIds(first);
+  auto b = m.CellIds(second);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(*a, (std::vector<int64_t>{0, 1, -1, 2}));
+  EXPECT_EQ(*b, (std::vector<int64_t>{2, -1, 1, 0}));
+}
+
+TEST(Marginal, L1ErrorIsL1ErrorOfCellIds) {
+  const Table t = MixedColumns();
+  const Marginal m = OneAttr(AttributeBinning::Categorical(
+      "name", {Value("a"), Value("b"), Value("c")}));
+  std::vector<double> w = {1.0, 2.0, 0.5, 4.0, 1.5, 3.0, 0.25, 2.0};
+  auto cells = m.CellIds(t);
+  auto err = m.L1Error(t, w);
+  ASSERT_TRUE(cells.ok() && err.ok());
+  EXPECT_EQ(*err, m.L1ErrorOfCells(*cells, w));
+  // Rows outside the support ('zz') add their share to the error.
+  EXPECT_GT(*err, 0.75 / 14.25);
+}
+
 TEST(Marginal, FromDataCategoricalAndContinuous) {
   Schema s;
   ASSERT_TRUE(s.AddColumn({"c", DataType::kString}).ok());

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "core/database.h"
 #include "service/query_service.h"
 #include "sql/parser.h"
@@ -254,6 +255,37 @@ TEST(WeightEpochs, IngestAfterRefitRunsIncrementalIpf) {
   // next SEMI-OPEN refit skips entirely.
   ASSERT_TRUE(db.Execute("SELECT SEMI-OPEN COUNT(*) FROM Things").ok());
   EXPECT_GE(db.WeightCountersSnapshot().refits_skipped, 1u);
+}
+
+TEST(WeightEpochs, IpfCyclesCounterCountsEveryFit) {
+  metrics::Counter* cycles =
+      metrics::Registry::Global().GetCounter("mosaic_ipf_cycles_total");
+  Database db;
+  SetUpWeightWorld(&db);
+  const uint64_t start = cycles->Value();
+  auto cold = db.ReweightForPopulation("Things");
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_GT(cold->iterations, 0u);
+  EXPECT_EQ(cycles->Value(), start + cold->iterations);
+
+  // A skipped refit runs no cycles.
+  ASSERT_TRUE(db.ReweightForPopulation("Things").ok());
+  const uint64_t fitted = cycles->Value();
+  EXPECT_EQ(fitted, start + cold->iterations);
+
+  // An INSERT into the fitted sample re-runs the fit, warm-started.
+  ASSERT_TRUE(db.Execute("INSERT INTO RedSample VALUES ('red','L')").ok());
+  EXPECT_EQ(db.WeightCountersSnapshot().refits_incremental, 1u);
+  const uint64_t after_insert = cycles->Value();
+  EXPECT_GT(after_insert, fitted);
+
+  auto listed = db.Execute(
+      "SELECT value FROM system.metrics "
+      "WHERE metric = 'mosaic_ipf_cycles_total'");
+  ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+  ASSERT_EQ(listed->num_rows(), 1u);
+  EXPECT_EQ(listed->GetValue(0, 0).AsDouble(),
+            static_cast<double>(after_insert));
 }
 
 TEST(WeightEpochs, PartiallyFailedInsertKeepsWeightsAndStampsConsistent) {

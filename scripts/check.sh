@@ -263,6 +263,14 @@ cmake --build build-ubsan -j "${JOBS}" --target \
 UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-ubsan \
   --output-on-failure \
   -R 'test_(simd_kernels|exec_parity|executor|sql_fuzz|durable|durable_recovery|ipf|marginal|reweight)'
+# Again with small morsels: split filtering compacts survivors in place
+# across per-morsel offsets, and split group keys remap local ids
+# through per-morsel tables, so index arithmetic there must stay
+# UB-free at odd morsel boundaries too.
+echo "=== UBSan + MOSAIC_MORSELS=3: executor tests ==="
+MOSAIC_MORSELS=3 UBSAN_OPTIONS=halt_on_error=1 ctest \
+  --test-dir build-ubsan --output-on-failure \
+  -R 'test_(executor|exec_parity)'
 
 # Bench JSON smoke: the bench binaries must emit parseable JSON with
 # the latency histogram fields (BENCH_*.json feeds dashboards; a

@@ -12,8 +12,6 @@ const char* SimdIsaName(SimdIsa isa) {
       return "sse2";
     case SimdIsa::kAvx2:
       return "avx2";
-    case SimdIsa::kNeon:
-      return "neon";
   }
   return "scalar";
 }
@@ -22,12 +20,6 @@ bool CpuSupports(SimdIsa isa) {
   switch (isa) {
     case SimdIsa::kScalar:
       return true;
-    case SimdIsa::kNeon:
-#if defined(__aarch64__)
-      return true;  // NEON is baseline on aarch64
-#else
-      return false;
-#endif
     case SimdIsa::kSse2:
 #if defined(__x86_64__) || defined(_M_X64)
       return true;  // SSE2 is baseline on x86-64
@@ -48,7 +40,6 @@ bool CpuSupports(SimdIsa isa) {
 }
 
 SimdIsa DetectBestSimdIsa() {
-  if (CpuSupports(SimdIsa::kNeon)) return SimdIsa::kNeon;
   if (CpuSupports(SimdIsa::kAvx2)) return SimdIsa::kAvx2;
   if (CpuSupports(SimdIsa::kSse2)) return SimdIsa::kSse2;
   return SimdIsa::kScalar;

@@ -15,14 +15,15 @@ namespace mosaic {
 
 /// Instruction-set level of a SIMD kernel variant. kScalar is always
 /// available and is the bit-parity reference for every other level.
-enum class SimdIsa { kScalar = 0, kSse2 = 1, kAvx2 = 2, kNeon = 3 };
+enum class SimdIsa { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 
-/// Stable lowercase name ("scalar", "sse2", "avx2", "neon") — used in
+/// Stable lowercase name ("scalar", "sse2", "avx2") — used in
 /// bench JSON, EXPLAIN ANALYZE notes, and the MOSAIC_SIMD override.
 const char* SimdIsaName(SimdIsa isa);
 
-/// Best level this CPU supports at runtime (cpuid on x86; NEON is
-/// baseline on aarch64). Independent of what was compiled.
+/// Best level this CPU supports at runtime (cpuid on x86; other
+/// architectures run the scalar table). Independent of what was
+/// compiled.
 SimdIsa DetectBestSimdIsa();
 
 /// True when `isa` can run on this CPU.

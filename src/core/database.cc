@@ -228,7 +228,6 @@ Result<Table> Database::ExecuteSystemSelect(const sql::SelectStmt& stmt,
 exec::ExecOptions Database::BatchExecOptions() const {
   exec::ExecOptions opts;
   opts.morsels.morsel_size = morsel_size_;
-  opts.morsels.parallelism = morsel_parallelism_;
   opts.morsels.pool = morsel_pool_;
   opts.use_row_path = force_row_exec_;
   return opts;

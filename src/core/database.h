@@ -288,20 +288,15 @@ class Database {
   void set_generation_pool(ThreadPool* pool) { gen_pool_ = pool; }
   ThreadPool* generation_pool() const { return gen_pool_; }
 
-  /// Morsel-parallel batch execution for every visibility level:
-  /// when `morsel_size` > 0, batch-path SELECTs split their selection
-  /// into morsels of that many rows and run them on the morsel pool
-  /// (below), merging in deterministic morsel order — bit-identical
-  /// to the single-threaded batch path at every size/thread count.
-  /// `parallelism` caps concurrent morsels per query, counting the
-  /// executing thread; 0 = executing thread + every pool worker. Also
-  /// enabled by MOSAIC_MORSELS=<size> in the environment.
-  void set_morsel_options(size_t morsel_size, size_t parallelism) {
-    morsel_size_ = morsel_size;
-    morsel_parallelism_ = parallelism;
-  }
+  /// Morsel-parallel execution for every visibility level: when
+  /// `morsel_size` > 0, SELECTs split their selection into morsels of
+  /// that many rows and run them on the executing thread plus the
+  /// morsel pool's idle workers (below), merging in deterministic
+  /// morsel order — bit-identical to the unsplit run at every size
+  /// and thread count. 0 runs each SELECT as one morsel. Also enabled
+  /// by MOSAIC_MORSELS=<size> in the environment.
+  void set_morsel_options(size_t morsel_size) { morsel_size_ = morsel_size; }
   size_t morsel_size() const { return morsel_size_; }
-  size_t morsel_parallelism() const { return morsel_parallelism_; }
 
   /// Pool supplying the extra intra-query workers. Safe to share with
   /// a pool that also runs whole queries (the service's request
@@ -469,7 +464,6 @@ class Database {
   ThreadPool* gen_pool_ = nullptr;
   ThreadPool* morsel_pool_ = nullptr;
   size_t morsel_size_ = 0;
-  size_t morsel_parallelism_ = 0;
   bool union_samples_ = false;
   bool force_row_exec_ = false;
   /// Write-ahead-logging hook; null when running without durability.

@@ -106,7 +106,7 @@ bool IsNumericSpan(const ColumnSpan& span) {
 /// String column vs string literal: resolve the literal through the
 /// dictionary once, then compare codes (Eq/Ne) or a per-code truth
 /// table (ordering ops) — no per-row decoding. All comparison kernels
-/// write into a caller-provided mask so the morsel path can aim them
+/// write into a caller-provided mask so each morsel can aim them
 /// straight at its range of the shared output (no splice copy).
 void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
                      sql::BinaryOp op, SelectionSlice rows,
@@ -582,11 +582,6 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
   return FilterView(view, predicate, SelectionVector::All(view.num_rows()));
 }
 
-namespace {
-
-/// Flatten the AND spine so each conjunct refines the selection:
-/// later conjuncts only run on surviving rows, like the row
-/// evaluator's short-circuit.
 std::vector<const BoundExpr*> FlattenConjuncts(const BoundExpr& predicate) {
   std::vector<const BoundExpr*> conjuncts;
   std::vector<const BoundExpr*> stack{&predicate};
@@ -605,54 +600,28 @@ std::vector<const BoundExpr*> FlattenConjuncts(const BoundExpr& predicate) {
   return conjuncts;
 }
 
-/// Refine an owning row list in place through the conjuncts.
-[[nodiscard]] Status RefineRows(const TableView& view,
-                  const std::vector<const BoundExpr*>& conjuncts,
-                  size_t first_conjunct, AlignedVector<uint32_t>* rows) {
-  for (size_t c = first_conjunct; c < conjuncts.size(); ++c) {
-    if (rows->empty()) break;
+[[nodiscard]] Result<size_t> RefineRows(
+    const TableView& view, const std::vector<const BoundExpr*>& conjuncts,
+    uint32_t* rows, size_t n) {
+  for (const BoundExpr* conjunct : conjuncts) {
+    if (n == 0) break;
     MOSAIC_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,
-                            EvalMask(*conjuncts[c], view, *rows));
+                            EvalMask(*conjunct, view, SelectionSlice(rows, n)));
     // In-place branchless compaction (out == rows is part of the
     // kernel contract).
-    const size_t kept = simd::ActiveKernels().compact_rows(
-        rows->data(), mask.data(), 1, rows->size(), rows->data());
-    rows->resize(kept);
+    n = simd::ActiveKernels().compact_rows(rows, mask.data(), 1, n, rows);
   }
-  return Status::OK();
+  return n;
 }
-
-}  // namespace
 
 [[nodiscard]] Result<SelectionVector> FilterView(const TableView& view,
                                    const BoundExpr& predicate,
                                    SelectionVector base) {
-  std::vector<const BoundExpr*> conjuncts = FlattenConjuncts(predicate);
   AlignedVector<uint32_t> rows = std::move(*base.mutable_rows());
-  MOSAIC_RETURN_IF_ERROR(RefineRows(view, conjuncts, 0, &rows));
-  return SelectionVector(std::move(rows));
-}
-
-[[nodiscard]] Result<SelectionVector> FilterSlice(const TableView& view,
-                                    const BoundExpr& predicate,
-                                    SelectionSlice base) {
-  std::vector<const BoundExpr*> conjuncts = FlattenConjuncts(predicate);
-  // First conjunct runs over the zero-copy slice; survivors become
-  // the owning list the remaining conjuncts refine in place.
-  AlignedVector<uint32_t> rows;
-  if (conjuncts.empty() || base.empty()) {
-    rows.assign(base.begin(), base.end());
-    return SelectionVector(std::move(rows));
-  }
-  MOSAIC_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,
-                          EvalMask(*conjuncts[0], view, base));
-  // Sized for the worst case (every row survives): compact_rows
-  // stores unconditionally, so the output needs full capacity.
-  rows.resize(base.size());
-  const size_t kept = simd::ActiveKernels().compact_rows(
-      base.data(), mask.data(), 1, base.size(), rows.data());
+  MOSAIC_ASSIGN_OR_RETURN(
+      size_t kept,
+      RefineRows(view, FlattenConjuncts(predicate), rows.data(), rows.size()));
   rows.resize(kept);
-  MOSAIC_RETURN_IF_ERROR(RefineRows(view, conjuncts, 1, &rows));
   return SelectionVector(std::move(rows));
 }
 

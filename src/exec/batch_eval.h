@@ -88,10 +88,10 @@ struct BatchVec {
                                       SelectionSlice rows);
 
 /// Offset-writing form: the final kernel writes truth values straight
-/// into dst[0..rows.size()), which the morsel executor points at its
-/// disjoint range of a shared preallocated output — no per-morsel
-/// result vector, no splice copy afterwards. `dst` must hold
-/// rows.size() bytes.
+/// into dst[0..rows.size()), which the executor points at each
+/// morsel's disjoint range of a shared preallocated output — no
+/// per-morsel result vector, no splice copy afterwards. `dst` must
+/// hold rows.size() bytes.
 [[nodiscard]] Status EvalMaskInto(const BoundExpr& expr, const TableView& view,
                     SelectionSlice rows, uint8_t* dst);
 
@@ -113,8 +113,8 @@ struct BatchVec {
 
 /// Size `out` for `n` results of `expr` (type, payload vector, and —
 /// for string column refs — the shared dictionary), without
-/// evaluating anything. The morsel executor prepares one output this
-/// way, then each morsel fills its range via EvalBatchInto. Errors on
+/// evaluating anything. The executor prepares one output this way,
+/// then each morsel fills its range via EvalBatchInto. Errors on
 /// untyped expressions, like EvalBatch.
 [[nodiscard]] Status PrepareBatchVec(const BoundExpr& expr, const TableView& view,
                        size_t n, BatchVec* out);
@@ -138,13 +138,17 @@ struct BatchVec {
                                    const BoundExpr& predicate,
                                    SelectionVector base);
 
-/// Refine a zero-copy slice of a selection — the morsel unit. Row ids
-/// that survive the predicate are returned as a fresh (owning)
-/// SelectionVector; concatenating the results of consecutive slices
-/// in slice order reproduces the whole-selection filter exactly.
-[[nodiscard]] Result<SelectionVector> FilterSlice(const TableView& view,
-                                    const BoundExpr& predicate,
-                                    SelectionSlice base);
+/// The conjuncts of `predicate`'s AND spine, left to right.
+std::vector<const BoundExpr*> FlattenConjuncts(const BoundExpr& predicate);
+
+/// Refine rows[0, n) in place through `conjuncts`: each conjunct only
+/// runs on the survivors of the ones before it (row-path
+/// short-circuit parity). Survivors keep their order in rows[0, kept);
+/// returns kept. Disjoint ranges of one buffer may be refined
+/// concurrently, which is how the executor filters per morsel.
+[[nodiscard]] Result<size_t> RefineRows(
+    const TableView& view, const std::vector<const BoundExpr*>& conjuncts,
+    uint32_t* rows, size_t n);
 
 /// Bind `predicate` against the view's schema and filter. The batch
 /// counterpart of FilterRows (expr_eval.h).

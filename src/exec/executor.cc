@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iterator>
 #include <limits>
 #include <map>
 #include <numeric>
 #include <optional>
-#include <unordered_map>
 
 #include "common/aligned.h"
 #include "common/string_util.h"
@@ -517,21 +517,33 @@ void GatherNumKey(const ColumnSpan& span, const uint32_t* rows, size_t n,
   }
 }
 
-SortKeyCol MakeSortKey(const ColumnSpan& span, SelectionSlice rows,
-                       bool desc) {
+/// Sort key over `rows`, each morsel gathering its disjoint range
+/// (dictionary ranks are computed once, up front).
+SortKeyCol MakeSortKey(const ColumnSpan& span, SelectionSlice rows, bool desc,
+                       const MorselDriver& driver) {
+  const size_t n = rows.size();
   SortKeyCol key;
   key.desc = desc;
-  if (span.type == DataType::kString) {
-    key.is_string = true;
-    std::vector<int32_t> ranks = DictionaryRanks(*span.dict);
-    key.rank.resize(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      key.rank[i] = ranks[span.codes[rows[i]]];
-    }
+  key.is_string = span.type == DataType::kString;
+  std::vector<int32_t> ranks;
+  if (key.is_string) {
+    ranks = DictionaryRanks(*span.dict);
+    key.rank.resize(n);
   } else {
-    key.num.resize(rows.size());
-    GatherNumKey(span, rows.data(), rows.size(), key.num.data());
+    key.num.resize(n);
   }
+  (void)driver.Run(driver.NumMorsels(n), [&](size_t m) {
+    auto [begin, end] = driver.Range(n, m);
+    if (key.is_string) {
+      for (size_t i = begin; i < end; ++i) {
+        key.rank[i] = ranks[span.codes[rows[i]]];
+      }
+    } else {
+      GatherNumKey(span, rows.data() + begin, end - begin,
+                   key.num.data() + begin);
+    }
+    return Status::OK();
+  });
   return key;
 }
 
@@ -641,7 +653,7 @@ std::optional<size_t> LimitOf(const sql::SelectStmt& stmt) {
                                  "' not in result set");
       }
       keys.push_back(MakeSortKey(ColumnSpan::FromColumn(out->column(*idx)),
-                                 identity, o.descending));
+                                 identity, o.descending, MorselDriver()));
     }
     std::vector<uint32_t> perm =
         SortPermutation(keys, out->num_rows(), limit, used_topn);
@@ -711,30 +723,15 @@ bool ContainsDiv(const BoundExpr& e) {
   return false;
 }
 
-/// Per-GROUP BY-column dense codes over the selected rows, plus the
-/// decode table back to Values.
+/// Per-GROUP BY-column dense codes over the selected rows. Group keys
+/// are decoded from each group's first row, not from the codes: an
+/// int64/double code stands for every value equal through double, and
+/// the row path keys each group by the value of its own first row.
 struct GroupKeyCol {
-  DataType type = DataType::kNull;
   std::vector<uint32_t> codes;  // per selected position
   uint64_t card = 1;
-  std::vector<int64_t> i64_vals;   // kInt64 decode table
-  std::vector<double> f64_vals;    // kDouble decode table
-  const Dictionary* dict = nullptr;  // kString decode
-
-  Value Decode(uint64_t code) const {
-    switch (type) {
-      case DataType::kInt64:
-        return Value(i64_vals[code]);
-      case DataType::kDouble:
-        return Value(f64_vals[code]);
-      case DataType::kBool:
-        return Value(code != 0);
-      case DataType::kString:
-        return Value(dict->Decode(static_cast<int32_t>(code)));
-      default:
-        return Value::Null();
-    }
-  }
+  /// Int64/double keys: the value (as double) first seen per code.
+  std::vector<double> vals;
 };
 
 /// Open-addressing map from a 64-bit group key to its dense
@@ -750,10 +747,14 @@ struct GroupKeyCol {
 /// each NaN probe walks to an empty slot and allocates a fresh group.
 class GroupIdIndex {
  public:
-  GroupIdIndex() {
-    bits_.resize(kInitialCap);
-    gids_.assign(kInitialCap, kEmpty);
-    mask_ = kInitialCap - 1;
+  /// Sized for up to `max_keys` keys without growing, capped at the
+  /// default capacity (so small per-morsel builds stay small).
+  explicit GroupIdIndex(size_t max_keys) {
+    size_t cap = kMinCap;
+    while (cap < kInitialCap && cap * 3 < max_keys * 4) cap *= 2;
+    bits_.resize(cap);
+    gids_.assign(cap, kEmpty);
+    mask_ = cap - 1;
   }
 
   /// Group id for `key` (its hash precomputed by the hash pass);
@@ -781,6 +782,7 @@ class GroupIdIndex {
 
  private:
   static constexpr uint32_t kEmpty = 0xFFFFFFFFu;
+  static constexpr size_t kMinCap = 16;
   static constexpr size_t kInitialCap = 2048;
 
   void Grow() {
@@ -820,7 +822,7 @@ void AssignFirstSeenIds(const uint64_t* keys, size_t n, uint32_t* ids,
                         std::vector<uint32_t>* first) {
   const simd::KernelTable& k = simd::ActiveKernels();
   AlignedVector<uint64_t> hashes(kGroupHashBlock);
-  GroupIdIndex index;
+  GroupIdIndex index(n);
   for (size_t base = 0; base < n; base += kGroupHashBlock) {
     const size_t m = std::min(kGroupHashBlock, n - base);
     k.hash_u64(keys + base, m, hashes.data());
@@ -834,68 +836,118 @@ void AssignFirstSeenIds(const uint64_t* keys, size_t n, uint32_t* ids,
   }
 }
 
-GroupKeyCol MakeGroupKey(const ColumnSpan& span, SelectionSlice rows) {
+/// First-seen ids for the int64/double keys at `rows`, by the
+/// two-pass build: the SIMD kernels gather and hash one block of keys,
+/// then the probe pass assigns ids serially in row order. Ids land in
+/// codes[0, rows.size()); each new key appends its value to `vals`.
+///
+/// Key identity goes through double, matching the row path's
+/// std::map<Value> comparator (Value compares all numerics as doubles,
+/// merging int64 keys that collide beyond 2^53).
+void BuildNumericGroupIds(const ColumnSpan& span, SelectionSlice rows,
+                          GroupIdIndex* index, uint32_t* codes,
+                          std::vector<double>* vals) {
+  const simd::KernelTable& k = simd::ActiveKernels();
+  AlignedVector<double> block(kGroupHashBlock);
+  AlignedVector<uint64_t> hashes(kGroupHashBlock);
+  for (size_t base = 0; base < rows.size(); base += kGroupHashBlock) {
+    const size_t m = std::min(kGroupHashBlock, rows.size() - base);
+    if (span.type == DataType::kInt64) {
+      k.gather_i64_f64(span.i64, rows.data() + base, m, block.data());
+    } else {
+      k.gather_f64(span.f64, rows.data() + base, m, block.data());
+    }
+    k.hash_f64(block.data(), m, hashes.data());
+    for (size_t i = 0; i < m; ++i) {
+      const double v = block[i];
+      bool inserted = false;
+      codes[base + i] = index->InsertOrGet(
+          simd::CanonicalF64Bits(v), hashes[i], !std::isnan(v),
+          static_cast<uint32_t>(vals->size()), &inserted);
+      if (inserted) vals->push_back(v);
+    }
+  }
+}
+
+/// Dense per-column group codes over `rows`, one body per morsel.
+/// String and bool codes are pure gathers. Int64/double keys run the
+/// two-pass first-seen build on each morsel's slice: morsel 0 builds
+/// straight into the key and the global index, and each later morsel
+/// builds a local table whose ids are then remapped, in morsel order,
+/// through the global index. A key first seen in morsel m occurs in
+/// no earlier morsel, so the merged ids are exactly the
+/// whole-selection build's; with one morsel there is nothing to remap.
+GroupKeyCol MakeGroupKey(const ColumnSpan& span, SelectionSlice rows,
+                         const MorselDriver& driver) {
+  const size_t n = rows.size();
+  const size_t num_morsels = driver.NumMorsels(n);
   GroupKeyCol key;
-  key.type = span.type;
-  key.codes.resize(rows.size());
+  key.codes.resize(n);
   switch (span.type) {
     case DataType::kString: {
-      key.dict = span.dict.get();
-      for (size_t i = 0; i < rows.size(); ++i) {
-        key.codes[i] = static_cast<uint32_t>(span.codes[rows[i]]);
-      }
       key.card = std::max<uint64_t>(1, span.dict->size());
+      (void)driver.Run(num_morsels, [&](size_t m) {
+        auto [begin, end] = driver.Range(n, m);
+        for (size_t i = begin; i < end; ++i) {
+          key.codes[i] = static_cast<uint32_t>(span.codes[rows[i]]);
+        }
+        return Status::OK();
+      });
       break;
     }
     case DataType::kBool: {
-      for (size_t i = 0; i < rows.size(); ++i) {
-        key.codes[i] = span.b8[rows[i]] != 0 ? 1 : 0;
-      }
       key.card = 2;
+      (void)driver.Run(num_morsels, [&](size_t m) {
+        auto [begin, end] = driver.Range(n, m);
+        for (size_t i = begin; i < end; ++i) {
+          key.codes[i] = span.b8[rows[i]] != 0 ? 1 : 0;
+        }
+        return Status::OK();
+      });
       break;
     }
     case DataType::kInt64:
     case DataType::kDouble: {
-      // Key identity goes through double, matching the row path's
-      // std::map<Value> comparator (Value compares all numerics as
-      // doubles, merging int64 keys that collide beyond 2^53). The
-      // decode table keeps the first-seen value, which is exactly the
-      // key the row path's map retains.
-      //
-      // Two-pass build: gather + hash one block of keys with the SIMD
-      // kernels, then probe serially in selection order.
-      const bool is_int = span.type == DataType::kInt64;
-      const simd::KernelTable& k = simd::ActiveKernels();
-      AlignedVector<double> vals(kGroupHashBlock);
-      AlignedVector<uint64_t> hashes(kGroupHashBlock);
-      GroupIdIndex index;
-      for (size_t base = 0; base < rows.size(); base += kGroupHashBlock) {
-        const size_t m = std::min(kGroupHashBlock, rows.size() - base);
-        if (is_int) {
-          k.gather_i64_f64(span.i64, rows.data() + base, m, vals.data());
+      GroupIdIndex global(driver.Range(n, 0).second);
+      // First-seen values of morsels 1.. (morsel 0 builds into `key`).
+      std::vector<std::vector<double>> later(num_morsels - 1);
+      (void)driver.Run(num_morsels, [&](size_t m) {
+        auto [begin, end] = driver.Range(n, m);
+        const SelectionSlice slice = rows.Subslice(begin, end - begin);
+        if (m == 0) {
+          BuildNumericGroupIds(span, slice, &global, key.codes.data(),
+                               &key.vals);
         } else {
-          k.gather_f64(span.f64, rows.data() + base, m, vals.data());
+          GroupIdIndex local(end - begin);
+          BuildNumericGroupIds(span, slice, &local, key.codes.data() + begin,
+                               &later[m - 1]);
         }
-        k.hash_f64(vals.data(), m, hashes.data());
-        for (size_t i = 0; i < m; ++i) {
-          const double v = vals[i];
-          const uint32_t next = static_cast<uint32_t>(
-              is_int ? key.i64_vals.size() : key.f64_vals.size());
+        return Status::OK();
+      });
+      // Local ids -> global ids, in morsel order (each local table is
+      // in first-seen order within its morsel).
+      std::vector<std::vector<uint32_t>> remap(later.size());
+      for (size_t l = 0; l < later.size(); ++l) {
+        remap[l].resize(later[l].size());
+        for (size_t j = 0; j < later[l].size(); ++j) {
+          const double v = later[l][j];
+          const uint64_t bits = simd::CanonicalF64Bits(v);
           bool inserted = false;
-          key.codes[base + i] =
-              index.InsertOrGet(simd::CanonicalF64Bits(v), hashes[i],
-                                !std::isnan(v), next, &inserted);
-          if (inserted) {
-            if (is_int) {
-              key.i64_vals.push_back(span.i64[rows[base + i]]);
-            } else {
-              key.f64_vals.push_back(v);
-            }
-          }
+          remap[l][j] = global.InsertOrGet(
+              bits, simd::HashU64(bits), !std::isnan(v),
+              static_cast<uint32_t>(key.vals.size()), &inserted);
+          if (inserted) key.vals.push_back(v);
         }
       }
-      key.card = std::max<uint64_t>(
-          1, is_int ? key.i64_vals.size() : key.f64_vals.size());
+      (void)driver.Run(num_morsels, [&](size_t m) {
+        if (m == 0) return Status::OK();
+        auto [begin, end] = driver.Range(n, m);
+        for (size_t i = begin; i < end; ++i) {
+          key.codes[i] = remap[m - 1][key.codes[i]];
+        }
+        return Status::OK();
+      });
+      key.card = std::max<uint64_t>(1, key.vals.size());
       break;
     }
     default:
@@ -956,68 +1008,74 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-parallel building blocks (exec/morsel.h)
+// Per-morsel pipeline steps (exec/morsel.h)
 //
-// Each helper degrades to its single-threaded counterpart when the
-// driver is disabled or the input fits one morsel, and otherwise
-// produces the identical result by running per-morsel and merging in
-// morsel order: the concatenation of per-morsel outputs is exactly
-// the sequence the whole-selection kernel produces, because every
-// per-row value depends only on its own row.
+// Each step is one per-morsel body plus an in-order merge. Morsel 0
+// writes straight into the final output, so with morsels off (one
+// morsel covering the whole selection) the merge has nothing to do.
+// Every per-row value depends only on its own row, so the
+// concatenation of per-morsel outputs in morsel order is exactly the
+// whole-selection result.
 // ---------------------------------------------------------------------------
 
-/// WHERE refinement per morsel over zero-copy slices of the base
-/// selection; survivors concatenate in morsel order.
-[[nodiscard]] Result<SelectionVector> MorselFilter(const TableView& view,
+/// WHERE refinement: each morsel refines its own range of the
+/// selection buffer in place, then a serial pass moves each later
+/// morsel's survivors down over the gaps. Per-morsel spans and the
+/// morsel count are only recorded when the driver actually splits.
+[[nodiscard]] Status FilterSelection(const TableView& view,
                                      const BoundExpr& pred,
-                                     SelectionVector base,
                                      const MorselDriver& driver,
-                                     trace::QueryTrace* trace = nullptr,
-                                     uint32_t trace_parent = 0) {
-  const size_t n = base.size();
+                                     SelectionVector* sel,
+                                     trace::QueryTrace* trace,
+                                     uint32_t trace_parent) {
+  const std::vector<const BoundExpr*> conjuncts = FlattenConjuncts(pred);
+  AlignedVector<uint32_t>& rows = *sel->mutable_rows();
+  const size_t n = rows.size();
   const size_t num_morsels = driver.NumMorsels(n);
-  if (num_morsels <= 1) return FilterView(view, pred, std::move(base));
-  std::vector<SelectionVector> parts(num_morsels);
-  trace::CountMorsels(trace, num_morsels);  // bulk: keep RMWs out of the lambda
+  trace::QueryTrace* morsel_trace = num_morsels > 1 ? trace : nullptr;
+  // Bulk: keep the counter RMW out of the lambda.
+  trace::CountMorsels(morsel_trace, num_morsels);
+  size_t kept = 0;  // morsel 0's survivors, already in place
+  std::vector<size_t> later_kept(num_morsels - 1);
   MOSAIC_RETURN_IF_ERROR(driver.Run(num_morsels, [&](size_t m) -> Status {
     // One span per claimed morsel: its wall time covers claim-to-done
     // on whichever pool thread ran it, so a trace shows how the
     // claim loop spread work across workers.
-    trace::ScopedSpan span(trace, trace_parent,
-                           ("morsel " + std::to_string(m)).c_str());
+    const std::string name =
+        morsel_trace != nullptr ? "morsel " + std::to_string(m) : "";
+    trace::ScopedSpan span(morsel_trace, trace_parent, name.c_str());
     auto [begin, end] = driver.Range(n, m);
     MOSAIC_ASSIGN_OR_RETURN(
-        parts[m], FilterSlice(view, pred, base.Slice(begin, end - begin)));
-    if (trace != nullptr) {
+        size_t survivors,
+        RefineRows(view, conjuncts, rows.data() + begin, end - begin));
+    (m == 0 ? kept : later_kept[m - 1]) = survivors;
+    if (morsel_trace != nullptr) {
       span.Note("rows=" + std::to_string(end - begin) +
-                " kept=" + std::to_string(parts[m].size()));
+                " kept=" + std::to_string(survivors));
     }
     return Status::OK();
   }));
-  size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  AlignedVector<uint32_t> rows;
-  rows.reserve(total);
-  for (const auto& part : parts) {
-    rows.insert(rows.end(), part.rows().begin(), part.rows().end());
+  for (size_t m = 1; m < num_morsels; ++m) {
+    std::memmove(rows.data() + kept, rows.data() + driver.Range(n, m).first,
+                 later_kept[m - 1] * sizeof(uint32_t));
+    kept += later_kept[m - 1];
   }
-  return SelectionVector(std::move(rows));
+  rows.resize(kept);
+  return Status::OK();
 }
 
-/// Expression evaluation per morsel into a single preallocated
-/// output: the offset-writing kernels (EvalBatchInto) aim each
-/// morsel's final evaluation loop directly at its disjoint range, so
-/// there is no per-morsel result vector and no splice copy afterwards
-/// — the write that computes a value is the write that lands it.
-[[nodiscard]] Result<BatchVec> MorselEvalBatch(const BoundExpr& expr, const TableView& view,
-                                 const SelectionVector& sel,
-                                 const MorselDriver& driver) {
+/// Expression evaluation into one prepared output: each morsel's
+/// final kernel writes straight into its disjoint range
+/// (EvalBatchInto), so there is no per-morsel result and no splice
+/// copy. With one morsel this is exactly EvalBatch.
+[[nodiscard]] Result<BatchVec> EvalSelection(const BoundExpr& expr,
+                                             const TableView& view,
+                                             const SelectionVector& sel,
+                                             const MorselDriver& driver) {
   const size_t n = sel.size();
-  const size_t num_morsels = driver.NumMorsels(n);
-  if (num_morsels <= 1) return EvalBatch(expr, view, sel.rows());
   BatchVec out;
   MOSAIC_RETURN_IF_ERROR(PrepareBatchVec(expr, view, n, &out));
-  MOSAIC_RETURN_IF_ERROR(driver.Run(num_morsels, [&](size_t m) -> Status {
+  MOSAIC_RETURN_IF_ERROR(driver.Run(driver.NumMorsels(n), [&](size_t m) {
     auto [begin, end] = driver.Range(n, m);
     return EvalBatchInto(expr, view, sel.Slice(begin, end - begin), &out,
                          begin);
@@ -1027,9 +1085,9 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
 
 /// Per-tuple weight gather, each morsel writing its disjoint range of
 /// the preallocated output.
-[[nodiscard]] Result<std::vector<double>> MorselGatherWeights(const ColumnSpan& wspan,
-                                                const SelectionVector& sel,
-                                                const MorselDriver& driver) {
+[[nodiscard]] Result<std::vector<double>> GatherWeights(
+    const ColumnSpan& wspan, const SelectionVector& sel,
+    const MorselDriver& driver) {
   const AlignedVector<uint32_t>& rows = sel.rows();
   const size_t n = rows.size();
   std::vector<double> w(n);
@@ -1048,140 +1106,6 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
         return Status::OK();
       }));
   return w;
-}
-
-/// MakeSortKey with the gather split across morsels (dictionary ranks
-/// are computed once, serially).
-SortKeyCol MakeSortKeyMorsel(const ColumnSpan& span,
-                             const SelectionVector& sel, bool desc,
-                             const MorselDriver& driver) {
-  const AlignedVector<uint32_t>& rows = sel.rows();
-  const size_t n = rows.size();
-  const size_t num_morsels = driver.NumMorsels(n);
-  if (num_morsels <= 1) return MakeSortKey(span, rows, desc);
-  SortKeyCol key;
-  key.desc = desc;
-  if (span.type == DataType::kString) {
-    key.is_string = true;
-    std::vector<int32_t> ranks = DictionaryRanks(*span.dict);
-    key.rank.resize(n);
-    (void)driver.Run(num_morsels, [&](size_t m) {
-      auto [begin, end] = driver.Range(n, m);
-      for (size_t i = begin; i < end; ++i) {
-        key.rank[i] = ranks[span.codes[rows[i]]];
-      }
-      return Status::OK();
-    });
-  } else {
-    key.num.resize(n);
-    (void)driver.Run(num_morsels, [&](size_t m) {
-      auto [begin, end] = driver.Range(n, m);
-      GatherNumKey(span, rows.data() + begin, end - begin,
-                   key.num.data() + begin);
-      return Status::OK();
-    });
-  }
-  return key;
-}
-
-/// MakeGroupKey with per-morsel work: string/bool codes are pure
-/// gathers; int64/double columns build per-morsel local dictionaries
-/// that a serial merge (in morsel order) folds into the global
-/// first-seen code assignment — identical to the sequential one,
-/// because a value first occurring in morsel m cannot occur in any
-/// earlier morsel — followed by a parallel remap of local to global
-/// codes.
-GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
-                               const SelectionVector& sel,
-                               const MorselDriver& driver) {
-  const AlignedVector<uint32_t>& rows = sel.rows();
-  const size_t n = rows.size();
-  const size_t num_morsels = driver.NumMorsels(n);
-  if (num_morsels <= 1) return MakeGroupKey(span, rows);
-  GroupKeyCol key;
-  key.type = span.type;
-  key.codes.resize(n);
-  switch (span.type) {
-    case DataType::kString: {
-      key.dict = span.dict.get();
-      key.card = std::max<uint64_t>(1, span.dict->size());
-      (void)driver.Run(num_morsels, [&](size_t m) {
-        auto [begin, end] = driver.Range(n, m);
-        for (size_t i = begin; i < end; ++i) {
-          key.codes[i] = static_cast<uint32_t>(span.codes[rows[i]]);
-        }
-        return Status::OK();
-      });
-      return key;
-    }
-    case DataType::kBool: {
-      key.card = 2;
-      (void)driver.Run(num_morsels, [&](size_t m) {
-        auto [begin, end] = driver.Range(n, m);
-        for (size_t i = begin; i < end; ++i) {
-          key.codes[i] = span.b8[rows[i]] != 0 ? 1 : 0;
-        }
-        return Status::OK();
-      });
-      return key;
-    }
-    case DataType::kInt64:
-    case DataType::kDouble: {
-      const bool is_int = span.type == DataType::kInt64;
-      // Key identity goes through double (see MakeGroupKey); local
-      // dictionaries record first-seen order within their morsel.
-      std::vector<std::vector<double>> local_vals(num_morsels);
-      std::vector<std::vector<int64_t>> local_i64(num_morsels);
-      (void)driver.Run(num_morsels, [&](size_t m) {
-        auto [begin, end] = driver.Range(n, m);
-        std::unordered_map<double, uint32_t> ids;
-        ids.reserve(end - begin);
-        for (size_t i = begin; i < end; ++i) {
-          const double v = is_int ? static_cast<double>(span.i64[rows[i]])
-                                  : span.f64[rows[i]];
-          auto [it, inserted] = ids.try_emplace(
-              v, static_cast<uint32_t>(local_vals[m].size()));
-          if (inserted) {
-            local_vals[m].push_back(v);
-            if (is_int) local_i64[m].push_back(span.i64[rows[i]]);
-          }
-          key.codes[i] = it->second;
-        }
-        return Status::OK();
-      });
-      std::unordered_map<double, uint32_t> global;
-      std::vector<std::vector<uint32_t>> remap(num_morsels);
-      for (size_t m = 0; m < num_morsels; ++m) {
-        remap[m].resize(local_vals[m].size());
-        for (size_t j = 0; j < local_vals[m].size(); ++j) {
-          const uint32_t next_code = static_cast<uint32_t>(
-              is_int ? key.i64_vals.size() : key.f64_vals.size());
-          auto [it, inserted] = global.try_emplace(local_vals[m][j],
-                                                   next_code);
-          if (inserted) {
-            if (is_int) {
-              key.i64_vals.push_back(local_i64[m][j]);
-            } else {
-              key.f64_vals.push_back(local_vals[m][j]);
-            }
-          }
-          remap[m][j] = it->second;
-        }
-      }
-      (void)driver.Run(num_morsels, [&](size_t m) {
-        auto [begin, end] = driver.Range(n, m);
-        for (size_t i = begin; i < end; ++i) {
-          key.codes[i] = remap[m][key.codes[i]];
-        }
-        return Status::OK();
-      });
-      key.card = std::max<uint64_t>(
-          1, is_int ? key.i64_vals.size() : key.f64_vals.size());
-      return key;
-    }
-    default:
-      return key;
-  }
 }
 
 /// Vectorized SELECT over a view restricted to `sel`.
@@ -1216,9 +1140,8 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
       return Status::TypeError("WHERE predicate must be boolean, got " +
                                std::string(DataTypeName(pred->type)));
     }
-    MOSAIC_ASSIGN_OR_RETURN(
-        sel, MorselFilter(view, *pred, std::move(sel), morsels, opts.trace,
-                          span.id()));
+    MOSAIC_RETURN_IF_ERROR(FilterSelection(view, *pred, morsels, &sel,
+                                           opts.trace, span.id()));
     if (opts.trace != nullptr) {
       span.Note("rows=" + std::to_string(rows_in) + " kept=" +
                 std::to_string(sel.size()) + " isa=" +
@@ -1309,9 +1232,8 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
         trace::ScopedSpan span(opts.trace, opts.trace_parent, "sort");
         std::vector<SortKeyCol> keys;
         for (size_t ki = 0; ki < stmt.order_by.size(); ++ki) {
-          keys.push_back(MakeSortKeyMorsel(view.column(order_src[ki]), sel,
-                                           stmt.order_by[ki].descending,
-                                           morsels));
+          keys.push_back(MakeSortKey(view.column(order_src[ki]), sel.rows(),
+                                     stmt.order_by[ki].descending, morsels));
         }
         bool topn = false;
         std::vector<uint32_t> perm =
@@ -1336,7 +1258,7 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
       trace::ScopedSpan span(opts.trace, opts.trace_parent, "materialize");
       for (const auto& item : bound_items) {
         MOSAIC_ASSIGN_OR_RETURN(BatchVec batch,
-                                MorselEvalBatch(*item, view, sel, morsels));
+                                EvalSelection(*item, view, sel, morsels));
         MOSAIC_ASSIGN_OR_RETURN(Column col,
                                 ColumnFromBatch(std::move(batch)));
         columns.push_back(std::move(col));
@@ -1413,7 +1335,7 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
   if (!group_cols.empty()) {
     key_cols.reserve(group_cols.size());
     for (size_t c : group_cols) {
-      key_cols.push_back(MakeGroupKeyMorsel(view.column(c), sel, morsels));
+      key_cols.push_back(MakeGroupKey(view.column(c), sel.rows(), morsels));
     }
     // Mixed-radix packing through the widen / mul-add kernels, one
     // morsel-parallel pass per run of columns [begin, end); `extend`
@@ -1493,57 +1415,62 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
 
   // --- Accumulate: tight loops over the selection --------------------------
   //
-  // Under morsels, the per-row work (weight gather, aggregate-argument
-  // evaluation) and the exact aggregates (COUNT, MIN, MAX — integer
-  // adds and order-exact comparisons) run as per-morsel partial
-  // flat-hash states merged in morsel order. Floating-point sums are
-  // the exception: addition is not associative, so merging per-morsel
-  // partial sums would make the rounding depend on the morsel size.
-  // They reduce serially in selection order over per-row values that
-  // were computed in parallel, which keeps every morsel configuration
-  // bit-identical to the single-threaded batch path.
+  // The per-row work (weight gather, aggregate-argument evaluation)
+  // and the exact aggregates (COUNT, MIN, MAX — integer adds and
+  // order-exact comparisons) run per morsel. For the aggregates,
+  // morsel 0 accumulates straight into the final arrays and each later
+  // morsel into a num_groups-sized partial, merged in morsel order.
+  // Floating-point sums are the exception: addition is not
+  // associative, so merging per-morsel partial sums would make the
+  // rounding depend on the morsel size. They reduce serially in
+  // selection order over per-row values computed per morsel, which
+  // keeps every morsel configuration bit-identical.
   std::vector<double> w;
   if (weighted) {
     MOSAIC_ASSIGN_OR_RETURN(
-        w, MorselGatherWeights(view.column(*weight_idx), sel, morsels));
+        w, GatherWeights(view.column(*weight_idx), sel, morsels));
   }
-  const size_t num_agg_morsels = morsels.NumMorsels(n);
-  // Partial states cost one num_groups-sized array per morsel; fall
-  // back to the (identical-result) serial scan when that would dwarf
-  // the selection itself.
-  const bool partial_agg =
-      num_agg_morsels > 1 &&
-      static_cast<uint64_t>(num_agg_morsels) * num_groups <=
-          std::max<uint64_t>(4096, 8 * n);
+  // Partials cost one num_groups-sized array per later morsel; when
+  // that would dwarf the selection itself, the aggregates run as one
+  // morsel instead.
+  const MorselDriver one_morsel;
+  const MorselDriver& agg_driver =
+      static_cast<uint64_t>(morsels.NumMorsels(n)) * num_groups <=
+              std::max<uint64_t>(4096, 8 * n)
+          ? morsels
+          : one_morsel;
+  const size_t num_agg_morsels = agg_driver.NumMorsels(n);
   // sum_w / count are identical across specs (accumulated in the same
   // row order), so compute them once.
   std::vector<double> sum_w(num_groups, 0.0);
   std::vector<int64_t> count_n(num_groups, 0);
-  if (partial_agg) {
-    std::vector<std::vector<int64_t>> part(num_agg_morsels);
+  {
     // Morsel accounting happens in bulk out here, NOT inside the
     // lambda: an atomic RMW next to the counting loop wrecks its
     // codegen (measured ~5% on the group_by bench).
-    trace::CountMorsels(opts.trace, num_agg_morsels);
-    (void)morsels.Run(num_agg_morsels, [&](size_t m) {
-      auto [begin, end] = morsels.Range(n, m);
-      part[m].assign(num_groups, 0);
-      for (size_t i = begin; i < end; ++i) part[m][gid[i]] += 1;
+    if (num_agg_morsels > 1) trace::CountMorsels(opts.trace, num_agg_morsels);
+    std::vector<std::vector<int64_t>> later(num_agg_morsels - 1);
+    (void)agg_driver.Run(num_agg_morsels, [&](size_t m) {
+      auto [begin, end] = agg_driver.Range(n, m);
+      int64_t* counts = count_n.data();
+      if (m > 0) {
+        later[m - 1].assign(num_groups, 0);
+        counts = later[m - 1].data();
+      }
+      for (size_t i = begin; i < end; ++i) counts[gid[i]] += 1;
       return Status::OK();
     });
-    for (size_t m = 0; m < num_agg_morsels; ++m) {
-      for (size_t g = 0; g < num_groups; ++g) count_n[g] += part[m][g];
+    for (const std::vector<int64_t>& part : later) {
+      for (size_t g = 0; g < num_groups; ++g) count_n[g] += part[g];
     }
-  } else {
-    for (size_t i = 0; i < n; ++i) count_n[gid[i]] += 1;
   }
   if (weighted) {
     // Ordered serial reduction (see block comment above).
     for (size_t i = 0; i < n; ++i) sum_w[gid[i]] += w[i];
   } else {
     // Sequentially accumulating 1.0 per row yields exactly the
-    // integer count (counts are far below 2^53), so the exact partial
-    // counts reproduce the unweighted sum bit for bit.
+    // integer count (counts are far below 2^53), so the exact counts
+    // reproduce the unweighted sum bit for bit.
     for (size_t g = 0; g < num_groups; ++g) {
       sum_w[g] = static_cast<double>(count_n[g]);
     }
@@ -1558,7 +1485,7 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
     const AggSpec& spec = aggs.specs[a];
     if (spec.is_star || spec.arg == nullptr) continue;
     MOSAIC_ASSIGN_OR_RETURN(arg_batches[a],
-                            MorselEvalBatch(*spec.arg, view, sel, morsels));
+                            EvalSelection(*spec.arg, view, sel, morsels));
     if (spec.func == sql::AggFunc::kSum || spec.func == sql::AggFunc::kAvg) {
       AlignedVector<double> x_scratch;
       MOSAIC_ASSIGN_OR_RETURN(const double* x,
@@ -1566,8 +1493,8 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
       auto& acc = sum_wx[a];
       acc.assign(num_groups, 0.0);
       // Ordered serial reduction (see block comment above); the
-      // per-row products w[i] * x[i] are exact inputs evaluated in
-      // parallel above.
+      // per-row products w[i] * x[i] are exact inputs evaluated per
+      // morsel above.
       if (weighted) {
         for (size_t i = 0; i < n; ++i) acc[gid[i]] += w[i] * x[i];
       } else {
@@ -1581,56 +1508,46 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
       auto& maxs = max_pos[a];
       mins.assign(num_groups, -1);
       maxs.assign(num_groups, -1);
-      if (partial_agg) {
-        // Per-morsel partial argmin/argmax, merged in morsel order
-        // with the same strict comparisons as the serial scan — the
-        // first-seen winner among equals is preserved, so the merge
-        // is bit-identical to the sequential result.
-        std::vector<std::vector<int64_t>> pmin(num_agg_morsels);
-        std::vector<std::vector<int64_t>> pmax(num_agg_morsels);
-        (void)morsels.Run(num_agg_morsels, [&](size_t m) {
-          auto [begin, end] = morsels.Range(n, m);
-          auto& lmin = pmin[m];
-          auto& lmax = pmax[m];
-          lmin.assign(num_groups, -1);
-          lmax.assign(num_groups, -1);
-          for (size_t i = begin; i < end; ++i) {
-            int64_t& mn = lmin[gid[i]];
-            int64_t& mx = lmax[gid[i]];
-            if (mn < 0 || BatchLess(batch, i, static_cast<size_t>(mn))) {
-              mn = static_cast<int64_t>(i);
-            }
-            if (mx < 0 || BatchLess(batch, static_cast<size_t>(mx), i)) {
-              mx = static_cast<int64_t>(i);
-            }
-          }
-          return Status::OK();
-        });
-        for (size_t m = 0; m < num_agg_morsels; ++m) {
-          for (size_t g = 0; g < num_groups; ++g) {
-            if (pmin[m][g] >= 0 &&
-                (mins[g] < 0 ||
-                 BatchLess(batch, static_cast<size_t>(pmin[m][g]),
-                           static_cast<size_t>(mins[g])))) {
-              mins[g] = pmin[m][g];
-            }
-            if (pmax[m][g] >= 0 &&
-                (maxs[g] < 0 ||
-                 BatchLess(batch, static_cast<size_t>(maxs[g]),
-                           static_cast<size_t>(pmax[m][g])))) {
-              maxs[g] = pmax[m][g];
-            }
-          }
+      // Argmin/argmax per morsel; later morsels' partials merge in
+      // morsel order with the same strict comparisons, so the
+      // first-seen winner among equals is preserved.
+      std::vector<std::vector<int64_t>> later_min(num_agg_morsels - 1);
+      std::vector<std::vector<int64_t>> later_max(num_agg_morsels - 1);
+      (void)agg_driver.Run(num_agg_morsels, [&](size_t m) {
+        auto [begin, end] = agg_driver.Range(n, m);
+        int64_t* lmin = mins.data();
+        int64_t* lmax = maxs.data();
+        if (m > 0) {
+          later_min[m - 1].assign(num_groups, -1);
+          later_max[m - 1].assign(num_groups, -1);
+          lmin = later_min[m - 1].data();
+          lmax = later_max[m - 1].data();
         }
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          int64_t& mn = mins[gid[i]];
-          int64_t& mx = maxs[gid[i]];
+        for (size_t i = begin; i < end; ++i) {
+          int64_t& mn = lmin[gid[i]];
+          int64_t& mx = lmax[gid[i]];
           if (mn < 0 || BatchLess(batch, i, static_cast<size_t>(mn))) {
             mn = static_cast<int64_t>(i);
           }
           if (mx < 0 || BatchLess(batch, static_cast<size_t>(mx), i)) {
             mx = static_cast<int64_t>(i);
+          }
+        }
+        return Status::OK();
+      });
+      for (size_t p = 0; p < later_min.size(); ++p) {
+        for (size_t g = 0; g < num_groups; ++g) {
+          const int64_t pmin = later_min[p][g];
+          const int64_t pmax = later_max[p][g];
+          if (pmin >= 0 &&
+              (mins[g] < 0 || BatchLess(batch, static_cast<size_t>(pmin),
+                                        static_cast<size_t>(mins[g])))) {
+            mins[g] = pmin;
+          }
+          if (pmax >= 0 &&
+              (maxs[g] < 0 || BatchLess(batch, static_cast<size_t>(maxs[g]),
+                                        static_cast<size_t>(pmax)))) {
+            maxs[g] = pmax;
           }
         }
       }
@@ -1648,9 +1565,9 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
   sorted_groups.reserve(num_groups);
   for (size_t g = 0; g < num_groups; ++g) {
     std::vector<Value> key;
-    key.reserve(key_cols.size());
-    for (const GroupKeyCol& col : key_cols) {
-      key.push_back(col.Decode(col.codes[group_first[g]]));
+    key.reserve(group_cols.size());
+    for (size_t c : group_cols) {
+      key.push_back(view.column(c).GetValue(sel[group_first[g]]));
     }
     std::vector<AggAccum> accs(num_specs);
     for (size_t a = 0; a < num_specs; ++a) {

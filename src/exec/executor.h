@@ -24,13 +24,12 @@
 //     space would pass 2^62, so every plan runs here), aggregates
 //     accumulate over selected spans in tight loops, and ORDER BY
 //     sorts precomputed typed keys (partial_sort when LIMIT is
-//     present).
-//   morsel (batch + ExecOptions::morsels) — the same pipeline with
-//     the selection split into fixed-size morsels executed on a
-//     shared thread pool and merged in deterministic morsel order
-//     (exec/morsel.h); bit-identical to the batch path at every
-//     morsel size and thread count, enforced by
-//     tests/test_sql_fuzz.cc.
+//     present). Every step is a per-morsel body plus an in-order
+//     merge (exec/morsel.h): with ExecOptions::morsels off the
+//     selection is one morsel and nothing merges; with it on, the
+//     selection splits into fixed-size morsels run on a shared
+//     thread pool, bit-identical at every morsel size and thread
+//     count (enforced by tests/test_sql_fuzz.cc).
 //   row (parity oracle) — the original Value-at-a-time interpreter,
 //     reached only through ExecOptions::use_row_path, which tests and
 //     the executor bench set for differential checks
@@ -64,14 +63,14 @@ struct ExecOptions {
   /// pipeline. Results are bit-identical; the row path is the parity
   /// oracle for tests and never runs otherwise.
   bool use_row_path = false;
-  /// Morsel-parallel execution of the batch pipeline: when
-  /// morsels.morsel_size > 0 the selection vector is split into
-  /// morsels whose WHERE kernels, expression evaluation, and exact
-  /// aggregate partials run per morsel (on morsels.pool when set) and
-  /// merge in deterministic morsel order. Results are bit-identical
-  /// to the single-threaded batch path at every morsel size and
-  /// thread count; float sums reduce serially in selection order to
-  /// keep the rounding independent of the split (see exec/morsel.h).
+  /// Morsel split of the batch pipeline: when morsels.morsel_size > 0
+  /// the selection vector is split into morsels whose WHERE kernels,
+  /// expression evaluation, and exact aggregate partials run per
+  /// morsel (on morsels.pool when set) and merge in deterministic
+  /// morsel order; 0 runs the selection as one morsel. Results are
+  /// bit-identical at every morsel size and thread count; float sums
+  /// reduce serially in selection order to keep the rounding
+  /// independent of the split (see exec/morsel.h).
   MorselOptions morsels;
   /// Per-query trace to record execution spans (filter, aggregate,
   /// sort, materialize, per-morsel work) into; null = tracing off,

@@ -74,18 +74,13 @@ void ClaimLoop(ClaimState* state) {
 
 }  // namespace
 
-Status MorselDriver::Run(size_t num_morsels,
-                         const std::function<Status(size_t)>& fn) const {
+Status MorselDriver::RunSplit(size_t num_morsels,
+                              const std::function<Status(size_t)>& fn) const {
   if (num_morsels == 0) return Status::OK();
-  if (num_morsels == 1) return fn(0);
 
   size_t helpers = 0;
   if (options_.pool != nullptr) {
-    helpers = options_.parallelism == 0 ? options_.pool->num_threads()
-                                        : options_.parallelism - 1;
-    helpers = std::min(helpers,
-                       std::min(options_.pool->num_threads(),
-                                num_morsels - 1));
+    helpers = std::min(options_.pool->num_threads(), num_morsels - 1);
     // Don't enqueue helpers a busy pool cannot serve: a helper that
     // only runs after all morsels are claimed is pure queue churn
     // ahead of real work. pending() counts queued + running (incl.

@@ -17,8 +17,7 @@ namespace simd {
 namespace {
 
 const KernelTable* BestAvailable() {
-  for (SimdIsa isa :
-       {SimdIsa::kNeon, SimdIsa::kAvx2, SimdIsa::kSse2}) {
+  for (SimdIsa isa : {SimdIsa::kAvx2, SimdIsa::kSse2}) {
     const KernelTable* t = KernelsFor(isa);
     if (t != nullptr) return t;
   }
@@ -26,7 +25,7 @@ const KernelTable* BestAvailable() {
 }
 
 /// Resolve MOSAIC_SIMD once. Values: unset/""/"1"/"auto" = best
-/// available; "0"/"off"/"scalar" = scalar; "sse2"/"avx2"/"neon" =
+/// available; "0"/"off"/"scalar" = scalar; "sse2"/"avx2" =
 /// that level (falling back to auto with a warning when it is not
 /// available on this build/CPU).
 const KernelTable* Resolve() {
@@ -45,8 +44,6 @@ const KernelTable* Resolve() {
     want = SimdIsa::kSse2;
   } else if (std::strcmp(env, "avx2") == 0) {
     want = SimdIsa::kAvx2;
-  } else if (std::strcmp(env, "neon") == 0) {
-    want = SimdIsa::kNeon;
   } else {
     known = false;
   }
@@ -61,7 +58,7 @@ const KernelTable* Resolve() {
   }
   std::fprintf(stderr,
                "mosaic: unknown MOSAIC_SIMD value '%s' "
-               "(want 0|scalar|sse2|avx2|neon|auto); using auto\n",
+               "(want 0|scalar|sse2|avx2|auto); using auto\n",
                env);
   return BestAvailable();
 }
@@ -78,8 +75,6 @@ const KernelTable* KernelsFor(SimdIsa isa) {
       return internal::Sse2KernelsOrNull();
     case SimdIsa::kAvx2:
       return internal::Avx2KernelsOrNull();
-    case SimdIsa::kNeon:
-      return internal::NeonKernelsOrNull();
   }
   return nullptr;
 }

@@ -19,7 +19,6 @@ namespace internal {
 /// nullptr when its level is not compiled for this target.
 const KernelTable* Sse2KernelsOrNull();
 const KernelTable* Avx2KernelsOrNull();
-const KernelTable* NeonKernelsOrNull();
 
 /// Spread the low 4 bits of `bits` into 4 bytes (0/1 each) at `out`.
 /// Single multiply: bit j lands on byte j's LSB with no carry

@@ -88,11 +88,7 @@ QueryService::QueryService(ServiceOptions options)
   // Intra-query morsels share the request pool (deadlock-free by the
   // morsel driver's claim-loop design). The engine may already have a
   // morsel size from MOSAIC_MORSELS; explicit options override it.
-  if (options.morsel_size > 0) {
-    db_.set_morsel_options(options.morsel_size, options.morsel_parallelism);
-  } else if (options.morsel_parallelism > 0) {
-    db_.set_morsel_options(db_.morsel_size(), options.morsel_parallelism);
-  }
+  if (options.morsel_size > 0) db_.set_morsel_options(options.morsel_size);
   db_.set_morsel_pool(&request_pool_);
   if (options.num_generation_threads > 0) {
     generation_pool_ =

@@ -75,9 +75,6 @@ struct ServiceOptions {
   /// never blocks on queued pool work, so the sharing cannot deadlock
   /// (exec/morsel.h). Results are bit-identical at every setting.
   size_t morsel_size = 0;
-  /// Max concurrent morsels per query, counting the thread executing
-  /// the query; 0 = that thread plus every request worker.
-  size_t morsel_parallelism = 0;
   /// Trace every statement (parse, cache, execute, per-phase executor
   /// spans). Results are bit-identical traced or not; the cost is the
   /// span bookkeeping. Also enabled by MOSAIC_TRACE=1. EXPLAIN

@@ -2,14 +2,21 @@
 // be bit-identical to the legacy row-at-a-time interpreter (its
 // parity oracle, kept behind ExecOptions::use_row_path) across
 // generated schemas, tables, and SELECTs combining WHERE, GROUP BY,
-// HAVING, ORDER BY, and LIMIT — weighted and unweighted.
+// HAVING, ORDER BY, and LIMIT — weighted and unweighted. The batch
+// leg honors MOSAIC_MORSELS, and a fixed table pins the morsel merges
+// (filter compaction, group-key remap) against the unsplit run.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "sql/parser.h"
 #include "storage/table.h"
@@ -328,6 +335,7 @@ TEST_P(ExecParity, RandomQueriesBitIdentical) {
       batch_opts.weight_column = "w";
     }
     row_opts.use_row_path = true;
+    batch_opts.morsels.morsel_size = EnvSize("MOSAIC_MORSELS").value_or(0);
     auto row_res = ExecuteSelect(rel.table, stmt, row_opts);
     auto batch_res = ExecuteSelect(rel.table, stmt, batch_opts);
     ASSERT_EQ(row_res.ok(), batch_res.ok())
@@ -437,6 +445,158 @@ TEST(ExecParity, WideGroupKeysStayOnBatchPath) {
       EXPECT_TRUE(aggregated) << sql << " morsel=" << morsel_size;
     }
   }
+}
+
+// Exact equality including the bit pattern of doubles, so NaN keys
+// and -0.0 compare like any other payload.
+bool BitsIdentical(const Value& a, const Value& b) {
+  if (a.type() == DataType::kDouble && b.type() == DataType::kDouble) {
+    const double x = a.AsDouble();
+    const double y = b.AsDouble();
+    return std::memcmp(&x, &y, sizeof(x)) == 0;
+  }
+  return ValuesIdentical(a, b);
+}
+
+void ExpectTablesBitIdentical(const Table& want, const Table& got,
+                              const std::string& what) {
+  ASSERT_TRUE(want.schema() == got.schema()) << what;
+  ASSERT_EQ(want.num_rows(), got.num_rows()) << what;
+  for (size_t r = 0; r < want.num_rows(); ++r) {
+    for (size_t c = 0; c < want.num_columns(); ++c) {
+      ASSERT_TRUE(BitsIdentical(want.GetValue(r, c), got.GetValue(r, c)))
+          << what << "\n at (" << r << ", " << c
+          << "): want=" << want.GetValue(r, c).ToString()
+          << " got=" << got.GetValue(r, c).ToString();
+    }
+  }
+}
+
+// A fixed 24-row table whose layout lands on the morsel merges:
+//  - WHERE k >= 0 AND s != 'drop' drops rows 6..13 (whole middle
+//    morsels at sizes 1, 3 and 7) plus row 4, and keeps every row of
+//    the outer morsels;
+//  - i holds 2^53 + 1 (row 2) and 2^53 (rows 3 and 22), equal through
+//    double, so they form one group decoded as the first-seen
+//    2^53 + 1 — with the twins in later morsels at sizes 1, 3 and 7;
+//  - d holds NaN in rows 1, 14 and 19 (each its own group) and -0.0
+//    / 0.0 (one group);
+//  - i = 7, s = 'late' and d = 99.5 are first seen in the last morsels.
+Table MorselMergeTable() {
+  Schema s;
+  EXPECT_TRUE(s.AddColumn({"k", DataType::kInt64}).ok());
+  EXPECT_TRUE(s.AddColumn({"i", DataType::kInt64}).ok());
+  EXPECT_TRUE(s.AddColumn({"d", DataType::kDouble}).ok());
+  EXPECT_TRUE(s.AddColumn({"s", DataType::kString}).ok());
+  EXPECT_TRUE(s.AddColumn({"x", DataType::kDouble}).ok());
+  EXPECT_TRUE(s.AddColumn({"w", DataType::kDouble}).ok());
+  Table t(s);
+  constexpr int64_t kBig = int64_t{1} << 53;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int64_t r = 0; r < 24; ++r) {
+    const int64_t k = (r >= 6 && r <= 13) ? -1 : r;
+    int64_t i = r % 4;
+    if (r == 2) i = kBig + 1;
+    if (r == 3 || r == 22) i = kBig;
+    if (r == 23) i = 7;
+    double d = 0.5 * static_cast<double>(r % 3);
+    if (r == 1 || r == 14 || r == 19) d = nan;
+    if (r == 5) d = -0.0;
+    if (r == 21) d = 99.5;
+    std::string tag = r % 2 == 0 ? "bb" : "aa";
+    if (r == 4) tag = "drop";
+    if (r == 20) tag = "late";
+    EXPECT_TRUE(t.AppendRow({Value(k), Value(i), Value(d), Value(tag),
+                             Value(0.25 * static_cast<double>(r)),
+                             Value(0.5 + static_cast<double>(r % 3))})
+                    .ok());
+  }
+  return t;
+}
+
+TEST(ExecParity, MorselMergesMatchTheUnsplitRun) {
+  const Table t = MorselMergeTable();
+  const std::string where = " FROM t WHERE k >= 0 AND s != 'drop'";
+  struct Case {
+    std::string sql;
+    bool oracle;  // false when NaN keys make the row oracle's map moot
+  };
+  const std::vector<Case> cases = {
+      {"SELECT i, COUNT(*) AS c, SUM(x) AS sx, MIN(s) AS lo, MAX(s) AS hi" +
+           where + " GROUP BY i",
+       true},
+      {"SELECT s, i, AVG(x) AS ax, MIN(k) AS mk" + where +
+           " AND x < 5.5 GROUP BY s, i ORDER BY s",
+       true},
+      {"SELECT i, s, x" + where + " ORDER BY i DESC LIMIT 9", true},
+      {"SELECT d, COUNT(*) AS c, MIN(i) AS lo, MAX(i) AS hi" + where +
+           " GROUP BY d",
+       false},
+      {"SELECT d, i, s" + where, false},
+  };
+  ThreadPool pool(3);
+  for (const Case& c : cases) {
+    auto parsed = sql::ParseStatement(c.sql);
+    ASSERT_TRUE(parsed.ok()) << c.sql;
+    const auto& stmt = parsed->As<sql::SelectStmt>();
+    ExecOptions opts;
+    opts.weight_column = "w";
+    auto unsplit = ExecuteSelect(t, stmt, opts);
+    ASSERT_TRUE(unsplit.ok()) << c.sql << ": " << unsplit.status().ToString();
+    if (c.oracle) {
+      ExecOptions row_opts = opts;
+      row_opts.use_row_path = true;
+      auto row = ExecuteSelect(t, stmt, row_opts);
+      ASSERT_TRUE(row.ok()) << c.sql << ": " << row.status().ToString();
+      ExpectTablesBitIdentical(*row, *unsplit, "row oracle: " + c.sql);
+    }
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      for (size_t morsel_size : {size_t{1}, size_t{3}, size_t{7},
+                                 t.num_rows() + 1}) {
+        ExecOptions split = opts;
+        split.morsels.morsel_size = morsel_size;
+        split.morsels.pool = p;
+        auto got = ExecuteSelect(t, stmt, split);
+        ASSERT_TRUE(got.ok()) << c.sql << ": " << got.status().ToString();
+        ExpectTablesBitIdentical(
+            *unsplit, *got,
+            "morsel=" + std::to_string(morsel_size) +
+                (p != nullptr ? " pool: " : ": ") + c.sql);
+      }
+    }
+  }
+
+  // The merged answers themselves: the 2^53 twins are one group
+  // decoded as the first-seen 2^53 + 1, the late key has its group,
+  // and every surviving NaN is a group of its own.
+  auto by_i = ExecuteSelect(
+      t, sql::ParseStatement(cases[0].sql)->As<sql::SelectStmt>(),
+      ExecOptions{});
+  ASSERT_TRUE(by_i.ok());
+  bool saw_first_twin = false, saw_late = false;
+  for (size_t r = 0; r < by_i->num_rows(); ++r) {
+    const int64_t i = by_i->GetValue(r, 0).AsInt64();
+    EXPECT_NE(i, int64_t{1} << 53) << "decoded a later twin";
+    if (i == (int64_t{1} << 53) + 1) {
+      saw_first_twin = true;
+      EXPECT_EQ(by_i->GetValue(r, 1).AsInt64(), 3);  // rows 2, 3, 22
+    }
+    if (i == 7) saw_late = true;
+  }
+  EXPECT_TRUE(saw_first_twin);
+  EXPECT_TRUE(saw_late);
+  auto by_d = ExecuteSelect(
+      t, sql::ParseStatement(cases[3].sql)->As<sql::SelectStmt>(),
+      ExecOptions{});
+  ASSERT_TRUE(by_d.ok());
+  size_t nan_groups = 0;
+  for (size_t r = 0; r < by_d->num_rows(); ++r) {
+    if (std::isnan(by_d->GetValue(r, 0).AsDouble())) {
+      ++nan_groups;
+      EXPECT_EQ(by_d->GetValue(r, 1).AsInt64(), 1);
+    }
+  }
+  EXPECT_EQ(nan_groups, 3u);  // rows 1, 14, 19
 }
 
 }  // namespace

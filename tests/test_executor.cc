@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/env.h"
 #include "sql/parser.h"
 
 namespace mosaic {
@@ -31,6 +32,9 @@ Result<Table> RunQuery(const Table& t, const std::string& query,
   EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
   ExecOptions opts;
   opts.weight_column = weight_col;
+  // MOSAIC_MORSELS splits these queries like it splits the engine's,
+  // so every expectation below doubles as a morsel-merge check.
+  opts.morsels.morsel_size = EnvSize("MOSAIC_MORSELS").value_or(0);
   return ExecuteSelect(t, stmt->As<sql::SelectStmt>(), opts);
 }
 

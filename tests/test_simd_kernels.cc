@@ -30,7 +30,7 @@ const size_t kLengths[] = {0,         1,         kLane - 1, kLane,
 
 std::vector<const KernelTable*> AllTables() {
   std::vector<const KernelTable*> tables = {&ScalarKernels()};
-  for (SimdIsa isa : {SimdIsa::kSse2, SimdIsa::kAvx2, SimdIsa::kNeon}) {
+  for (SimdIsa isa : {SimdIsa::kSse2, SimdIsa::kAvx2}) {
     const KernelTable* t = KernelsFor(isa);
     if (t != nullptr) tables.push_back(t);
   }
@@ -401,7 +401,7 @@ std::string IsaParamName(const ::testing::TestParamInfo<SimdIsa>& info) {
 
 std::vector<SimdIsa> AvailableIsas() {
   std::vector<SimdIsa> isas = {SimdIsa::kScalar};
-  for (SimdIsa isa : {SimdIsa::kSse2, SimdIsa::kAvx2, SimdIsa::kNeon}) {
+  for (SimdIsa isa : {SimdIsa::kSse2, SimdIsa::kAvx2}) {
     if (KernelsFor(isa) != nullptr) isas.push_back(isa);
   }
   return isas;

@@ -377,7 +377,6 @@ bool CheckExecutorParity(const Table& table, const std::string& sql,
   for (size_t morsel_size : kMorselSizes) {
     ExecOptions morsel_opts = batch_opts;
     morsel_opts.morsels.morsel_size = morsel_size;
-    morsel_opts.morsels.parallelism = 0;  // caller + every pool worker
     morsel_opts.morsels.pool = pool;
     auto morsel_res = ExecuteSelect(table, stmt, morsel_opts);
     EXPECT_EQ(row_res.ok(), morsel_res.ok())
@@ -637,7 +636,7 @@ TEST(SqlFuzz, VisibilityLevelsBitIdenticalAcrossPaths) {
     // degenerate split as well.
     const size_t morsel_size =
         kMorselSizes[q % (sizeof(kMorselSizes) / sizeof(kMorselSizes[0]))];
-    morsel_db.set_morsel_options(morsel_size, 0);
+    morsel_db.set_morsel_options(morsel_size);
 
     auto row_res = row_db.Execute(sql);
     auto batch_res = batch_db.Execute(sql);

@@ -184,7 +184,7 @@ TEST(SystemTables, ThreeExecPathsAgreeBitForBit) {
     EXPECT_TRUE(TablesEqual(*batch, *row)) << "row path: " << sql;
 
     Database morsel_db;
-    morsel_db.set_morsel_options(2, 2);
+    morsel_db.set_morsel_options(2);
     auto morsel = morsel_db.Execute(sql);
     ASSERT_TRUE(morsel.ok()) << sql << " -> " << morsel.status().ToString();
     EXPECT_TRUE(TablesEqual(*batch, *morsel)) << "morsel path: " << sql;
@@ -278,6 +278,53 @@ TEST(SystemTablesService, EveryStatementLeavesARecord) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// Split bookkeeping — per-morsel spans and the morsels counter — is
+// recorded only when a query actually splits; the unsplit run (one
+// morsel covering the selection) leaves none behind.
+TEST(SystemTablesService, MorselSpansOnlyWhenTheQuerySplits) {
+  const std::string sql =
+      "SELECT tag, COUNT(*) AS c FROM Nums WHERE n >= 2 GROUP BY tag";
+  for (size_t morsel_size : {size_t{0}, size_t{2}}) {
+    QueryLog::Global().ResetForTesting();
+    service::ServiceOptions opts;
+    opts.trace_queries = true;
+    opts.num_request_threads = 2;
+    opts.num_generation_threads = 0;
+    service::QueryService service(opts);
+    // Set explicitly, so MOSAIC_MORSELS cannot split the 0 case.
+    service.database()->set_morsel_options(morsel_size);
+    auto session = service.OpenSession();
+    ASSERT_TRUE(
+        session.Execute("CREATE TABLE Nums (n INT, tag VARCHAR)").ok());
+    ASSERT_TRUE(session
+                    .Execute("INSERT INTO Nums VALUES (1,'a'), (2,'b'), "
+                             "(3,'a'), (4,'b'), (5,'a'), (6,'c')")
+                    .ok());
+    ASSERT_TRUE(session.Execute(sql).ok());
+
+    auto log = session.Execute(
+        "SELECT span, morsels FROM system.queries WHERE sql = '" + sql + "'");
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    ASSERT_GT(log->num_rows(), 1u) << "statement was not traced";
+    size_t morsel_spans = 0;
+    for (size_t r = 0; r < log->num_rows(); ++r) {
+      if (log->GetValue(r, 0).AsString().rfind("morsel ", 0) == 0) {
+        ++morsel_spans;
+      }
+      if (morsel_size == 0) {
+        EXPECT_EQ(log->GetValue(r, 1).AsInt64(), 0);
+      } else {
+        EXPECT_GT(log->GetValue(r, 1).AsInt64(), 0);
+      }
+    }
+    if (morsel_size == 0) {
+      EXPECT_EQ(morsel_spans, 0u);
+    } else {
+      EXPECT_EQ(morsel_spans, 3u);  // 6 rows in morsels of 2 at WHERE
+    }
+  }
 }
 
 TEST(SystemTablesService, SystemQueriesIsNeverServedFromTheResultCache) {

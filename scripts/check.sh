@@ -214,6 +214,16 @@ run_suite "Release" build-release -DCMAKE_BUILD_TYPE=Release
 run_server_e2e "Release" build-release
 run_crash_recovery "Release" build-release
 
+# The end-to-end benchmark is its own CMake project over the engine's
+# headers (IpfReport, QueryService, ...): build it here, so an engine
+# change that breaks it fails CI instead of the next benchmark run, and
+# run its statistics self-test.
+echo "=== Release: perfbench build + self-test ==="
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench -j "${JOBS}" --target perfbench \
+  perfbench_selftest
+./build-perfbench/perfbench_selftest
+
 # Morsel leg: every suite again with morsel-split batch execution
 # (MOSAIC_MORSELS sets the engine-wide morsel size; results must be
 # bit-identical, so every existing assertion doubles as a parity

@@ -136,6 +136,9 @@ Table TailRows(const Table& table, size_t begin) {
 Database::Database() : model_cache_(kDefaultModelCacheCapacity) {
   ipf_cycles_ = metrics::Registry::Global().GetCounter(
       "mosaic_ipf_cycles_total", "IPF raking cycles run by weight refits");
+  ipf_plateaued_ = metrics::Registry::Global().GetCounter(
+      "mosaic_ipf_plateaued_fits_total",
+      "IPF weight refits that ran out of cycles without converging");
   // Ad-hoc OPEN queries get a lighter training budget than the
   // benches (which configure their own MswgOptions).
   open_.mswg.epochs = 15;
@@ -150,13 +153,18 @@ Database::Database() : model_cache_(kDefaultModelCacheCapacity) {
   if (auto size = EnvSize("MOSAIC_MORSELS"); size.has_value() && *size > 0) {
     morsel_size_ = *size;
   }
-  // The five system tables always resolve: queries and metrics read
-  // the live process-wide stores; sessions/connections/snapshots are
-  // empty schema stubs until the service/network layers override them
-  // with real providers at startup.
+  // The six system tables always resolve: queries and metrics read
+  // the live process-wide stores, weight_epochs this catalog's
+  // samples; sessions/connections/snapshots are empty schema stubs
+  // until the service/network layers override them with real
+  // providers at startup.
   RegisterSystemTable(
       "queries", [] { return BuildQueriesTable(qlog::QueryLog::Global()); });
   RegisterSystemTable("metrics", [] { return BuildMetricsTable(); });
+  // Runs inside a SELECT, under the service's shared catalog lock:
+  // the sample set cannot change, and each epoch Pin() is thread-safe.
+  RegisterSystemTable("weight_epochs",
+                      [this] { return BuildWeightEpochsTable(&catalog_); });
   RegisterSystemTable("sessions", [] { return EmptySessionsTable(); });
   RegisterSystemTable("connections", [] { return EmptyConnectionsTable(); });
   RegisterSystemTable("snapshots", [] { return EmptySnapshotsTable(); });
@@ -629,6 +637,12 @@ Result<Table> Database::ExecutePopulationQuery(const sql::SelectStmt& stmt,
   }
 }
 
+void Database::CountIpfFit(const stats::IpfReport& report) {
+  ipf_cycles_->Inc(report.iterations);
+  // A fit that did not converge ran its whole cycle budget.
+  if (!report.converged) ipf_plateaued_->Inc();
+}
+
 Result<stats::IpfReport> Database::ReweightForPopulation(
     const std::string& population_name) {
   stats::IpfReport report;
@@ -770,7 +784,7 @@ Result<WeightEpochPtr> Database::ReweightAndPin(
         stats::IterativeProportionalFit(sample->data, *plan.marginals,
                                         &weights, semi_open_.ipf));
     weight_refits_.fetch_add(1, std::memory_order_relaxed);
-    ipf_cycles_->Inc(report->iterations);
+    CountIpfFit(*report);
     return PublishWeights(
         sample, std::move(weights),
         WeightFitInfo{std::move(sig), report->max_l1_error,
@@ -808,7 +822,7 @@ Result<WeightEpochPtr> Database::ReweightAndPin(
     }
   }
   weight_refits_.fetch_add(1, std::memory_order_relaxed);
-  ipf_cycles_->Inc(report->iterations);
+  CountIpfFit(*report);
   return PublishWeights(
       sample, std::move(full),
       WeightFitInfo{std::move(sig), report->max_l1_error,
@@ -1133,11 +1147,10 @@ Status Database::ExtendWeightsAfterIngest(SampleInfo* sample,
       stats::IpfOptions ipf = semi_open_.ipf;
       if (ipf.incremental_regress_threshold <= 0.0) {
         // Default acceptance: the warm fit may plateau no worse than
-        // twice the outgoing epoch's error (plus tolerance) —
-        // uncovered marginal mass floors the achievable error for
-        // warm and cold fits alike, so requiring convergence would
-        // reject warm fits exactly where cold refits cannot converge
-        // either.
+        // twice the outgoing epoch's error (plus tolerance) — where
+        // the marginals conflict on the sample's covered cells, cold
+        // fits cannot converge either, so requiring convergence would
+        // reject warm fits exactly where a cold refit is no better.
         ipf.incremental_regress_threshold =
             2.0 * prev->fit_error + ipf.tolerance;
       }
@@ -1146,7 +1159,7 @@ Status Database::ExtendWeightsAfterIngest(SampleInfo* sample,
           sample->data, (*gp)->marginals, prev->weights, &fitted, ipf);
       if (fit.ok()) {
         weight_refits_.fetch_add(1, std::memory_order_relaxed);
-        ipf_cycles_->Inc(fit->iterations);
+        CountIpfFit(*fit);
         if (!fit->fell_back_to_cold) {
           weight_refits_incremental_.fetch_add(1, std::memory_order_relaxed);
         }

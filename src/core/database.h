@@ -56,8 +56,9 @@ class DurabilitySink;  // core/durability.h
 struct SemiOpenOptions {
   stats::IpfOptions ipf;
   /// On sample ingest, when the previous weight epoch came from a
-  /// GP-level IPF fit (converged or plateaued — uncovered marginal
-  /// mass can keep even cold fits from converging), warm-start IPF
+  /// GP-level IPF fit (converged or plateaued — marginals that
+  /// conflict on the covered cells keep even cold fits from
+  /// converging), warm-start IPF
   /// from it (extended with unit weights for the new rows) instead of
   /// leaving the sample unfitted until the next SEMI-OPEN query
   /// cold-refits it. Falls back to a cold refit when the warm fit
@@ -374,6 +375,10 @@ class Database {
                                         WeightFitInfo fit = WeightFitInfo(),
                                         bool log = true);
 
+  /// Count a finished IPF refit in the metrics registry: its cycles,
+  /// and whether it plateaued (ran out of cycles unconverged).
+  void CountIpfFit(const stats::IpfReport& report);
+
   /// After rows were appended to `sample`, publish the follow-up
   /// weight epoch: a warm-started incremental IPF when the previous
   /// epoch `prev` came from a GP-level fit (and the knob is on),
@@ -461,6 +466,9 @@ class Database {
   /// mosaic_ipf_cycles_total: raking cycles run by IPF refits (warm
   /// and cold-fallback attempts both count).
   metrics::Counter* ipf_cycles_ = nullptr;
+  /// mosaic_ipf_plateaued_fits_total: IPF refits that exited at the
+  /// cycle budget without converging.
+  metrics::Counter* ipf_plateaued_ = nullptr;
   ThreadPool* gen_pool_ = nullptr;
   ThreadPool* morsel_pool_ = nullptr;
   size_t morsel_size_ = 0;

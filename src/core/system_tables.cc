@@ -118,6 +118,35 @@ std::string TraceIdHex(uint64_t trace_id) {
   return out;
 }
 
+[[nodiscard]] Result<Table> BuildWeightEpochsTable(Catalog* catalog) {
+  Schema schema;
+  for (const auto& [name, type] : std::initializer_list<
+           std::pair<const char*, DataType>>{
+           {"sample", DataType::kString},
+           {"epoch_id", DataType::kInt64},
+           {"rows", DataType::kInt64},
+           {"fit_kind", DataType::kString},
+           {"fit_error", DataType::kDouble},
+           {"fit_uncovered", DataType::kDouble},
+           {"converged", DataType::kInt64},
+       }) {
+    MOSAIC_RETURN_IF_ERROR(schema.AddColumn(ColumnDef{name, type}));
+  }
+  Table out(schema);
+  for (const std::string& name : catalog->SampleNames()) {
+    MOSAIC_ASSIGN_OR_RETURN(SampleInfo* sample, catalog->GetSample(name));
+    const WeightEpochPtr epoch = sample->weights.Pin();
+    const WeightEpoch& e = *epoch;
+    MOSAIC_RETURN_IF_ERROR(out.AppendRow(
+        {Value(name), Value(static_cast<int64_t>(e.id)),
+         Value(static_cast<int64_t>(e.weights.size())),
+         Value(e.fit_signature.substr(0, e.fit_signature.find('|'))),
+         Value(e.fit_error), Value(e.fit_uncovered),
+         Value(static_cast<int64_t>(e.fit_converged ? 1 : 0))}));
+  }
+  return out;
+}
+
 [[nodiscard]] Result<Table> EmptySessionsTable() {
   Schema schema;
   MOSAIC_RETURN_IF_ERROR(

@@ -14,6 +14,7 @@
 
 #include "common/query_log.h"
 #include "common/status.h"
+#include "core/catalog.h"
 #include "storage/table.h"
 
 namespace mosaic {
@@ -30,6 +31,15 @@ namespace core {
 /// histograms expand to _count/_mean/_p50/_p95/_p99 rows. SHOW
 /// METRICS is sugar over this.
 [[nodiscard]] Result<Table> BuildMetricsTable();
+
+/// `system.weight_epochs`: one row per sample of `catalog`, read from
+/// the epoch it pins — sample, epoch_id, rows (weights in the epoch),
+/// fit_kind (the fit signature's prefix: ipf-gp, ipf-pop,
+/// mech-uniform, mech-strat, or empty for an unfitted epoch),
+/// fit_error (max normalized L1 marginal error at exit),
+/// fit_uncovered (averaged uncovered target mass) and converged (0/1).
+/// The caller keeps the sample set fixed while it runs.
+[[nodiscard]] Result<Table> BuildWeightEpochsTable(Catalog* catalog);
 
 /// Empty tables fixing the schemas of the externally-provided
 /// system tables (overridden by the service and network layers).

@@ -29,11 +29,11 @@ namespace stats {
 
 struct IpfOptions {
   size_t max_iterations = 200;  ///< full cycles through all marginals
-  /// Converged when the max normalized L1 marginal error across
-  /// marginals falls to this plus twice the uncovered target mass.
-  /// The check runs after every cycle on the cell ids the fit
-  /// computed once, with Marginal::L1Error's arithmetic
-  /// (Marginal::L1ErrorOfCells).
+  /// Converged when every marginal's normalized L1 error is within
+  /// this of its own floor (IpfReport::floor: twice that marginal's
+  /// uncovered target mass). The check runs after every cycle, with
+  /// Marginal::L1Error's arithmetic over weight masses the last
+  /// raking pass summed (Marginal::L1ErrorOfMasses).
   double tolerance = 1e-6;
   /// Scale the final weights so the total equals the (average)
   /// marginal total — i.e. the weighted sample represents the
@@ -45,21 +45,28 @@ struct IpfOptions {
   size_t incremental_max_iterations = 0;
   /// Fall back to a cold full refit when the warm-started fit exits
   /// with max_l1_error above this. When set it replaces the converged
-  /// flag as the acceptance test (uncovered marginal mass can floor
-  /// the achievable error above the convergence tolerance for warm
-  /// and cold fits alike); 0 falls back only when the warm fit failed
-  /// to converge.
+  /// flag as the acceptance test: a fit that never converges (one
+  /// that plateaus above its floors at the cycle budget) can still
+  /// be as good warm as cold. 0 falls back only when the warm fit
+  /// failed to converge.
   double incremental_regress_threshold = 0.0;
 };
 
 struct IpfReport {
   size_t iterations = 0;
   double max_l1_error = 0.0;  ///< at exit, across all marginals
+  /// Every marginal reached its floor (within the tolerance).
   bool converged = false;
   /// Fraction of target mass (averaged over marginals) living in
   /// cells with zero sample coverage: reweighting can never recover
-  /// it (SEMI-OPEN false negatives).
+  /// it (SEMI-OPEN false negatives). The stop rule uses each
+  /// marginal's own share (`floor`), not this average.
   double uncovered_target_mass = 0.0;
+  /// Per marginal, in the order given: the normalized L1 error at
+  /// exit, and its floor, twice the marginal's own uncovered target
+  /// mass — the least error reweighting can reach.
+  std::vector<double> l1_error;
+  std::vector<double> floor;
   /// Set by IncrementalProportionalFit: a warm-seeded attempt ran
   /// (the returned weights are cold-seeded anyway when
   /// fell_back_to_cold is also set).

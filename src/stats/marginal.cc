@@ -410,6 +410,13 @@ double Marginal::L1ErrorOfCells(const std::vector<int64_t>& cells,
     }
     observed_total += weights[r];
   }
+  return L1ErrorOfMasses(observed, observed_total, out_of_support);
+}
+
+double Marginal::L1ErrorOfMasses(const std::vector<double>& observed,
+                                 double observed_total,
+                                 double out_of_support) const {
+  assert(observed.size() == NumCells());
   if (observed_total <= 0.0) return 1.0;
   double err = 0.0;
   for (size_t c = 0; c < NumCells(); ++c) {

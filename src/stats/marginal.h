@@ -139,6 +139,13 @@ class Marginal {
   double L1ErrorOfCells(const std::vector<int64_t>& cells,
                         const std::vector<double>& weights) const;
 
+  /// The L1 arithmetic itself, over weight masses already summed in
+  /// row order: `observed` per cell, `observed_total` over all rows,
+  /// `out_of_support` over rows outside the support. L1ErrorOfCells
+  /// sums them and calls this; IPF sums them inside its raking pass.
+  double L1ErrorOfMasses(const std::vector<double>& observed,
+                         double observed_total, double out_of_support) const;
+
   /// Pretty rendering for debugging.
   std::string ToString(size_t max_cells = 10) const;
 

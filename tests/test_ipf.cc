@@ -219,11 +219,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IpfRandomSweep,
 
 // ---------------------------------------------------------------------------
 // Kernel parity: IterativeProportionalFit rakes over cell ids it computes
-// once per fit. The reference below is the straightforward loop it
-// replaced: rows binned one by one through CellOfRow, two divisions per
-// row per raking step, and Marginal::L1Error (which re-bins the sample)
-// for the convergence check after every cycle. Weights and reports must
-// match it bit for bit.
+// once per fit, in one fused pass per marginal. The reference below is
+// the straightforward loop it replaced: rows binned one by one through
+// CellOfRow, a separate mass pass and two divisions per row per raking
+// step, and Marginal::L1Error (which re-bins the sample) for the
+// per-marginal convergence check after every cycle. Weights and reports
+// must match it bit for bit.
 // ---------------------------------------------------------------------------
 
 Result<IpfReport> ReferenceIpf(const Table& sample,
@@ -242,6 +243,8 @@ Result<IpfReport> ReferenceIpf(const Table& sample,
       cells[m].push_back(cell.ok() ? static_cast<int64_t>(*cell) : -1);
     }
   }
+  IpfReport report;
+  report.l1_error.assign(marginals.size(), 0.0);
   double uncovered = 0.0;
   for (size_t m = 0; m < marginals.size(); ++m) {
     std::vector<bool> covered(marginals[m].NumCells(), false);
@@ -252,12 +255,12 @@ Result<IpfReport> ReferenceIpf(const Table& sample,
     for (size_t c = 0; c < marginals[m].NumCells(); ++c) {
       if (!covered[c]) miss += marginals[m].count(c);
     }
+    report.floor.push_back(2.0 * (miss / marginals[m].total()));
     uncovered += miss / marginals[m].total();
   }
-  uncovered /= static_cast<double>(marginals.size());
+  report.uncovered_target_mass =
+      uncovered / static_cast<double>(marginals.size());
 
-  IpfReport report;
-  report.uncovered_target_mass = uncovered;
   std::vector<double> cell_mass;
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {
     for (size_t m = 0; m < marginals.size(); ++m) {
@@ -287,13 +290,18 @@ Result<IpfReport> ReferenceIpf(const Table& sample,
       }
     }
     report.iterations = iter + 1;
+    // Per-marginal stop rule: every marginal within the tolerance of
+    // its own floor.
     double max_err = 0.0;
-    for (const Marginal& marg : marginals) {
-      MOSAIC_ASSIGN_OR_RETURN(double err, marg.L1Error(sample, w));
+    bool converged = true;
+    for (size_t m = 0; m < marginals.size(); ++m) {
+      MOSAIC_ASSIGN_OR_RETURN(double err, marginals[m].L1Error(sample, w));
+      report.l1_error[m] = err;
       max_err = std::max(max_err, err);
+      if (!(err <= options.tolerance + report.floor[m])) converged = false;
     }
     report.max_l1_error = max_err;
-    if (max_err <= options.tolerance + 2.0 * uncovered) {
+    if (converged) {
       report.converged = true;
       break;
     }
@@ -374,6 +382,8 @@ void ExpectSameFit(const Result<IpfReport>& got, const std::vector<double>& w,
             Bits(want->uncovered_target_mass));
   EXPECT_EQ(got->warm_started, want->warm_started);
   EXPECT_EQ(got->fell_back_to_cold, want->fell_back_to_cold);
+  EXPECT_EQ(Bits(got->l1_error), Bits(want->l1_error));
+  EXPECT_EQ(Bits(got->floor), Bits(want->floor));
   EXPECT_EQ(Bits(w), Bits(want_w));
 }
 
@@ -481,6 +491,42 @@ TEST_F(IpfKernelParity, ColdFitConvergesEarly) {
   ExpectColdParity({carrier_}, IpfOptions(), &report);
   EXPECT_TRUE(report.converged);
   EXPECT_LT(report.iterations, IpfOptions().max_iterations);
+}
+
+TEST_F(IpfKernelParity, PerMarginalFloorStopsEarly) {
+  // elapsed_time in 20 equi-width bins over the whole population: the
+  // sample covers every bin, so its floor is 0. Beside it carrier_,
+  // whose 'ZZ' no sample row carries (and no row falls outside its
+  // support): its error cannot fall below twice that uncovered mass.
+  auto elapsed = Marginal::FromData(population_, {"elapsed_time"}, 20,
+                                    /*weight_column=*/"",
+                                    /*max_int_categories=*/0);
+  ASSERT_TRUE(elapsed.ok());
+  auto carrier_cells = carrier_.CellIds(sample_);
+  ASSERT_TRUE(carrier_cells.ok());
+  ASSERT_EQ(std::count(carrier_cells->begin(), carrier_cells->end(), -1), 0);
+  const IpfOptions opts;
+  IpfReport report;
+  ExpectColdParity({*elapsed, carrier_}, opts, &report);
+  ASSERT_EQ(report.floor.size(), 2u);
+  ASSERT_EQ(report.l1_error.size(), 2u);
+  EXPECT_EQ(report.floor[0], 0.0);
+  EXPECT_GT(report.floor[1], 0.0);
+  EXPECT_TRUE(report.converged);
+  EXPECT_LE(report.iterations, 30u);
+  for (size_t m = 0; m < 2; ++m) {
+    EXPECT_NEAR(report.l1_error[m], report.floor[m], opts.tolerance) << m;
+  }
+  // The averaged rule judged the max error against twice the
+  // uncovered mass averaged over marginals. Carrier's floor alone is
+  // above that threshold, and no cycle's error gets below its floor
+  // by more than rounding, so that rule could never fire: it ran the
+  // whole cycle budget.
+  const double averaged_threshold =
+      opts.tolerance + 2.0 * report.uncovered_target_mass;
+  EXPECT_GT(report.floor[1] - opts.tolerance, averaged_threshold);
+  EXPECT_GT(*std::max_element(report.l1_error.begin(), report.l1_error.end()),
+            averaged_threshold);
 }
 
 TEST_F(IpfKernelParity, UnscaledAndSeededWeights) {

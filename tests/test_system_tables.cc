@@ -101,6 +101,8 @@ TEST(SystemTables, UnknownSystemTableNamesTheAlternatives) {
   // The error enumerates what IS available, so typos are self-serve.
   EXPECT_NE(r.status().ToString().find("queries"), std::string::npos)
       << r.status().ToString();
+  EXPECT_NE(r.status().ToString().find("weight_epochs"), std::string::npos)
+      << r.status().ToString();
 }
 
 TEST(SystemTables, QueriesTableExposesRecordsAndSpans) {
@@ -154,6 +156,52 @@ TEST(SystemTables, StubTablesResolveEmptyWithoutAService) {
     ASSERT_TRUE(r.ok()) << rel << ": " << r.status().ToString();
     EXPECT_EQ(r->num_rows(), 0u) << rel;
   }
+}
+
+TEST(SystemTables, WeightEpochsShowsEachSamplesFit) {
+  Database db;
+  for (const char* sql : {
+           "CREATE GLOBAL POPULATION Things (color VARCHAR, size VARCHAR)",
+           "CREATE TABLE ColorReport (color VARCHAR, cnt INT)",
+           "INSERT INTO ColorReport VALUES ('red', 60), ('blue', 40)",
+           "CREATE TABLE SizeReport (size VARCHAR, cnt INT)",
+           "INSERT INTO SizeReport VALUES ('S', 50), ('L', 50)",
+           "CREATE METADATA Things_M1 AS (SELECT color, cnt FROM ColorReport)",
+           "CREATE METADATA Things_M2 AS (SELECT size, cnt FROM SizeReport)",
+           "CREATE SAMPLE RedSample AS (SELECT * FROM Things WHERE color = "
+           "'red')",
+           "INSERT INTO RedSample VALUES ('red','S'), ('red','S'), "
+           "('red','L')",
+       }) {
+    ASSERT_TRUE(db.Execute(sql).ok()) << sql;
+  }
+  const std::string query =
+      "SELECT sample, epoch_id, rows, fit_kind, fit_error, fit_uncovered, "
+      "converged FROM system.weight_epochs";
+
+  // Before any SEMI-OPEN query the sample's epoch is unfitted.
+  auto before = db.Execute(query);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_EQ(before->num_rows(), 1u);
+  EXPECT_EQ(before->GetValue(0, 0).AsString(), "RedSample");
+  EXPECT_EQ(before->GetValue(0, 2).AsInt64(), 3);
+  EXPECT_EQ(before->GetValue(0, 3).AsString(), "");
+  EXPECT_EQ(before->GetValue(0, 6).AsInt64(), 0);
+
+  // The refit a SEMI-OPEN query runs: a GP-level IPF fit. Blue is
+  // uncovered, so the color marginal converges at its floor.
+  auto report = db.ReweightForPopulation("Things");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->converged);
+  auto after = db.Execute(query);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ASSERT_EQ(after->num_rows(), 1u);
+  EXPECT_GT(after->GetValue(0, 1).AsInt64(), before->GetValue(0, 1).AsInt64());
+  EXPECT_EQ(after->GetValue(0, 2).AsInt64(), 3);
+  EXPECT_EQ(after->GetValue(0, 3).AsString(), "ipf-gp");
+  EXPECT_EQ(after->GetValue(0, 4).AsDouble(), report->max_l1_error);
+  EXPECT_EQ(after->GetValue(0, 5).AsDouble(), report->uncovered_target_mass);
+  EXPECT_EQ(after->GetValue(0, 6).AsInt64(), report->converged ? 1 : 0);
 }
 
 // ---------------------------------------------------------------------------

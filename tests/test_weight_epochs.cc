@@ -288,6 +288,56 @@ TEST(WeightEpochs, IpfCyclesCounterCountsEveryFit) {
             static_cast<double>(after_insert));
 }
 
+TEST(WeightEpochs, PlateauedFitsCounterCountsUnconvergedFits) {
+  metrics::Counter* plateaued = metrics::Registry::Global().GetCounter(
+      "mosaic_ipf_plateaued_fits_total");
+  // A converged fit is not counted.
+  {
+    Database db;
+    SetUpWeightWorld(&db);
+    const uint64_t start = plateaued->Value();
+    auto fit = db.ReweightForPopulation("Things");
+    ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+    EXPECT_TRUE(fit->converged);
+    EXPECT_EQ(plateaued->Value(), start);
+  }
+  // Every sampled red thing is small and every blue one large, but
+  // the marginals want 60% red and 50% small: no reweighting meets
+  // both, so the fit oscillates until the cycle budget runs out.
+  Database db;
+  for (const char* sql : {
+           "CREATE GLOBAL POPULATION Things (color VARCHAR, size VARCHAR)",
+           "CREATE TABLE ColorReport (color VARCHAR, cnt INT)",
+           "INSERT INTO ColorReport VALUES ('red', 60), ('blue', 40)",
+           "CREATE TABLE SizeReport (size VARCHAR, cnt INT)",
+           "INSERT INTO SizeReport VALUES ('S', 50), ('L', 50)",
+           "CREATE METADATA Things_M1 AS (SELECT color, cnt FROM ColorReport)",
+           "CREATE METADATA Things_M2 AS (SELECT size, cnt FROM SizeReport)",
+           "CREATE SAMPLE Pairs AS (SELECT * FROM Things)",
+           "INSERT INTO Pairs VALUES ('red','S'), ('blue','L')",
+       }) {
+    ASSERT_TRUE(db.Execute(sql).ok()) << sql;
+  }
+  const uint64_t start = plateaued->Value();
+  auto cold = db.ReweightForPopulation("Things");
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_FALSE(cold->converged);
+  EXPECT_EQ(cold->iterations, stats::IpfOptions().max_iterations);
+  EXPECT_EQ(plateaued->Value(), start + 1);
+
+  // The ingest refit plateaus too.
+  ASSERT_TRUE(db.Execute("INSERT INTO Pairs VALUES ('red','S')").ok());
+  EXPECT_EQ(plateaued->Value(), start + 2);
+
+  auto listed = db.Execute(
+      "SELECT value FROM system.metrics "
+      "WHERE metric = 'mosaic_ipf_plateaued_fits_total'");
+  ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+  ASSERT_EQ(listed->num_rows(), 1u);
+  EXPECT_EQ(listed->GetValue(0, 0).AsDouble(),
+            static_cast<double>(plateaued->Value()));
+}
+
 TEST(WeightEpochs, PartiallyFailedInsertKeepsWeightsAndStampsConsistent) {
   Database db;
   SetUpWeightWorld(&db);

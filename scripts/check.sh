@@ -284,17 +284,20 @@ MOSAIC_MORSELS=3 UBSAN_OPTIONS=halt_on_error=1 ctest \
 
 # Bench JSON smoke: the bench binaries must emit parseable JSON with
 # the latency histogram fields (BENCH_*.json feeds dashboards; a
-# malformed file fails silently downstream otherwise).
+# malformed file fails silently downstream otherwise). The durable
+# bench reports throughputs and wall times, not latency histograms.
 echo "=== Release: bench JSON smoke ==="
 (
   cd build-release
   MOSAIC_BENCH_ROWS=20000 ./bench_executor >/dev/null
   ./bench_net 2 50 >/dev/null
+  ./bench_durable >/dev/null
   python3 - <<'EOF'
 import json, sys
 for name, want_latency in [("BENCH_executor.json", True),
                            ("BENCH_morsel.json", True),
-                           ("BENCH_net.json", True)]:
+                           ("BENCH_net.json", True),
+                           ("BENCH_durable.json", False)]:
     with open(name) as f:
         doc = json.load(f)
     hists = []

@@ -1191,32 +1191,30 @@ Status Database::IngestSample(const std::string& sample_name,
                           catalog_.GetSample(sample_name));
   WeightEpochPtr prev = sample->weights.Pin();
   const size_t rows_before = sample->data.num_rows();
-  // A mid-loop failure still leaves the earlier rows appended, so the
+  // Map by column name so ingests tolerate column order changes.
+  std::vector<size_t> src_col_of_dst(sample->schema.num_columns());
+  Status ingest = Status::OK();
+  for (size_t c = 0; c < src_col_of_dst.size(); ++c) {
+    Result<size_t> src =
+        rows.schema().ColumnIndex(sample->schema.column(c).name);
+    if (!src.ok()) {
+      ingest = src.status();
+      break;
+    }
+    src_col_of_dst[c] = *src;
+  }
+  if (ingest.ok()) ingest = sample->data.AppendColumns(rows, src_col_of_dst);
+  // A failed row still leaves the earlier rows appended, so the
   // version bump and the weight-epoch extension must run regardless —
   // otherwise stale stamped cache entries keep matching and the
   // current epoch stays shorter than the data, breaking every
   // subsequent read of the sample.
-  Status ingest = Status::OK();
-  for (size_t r = 0; ingest.ok() && r < rows.num_rows(); ++r) {
-    // Map by column name so ingests tolerate column order changes.
-    std::vector<Value> row(sample->schema.num_columns());
-    for (size_t c = 0; ingest.ok() && c < sample->schema.num_columns();
-         ++c) {
-      auto src = rows.schema().ColumnIndex(sample->schema.column(c).name);
-      if (!src.ok()) {
-        ingest = src.status();
-        break;
-      }
-      row[c] = rows.GetValue(r, *src);
-    }
-    if (ingest.ok()) ingest = sample->data.AppendRow(row);
-  }
   BumpCatalogVersion();
   InvalidateModelCache();
   Status extend = ExtendWeightsAfterIngest(sample, prev);
   // One combined rows+epoch record: replay can never materialize the
   // new rows without the weight epoch that covers them. Logged even
-  // after a mid-loop failure — whatever landed is committed state.
+  // after a failed row — whatever landed is committed state.
   if (durability_ != nullptr && sample->data.num_rows() > rows_before) {
     Status log = durability_->LogSampleIngest(
         sample->name, TailRows(sample->data, rows_before),

@@ -1,8 +1,37 @@
 #include "storage/column.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace mosaic {
+
+namespace {
+
+// Grow to a power-of-two capacity, as push_back does from an empty
+// column: sized exactly, a bulk append would make the next small
+// append (an INSERT after the setup ingest) reallocate and copy the
+// whole column, which shows in peak RSS.
+template <typename T>
+void ReserveForAppend(AlignedVector<T>* dst, size_t n) {
+  const size_t need = dst->size() + n;
+  if (need <= dst->capacity()) return;
+  size_t cap = 1;
+  while (cap < need) cap *= 2;
+  dst->reserve(cap);
+}
+
+template <typename T>
+void AppendPrefix(AlignedVector<T>* dst, const AlignedVector<T>& src,
+                  size_t n) {
+  if (n == 0) return;
+  const size_t old = dst->size();
+  ReserveForAppend(dst, n);
+  dst->resize(old + n);
+  // Read `src` only after the resize: it may be `*dst` (self-append).
+  std::copy_n(src.data(), n, dst->data() + old);
+}
+
+}  // namespace
 
 Column::Column(DataType type) : type_(type) {
   assert(type != DataType::kNull);
@@ -72,6 +101,38 @@ void Column::AppendCode(int32_t code) {
   assert(type_ == DataType::kString);
   assert(code >= 0 && static_cast<size_t>(code) < dict_->size());
   codes_.push_back(code);
+}
+
+void Column::AppendFrom(const Column& src, size_t n) {
+  assert(src.type_ == type_ && n <= src.size());
+  switch (type_) {
+    case DataType::kInt64:
+      AppendPrefix(&ints_, src.ints_, n);
+      break;
+    case DataType::kDouble:
+      AppendPrefix(&doubles_, src.doubles_, n);
+      break;
+    case DataType::kBool:
+      AppendPrefix(&bools_, src.bools_, n);
+      break;
+    case DataType::kString: {
+      if (src.dict_ == dict_) {
+        AppendPrefix(&codes_, src.codes_, n);
+        break;
+      }
+      std::vector<int32_t> remap(src.dict_->size(), -1);
+      ReserveForAppend(&codes_, n);
+      for (size_t r = 0; r < n; ++r) {
+        const int32_t from = src.codes_[r];
+        int32_t& to = remap[static_cast<size_t>(from)];
+        if (to < 0) to = dict_->GetOrInsert(src.dict_->Decode(from));
+        codes_.push_back(to);
+      }
+      break;
+    }
+    default:
+      break;
+  }
 }
 
 Column Column::FromInt64(AlignedVector<int64_t> values) {

@@ -37,6 +37,14 @@ class Column {
   /// Append a pre-encoded dictionary code (string columns).
   void AppendCode(int32_t code);
 
+  /// Append the first `n` values of `src`, which must have this
+  /// column's type: one range copy for numeric and bool columns, and
+  /// for string columns a copy of the codes when `src` shares this
+  /// column's dictionary, else a remap through a per-source-code
+  /// table, so each distinct string costs one dictionary insert, in
+  /// row order of first appearance. `src` may be this column.
+  void AppendFrom(const Column& src, size_t n);
+
   /// Zero-copy construction from pre-built storage (the batch
   /// executor materializes result columns this way instead of
   /// appending row by row). Takes AlignedVector so every column's

@@ -110,6 +110,7 @@ Result<RecoveryInfo> StorageEngine::Recover(core::Database* db) {
     replay_from = state.next_wal_seq;
     info.snapshot_loaded = true;
     info.snapshot_seq = best_snapshot;
+    info.snapshot_bytes = state.file_bytes;
   }
 
   // 2./3. WAL replay, ascending, gap-free.
@@ -157,6 +158,7 @@ Result<RecoveryInfo> StorageEngine::Recover(core::Database* db) {
       ++info.wal_records_applied;
     }
     ++info.wal_files_replayed;
+    info.wal_bytes += wal.valid_bytes;
     last_wal_seq = seq;
     have_wal = true;
     ++next_wal_seq;
@@ -201,6 +203,8 @@ Result<RecoveryInfo> StorageEngine::Recover(core::Database* db) {
        {"snapshot_loaded", info.snapshot_loaded ? "true" : "false"},
        {"wal_records_applied", std::to_string(info.wal_records_applied)},
        {"wal_tail_truncated", info.wal_tail_truncated ? "true" : "false"},
+       {"snapshot_bytes", std::to_string(info.snapshot_bytes)},
+       {"wal_bytes", std::to_string(info.wal_bytes)},
        {"recovery_us", std::to_string(info.recovery_us)}});
   return info;
 }

@@ -65,6 +65,10 @@ struct RecoveryInfo {
   uint64_t wal_files_replayed = 0;
   uint64_t wal_records_applied = 0;
   bool wal_tail_truncated = false;
+  /// Bytes read and CRC-verified: the loaded snapshot file, and the
+  /// valid prefix of every replayed WAL (headers included).
+  uint64_t snapshot_bytes = 0;
+  uint64_t wal_bytes = 0;
   uint64_t tables = 0;
   uint64_t populations = 0;
   uint64_t samples = 0;

@@ -390,6 +390,7 @@ std::string SnapshotFileName(uint64_t seq) {
   state.next_wal_seq = parsed.next_wal_seq;
   state.catalog_version = parsed.catalog_version;
   state.metadata_version = parsed.metadata_version;
+  state.file_bytes = bytes.size();
   state.tables = std::move(parsed.tables);
   state.populations = std::move(parsed.populations);
   for (ParsedSample& sample : parsed.samples) {

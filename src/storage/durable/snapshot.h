@@ -67,6 +67,7 @@ struct SnapshotState {
   uint64_t next_wal_seq = 1;
   uint64_t catalog_version = 1;
   uint64_t metadata_version = 1;
+  uint64_t file_bytes = 0;  ///< bytes read and CRC-verified
   std::vector<std::pair<std::string, Table>> tables;
   std::vector<core::PopulationInfo> populations;
   struct Sample {

@@ -23,13 +23,14 @@ constexpr size_t kFrameSize = 8;    // u32 len + u32 crc
 // an allocation request. Generous: a 16M-row double column is 128MB.
 constexpr uint32_t kMaxRecordLen = 1u << 30;
 
-std::string EncodePayload(const WalRecord& record) {
-  std::string payload;
-  PutU8(&payload, static_cast<uint8_t>(record.type));
-  PutU64(&payload, record.catalog_version);
-  PutU64(&payload, record.metadata_version);
-  payload.append(record.body);
-  return payload;
+// u8 type + u64 catalog_version + u64 metadata_version
+constexpr size_t kPayloadHeaderSize = 1 + 8 + 8;
+
+/// Little-endian u32 into already-allocated bytes (PutU32's layout).
+void StoreU32(char* dst, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    dst[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
 }
 
 [[nodiscard]] Result<WalRecord> DecodePayload(const uint8_t* data, size_t size) {
@@ -134,12 +135,18 @@ Result<std::unique_ptr<WalWriter>> WalWriter::OpenForAppend(
 }
 
 Status WalWriter::Append(const WalRecord& record, bool sync) {
-  const std::string payload = EncodePayload(record);
+  // One buffer: reserve the frame header, encode the payload after it,
+  // then fill in its length and CRC.
   std::string frame;
-  frame.reserve(kFrameSize + payload.size());
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32(&frame, Crc32(payload.data(), payload.size()));
-  frame.append(payload);
+  frame.reserve(kFrameSize + kPayloadHeaderSize + record.body.size());
+  frame.resize(kFrameSize);
+  PutU8(&frame, static_cast<uint8_t>(record.type));
+  PutU64(&frame, record.catalog_version);
+  PutU64(&frame, record.metadata_version);
+  frame.append(record.body);
+  const size_t len = frame.size() - kFrameSize;
+  StoreU32(&frame[0], static_cast<uint32_t>(len));
+  StoreU32(&frame[4], Crc32(frame.data() + kFrameSize, len));
   MOSAIC_RETURN_IF_ERROR(WriteFull(fd_, frame.data(), frame.size()));
   bytes_written_ += frame.size();
   if (sync) MOSAIC_RETURN_IF_ERROR(SyncFd(fd_));

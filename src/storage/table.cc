@@ -87,10 +87,58 @@ Status Table::Concat(const Table& other) {
                                    schema_.ToString() + " vs " +
                                    other.schema_.ToString() + ")");
   }
-  for (size_t r = 0; r < other.num_rows_; ++r) {
-    MOSAIC_RETURN_IF_ERROR(AppendRow(other.GetRow(r)));
+  std::vector<size_t> identity(columns_.size());
+  std::iota(identity.begin(), identity.end(), size_t{0});
+  return AppendColumns(other, identity);
+}
+
+Status Table::AppendColumns(const Table& src,
+                            const std::vector<size_t>& src_col_of_dst) {
+  if (src_col_of_dst.size() != columns_.size()) {
+    return Status::InvalidArgument(
+        StrFormat("AppendColumns: %zu source columns for %zu columns",
+                  src_col_of_dst.size(), columns_.size()));
   }
-  return Status::OK();
+  for (size_t s : src_col_of_dst) {
+    if (s >= src.num_columns()) {
+      return Status::InvalidArgument(
+          StrFormat("AppendColumns: source column %zu of %zu", s,
+                    src.num_columns()));
+    }
+  }
+  // The rows that land. Read the source length once: `src` may be
+  // this table.
+  size_t cut = src.num_rows_;
+  Status status = Status::OK();
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const Column& from = src.columns_[src_col_of_dst[c]];
+    const DataType type = columns_[c].type();
+    if (from.type() == type) continue;
+    // Only rows below the current cut: a later column failing at the
+    // same row must not replace the lower column's status.
+    for (size_t r = 0; r < cut; ++r) {
+      Result<Value> cast = from.GetValue(r).CastTo(type);
+      if (!cast.ok()) {
+        cut = r;
+        status = cast.status();
+        break;
+      }
+    }
+  }
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const Column& from = src.columns_[src_col_of_dst[c]];
+    if (from.type() == columns_[c].type()) {
+      columns_[c].AppendFrom(from, cut);
+      continue;
+    }
+    for (size_t r = 0; r < cut; ++r) {
+      Status st = columns_[c].Append(from.GetValue(r));
+      assert(st.ok());  // every cast below the cut was checked above
+      (void)st;
+    }
+  }
+  num_rows_ += cut;
+  return status;
 }
 
 Status Table::AddColumn(ColumnDef def, const std::vector<Value>& values) {

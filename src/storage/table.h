@@ -49,8 +49,19 @@ class Table {
   /// New table with only the given columns, in order.
   Table Project(const std::vector<size_t>& column_indices) const;
 
-  /// Append every row of `other` (schemas must be equal).
+  /// Append every row of `other` (schemas must be equal). `other`
+  /// may be this table: its length is read once, so the table doubles.
   [[nodiscard]] Status Concat(const Table& other);
+
+  /// Append every row of `src`, column by column: destination column
+  /// c takes source column `src_col_of_dst[c]`. Same-type columns
+  /// append as one range (see Column::AppendFrom); a column whose type
+  /// differs casts value by value (Value::CastTo). Casts are checked
+  /// before anything mutates: the first failing row (lowest row, then
+  /// lowest column) cuts the append, rows before it land, and its
+  /// status is returned — what appending row by row would do.
+  [[nodiscard]] Status AppendColumns(const Table& src,
+                                     const std::vector<size_t>& src_col_of_dst);
 
   /// Add a column filled from `values` (size must equal num_rows, or
   /// table must be empty).

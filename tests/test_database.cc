@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "storage/csv.h"
 
 namespace mosaic {
@@ -244,6 +247,141 @@ TEST(Database, CopyCsvIntoTable) {
   auto r = db.Execute("SELECT COUNT(*) FROM t");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->GetValue(0, 0).AsInt64(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// IngestSample against a row-at-a-time AppendRow oracle
+// ---------------------------------------------------------------------------
+
+/// A sample S (x DOUBLE, tag VARCHAR, n INT) holding two rows.
+class IngestWorld : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (const char* sql :
+         {"CREATE GLOBAL POPULATION P (x DOUBLE, tag VARCHAR, n INT)",
+          "CREATE SAMPLE S AS (SELECT * FROM P)",
+          "INSERT INTO S VALUES (0.5, 'b', 1), (1.5, 'a', 2)"}) {
+      auto r = db_.Execute(sql);
+      ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+    }
+  }
+
+  const Table& Data() { return (*db_.catalog()->GetSample("S"))->data; }
+
+  /// The sample's current rows rebuilt row by row, then `src` appended
+  /// row by row through AppendRow with columns mapped by name.
+  Table Oracle(const Table& src, Status* status) {
+    const Table& data = Data();
+    Table want(data.schema());
+    for (size_t r = 0; r < data.num_rows(); ++r) {
+      EXPECT_TRUE(want.AppendRow(data.GetRow(r)).ok());
+    }
+    *status = Status::OK();
+    for (size_t r = 0; status->ok() && r < src.num_rows(); ++r) {
+      std::vector<Value> row;
+      for (const ColumnDef& def : want.schema().columns()) {
+        auto idx = src.schema().ColumnIndex(def.name);
+        if (!idx.ok()) {
+          *status = idx.status();
+          break;
+        }
+        row.push_back(src.GetValue(r, *idx));
+      }
+      if (status->ok()) *status = want.AppendRow(row);
+    }
+    return want;
+  }
+
+  /// IngestSample(src) must leave the sample exactly as the oracle
+  /// does (values, codes, dictionary order) and return its status.
+  void ExpectIngestMatchesOracle(const Table& src) {
+    Status want_st;
+    const Table want = Oracle(src, &want_st);
+    const Status got_st = db_.IngestSample("S", src);
+    EXPECT_EQ(got_st.ToString(), want_st.ToString());
+    const Table& got = Data();
+    ASSERT_EQ(got.num_rows(), want.num_rows());
+    EXPECT_EQ(got.column(1).dictionary().values(),
+              want.column(1).dictionary().values());
+    for (size_t r = 0; r < got.num_rows(); ++r) {
+      for (size_t c = 0; c < got.num_columns(); ++c) {
+        EXPECT_EQ(got.GetValue(r, c), want.GetValue(r, c))
+            << "row " << r << " column " << c;
+      }
+      EXPECT_EQ(got.column(1).GetCode(r), want.column(1).GetCode(r));
+    }
+    // The weight epoch always covers exactly the rows that landed.
+    EXPECT_EQ((*db_.catalog()->GetSample("S"))->weights.Pin()->weights.size(),
+              got.num_rows());
+  }
+
+  static Table Source(const std::vector<ColumnDef>& defs,
+                      const std::vector<std::vector<Value>>& rows) {
+    Schema schema;
+    for (const ColumnDef& def : defs) {
+      EXPECT_TRUE(schema.AddColumn(def).ok());
+    }
+    Table t(schema);
+    for (const auto& row : rows) EXPECT_TRUE(t.AppendRow(row).ok());
+    return t;
+  }
+
+  Database db_;
+};
+
+TEST_F(IngestWorld, ColumnsMapByNameInAnyOrder) {
+  ExpectIngestMatchesOracle(Source(
+      {{"n", DataType::kInt64}, {"tag", DataType::kString},
+       {"x", DataType::kDouble}},
+      {{Value(int64_t{3}), Value("c"), Value(2.5)},
+       {Value(int64_t{4}), Value("a"), Value(3.5)},
+       {Value(int64_t{5}), Value("c"), Value(4.5)}}));
+  EXPECT_EQ(Data().num_rows(), 5u);
+}
+
+TEST_F(IngestWorld, IntSourceCastsIntoDoubleColumn) {
+  ExpectIngestMatchesOracle(Source(
+      {{"x", DataType::kInt64}, {"tag", DataType::kString},
+       {"n", DataType::kInt64}},
+      {{Value(int64_t{7}), Value("d"), Value(int64_t{1})}}));
+  EXPECT_EQ(Data().GetValue(2, 0), Value(7.0));
+}
+
+TEST_F(IngestWorld, FailedCastLandsTheRowsBeforeIt) {
+  ExpectIngestMatchesOracle(Source(
+      {{"x", DataType::kString}, {"tag", DataType::kString},
+       {"n", DataType::kInt64}},
+      {{Value("2.5"), Value("e"), Value(int64_t{1})},
+       {Value("3"), Value("f"), Value(int64_t{2})},
+       {Value("nope"), Value("g"), Value(int64_t{3})},
+       {Value("4"), Value("h"), Value(int64_t{4})}}));
+  EXPECT_EQ(Data().num_rows(), 4u);
+  EXPECT_EQ(Data().column(1).dictionary().Find("g"), -1);
+}
+
+TEST_F(IngestWorld, MissingColumnLandsNothing) {
+  const Table src = Source({{"x", DataType::kDouble},
+                            {"tag", DataType::kString}},
+                           {{Value(2.5), Value("z")}});
+  ExpectIngestMatchesOracle(src);
+  EXPECT_EQ(db_.IngestSample("S", src).code(), StatusCode::kNotFound);
+  EXPECT_EQ(Data().num_rows(), 2u);
+}
+
+TEST_F(IngestWorld, EmptySourceLandsNothing) {
+  ExpectIngestMatchesOracle(Source(
+      {{"x", DataType::kDouble}, {"tag", DataType::kString},
+       {"n", DataType::kInt64}},
+      {}));
+  EXPECT_EQ(Data().num_rows(), 2u);
+}
+
+TEST_F(IngestWorld, SourceSharingTheDictionaryCopiesCodes) {
+  // Filter shares the sample's dictionary: codes append as they are.
+  const Table src = Data().Filter({1, 0, 1});
+  ExpectIngestMatchesOracle(src);
+  EXPECT_EQ(Data().column(1).dictionary().size(), 2u);
+  EXPECT_EQ(Data().GetValue(2, 1), Value("a"));
 }
 
 TEST(Database, UpdateAuxTable) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/event_log.h"
 #include "core/database.h"
 #include "durable_test_util.h"
 #include "storage/durable/engine.h"
@@ -104,11 +105,16 @@ TEST(DurableRecovery, WalOnlyRecoveryIsBitIdentical) {
     fingerprint = StateFingerprint(live->db.get());
     // Crash: drop both without any shutdown protocol.
   }
+  const std::vector<std::string> wals = WalFilesIn(dir);
+  ASSERT_EQ(wals.size(), 1u);
+  const size_t wal_size = FileBytes(dir + "/" + wals[0]).size();
   auto again = OpenAndRecover(dir);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_FALSE(again->info.snapshot_loaded);
   EXPECT_GT(again->info.wal_records_applied, 0u);
   EXPECT_FALSE(again->info.wal_tail_truncated);
+  EXPECT_EQ(again->info.snapshot_bytes, 0u);
+  EXPECT_EQ(again->info.wal_bytes, wal_size);
   EXPECT_EQ(again->info.tables, 2u);
   EXPECT_EQ(again->info.populations, 1u);
   EXPECT_EQ(again->info.samples, 1u);
@@ -132,11 +138,36 @@ TEST(DurableRecovery, SnapshotPlusWalRecoveryIsBitIdentical) {
     fingerprint = StateFingerprint(live->db.get());
   }
   // GC must have removed the pre-snapshot WAL generation.
-  EXPECT_EQ(WalFilesIn(dir).size(), 1u);
+  const std::vector<std::string> wals = WalFilesIn(dir);
+  ASSERT_EQ(wals.size(), 1u);
+  const size_t wal_size = FileBytes(dir + "/" + wals[0]).size();
+  // The recovery_complete event reports the bytes verified.
+  const std::string log_dir = MakeTempDir();
+  const std::string log_path = log_dir + "/events.jsonl";
+  ASSERT_TRUE(elog::EventLog::Global().Open(log_path).ok());
   auto again = OpenAndRecover(dir);
+  elog::EventLog::Global().Close();
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_TRUE(again->info.snapshot_loaded);
   EXPECT_GT(again->info.wal_records_applied, 0u);
+  const size_t snapshot_size =
+      FileBytes(dir + "/" + SnapshotFileName(again->info.snapshot_seq))
+          .size();
+  EXPECT_GT(snapshot_size, 0u);
+  EXPECT_EQ(again->info.snapshot_bytes, snapshot_size);
+  EXPECT_EQ(again->info.wal_bytes, wal_size);
+  const std::string events = FileBytes(log_path);
+  EXPECT_NE(events.find("\"event\":\"recovery_complete\""),
+            std::string::npos)
+      << events;
+  EXPECT_NE(events.find("\"snapshot_bytes\":\"" +
+                        std::to_string(snapshot_size) + "\""),
+            std::string::npos)
+      << events;
+  EXPECT_NE(
+      events.find("\"wal_bytes\":\"" + std::to_string(wal_size) + "\""),
+      std::string::npos)
+      << events;
   EXPECT_EQ(StateFingerprint(again->db.get()), fingerprint);
 
   // And a snapshot with NO trailing WAL records recovers identically.

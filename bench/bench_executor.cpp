@@ -1,5 +1,6 @@
-// Vectorized-executor benchmark: row path (legacy interpreter) vs
-// batch path over a synthetic weighted table, covering the hot query
+// Vectorized-executor benchmark: the test-only row oracle
+// (tests/oracle/row_oracle.h) vs the batch executor over a synthetic
+// weighted table, covering the hot query
 // shapes of the paper's workload — filter + weighted aggregate
 // (the §5.3 rewrite), grouped aggregation, and ORDER BY ... LIMIT.
 //
@@ -24,6 +25,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "exec/executor.h"
+#include "oracle/row_oracle.h"
 #include "sql/parser.h"
 #include "storage/table.h"
 
@@ -61,11 +63,13 @@ Table MakeSynthetic(size_t rows) {
 
 double RunTimedOpts(const Table& t, const sql::SelectStmt& stmt,
                     const exec::ExecOptions& opts, int reps, Table* out,
-                    metrics::Histogram* hist = nullptr) {
+                    metrics::Histogram* hist = nullptr,
+                    bool row_oracle = false) {
   double best_ms = 1e300;
   for (int i = 0; i < reps; ++i) {
     auto start = std::chrono::steady_clock::now();
-    auto result = exec::ExecuteSelect(t, stmt, opts);
+    auto result = row_oracle ? oracle::ExecuteSelectRow(t, stmt, opts)
+                             : exec::ExecuteSelect(t, stmt, opts);
     auto end = std::chrono::steady_clock::now();
     Check(result.status(), "query");
     double ms =
@@ -100,8 +104,7 @@ double RunTimed(const Table& t, const sql::SelectStmt& stmt, bool row_path,
                 int reps, Table* out, metrics::Histogram* hist = nullptr) {
   exec::ExecOptions opts;
   opts.weight_column = "weight";
-  opts.use_row_path = row_path;
-  return RunTimedOpts(t, stmt, opts, reps, out, hist);
+  return RunTimedOpts(t, stmt, opts, reps, out, hist, row_path);
 }
 
 BenchResult RunBench(const Table& t, const std::string& name,

@@ -249,10 +249,10 @@ MOSAIC_TRACE=1 MOSAIC_MORSELS=4 ctest --test-dir build-release \
 
 # Scalar-parity leg: the SIMD kernels must be bit-identical to the
 # scalar reference end to end, not just per kernel. MOSAIC_SIMD=0
-# forces the scalar table; the SQL fuzzer (batch vs row oracle) and
-# the exec parity suite then prove scalar-batch == row, which together
-# with the default run (SIMD-batch == row) pins SIMD == scalar on
-# whole query plans.
+# forces the scalar table; the SQL fuzzer and the exec parity suite
+# then run batch vs the test-only row oracle (tests/oracle/), proving
+# scalar-batch == oracle, which together with the default run
+# (SIMD-batch == oracle) pins SIMD == scalar on whole query plans.
 echo "=== Release + MOSAIC_SIMD=0: scalar kernel parity ==="
 MOSAIC_SIMD=0 ctest --test-dir build-release --output-on-failure \
   -R 'test_(sql_fuzz|exec_parity|simd_kernels)'

@@ -19,6 +19,10 @@ Enforces conventions the compilers cannot (portably) check:
   bare-nolint         clang-tidy suppressions must name a check and a
                       reason: `// NOLINT(check-name): why`. A bare
                       NOLINT silences everything and explains nothing.
+  oracle-in-src       Production code under src/ must not include the
+                      test-only row oracle (`oracle/...`) or mention
+                      `use_row_path`, the switch that would route
+                      queries to it.
 
 Suppression: append `// lint:allow <rule>: <justification>` to the
 offending line (or place it alone on the line above). The justification
@@ -41,6 +45,7 @@ RULES = (
     "wire-pointer-arith",
     "errno-no-syscall",
     "bare-nolint",
+    "oracle-in-src",
 )
 
 # Files whose payload decoding is subject to wire-pointer-arith. Paths
@@ -261,6 +266,23 @@ def check_bare_nolint(path, lines, findings):
                 "NOLINT(%s) needs a justification after it" % checks)
 
 
+ORACLE_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*["<]oracle/')
+
+
+def check_oracle_in_src(path, lines, findings):
+    if "src" not in Path(path).parts:
+        return
+    for i, line in enumerate(lines):
+        if ORACLE_INCLUDE_RE.match(line):
+            message = "src/ must not include the test-only row oracle"
+        elif "use_row_path" in line:
+            message = "src/ must not mention use_row_path"
+        else:
+            continue
+        if not allowed(lines, i, "oracle-in-src", findings, path):
+            findings.add(path, i + 1, "oracle-in-src", message)
+
+
 def lint_file(path, findings):
     try:
         text = Path(path).read_text()
@@ -273,6 +295,7 @@ def lint_file(path, findings):
     check_wire_arith(path, lines, findings)
     check_errno(path, lines, findings)
     check_bare_nolint(path, lines, findings)
+    check_oracle_in_src(path, lines, findings)
 
 
 def collect(paths):

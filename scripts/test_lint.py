@@ -84,6 +84,20 @@ def main():
             ("empty_allow.cc", "errno-no-syscall") in findings,
             "empty lint:allow justification must be reported")
 
+    # --- src/ may not reach the test-only row oracle ----------------
+    with tempfile.TemporaryDirectory() as td:
+        leak = Path(td) / "src" / "exec" / "leak.cc"
+        leak.parent.mkdir(parents=True)
+        leak.write_text(
+            '#include "oracle/row_oracle.h"\n'
+            "void Route(Options* opts) { opts->use_row_path = true; }\n")
+        rc, findings = run_lint(leak)
+        failures += expect(rc == 1, "oracle leak into src/ must exit 1")
+        failures += expect(
+            Counter(findings) == Counter({("leak.cc", "oracle-in-src"): 2}),
+            "oracle include + use_row_path in src/ must give 2 "
+            "oracle-in-src findings (got %s)" % findings)
+
     # --- the real tree is clean (the repo invariant itself) ---------
     rc, findings = run_lint(ROOT / "src")
     failures += expect(

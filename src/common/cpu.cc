@@ -8,8 +8,6 @@ const char* SimdIsaName(SimdIsa isa) {
   switch (isa) {
     case SimdIsa::kScalar:
       return "scalar";
-    case SimdIsa::kSse2:
-      return "sse2";
     case SimdIsa::kAvx2:
       return "avx2";
   }
@@ -20,12 +18,6 @@ bool CpuSupports(SimdIsa isa) {
   switch (isa) {
     case SimdIsa::kScalar:
       return true;
-    case SimdIsa::kSse2:
-#if defined(__x86_64__) || defined(_M_X64)
-      return true;  // SSE2 is baseline on x86-64
-#else
-      return false;
-#endif
     case SimdIsa::kAvx2:
 #if (defined(__x86_64__) || defined(_M_X64)) && defined(__GNUC__)
       // The AVX2 kernels use BMI2 (pdep/pext) for mask<->byte
@@ -40,9 +32,7 @@ bool CpuSupports(SimdIsa isa) {
 }
 
 SimdIsa DetectBestSimdIsa() {
-  if (CpuSupports(SimdIsa::kAvx2)) return SimdIsa::kAvx2;
-  if (CpuSupports(SimdIsa::kSse2)) return SimdIsa::kSse2;
-  return SimdIsa::kScalar;
+  return CpuSupports(SimdIsa::kAvx2) ? SimdIsa::kAvx2 : SimdIsa::kScalar;
 }
 
 size_t HardwareThreads() {

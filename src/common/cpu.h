@@ -2,10 +2,8 @@
 //
 // Detection answers "what can this CPU run", not "what did we compile"
 // — the exec layer combines both (plus the MOSAIC_SIMD override) to
-// pick the active kernel table. Levels are ordered: a higher level
-// implies every lower x86 level (AVX2 CPUs run the SSE2 kernels), so
-// the dispatcher can fall down the ladder when a variant was not
-// compiled in.
+// pick the active kernel table, falling back to scalar when the AVX2
+// table was not compiled in or cannot run.
 #ifndef MOSAIC_COMMON_CPU_H_
 #define MOSAIC_COMMON_CPU_H_
 
@@ -15,9 +13,9 @@ namespace mosaic {
 
 /// Instruction-set level of a SIMD kernel variant. kScalar is always
 /// available and is the bit-parity reference for every other level.
-enum class SimdIsa { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class SimdIsa { kScalar, kAvx2 };
 
-/// Stable lowercase name ("scalar", "sse2", "avx2") — used in
+/// Stable lowercase name ("scalar", "avx2") — used in
 /// bench JSON, EXPLAIN ANALYZE notes, and the MOSAIC_SIMD override.
 const char* SimdIsaName(SimdIsa isa);
 

@@ -237,7 +237,6 @@ exec::ExecOptions Database::BatchExecOptions() const {
   exec::ExecOptions opts;
   opts.morsels.morsel_size = morsel_size_;
   opts.morsels.pool = morsel_pool_;
-  opts.use_row_path = force_row_exec_;
   return opts;
 }
 

@@ -274,12 +274,6 @@ class Database {
   /// Hit/miss/eviction counters of the trained-generator cache.
   CacheStats ModelCacheStats() const { return model_cache_.Stats(); }
 
-  /// Test hook: answer every SELECT's final step with the row-path
-  /// parity oracle (ExecOptions::use_row_path in BatchExecOptions).
-  /// Relation routing, weight pinning and population restriction are
-  /// unchanged, so results must be bit-identical to the batch path.
-  void set_force_row_exec(bool enabled) { force_row_exec_ = enabled; }
-
   /// When set, the `num_generated_samples` independent OPEN-query
   /// samples are generated on this pool instead of sequentially.
   /// Seeds are threaded per sample index (generation_seed + k), so
@@ -308,8 +302,8 @@ class Database {
   ThreadPool* morsel_pool() const { return morsel_pool_; }
 
  private:
-  /// ExecOptions carrying this engine's morsel configuration and the
-  /// row-oracle test hook — the base every SELECT builds on.
+  /// ExecOptions carrying this engine's morsel configuration — the
+  /// base every SELECT builds on.
   exec::ExecOptions BatchExecOptions() const;
 
   [[nodiscard]] Result<Table> ExecuteStatement(sql::Statement* stmt,
@@ -473,7 +467,6 @@ class Database {
   ThreadPool* morsel_pool_ = nullptr;
   size_t morsel_size_ = 0;
   bool union_samples_ = false;
-  bool force_row_exec_ = false;
   /// Write-ahead-logging hook; null when running without durability.
   DurabilitySink* durability_ = nullptr;
   /// Providers behind the `system.*` schema, keyed by bare table name

@@ -385,8 +385,6 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
       return InInto(expr, view, rows, dst);
     case BoundExpr::Kind::kBetween:
       return BetweenInto(expr, view, rows, dst);
-    case BoundExpr::Kind::kAggResult:
-      return Status::Internal("aggregate slot not available in batch path");
   }
   return Status::Internal("unreachable bound expression kind");
 }
@@ -424,7 +422,7 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
           return Status::OK();
         default: {
           if (n == 0) return Status::OK();
-          // Same error the row path raises on the first row.
+          // Same error the row oracle raises on the first row.
           auto err = Value(span.dict->Decode(span.codes[rows[0]])).ToDouble();
           return err.status();
         }
@@ -451,8 +449,6 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
     case BoundExpr::Kind::kIn:
     case BoundExpr::Kind::kBetween:
       break;  // boolean, mask below
-    case BoundExpr::Kind::kAggResult:
-      return Status::Internal("aggregate slot not available in batch path");
   }
   if (expr.type == DataType::kBool) {
     MOSAIC_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,

@@ -1,18 +1,17 @@
 // Vectorized expression evaluation over TableView + SelectionVector.
 //
-// This is the batch counterpart of the row binder/evaluator in
-// expr_eval.h: the same BoundExpr tree, evaluated for a whole list of
+// Evaluates the BoundExpr trees of expr_eval.h for a whole list of
 // rows at once into typed vectors, with no boxed Values on the hot
 // path. WHERE predicates refine selection vectors (string equality and
 // IN compare dictionary codes, never decoded strings); arithmetic and
 // comparisons run in tight type-specialized loops.
 //
-// Semantics parity: every kernel reproduces the row evaluator's
-// observable behaviour exactly — numeric comparisons go through
-// double like Value::operator<, AND/OR only evaluate the right side
-// on rows the left side did not short-circuit, and int-typed
-// arithmetic rounds through double like the row path — so results are
-// bit-identical to EvaluateExpr row by row. tests/test_exec_parity.cc
+// Semantics parity: every kernel reproduces the test-only row
+// oracle's observable behaviour exactly — numeric comparisons go
+// through double like Value::operator<, AND/OR only evaluate the right
+// side on rows the left side did not short-circuit, and int-typed
+// arithmetic rounds through double — so results are bit-identical to
+// the oracle's row-at-a-time evaluation. tests/test_exec_parity.cc
 // enforces this against randomized queries.
 #ifndef MOSAIC_EXEC_BATCH_EVAL_H_
 #define MOSAIC_EXEC_BATCH_EVAL_H_
@@ -128,7 +127,7 @@ struct BatchVec {
 
 /// Rows of `view` where the bound boolean predicate holds. Conjuncts
 /// refine the selection left to right, so the right side of an AND is
-/// only evaluated on surviving rows (row-path short-circuit parity).
+/// only evaluated on surviving rows (row-oracle short-circuit parity).
 [[nodiscard]] Result<SelectionVector> FilterView(const TableView& view,
                                    const BoundExpr& predicate);
 
@@ -142,7 +141,7 @@ struct BatchVec {
 std::vector<const BoundExpr*> FlattenConjuncts(const BoundExpr& predicate);
 
 /// Refine rows[0, n) in place through `conjuncts`: each conjunct only
-/// runs on the survivors of the ones before it (row-path
+/// runs on the survivors of the ones before it (row-oracle
 /// short-circuit parity). Survivors keep their order in rows[0, kept);
 /// returns kept. Disjoint ranges of one buffer may be refined
 /// concurrently, which is how the executor filters per morsel.
@@ -150,8 +149,7 @@ std::vector<const BoundExpr*> FlattenConjuncts(const BoundExpr& predicate);
     const TableView& view, const std::vector<const BoundExpr*>& conjuncts,
     uint32_t* rows, size_t n);
 
-/// Bind `predicate` against the view's schema and filter. The batch
-/// counterpart of FilterRows (expr_eval.h).
+/// Bind `predicate` against the view's schema and filter.
 [[nodiscard]] Result<SelectionVector> SelectRows(const TableView& view,
                                    const sql::Expr& predicate);
 

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <optional>
 
@@ -20,37 +19,19 @@ namespace exec {
 
 namespace {
 
-/// One aggregate call site lifted out of the SELECT list.
-struct AggSpec {
-  sql::AggFunc func;
-  bool is_star = false;
-  BoundExprPtr arg;       // null for COUNT(*)
-  std::string rendering;  // dedup key, e.g. "AVG(distance)"
-};
-
-/// Accumulator for one aggregate within one group.
-struct AggAccum {
-  double sum_w = 0.0;
-  double sum_wx = 0.0;
-  int64_t count_n = 0;
-  Value vmin;
-  Value vmax;
-  bool any = false;
-};
-
-/// Groups in output order: (key values, one accumulator per spec).
-using SortedGroups =
-    std::vector<std::pair<std::vector<Value>, std::vector<AggAccum>>>;
-
+/// Binder callback state for BindAggregate: each new aggregate call
+/// binds its argument against the source schema and becomes the next
+/// column of the plan's group schema.
 struct AggCollection {
-  std::vector<AggSpec> specs;
-  Binder* binder = nullptr;
-  Status error;
+  AggregatePlan* plan;
+  Binder* arg_binder;
+  bool weighted;
 
   [[nodiscard]] Result<size_t> MapAggregate(const sql::Expr& expr) {
+    const size_t base = plan->key_cols.size();
     std::string key = expr.ToString();
-    for (size_t i = 0; i < specs.size(); ++i) {
-      if (specs[i].rendering == key) return i;
+    for (size_t i = 0; i < plan->specs.size(); ++i) {
+      if (plan->specs[i].rendering == key) return base + i;
     }
     AggSpec spec;
     spec.func = expr.agg_func;
@@ -63,10 +44,14 @@ struct AggCollection {
       if (expr.child->ContainsAggregate()) {
         return Status::BindError("nested aggregates are not allowed: " + key);
       }
-      MOSAIC_ASSIGN_OR_RETURN(spec.arg, binder->Bind(*expr.child));
+      MOSAIC_ASSIGN_OR_RETURN(spec.arg, arg_binder->Bind(*expr.child));
     }
-    specs.push_back(std::move(spec));
-    return specs.size() - 1;
+    // "$" never starts an identifier, so no column ref can hit this.
+    MOSAIC_RETURN_IF_ERROR(plan->group_schema.AddColumn(
+        ColumnDef{"$agg" + std::to_string(plan->specs.size()),
+                  AggOutputType(spec, weighted)}));
+    plan->specs.push_back(std::move(spec));
+    return base + plan->specs.size() - 1;
   }
 
   [[nodiscard]] static Result<size_t> MapAggregateThunk(const sql::Expr& expr, void* ctx) {
@@ -119,358 +104,6 @@ std::string OutputName(const sql::SelectItem& item) {
       return schema->AddColumn(ColumnDef{std::move(candidate), type});
     }
   }
-}
-
-[[nodiscard]] Result<Value> Finalize(const AggSpec& spec, const AggAccum& acc,
-                       bool weighted) {
-  switch (spec.func) {
-    case sql::AggFunc::kCount:
-      if (weighted) return Value(acc.sum_w);
-      return Value(acc.count_n);
-    case sql::AggFunc::kSum:
-      return Value(acc.sum_wx);
-    case sql::AggFunc::kAvg:
-      if (acc.sum_w == 0.0) {
-        return Status::ExecutionError("AVG over empty/zero-weight group");
-      }
-      return Value(acc.sum_wx / acc.sum_w);
-    case sql::AggFunc::kMin:
-      if (!acc.any) {
-        return Status::ExecutionError("MIN over empty group");
-      }
-      return acc.vmin;
-    case sql::AggFunc::kMax:
-      if (!acc.any) {
-        return Status::ExecutionError("MAX over empty group");
-      }
-      return acc.vmax;
-  }
-  return Status::Internal("unreachable aggregate func");
-}
-
-DataType AggOutputType(const AggSpec& spec, bool weighted) {
-  switch (spec.func) {
-    case sql::AggFunc::kCount:
-      return weighted ? DataType::kDouble : DataType::kInt64;
-    case sql::AggFunc::kSum:
-    case sql::AggFunc::kAvg:
-      return DataType::kDouble;
-    case sql::AggFunc::kMin:
-    case sql::AggFunc::kMax:
-      return spec.arg != nullptr ? spec.arg->type : DataType::kDouble;
-  }
-  return DataType::kDouble;
-}
-
-/// Project finalized groups through the SELECT items (and HAVING),
-/// via a one-row synthetic table carrying the group key — shared by
-/// the row and batch paths so post-aggregation semantics cannot
-/// drift.
-[[nodiscard]] Result<Table> EmitGroups(const Schema& schema, const sql::SelectStmt& stmt,
-                         const std::vector<BoundExprPtr>& bound_items,
-                         const BoundExpr* bound_having,
-                         const std::vector<AggSpec>& specs,
-                         const std::vector<size_t>& group_cols,
-                         const SortedGroups& groups, bool weighted) {
-  // Output schema: SELECT items, typed by bound expression (group key
-  // columns keep their source type).
-  Schema out_schema;
-  for (size_t i = 0; i < stmt.items.size(); ++i) {
-    DataType type = bound_items[i]->type;
-    if (bound_items[i]->kind == BoundExpr::Kind::kAggResult) {
-      type = AggOutputType(specs[bound_items[i]->agg_slot], weighted);
-    }
-    MOSAIC_RETURN_IF_ERROR(
-        AddOutputColumn(&out_schema, OutputName(stmt.items[i]), type));
-  }
-  Table out(out_schema);
-  out.Reserve(groups.size());
-
-  for (const auto& [key, accs] : groups) {
-    std::vector<Value> agg_values(specs.size());
-    for (size_t a = 0; a < specs.size(); ++a) {
-      MOSAIC_ASSIGN_OR_RETURN(agg_values[a],
-                              Finalize(specs[a], accs[a], weighted));
-    }
-    Table key_row(schema);
-    // A full-width row carrying the group key values; non-key columns
-    // hold a type-correct placeholder (never read: non-key column
-    // refs were rejected at bind time, and aggregate args were
-    // evaluated during accumulation).
-    std::vector<Value> row_vals;
-    row_vals.reserve(schema.num_columns());
-    for (size_t c = 0; c < schema.num_columns(); ++c) {
-      switch (schema.column(c).type) {
-        case DataType::kInt64:
-          row_vals.emplace_back(int64_t{0});
-          break;
-        case DataType::kDouble:
-          row_vals.emplace_back(0.0);
-          break;
-        case DataType::kBool:
-          row_vals.emplace_back(false);
-          break;
-        case DataType::kString:
-          row_vals.emplace_back(std::string());
-          break;
-        default:
-          break;
-      }
-    }
-    for (size_t k = 0; k < group_cols.size() && k < key.size(); ++k) {
-      row_vals[group_cols[k]] = key[k];
-    }
-    MOSAIC_RETURN_IF_ERROR(key_row.AppendRow(row_vals));
-    if (bound_having != nullptr) {
-      MOSAIC_ASSIGN_OR_RETURN(
-          Value keep, EvaluateExpr(*bound_having, key_row, 0, &agg_values));
-      if (!keep.AsBool()) continue;
-    }
-    std::vector<Value> out_row(bound_items.size());
-    for (size_t c = 0; c < bound_items.size(); ++c) {
-      MOSAIC_ASSIGN_OR_RETURN(
-          out_row[c], EvaluateExpr(*bound_items[c], key_row, 0, &agg_values));
-    }
-    MOSAIC_RETURN_IF_ERROR(out.AppendRow(out_row));
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Row path (legacy interpreter, kept as the parity oracle)
-// ---------------------------------------------------------------------------
-
-[[nodiscard]] Status ApplyOrderByAndLimit(const sql::SelectStmt& stmt, Table* out,
-                            bool skip_order = false) {
-  if (!stmt.order_by.empty() && !skip_order) {
-    std::vector<std::pair<size_t, bool>> keys;  // (col, desc)
-    for (const auto& o : stmt.order_by) {
-      auto idx = out->schema().FindColumn(o.column);
-      if (!idx) {
-        return Status::BindError("ORDER BY column '" + o.column +
-                                 "' not in result set");
-      }
-      keys.emplace_back(*idx, o.descending);
-    }
-    std::vector<size_t> order(out->num_rows());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      for (const auto& [col, desc] : keys) {
-        Value va = out->GetValue(a, col);
-        Value vb = out->GetValue(b, col);
-        if (va < vb) return !desc;
-        if (vb < va) return desc;
-      }
-      return false;
-    });
-    *out = out->Filter(order);
-  }
-  if (stmt.limit && static_cast<size_t>(*stmt.limit) < out->num_rows()) {
-    std::vector<size_t> head(static_cast<size_t>(*stmt.limit));
-    std::iota(head.begin(), head.end(), size_t{0});
-    *out = out->Filter(head);
-  }
-  return Status::OK();
-}
-
-[[nodiscard]] Result<Table> ExecuteSelectRow(const Table& source,
-                               const sql::SelectStmt& stmt,
-                               const ExecOptions& opts) {
-  const Schema& schema = source.schema();
-  const bool weighted = !opts.weight_column.empty();
-  std::optional<size_t> weight_idx;
-  if (weighted) {
-    auto idx = schema.FindColumn(opts.weight_column);
-    if (!idx) {
-      return Status::BindError("weight column '" + opts.weight_column +
-                               "' not found");
-    }
-    weight_idx = *idx;
-  }
-
-  // --- WHERE ---------------------------------------------------------------
-  std::vector<size_t> rows;
-  if (stmt.where != nullptr) {
-    if (stmt.where->ContainsAggregate()) {
-      return Status::BindError("aggregates are not allowed in WHERE");
-    }
-    MOSAIC_ASSIGN_OR_RETURN(rows, FilterRows(source, *stmt.where));
-  } else {
-    rows.resize(source.num_rows());
-    std::iota(rows.begin(), rows.end(), size_t{0});
-  }
-
-  // --- Detect aggregation --------------------------------------------------
-  bool has_aggregates = false;
-  for (const auto& item : stmt.items) {
-    if (item.expr->ContainsAggregate()) has_aggregates = true;
-  }
-  if (stmt.having != nullptr && stmt.having->ContainsAggregate()) {
-    has_aggregates = true;
-  }
-  if (stmt.select_star && (has_aggregates || !stmt.group_by.empty())) {
-    return Status::BindError("SELECT * cannot be combined with aggregation");
-  }
-  if (!stmt.group_by.empty() && !has_aggregates) {
-    return Status::BindError("GROUP BY requires aggregates in SELECT list");
-  }
-
-  // --- Projection-only path ------------------------------------------------
-  if (!has_aggregates) {
-    Binder binder(&schema);
-    std::vector<BoundExprPtr> bound_items;
-    Schema out_schema;
-    if (stmt.select_star) {
-      for (size_t c = 0; c < schema.num_columns(); ++c) {
-        if (weight_idx && c == *weight_idx) continue;  // hide weight
-        auto e = std::make_unique<BoundExpr>();
-        e->kind = BoundExpr::Kind::kColumnRef;
-        e->column_index = c;
-        e->type = schema.column(c).type;
-        bound_items.push_back(std::move(e));
-        MOSAIC_RETURN_IF_ERROR(out_schema.AddColumn(schema.column(c)));
-      }
-    } else {
-      for (const auto& item : stmt.items) {
-        MOSAIC_ASSIGN_OR_RETURN(BoundExprPtr bound, binder.Bind(*item.expr));
-        MOSAIC_RETURN_IF_ERROR(
-            AddOutputColumn(&out_schema, OutputName(item), bound->type));
-        bound_items.push_back(std::move(bound));
-      }
-    }
-    // ORDER BY may reference columns of the source relation that are
-    // not projected (standard SQL): when any order column is missing
-    // from the output, sort the selected row ids by the source
-    // columns before projecting.
-    bool presorted = false;
-    if (!stmt.order_by.empty()) {
-      bool all_in_output = true;
-      for (const auto& o : stmt.order_by) {
-        if (!out_schema.FindColumn(o.column)) all_in_output = false;
-      }
-      if (!all_in_output) {
-        std::vector<std::pair<size_t, bool>> keys;
-        for (const auto& o : stmt.order_by) {
-          auto idx = schema.FindColumn(o.column);
-          if (!idx) {
-            return Status::BindError("ORDER BY column '" + o.column +
-                                     "' not found");
-          }
-          keys.emplace_back(*idx, o.descending);
-        }
-        std::stable_sort(rows.begin(), rows.end(), [&](size_t a, size_t b) {
-          for (const auto& [col, desc] : keys) {
-            Value va = source.GetValue(a, col);
-            Value vb = source.GetValue(b, col);
-            if (va < vb) return !desc;
-            if (vb < va) return desc;
-          }
-          return false;
-        });
-        presorted = true;
-      }
-    }
-    Table out(out_schema);
-    out.Reserve(rows.size());
-    std::vector<Value> row(bound_items.size());
-    for (size_t r : rows) {
-      for (size_t c = 0; c < bound_items.size(); ++c) {
-        MOSAIC_ASSIGN_OR_RETURN(row[c],
-                                EvaluateExpr(*bound_items[c], source, r));
-      }
-      MOSAIC_RETURN_IF_ERROR(out.AppendRow(row));
-    }
-    MOSAIC_RETURN_IF_ERROR(ApplyOrderByAndLimit(stmt, &out, presorted));
-    return out;
-  }
-
-  // --- Aggregation path ----------------------------------------------------
-  // Resolve GROUP BY columns.
-  std::vector<size_t> group_cols;
-  for (const auto& name : stmt.group_by) {
-    auto idx = schema.FindColumn(name);
-    if (!idx) {
-      return Status::BindError("GROUP BY column '" + name + "' not found");
-    }
-    group_cols.push_back(*idx);
-  }
-
-  // Lift aggregates out of the SELECT items; bind post-aggregation
-  // projections against group keys + agg slots.
-  Binder binder(&schema);
-  AggCollection aggs;
-  aggs.binder = &binder;
-  binder.set_aggregate_mapper(&AggCollection::MapAggregateThunk, &aggs);
-
-  std::vector<BoundExprPtr> bound_items;
-  for (const auto& item : stmt.items) {
-    // Column refs outside aggregates must be GROUP BY keys.
-    MOSAIC_RETURN_IF_ERROR(
-        ValidateGroupColumnRefs(*item.expr, stmt.group_by));
-    MOSAIC_ASSIGN_OR_RETURN(BoundExprPtr bound, binder.Bind(*item.expr));
-    bound_items.push_back(std::move(bound));
-  }
-  // HAVING binds through the same aggregate-lifting machinery, so any
-  // aggregates it mentions get slots and are accumulated below.
-  BoundExprPtr bound_having;
-  if (stmt.having != nullptr) {
-    MOSAIC_RETURN_IF_ERROR(
-        ValidateGroupColumnRefs(*stmt.having, stmt.group_by));
-    MOSAIC_ASSIGN_OR_RETURN(bound_having, binder.Bind(*stmt.having));
-    if (bound_having->type != DataType::kBool) {
-      return Status::TypeError("HAVING predicate must be boolean");
-    }
-  }
-
-  // Accumulate per group. std::map over key vectors gives a
-  // deterministic (sorted) group order.
-  std::map<std::vector<Value>, std::vector<AggAccum>> groups;
-  for (size_t r : rows) {
-    std::vector<Value> key;
-    key.reserve(group_cols.size());
-    for (size_t c : group_cols) key.push_back(source.GetValue(r, c));
-    auto [it, inserted] = groups.try_emplace(
-        std::move(key), std::vector<AggAccum>(aggs.specs.size()));
-    double w = 1.0;
-    if (weight_idx) {
-      MOSAIC_ASSIGN_OR_RETURN(w, source.column(*weight_idx).GetDouble(r));
-    }
-    for (size_t a = 0; a < aggs.specs.size(); ++a) {
-      AggAccum& acc = it->second[a];
-      const AggSpec& spec = aggs.specs[a];
-      acc.sum_w += w;
-      acc.count_n += 1;
-      if (!spec.is_star && spec.arg != nullptr) {
-        MOSAIC_ASSIGN_OR_RETURN(Value v,
-                                EvaluateExpr(*spec.arg, source, r));
-        if (spec.func == sql::AggFunc::kSum ||
-            spec.func == sql::AggFunc::kAvg) {
-          MOSAIC_ASSIGN_OR_RETURN(double x, v.ToDouble());
-          acc.sum_wx += w * x;
-        }
-        if (!acc.any || v < acc.vmin) acc.vmin = v;
-        if (!acc.any || acc.vmax < v) acc.vmax = v;
-        acc.any = true;
-      }
-    }
-  }
-  // GROUP BY with no matching rows yields an empty result; a global
-  // aggregate (no GROUP BY) yields one row even over zero rows.
-  if (groups.empty() && stmt.group_by.empty()) {
-    groups.emplace(std::vector<Value>{},
-                   std::vector<AggAccum>(aggs.specs.size()));
-  }
-
-  SortedGroups sorted_groups;
-  sorted_groups.reserve(groups.size());
-  for (auto& [key, accs] : groups) {
-    sorted_groups.emplace_back(key, std::move(accs));
-  }
-  MOSAIC_ASSIGN_OR_RETURN(
-      Table out, EmitGroups(schema, stmt, bound_items, bound_having.get(),
-                            aggs.specs, group_cols, sorted_groups, weighted));
-  MOSAIC_RETURN_IF_ERROR(ApplyOrderByAndLimit(stmt, &out));
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -632,7 +265,8 @@ std::vector<uint32_t> SortPermutation(const std::vector<SortKeyCol>& keys,
 
 std::optional<size_t> LimitOf(const sql::SelectStmt& stmt) {
   if (!stmt.limit) return std::nullopt;
-  if (*stmt.limit < 0) return std::nullopt;  // row path: cast never truncates
+  // A negative LIMIT never truncates (as in the row oracle).
+  if (*stmt.limit < 0) return std::nullopt;
   return static_cast<size_t>(*stmt.limit);
 }
 
@@ -708,7 +342,7 @@ std::optional<size_t> LimitOf(const sql::SelectStmt& stmt) {
 
 /// True if evaluating the expression can raise a runtime error
 /// (division is the only erroring scalar op). Guards LIMIT pushdown:
-/// the row path evaluates every selected row before truncating, so
+/// the row oracle evaluates every selected row before truncating, so
 /// the batch path may only skip rows whose evaluation cannot error.
 bool ContainsDiv(const BoundExpr& e) {
   if (e.kind == BoundExpr::Kind::kBinary &&
@@ -726,7 +360,7 @@ bool ContainsDiv(const BoundExpr& e) {
 /// Per-GROUP BY-column dense codes over the selected rows. Group keys
 /// are decoded from each group's first row, not from the codes: an
 /// int64/double code stands for every value equal through double, and
-/// the row path keys each group by the value of its own first row.
+/// the row oracle keys each group by the value of its own first row.
 struct GroupKeyCol {
   std::vector<uint32_t> codes;  // per selected position
   uint64_t card = 1;
@@ -841,7 +475,7 @@ void AssignFirstSeenIds(const uint64_t* keys, size_t n, uint32_t* ids,
 /// then the probe pass assigns ids serially in row order. Ids land in
 /// codes[0, rows.size()); each new key appends its value to `vals`.
 ///
-/// Key identity goes through double, matching the row path's
+/// Key identity goes through double, matching the row oracle's
 /// std::map<Value> comparator (Value compares all numerics as doubles,
 /// merging int64 keys that collide beyond 2^53).
 void BuildNumericGroupIds(const ColumnSpan& span, SelectionSlice rows,
@@ -957,7 +591,7 @@ GroupKeyCol MakeGroupKey(const ColumnSpan& span, SelectionSlice rows,
 }
 
 /// Double view of a typed aggregate-argument batch, matching what the
-/// row path obtains via Value::ToDouble (its exact error on string
+/// row oracle obtains via Value::ToDouble (its exact error on string
 /// input included). kDouble aliases the batch payload directly;
 /// kInt64/kBool widen into `scratch`, which must outlive the view.
 [[nodiscard]] Result<const double*> BatchDoubles(const BatchVec& batch,
@@ -1005,6 +639,118 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
     default:
       return false;
   }
+}
+
+/// Batch positions `pos` of `src`, gathered into a batch of the same
+/// type (string batches keep their dictionary).
+BatchVec GatherBatch(const BatchVec& src, const std::vector<uint32_t>& pos) {
+  BatchVec out;
+  out.type = src.type;
+  out.dict = src.dict;
+  const size_t n = pos.size();
+  switch (src.type) {
+    case DataType::kInt64:
+      out.i64.resize(n);
+      for (size_t i = 0; i < n; ++i) out.i64[i] = src.i64[pos[i]];
+      break;
+    case DataType::kDouble:
+      out.f64.resize(n);
+      for (size_t i = 0; i < n; ++i) out.f64[i] = src.f64[pos[i]];
+      break;
+    case DataType::kBool:
+      out.b8.resize(n);
+      for (size_t i = 0; i < n; ++i) out.b8[i] = src.b8[pos[i]];
+      break;
+    case DataType::kString:
+      if (src.dict != nullptr) {
+        out.codes.resize(n);
+        for (size_t i = 0; i < n; ++i) out.codes[i] = src.codes[pos[i]];
+      } else {
+        out.strs.resize(n);
+        for (size_t i = 0; i < n; ++i) out.strs[i] = src.strs[pos[i]];
+      }
+      break;
+    default:
+      break;
+  }
+  return out;
+}
+
+/// Zero-copy span over a batch, which must outlive it. A string batch
+/// without a dictionary (a broadcast literal) is dictionary-encoded in
+/// place first, since string spans are codes.
+ColumnSpan SpanOf(BatchVec* batch) {
+  ColumnSpan span;
+  span.type = batch->type;
+  if (batch->type == DataType::kString && batch->dict == nullptr) {
+    auto dict = std::make_shared<Dictionary>();
+    batch->codes.resize(batch->strs.size());
+    for (size_t i = 0; i < batch->strs.size(); ++i) {
+      batch->codes[i] = dict->GetOrInsert(batch->strs[i]);
+    }
+    batch->strs.clear();
+    batch->dict = std::move(dict);
+  }
+  span.size = batch->size();
+  span.i64 = batch->i64.data();
+  span.f64 = batch->f64.data();
+  span.b8 = batch->b8.data();
+  span.codes = batch->codes.data();
+  span.dict = batch->dict;
+  return span;
+}
+
+/// One aggregate's group-table column, finalized in bulk: entry i is
+/// group order[i], from the accumulated sums/counts and, for MIN/MAX,
+/// the argument batch at the group's winning position.
+[[nodiscard]] Result<BatchVec> FinalizeAggregate(
+    const AggSpec& spec, bool weighted, const std::vector<uint32_t>& order,
+    const std::vector<double>& sum_w, const std::vector<int64_t>& count_n,
+    const std::vector<double>& sum_wx, const std::vector<int64_t>& min_pos,
+    const std::vector<int64_t>& max_pos, const BatchVec& arg) {
+  const size_t n = order.size();
+  BatchVec out;
+  out.type = AggOutputType(spec, weighted);
+  switch (spec.func) {
+    case sql::AggFunc::kCount:
+      if (weighted) {
+        out.f64.resize(n);
+        for (size_t i = 0; i < n; ++i) out.f64[i] = sum_w[order[i]];
+      } else {
+        out.i64.resize(n);
+        for (size_t i = 0; i < n; ++i) out.i64[i] = count_n[order[i]];
+      }
+      return out;
+    case sql::AggFunc::kSum:
+      out.f64.resize(n);
+      for (size_t i = 0; i < n; ++i) out.f64[i] = sum_wx[order[i]];
+      return out;
+    case sql::AggFunc::kAvg:
+      out.f64.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t g = order[i];
+        if (sum_w[g] == 0.0) {
+          return Status::ExecutionError("AVG over empty/zero-weight group");
+        }
+        out.f64[i] = sum_wx[g] / sum_w[g];
+      }
+      return out;
+    case sql::AggFunc::kMin:
+    case sql::AggFunc::kMax: {
+      const bool is_min = spec.func == sql::AggFunc::kMin;
+      const std::vector<int64_t>& pos = is_min ? min_pos : max_pos;
+      std::vector<uint32_t> at(n);
+      for (size_t i = 0; i < n; ++i) {
+        if (pos.empty() || pos[order[i]] < 0) {
+          return Status::ExecutionError(is_min ? "MIN over empty group"
+                                               : "MAX over empty group");
+        }
+        at[i] = static_cast<uint32_t>(pos[order[i]]);
+      }
+      return GatherBatch(arg, at);
+    }
+  }
+  return Status::Internal("unreachable aggregate func");
 }
 
 // ---------------------------------------------------------------------------
@@ -1286,37 +1032,8 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
   }
 
   // --- Aggregation path ----------------------------------------------------
-  std::vector<size_t> group_cols;
-  for (const auto& name : stmt.group_by) {
-    auto idx = schema.FindColumn(name);
-    if (!idx) {
-      return Status::BindError("GROUP BY column '" + name + "' not found");
-    }
-    group_cols.push_back(*idx);
-  }
-
-  Binder binder(&schema);
-  AggCollection aggs;
-  aggs.binder = &binder;
-  binder.set_aggregate_mapper(&AggCollection::MapAggregateThunk, &aggs);
-
-  std::vector<BoundExprPtr> bound_items;
-  for (const auto& item : stmt.items) {
-    MOSAIC_RETURN_IF_ERROR(
-        ValidateGroupColumnRefs(*item.expr, stmt.group_by));
-    MOSAIC_ASSIGN_OR_RETURN(BoundExprPtr bound, binder.Bind(*item.expr));
-    bound_items.push_back(std::move(bound));
-  }
-  BoundExprPtr bound_having;
-  if (stmt.having != nullptr) {
-    MOSAIC_RETURN_IF_ERROR(
-        ValidateGroupColumnRefs(*stmt.having, stmt.group_by));
-    MOSAIC_ASSIGN_OR_RETURN(bound_having, binder.Bind(*stmt.having));
-    if (bound_having->type != DataType::kBool) {
-      return Status::TypeError("HAVING predicate must be boolean");
-    }
-  }
-
+  MOSAIC_ASSIGN_OR_RETURN(AggregatePlan plan,
+                          BindAggregate(schema, stmt, weighted));
   const size_t n = sel.size();
 
   // Covers group-key building, accumulation, and emit; the phases
@@ -1332,9 +1049,9 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
   std::vector<uint32_t> group_first;
   std::vector<GroupKeyCol> key_cols;
   const char* idx_mode = "global";
-  if (!group_cols.empty()) {
-    key_cols.reserve(group_cols.size());
-    for (size_t c : group_cols) {
+  if (!plan.group_cols.empty()) {
+    key_cols.reserve(plan.group_cols.size());
+    for (size_t c : plan.group_cols) {
       key_cols.push_back(MakeGroupKey(view.column(c), sel.rows(), morsels));
     }
     // Mixed-radix packing through the widen / mul-add kernels, one
@@ -1476,13 +1193,13 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
     }
   }
 
-  const size_t num_specs = aggs.specs.size();
+  const size_t num_specs = plan.specs.size();
   std::vector<std::vector<double>> sum_wx(num_specs);
   std::vector<std::vector<int64_t>> min_pos(num_specs);
   std::vector<std::vector<int64_t>> max_pos(num_specs);
   std::vector<BatchVec> arg_batches(num_specs);
   for (size_t a = 0; a < num_specs; ++a) {
-    const AggSpec& spec = aggs.specs[a];
+    const AggSpec& spec = plan.specs[a];
     if (spec.is_star || spec.arg == nullptr) continue;
     MOSAIC_ASSIGN_OR_RETURN(arg_batches[a],
                             EvalSelection(*spec.arg, view, sel, morsels));
@@ -1560,38 +1277,70 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
     phase_t0 = opts.trace->NowUs();
   }
 
-  // --- Finalize into sorted groups and emit --------------------------------
-  SortedGroups sorted_groups;
-  sorted_groups.reserve(num_groups);
-  for (size_t g = 0; g < num_groups; ++g) {
-    std::vector<Value> key;
-    key.reserve(group_cols.size());
-    for (size_t c : group_cols) {
-      key.push_back(view.column(c).GetValue(sel[group_first[g]]));
-    }
-    std::vector<AggAccum> accs(num_specs);
-    for (size_t a = 0; a < num_specs; ++a) {
-      AggAccum& acc = accs[a];
-      acc.sum_w = sum_w[g];
-      acc.count_n = count_n[g];
-      if (!sum_wx[a].empty()) acc.sum_wx = sum_wx[a][g];
-      if (!min_pos[a].empty() && min_pos[a][g] >= 0) {
-        acc.any = true;
-        acc.vmin =
-            arg_batches[a].ValueAt(static_cast<size_t>(min_pos[a][g]));
-        acc.vmax =
-            arg_batches[a].ValueAt(static_cast<size_t>(max_pos[a][g]));
-      }
-    }
-    sorted_groups.emplace_back(std::move(key), std::move(accs));
+  // --- Emit: the groups as one typed table --------------------------------
+  // Groups are ordered by key. Each group's key is gathered at its
+  // first row (string keys stay dictionary codes) and each aggregate
+  // finalizes in bulk, so the group table is columns from the start.
+  AlignedVector<uint32_t> first_rows(group_first.size());
+  for (size_t g = 0; g < group_first.size(); ++g) {
+    first_rows[g] = sel[group_first[g]];
   }
-  // The row path's std::map emits groups in sorted key order.
-  std::sort(sorted_groups.begin(), sorted_groups.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<uint32_t> order(num_groups);
+  std::iota(order.begin(), order.end(), uint32_t{0});
+  if (num_groups > 1) {
+    std::vector<SortKeyCol> keys;
+    for (size_t c : plan.key_cols) {
+      keys.push_back(
+          MakeSortKey(view.column(c), first_rows, false, one_morsel));
+    }
+    order = SortPermutation(keys, num_groups, std::nullopt);
+  }
+  AlignedVector<uint32_t> sorted_first(first_rows.size());
+  for (size_t i = 0; i < first_rows.size(); ++i) {
+    sorted_first[i] = first_rows[order[i]];
+  }
+  const SelectionVector key_rows(std::move(sorted_first));
+  std::vector<BatchVec> group_batches;
+  group_batches.reserve(plan.group_schema.num_columns());
+  for (size_t c : plan.key_cols) {
+    BoundExpr ref;
+    ref.kind = BoundExpr::Kind::kColumnRef;
+    ref.column_index = c;
+    ref.type = schema.column(c).type;
+    MOSAIC_ASSIGN_OR_RETURN(BatchVec key,
+                            EvalSelection(ref, view, key_rows, one_morsel));
+    group_batches.push_back(std::move(key));
+  }
+  for (size_t a = 0; a < num_specs; ++a) {
+    MOSAIC_ASSIGN_OR_RETURN(
+        BatchVec agg,
+        FinalizeAggregate(plan.specs[a], weighted, order, sum_w, count_n,
+                          sum_wx[a], min_pos[a], max_pos[a], arg_batches[a]));
+    group_batches.push_back(std::move(agg));
+  }
+  std::vector<ColumnSpan> group_spans;
+  group_spans.reserve(group_batches.size());
+  for (BatchVec& batch : group_batches) group_spans.push_back(SpanOf(&batch));
+  const TableView groups =
+      TableView::FromSpans(plan.group_schema, std::move(group_spans),
+                           num_groups);
 
-  MOSAIC_ASSIGN_OR_RETURN(
-      Table out, EmitGroups(schema, stmt, bound_items, bound_having.get(),
-                            aggs.specs, group_cols, sorted_groups, weighted));
+  // HAVING and the SELECT items run over the group table exactly as a
+  // WHERE and a projection run over a source view.
+  SelectionVector kept = SelectionVector::All(num_groups);
+  if (plan.having != nullptr) {
+    MOSAIC_RETURN_IF_ERROR(FilterSelection(groups, *plan.having, one_morsel,
+                                           &kept, nullptr, 0));
+  }
+  std::vector<Column> columns;
+  columns.reserve(plan.items.size());
+  for (const auto& item : plan.items) {
+    MOSAIC_ASSIGN_OR_RETURN(BatchVec batch,
+                            EvalSelection(*item, groups, kept, one_morsel));
+    MOSAIC_ASSIGN_OR_RETURN(Column col, ColumnFromBatch(std::move(batch)));
+    columns.push_back(std::move(col));
+  }
+  Table out(plan.out_schema, std::move(columns), kept.size());
   MOSAIC_RETURN_IF_ERROR(SortLimitTable(stmt, &out));
   if (opts.trace != nullptr) {
     opts.trace->AddTimed(agg_span.id(), "emit", phase_t0,
@@ -1601,6 +1350,62 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
 }
 
 }  // namespace
+
+DataType AggOutputType(const AggSpec& spec, bool weighted) {
+  switch (spec.func) {
+    case sql::AggFunc::kCount:
+      return weighted ? DataType::kDouble : DataType::kInt64;
+    case sql::AggFunc::kSum:
+    case sql::AggFunc::kAvg:
+      return DataType::kDouble;
+    case sql::AggFunc::kMin:
+    case sql::AggFunc::kMax:
+      return spec.arg != nullptr ? spec.arg->type : DataType::kDouble;
+  }
+  return DataType::kDouble;
+}
+
+[[nodiscard]] Result<AggregatePlan> BindAggregate(const Schema& source,
+                                    const sql::SelectStmt& stmt,
+                                    bool weighted) {
+  AggregatePlan plan;
+  for (const auto& name : stmt.group_by) {
+    auto idx = source.FindColumn(name);
+    if (!idx) {
+      return Status::BindError("GROUP BY column '" + name + "' not found");
+    }
+    plan.group_cols.push_back(*idx);
+    if (std::find(plan.key_cols.begin(), plan.key_cols.end(), *idx) ==
+        plan.key_cols.end()) {
+      plan.key_cols.push_back(*idx);
+      MOSAIC_RETURN_IF_ERROR(plan.group_schema.AddColumn(source.column(*idx)));
+    }
+  }
+  // Items and HAVING bind against the group schema, which grows one
+  // column per new aggregate call as the binder meets it.
+  Binder arg_binder(&source);
+  AggCollection aggs{&plan, &arg_binder, weighted};
+  Binder binder(&plan.group_schema);
+  binder.set_aggregate_mapper(&AggCollection::MapAggregateThunk, &aggs);
+  for (const auto& item : stmt.items) {
+    // Column refs outside aggregates must be GROUP BY keys.
+    MOSAIC_RETURN_IF_ERROR(
+        ValidateGroupColumnRefs(*item.expr, stmt.group_by));
+    MOSAIC_ASSIGN_OR_RETURN(BoundExprPtr bound, binder.Bind(*item.expr));
+    MOSAIC_RETURN_IF_ERROR(
+        AddOutputColumn(&plan.out_schema, OutputName(item), bound->type));
+    plan.items.push_back(std::move(bound));
+  }
+  if (stmt.having != nullptr) {
+    MOSAIC_RETURN_IF_ERROR(
+        ValidateGroupColumnRefs(*stmt.having, stmt.group_by));
+    MOSAIC_ASSIGN_OR_RETURN(plan.having, binder.Bind(*stmt.having));
+    if (plan.having->type != DataType::kBool) {
+      return Status::TypeError("HAVING predicate must be boolean");
+    }
+  }
+  return plan;
+}
 
 [[nodiscard]] Result<double> TotalWeight(const Table& table,
                            const std::string& weight_column) {
@@ -1638,13 +1443,6 @@ void CountScanProduce(const ExecOptions& opts, uint64_t rows_scanned,
 [[nodiscard]] Result<Table> ExecuteSelect(const Table& source, const sql::SelectStmt& stmt,
                             const ExecOptions& opts) {
   const uint64_t rows_in = source.num_rows();
-  if (opts.use_row_path) {
-    trace::ScopedSpan span(opts.trace, opts.trace_parent, "row_exec");
-    span.Note("agg=per_row");
-    Result<Table> result = ExecuteSelectRow(source, stmt, opts);
-    CountScanProduce(opts, rows_in, result);
-    return result;
-  }
   Result<Table> result = ExecuteSelectBatch(
       TableView(source), SelectionVector::All(source.num_rows()), stmt, opts);
   CountScanProduce(opts, rows_in, result);
@@ -1655,14 +1453,6 @@ void CountScanProduce(const ExecOptions& opts, uint64_t rows_scanned,
                             const sql::SelectStmt& stmt,
                             const ExecOptions& opts) {
   const uint64_t rows_in = sel.size();
-  if (opts.use_row_path) {
-    // Row-path oracle: materialize the selected rows and run the
-    // legacy interpreter.
-    trace::ScopedSpan span(opts.trace, opts.trace_parent, "row_exec");
-    Result<Table> result = ExecuteSelectRow(view.Materialize(sel), stmt, opts);
-    CountScanProduce(opts, rows_in, result);
-    return result;
-  }
   Result<Table> result = ExecuteSelectBatch(view, std::move(sel), stmt, opts);
   CountScanProduce(opts, rows_in, result);
   return result;

@@ -14,26 +14,25 @@
 //
 // The engine-managed weight column is hidden from `SELECT *`.
 //
-// Production runs one pipeline; a test-only oracle checks it:
+// One pipeline, vectorized and columnar over TableView +
+// SelectionVector: WHERE predicates refine selection vectors in typed
+// kernels (dictionary-code compares for strings), GROUP BY is a flat
+// hash aggregation keyed on packed per-column group codes (densified
+// into first-seen ids whenever the packed code space would pass 2^62,
+// so every plan runs here), aggregates accumulate over selected spans
+// in tight loops and finalize in bulk into one typed group table, over
+// which HAVING and the SELECT items run through the same batch
+// evaluator as any projection. ORDER BY sorts precomputed typed keys
+// (partial_sort when LIMIT is present). Every step is a per-morsel body
+// plus an in-order merge (exec/morsel.h): with ExecOptions::morsels off
+// the selection is one morsel and nothing merges; with it on, the
+// selection splits into fixed-size morsels run on a shared thread
+// pool, bit-identical at every morsel size and thread count (enforced
+// by tests/test_sql_fuzz.cc).
 //
-//   batch — vectorized columnar pipeline over TableView +
-//     SelectionVector: WHERE predicates refine selection vectors in
-//     typed kernels (dictionary-code compares for strings), GROUP BY
-//     is a flat hash aggregation keyed on packed per-column group
-//     codes (densified into first-seen ids whenever the packed code
-//     space would pass 2^62, so every plan runs here), aggregates
-//     accumulate over selected spans in tight loops, and ORDER BY
-//     sorts precomputed typed keys (partial_sort when LIMIT is
-//     present). Every step is a per-morsel body plus an in-order
-//     merge (exec/morsel.h): with ExecOptions::morsels off the
-//     selection is one morsel and nothing merges; with it on, the
-//     selection splits into fixed-size morsels run on a shared
-//     thread pool, bit-identical at every morsel size and thread
-//     count (enforced by tests/test_sql_fuzz.cc).
-//   row (parity oracle) — the original Value-at-a-time interpreter,
-//     reached only through ExecOptions::use_row_path, which tests and
-//     the executor bench set for differential checks
-//     (tests/test_exec_parity.cc). Bit-identical to the batch path.
+// A test-only row-at-a-time interpreter (tests/oracle/row_oracle.h)
+// checks this pipeline bit for bit (tests/test_exec_parity.cc,
+// tests/test_sql_fuzz.cc); production code never links it.
 //
 // Thread-safety contract: every function here is a pure function of
 // its inputs — no globals, no caches — so concurrent calls over
@@ -44,9 +43,11 @@
 #define MOSAIC_EXEC_EXECUTOR_H_
 
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "common/trace.h"
+#include "exec/expr_eval.h"
 #include "exec/morsel.h"
 #include "sql/ast.h"
 #include "storage/table.h"
@@ -59,10 +60,6 @@ struct ExecOptions {
   /// Name of the weight column in the source table; empty = every
   /// tuple has weight 1 (plain SQL).
   std::string weight_column;
-  /// Run the legacy row-at-a-time interpreter instead of the batch
-  /// pipeline. Results are bit-identical; the row path is the parity
-  /// oracle for tests and never runs otherwise.
-  bool use_row_path = false;
   /// Morsel split of the batch pipeline: when morsels.morsel_size > 0
   /// the selection vector is split into morsels whose WHERE kernels,
   /// expression evaluation, and exact aggregate partials run per
@@ -96,6 +93,47 @@ struct ExecOptions {
 [[nodiscard]] Result<Table> ExecuteSelect(const TableView& view, SelectionVector sel,
                             const sql::SelectStmt& stmt,
                             const ExecOptions& opts = {});
+
+/// One aggregate call of an aggregate SELECT. Calls are deduplicated
+/// by their rendering, so `COUNT(*)` in the SELECT list and in HAVING
+/// is one call.
+struct AggSpec {
+  sql::AggFunc func;
+  bool is_star = false;
+  BoundExprPtr arg;       ///< over the source schema; null for COUNT(*)
+  std::string rendering;  ///< dedup key, e.g. "AVG(distance)"
+};
+
+/// Output type of an aggregate: COUNT is DOUBLE when weighted (the
+/// §5.3 rewrite makes it SUM(w)) and INT64 when not; SUM and AVG are
+/// DOUBLE; MIN and MAX take their argument's type.
+DataType AggOutputType(const AggSpec& spec, bool weighted);
+
+/// An aggregate SELECT, bound in two layers. Aggregate arguments bind
+/// against the source schema. HAVING and the SELECT items bind against
+/// `group_schema` — one column per distinct GROUP BY column, then one
+/// column per aggregate typed by AggOutputType — where an aggregate is
+/// an ordinary column reference. Shared with the test-only row oracle,
+/// so both answer bind errors identically.
+struct AggregatePlan {
+  std::vector<size_t> group_cols;  ///< source column of each GROUP BY entry
+  /// Distinct group_cols in first-mention order: group_schema columns
+  /// [0, key_cols.size()).
+  std::vector<size_t> key_cols;
+  /// specs[a] is group_schema column key_cols.size() + a.
+  std::vector<AggSpec> specs;
+  Schema group_schema;
+  std::vector<BoundExprPtr> items;  ///< over group_schema
+  BoundExprPtr having;              ///< over group_schema; null if absent
+  Schema out_schema;                ///< one named, typed column per item
+};
+
+/// Bind an aggregate SELECT (one whose items or HAVING aggregate)
+/// against the source schema. `weighted` types COUNT (see
+/// AggOutputType).
+[[nodiscard]] Result<AggregatePlan> BindAggregate(const Schema& source,
+                                                  const sql::SelectStmt& stmt,
+                                                  bool weighted);
 
 /// Total weight of the table (sum of the weight column, or row count
 /// when `weight_column` is empty).

@@ -1,8 +1,6 @@
 #include "exec/expr_eval.h"
 
-#include <cmath>
-
-#include "common/string_util.h"
+#include <string>
 
 namespace mosaic {
 namespace exec {
@@ -146,229 +144,13 @@ Result<BoundExprPtr> Binder::Bind(const sql::Expr& expr) {
             "aggregate " + expr.ToString() +
             " not allowed here (only in SELECT list)");
       }
-      MOSAIC_ASSIGN_OR_RETURN(out->agg_slot, agg_mapper_(expr, agg_ctx_));
-      out->kind = BoundExpr::Kind::kAggResult;
-      // Aggregates over weighted samples are doubles; the executor
-      // casts COUNT back to int for unweighted plain-SQL runs.
-      out->type = DataType::kDouble;
+      MOSAIC_ASSIGN_OR_RETURN(out->column_index, agg_mapper_(expr, agg_ctx_));
+      out->kind = BoundExpr::Kind::kColumnRef;
+      out->type = schema_->column(out->column_index).type;
       return out;
     }
   }
   return Status::Internal("unreachable expression kind");
-}
-
-void SpecializeStringPredicates(BoundExpr* expr, const Table& table) {
-  if (expr == nullptr) return;
-  if (expr->kind == BoundExpr::Kind::kBinary &&
-      (expr->binary_op == sql::BinaryOp::kEq ||
-       expr->binary_op == sql::BinaryOp::kNe) &&
-      expr->left->type == DataType::kString &&
-      expr->right->type == DataType::kString) {
-    const BoundExpr& l = *expr->left;
-    const BoundExpr& r = *expr->right;
-    const bool l_col = l.kind == BoundExpr::Kind::kColumnRef;
-    const bool r_col = r.kind == BoundExpr::Kind::kColumnRef;
-    if (l_col && r.kind == BoundExpr::Kind::kLiteral) {
-      expr->use_codes = true;
-      expr->literal_code = table.column(l.column_index)
-                               .dictionary()
-                               .Find(r.literal.AsString());
-      return;
-    }
-    if (r_col && l.kind == BoundExpr::Kind::kLiteral) {
-      expr->use_codes = true;
-      expr->literal_code = table.column(r.column_index)
-                               .dictionary()
-                               .Find(l.literal.AsString());
-      return;
-    }
-    if (l_col && r_col &&
-        table.column(l.column_index).shared_dictionary() ==
-            table.column(r.column_index).shared_dictionary()) {
-      expr->use_codes = true;
-      expr->code_pair = true;
-      return;
-    }
-  }
-  if (expr->kind == BoundExpr::Kind::kIn &&
-      expr->child->kind == BoundExpr::Kind::kColumnRef &&
-      expr->child->type == DataType::kString) {
-    const Dictionary& dict =
-        table.column(expr->child->column_index).dictionary();
-    expr->use_codes = true;
-    expr->in_codes.clear();
-    for (const Value& item : expr->in_list) {
-      const int32_t code = dict.Find(item.AsString());
-      if (code >= 0) expr->in_codes.push_back(code);
-    }
-    return;
-  }
-  for (BoundExpr* child :
-       {expr->child.get(), expr->left.get(), expr->right.get(),
-        expr->between_lo.get(), expr->between_hi.get()}) {
-    SpecializeStringPredicates(child, table);
-  }
-}
-
-[[nodiscard]] Result<Value> EvaluateExpr(const BoundExpr& expr, const Table& table,
-                           size_t row, const std::vector<Value>* agg_values) {
-  switch (expr.kind) {
-    case BoundExpr::Kind::kLiteral:
-      return expr.literal;
-    case BoundExpr::Kind::kColumnRef:
-      return table.GetValue(row, expr.column_index);
-    case BoundExpr::Kind::kAggResult: {
-      if (agg_values == nullptr || expr.agg_slot >= agg_values->size()) {
-        return Status::Internal("aggregate slot not available");
-      }
-      return (*agg_values)[expr.agg_slot];
-    }
-    case BoundExpr::Kind::kUnary: {
-      MOSAIC_ASSIGN_OR_RETURN(Value v,
-                              EvaluateExpr(*expr.child, table, row,
-                                           agg_values));
-      if (expr.unary_op == sql::UnaryOp::kNot) return Value(!v.AsBool());
-      MOSAIC_ASSIGN_OR_RETURN(double d, v.ToDouble());
-      if (expr.type == DataType::kInt64) {
-        return Value(static_cast<int64_t>(-v.AsInt64()));
-      }
-      return Value(-d);
-    }
-    case BoundExpr::Kind::kBinary: {
-      // Short-circuit logic ops.
-      if (expr.binary_op == sql::BinaryOp::kAnd) {
-        MOSAIC_ASSIGN_OR_RETURN(
-            Value l, EvaluateExpr(*expr.left, table, row, agg_values));
-        if (!l.AsBool()) return Value(false);
-        return EvaluateExpr(*expr.right, table, row, agg_values);
-      }
-      if (expr.binary_op == sql::BinaryOp::kOr) {
-        MOSAIC_ASSIGN_OR_RETURN(
-            Value l, EvaluateExpr(*expr.left, table, row, agg_values));
-        if (l.AsBool()) return Value(true);
-        return EvaluateExpr(*expr.right, table, row, agg_values);
-      }
-      if (expr.use_codes) {
-        bool eq;
-        if (expr.code_pair) {
-          eq = table.column(expr.left->column_index).GetCode(row) ==
-               table.column(expr.right->column_index).GetCode(row);
-        } else {
-          const BoundExpr& col =
-              expr.left->kind == BoundExpr::Kind::kColumnRef ? *expr.left
-                                                             : *expr.right;
-          eq = table.column(col.column_index).GetCode(row) ==
-               expr.literal_code;
-        }
-        return Value(expr.binary_op == sql::BinaryOp::kEq ? eq : !eq);
-      }
-      MOSAIC_ASSIGN_OR_RETURN(Value l,
-                              EvaluateExpr(*expr.left, table, row,
-                                           agg_values));
-      MOSAIC_ASSIGN_OR_RETURN(Value r,
-                              EvaluateExpr(*expr.right, table, row,
-                                           agg_values));
-      switch (expr.binary_op) {
-        case sql::BinaryOp::kEq:
-          return Value(l == r);
-        case sql::BinaryOp::kNe:
-          return Value(!(l == r));
-        case sql::BinaryOp::kLt:
-          return Value(l < r);
-        case sql::BinaryOp::kLe:
-          return Value(!(r < l));
-        case sql::BinaryOp::kGt:
-          return Value(r < l);
-        case sql::BinaryOp::kGe:
-          return Value(!(l < r));
-        case sql::BinaryOp::kAdd:
-        case sql::BinaryOp::kSub:
-        case sql::BinaryOp::kMul:
-        case sql::BinaryOp::kDiv: {
-          MOSAIC_ASSIGN_OR_RETURN(double lv, l.ToDouble());
-          MOSAIC_ASSIGN_OR_RETURN(double rv, r.ToDouble());
-          double result;
-          switch (expr.binary_op) {
-            case sql::BinaryOp::kAdd:
-              result = lv + rv;
-              break;
-            case sql::BinaryOp::kSub:
-              result = lv - rv;
-              break;
-            case sql::BinaryOp::kMul:
-              result = lv * rv;
-              break;
-            default:
-              if (rv == 0.0) {
-                return Status::ExecutionError("division by zero");
-              }
-              result = lv / rv;
-              break;
-          }
-          if (expr.type == DataType::kInt64) {
-            return Value(static_cast<int64_t>(std::llround(result)));
-          }
-          return Value(result);
-        }
-        default:
-          return Status::Internal("unreachable binary op");
-      }
-    }
-    case BoundExpr::Kind::kIn: {
-      if (expr.use_codes) {
-        const int32_t code =
-            table.column(expr.child->column_index).GetCode(row);
-        for (int32_t c : expr.in_codes) {
-          if (c == code) return Value(true);
-        }
-        return Value(false);
-      }
-      MOSAIC_ASSIGN_OR_RETURN(Value v,
-                              EvaluateExpr(*expr.child, table, row,
-                                           agg_values));
-      for (const auto& item : expr.in_list) {
-        if (v == item) return Value(true);
-      }
-      return Value(false);
-    }
-    case BoundExpr::Kind::kBetween: {
-      MOSAIC_ASSIGN_OR_RETURN(Value v,
-                              EvaluateExpr(*expr.child, table, row,
-                                           agg_values));
-      MOSAIC_ASSIGN_OR_RETURN(Value lo,
-                              EvaluateExpr(*expr.between_lo, table, row,
-                                           agg_values));
-      MOSAIC_ASSIGN_OR_RETURN(Value hi,
-                              EvaluateExpr(*expr.between_hi, table, row,
-                                           agg_values));
-      return Value(!(v < lo) && !(hi < v));
-    }
-  }
-  return Status::Internal("unreachable bound expression kind");
-}
-
-[[nodiscard]] Result<std::vector<size_t>> FilterRows(const Table& table,
-                                       const sql::Expr& predicate) {
-  Binder binder(&table.schema());
-  MOSAIC_ASSIGN_OR_RETURN(BoundExprPtr bound, binder.Bind(predicate));
-  if (bound->type != DataType::kBool) {
-    return Status::TypeError("WHERE predicate must be boolean, got " +
-                             std::string(DataTypeName(bound->type)));
-  }
-  SpecializeStringPredicates(bound.get(), table);
-  std::vector<size_t> rows;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    MOSAIC_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*bound, table, r));
-    if (v.AsBool()) rows.push_back(r);
-  }
-  return rows;
-}
-
-[[nodiscard]] Result<Value> EvaluateScalarOnRow(const Table& table, size_t row,
-                                  const sql::Expr& expr) {
-  Binder binder(&table.schema());
-  MOSAIC_ASSIGN_OR_RETURN(BoundExprPtr bound, binder.Bind(expr));
-  return EvaluateExpr(*bound, table, row);
 }
 
 }  // namespace exec

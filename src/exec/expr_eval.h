@@ -1,10 +1,13 @@
-// Bound expressions and row-at-a-time evaluation.
+// Bound expressions.
 //
 // The binder resolves AST column names to column indices against a
-// schema and computes static result types; the evaluator then runs a
-// bound expression over table rows. Aggregates never appear inside
-// bound scalar expressions — the executor lifts them out first
-// (see executor.h).
+// schema and computes static result types. The batch evaluator
+// (batch_eval.h) runs bound expressions over column spans; the
+// test-only row oracle (tests/oracle/row_oracle.h) interprets the same
+// trees one row at a time. Aggregates never appear inside bound
+// expressions: the executor binds each aggregate call to a column of
+// its group table (see BindAggregate in executor.h), so after grouping
+// an aggregate is an ordinary column reference.
 #ifndef MOSAIC_EXEC_EXPR_EVAL_H_
 #define MOSAIC_EXEC_EXPR_EVAL_H_
 
@@ -29,7 +32,6 @@ struct BoundExpr {
     kBinary,
     kIn,
     kBetween,
-    kAggResult,  ///< reference to a pre-computed aggregate slot
   };
 
   Kind kind;
@@ -45,29 +47,21 @@ struct BoundExpr {
   BoundExprPtr between_lo;
   BoundExprPtr between_hi;
   std::vector<Value> in_list;
-  size_t agg_slot = 0;                // kAggResult
-
-  // Filled by SpecializeStringPredicates: string =/!=/IN evaluated on
-  // dictionary codes instead of decoding a string per row.
-  bool use_codes = false;
-  bool code_pair = false;     ///< kBinary: both sides are same-dict columns
-  int32_t literal_code = -1;  ///< kBinary: literal's code in the column dict
-  std::vector<int32_t> in_codes;  ///< kIn: list codes present in the dict
 };
 
-/// Binds scalar (non-aggregate) expressions against a schema.
-/// `agg_slots` optionally maps aggregate AST nodes to result slots for
-/// use in post-aggregation projection (executor internal).
+/// Binds scalar expressions against a schema.
 class Binder {
  public:
   explicit Binder(const Schema* schema) : schema_(schema) {}
 
-  /// Bind a scalar expression. Errors on aggregates unless an
-  /// aggregate mapper is installed via set_aggregate_mapper.
+  /// Bind an expression. Errors on aggregates unless an aggregate
+  /// mapper is installed via set_aggregate_mapper.
   [[nodiscard]] Result<BoundExprPtr> Bind(const sql::Expr& expr);
 
-  /// Install a callback that maps an aggregate AST node to a slot
-  /// index (used when projecting SELECT items after aggregation).
+  /// Install a callback that maps an aggregate AST node to a column of
+  /// the bound schema; the aggregate then binds as a reference to that
+  /// column. The callback may append the column to the schema first
+  /// (the executor grows its group-table schema this way).
   using AggregateMapper = Result<size_t> (*)(const sql::Expr&, void*);
   void set_aggregate_mapper(AggregateMapper mapper, void* ctx) {
     agg_mapper_ = mapper;
@@ -79,30 +73,6 @@ class Binder {
   AggregateMapper agg_mapper_ = nullptr;
   void* agg_ctx_ = nullptr;
 };
-
-/// Evaluate a bound expression for one row of `table`. For
-/// kAggResult nodes, `agg_values` supplies the slot values.
-[[nodiscard]] Result<Value> EvaluateExpr(const BoundExpr& expr, const Table& table,
-                           size_t row,
-                           const std::vector<Value>* agg_values = nullptr);
-
-/// Rewrite string =/!=/IN nodes of a bound expression to compare
-/// dictionary codes against `table`'s columns: literals are resolved
-/// through the column's dictionary once (absent strings can never
-/// match), and same-dictionary column pairs compare codes directly.
-/// The specialized expression is only valid against tables sharing
-/// `table`'s dictionaries (Filter/Gather results qualify).
-void SpecializeStringPredicates(BoundExpr* expr, const Table& table);
-
-/// Evaluate a predicate over every row; returns indices where it is
-/// true. The predicate must be aggregate-free and boolean-typed.
-[[nodiscard]] Result<std::vector<size_t>> FilterRows(const Table& table,
-                                       const sql::Expr& predicate);
-
-/// Convenience: bind + evaluate an aggregate-free expression on one
-/// row.
-[[nodiscard]] Result<Value> EvaluateScalarOnRow(const Table& table, size_t row,
-                                  const sql::Expr& expr);
 
 }  // namespace exec
 }  // namespace mosaic

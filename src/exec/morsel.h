@@ -15,7 +15,7 @@
 // Because the concatenation of per-morsel results in morsel order is
 // exactly the whole-selection sequence, every merge is deterministic
 // and the output is bit-identical at every morsel size and thread
-// count (and to the row-path oracle). Floating-point sums are the one
+// count (and to the row oracle). Floating-point sums are the one
 // aggregate whose merge order would change the rounding, so they are
 // reduced serially in selection order over per-row products computed
 // per morsel — see executor.cc.

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
 
 #include "exec/simd_internal.h"
 
@@ -17,17 +16,14 @@ namespace simd {
 namespace {
 
 const KernelTable* BestAvailable() {
-  for (SimdIsa isa : {SimdIsa::kAvx2, SimdIsa::kSse2}) {
-    const KernelTable* t = KernelsFor(isa);
-    if (t != nullptr) return t;
-  }
-  return &ScalarKernels();
+  const KernelTable* t = KernelsFor(SimdIsa::kAvx2);
+  return t != nullptr ? t : &ScalarKernels();
 }
 
 /// Resolve MOSAIC_SIMD once. Values: unset/""/"1"/"auto" = best
-/// available; "0"/"off"/"scalar" = scalar; "sse2"/"avx2" =
-/// that level (falling back to auto with a warning when it is not
-/// available on this build/CPU).
+/// available; "0"/"off"/"scalar" = scalar; "avx2" = AVX2 (falling
+/// back to auto with a warning when it is not available on this
+/// build/CPU).
 const KernelTable* Resolve() {
   const char* env = std::getenv("MOSAIC_SIMD");
   if (env == nullptr || env[0] == '\0' || std::strcmp(env, "1") == 0 ||
@@ -38,17 +34,8 @@ const KernelTable* Resolve() {
       std::strcmp(env, "scalar") == 0) {
     return &ScalarKernels();
   }
-  SimdIsa want = SimdIsa::kScalar;
-  bool known = true;
-  if (std::strcmp(env, "sse2") == 0) {
-    want = SimdIsa::kSse2;
-  } else if (std::strcmp(env, "avx2") == 0) {
-    want = SimdIsa::kAvx2;
-  } else {
-    known = false;
-  }
-  if (known) {
-    const KernelTable* t = KernelsFor(want);
+  if (std::strcmp(env, "avx2") == 0) {
+    const KernelTable* t = KernelsFor(SimdIsa::kAvx2);
     if (t != nullptr) return t;
     std::fprintf(stderr,
                  "mosaic: MOSAIC_SIMD=%s not available on this build/CPU; "
@@ -58,7 +45,7 @@ const KernelTable* Resolve() {
   }
   std::fprintf(stderr,
                "mosaic: unknown MOSAIC_SIMD value '%s' "
-               "(want 0|scalar|sse2|avx2|auto); using auto\n",
+               "(want 0|scalar|avx2|auto); using auto\n",
                env);
   return BestAvailable();
 }
@@ -71,8 +58,6 @@ const KernelTable* KernelsFor(SimdIsa isa) {
   switch (isa) {
     case SimdIsa::kScalar:
       return &ScalarKernels();
-    case SimdIsa::kSse2:
-      return internal::Sse2KernelsOrNull();
     case SimdIsa::kAvx2:
       return internal::Avx2KernelsOrNull();
   }

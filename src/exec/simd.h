@@ -4,8 +4,8 @@
 // evaluation (col-op-literal, BETWEEN, dictionary-code compares),
 // selection-vector compaction, typed gathers, group-code packing, and
 // group-key hashing — exists here as an entry in a KernelTable of
-// function pointers. One table per instruction set (pure scalar,
-// SSE2, AVX2; other architectures run the scalar table); the active
+// function pointers. One table per instruction set (pure scalar and
+// AVX2; other architectures run the scalar table); the active
 // table is chosen once at startup from CPU detection (common/cpu.h)
 // and the MOSAIC_SIMD override.
 //
@@ -191,7 +191,7 @@ const KernelTable& ScalarKernels();
 const KernelTable* KernelsFor(SimdIsa isa);
 
 /// The table the executor uses: best compiled+supported level, unless
-/// MOSAIC_SIMD overrides (0/off/scalar, sse2, avx2, or auto).
+/// MOSAIC_SIMD overrides (0/off/scalar, avx2, or auto).
 /// Resolved once, cached for the process.
 const KernelTable& ActiveKernels();
 

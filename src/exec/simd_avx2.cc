@@ -7,7 +7,7 @@
 // convert per 4-lane block otherwise).
 #include "exec/simd_internal.h"
 
-#if defined(__AVX2__) && !defined(MOSAIC_SIMD_DISABLED)
+#if defined(__AVX2__)
 
 #include <immintrin.h>
 
@@ -573,7 +573,7 @@ const KernelTable* Avx2KernelsOrNull() {
 }  // namespace exec
 }  // namespace mosaic
 
-#else  // !__AVX2__ || MOSAIC_SIMD_DISABLED
+#else  // !__AVX2__
 
 namespace mosaic {
 namespace exec {

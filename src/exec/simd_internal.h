@@ -17,7 +17,6 @@ namespace internal {
 /// Per-ISA table getters, each defined in its own translation unit
 /// (so ISA-specific compile flags stay per-file). A getter returns
 /// nullptr when its level is not compiled for this target.
-const KernelTable* Sse2KernelsOrNull();
 const KernelTable* Avx2KernelsOrNull();
 
 /// Spread the low 4 bits of `bits` into 4 bytes (0/1 each) at `out`.
@@ -40,15 +39,6 @@ inline uint64_t ExpandBits8(unsigned bits) {
 inline void StoreMaskBytes8(uint8_t* out, unsigned bits) {
   const uint64_t y = ExpandBits8(bits);
   std::memcpy(out, &y, 8);
-}
-
-/// 8 mask bytes (each strictly 0/1) -> 8 bits, byte j -> bit j.
-/// Single multiply; the only potential position collisions (j-j'=7)
-/// sit outside the extracted top byte's source terms.
-inline unsigned MaskBytesToBits8(const uint8_t* mask) {
-  uint64_t x;
-  std::memcpy(&x, mask, 8);
-  return static_cast<unsigned>((x * 0x0102040810204080ull) >> 56);
 }
 
 /// Row ids sign-extend through 32-bit SIMD gather indices, so gather

@@ -488,11 +488,13 @@ TEST(Database, DropIfExistsTolerant) {
   EXPECT_FALSE(db.Execute("DROP TABLE nope").ok());
 }
 
-TEST_F(TinyWorld, RowAndBatchExecutionBitIdentical) {
-  // End-to-end parity oracle: the same database answers every
-  // visibility level identically when the final executor step runs
-  // on the row-path oracle and on the batch path (routing, weight
-  // pinning and population restriction are shared).
+TEST_F(TinyWorld, MorselAndBatchExecutionBitIdentical) {
+  // The same database answers every visibility level identically when
+  // the final executor step runs as one morsel and split into
+  // single-row morsels (routing, weight pinning and population
+  // restriction are shared). The row oracle checks that executor step
+  // on engine-shaped view + selection inputs in test_exec_parity and
+  // test_sql_fuzz.
   const std::vector<std::string> queries = {
       "SELECT * FROM RedSample",
       "SELECT color, size, weight FROM RedSample ORDER BY size LIMIT 3",
@@ -506,19 +508,19 @@ TEST_F(TinyWorld, RowAndBatchExecutionBitIdentical) {
       "SELECT weight FROM RedSample ORDER BY weight DESC LIMIT 4",
   };
   for (const auto& sql : queries) {
-    db_.set_force_row_exec(true);
-    auto row_res = db_.Execute(sql);
-    db_.set_force_row_exec(false);
+    db_.set_morsel_options(1);
+    auto morsel_res = db_.Execute(sql);
+    db_.set_morsel_options(0);
     auto batch_res = db_.Execute(sql);
-    ASSERT_EQ(row_res.ok(), batch_res.ok())
-        << sql << "\n row: " << row_res.status().ToString()
+    ASSERT_EQ(morsel_res.ok(), batch_res.ok())
+        << sql << "\n morsel: " << morsel_res.status().ToString()
         << "\n batch: " << batch_res.status().ToString();
-    if (!row_res.ok()) continue;
-    ASSERT_TRUE(row_res->schema() == batch_res->schema()) << sql;
-    ASSERT_EQ(row_res->num_rows(), batch_res->num_rows()) << sql;
-    for (size_t r = 0; r < row_res->num_rows(); ++r) {
-      for (size_t c = 0; c < row_res->num_columns(); ++c) {
-        Value a = row_res->GetValue(r, c);
+    if (!morsel_res.ok()) continue;
+    ASSERT_TRUE(morsel_res->schema() == batch_res->schema()) << sql;
+    ASSERT_EQ(morsel_res->num_rows(), batch_res->num_rows()) << sql;
+    for (size_t r = 0; r < morsel_res->num_rows(); ++r) {
+      for (size_t c = 0; c < morsel_res->num_columns(); ++c) {
+        Value a = morsel_res->GetValue(r, c);
         Value b = batch_res->GetValue(r, c);
         ASSERT_EQ(a.type(), b.type()) << sql;
         ASSERT_TRUE(a == b) << sql << " at (" << r << "," << c

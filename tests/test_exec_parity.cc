@@ -1,15 +1,18 @@
 // Randomized row-vs-batch parity: the vectorized batch executor must
-// be bit-identical to the legacy row-at-a-time interpreter (its
-// parity oracle, kept behind ExecOptions::use_row_path) across
-// generated schemas, tables, and SELECTs combining WHERE, GROUP BY,
-// HAVING, ORDER BY, and LIMIT — weighted and unweighted. The batch
-// leg honors MOSAIC_MORSELS, and a fixed table pins the morsel merges
-// (filter compaction, group-key remap) against the unsplit run.
+// be bit-identical to the test-only row-at-a-time oracle
+// (tests/oracle/row_oracle.h) across generated schemas, tables, and
+// SELECTs combining WHERE, GROUP BY, HAVING (string MIN/MAX and
+// arithmetic over aggregates included), ORDER BY, and LIMIT — weighted
+// and unweighted, over whole tables and over engine-shaped views (an
+// external weight span plus a selection vector). The batch leg honors
+// MOSAIC_MORSELS, and a fixed table pins the morsel merges (filter
+// compaction, group-key remap) against the unsplit run.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,8 +21,10 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "exec/executor.h"
+#include "oracle/row_oracle.h"
 #include "sql/parser.h"
 #include "storage/table.h"
+#include "storage/table_view.h"
 
 namespace mosaic {
 namespace exec {
@@ -193,6 +198,42 @@ std::string RandomScalarExpr(Rng* rng, const RandomRelation& rel) {
   }
 }
 
+/// Arithmetic over aggregates, typed by the aggregates' output types
+/// (INT64 over an unweighted COUNT or an int MIN/MAX, else DOUBLE).
+/// The division fails on the empty global group (COUNT(*) = 0).
+std::string RandomAggregateArithmetic(Rng* rng, const RandomRelation& rel) {
+  auto nums = rel.NumericCols();
+  const std::string& a = Pick(rng, nums);
+  switch (rng->UniformInt(uint64_t{3})) {
+    case 0:
+      return "COUNT(*) + 1";
+    case 1:
+      return "MAX(" + a + ") - MIN(" + a + ")";
+    default:
+      return "SUM(" + a + ") / COUNT(*)";
+  }
+}
+
+/// HAVING over a count, a string MIN/MAX, or arithmetic over
+/// aggregates.
+std::string RandomHaving(Rng* rng, const RandomRelation& rel) {
+  switch (rng->UniformInt(uint64_t{3})) {
+    case 0:
+      return "COUNT(*) >= " +
+             std::to_string(rng->UniformInt(int64_t{0}, int64_t{3}));
+    case 1: {
+      static const char* ops[] = {"=", "!=", "<", ">="};
+      const std::string& s = Pick(rng, rel.str_cols);
+      return std::string(rng->Bernoulli(0.5) ? "MIN(" : "MAX(") + s + ") " +
+             ops[rng->UniformInt(uint64_t{4})] + " " +
+             RandomLiteralFor(rng, rel, s);
+    }
+    default:
+      return RandomAggregateArithmetic(rng, rel) + " > " +
+             std::to_string(rng->UniformInt(int64_t{-2}, int64_t{6}));
+  }
+}
+
 std::string RandomQuery(Rng* rng, const RandomRelation& rel) {
   std::string sql = "SELECT ";
   std::vector<std::string> group_by;
@@ -226,7 +267,7 @@ std::string RandomQuery(Rng* rng, const RandomRelation& rel) {
     size_t n_aggs = 1 + rng->UniformInt(uint64_t{3});
     auto nums = rel.NumericCols();
     for (size_t i = 0; i < n_aggs; ++i) {
-      switch (rng->UniformInt(uint64_t{6})) {
+      switch (rng->UniformInt(uint64_t{7})) {
         case 0:
           items.push_back("COUNT(*)");
           break;
@@ -244,11 +285,14 @@ std::string RandomQuery(Rng* rng, const RandomRelation& rel) {
           items.push_back("MIN(" + Pick(rng, cols) + ")");
           break;
         }
-        default: {
+        case 5: {
           auto cols = rel.AllDataCols();
           items.push_back("MAX(" + Pick(rng, cols) + ")");
           break;
         }
+        default:
+          items.push_back(RandomAggregateArithmetic(rng, rel));
+          break;
       }
     }
     sql += Join(items, ", ");
@@ -259,10 +303,7 @@ std::string RandomQuery(Rng* rng, const RandomRelation& rel) {
   }
   if (!group_by.empty()) {
     sql += " GROUP BY " + Join(group_by, ", ");
-    if (rng->Bernoulli(0.3)) {
-      sql += " HAVING COUNT(*) >= " +
-             std::to_string(rng->UniformInt(int64_t{0}, int64_t{3}));
-    }
+    if (rng->Bernoulli(0.4)) sql += " HAVING " + RandomHaving(rng, rel);
   }
   if (rng->Bernoulli(0.5)) {
     std::vector<std::string> order_cols;
@@ -318,37 +359,90 @@ void ExpectTablesIdentical(const Table& row, const Table& batch,
   }
 }
 
+/// The oracle's and the batch path's outcomes agree: identical tables
+/// or identical failure statuses. Returns whether the oracle ran OK.
+bool ExpectSameOutcome(const Result<Table>& row, const Result<Table>& batch,
+                       const std::string& what) {
+  EXPECT_EQ(row.ok(), batch.ok())
+      << what << "\n row: " << row.status().ToString()
+      << "\n batch: " << batch.status().ToString();
+  if (row.ok() && batch.ok()) {
+    ExpectTablesIdentical(*row, *batch, what);
+  } else if (!row.ok() && !batch.ok()) {
+    EXPECT_EQ(row.status().ToString(), batch.status().ToString()) << what;
+  }
+  return row.ok();
+}
+
+/// A relation in the engine's shape: the data columns as spans of the
+/// table, the weight `w` as an external double span (the table's own
+/// weights, or fresh ones for an unweighted table), and a random
+/// selection standing in for a population restriction. The batch path
+/// runs on the view directly; the oracle on view.Materialize(sel).
+struct EngineShaped {
+  std::vector<double> weights;
+  TableView view;
+  SelectionVector sel;
+};
+
+void MakeEngineShaped(Rng* rng, const RandomRelation& rel,
+                      EngineShaped* out) {
+  const Table& t = rel.table;
+  const std::optional<size_t> w = t.schema().FindColumn("w");
+  Schema schema;
+  std::vector<ColumnSpan> spans;
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    if (c == w) continue;
+    ASSERT_TRUE(schema.AddColumn(t.schema().column(c)).ok());
+    spans.push_back(ColumnSpan::FromColumn(t.column(c)));
+  }
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    out->weights.push_back(w ? t.GetValue(r, *w).AsDouble()
+                             : 0.25 * (1 + rng->UniformInt(uint64_t{8})));
+  }
+  ASSERT_TRUE(schema.AddColumn({"w", DataType::kDouble}).ok());
+  spans.push_back(
+      ColumnSpan::FromDoubles(out->weights.data(), out->weights.size()));
+  out->view = TableView::FromSpans(std::move(schema), std::move(spans),
+                                   t.num_rows());
+  std::vector<uint32_t> rows;
+  for (uint32_t r = 0; r < t.num_rows(); ++r) {
+    if (rng->Bernoulli(0.7)) rows.push_back(r);
+  }
+  out->sel = SelectionVector(rows);
+}
+
 class ExecParity : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExecParity, RandomQueriesBitIdentical) {
   Rng rng(0x9e3779b9u * static_cast<uint64_t>(GetParam()) + 17);
   RandomRelation rel = MakeRelation(&rng);
+  Rng view_rng(0x7f4a7c15u * static_cast<uint64_t>(GetParam()) + 3);
+  EngineShaped engine;
+  MakeEngineShaped(&view_rng, rel, &engine);
+  const Table engine_rows = engine.view.Materialize(engine.sel);
   size_t errors = 0, oks = 0;
   for (int q = 0; q < 60; ++q) {
     std::string sql = RandomQuery(&rng, rel);
     auto parsed = sql::ParseStatement(sql);
     ASSERT_TRUE(parsed.ok()) << sql << ": " << parsed.status().ToString();
     const auto& stmt = parsed->As<sql::SelectStmt>();
-    ExecOptions row_opts, batch_opts;
-    if (rel.has_weight) {
-      row_opts.weight_column = "w";
-      batch_opts.weight_column = "w";
-    }
-    row_opts.use_row_path = true;
-    batch_opts.morsels.morsel_size = EnvSize("MOSAIC_MORSELS").value_or(0);
-    auto row_res = ExecuteSelect(rel.table, stmt, row_opts);
-    auto batch_res = ExecuteSelect(rel.table, stmt, batch_opts);
-    ASSERT_EQ(row_res.ok(), batch_res.ok())
-        << sql << "\n row: " << row_res.status().ToString()
-        << "\n batch: " << batch_res.status().ToString();
-    if (!row_res.ok()) {
-      EXPECT_EQ(row_res.status().ToString(), batch_res.status().ToString())
-          << sql;
+    ExecOptions opts;
+    if (rel.has_weight) opts.weight_column = "w";
+    opts.morsels.morsel_size = EnvSize("MOSAIC_MORSELS").value_or(0);
+    if (ExpectSameOutcome(oracle::ExecuteSelectRow(rel.table, stmt, opts),
+                          ExecuteSelect(rel.table, stmt, opts), sql)) {
+      ++oks;
+    } else {
       ++errors;
-      continue;
     }
-    ++oks;
-    ExpectTablesIdentical(*row_res, *batch_res, sql);
+    ExecOptions view_opts = opts;
+    view_opts.weight_column = "w";
+    ExpectSameOutcome(
+        oracle::ExecuteSelectRow(engine_rows, stmt, view_opts),
+        ExecuteSelect(engine.view, engine.sel, stmt, view_opts),
+        "view+selection: " + sql);
+    if (::testing::Test::HasFailure()) return;
   }
   // The generator must mostly produce executable queries.
   EXPECT_GT(oks, errors) << "generator produced too many failing queries";
@@ -377,12 +471,11 @@ TEST(ExecParity, WeightedAggregateRewrite) {
       "SELECT g, COUNT(*), SUM(x), AVG(x), MIN(x), MAX(x) FROM t "
       "WHERE x BETWEEN 5 AND 45 GROUP BY g ORDER BY g");
   ASSERT_TRUE(stmt.ok());
-  ExecOptions row_opts, batch_opts;
-  row_opts.weight_column = "w";
-  row_opts.use_row_path = true;
-  batch_opts.weight_column = "w";
-  auto row_res = ExecuteSelect(t, stmt->As<sql::SelectStmt>(), row_opts);
-  auto batch_res = ExecuteSelect(t, stmt->As<sql::SelectStmt>(), batch_opts);
+  ExecOptions opts;
+  opts.weight_column = "w";
+  auto row_res =
+      oracle::ExecuteSelectRow(t, stmt->As<sql::SelectStmt>(), opts);
+  auto batch_res = ExecuteSelect(t, stmt->As<sql::SelectStmt>(), opts);
   ASSERT_TRUE(row_res.ok()) << row_res.status().ToString();
   ASSERT_TRUE(batch_res.ok()) << batch_res.status().ToString();
   ExpectTablesIdentical(*row_res, *batch_res, "weighted rewrite");
@@ -391,8 +484,8 @@ TEST(ExecParity, WeightedAggregateRewrite) {
 // Group keys whose packed code space passes 64 bits: five VARCHAR
 // columns of 8192 distinct strings each span 8192^5 = 2^65 codes. The
 // batch path densifies the packed prefix into first-seen ids and keeps
-// packing, so it answers the plan itself (no row_exec span) and still
-// matches the row oracle bit for bit, with and without morsels.
+// packing, so it answers the plan itself and still matches the row
+// oracle bit for bit, with and without morsels.
 TEST(ExecParity, WideGroupKeysStayOnBatchPath) {
   constexpr int64_t kRows = 8192;
   const std::vector<std::string> cols = {"a", "b", "c", "d", "e"};
@@ -423,8 +516,8 @@ TEST(ExecParity, WideGroupKeysStayOnBatchPath) {
     ASSERT_TRUE(stmt.ok()) << sql;
     ExecOptions row_opts;
     row_opts.weight_column = "w";
-    row_opts.use_row_path = true;
-    auto row_res = ExecuteSelect(t, stmt->As<sql::SelectStmt>(), row_opts);
+    auto row_res =
+        oracle::ExecuteSelectRow(t, stmt->As<sql::SelectStmt>(), row_opts);
     ASSERT_TRUE(row_res.ok()) << row_res.status().ToString();
     ASSERT_EQ(row_res->num_rows(), static_cast<size_t>(kRows));
     for (size_t morsel_size : {size_t{0}, size_t{1000}}) {
@@ -439,7 +532,6 @@ TEST(ExecParity, WideGroupKeysStayOnBatchPath) {
       ExpectTablesIdentical(*row_res, *batch_res, sql);
       bool aggregated = false;
       for (const trace::Span& span : trace.Spans()) {
-        EXPECT_NE(span.name, "row_exec") << sql << " morsel=" << morsel_size;
         if (span.name == "aggregate") aggregated = true;
       }
       EXPECT_TRUE(aggregated) << sql << " morsel=" << morsel_size;
@@ -544,9 +636,7 @@ TEST(ExecParity, MorselMergesMatchTheUnsplitRun) {
     auto unsplit = ExecuteSelect(t, stmt, opts);
     ASSERT_TRUE(unsplit.ok()) << c.sql << ": " << unsplit.status().ToString();
     if (c.oracle) {
-      ExecOptions row_opts = opts;
-      row_opts.use_row_path = true;
-      auto row = ExecuteSelect(t, stmt, row_opts);
+      auto row = oracle::ExecuteSelectRow(t, stmt, opts);
       ASSERT_TRUE(row.ok()) << c.sql << ": " << row.status().ToString();
       ExpectTablesBitIdentical(*row, *unsplit, "row oracle: " + c.sql);
     }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/env.h"
+#include "oracle/row_oracle.h"
 #include "sql/parser.h"
 
 namespace mosaic {
@@ -300,13 +301,12 @@ TEST(Executor, OrderByLimitIsTopNSelection) {
   for (int64_t i = 0; i < 200; ++i) {
     ASSERT_TRUE(t.AppendRow({Value(i % 5), Value(i)}).ok());
   }
+  auto stmt = sql::ParseStatement("SELECT k, id FROM t ORDER BY k LIMIT 7");
+  ASSERT_TRUE(stmt.ok());
+  const auto& select = stmt->As<sql::SelectStmt>();
   for (bool row_path : {false, true}) {
-    ExecOptions opts;
-    opts.use_row_path = row_path;
-    auto stmt = sql::ParseStatement(
-        "SELECT k, id FROM t ORDER BY k LIMIT 7");
-    ASSERT_TRUE(stmt.ok());
-    auto r = ExecuteSelect(t, stmt->As<sql::SelectStmt>(), opts);
+    auto r = row_path ? oracle::ExecuteSelectRow(t, select, {})
+                      : ExecuteSelect(t, select);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_EQ(r->num_rows(), 7u);
     // k == 0 rows are ids 0, 5, 10, ... in original order.
@@ -345,20 +345,111 @@ TEST(Executor, OrderByUnprojectedColumnWithLimit) {
 
 TEST(Executor, GroupByOrderByLimit) {
   Table t = FlightsMini();
+  auto stmt = sql::ParseStatement(
+      "SELECT carrier, COUNT(*) AS c FROM t GROUP BY carrier "
+      "ORDER BY c DESC LIMIT 2");
+  ASSERT_TRUE(stmt.ok());
+  ExecOptions opts;
+  opts.weight_column = "weight";
+  const auto& select = stmt->As<sql::SelectStmt>();
   for (bool row_path : {false, true}) {
-    ExecOptions opts;
-    opts.use_row_path = row_path;
-    opts.weight_column = "weight";
-    auto stmt = sql::ParseStatement(
-        "SELECT carrier, COUNT(*) AS c FROM t GROUP BY carrier "
-        "ORDER BY c DESC LIMIT 2");
-    ASSERT_TRUE(stmt.ok());
-    auto r = ExecuteSelect(t, stmt->As<sql::SelectStmt>(), opts);
+    auto r = row_path ? oracle::ExecuteSelectRow(t, select, opts)
+                      : ExecuteSelect(t, select, opts);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_EQ(r->num_rows(), 2u);
     EXPECT_EQ(r->GetValue(0, 0).AsString(), "US");  // weight 10
     EXPECT_EQ(r->GetValue(1, 0).AsString(), "AA");  // weight 4
   }
+}
+
+// Aggregates bind with their output types, so a string MIN/MAX
+// compares as a string in HAVING (it used to bind as DOUBLE and fail
+// with "cannot compare DOUBLE with VARCHAR").
+TEST(Executor, HavingComparesStringMinMax) {
+  Table t = FlightsMini();
+  Table r = MustRun(t,
+                    "SELECT carrier, COUNT(*) AS c FROM t GROUP BY carrier "
+                    "HAVING MIN(carrier) = 'AA'");
+  ASSERT_EQ(r.num_rows(), 1u);
+  EXPECT_EQ(r.GetValue(0, 0).AsString(), "AA");
+  EXPECT_EQ(r.GetValue(0, 1).AsInt64(), 2);
+
+  Schema s;
+  ASSERT_TRUE(s.AddColumn({"k", DataType::kInt64}).ok());
+  ASSERT_TRUE(s.AddColumn({"g", DataType::kString}).ok());
+  Table u(s);
+  for (const auto& [k, g] : std::vector<std::pair<int64_t, const char*>>{
+           {1, "apple"}, {1, "zebra"}, {2, "kiwi"}, {2, "lime"}, {3, "pear"}}) {
+    ASSERT_TRUE(u.AppendRow({Value(k), Value(g)}).ok());
+  }
+  Table m = MustRun(u,
+                    "SELECT k, MAX(g) AS hi FROM u GROUP BY k "
+                    "HAVING MAX(g) > 'm' ORDER BY k");
+  ASSERT_EQ(m.num_rows(), 2u);
+  EXPECT_EQ(m.GetValue(0, 0).AsInt64(), 1);
+  EXPECT_EQ(m.GetValue(0, 1).AsString(), "zebra");
+  EXPECT_EQ(m.GetValue(1, 0).AsInt64(), 3);
+  EXPECT_EQ(m.GetValue(1, 1).AsString(), "pear");
+}
+
+// Arithmetic over an unweighted COUNT or an int MIN/MAX stays INT64;
+// a weighted COUNT (the §5.3 SUM(w)) stays DOUBLE. The oracle agrees
+// on every type.
+TEST(Executor, ArithmeticOverAggregatesKeepsTheirTypes) {
+  Table t = FlightsMini();
+  const std::string unweighted =
+      "SELECT COUNT(*) + 1 AS c1, MAX(dist) - MIN(dist) AS span FROM t";
+  Table r = MustRun(t, unweighted);
+  ASSERT_EQ(r.num_rows(), 1u);
+  EXPECT_EQ(r.schema().column(0).type, DataType::kInt64);
+  EXPECT_EQ(r.schema().column(1).type, DataType::kInt64);
+  EXPECT_EQ(r.GetValue(0, 0).AsInt64(), 6);
+  EXPECT_EQ(r.GetValue(0, 1).AsInt64(), 900);
+
+  const std::string weighted = "SELECT COUNT(*) * 2 AS c2 FROM t";
+  Table w = MustRun(t, weighted, "weight");
+  EXPECT_EQ(w.schema().column(0).type, DataType::kDouble);
+  EXPECT_EQ(w.GetValue(0, 0).AsDouble(), 36.0);  // 2 * (1+3+2+2+10)
+
+  for (const auto& [sql, weight] :
+       std::vector<std::pair<std::string, std::string>>{
+           {unweighted, ""}, {weighted, "weight"}}) {
+    ExecOptions opts;
+    opts.weight_column = weight;
+    auto stmt = sql::ParseStatement(sql);
+    ASSERT_TRUE(stmt.ok());
+    auto row = oracle::ExecuteSelectRow(t, stmt->As<sql::SelectStmt>(), opts);
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    Table batch = MustRun(t, sql, weight);
+    ASSERT_TRUE(row->schema() == batch.schema()) << sql;
+  }
+}
+
+// EXPLAIN ANALYZE's view of a GROUP BY: one `aggregate` span whose
+// phases are group_keys, accumulate and emit, in that order.
+TEST(Executor, GroupByTraceShowsAggregatePhases) {
+  Table t = FlightsMini();
+  auto stmt = sql::ParseStatement(
+      "SELECT carrier, COUNT(*) AS c FROM t GROUP BY carrier "
+      "HAVING MIN(dist) > 150");
+  ASSERT_TRUE(stmt.ok());
+  trace::QueryTrace trace;
+  ExecOptions opts;
+  opts.trace = &trace;
+  auto r = ExecuteSelect(t, stmt->As<sql::SelectStmt>(), opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->num_rows(), 2u);  // AA and US; WN's MIN(dist) is 100
+  uint32_t aggregate = 0;
+  std::vector<std::string> phases;
+  for (const trace::Span& span : trace.Spans()) {
+    if (span.name == "aggregate") aggregate = span.id;
+  }
+  ASSERT_NE(aggregate, 0u);
+  for (const trace::Span& span : trace.Spans()) {
+    if (span.parent == aggregate) phases.push_back(span.name);
+  }
+  EXPECT_EQ(phases,
+            (std::vector<std::string>{"group_keys", "accumulate", "emit"}));
 }
 
 }  // namespace

@@ -1,8 +1,16 @@
+// Binder and predicate semantics, checked on both evaluators: every
+// filter runs through the batch evaluator (SelectRows) and the test-only
+// row oracle (oracle::FilterRows), which must agree row for row and
+// status for status.
 #include "exec/expr_eval.h"
 
 #include <gtest/gtest.h>
 
+#include "exec/batch_eval.h"
+#include "exec/executor.h"
+#include "oracle/row_oracle.h"
 #include "sql/parser.h"
+#include "storage/table_view.h"
 
 namespace mosaic {
 namespace exec {
@@ -29,9 +37,39 @@ sql::ExprPtr ParseExpr(const std::string& text) {
   return std::move(stmt->As<sql::SelectStmt>().where);
 }
 
+/// Rows where `predicate` holds, from the row oracle; the batch
+/// evaluator must return the same rows or the same failure.
+Result<std::vector<size_t>> Filter(const Table& t,
+                                   const sql::Expr& predicate) {
+  auto rows = oracle::FilterRows(t, predicate);
+  auto batch = SelectRows(TableView(t), predicate);
+  EXPECT_EQ(rows.status().ToString(), batch.status().ToString());
+  if (rows.ok() && batch.ok()) {
+    EXPECT_EQ(*rows, std::vector<size_t>(batch->rows().begin(),
+                                         batch->rows().end()));
+  }
+  return rows;
+}
+
+/// Row 0 of `SELECT <item> FROM t`; the executor and the oracle must
+/// agree on its value and type.
+Value FirstItem(const Table& t, const std::string& query) {
+  auto stmt = sql::ParseStatement(query);
+  EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+  const auto& select = stmt->As<sql::SelectStmt>();
+  auto batch = ExecuteSelect(t, select);
+  auto row = oracle::ExecuteSelectRow(t, select, {});
+  EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_TRUE(row.ok()) << row.status().ToString();
+  if (!batch.ok() || !row.ok()) return Value::Null();
+  EXPECT_TRUE(batch->schema() == row->schema()) << query;
+  EXPECT_EQ(batch->GetValue(0, 0).ToString(), row->GetValue(0, 0).ToString());
+  return batch->GetValue(0, 0);
+}
+
 std::vector<size_t> MustFilter(const Table& t, const std::string& pred) {
   auto expr = ParseExpr(pred);
-  auto rows = FilterRows(t, *expr);
+  auto rows = Filter(t, *expr);
   EXPECT_TRUE(rows.ok()) << pred << ": " << rows.status().ToString();
   return std::move(rows).value();
 }
@@ -93,7 +131,7 @@ TEST(ExprEval, Arithmetic) {
 TEST(ExprEval, DivisionByZeroFails) {
   Table t = MakeTable();
   auto expr = ParseExpr("dist / (elapsed - elapsed) > 1");
-  EXPECT_FALSE(FilterRows(t, *expr).ok());
+  EXPECT_FALSE(Filter(t, *expr).ok());
 }
 
 TEST(ExprEval, ShortCircuitAvoidsDivisionByZero) {
@@ -107,7 +145,7 @@ TEST(ExprEval, ShortCircuitAvoidsDivisionByZero) {
 TEST(Binder, UnknownColumnIsBindError) {
   Table t = MakeTable();
   auto expr = ParseExpr("nope > 1");
-  auto rows = FilterRows(t, *expr);
+  auto rows = Filter(t, *expr);
   ASSERT_FALSE(rows.ok());
   EXPECT_EQ(rows.status().code(), StatusCode::kBindError);
 }
@@ -115,17 +153,18 @@ TEST(Binder, UnknownColumnIsBindError) {
 TEST(Binder, TypeErrors) {
   Table t = MakeTable();
   // string vs numeric comparison
-  EXPECT_EQ(FilterRows(t, *ParseExpr("carrier > 1")).status().code(),
+  EXPECT_EQ(Filter(t, *ParseExpr("carrier > 1")).status().code(),
             StatusCode::kTypeError);
   // arithmetic on strings
-  EXPECT_EQ(FilterRows(t, *ParseExpr("carrier + 1 > 0")).status().code(),
+  EXPECT_EQ(Filter(t, *ParseExpr("carrier + 1 > 0")).status().code(),
             StatusCode::kTypeError);
   // NOT on non-boolean
-  EXPECT_EQ(FilterRows(t, *ParseExpr("NOT elapsed > 1 AND NOT dist")).status().code(),
-            StatusCode::kTypeError);
+  EXPECT_EQ(
+      Filter(t, *ParseExpr("NOT elapsed > 1 AND NOT dist")).status().code(),
+      StatusCode::kTypeError);
   // BETWEEN over strings
   EXPECT_EQ(
-      FilterRows(t, *ParseExpr("carrier BETWEEN 'A' AND 'B'")).status().code(),
+      Filter(t, *ParseExpr("carrier BETWEEN 'A' AND 'B'")).status().code(),
       StatusCode::kTypeError);
 }
 
@@ -133,7 +172,7 @@ TEST(Binder, NonBooleanPredicateRejected) {
   Table t = MakeTable();
   auto stmt = sql::ParseStatement("SELECT * FROM t WHERE elapsed + 1");
   ASSERT_TRUE(stmt.ok());
-  auto rows = FilterRows(t, *stmt->As<sql::SelectStmt>().where);
+  auto rows = Filter(t, *stmt->As<sql::SelectStmt>().where);
   ASSERT_FALSE(rows.ok());
   EXPECT_EQ(rows.status().code(), StatusCode::kTypeError);
 }
@@ -146,29 +185,23 @@ TEST(Binder, AggregateOutsideSelectListRejected) {
   auto agg = sql::Expr::MakeAggregate(sql::AggFunc::kCount, nullptr, true);
   auto cmp = sql::Expr::MakeBinary(sql::BinaryOp::kGt, std::move(agg),
                                    sql::Expr::MakeLiteral(Value(int64_t{1})));
-  auto rows = FilterRows(t, *cmp);
+  auto rows = Filter(t, *cmp);
   ASSERT_FALSE(rows.ok());
   EXPECT_EQ(rows.status().code(), StatusCode::kBindError);
 }
 
 TEST(ExprEval, IntArithmeticStaysInt) {
   Table t = MakeTable();
-  auto stmt = sql::ParseStatement("SELECT elapsed + 1 FROM t");
-  ASSERT_TRUE(stmt.ok());
-  auto v = EvaluateScalarOnRow(t, 0, *stmt->As<sql::SelectStmt>().items[0].expr);
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v->type(), DataType::kInt64);
-  EXPECT_EQ(v->AsInt64(), 251);
+  Value v = FirstItem(t, "SELECT elapsed + 1 FROM t");
+  EXPECT_EQ(v.type(), DataType::kInt64);
+  EXPECT_EQ(v.AsInt64(), 251);
 }
 
 TEST(ExprEval, DivisionAlwaysDouble) {
   Table t = MakeTable();
-  auto stmt = sql::ParseStatement("SELECT elapsed / 2 FROM t");
-  ASSERT_TRUE(stmt.ok());
-  auto v = EvaluateScalarOnRow(t, 0, *stmt->As<sql::SelectStmt>().items[0].expr);
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v->type(), DataType::kDouble);
-  EXPECT_DOUBLE_EQ(v->AsDouble(), 125.0);
+  Value v = FirstItem(t, "SELECT elapsed / 2 FROM t");
+  EXPECT_EQ(v.type(), DataType::kDouble);
+  EXPECT_DOUBLE_EQ(v.AsDouble(), 125.0);
 }
 
 TEST(ExprEval, InOverMixedIntAndDouble) {
@@ -212,9 +245,10 @@ TEST(ExprEval, SpecializedStringPredicatesCompareCodes) {
   auto expr = ParseExpr("carrier = 'AA'");
   auto bound = binder.Bind(*expr);
   ASSERT_TRUE(bound.ok());
-  SpecializeStringPredicates(bound->get(), t);
-  EXPECT_TRUE((*bound)->use_codes);
-  EXPECT_EQ((*bound)->literal_code,
+  oracle::CodeSpecs specs;
+  oracle::SpecializeStringPredicates(**bound, t, &specs);
+  ASSERT_NE(specs.Find(bound->get()), nullptr);
+  EXPECT_EQ(specs.Find(bound->get())->literal_code,
             t.column(0).dictionary().Find("AA"));
   // A literal absent from the dictionary can never match (=) and
   // always matches (!=).
@@ -224,9 +258,9 @@ TEST(ExprEval, SpecializedStringPredicatesCompareCodes) {
   auto in_expr = ParseExpr("carrier IN ('WN', 'ZZ', 'US')");
   auto in_bound = binder.Bind(*in_expr);
   ASSERT_TRUE(in_bound.ok());
-  SpecializeStringPredicates(in_bound->get(), t);
-  EXPECT_TRUE((*in_bound)->use_codes);
-  EXPECT_EQ((*in_bound)->in_codes.size(), 2u);
+  oracle::SpecializeStringPredicates(**in_bound, t, &specs);
+  ASSERT_NE(specs.Find(in_bound->get()), nullptr);
+  EXPECT_EQ(specs.Find(in_bound->get())->in_codes.size(), 2u);
   EXPECT_EQ(MustFilter(t, "carrier IN ('WN', 'ZZ', 'US')").size(), 2u);
 }
 

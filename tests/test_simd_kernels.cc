@@ -28,15 +28,6 @@ constexpr size_t kLane = 8;
 const size_t kLengths[] = {0,         1,         kLane - 1, kLane,
                            kLane + 1, 3 * kLane, 3 * kLane + 5, 257};
 
-std::vector<const KernelTable*> AllTables() {
-  std::vector<const KernelTable*> tables = {&ScalarKernels()};
-  for (SimdIsa isa : {SimdIsa::kSse2, SimdIsa::kAvx2}) {
-    const KernelTable* t = KernelsFor(isa);
-    if (t != nullptr) tables.push_back(t);
-  }
-  return tables;
-}
-
 struct Fixture {
   AlignedVector<double> f64;
   AlignedVector<int64_t> i64;
@@ -401,9 +392,7 @@ std::string IsaParamName(const ::testing::TestParamInfo<SimdIsa>& info) {
 
 std::vector<SimdIsa> AvailableIsas() {
   std::vector<SimdIsa> isas = {SimdIsa::kScalar};
-  for (SimdIsa isa : {SimdIsa::kSse2, SimdIsa::kAvx2}) {
-    if (KernelsFor(isa) != nullptr) isas.push_back(isa);
-  }
+  if (KernelsFor(SimdIsa::kAvx2) != nullptr) isas.push_back(SimdIsa::kAvx2);
   return isas;
 }
 

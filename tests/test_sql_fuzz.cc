@@ -1,22 +1,27 @@
 // Cross-path SQL parity fuzzer: randomized queries must be
-// bit-identical across the three execution paths — row (legacy
-// interpreter oracle), batch (vectorized single-threaded), and morsel
-// (batch split into fixed-size morsels on a shared thread pool) — at
-// several morsel sizes including degenerate ones (1, a prime that
+// bit-identical across the execution paths — the test-only row oracle
+// (tests/oracle/row_oracle.h), batch (vectorized single-threaded), and
+// morsel (batch split into fixed-size morsels on a shared thread pool)
+// — at several morsel sizes including degenerate ones (1, a prime that
 // leaves tail morsels, larger than the table). Two layers:
 //
 //   - executor-level: random schemas/tables/SELECTs straight through
-//     exec::ExecuteSelect, weighted and unweighted;
+//     exec::ExecuteSelect, weighted and unweighted, over whole tables
+//     and over engine-shaped views (an external weight span plus a
+//     selection vector), each checked against the oracle;
 //   - engine-level: a fixed Mosaic world (a GP and a derived
 //     population) queried at every visibility level (CLOSED /
 //     SEMI-OPEN / OPEN, plus direct sample and auxiliary-table access)
-//     through Database instances that differ only in their execution
-//     path.
+//     through Database instances that differ only in morsel split and
+//     tracing. Routing is shared, so the oracle leg lives at the
+//     executor level, fed the same view + selection shape the engine
+//     hands the executor.
 //
 // Queries that fail must fail identically (same status string) on
 // every path.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,8 +30,10 @@
 #include "common/thread_pool.h"
 #include "core/database.h"
 #include "exec/executor.h"
+#include "oracle/row_oracle.h"
 #include "sql/parser.h"
 #include "storage/table.h"
+#include "storage/table_view.h"
 
 namespace mosaic {
 namespace exec {
@@ -209,6 +216,42 @@ std::string RandomScalarExpr(Rng* rng, const RandomRelation& rel) {
   }
 }
 
+/// Arithmetic over aggregates, typed by the aggregates' output types
+/// (INT64 over an unweighted COUNT or an int MIN/MAX, else DOUBLE).
+/// The division fails on the empty global group (COUNT(*) = 0).
+std::string RandomAggregateArithmetic(Rng* rng, const RandomRelation& rel) {
+  auto nums = rel.NumericCols();
+  const std::string& a = Pick(rng, nums);
+  switch (rng->UniformInt(uint64_t{3})) {
+    case 0:
+      return "COUNT(*) + 1";
+    case 1:
+      return "MAX(" + a + ") - MIN(" + a + ")";
+    default:
+      return "SUM(" + a + ") / COUNT(*)";
+  }
+}
+
+/// HAVING over a count, a string MIN/MAX, or arithmetic over
+/// aggregates.
+std::string RandomHaving(Rng* rng, const RandomRelation& rel) {
+  switch (rng->UniformInt(uint64_t{3})) {
+    case 0:
+      return "COUNT(*) >= " +
+             std::to_string(rng->UniformInt(int64_t{0}, int64_t{3}));
+    case 1: {
+      static const char* ops[] = {"=", "!=", "<", ">="};
+      const std::string& s = Pick(rng, rel.str_cols);
+      return std::string(rng->Bernoulli(0.5) ? "MIN(" : "MAX(") + s + ") " +
+             ops[rng->UniformInt(uint64_t{4})] + " " +
+             RandomLiteralFor(rng, rel, s);
+    }
+    default:
+      return RandomAggregateArithmetic(rng, rel) + " > " +
+             std::to_string(rng->UniformInt(int64_t{-2}, int64_t{6}));
+  }
+}
+
 std::string RandomQuery(Rng* rng, const RandomRelation& rel) {
   std::string sql = "SELECT ";
   std::vector<std::string> group_by;
@@ -241,7 +284,7 @@ std::string RandomQuery(Rng* rng, const RandomRelation& rel) {
     size_t n_aggs = 1 + rng->UniformInt(uint64_t{3});
     auto nums = rel.NumericCols();
     for (size_t i = 0; i < n_aggs; ++i) {
-      switch (rng->UniformInt(uint64_t{6})) {
+      switch (rng->UniformInt(uint64_t{7})) {
         case 0:
           items.push_back("COUNT(*)");
           break;
@@ -259,11 +302,14 @@ std::string RandomQuery(Rng* rng, const RandomRelation& rel) {
           items.push_back("MIN(" + Pick(rng, cols) + ")");
           break;
         }
-        default: {
+        case 5: {
           auto cols = rel.AllDataCols();
           items.push_back("MAX(" + Pick(rng, cols) + ")");
           break;
         }
+        default:
+          items.push_back(RandomAggregateArithmetic(rng, rel));
+          break;
       }
     }
     sql += Join(items, ", ");
@@ -274,10 +320,7 @@ std::string RandomQuery(Rng* rng, const RandomRelation& rel) {
   }
   if (!group_by.empty()) {
     sql += " GROUP BY " + Join(group_by, ", ");
-    if (rng->Bernoulli(0.3)) {
-      sql += " HAVING COUNT(*) >= " +
-             std::to_string(rng->UniformInt(int64_t{0}, int64_t{3}));
-    }
+    if (rng->Bernoulli(0.4)) sql += " HAVING " + RandomHaving(rng, rel);
   }
   if (rng->Bernoulli(0.5)) {
     std::vector<std::string> order_cols =
@@ -326,33 +369,87 @@ void ExpectTablesIdentical(const Table& want, const Table& got,
   }
 }
 
+/// A relation in the engine's shape: the data columns as spans of the
+/// table, the weight `w` as an external double span (the table's own
+/// weights, or fresh ones for an unweighted table), and a random
+/// selection standing in for a population restriction — what
+/// core::Database hands the executor for a sample or population.
+struct EngineShaped {
+  std::vector<double> weights;
+  TableView view;
+  SelectionVector sel;
+  Table materialized;  ///< view.Materialize(sel): the oracle's input
+};
+
+void MakeEngineShaped(Rng* rng, const RandomRelation& rel,
+                      EngineShaped* out) {
+  const Table& t = rel.table;
+  const std::optional<size_t> w = t.schema().FindColumn("w");
+  Schema schema;
+  std::vector<ColumnSpan> spans;
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    if (c == w) continue;
+    ASSERT_TRUE(schema.AddColumn(t.schema().column(c)).ok());
+    spans.push_back(ColumnSpan::FromColumn(t.column(c)));
+  }
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    out->weights.push_back(w ? t.GetValue(r, *w).AsDouble()
+                             : 0.25 * (1 + rng->UniformInt(uint64_t{8})));
+  }
+  ASSERT_TRUE(schema.AddColumn({"w", DataType::kDouble}).ok());
+  spans.push_back(
+      ColumnSpan::FromDoubles(out->weights.data(), out->weights.size()));
+  out->view = TableView::FromSpans(std::move(schema), std::move(spans),
+                                   t.num_rows());
+  std::vector<uint32_t> rows;
+  for (uint32_t r = 0; r < t.num_rows(); ++r) {
+    if (rng->Bernoulli(0.7)) rows.push_back(r);
+  }
+  out->sel = SelectionVector(rows);
+  out->materialized = out->view.Materialize(out->sel);
+}
+
+/// The oracle's and a batch run's outcomes agree: identical tables or
+/// identical failure statuses.
+void ExpectSameOutcome(const Result<Table>& want, const Result<Table>& got,
+                       const std::string& context) {
+  EXPECT_EQ(want.ok(), got.ok())
+      << context << "\n want: " << want.status().ToString()
+      << "\n got: " << got.status().ToString();
+  if (want.ok() && got.ok()) {
+    ExpectTablesIdentical(*want, *got, context);
+  } else if (!want.ok() && !got.ok()) {
+    EXPECT_EQ(want.status().ToString(), got.status().ToString()) << context;
+  }
+}
+
 /// Runs one statement on every path and checks bit-identity (or
 /// identical failure). Returns true if the query executed OK.
-bool CheckExecutorParity(const Table& table, const std::string& sql,
-                         bool weighted, ThreadPool* pool) {
+bool CheckExecutorParity(const RandomRelation& rel,
+                         const EngineShaped& engine, const std::string& sql,
+                         ThreadPool* pool) {
   auto parsed = sql::ParseStatement(sql);
   EXPECT_TRUE(parsed.ok()) << sql << ": " << parsed.status().ToString();
   if (!parsed.ok()) return false;
   const auto& stmt = parsed->As<sql::SelectStmt>();
+  const Table& table = rel.table;
 
-  ExecOptions row_opts;
-  row_opts.use_row_path = true;
   ExecOptions batch_opts;
-  if (weighted) {
-    row_opts.weight_column = "w";
-    batch_opts.weight_column = "w";
-  }
-  auto row_res = ExecuteSelect(table, stmt, row_opts);
+  if (rel.has_weight) batch_opts.weight_column = "w";
+  auto row_res = oracle::ExecuteSelectRow(table, stmt, batch_opts);
   auto batch_res = ExecuteSelect(table, stmt, batch_opts);
-  EXPECT_EQ(row_res.ok(), batch_res.ok())
-      << sql << "\n row: " << row_res.status().ToString()
-      << "\n batch: " << batch_res.status().ToString();
-  if (row_res.ok() && batch_res.ok()) {
-    ExpectTablesIdentical(*row_res, *batch_res, "batch: " + sql);
-  } else {
-    EXPECT_EQ(row_res.status().ToString(), batch_res.status().ToString())
-        << sql;
-  }
+  ExpectSameOutcome(row_res, batch_res, "batch: " + sql);
+
+  // Engine-shaped inputs: the batch path runs on the view + selection
+  // directly (unsplit and at every morsel size below), the oracle on
+  // their materialization.
+  ExecOptions view_opts = batch_opts;
+  view_opts.weight_column = "w";
+  auto view_row_res =
+      oracle::ExecuteSelectRow(engine.materialized, stmt, view_opts);
+  ExpectSameOutcome(view_row_res,
+                    ExecuteSelect(engine.view, engine.sel, stmt, view_opts),
+                    "view+selection: " + sql);
 
   // Tracing must never change results: the batch path with a live
   // QueryTrace attached is bit-identical to the untraced run (or
@@ -375,22 +472,18 @@ bool CheckExecutorParity(const Table& table, const std::string& sql,
   }
 
   for (size_t morsel_size : kMorselSizes) {
+    const std::string tag = "morsel=" + std::to_string(morsel_size) + ": ";
     ExecOptions morsel_opts = batch_opts;
     morsel_opts.morsels.morsel_size = morsel_size;
     morsel_opts.morsels.pool = pool;
-    auto morsel_res = ExecuteSelect(table, stmt, morsel_opts);
-    EXPECT_EQ(row_res.ok(), morsel_res.ok())
-        << sql << " [morsel=" << morsel_size << "]\n row: "
-        << row_res.status().ToString()
-        << "\n morsel: " << morsel_res.status().ToString();
-    if (row_res.ok() && morsel_res.ok()) {
-      ExpectTablesIdentical(
-          *row_res, *morsel_res,
-          "morsel=" + std::to_string(morsel_size) + ": " + sql);
-    } else if (!row_res.ok() && !morsel_res.ok()) {
-      EXPECT_EQ(row_res.status().ToString(), morsel_res.status().ToString())
-          << sql << " [morsel=" << morsel_size << "]";
-    }
+    ExpectSameOutcome(row_res, ExecuteSelect(table, stmt, morsel_opts),
+                      tag + sql);
+    ExecOptions view_morsel_opts = morsel_opts;
+    view_morsel_opts.weight_column = "w";
+    ExpectSameOutcome(
+        view_row_res,
+        ExecuteSelect(engine.view, engine.sel, stmt, view_morsel_opts),
+        tag + "view+selection: " + sql);
   }
   return row_res.ok();
 }
@@ -402,10 +495,13 @@ TEST(SqlFuzz, ExecutorPathsBitIdentical) {
   for (uint64_t seed = 0; seed < 8; ++seed) {
     Rng rng(0x51ab1ec0ffee * (seed + 1) + 29);
     RandomRelation rel = MakeRelation(&rng);
+    Rng view_rng(0x2545f4914f6cdd1d * (seed + 1) + 7);
+    EngineShaped engine;
+    MakeEngineShaped(&view_rng, rel, &engine);
     for (int q = 0; q < 40; ++q) {
       std::string sql = RandomQuery(&rng, rel);
       ++total;
-      if (CheckExecutorParity(rel.table, sql, rel.has_weight, &pool)) {
+      if (CheckExecutorParity(rel, engine, sql, &pool)) {
         ++oks;
       }
       if (::testing::Test::HasFatalFailure()) return;
@@ -614,16 +710,13 @@ std::string RandomWorldQuery(Rng* rng, int* open_queries) {
 
 TEST(SqlFuzz, VisibilityLevelsBitIdenticalAcrossPaths) {
   ThreadPool pool(3);
-  core::Database row_db;
   core::Database batch_db;
   core::Database morsel_db;
   core::Database traced_db;
-  SetUpFuzzWorld(&row_db);
   SetUpFuzzWorld(&batch_db);
   SetUpFuzzWorld(&morsel_db);
   SetUpFuzzWorld(&traced_db);
   if (::testing::Test::HasFatalFailure()) return;
-  row_db.set_force_row_exec(true);
   morsel_db.set_morsel_pool(&pool);
 
   Rng rng(77);
@@ -638,7 +731,6 @@ TEST(SqlFuzz, VisibilityLevelsBitIdenticalAcrossPaths) {
         kMorselSizes[q % (sizeof(kMorselSizes) / sizeof(kMorselSizes[0]))];
     morsel_db.set_morsel_options(morsel_size);
 
-    auto row_res = row_db.Execute(sql);
     auto batch_res = batch_db.Execute(sql);
     auto morsel_res = morsel_db.Execute(sql);
     // Trace-enabled leg: the engine with a live QueryTrace collecting
@@ -658,24 +750,18 @@ TEST(SqlFuzz, VisibilityLevelsBitIdenticalAcrossPaths) {
       ExpectTablesIdentical(*batch_res, *traced_res, "traced: " + sql);
       if (::testing::Test::HasFatalFailure()) return;
     }
-    ASSERT_EQ(row_res.ok(), batch_res.ok())
-        << sql << "\n row: " << row_res.status().ToString()
-        << "\n batch: " << batch_res.status().ToString();
-    ASSERT_EQ(row_res.ok(), morsel_res.ok())
-        << sql << " [morsel=" << morsel_size << "]\n row: "
-        << row_res.status().ToString()
+    ASSERT_EQ(batch_res.ok(), morsel_res.ok())
+        << sql << " [morsel=" << morsel_size << "]\n batch: "
+        << batch_res.status().ToString()
         << "\n morsel: " << morsel_res.status().ToString();
-    if (!row_res.ok()) {
-      EXPECT_EQ(row_res.status().ToString(), batch_res.status().ToString())
-          << sql;
-      EXPECT_EQ(row_res.status().ToString(), morsel_res.status().ToString())
+    if (!batch_res.ok()) {
+      EXPECT_EQ(batch_res.status().ToString(), morsel_res.status().ToString())
           << sql;
       continue;
     }
     ++oks;
-    ExpectTablesIdentical(*row_res, *batch_res, "batch: " + sql);
     ExpectTablesIdentical(
-        *row_res, *morsel_res,
+        *batch_res, *morsel_res,
         "morsel=" + std::to_string(morsel_size) + ": " + sql);
     if (::testing::Test::HasFatalFailure()) return;
   }

@@ -205,10 +205,10 @@ TEST(SystemTables, WeightEpochsShowsEachSamplesFit) {
 }
 
 // ---------------------------------------------------------------------------
-// Three-path execution parity over a frozen ring
+// Batch vs morsel execution parity over a frozen ring
 // ---------------------------------------------------------------------------
 
-TEST(SystemTables, ThreeExecPathsAgreeBitForBit) {
+TEST(SystemTables, ExecPathsAgreeBitForBit) {
   SeedQueryLog();
   const std::vector<std::string> queries = {
       "SELECT * FROM system.queries",
@@ -224,12 +224,6 @@ TEST(SystemTables, ThreeExecPathsAgreeBitForBit) {
     Database batch_db;
     auto batch = batch_db.Execute(sql);
     ASSERT_TRUE(batch.ok()) << sql << " -> " << batch.status().ToString();
-
-    Database row_db;
-    row_db.set_force_row_exec(true);
-    auto row = row_db.Execute(sql);
-    ASSERT_TRUE(row.ok()) << sql << " -> " << row.status().ToString();
-    EXPECT_TRUE(TablesEqual(*batch, *row)) << "row path: " << sql;
 
     Database morsel_db;
     morsel_db.set_morsel_options(2);

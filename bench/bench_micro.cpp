@@ -1,6 +1,5 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
-// primitives: exact 1-D Wasserstein, sliced projections, IPF cycles,
-// weighted aggregation, and the mixed encoder.
+// primitives: IPF cycles, weighted aggregation, and the mixed encoder.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -9,53 +8,9 @@
 #include "sql/parser.h"
 #include "stats/ipf.h"
 #include "stats/marginal.h"
-#include "stats/wasserstein.h"
 
 namespace mosaic {
 namespace {
-
-std::vector<double> RandomVec(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> v(n);
-  for (double& x : v) x = rng.Uniform();
-  return v;
-}
-
-void BM_Wasserstein1D(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  auto xs = RandomVec(n, 1), ys = RandomVec(n, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(*stats::Wasserstein1D(xs, ys));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_Wasserstein1D)->Arg(500)->Arg(5000)->Arg(50000);
-
-void BM_W2SquaredMatched(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  auto xs = RandomVec(n, 3), ys = RandomVec(n, 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(*stats::Wasserstein2SquaredMatched(xs, ys));
-  }
-}
-BENCHMARK(BM_W2SquaredMatched)->Arg(500)->Arg(5000);
-
-void BM_SlicedWasserstein(benchmark::State& state) {
-  size_t n = 2000;
-  Rng rng(5);
-  stats::PointSet p, q;
-  p.n = q.n = n;
-  p.d = q.d = 8;
-  p.data = RandomVec(n * 8, 6);
-  q.data = RandomVec(n * 8, 7);
-  size_t projections = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        *stats::SlicedWasserstein(p, q, projections, &rng));
-  }
-}
-BENCHMARK(BM_SlicedWasserstein)->Arg(8)->Arg(32)->Arg(128);
 
 Table MakeCategoricalSample(size_t n, uint64_t seed) {
   Rng rng(seed);

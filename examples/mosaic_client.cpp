@@ -86,34 +86,8 @@ int RunSmoke(net::Client* client) {
 /// format is stable under diff and grep whatever order fields were
 /// added to the protocol in. Histograms print derived summary rows.
 void PrintStats(const net::StatsSnapshot& s) {
-  std::vector<std::pair<std::string, std::string>> rows = {
-      {"connections_active", std::to_string(s.connections_active)},
-      {"connections_closed", std::to_string(s.connections_closed)},
-      {"connections_opened", std::to_string(s.connections_opened)},
-      {"connections_rejected", std::to_string(s.connections_rejected)},
-      {"frames_received", std::to_string(s.frames_received)},
-      {"frames_sent", std::to_string(s.frames_sent)},
-      {"inflight_highwater", std::to_string(s.inflight_highwater)},
-      {"malformed_frames", std::to_string(s.malformed_frames)},
-      {"model_cache_hits", std::to_string(s.model_cache_hits)},
-      {"model_cache_insertions", std::to_string(s.model_cache_insertions)},
-      {"protocol_errors", std::to_string(s.protocol_errors)},
-      {"queries_failed", std::to_string(s.queries_failed)},
-      {"queries_total", std::to_string(s.queries_total)},
-      {"reads", std::to_string(s.reads)},
-      {"result_cache_entries", std::to_string(s.result_cache_entries)},
-      {"result_cache_hits", std::to_string(s.result_cache_hits)},
-      {"result_cache_misses", std::to_string(s.result_cache_misses)},
-      {"sessions_closed", std::to_string(s.sessions_closed)},
-      {"sessions_opened", std::to_string(s.sessions_opened)},
-      {"weight_epochs_published",
-       std::to_string(s.weight_epochs_published)},
-      {"weight_refits_incremental",
-       std::to_string(s.weight_refits_incremental)},
-      {"weight_refits_skipped", std::to_string(s.weight_refits_skipped)},
-      {"weight_refits_total", std::to_string(s.weight_refits_total)},
-      {"writes", std::to_string(s.writes)},
-  };
+  std::vector<std::pair<std::string, std::string>> rows =
+      net::StatsFieldStrings(s);
   char buf[64];
   for (const auto& h : s.histograms) {
     rows.emplace_back(h.name + ".count",

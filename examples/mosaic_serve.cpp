@@ -238,65 +238,16 @@ int main(int argc, char** argv) {
               service_opts.num_generation_threads,
               demo_world ? ", demo world loaded" : "");
 
-  // Optional Prometheus endpoint. The render callback mirrors the
-  // server/service counters into registry gauges at scrape time, so
-  // one page carries both the registry's native metrics (latency
-  // histograms) and the wire/server counters.
+  // Optional Prometheus endpoint: the process-wide registry holds
+  // every counter, gauge and histogram the server, service, database
+  // and caches keep.
   std::unique_ptr<net::MetricsHttpServer> metrics_http;
   if (metrics_enabled) {
     net::MetricsHttpServer::Options mopts;
     mopts.host = server_opts.host;
     mopts.port = static_cast<uint16_t>(metrics_port);
     metrics_http = std::make_unique<net::MetricsHttpServer>(
-        [&server] {
-          auto& registry = metrics::Registry::Global();
-          const net::StatsSnapshot snap = server.Snapshot();
-          registry.GetGauge("mosaic_queries_total")
-              ->Set(static_cast<int64_t>(snap.queries_total));
-          registry.GetGauge("mosaic_queries_failed")
-              ->Set(static_cast<int64_t>(snap.queries_failed));
-          registry.GetGauge("mosaic_reads")
-              ->Set(static_cast<int64_t>(snap.reads));
-          registry.GetGauge("mosaic_writes")
-              ->Set(static_cast<int64_t>(snap.writes));
-          registry.GetGauge("mosaic_sessions_opened")
-              ->Set(static_cast<int64_t>(snap.sessions_opened));
-          registry.GetGauge("mosaic_sessions_closed")
-              ->Set(static_cast<int64_t>(snap.sessions_closed));
-          registry.GetGauge("mosaic_result_cache_hits")
-              ->Set(static_cast<int64_t>(snap.result_cache_hits));
-          registry.GetGauge("mosaic_result_cache_misses")
-              ->Set(static_cast<int64_t>(snap.result_cache_misses));
-          registry.GetGauge("mosaic_result_cache_entries")
-              ->Set(static_cast<int64_t>(snap.result_cache_entries));
-          registry.GetGauge("mosaic_model_cache_hits")
-              ->Set(static_cast<int64_t>(snap.model_cache_hits));
-          registry.GetGauge("mosaic_model_cache_insertions")
-              ->Set(static_cast<int64_t>(snap.model_cache_insertions));
-          registry.GetGauge("mosaic_connections_opened")
-              ->Set(static_cast<int64_t>(snap.connections_opened));
-          registry.GetGauge("mosaic_connections_active")
-              ->Set(static_cast<int64_t>(snap.connections_active));
-          registry.GetGauge("mosaic_connections_rejected")
-              ->Set(static_cast<int64_t>(snap.connections_rejected));
-          registry.GetGauge("mosaic_connections_closed")
-              ->Set(static_cast<int64_t>(snap.connections_closed));
-          registry.GetGauge("mosaic_frames_received")
-              ->Set(static_cast<int64_t>(snap.frames_received));
-          registry.GetGauge("mosaic_frames_sent")
-              ->Set(static_cast<int64_t>(snap.frames_sent));
-          registry.GetGauge("mosaic_protocol_errors")
-              ->Set(static_cast<int64_t>(snap.protocol_errors));
-          registry.GetGauge("mosaic_malformed_frames")
-              ->Set(static_cast<int64_t>(snap.malformed_frames));
-          registry.GetGauge("mosaic_inflight_highwater")
-              ->Set(static_cast<int64_t>(snap.inflight_highwater));
-          registry.GetGauge("mosaic_weight_epochs_published")
-              ->Set(static_cast<int64_t>(snap.weight_epochs_published));
-          registry.GetGauge("mosaic_weight_refits_total")
-              ->Set(static_cast<int64_t>(snap.weight_refits_total));
-          return registry.RenderPrometheus();
-        },
+        [] { return metrics::Registry::Global().RenderPrometheus(); },
         mopts);
     Status mstarted = metrics_http->Start();
     if (!mstarted.ok()) {
@@ -359,22 +310,18 @@ int main(int argc, char** argv) {
                    snap.ToString().c_str());
     }
   }
-  const net::NetServerStats nets = server.stats();
-  const service::ServiceStats svc = service.Stats();
+  const net::StatsSnapshot stats = server.Snapshot();
   std::printf("mosaic_serve: served %llu queries (%llu failed) over %llu "
               "connections; %llu frames in / %llu out, %llu protocol "
               "errors\n",
-              (unsigned long long)svc.queries_total,
-              (unsigned long long)svc.queries_failed,
-              (unsigned long long)nets.connections_opened,
-              (unsigned long long)nets.frames_received,
-              (unsigned long long)nets.frames_sent,
-              (unsigned long long)nets.protocol_errors);
-  elog::EventLog::Global().Emit(
-      LogLevel::kInfo, "serve_exit",
-      {{"queries_total", std::to_string(svc.queries_total)},
-       {"queries_failed", std::to_string(svc.queries_failed)},
-       {"connections_opened", std::to_string(nets.connections_opened)}});
+              (unsigned long long)stats.queries_total,
+              (unsigned long long)stats.queries_failed,
+              (unsigned long long)stats.connections_opened,
+              (unsigned long long)stats.frames_received,
+              (unsigned long long)stats.frames_sent,
+              (unsigned long long)stats.protocol_errors);
+  elog::EventLog::Global().Emit(LogLevel::kInfo, "serve_exit",
+                                net::StatsFieldStrings(stats));
   elog::EventLog::Global().Close();
   return 0;
 }

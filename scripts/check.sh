@@ -73,20 +73,24 @@ run_server_e2e() {
 # (b) zero IPF refits on the recovered process (the replayed weight
 # epochs carry their fit signatures, so SEMI-OPEN is a signature-match
 # no-op), then SIGTERM (which writes a final snapshot) and verify a
-# third boot from the snapshot too.
+# third boot from the snapshot too. The recovered server also serves
+# /metrics, and every counter `mosaic_client --stats` prints must be
+# scraped there as mosaic_<name> with its # TYPE line.
 run_crash_recovery() {
   local name="$1" build_dir="$2"
   echo "=== ${name}: crash-recovery E2E ==="
-  local data_dir port_file
+  local data_dir port_file server_log
   data_dir="$(mktemp -d)"
   port_file="${build_dir}/crash_recovery.port"
+  server_log="${build_dir}/crash_server.log"
   local q_closed="SELECT COUNT(*) AS c FROM Panel"
   local q_open="SELECT SEMI-OPEN COUNT(*) AS c FROM People WHERE device = 'phone'"
 
+  # Extra arguments go to mosaic_serve; its stdout lands in server_log.
   start_server() {
     rm -f "${port_file}"
     "${build_dir}/mosaic_serve" --port=0 --port-file="${port_file}" \
-      --data-dir="${data_dir}" &
+      --data-dir="${data_dir}" "$@" > "${server_log}" &
     server_pid=$!
     for _ in $(seq 1 100); do
       [[ -s "${port_file}" ]] && break
@@ -113,7 +117,7 @@ run_crash_recovery() {
 
   # Phase 2: recover from snapshot-less WAL, answers must match and
   # the recovered process must not have retrained.
-  start_server
+  start_server --metrics-port=0
   "${build_dir}/mosaic_client" --port="${port}" \
     "${q_closed}" "${q_open}" > "${build_dir}/crash_answers_rec1.txt"
   diff "${build_dir}/crash_answers_live.txt" \
@@ -123,6 +127,24 @@ run_crash_recovery() {
   grep -q '^weight_refits_total=0$' "${build_dir}/crash_stats_rec1.txt" || {
     echo "ERROR: recovery retrained (weight_refits_total != 0):" >&2
     grep '^weight_refits' "${build_dir}/crash_stats_rec1.txt" >&2 || true
+    exit 1
+  }
+  local metrics_url stat_name
+  metrics_url="$(grep -o 'http://[^ ]*/metrics' "${server_log}")"
+  curl -sf "${metrics_url}" > "${build_dir}/crash_metrics_rec1.txt"
+  # Histogram rows of --stats carry a '.' (name.p50, ...); the rest are
+  # the STATS fields.
+  for stat_name in $(grep -v '^[^=]*\.' "${build_dir}/crash_stats_rec1.txt" \
+                     | cut -d= -f1); do
+    grep -q "^# TYPE mosaic_${stat_name} " \
+      "${build_dir}/crash_metrics_rec1.txt" || {
+      echo "ERROR: /metrics has no '# TYPE mosaic_${stat_name}' line" >&2
+      exit 1
+    }
+  done
+  grep -q '^mosaic_weight_refits_total 0$' \
+    "${build_dir}/crash_metrics_rec1.txt" || {
+    echo "ERROR: /metrics lacks 'mosaic_weight_refits_total 0'" >&2
     exit 1
   }
   kill -TERM "${server_pid}"

@@ -1,4 +1,5 @@
-// A bounded, thread-safe LRU cache with hit/miss/eviction counters.
+// A bounded, thread-safe LRU cache whose hit/miss/eviction counters
+// live in the process-wide metrics registry.
 //
 // Replaces the Database's former unbounded std::map model cache and
 // backs the query service's canonicalized-SQL result cache. Values
@@ -15,12 +16,14 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/metrics.h"
 #include "common/synchronization.h"
 
 namespace mosaic {
 
-/// Counters describing cache effectiveness; all monotonically
-/// increasing except `entries`.
+/// Counters describing cache effectiveness, per process: every cache
+/// with the same metric prefix adds into them. All monotonically
+/// increasing except `entries`; only `capacity` is one cache's own.
 struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -41,18 +44,39 @@ template <typename K, typename V>
 class LruCache {
  public:
   /// `capacity` = max entries; 0 disables caching (every Get misses,
-  /// Put is a no-op).
-  explicit LruCache(size_t capacity) : capacity_(capacity) {}
+  /// Put is a no-op). Counts go to the registry as `<metric_prefix>_`
+  /// {hits,misses,insertions,evictions,invalidations,entries}.
+  LruCache(const std::string& metric_prefix, size_t capacity)
+      : capacity_(capacity) {
+    auto& registry = metrics::Registry::Global();
+    auto counter = [&](const char* suffix, const char* help) {
+      return registry.GetCounter(metric_prefix + suffix, help);
+    };
+    hits_ = counter("_hits", "Lookups that found their key");
+    misses_ = counter("_misses", "Lookups that missed");
+    insertions_ = counter("_insertions", "Entries added");
+    evictions_ = counter("_evictions", "Entries evicted over capacity");
+    invalidations_ = counter("_invalidations", "Entries cleared or erased");
+    entries_ = registry.GetGauge(metric_prefix + "_entries", "Entries held");
+  }
+
+  ~LruCache() {
+    MutexLock lock(mu_);
+    entries_->Sub(static_cast<int64_t>(order_.size()));
+  }
+
+  LruCache(const LruCache&) = delete;
+  LruCache& operator=(const LruCache&) = delete;
 
   /// Returns the value and refreshes recency, or nullopt on miss.
   std::optional<V> Get(const K& key) {
     MutexLock lock(mu_);
     auto it = index_.find(key);
     if (it == index_.end()) {
-      ++stats_.misses;
+      misses_->Inc();
       return std::nullopt;
     }
-    ++stats_.hits;
+    hits_->Inc();
     order_.splice(order_.begin(), order_, it->second);
     return it->second->second;
   }
@@ -81,12 +105,9 @@ class LruCache {
     }
     order_.emplace_front(key, std::move(value));
     index_[key] = order_.begin();
-    ++stats_.insertions;
-    if (order_.size() > capacity_) {
-      index_.erase(order_.back().first);
-      order_.pop_back();
-      ++stats_.evictions;
-    }
+    insertions_->Inc();
+    entries_->Add(1);
+    EvictToCapacityLocked();
   }
 
   /// Drops one entry if present.
@@ -96,13 +117,15 @@ class LruCache {
     if (it == index_.end()) return;
     order_.erase(it->second);
     index_.erase(it);
-    ++stats_.invalidations;
+    invalidations_->Inc();
+    entries_->Sub(1);
   }
 
   /// Drops every entry (counted as invalidations, not evictions).
   void Clear() {
     MutexLock lock(mu_);
-    stats_.invalidations += order_.size();
+    invalidations_->Inc(order_.size());
+    entries_->Sub(static_cast<int64_t>(order_.size()));
     order_.clear();
     index_.clear();
   }
@@ -112,11 +135,7 @@ class LruCache {
   void set_capacity(size_t capacity) {
     MutexLock lock(mu_);
     capacity_ = capacity;
-    while (order_.size() > capacity_) {
-      index_.erase(order_.back().first);
-      order_.pop_back();
-      ++stats_.evictions;
-    }
+    EvictToCapacityLocked();
   }
 
   size_t size() const {
@@ -124,21 +143,41 @@ class LruCache {
     return order_.size();
   }
 
+  /// The per-process registry counts (see CacheStats), this capacity.
   CacheStats Stats() const {
+    CacheStats out;
+    out.hits = hits_->Value();
+    out.misses = misses_->Value();
+    out.evictions = evictions_->Value();
+    out.insertions = insertions_->Value();
+    out.invalidations = invalidations_->Value();
+    out.entries = static_cast<size_t>(entries_->Value());
     MutexLock lock(mu_);
-    CacheStats out = stats_;
-    out.entries = order_.size();
     out.capacity = capacity_;
     return out;
   }
 
  private:
+  void EvictToCapacityLocked() REQUIRES(mu_) {
+    while (order_.size() > capacity_) {
+      index_.erase(order_.back().first);
+      order_.pop_back();
+      evictions_->Inc();
+      entries_->Sub(1);
+    }
+  }
+
   mutable Mutex mu_;
   size_t capacity_ GUARDED_BY(mu_);
   std::list<std::pair<K, V>> order_ GUARDED_BY(mu_);  ///< front = most recent
   std::unordered_map<K, typename std::list<std::pair<K, V>>::iterator>
       index_ GUARDED_BY(mu_);
-  CacheStats stats_ GUARDED_BY(mu_);
+  metrics::Counter* hits_;
+  metrics::Counter* misses_;
+  metrics::Counter* insertions_;
+  metrics::Counter* evictions_;
+  metrics::Counter* invalidations_;
+  metrics::Gauge* entries_;
 };
 
 }  // namespace mosaic

@@ -142,10 +142,6 @@ inline void CountRowsProduced(QueryTrace* trace, uint64_t n) {
   if (trace != nullptr)
     trace->counters().rows_produced.fetch_add(n, std::memory_order_relaxed);
 }
-inline void CountMorsel(QueryTrace* trace) {
-  if (trace != nullptr)
-    trace->counters().morsels.fetch_add(1, std::memory_order_relaxed);
-}
 /// Bulk variant for fan-out sites where the task count is known up
 /// front. Call it once outside the per-morsel lambda: an atomic RMW
 /// inside a hot lambda body (even behind a null check) pessimizes the

@@ -133,12 +133,24 @@ Table TailRows(const Table& table, size_t begin) {
 
 }  // namespace
 
-Database::Database() : model_cache_(kDefaultModelCacheCapacity) {
-  ipf_cycles_ = metrics::Registry::Global().GetCounter(
-      "mosaic_ipf_cycles_total", "IPF raking cycles run by weight refits");
-  ipf_plateaued_ = metrics::Registry::Global().GetCounter(
+Database::Database()
+    : model_cache_("mosaic_model_cache", kDefaultModelCacheCapacity) {
+  auto& registry = metrics::Registry::Global();
+  ipf_cycles_ = registry.GetCounter("mosaic_ipf_cycles_total",
+                                    "IPF raking cycles run by weight refits");
+  ipf_plateaued_ = registry.GetCounter(
       "mosaic_ipf_plateaued_fits_total",
       "IPF weight refits that ran out of cycles without converging");
+  weight_epochs_published_ = registry.GetCounter(
+      "mosaic_weight_epochs_published", "Sample weight epochs swapped in");
+  weight_refits_ = registry.GetCounter("mosaic_weight_refits_total",
+                                       "Sample weight computations run");
+  weight_refits_skipped_ = registry.GetCounter(
+      "mosaic_weight_refits_skipped",
+      "Refits skipped because the current epoch already matched");
+  weight_refits_incremental_ = registry.GetCounter(
+      "mosaic_weight_refits_incremental",
+      "Ingest refits warm-started from the previous weights");
   // Ad-hoc OPEN queries get a lighter training budget than the
   // benches (which configure their own MswgOptions).
   open_.mswg.epochs = 15;
@@ -637,6 +649,7 @@ Result<Table> Database::ExecutePopulationQuery(const sql::SelectStmt& stmt,
 }
 
 void Database::CountIpfFit(const stats::IpfReport& report) {
+  weight_refits_->Inc();
   ipf_cycles_->Inc(report.iterations);
   // A fit that did not converge ran its whole cycle budget.
   if (!report.converged) ipf_plateaued_->Inc();
@@ -676,7 +689,7 @@ Result<WeightEpochPtr> Database::PublishWeights(SampleInfo* sample,
   WeightEpochPtr epoch =
       sample->weights.Publish(std::move(weights), std::move(fit), &published);
   if (published) {
-    weight_epochs_published_.fetch_add(1, std::memory_order_relaxed);
+    weight_epochs_published_->Inc();
     // The union-mode scratch relation is derived state, rebuilt from
     // the real samples on demand — its publications are not logged.
     if (log && durability_ != nullptr && sample != &union_scratch_) {
@@ -712,7 +725,7 @@ Result<WeightEpochPtr> Database::ReweightAndPin(
   auto reuse_if_current = [&](const std::string& sig) -> WeightEpochPtr {
     WeightEpochPtr cur = sample->weights.Pin();
     if (cur->weights.size() == rows && cur->fit_signature == sig) {
-      weight_refits_skipped_.fetch_add(1, std::memory_order_relaxed);
+      weight_refits_skipped_->Inc();
       report->converged = cur->fit_converged;
       report->max_l1_error = cur->fit_error;
       report->uncovered_target_mass = cur->fit_uncovered;
@@ -733,7 +746,7 @@ Result<WeightEpochPtr> Database::ReweightAndPin(
     MOSAIC_ASSIGN_OR_RETURN(
         std::vector<double> weights,
         stats::UniformMechanismWeights(rows, sample->mechanism.percent));
-    weight_refits_.fetch_add(1, std::memory_order_relaxed);
+    weight_refits_->Inc();
     report->converged = true;
     return PublishWeights(sample, std::move(weights),
                           WeightFitInfo{sig, 0.0, 0.0, true});
@@ -764,7 +777,7 @@ Result<WeightEpochPtr> Database::ReweightAndPin(
         std::vector<double> weights,
         stats::StratifiedMechanismWeights(
             sample->data, sample->mechanism.stratify_attr, *strat_marginal));
-    weight_refits_.fetch_add(1, std::memory_order_relaxed);
+    weight_refits_->Inc();
     report->converged = true;
     return PublishWeights(sample, std::move(weights),
                           WeightFitInfo{sig, 0.0, 0.0, true});
@@ -782,7 +795,6 @@ Result<WeightEpochPtr> Database::ReweightAndPin(
         *report,
         stats::IterativeProportionalFit(sample->data, *plan.marginals,
                                         &weights, semi_open_.ipf));
-    weight_refits_.fetch_add(1, std::memory_order_relaxed);
     CountIpfFit(*report);
     return PublishWeights(
         sample, std::move(weights),
@@ -820,7 +832,6 @@ Result<WeightEpochPtr> Database::ReweightAndPin(
       full[keep[i]] = restricted_weights[i];
     }
   }
-  weight_refits_.fetch_add(1, std::memory_order_relaxed);
   CountIpfFit(*report);
   return PublishWeights(
       sample, std::move(full),
@@ -1157,10 +1168,9 @@ Status Database::ExtendWeightsAfterIngest(SampleInfo* sample,
       auto fit = stats::IncrementalProportionalFit(
           sample->data, (*gp)->marginals, prev->weights, &fitted, ipf);
       if (fit.ok()) {
-        weight_refits_.fetch_add(1, std::memory_order_relaxed);
         CountIpfFit(*fit);
         if (!fit->fell_back_to_cold) {
-          weight_refits_incremental_.fetch_add(1, std::memory_order_relaxed);
+          weight_refits_incremental_->Inc();
         }
         // log=false: the ingest caller records one combined
         // rows+epoch WAL record covering this publication.
@@ -1581,13 +1591,10 @@ Database::CacheStamp Database::StampFor(const sql::Statement& stmt) {
 
 Database::WeightCounters Database::WeightCountersSnapshot() const {
   WeightCounters c;
-  c.epochs_published =
-      weight_epochs_published_.load(std::memory_order_relaxed);
-  c.refits_total = weight_refits_.load(std::memory_order_relaxed);
-  c.refits_skipped =
-      weight_refits_skipped_.load(std::memory_order_relaxed);
-  c.refits_incremental =
-      weight_refits_incremental_.load(std::memory_order_relaxed);
+  c.epochs_published = weight_epochs_published_->Value();
+  c.refits_total = weight_refits_->Value();
+  c.refits_skipped = weight_refits_skipped_->Value();
+  c.refits_incremental = weight_refits_incremental_->Value();
   return c;
 }
 

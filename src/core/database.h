@@ -197,7 +197,8 @@ class Database {
   /// provenance intact) on the named sample. Never runs a fit.
   [[nodiscard]] Status RestoreSampleEpoch(const std::string& sample, WeightEpoch epoch);
 
-  /// Aggregate counters over the versioned weight stores.
+  /// Aggregate counters over the versioned weight stores, per process
+  /// (the registry's `mosaic_weight_*` counters).
   struct WeightCounters {
     uint64_t epochs_published = 0;   ///< new epochs swapped in
     uint64_t refits_total = 0;       ///< reweight computations run
@@ -271,7 +272,8 @@ class Database {
     model_cache_.set_capacity(capacity);
   }
 
-  /// Hit/miss/eviction counters of the trained-generator cache.
+  /// Hit/miss/eviction counters of the trained-generator cache (the
+  /// per-process `mosaic_model_cache_*` metrics) and its capacity.
   CacheStats ModelCacheStats() const { return model_cache_.Stats(); }
 
   /// When set, the `num_generated_samples` independent OPEN-query
@@ -369,8 +371,9 @@ class Database {
                                         WeightFitInfo fit = WeightFitInfo(),
                                         bool log = true);
 
-  /// Count a finished IPF refit in the metrics registry: its cycles,
-  /// and whether it plateaued (ran out of cycles unconverged).
+  /// Count a finished IPF refit in the metrics registry: the refit
+  /// itself, its cycles, and whether it plateaued (ran out of cycles
+  /// unconverged).
   void CountIpfFit(const stats::IpfReport& report);
 
   /// After rows were appended to `sample`, publish the follow-up
@@ -453,10 +456,11 @@ class Database {
   /// signatures so a refit never reuses weights fitted to dropped or
   /// replaced marginals.
   std::atomic<uint64_t> metadata_version_{1};
-  std::atomic<uint64_t> weight_epochs_published_{0};
-  std::atomic<uint64_t> weight_refits_{0};
-  std::atomic<uint64_t> weight_refits_skipped_{0};
-  std::atomic<uint64_t> weight_refits_incremental_{0};
+  /// Weight-store counts in the registry (see WeightCounters).
+  metrics::Counter* weight_epochs_published_ = nullptr;
+  metrics::Counter* weight_refits_ = nullptr;
+  metrics::Counter* weight_refits_skipped_ = nullptr;
+  metrics::Counter* weight_refits_incremental_ = nullptr;
   /// mosaic_ipf_cycles_total: raking cycles run by IPF refits (warm
   /// and cold-fallback attempts both count).
   metrics::Counter* ipf_cycles_ = nullptr;

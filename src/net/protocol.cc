@@ -1,6 +1,7 @@
 #include "net/protocol.h"
 
 #include <cstring>
+#include <iterator>
 
 #include "storage/column.h"
 #include "storage/dictionary.h"
@@ -598,6 +599,10 @@ std::string EncodeBatchResultReply(
   return outcomes;
 }
 
+namespace {
+
+/// Histogram codec (name + sum + buckets; the sample count is derived
+/// from the bucket totals on decode).
 void EncodeHistogramSnapshot(const std::string& name,
                              const metrics::HistogramSnapshot& h,
                              WireWriter* w) {
@@ -627,27 +632,21 @@ void EncodeHistogramSnapshot(const std::string& name,
   return e;
 }
 
+}  // namespace
+
+std::vector<std::pair<std::string, std::string>> StatsFieldStrings(
+    const StatsSnapshot& s) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const StatsField& f : kStatsFields) {
+    out.emplace_back(f.name, std::to_string(s.*f.member));
+  }
+  return out;
+}
+
 std::string EncodeStatsReply(const StatsSnapshot& m) {
-  const uint64_t fields[] = {
-      m.queries_total,        m.queries_failed,
-      m.reads,                m.writes,
-      m.sessions_opened,      m.sessions_closed,
-      m.result_cache_hits,    m.result_cache_misses,
-      m.result_cache_entries, m.model_cache_hits,
-      m.model_cache_insertions, m.connections_opened,
-      m.connections_active,   m.connections_rejected,
-      m.frames_received,      m.frames_sent,
-      m.protocol_errors,      m.weight_epochs_published,
-      m.weight_refits_total,  m.weight_refits_skipped,
-      m.weight_refits_incremental,
-      // Minor 1 — strictly appended.
-      m.connections_closed,   m.malformed_frames,
-      m.inflight_highwater,
-  };
-  constexpr size_t kNumFields = sizeof(fields) / sizeof(fields[0]);
   WireWriter w;
-  w.PutU32(static_cast<uint32_t>(kNumFields));
-  for (uint64_t f : fields) w.PutU64(f);
+  w.PutU32(static_cast<uint32_t>(std::size(kStatsFields)));
+  for (const StatsField& f : kStatsFields) w.PutU64(m.*f.member);
   // Histogram section (minor 1), after the uint64 list: a minor-0
   // decoder reads its declared field count and ignores the rest.
   w.PutU32(static_cast<uint32_t>(m.histograms.size()));
@@ -664,25 +663,10 @@ std::string EncodeStatsReply(const StatsSnapshot& m) {
     return Status::InvalidArgument("stats field count exceeds payload");
   }
   StatsSnapshot m;
-  uint64_t* fields[] = {
-      &m.queries_total,        &m.queries_failed,
-      &m.reads,                &m.writes,
-      &m.sessions_opened,      &m.sessions_closed,
-      &m.result_cache_hits,    &m.result_cache_misses,
-      &m.result_cache_entries, &m.model_cache_hits,
-      &m.model_cache_insertions, &m.connections_opened,
-      &m.connections_active,   &m.connections_rejected,
-      &m.frames_received,      &m.frames_sent,
-      &m.protocol_errors,      &m.weight_epochs_published,
-      &m.weight_refits_total,  &m.weight_refits_skipped,
-      &m.weight_refits_incremental, &m.connections_closed,
-      &m.malformed_frames,     &m.inflight_highwater,
-  };
-  constexpr size_t kNumFields = sizeof(fields) / sizeof(fields[0]);
   for (uint32_t i = 0; i < count; ++i) {
     MOSAIC_ASSIGN_OR_RETURN(uint64_t v, r.ReadU64());
     // Unknown trailing fields from a newer server are skipped.
-    if (i < kNumFields) *fields[i] = v;
+    if (i < std::size(kStatsFields)) m.*kStatsFields[i].member = v;
   }
   // Histogram section: absent entirely from a minor-0 server.
   if (r.AtEnd()) return m;

@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -228,7 +229,9 @@ struct HelloReply {
 
 /// Combined service + network counters answered to STATS. Encoded as
 /// a field-count-prefixed list of uint64s so a newer server can append
-/// counters without breaking older clients (they skip the tail).
+/// counters without breaking older clients (they skip the tail). The
+/// counters are per process: they come from the metrics registry
+/// (kStatsFields says which metric backs each one).
 struct StatsSnapshot {
   uint64_t queries_total = 0;
   uint64_t queries_failed = 0;
@@ -246,17 +249,14 @@ struct StatsSnapshot {
   uint64_t connections_rejected = 0;
   uint64_t frames_received = 0;
   uint64_t frames_sent = 0;
-  uint64_t protocol_errors = 0;
-  /// Versioned weight-store activity (appended in protocol v1 — old
-  /// clients skip the tail, old servers leave these zero).
+  uint64_t protocol_errors = 0;  ///< framing, state and payload errors
   uint64_t weight_epochs_published = 0;
   uint64_t weight_refits_total = 0;
   uint64_t weight_refits_skipped = 0;
   uint64_t weight_refits_incremental = 0;
-  /// Appended in minor 1 (same skip-the-tail rule).
   uint64_t connections_closed = 0;
-  uint64_t malformed_frames = 0;
-  uint64_t inflight_highwater = 0;
+  uint64_t malformed_frames = 0;    ///< payloads that failed to decode
+  uint64_t inflight_highwater = 0;  ///< deepest per-connection pipeline
 
   /// Named latency histograms, appended in minor 1 AFTER the uint64
   /// list: a minor-0 client's decoder stops at the declared field
@@ -269,13 +269,52 @@ struct StatsSnapshot {
   std::vector<HistogramEntry> histograms;
 };
 
-/// Histogram codec (name + sum + buckets; the sample count is derived
-/// from the bucket totals on decode).
-void EncodeHistogramSnapshot(const std::string& name,
-                             const metrics::HistogramSnapshot& h,
-                             WireWriter* w);
-[[nodiscard]] Result<StatsSnapshot::HistogramEntry> DecodeHistogramSnapshot(
-    WireReader* r);
+/// One uint64 field of STATS_RESULT. Its registry metric is
+/// "mosaic_" + name: a counter, or a gauge for the three levels.
+struct StatsField {
+  enum Kind { kCounter, kGauge };
+  const char* name;
+  uint64_t StatsSnapshot::*member;
+  Kind kind = kCounter;
+};
+
+/// Every STATS field, in wire order: the only list of them. The codec,
+/// net::Server::Snapshot and `mosaic_client --stats` iterate it. New
+/// fields are only ever appended (older peers skip the tail; decoders
+/// leave fields an older server did not send zero).
+inline constexpr StatsField kStatsFields[] = {
+    {"queries_total", &StatsSnapshot::queries_total},
+    {"queries_failed", &StatsSnapshot::queries_failed},
+    {"reads", &StatsSnapshot::reads},
+    {"writes", &StatsSnapshot::writes},
+    {"sessions_opened", &StatsSnapshot::sessions_opened},
+    {"sessions_closed", &StatsSnapshot::sessions_closed},
+    {"result_cache_hits", &StatsSnapshot::result_cache_hits},
+    {"result_cache_misses", &StatsSnapshot::result_cache_misses},
+    {"result_cache_entries", &StatsSnapshot::result_cache_entries,
+     StatsField::kGauge},
+    {"model_cache_hits", &StatsSnapshot::model_cache_hits},
+    {"model_cache_insertions", &StatsSnapshot::model_cache_insertions},
+    {"connections_opened", &StatsSnapshot::connections_opened},
+    {"connections_active", &StatsSnapshot::connections_active,
+     StatsField::kGauge},
+    {"connections_rejected", &StatsSnapshot::connections_rejected},
+    {"frames_received", &StatsSnapshot::frames_received},
+    {"frames_sent", &StatsSnapshot::frames_sent},
+    {"protocol_errors", &StatsSnapshot::protocol_errors},
+    {"weight_epochs_published", &StatsSnapshot::weight_epochs_published},
+    {"weight_refits_total", &StatsSnapshot::weight_refits_total},
+    {"weight_refits_skipped", &StatsSnapshot::weight_refits_skipped},
+    {"weight_refits_incremental", &StatsSnapshot::weight_refits_incremental},
+    {"connections_closed", &StatsSnapshot::connections_closed},
+    {"malformed_frames", &StatsSnapshot::malformed_frames},
+    {"inflight_highwater", &StatsSnapshot::inflight_highwater,
+     StatsField::kGauge},
+};
+
+/// (name, decimal value) for every STATS field, in wire order.
+std::vector<std::pair<std::string, std::string>> StatsFieldStrings(
+    const StatsSnapshot& s);
 
 std::string EncodeHelloRequest(const HelloRequest& m);
 [[nodiscard]] Result<HelloRequest> DecodeHelloRequest(std::string_view payload);

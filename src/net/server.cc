@@ -144,7 +144,28 @@ void DeliverReply(const std::shared_ptr<Server::Connection>& conn,
 }  // namespace
 
 Server::Server(service::QueryService* service, ServerOptions options)
-    : service_(service), options_(std::move(options)) {}
+    : service_(service), options_(std::move(options)) {
+  auto& registry = metrics::Registry::Global();
+  connections_opened_ = registry.GetCounter("mosaic_connections_opened",
+                                            "Client connections accepted");
+  connections_rejected_ = registry.GetCounter(
+      "mosaic_connections_rejected", "Connections refused at the limit");
+  connections_closed_ = registry.GetCounter("mosaic_connections_closed",
+                                            "Client connections closed");
+  frames_received_ = registry.GetCounter("mosaic_frames_received",
+                                         "Frames received");
+  frames_sent_ = registry.GetCounter("mosaic_frames_sent", "Frames sent");
+  protocol_errors_ = registry.GetCounter(
+      "mosaic_protocol_errors",
+      "Protocol violations answered with an ERROR frame");
+  malformed_frames_ = registry.GetCounter("mosaic_malformed_frames",
+                                          "Payloads that failed to decode");
+  connections_active_ = registry.GetGauge("mosaic_connections_active",
+                                          "Client connections open now");
+  inflight_highwater_ = registry.GetGauge(
+      "mosaic_inflight_highwater",
+      "Deepest per-connection statement pipeline seen");
+}
 
 Server::~Server() { Shutdown(); }
 
@@ -251,58 +272,29 @@ void Server::Shutdown() {
     MutexLock lock(conn_registry_->mu);
     conn_registry_->conns.clear();
   }
-  elog::EventLog::Global().Emit(
-      LogLevel::kInfo, "server_stop",
-      {{"connections_closed", std::to_string(connections_closed_.load())},
-       {"frames_received", std::to_string(frames_received_.load())}});
-}
-
-NetServerStats Server::stats() const {
-  NetServerStats s;
-  s.connections_opened = connections_opened_.load();
-  s.connections_rejected = connections_rejected_.load();
-  s.connections_closed = connections_closed_.load();
-  s.frames_received = frames_received_.load();
-  s.frames_sent = frames_sent_.load();
-  s.protocol_errors = protocol_errors_.load();
-  s.malformed_frames = malformed_frames_.load();
-  s.inflight_highwater = inflight_highwater_.load();
-  s.connections_active = connections_active_.load();
-  return s;
+  elog::EventLog::Global().Emit(LogLevel::kInfo, "server_stop",
+                                StatsFieldStrings(Snapshot()));
 }
 
 StatsSnapshot Server::Snapshot() const {
-  const service::ServiceStats svc = service_->Stats();
-  const NetServerStats nets = stats();
+  auto& registry = metrics::Registry::Global();
+  const auto counters = registry.CounterValues();
+  const auto gauges = registry.GaugeValues();
   StatsSnapshot snap;
-  snap.queries_total = svc.queries_total;
-  snap.queries_failed = svc.queries_failed;
-  snap.reads = svc.reads;
-  snap.writes = svc.writes;
-  snap.sessions_opened = svc.sessions_opened;
-  snap.sessions_closed = svc.sessions_closed;
-  snap.result_cache_hits = svc.result_cache.hits;
-  snap.result_cache_misses = svc.result_cache.misses;
-  snap.result_cache_entries = svc.result_cache.entries;
-  snap.model_cache_hits = svc.model_cache.hits;
-  snap.model_cache_insertions = svc.model_cache.insertions;
-  snap.connections_opened = nets.connections_opened;
-  snap.connections_active = nets.connections_active;
-  snap.connections_rejected = nets.connections_rejected;
-  snap.frames_received = nets.frames_received;
-  snap.frames_sent = nets.frames_sent;
-  snap.protocol_errors = nets.protocol_errors;
-  snap.weight_epochs_published = svc.weight_epochs_published;
-  snap.weight_refits_total = svc.weight_refits_total;
-  snap.weight_refits_skipped = svc.weight_refits_skipped;
-  snap.weight_refits_incremental = svc.weight_refits_incremental;
-  snap.connections_closed = nets.connections_closed;
-  snap.malformed_frames = nets.malformed_frames;
-  snap.inflight_highwater = nets.inflight_highwater;
+  for (const StatsField& f : kStatsFields) {
+    // A metric nobody registered reads as 0 (and is not created).
+    const std::string name = "mosaic_" + std::string(f.name);
+    auto read = [&name](const auto& values) {
+      auto it = values.find(name);
+      return it == values.end() ? 0 : static_cast<uint64_t>(it->second);
+    };
+    snap.*f.member =
+        f.kind == StatsField::kCounter ? read(counters) : read(gauges);
+  }
   // Ship every registry histogram (the service's latency histograms
   // and whatever else the process registered) so remote clients see
   // the same distribution a local /metrics scrape would.
-  for (auto& [name, h] : metrics::Registry::Global().HistogramSnapshots()) {
+  for (auto& [name, h] : registry.HistogramSnapshots()) {
     snap.histograms.push_back({name, std::move(h)});
   }
   return snap;
@@ -441,7 +433,7 @@ void Server::AcceptPending() {
     if (connections_.size() >= options_.max_connections) {
       // Count before the refusal goes out: a client that reads the
       // refusal and then asks for stats must see it counted.
-      connections_rejected_.fetch_add(1);
+      connections_rejected_->Inc();
       // Best-effort refusal so the client sees why, then hang up.
       const std::string frame = EncodeFrame(
           MessageType::kError,
@@ -461,14 +453,15 @@ void Server::AcceptPending() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
-    conn->id = connections_opened_.fetch_add(1) + 1;
+    conn->id = next_conn_id_++;
+    connections_opened_->Inc();
     conn->session = service_->OpenSession();
     if (conn_registry_ != nullptr) {
       MutexLock lock(conn_registry_->mu);
       conn_registry_->conns.emplace(conn->id, conn);
     }
     connections_.push_back(std::move(conn));
-    connections_active_.store(connections_.size());
+    connections_active_->Add(1);
   }
 }
 
@@ -494,10 +487,10 @@ Status Server::ReadFromConnection(Connection* conn) {
       break;
     }
     if (!*got) break;
-    frames_received_.fetch_add(1);
+    frames_received_->Inc();
     Status s = HandleFrame(conn, std::move(frame));
     if (!s.ok()) {
-      malformed_frames_.fetch_add(1);
+      malformed_frames_->Inc();
       SendProtocolError(conn, s);
     }
   }
@@ -532,7 +525,7 @@ Status Server::HandleFrame(Connection* conn, Frame frame) {
     // the sequence queue.
     conn->outbuf += EncodeFrame(MessageType::kHelloOk,
                                 EncodeHelloReply(reply));
-    frames_sent_.fetch_add(1);
+    frames_sent_->Inc();
     return Status::OK();
   }
   switch (frame.type) {
@@ -598,7 +591,7 @@ void Server::DispatchQuery(Connection* conn, uint64_t seq,
     MutexLock lock(conn->mu);
     depth = ++conn->inflight;
   }
-  RaiseInflightHighwater(depth);
+  inflight_highwater_->SetMax(static_cast<int64_t>(depth));
   auto wake = wake_;
   conn->session->SubmitAsync(
       std::move(sql), ctx, [owner, wake, seq](Result<Table> result) {
@@ -629,7 +622,7 @@ void Server::DispatchBatch(Connection* conn, uint64_t seq,
     MutexLock lock(conn->mu);
     depth = ++conn->inflight;
   }
-  RaiseInflightHighwater(depth);
+  inflight_highwater_->SetMax(static_cast<int64_t>(depth));
   auto wake = wake_;
   if (sqls.empty()) {
     DeliverReply(owner, wake, seq,
@@ -672,7 +665,7 @@ void Server::FlushReady(Connection* conn) {
   while (it != conn->ready.end()) {
     conn->outbuf += it->second;
     conn->ready.erase(it);
-    frames_sent_.fetch_add(1);
+    frames_sent_->Inc();
     if (conn->next_to_send == conn->close_seq) {
       conn->close_after_flush = true;
     }
@@ -705,13 +698,13 @@ Status Server::WriteToConnection(Connection* conn) {
 }
 
 void Server::SendProtocolError(Connection* conn, const Status& error) {
-  protocol_errors_.fetch_add(1);
+  protocol_errors_->Inc();
   MOSAIC_LOG(Warning) << "protocol error on fd " << conn->fd << ": "
                       << error.ToString();
   // The ERROR frame jumps any unflushed replies — the conversation is
   // over — and the connection closes once it is on the wire.
   conn->outbuf += EncodeFrame(MessageType::kError, EncodeErrorReply(error));
-  frames_sent_.fetch_add(1);
+  frames_sent_->Inc();
   conn->reads_stopped = true;
   conn->close_after_flush = true;
 }
@@ -730,27 +723,15 @@ void Server::CloseConnection(size_t index, bool abort_inflight) {
     conn_registry_->conns.erase(conn->id);
   }
   service_->CloseSession(*conn->session);
-  connections_closed_.fetch_add(1);
+  connections_closed_->Inc();
   connections_.erase(connections_.begin() +
                      static_cast<ptrdiff_t>(index));
-  connections_active_.store(connections_.size());
+  connections_active_->Sub(1);
   if (abort_inflight && conn->Pending() > 0) {
     // Completion callbacks still reference this connection; keep it
     // on the zombie list until they have all fired.
     zombies_.push_back(std::move(conn));
   }
-}
-
-void Server::RaiseInflightHighwater(size_t depth) {
-  uint64_t hw = inflight_highwater_.load(std::memory_order_relaxed);
-  while (hw < depth &&
-         !inflight_highwater_.compare_exchange_weak(
-             hw, depth, std::memory_order_relaxed)) {
-  }
-}
-
-void Server::WakePoll() {
-  if (wake_ != nullptr) wake_->Wake();
 }
 
 }  // namespace net

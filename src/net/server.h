@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "net/protocol.h"
 #include "service/query_service.h"
@@ -64,22 +65,9 @@ struct ServerOptions {
   std::string server_name = "mosaic";
 };
 
-/// Network-level counters (the service's own counters live in
-/// ServiceStats); sampled individually, like ServiceStats.
-struct NetServerStats {
-  uint64_t connections_opened = 0;
-  uint64_t connections_rejected = 0;
-  uint64_t connections_closed = 0;
-  uint64_t frames_received = 0;
-  uint64_t frames_sent = 0;
-  uint64_t protocol_errors = 0;
-  /// Frames whose payload failed to decode (a subset of
-  /// protocol_errors, which also counts framing and state violations).
-  uint64_t malformed_frames = 0;
-  /// Highest per-connection in-flight statement depth ever observed.
-  uint64_t inflight_highwater = 0;
-  size_t connections_active = 0;
-};
+/// The network counters are STATS fields, so the server's typed view
+/// of them is the STATS snapshot itself (per process, see Snapshot).
+using NetServerStats = StatsSnapshot;
 
 class Server {
  public:
@@ -103,10 +91,11 @@ class Server {
   /// Graceful drain, then stop. Idempotent; called by the destructor.
   void Shutdown();
 
-  NetServerStats stats() const;
-
-  /// Snapshot for the STATS message: service counters + net counters.
+  /// Snapshot for the STATS message: every kStatsFields metric and
+  /// every histogram in the process-wide registry.
   StatsSnapshot Snapshot() const;
+  /// Same as Snapshot().
+  NetServerStats stats() const { return Snapshot(); }
 
  public:
   struct Connection;
@@ -129,9 +118,6 @@ class Server {
   [[nodiscard]] Status WriteToConnection(Connection* conn);
   void SendProtocolError(Connection* conn, const Status& error);
   void CloseConnection(size_t index, bool abort_inflight);
-  /// CAS-max the in-flight highwater to `depth`.
-  void RaiseInflightHighwater(size_t depth);
-  void WakePoll();
 
   service::QueryService* service_;
   ServerOptions options_;
@@ -151,15 +137,20 @@ class Server {
   std::vector<std::shared_ptr<Connection>> zombies_;
   std::shared_ptr<ConnRegistry> conn_registry_;
 
-  std::atomic<uint64_t> connections_opened_{0};
-  std::atomic<uint64_t> connections_rejected_{0};
-  std::atomic<uint64_t> connections_closed_{0};
-  std::atomic<uint64_t> frames_received_{0};
-  std::atomic<uint64_t> frames_sent_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> malformed_frames_{0};
-  std::atomic<uint64_t> inflight_highwater_{0};
-  std::atomic<size_t> connections_active_{0};
+  /// Poll-thread-only; ids are per server, starting at 1.
+  uint64_t next_conn_id_ = 1;
+
+  /// Counts in the process-wide registry (see kStatsFields).
+  metrics::Counter* connections_opened_;
+  metrics::Counter* connections_rejected_;
+  metrics::Counter* connections_closed_;
+  metrics::Counter* frames_received_;
+  metrics::Counter* frames_sent_;
+  metrics::Counter* protocol_errors_;
+  metrics::Counter* malformed_frames_;
+  /// Kept with Add/Sub, so several servers in one process sum.
+  metrics::Gauge* connections_active_;
+  metrics::Gauge* inflight_highwater_;
 };
 
 }  // namespace net

@@ -83,7 +83,7 @@ uint64_t Session::queries_submitted() const {
 QueryService::QueryService(ServiceOptions options)
     : options_(options),
       request_pool_(options.num_request_threads),
-      result_cache_(options.result_cache_capacity) {
+      result_cache_("mosaic_result_cache", options.result_cache_capacity) {
   db_.set_model_cache_capacity(options.model_cache_capacity);
   // Intra-query morsels share the request pool (deadlock-free by the
   // morsel driver's claim-loop design). The engine may already have a
@@ -107,6 +107,18 @@ QueryService::QueryService(ServiceOptions options)
   trace_enabled_ =
       options.trace_queries || EnvFlag("MOSAIC_TRACE") || slow_query_us_ >= 0;
   auto& registry = metrics::Registry::Global();
+  queries_total_ = registry.GetCounter(
+      "mosaic_queries_total", "Statements run, failed ones included");
+  queries_failed_ = registry.GetCounter("mosaic_queries_failed",
+                                        "Statements that failed");
+  reads_ = registry.GetCounter("mosaic_reads",
+                               "Read-class statements run (SELECT, SHOW)");
+  writes_ = registry.GetCounter("mosaic_writes",
+                                "Write-class statements run (DDL, DML)");
+  sessions_opened_ = registry.GetCounter("mosaic_sessions_opened",
+                                         "Sessions opened");
+  sessions_closed_ = registry.GetCounter("mosaic_sessions_closed",
+                                         "Sessions closed");
   latency_all_ = registry.GetHistogram("mosaic_query_latency_us");
   latency_read_ = registry.GetHistogram("mosaic_read_latency_us");
   latency_write_ = registry.GetHistogram("mosaic_write_latency_us");
@@ -194,7 +206,7 @@ QueryService::~QueryService() { Shutdown(); }
 Session QueryService::OpenSession() {
   auto state = std::make_shared<Session::State>();
   state->id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
-  sessions_opened_.fetch_add(1, std::memory_order_relaxed);
+  sessions_opened_->Inc();
   {
     MutexLock lock(sessions_mu_);
     sessions_[state->id] = state;
@@ -207,16 +219,14 @@ void QueryService::CloseSession(const Session& session) {
     MutexLock lock(sessions_mu_);
     sessions_.erase(session.state_->id);
   }
-  sessions_closed_.fetch_add(1, std::memory_order_relaxed);
+  sessions_closed_->Inc();
 }
 
 Result<Table> QueryService::Execute(const std::string& sql) {
-  queries_total_.fetch_add(1, std::memory_order_relaxed);
   return Run(sql, nullptr);
 }
 
 std::future<Result<Table>> QueryService::Submit(const std::string& sql) {
-  queries_total_.fetch_add(1, std::memory_order_relaxed);
   return request_pool_.Submit([this, sql] { return Run(sql, nullptr); });
 }
 
@@ -272,9 +282,7 @@ bool LooksLikeExplain(const std::string& sql) {
 Result<Table> QueryService::Run(const std::string& sql,
                                 Session::State* session,
                                 const RequestContext& ctx) {
-  if (session != nullptr) {
-    queries_total_.fetch_add(1, std::memory_order_relaxed);
-  }
+  queries_total_->Inc();
 
   const auto wall_start = std::chrono::steady_clock::now();
   // EXPLAIN ANALYZE statements get a trace even when tracing is off —
@@ -303,7 +311,7 @@ Result<Table> QueryService::Run(const std::string& sql,
   // RunInternal (parse, classification, execution) lands here exactly
   // once (tests/test_service.cc pins this down).
   if (!result.ok()) {
-    queries_failed_.fetch_add(1, std::memory_order_relaxed);
+    queries_failed_->Inc();
   }
 
   // Every statement — traced or not, failed or not — leaves a record
@@ -407,7 +415,7 @@ Result<Table> QueryService::RunInternal(const std::string& sql,
 
   if (treat_as_read) {
     *is_read = true;
-    reads_.fetch_add(1, std::memory_order_relaxed);
+    reads_->Inc();
     std::string canonical;
     {
       trace::ScopedSpan span(trace, stmt_span.id(), "canonicalize");
@@ -468,7 +476,7 @@ Result<Table> QueryService::RunInternal(const std::string& sql,
     return result;
   }
 
-  writes_.fetch_add(1, std::memory_order_relaxed);
+  writes_->Inc();
   WriterLock write_lock(catalog_mu_, std::defer_lock);
   {
     trace::ScopedSpan span(trace, stmt_span.id(), "lock_wait");
@@ -512,12 +520,12 @@ QueryService::CaptureSnapshotLocked() {
 
 ServiceStats QueryService::Stats() const {
   ServiceStats s;
-  s.queries_total = queries_total_.load(std::memory_order_relaxed);
-  s.queries_failed = queries_failed_.load(std::memory_order_relaxed);
-  s.reads = reads_.load(std::memory_order_relaxed);
-  s.writes = writes_.load(std::memory_order_relaxed);
-  s.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);
-  s.sessions_closed = sessions_closed_.load(std::memory_order_relaxed);
+  s.queries_total = queries_total_->Value();
+  s.queries_failed = queries_failed_->Value();
+  s.reads = reads_->Value();
+  s.writes = writes_->Value();
+  s.sessions_opened = sessions_opened_->Value();
+  s.sessions_closed = sessions_closed_->Value();
   s.result_cache = result_cache_.Stats();
   s.model_cache = db_.ModelCacheStats();
   core::Database::WeightCounters w = db_.WeightCountersSnapshot();

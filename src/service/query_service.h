@@ -97,7 +97,8 @@ struct ServiceOptions {
   bool durable_fsync_dml = true;
 };
 
-/// Aggregate service counters; a consistent-enough snapshot for
+/// Aggregate service counters, per process (the registry's
+/// `mosaic_<field>` metrics); a consistent-enough snapshot for
 /// monitoring (counters are sampled individually).
 struct ServiceStats {
   uint64_t queries_total = 0;
@@ -298,12 +299,13 @@ class QueryService {
       GUARDED_BY(sessions_mu_);
 
   std::atomic<uint64_t> next_session_id_{1};
-  std::atomic<uint64_t> queries_total_{0};
-  std::atomic<uint64_t> queries_failed_{0};
-  std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> writes_{0};
-  std::atomic<uint64_t> sessions_opened_{0};
-  std::atomic<uint64_t> sessions_closed_{0};
+  /// Statement and session counts in the process-wide registry.
+  metrics::Counter* queries_total_;
+  metrics::Counter* queries_failed_;
+  metrics::Counter* reads_;
+  metrics::Counter* writes_;
+  metrics::Counter* sessions_opened_;
+  metrics::Counter* sessions_closed_;
 
   /// Resolved tracing config (options + MOSAIC_TRACE /
   /// MOSAIC_SLOW_QUERY_MS environment fallbacks).

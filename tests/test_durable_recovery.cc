@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/event_log.h"
+#include "common/metrics.h"
 #include "core/database.h"
 #include "durable_test_util.h"
 #include "storage/durable/engine.h"
@@ -335,6 +336,9 @@ TEST(DurableRecovery, RecoveredEpochSkipsRefitAndAnswersIdentically) {
     ASSERT_TRUE(r.ok());
     answer = r->GetValue(0, 0).ToString();
   }
+  // The weight counts are per process: start the "restarted process"
+  // from zero, as a real restart would.
+  metrics::Registry::Global().ResetForTesting();
   auto rec = OpenAndRecover(dir);
   ASSERT_TRUE(rec.ok());
   core::Database* db = rec->db.get();

@@ -10,7 +10,7 @@ namespace mosaic {
 namespace {
 
 TEST(LruCache, HitAndMissCounting) {
-  LruCache<std::string, int> cache(2);
+  LruCache<std::string, int> cache("test_lru_hit_and_miss", 2);
   EXPECT_FALSE(cache.Get("a").has_value());
   cache.Put("a", 1);
   auto got = cache.Get("a");
@@ -25,7 +25,7 @@ TEST(LruCache, HitAndMissCounting) {
 }
 
 TEST(LruCache, EvictsLeastRecentlyUsed) {
-  LruCache<std::string, int> cache(2);
+  LruCache<std::string, int> cache("test_lru_evicts_lru", 2);
   cache.Put("a", 1);
   cache.Put("b", 2);
   ASSERT_TRUE(cache.Get("a").has_value());  // refresh a; b is now LRU
@@ -37,7 +37,7 @@ TEST(LruCache, EvictsLeastRecentlyUsed) {
 }
 
 TEST(LruCache, PutOverwritesAndRefreshes) {
-  LruCache<std::string, int> cache(2);
+  LruCache<std::string, int> cache("test_lru_put_overwrites", 2);
   cache.Put("a", 1);
   cache.Put("b", 2);
   cache.Put("a", 10);  // overwrite refreshes recency: b becomes LRU
@@ -47,7 +47,7 @@ TEST(LruCache, PutOverwritesAndRefreshes) {
 }
 
 TEST(LruCache, ClearCountsInvalidationsNotEvictions) {
-  LruCache<std::string, int> cache(4);
+  LruCache<std::string, int> cache("test_lru_clear_counts", 4);
   cache.Put("a", 1);
   cache.Put("b", 2);
   cache.Clear();
@@ -58,14 +58,14 @@ TEST(LruCache, ClearCountsInvalidationsNotEvictions) {
 }
 
 TEST(LruCache, ZeroCapacityDisablesCaching) {
-  LruCache<std::string, int> cache(0);
+  LruCache<std::string, int> cache("test_lru_zero_capacity", 0);
   cache.Put("a", 1);
   EXPECT_FALSE(cache.Get("a").has_value());
   EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(LruCache, ShrinkingCapacityEvicts) {
-  LruCache<std::string, int> cache(4);
+  LruCache<std::string, int> cache("test_lru_shrinking_capacity", 4);
   for (int i = 0; i < 4; ++i) cache.Put(std::to_string(i), i);
   cache.set_capacity(2);
   EXPECT_EQ(cache.size(), 2u);
@@ -76,7 +76,7 @@ TEST(LruCache, ShrinkingCapacityEvicts) {
 }
 
 TEST(LruCache, ConcurrentMixedOperationsStayConsistent) {
-  LruCache<int, int> cache(64);
+  LruCache<int, int> cache("test_lru_concurrent_mixed", 64);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&cache, t] {
@@ -97,6 +97,32 @@ TEST(LruCache, ConcurrentMixedOperationsStayConsistent) {
   EXPECT_LE(cache.size(), 64u);
   CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, cache.size());
+}
+
+TEST(LruCache, CountsLiveInTheRegistryUnderItsPrefix) {
+  auto& registry = metrics::Registry::Global();
+  {
+    LruCache<std::string, int> cache("test_lru_registry", 1);
+    cache.Put("a", 1);
+    cache.Put("b", 2);  // evicts a
+    EXPECT_FALSE(cache.Get("a").has_value());
+    EXPECT_TRUE(cache.Get("b").has_value());
+    cache.Erase("b");
+    cache.Put("c", 3);
+    EXPECT_EQ(registry.GetCounter("test_lru_registry_hits")->Value(), 1u);
+    EXPECT_EQ(registry.GetCounter("test_lru_registry_misses")->Value(), 1u);
+    EXPECT_EQ(registry.GetCounter("test_lru_registry_insertions")->Value(),
+              3u);
+    EXPECT_EQ(registry.GetCounter("test_lru_registry_evictions")->Value(),
+              1u);
+    EXPECT_EQ(
+        registry.GetCounter("test_lru_registry_invalidations")->Value(), 1u);
+    EXPECT_EQ(registry.GetGauge("test_lru_registry_entries")->Value(), 1);
+  }
+  // A destroyed cache takes its entries out of the gauge; its counts
+  // stay (they are per process).
+  EXPECT_EQ(registry.GetGauge("test_lru_registry_entries")->Value(), 0);
+  EXPECT_EQ(registry.GetCounter("test_lru_registry_hits")->Value(), 1u);
 }
 
 }  // namespace

@@ -17,10 +17,14 @@
 #include <atomic>
 #include <cstring>
 #include <map>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "service/query_service.h"
@@ -102,6 +106,10 @@ const std::vector<std::string>& MixedWorkload() {
 
 class NetE2ETest : public ::testing::Test {
  protected:
+  // Service and server counts are per process; each case starts from
+  // zero.
+  void SetUp() override { metrics::Registry::Global().ResetForTesting(); }
+
   void StartServer(ServerOptions server_opts = ServerOptions()) {
     service::ServiceOptions opts;
     opts.num_request_threads = 4;
@@ -233,6 +241,91 @@ TEST_F(NetE2ETest, StatsReflectSessionsAndStatementErrors) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_GE(service_->Stats().sessions_closed, 1u);
+}
+
+/// The value on the `name` sample line of a Prometheus page, and the
+/// type its `# TYPE` line declares; nullopt when either is missing.
+std::optional<std::pair<std::string, std::string>> PrometheusSample(
+    const std::string& page, const std::string& name) {
+  const std::string type_prefix = "# TYPE " + name + " ";
+  std::string type, value;
+  std::istringstream lines(page);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(type_prefix, 0) == 0) {
+      type = line.substr(type_prefix.size());
+    } else if (line.rfind(name + " ", 0) == 0) {
+      value = line.substr(name.size() + 1);
+    }
+  }
+  if (type.empty() || value.empty()) return std::nullopt;
+  return std::make_pair(type, value);
+}
+
+TEST_F(NetE2ETest, EveryStatsFieldAgreesAcrossAllRenderers) {
+  StartServer();
+  {
+    Client first = Connect();
+    ASSERT_TRUE(first.Query("SELECT CLOSED COUNT(*) AS c FROM Things").ok());
+    EXPECT_FALSE(first.Query("SELECT FROM nowhere").ok());
+    ASSERT_TRUE(
+        first.Query("SELECT SEMI-OPEN COUNT(*) AS c FROM Things").ok());
+    ASSERT_TRUE(first.Close().ok());
+  }
+  for (int i = 0; i < 100 && service_->Stats().sessions_closed < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  Client client = Connect();
+  auto wire = client.Stats();
+  ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+
+  // Read everything else without moving a service counter: the
+  // database's own Execute bypasses the service.
+  auto& registry = metrics::Registry::Global();
+  const auto counters = registry.CounterValues();
+  const auto gauges = registry.GaugeValues();
+  const std::string page = registry.RenderPrometheus();
+  auto listed = service_->database()->Execute("SELECT * FROM system.metrics");
+  ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+  std::map<std::string, double> rows;
+  for (size_t r = 0; r < listed->num_rows(); ++r) {
+    rows[listed->GetValue(r, 0).AsString()] =
+        listed->GetValue(r, 1).AsDouble();
+  }
+
+  for (const StatsField& f : kStatsFields) {
+    SCOPED_TRACE(f.name);
+    const std::string name = "mosaic_" + std::string(f.name);
+    const bool is_counter = f.kind == StatsField::kCounter;
+    ASSERT_EQ(counters.count(name), is_counter ? 1u : 0u);
+    ASSERT_EQ(gauges.count(name), is_counter ? 0u : 1u);
+    const uint64_t in_registry =
+        is_counter ? counters.at(name)
+                   : static_cast<uint64_t>(gauges.at(name));
+    // The STATS reply went out after its snapshot was taken.
+    const uint64_t own_frames = std::string(f.name) == "frames_sent" ? 1 : 0;
+    EXPECT_EQ(in_registry, (*wire).*f.member + own_frames);
+
+    auto sample = PrometheusSample(page, name);
+    ASSERT_TRUE(sample.has_value());
+    EXPECT_EQ(sample->first, is_counter ? "counter" : "gauge");
+    EXPECT_EQ(sample->second, std::to_string(in_registry));
+    EXPECT_NE(page.find("# HELP " + name + " "), std::string::npos);
+
+    ASSERT_EQ(rows.count(name), 1u);
+    EXPECT_EQ(rows.at(name), static_cast<double>(in_registry));
+  }
+
+  // The workload moved what it should have.
+  EXPECT_EQ(wire->queries_total, 3u);
+  EXPECT_EQ(wire->queries_failed, 1u);
+  EXPECT_EQ(wire->sessions_opened, 2u);
+  EXPECT_EQ(wire->sessions_closed, 1u);
+  EXPECT_EQ(wire->connections_opened, 2u);
+  EXPECT_EQ(wire->connections_closed, 1u);
+  EXPECT_EQ(wire->connections_active, 1u);
+  EXPECT_GE(wire->weight_refits_total, 1u);
+  EXPECT_GE(wire->weight_epochs_published, 1u);
+  ASSERT_TRUE(client.Close().ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -400,6 +400,52 @@ TEST(WireCodec, StatsReplyRoundTripsMinorOneExtensions) {
   EXPECT_EQ(decoded->histograms[1].histogram.count, 2u);
 }
 
+TEST(WireCodec, StatsReplyGoldenBytes) {
+  // The i-th field in protocol order carries i + 1, so the payload
+  // pins both the field count and the wire order that kStatsFields
+  // owns: u32 24, u64 1..24, then an empty histogram section (u32 0).
+  StatsSnapshot stats;
+  stats.queries_total = 1;
+  stats.queries_failed = 2;
+  stats.reads = 3;
+  stats.writes = 4;
+  stats.sessions_opened = 5;
+  stats.sessions_closed = 6;
+  stats.result_cache_hits = 7;
+  stats.result_cache_misses = 8;
+  stats.result_cache_entries = 9;
+  stats.model_cache_hits = 10;
+  stats.model_cache_insertions = 11;
+  stats.connections_opened = 12;
+  stats.connections_active = 13;
+  stats.connections_rejected = 14;
+  stats.frames_received = 15;
+  stats.frames_sent = 16;
+  stats.protocol_errors = 17;
+  stats.weight_epochs_published = 18;
+  stats.weight_refits_total = 19;
+  stats.weight_refits_skipped = 20;
+  stats.weight_refits_incremental = 21;
+  stats.connections_closed = 22;
+  stats.malformed_frames = 23;
+  stats.inflight_highwater = 24;
+  std::string golden;
+  auto put_le = [&golden](uint64_t v, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      golden.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
+    }
+  };
+  put_le(24, 4);
+  for (uint64_t v = 1; v <= 24; ++v) put_le(v, 8);
+  put_le(0, 4);
+  EXPECT_EQ(EncodeStatsReply(stats), golden);
+  auto decoded = DecodeStatsReply(golden);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  for (const StatsField& f : kStatsFields) {
+    EXPECT_EQ((*decoded).*f.member, stats.*f.member) << f.name;
+  }
+}
+
 TEST(WireCodec, StatsReplyDecodesMinorZeroPayload) {
   // A minor-0 server's STATS_RESULT: 21 uint64 fields, no histogram
   // section. The decoder must leave the appended fields zero and the

@@ -1,67 +1,18 @@
 // Property-based sweeps (TEST_P) over the core invariants:
-//  * Wasserstein-1D metric axioms on random weighted distributions
 //  * IPF marginal satisfaction across bias strengths
 //  * weighted execution == replicated execution for integer weights
 //  * encoder round-trips across random mixed tables
 #include <gtest/gtest.h>
 
-#include <cmath>
 
 #include "common/rng.h"
 #include "core/encoder.h"
 #include "exec/executor.h"
 #include "sql/parser.h"
 #include "stats/ipf.h"
-#include "stats/wasserstein.h"
 
 namespace mosaic {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Wasserstein metric axioms on random weighted distributions.
-// ---------------------------------------------------------------------------
-
-struct Dist {
-  std::vector<double> xs, ws;
-};
-
-Dist RandomDist(Rng* rng, size_t max_atoms = 12) {
-  Dist d;
-  size_t n = 1 + rng->UniformInt(uint64_t{max_atoms});
-  for (size_t i = 0; i < n; ++i) {
-    d.xs.push_back(rng->Uniform(-10.0, 10.0));
-    d.ws.push_back(0.1 + rng->Uniform());
-  }
-  return d;
-}
-
-class WassersteinAxioms : public ::testing::TestWithParam<int> {};
-
-TEST_P(WassersteinAxioms, MetricProperties) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 1000 + 7);
-  Dist p = RandomDist(&rng), q = RandomDist(&rng), r = RandomDist(&rng);
-  double pq = *stats::Wasserstein1D(p.xs, p.ws, q.xs, q.ws);
-  double qp = *stats::Wasserstein1D(q.xs, q.ws, p.xs, p.ws);
-  double pp = *stats::Wasserstein1D(p.xs, p.ws, p.xs, p.ws);
-  double qr = *stats::Wasserstein1D(q.xs, q.ws, r.xs, r.ws);
-  double pr = *stats::Wasserstein1D(p.xs, p.ws, r.xs, r.ws);
-  EXPECT_GE(pq, 0.0);                    // non-negativity
-  EXPECT_NEAR(pp, 0.0, 1e-10);           // identity
-  EXPECT_NEAR(pq, qp, 1e-10);            // symmetry
-  EXPECT_LE(pr, pq + qr + 1e-9);         // triangle inequality
-}
-
-TEST_P(WassersteinAxioms, TranslationEquivariance) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 1000 + 13);
-  Dist p = RandomDist(&rng);
-  double shift = rng.Uniform(-5.0, 5.0);
-  std::vector<double> shifted = p.xs;
-  for (double& x : shifted) x += shift;
-  double w = *stats::Wasserstein1D(p.xs, p.ws, shifted, p.ws);
-  EXPECT_NEAR(w, std::fabs(shift), 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Random, WassersteinAxioms, ::testing::Range(0, 10));
 
 // ---------------------------------------------------------------------------
 // IPF satisfies marginals across bias strengths.

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "service/sql_canonical.h"
 
 namespace mosaic {
@@ -152,7 +153,13 @@ TEST(ParallelOpen, SeedsAreThreadedPerSampleIndex) {
 // Model cache
 // ---------------------------------------------------------------------------
 
-TEST(ModelCache, ReusesTrainedGeneratorAcrossQueries) {
+// The cache counts are per process; each case starts from zero.
+class ModelCache : public ::testing::Test {
+ protected:
+  void SetUp() override { metrics::Registry::Global().ResetForTesting(); }
+};
+
+TEST_F(ModelCache, ReusesTrainedGeneratorAcrossQueries) {
   core::Database db;
   SetUpTinyWorld(&db);
   ASSERT_TRUE(db.Execute("SELECT OPEN COUNT(*) FROM Things").ok());
@@ -164,7 +171,7 @@ TEST(ModelCache, ReusesTrainedGeneratorAcrossQueries) {
   EXPECT_GT(after_second.hits, after_first.hits);
 }
 
-TEST(ModelCache, InvalidationForcesRetraining) {
+TEST_F(ModelCache, InvalidationForcesRetraining) {
   core::Database db;
   SetUpTinyWorld(&db);
   ASSERT_TRUE(db.Execute("SELECT OPEN COUNT(*) FROM Things").ok());
@@ -174,7 +181,7 @@ TEST(ModelCache, InvalidationForcesRetraining) {
   EXPECT_EQ(db.ModelCacheStats().insertions, 2u);
 }
 
-TEST(ModelCache, InvalidateSafeWhileQueriesInFlight) {
+TEST_F(ModelCache, InvalidateSafeWhileQueriesInFlight) {
   core::Database db;
   SetUpTinyWorld(&db);
   ASSERT_TRUE(db.Execute("SELECT OPEN COUNT(*) FROM Things").ok());
@@ -199,6 +206,8 @@ TEST(ModelCache, InvalidateSafeWhileQueriesInFlight) {
 class ServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Service counts are per process; each case starts from zero.
+    metrics::Registry::Global().ResetForTesting();
     ServiceOptions opts;
     opts.num_request_threads = 4;
     opts.num_generation_threads = 2;

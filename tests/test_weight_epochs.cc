@@ -199,7 +199,13 @@ uint64_t SampleEpoch(Database* db, const std::string& name) {
   return (*s)->weights.epoch();
 }
 
-TEST(WeightEpochs, SecondRefitIsANoOp) {
+// The weight counts are per process; each case starts from zero.
+class WeightEpochs : public ::testing::Test {
+ protected:
+  void SetUp() override { metrics::Registry::Global().ResetForTesting(); }
+};
+
+TEST_F(WeightEpochs, SecondRefitIsANoOp) {
   Database db;
   SetUpWeightWorld(&db);
   ASSERT_TRUE(db.ReweightForPopulation("Things").ok());
@@ -218,7 +224,7 @@ TEST(WeightEpochs, SecondRefitIsANoOp) {
   EXPECT_EQ(SampleEpoch(&db, "RedSample"), epoch);
 }
 
-TEST(WeightEpochs, ManualUpdateForcesTheNextRefit) {
+TEST_F(WeightEpochs, ManualUpdateForcesTheNextRefit) {
   Database db;
   SetUpWeightWorld(&db);
   ASSERT_TRUE(db.ReweightForPopulation("Things").ok());
@@ -235,7 +241,7 @@ TEST(WeightEpochs, ManualUpdateForcesTheNextRefit) {
   EXPECT_EQ(SampleEpoch(&db, "RedSample"), fitted_epoch + 2);
 }
 
-TEST(WeightEpochs, IngestAfterRefitRunsIncrementalIpf) {
+TEST_F(WeightEpochs, IngestAfterRefitRunsIncrementalIpf) {
   Database db;
   SetUpWeightWorld(&db);
   // Unfitted ingest stays cheap: no marginal fit before the first
@@ -257,7 +263,7 @@ TEST(WeightEpochs, IngestAfterRefitRunsIncrementalIpf) {
   EXPECT_GE(db.WeightCountersSnapshot().refits_skipped, 1u);
 }
 
-TEST(WeightEpochs, IpfCyclesCounterCountsEveryFit) {
+TEST_F(WeightEpochs, IpfCyclesCounterCountsEveryFit) {
   metrics::Counter* cycles =
       metrics::Registry::Global().GetCounter("mosaic_ipf_cycles_total");
   Database db;
@@ -288,7 +294,7 @@ TEST(WeightEpochs, IpfCyclesCounterCountsEveryFit) {
             static_cast<double>(after_insert));
 }
 
-TEST(WeightEpochs, PlateauedFitsCounterCountsUnconvergedFits) {
+TEST_F(WeightEpochs, PlateauedFitsCounterCountsUnconvergedFits) {
   metrics::Counter* plateaued = metrics::Registry::Global().GetCounter(
       "mosaic_ipf_plateaued_fits_total");
   // A converged fit is not counted.
@@ -338,7 +344,7 @@ TEST(WeightEpochs, PlateauedFitsCounterCountsUnconvergedFits) {
             static_cast<double>(plateaued->Value()));
 }
 
-TEST(WeightEpochs, PartiallyFailedInsertKeepsWeightsAndStampsConsistent) {
+TEST_F(WeightEpochs, PartiallyFailedInsertKeepsWeightsAndStampsConsistent) {
   Database db;
   SetUpWeightWorld(&db);
   uint64_t version_before = db.catalog_version();
@@ -361,7 +367,7 @@ TEST(WeightEpochs, PartiallyFailedInsertKeepsWeightsAndStampsConsistent) {
   EXPECT_DOUBLE_EQ(*w, 9.0);
 }
 
-TEST(WeightEpochs, SkippedRefitReportsTheEpochsFitMetrics) {
+TEST_F(WeightEpochs, SkippedRefitReportsTheEpochsFitMetrics) {
   Database db;
   SetUpWeightWorld(&db);
   auto first = db.ReweightForPopulation("Things");
@@ -378,7 +384,7 @@ TEST(WeightEpochs, SkippedRefitReportsTheEpochsFitMetrics) {
   EXPECT_EQ(second->converged, first->converged);
 }
 
-TEST(WeightEpochs, CacheStampTracksCatalogVersionAndEpoch) {
+TEST_F(WeightEpochs, CacheStampTracksCatalogVersionAndEpoch) {
   Database db;
   SetUpWeightWorld(&db);
   auto parse = [](const std::string& sql) {

@@ -9,9 +9,19 @@
 // poll thread, and request pool all share one CPU, so loopback/
 // in-process ratios here are an upper bound on the true transport
 // overhead; absolute q/s needs real cores.
+//
+// Each bench also reports voluntary and involuntary context switches
+// per statement, read from /proc: the server's threads (every task
+// alive before and after the bench) plus each client thread's own
+// count over its lifetime. Thread hand-offs show up there first.
+#include <dirent.h>
+#include <sched.h>
+
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,20 +71,70 @@ const std::vector<std::string>& Workload() {
   return queries;
 }
 
+struct CtxSwitches {
+  uint64_t voluntary = 0;
+  uint64_t involuntary = 0;
+
+  CtxSwitches& operator+=(const CtxSwitches& o) {
+    voluntary += o.voluntary;
+    involuntary += o.involuntary;
+    return *this;
+  }
+};
+
+/// One task's switch counts from its /proc status file.
+CtxSwitches ReadSwitches(const std::string& status_path) {
+  CtxSwitches out;
+  std::ifstream in(status_path);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("voluntary_ctxt_switches:", 0) == 0) {
+      out.voluntary = std::strtoull(line.c_str() + 24, nullptr, 10);
+    } else if (line.rfind("nonvoluntary_ctxt_switches:", 0) == 0) {
+      out.involuntary = std::strtoull(line.c_str() + 27, nullptr, 10);
+    }
+  }
+  return out;
+}
+
+/// Summed over every live thread of this process.
+CtxSwitches ProcessSwitches() {
+  CtxSwitches out;
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) return out;
+  while (struct dirent* entry = readdir(dir)) {
+    if (entry->d_name[0] == '.') continue;
+    out += ReadSwitches(std::string("/proc/self/task/") + entry->d_name +
+                        "/status");
+  }
+  closedir(dir);
+  return out;
+}
+
 struct BenchResult {
   std::string name;
   double seconds = 0;
   double qps = 0;
   size_t queries = 0;
+  CtxSwitches switches;
 };
 
 template <typename PerClientFn>
 BenchResult RunClients(const std::string& name, size_t clients,
                        size_t per_client, PerClientFn fn) {
+  // Client threads start after the first sample and are gone before
+  // the second, so each adds its own lifetime count.
+  std::atomic<uint64_t> client_voluntary{0}, client_involuntary{0};
+  const CtxSwitches before = ProcessSwitches();
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
   for (size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([c, per_client, &fn] { fn(c, per_client); });
+    threads.emplace_back([&, c] {
+      const CtxSwitches mine = ReadSwitches("/proc/thread-self/status");
+      fn(c, per_client);
+      const CtxSwitches end = ReadSwitches("/proc/thread-self/status");
+      client_voluntary += end.voluntary - mine.voluntary;
+      client_involuntary += end.involuntary - mine.involuntary;
+    });
   }
   for (auto& t : threads) t.join();
   BenchResult r;
@@ -84,7 +144,24 @@ BenchResult RunClients(const std::string& name, size_t clients,
                   std::chrono::steady_clock::now() - start)
                   .count();
   r.qps = static_cast<double>(r.queries) / r.seconds;
+  const CtxSwitches after = ProcessSwitches();
+  r.switches.voluntary =
+      after.voluntary - before.voluntary + client_voluntary.load();
+  r.switches.involuntary =
+      after.involuntary - before.involuntary + client_involuntary.load();
   return r;
+}
+
+/// CPUs this process may run on (a taskset pin shows here, not in
+/// hardware_threads).
+int CpusAllowed() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  return sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 0;
+}
+
+double PerStatement(uint64_t count, const BenchResult& r) {
+  return static_cast<double>(count) / static_cast<double>(r.queries);
 }
 
 }  // namespace
@@ -169,9 +246,12 @@ int main(int argc, char** argv) {
 
   server.Shutdown();
 
-  std::printf("%-22s %10s %12s\n", "bench", "seconds", "queries/s");
+  std::printf("%-22s %10s %12s %12s %12s\n", "bench", "seconds",
+              "queries/s", "vol_cs/stmt", "invol_cs/stmt");
   for (const auto& r : results) {
-    std::printf("%-22s %10.3f %12.0f\n", r.name.c_str(), r.seconds, r.qps);
+    std::printf("%-22s %10.3f %12.0f %12.2f %12.2f\n", r.name.c_str(),
+                r.seconds, r.qps, PerStatement(r.switches.voluntary, r),
+                PerStatement(r.switches.involuntary, r));
   }
   const double in1 = results[0].qps;
   const double net1 = results[2].qps;
@@ -183,17 +263,22 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write BENCH_net.json\n");
     return 1;
   }
+  std::fprintf(json, "{\n");
+  bench::PrintHostJson(json, /*morsel_threads=*/0);
   std::fprintf(json,
-               "{\n  \"clients\": %zu,\n  \"queries_per_client\": %zu,\n"
-               "  \"hardware_threads\": %u,\n  \"benches\": [\n",
-               clients, per_client,
-               std::thread::hardware_concurrency());
+               "  \"cpus_allowed\": %d,\n  \"clients\": %zu,\n"
+               "  \"queries_per_client\": %zu,\n  \"benches\": [\n",
+               CpusAllowed(), clients, per_client);
   for (size_t i = 0; i < results.size(); ++i) {
     std::fprintf(json,
                  "    {\"name\": \"%s\", \"seconds\": %.6f, "
-                 "\"queries\": %zu, \"qps\": %.1f}%s\n",
+                 "\"queries\": %zu, \"qps\": %.1f, "
+                 "\"voluntary_cs_per_stmt\": %.3f, "
+                 "\"involuntary_cs_per_stmt\": %.3f}%s\n",
                  results[i].name.c_str(), results[i].seconds,
                  results[i].queries, results[i].qps,
+                 PerStatement(results[i].switches.voluntary, results[i]),
+                 PerStatement(results[i].switches.involuntary, results[i]),
                  i + 1 < results.size() ? "," : "");
   }
   // The statements above all flowed through the QueryService, so its

@@ -62,6 +62,8 @@
   MOSAIC_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 #define TRY_ACQUIRE(...) \
   MOSAIC_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
+#define TRY_ACQUIRE_SHARED(...) \
+  MOSAIC_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
 #define EXCLUDES(...) MOSAIC_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 #define ASSERT_CAPABILITY(x) MOSAIC_THREAD_ANNOTATION(assert_capability(x))
 #define RETURN_CAPABILITY(x) MOSAIC_THREAD_ANNOTATION(lock_returned(x))
@@ -111,7 +113,9 @@ class CAPABILITY("shared_mutex") SharedMutex {
   bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
   void LockShared() ACQUIRE_SHARED() { mu_.lock_shared(); }
   void UnlockShared() RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool TryLockShared() TRY_ACQUIRE(true) { return mu_.try_lock_shared(); }
+  bool TryLockShared() TRY_ACQUIRE_SHARED(true) {
+    return mu_.try_lock_shared();
+  }
 
   void AssertHeld() ASSERT_CAPABILITY(this) {}
 
@@ -158,6 +162,9 @@ class SCOPED_CAPABILITY ReaderLock {
   ReaderLock& operator=(const ReaderLock&) = delete;
 
   void Lock() ACQUIRE_SHARED() { lock_.lock(); }
+  /// Non-blocking Lock() on a deferred guard: false (and nothing
+  /// held) when a writer has the mutex.
+  bool TryLock() TRY_ACQUIRE_SHARED(true) { return lock_.try_lock(); }
   void Unlock() RELEASE() { lock_.unlock(); }
 
  private:

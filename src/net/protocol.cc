@@ -416,11 +416,16 @@ void EncodeTable(const Table& t, WireWriter* w) {
 }
 
 void EncodeQueryOutcome(const QueryOutcome& o, WireWriter* w) {
-  w->PutBool(o.status.ok());
-  if (o.status.ok()) {
-    EncodeTable(o.table, w);
+  EncodeQueryOutcome(o.status, o.table, w);
+}
+
+void EncodeQueryOutcome(const Status& status, const Table& table,
+                        WireWriter* w) {
+  w->PutBool(status.ok());
+  if (status.ok()) {
+    EncodeTable(table, w);
   } else {
-    EncodeStatus(o.status, w);
+    EncodeStatus(status, w);
   }
 }
 

@@ -208,6 +208,11 @@ struct QueryOutcome {
 };
 
 void EncodeQueryOutcome(const QueryOutcome& o, WireWriter* w);
+/// The same bytes from a status and a table the caller keeps (read
+/// only when `status.ok()`), so a server can send a shared cached
+/// table without copying it.
+void EncodeQueryOutcome(const Status& status, const Table& table,
+                        WireWriter* w);
 [[nodiscard]] Result<QueryOutcome> DecodeQueryOutcome(WireReader* r);
 
 // ---------------------------------------------------------------------------
@@ -256,7 +261,9 @@ struct StatsSnapshot {
   uint64_t weight_refits_incremental = 0;
   uint64_t connections_closed = 0;
   uint64_t malformed_frames = 0;    ///< payloads that failed to decode
-  uint64_t inflight_highwater = 0;  ///< deepest per-connection pipeline
+  /// Deepest per-connection pipeline of frames waiting on the
+  /// request pool.
+  uint64_t inflight_highwater = 0;
 
   /// Named latency histograms, appended in minor 1 AFTER the uint64
   /// list: a minor-0 client's decoder stops at the declared field

@@ -41,31 +41,41 @@ namespace {
   return Status::OK();
 }
 
-/// Replies that cannot fit one frame are downgraded to an in-band
-/// error so the connection survives (the client sees a failed
-/// statement, not a dead socket).
-std::string EncodeBoundedResult(const QueryOutcome& outcome) {
-  std::string payload = EncodeResultReply(outcome);
+/// One statement's answer, shared with the result cache.
+using Answer = Result<std::shared_ptr<const Table>>;
+
+/// A RESULT (one answer) or BATCH_RESULT frame. Replies that cannot
+/// fit one frame are downgraded to in-band errors so the connection
+/// survives (the client sees a failed statement, not a dead socket).
+std::string EncodeReply(MessageType type, const std::vector<Answer>& answers) {
+  static const Table kNoTable;
+  const bool batch = type == MessageType::kBatchResult;
+  auto encode = [&](const Status* override_status) {
+    WireWriter w;
+    if (batch) w.PutU32(static_cast<uint32_t>(answers.size()));
+    for (const Answer& a : answers) {
+      const Status& status =
+          override_status != nullptr ? *override_status : a.status();
+      EncodeQueryOutcome(status, status.ok() ? **a : kNoTable, &w);
+    }
+    return w.Take();
+  };
+  std::string payload = encode(nullptr);
   if (payload.size() + 1 > kMaxFrameBytes) {
-    payload = EncodeResultReply(
-        {Status::ExecutionError("result table exceeds the wire protocol's "
-                                "frame limit"),
-         Table()});
+    const Status too_big = Status::ExecutionError(
+        batch ? "batch result exceeds the wire protocol's frame limit"
+              : "result table exceeds the wire protocol's frame limit");
+    payload = encode(&too_big);
   }
-  return payload;
+  return EncodeFrame(type, payload);
 }
 
-std::string EncodeBoundedBatchResult(std::vector<QueryOutcome> outcomes) {
-  std::string payload = EncodeBatchResultReply(outcomes);
-  if (payload.size() + 1 > kMaxFrameBytes) {
-    for (auto& o : outcomes) {
-      o = {Status::ExecutionError("batch result exceeds the wire "
-                                  "protocol's frame limit"),
-           Table()};
-    }
-    payload = EncodeBatchResultReply(outcomes);
-  }
-  return payload;
+service::RequestContext ContextOf(const TraceContext& trace) {
+  service::RequestContext ctx;
+  ctx.trace_id = trace.trace_id;
+  ctx.parent_span_id = trace.parent_span_id;
+  ctx.sampled = trace.sampled;
+  return ctx;
 }
 
 }  // namespace
@@ -128,8 +138,8 @@ struct Server::ConnRegistry {
 
 namespace {
 
-/// Deposit one completed reply and wake the poll loop. Free function
-/// on purpose: callbacks must not dereference the Server.
+/// Deposit one completed pooled reply and wake the poll loop. Free
+/// function on purpose: callbacks must not dereference the Server.
 void DeliverReply(const std::shared_ptr<Server::Connection>& conn,
                   const std::shared_ptr<WakePipe>& wake, uint64_t seq,
                   std::string frame) {
@@ -139,6 +149,12 @@ void DeliverReply(const std::shared_ptr<Server::Connection>& conn,
     if (!conn->closed) conn->ready.emplace(seq, std::move(frame));
   }
   wake->Wake();
+}
+
+/// Deposit a reply produced on the poll thread itself.
+void Park(Server::Connection* conn, uint64_t seq, std::string frame) {
+  MutexLock lock(conn->mu);
+  conn->ready.emplace(seq, std::move(frame));
 }
 
 }  // namespace
@@ -164,7 +180,8 @@ Server::Server(service::QueryService* service, ServerOptions options)
                                           "Client connections open now");
   inflight_highwater_ = registry.GetGauge(
       "mosaic_inflight_highwater",
-      "Deepest per-connection statement pipeline seen");
+      "Deepest per-connection pipeline of frames waiting on the request "
+      "pool (result-cache hits answered on the poll thread never wait)");
 }
 
 Server::~Server() { Shutdown(); }
@@ -344,8 +361,10 @@ void Server::PollLoop() {
       if (connections_.empty() && zombies_.empty()) break;
     }
 
-    std::vector<pollfd> fds;
-    std::vector<size_t> conn_of_fd;  // parallel; SIZE_MAX for specials
+    std::vector<pollfd>& fds = poll_fds_;
+    std::vector<size_t>& conn_of_fd = poll_conn_of_fd_;  // SIZE_MAX: specials
+    fds.clear();
+    conn_of_fd.clear();
     fds.push_back({wake_read_fd_, POLLIN, 0});
     conn_of_fd.push_back(SIZE_MAX);
     if (!draining && listen_fd_ >= 0) {
@@ -387,7 +406,7 @@ void Server::PollLoop() {
     for (size_t f = fds.size(); f-- > 0;) {
       const size_t idx = conn_of_fd[f];
       if (idx == SIZE_MAX || idx >= connections_.size()) continue;
-      Connection* conn = connections_[idx].get();
+      const std::shared_ptr<Connection> conn = connections_[idx];
       if (fds[f].fd != conn->fd) continue;  // replaced meanwhile
       const short revents = fds[f].revents;
       if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
@@ -395,15 +414,23 @@ void Server::PollLoop() {
         continue;
       }
       if (revents & POLLIN) {
-        Status s = ReadFromConnection(conn);
+        Status s = ReadFromConnection(conn.get());
         if (!s.ok()) {
           CloseConnection(idx, /*abort_inflight=*/true);
           continue;
         }
       }
-      FlushReady(conn);
+      // Frames left buffered at the pipelining limit resume here once
+      // replies drain, with or without new bytes on the socket.
+      // Replies answered on this thread free their slots as soon as
+      // they are flushed, so keep going until the reader runs dry or
+      // pooled statements fill the window (their completions wake the
+      // loop back to this point).
+      do {
+        FlushReady(conn.get());
+      } while (!draining && DecodeFrames(conn) > 0);
       if (conn->outpos < conn->outbuf.size()) {
-        Status s = WriteToConnection(conn);
+        Status s = WriteToConnection(conn.get());
         if (!s.ok()) {
           CloseConnection(idx, /*abort_inflight=*/true);
           continue;
@@ -479,25 +506,35 @@ Status Server::ReadFromConnection(Connection* conn) {
     if (errno == EINTR) continue;
     return Errno("recv");
   }
-  while (!conn->reads_stopped) {
+  return Status::OK();
+}
+
+size_t Server::DecodeFrames(const std::shared_ptr<Connection>& conn) {
+  // Checked per frame: one recv can carry a whole pipeline, and the
+  // frames beyond the limit wait in the reader.
+  size_t handled = 0;
+  while (!conn->reads_stopped &&
+         conn->Pending() < options_.max_inflight_per_connection) {
     Frame frame;
     auto got = conn->reader.Next(&frame);
     if (!got.ok()) {
-      SendProtocolError(conn, got.status());
+      SendProtocolError(conn.get(), got.status());
       break;
     }
     if (!*got) break;
+    ++handled;
     frames_received_->Inc();
     Status s = HandleFrame(conn, std::move(frame));
     if (!s.ok()) {
       malformed_frames_->Inc();
-      SendProtocolError(conn, s);
+      SendProtocolError(conn.get(), s);
     }
   }
-  return Status::OK();
+  return handled;
 }
 
-Status Server::HandleFrame(Connection* conn, Frame frame) {
+Status Server::HandleFrame(const std::shared_ptr<Connection>& conn,
+                           Frame frame) {
   if (!IsKnownMessageType(static_cast<uint8_t>(frame.type))) {
     return Status::InvalidArgument(
         "unknown message type tag " +
@@ -532,40 +569,29 @@ Status Server::HandleFrame(Connection* conn, Frame frame) {
     case MessageType::kQuery: {
       MOSAIC_ASSIGN_OR_RETURN(QueryRequest req,
                               DecodeQueryRequest(frame.payload));
-      service::RequestContext ctx;
-      ctx.trace_id = req.trace.trace_id;
-      ctx.parent_span_id = req.trace.parent_span_id;
-      ctx.sampled = req.trace.sampled;
-      DispatchQuery(conn, conn->next_seq++, std::move(req.sql), ctx);
+      std::vector<std::string> sqls;
+      sqls.push_back(std::move(req.sql));
+      Dispatch(conn, conn->next_seq++, MessageType::kResult, std::move(sqls),
+               ContextOf(req.trace));
       return Status::OK();
     }
     case MessageType::kBatch: {
       MOSAIC_ASSIGN_OR_RETURN(BatchRequest req,
                               DecodeBatchRequest(frame.payload));
-      service::RequestContext ctx;
-      ctx.trace_id = req.trace.trace_id;
-      ctx.parent_span_id = req.trace.parent_span_id;
-      ctx.sampled = req.trace.sampled;
-      DispatchBatch(conn, conn->next_seq++, std::move(req.sqls), ctx);
+      Dispatch(conn, conn->next_seq++, MessageType::kBatchResult,
+               std::move(req.sqls), ContextOf(req.trace));
       return Status::OK();
     }
-    case MessageType::kStats: {
-      const uint64_t seq = conn->next_seq++;
-      {
-        MutexLock lock(conn->mu);
-        conn->ready.emplace(seq, EncodeFrame(MessageType::kStatsResult,
-                                             EncodeStatsReply(Snapshot())));
-      }
+    case MessageType::kStats:
+      Park(conn.get(), conn->next_seq++,
+           EncodeFrame(MessageType::kStatsResult,
+                       EncodeStatsReply(Snapshot())));
       return Status::OK();
-    }
     case MessageType::kClose: {
       const uint64_t seq = conn->next_seq++;
       conn->close_seq = seq;
       conn->reads_stopped = true;
-      {
-        MutexLock lock(conn->mu);
-        conn->ready.emplace(seq, EncodeFrame(MessageType::kGoodbye, ""));
-      }
+      Park(conn.get(), seq, EncodeFrame(MessageType::kGoodbye, ""));
       return Status::OK();
     }
     default:
@@ -575,85 +601,47 @@ Status Server::HandleFrame(Connection* conn, Frame frame) {
   }
 }
 
-void Server::DispatchQuery(Connection* conn, uint64_t seq,
-                           std::string sql, service::RequestContext ctx) {
-  // Find the shared_ptr owner: the callback needs shared ownership so
-  // an abrupt disconnect cannot free the connection under it.
-  std::shared_ptr<Connection> owner;
-  for (const auto& c : connections_) {
-    if (c.get() == conn) {
-      owner = c;
-      break;
-    }
-  }
-  size_t depth;
-  {
-    MutexLock lock(conn->mu);
-    depth = ++conn->inflight;
-  }
-  inflight_highwater_->SetMax(static_cast<int64_t>(depth));
-  auto wake = wake_;
-  conn->session->SubmitAsync(
-      std::move(sql), ctx, [owner, wake, seq](Result<Table> result) {
-        QueryOutcome outcome;
-        if (result.ok()) {
-          outcome.table = std::move(result).value();
-        } else {
-          outcome.status = result.status();
-        }
-        DeliverReply(owner, wake, seq,
-                     EncodeFrame(MessageType::kResult,
-                                 EncodeBoundedResult(outcome)));
-      });
-}
-
-void Server::DispatchBatch(Connection* conn, uint64_t seq,
-                           std::vector<std::string> sqls,
-                           service::RequestContext ctx) {
-  std::shared_ptr<Connection> owner;
-  for (const auto& c : connections_) {
-    if (c.get() == conn) {
-      owner = c;
-      break;
-    }
-  }
-  size_t depth;
-  {
-    MutexLock lock(conn->mu);
-    depth = ++conn->inflight;
-  }
-  inflight_highwater_->SetMax(static_cast<int64_t>(depth));
-  auto wake = wake_;
-  if (sqls.empty()) {
-    DeliverReply(owner, wake, seq,
-                 EncodeFrame(MessageType::kBatchResult,
-                             EncodeBatchResultReply({})));
-    return;
-  }
+void Server::Dispatch(const std::shared_ptr<Connection>& conn, uint64_t seq,
+                      MessageType reply, std::vector<std::string> sqls,
+                      service::RequestContext ctx) {
   struct BatchState {
-    std::vector<QueryOutcome> outcomes;
-    std::atomic<size_t> remaining;
+    std::vector<Answer> answers;
+    std::atomic<size_t> remaining{0};
   };
   auto batch = std::make_shared<BatchState>();
-  batch->outcomes.resize(sqls.size());
-  batch->remaining.store(sqls.size());
-  // Statements fan out across the request pool individually, so a
-  // BATCH from one connection exercises inter-query parallelism even
-  // with a single client attached.
+  batch->answers.assign(sqls.size(), Status::Internal("unanswered"));
+  std::vector<std::pair<size_t, service::PendingStatement>> misses;
   for (size_t i = 0; i < sqls.size(); ++i) {
+    service::PendingStatement st(std::move(sqls[i]), ctx);
+    if (auto hit = conn->session->TryServeCached(&st)) {
+      batch->answers[i] = std::move(hit);
+    } else {
+      misses.emplace_back(i, std::move(st));
+    }
+  }
+  if (misses.empty()) {
+    Park(conn.get(), seq, EncodeReply(reply, batch->answers));
+    return;
+  }
+  size_t depth;
+  {
+    MutexLock lock(conn->mu);
+    depth = ++conn->inflight;
+  }
+  inflight_highwater_->SetMax(static_cast<int64_t>(depth));
+  batch->remaining.store(misses.size());
+  auto wake = wake_;
+  // Misses fan out across the request pool individually, so a BATCH
+  // from one connection exercises inter-query parallelism even with a
+  // single client attached. Each callback holds the connection, so an
+  // abrupt disconnect cannot free it underneath.
+  for (auto& [index, st] : misses) {
     conn->session->SubmitAsync(
-        std::move(sqls[i]), ctx,
-        [owner, wake, seq, batch, i](Result<Table> result) {
-          if (result.ok()) {
-            batch->outcomes[i].table = std::move(result).value();
-          } else {
-            batch->outcomes[i].status = result.status();
-          }
+        std::move(st),
+        [conn, wake, seq, reply, batch, i = index](Answer answer) {
+          batch->answers[i] = std::move(answer);
           if (batch->remaining.fetch_sub(1) == 1) {
-            DeliverReply(owner, wake, seq,
-                         EncodeFrame(MessageType::kBatchResult,
-                                     EncodeBoundedBatchResult(
-                                         std::move(batch->outcomes))));
+            DeliverReply(conn, wake, seq, EncodeReply(reply, batch->answers));
           }
         });
   }

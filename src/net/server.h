@@ -4,19 +4,25 @@
 //
 // Threading model
 //   - One poll thread owns every socket: it accepts connections,
-//     reassembles frames, and writes replies. It never executes SQL.
-//   - QUERY / BATCH payloads are handed to the query service's
-//     request pool via Session::SubmitAsync, so inter-query
-//     concurrency comes from however many connections have statements
-//     in flight — the sockets feed the same pool that in-process
-//     callers share. Completion callbacks encode the reply, park it
-//     in the connection's outbox, and nudge the poll thread through a
-//     self-pipe.
+//     reassembles frames, and writes replies. It runs no statement
+//     that could block: it only answers result-cache hits, through
+//     Session::TryServeCached, which parses, stamps and looks up an
+//     untraced SELECT/SHOW under a try-lock of the catalog lock and
+//     never waits on it. A hit's reply is encoded straight from the
+//     cached table and parked like any other.
+//   - Everything else — misses, writes, EXPLAIN ANALYZE, traced or
+//     sampled statements, and reads that meet a writer holding the
+//     catalog lock — goes to the request pool via
+//     Session::SubmitAsync, carrying whatever the probe prepared. The
+//     sockets feed the same pool in-process callers share. Completion
+//     callbacks encode the reply, park it in the connection's outbox,
+//     and nudge the poll thread through a self-pipe.
 //   - Requests may be pipelined: each gets a sequence number and
-//     replies flush strictly in request order, whatever order the
-//     pool finishes them in. A connection exceeding
-//     max_inflight_per_connection stops being read until replies
-//     drain (backpressure instead of unbounded buffering).
+//     replies flush strictly in request order, whatever order they
+//     are answered in. Frames are decoded one at a time while fewer
+//     than max_inflight_per_connection replies are pending; the rest
+//     wait in the frame reader, and the socket is not read, until
+//     replies drain (backpressure instead of unbounded buffering).
 //
 // Lifecycle
 //   - Abrupt client disconnects mid-query are safe: the connection
@@ -29,6 +35,8 @@
 //     connections are cut. The destructor calls Shutdown().
 #ifndef MOSAIC_NET_SERVER_H_
 #define MOSAIC_NET_SERVER_H_
+
+#include <poll.h>
 
 #include <atomic>
 #include <cstdint>
@@ -56,7 +64,8 @@ struct ServerOptions {
   /// Hard cap on concurrent connections; newcomers beyond it get an
   /// ERROR frame and an immediate close.
   size_t max_connections = 64;
-  /// Per-connection pipelining depth before backpressure pauses reads.
+  /// Pending replies per connection (answered or not, not yet sent)
+  /// before backpressure stops decoding frames and reading the socket.
   size_t max_inflight_per_connection = 32;
   /// Grace period for Shutdown() to finish in-flight statements and
   /// flush replies before force-closing.
@@ -107,13 +116,19 @@ class Server {
  private:
   void PollLoop();
   void AcceptPending();
+  /// Receive whatever the socket holds into the frame reader.
   [[nodiscard]] Status ReadFromConnection(Connection* conn);
-  [[nodiscard]] Status HandleFrame(Connection* conn, Frame frame);
-  void DispatchQuery(Connection* conn, uint64_t seq, std::string sql,
-                     service::RequestContext ctx);
-  void DispatchBatch(Connection* conn, uint64_t seq,
-                     std::vector<std::string> sqls,
-                     service::RequestContext ctx);
+  /// Handle buffered frames while under the pipelining limit; returns
+  /// how many it handled.
+  size_t DecodeFrames(const std::shared_ptr<Connection>& conn);
+  [[nodiscard]] Status HandleFrame(const std::shared_ptr<Connection>& conn,
+                                   Frame frame);
+  /// QUERY (one statement, `reply` RESULT) and BATCH (BATCH_RESULT):
+  /// answer result-cache hits here, send the rest to the request
+  /// pool, and reply once every statement is answered.
+  void Dispatch(const std::shared_ptr<Connection>& conn, uint64_t seq,
+                MessageType reply, std::vector<std::string> sqls,
+                service::RequestContext ctx);
   void FlushReady(Connection* conn);
   [[nodiscard]] Status WriteToConnection(Connection* conn);
   void SendProtocolError(Connection* conn, const Status& error);
@@ -136,6 +151,10 @@ class Server {
   std::vector<std::shared_ptr<Connection>> connections_;
   std::vector<std::shared_ptr<Connection>> zombies_;
   std::shared_ptr<ConnRegistry> conn_registry_;
+  /// PollLoop's poll set and the connection index of each entry,
+  /// reused across wake-ups.
+  std::vector<pollfd> poll_fds_;
+  std::vector<size_t> poll_conn_of_fd_;
 
   /// Poll-thread-only; ids are per server, starting at 1.
   uint64_t next_conn_id_ = 1;

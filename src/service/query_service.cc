@@ -22,43 +22,55 @@
 namespace mosaic {
 namespace service {
 
+namespace {
+
+/// The caller's own copy of an answer that may be shared with the
+/// result cache.
+[[nodiscard]] Result<Table> CopyOut(
+    Result<std::shared_ptr<const Table>> shared) {
+  if (!shared.ok()) return shared.status();
+  return Table(**shared);
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Session
 // ---------------------------------------------------------------------------
 
 Result<Table> Session::Execute(const std::string& sql) {
-  state_->submitted.fetch_add(1, std::memory_order_relaxed);
-  return service_->Run(sql, state_.get());
+  return Execute(sql, RequestContext());
 }
 
 Result<Table> Session::Execute(const std::string& sql,
                                const RequestContext& ctx) {
-  state_->submitted.fetch_add(1, std::memory_order_relaxed);
-  return service_->Run(sql, state_.get(), ctx);
+  PendingStatement st(sql, ctx);
+  return CopyOut(service_->Run(&st, state_.get()));
 }
 
 std::future<Result<Table>> Session::Submit(const std::string& sql) {
-  state_->submitted.fetch_add(1, std::memory_order_relaxed);
   QueryService* service = service_;
   auto state = state_;
   return service->request_pool_.Submit(
-      [service, state, sql] { return service->Run(sql, state.get()); });
+      [service, state, st = PendingStatement(sql)]() mutable {
+        return CopyOut(service->Run(&st, state.get()));
+      });
 }
 
-void Session::SubmitAsync(std::string sql,
-                          std::function<void(Result<Table>)> done) {
-  SubmitAsync(std::move(sql), RequestContext(), std::move(done));
+std::shared_ptr<const Table> Session::TryServeCached(
+    PendingStatement* statement) {
+  return service_->TryServeCached(statement, state_.get());
 }
 
-void Session::SubmitAsync(std::string sql, RequestContext ctx,
-                          std::function<void(Result<Table>)> done) {
-  state_->submitted.fetch_add(1, std::memory_order_relaxed);
+void Session::SubmitAsync(
+    PendingStatement statement,
+    std::function<void(Result<std::shared_ptr<const Table>>)> done) {
   QueryService* service = service_;
   auto state = state_;
   service->request_pool_.Submit(
-      [service, state, sql = std::move(sql), ctx,
-       done = std::move(done)] {
-        done(service->Run(sql, state.get(), ctx));
+      [service, state, st = std::move(statement),
+       done = std::move(done)]() mutable {
+        done(service->Run(&st, state.get()));
       });
 }
 
@@ -223,11 +235,14 @@ void QueryService::CloseSession(const Session& session) {
 }
 
 Result<Table> QueryService::Execute(const std::string& sql) {
-  return Run(sql, nullptr);
+  PendingStatement st(sql);
+  return CopyOut(Run(&st, nullptr));
 }
 
 std::future<Result<Table>> QueryService::Submit(const std::string& sql) {
-  return request_pool_.Submit([this, sql] { return Run(sql, nullptr); });
+  return request_pool_.Submit([this, st = PendingStatement(sql)]() mutable {
+    return CopyOut(Run(&st, nullptr));
+  });
 }
 
 std::vector<std::future<Result<Table>>> QueryService::SubmitBatch(
@@ -247,85 +262,122 @@ namespace {
 /// the catalog version and a refit bumps the sample's weight epoch,
 /// so stale entries simply stop matching and age out of the LRU while
 /// every unaffected entry keeps serving hits.
-std::string ComposeCacheKey(const std::string& canonical,
-                            const core::Database::CacheStamp& stamp) {
-  return canonical + '\x1f' + "v" + std::to_string(stamp.catalog_version) +
-         "w" + std::to_string(stamp.weight_epoch);
+void AppendStamp(const core::Database::CacheStamp& stamp, std::string* key) {
+  *key += "\x1f" "v" + std::to_string(stamp.catalog_version) + "w" +
+          std::to_string(stamp.weight_epoch);
 }
 
-/// Cheap pre-parse check for EXPLAIN as the first token, so the trace
-/// (and its parse span) exists before parsing. A leading comment
-/// defeats it; the parser still sets the flag and the trace is then
-/// created after the fact (losing only the parse span).
-bool LooksLikeExplain(const std::string& sql) {
-  static const char kKeyword[] = "EXPLAIN";
+/// Whether `keyword` (upper case) is the first token of `sql`: a
+/// pre-parse check, so a leading comment defeats it.
+bool StartsWithKeyword(const std::string& sql, const char* keyword) {
   size_t i = 0;
   while (i < sql.size() &&
          std::isspace(static_cast<unsigned char>(sql[i]))) {
     ++i;
   }
-  for (size_t k = 0; k + 1 < sizeof(kKeyword); ++k) {
-    if (i + k >= sql.size() ||
-        std::toupper(static_cast<unsigned char>(sql[i + k])) !=
-            kKeyword[k]) {
+  for (; *keyword != '\0'; ++keyword, ++i) {
+    if (i >= sql.size() ||
+        std::toupper(static_cast<unsigned char>(sql[i])) != *keyword) {
       return false;
     }
   }
-  size_t end = i + sizeof(kKeyword) - 1;
-  return end >= sql.size() ||
-         !(std::isalnum(static_cast<unsigned char>(sql[end])) ||
-           sql[end] == '_');
+  return i >= sql.size() ||
+         !(std::isalnum(static_cast<unsigned char>(sql[i])) || sql[i] == '_');
+}
+
+/// EXPLAIN as the first token, so the trace (and its parse span)
+/// exists before parsing. When a leading comment hides it, the parser
+/// still sets the flag and the trace is created after the fact
+/// (losing only the parse span).
+bool LooksLikeExplain(const std::string& sql) {
+  return StartsWithKeyword(sql, "EXPLAIN");
+}
+
+/// The only statements worth probing without blocking. Anything else
+/// (a 100-row INSERT, say) is not even parsed before the pool.
+bool LooksLikeRead(const std::string& sql) {
+  return StartsWithKeyword(sql, "SELECT") || StartsWithKeyword(sql, "SHOW");
 }
 
 }  // namespace
 
-Result<Table> QueryService::Run(const std::string& sql,
-                                Session::State* session,
-                                const RequestContext& ctx) {
-  queries_total_->Inc();
-
-  const auto wall_start = std::chrono::steady_clock::now();
+Result<std::shared_ptr<const Table>> QueryService::Run(
+    PendingStatement* st, Session::State* session) {
+  // A statement prepared and probed off the pool carries that time in.
+  const Clock::time_point start = Clock::now() - st->elapsed_;
   // EXPLAIN ANALYZE statements get a trace even when tracing is off —
   // the trace IS their result. A sampled request context forces
   // tracing the same way (remote EXPLAIN ANALYZE, client --trace).
+  // TryServeCached leaves all of these unprepared, so their span trees
+  // start here and stay whole.
   std::unique_ptr<trace::QueryTrace> trace;
-  if (trace_enabled_ || ctx.sampled || LooksLikeExplain(sql)) {
+  if (trace_enabled_ || st->ctx_.sampled || LooksLikeExplain(st->sql_)) {
     trace = std::make_unique<trace::QueryTrace>();
-    trace->set_trace_id(ctx.trace_id);
+    trace->set_trace_id(st->ctx_.trace_id);
   }
+  Result<std::shared_ptr<const Table>> result = RunInternal(st, trace.get());
+  Record(*st, session, trace.get(), start, result.status());
+  if (result.ok() && st->explain_ && trace != nullptr) {
+    // All spans are closed by now (RunInternal returned), so the
+    // rendered tree accounts for the full pipeline.
+    return std::make_shared<const Table>(exec::TraceToTable(*trace));
+  }
+  return result;
+}
 
-  bool is_read = false;
-  bool explain = false;
-  int cache_hit = -1;
-  Result<Table> result =
-      RunInternal(sql, trace.get(), ctx, &is_read, &explain, &cache_hit);
+std::shared_ptr<const Table> QueryService::TryServeCached(
+    PendingStatement* st, Session::State* session) {
+  if (trace_enabled_ || st->ctx_.sampled || !LooksLikeRead(st->sql_)) {
+    return nullptr;
+  }
+  const Clock::time_point start = Clock::now();
+  Prepare(st, nullptr, trace::kNoParent);
+  auto probe = [this, st]() -> std::shared_ptr<const Table> {
+    if (!st->status_.ok() || !st->is_read_) return nullptr;
+    // Never wait here: while a writer holds the lock the statement
+    // goes to the pool, which waits there instead.
+    ReaderLock lock(catalog_mu_, std::defer_lock);
+    if (!lock.TryLock()) return nullptr;
+    return Probe(st, nullptr, trace::kNoParent);
+  };
+  std::shared_ptr<const Table> hit = probe();
+  st->elapsed_ = Clock::now() - start;
+  if (hit != nullptr) Record(*st, session, nullptr, start, Status::OK());
+  return hit;
+}
 
+void QueryService::Record(const PendingStatement& st, Session::State* session,
+                          trace::QueryTrace* trace, Clock::time_point start,
+                          const Status& status) {
   const uint64_t elapsed_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - wall_start)
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                            start)
           .count());
   latency_all_->Record(elapsed_us);
-  (is_read ? latency_read_ : latency_write_)->Record(elapsed_us);
-
-  // The single failure-accounting point: every error path inside
-  // RunInternal (parse, classification, execution) lands here exactly
-  // once (tests/test_service.cc pins this down).
-  if (!result.ok()) {
-    queries_failed_->Inc();
+  (st.is_read_ ? latency_read_ : latency_write_)->Record(elapsed_us);
+  queries_total_->Inc();
+  // A statement that failed to parse is neither a read nor a write.
+  if (st.status_.ok()) (st.is_read_ ? reads_ : writes_)->Inc();
+  // Every error path (parse, classification, execution) lands here
+  // exactly once (tests/test_service.cc pins this down).
+  if (!status.ok()) queries_failed_->Inc();
+  if (session != nullptr) {
+    session->submitted.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Every statement — traced or not, failed or not — leaves a record
   // in the bounded query log (`system.queries`). Untraced statements
   // record wall time and status only; traced ones add the span tree
   // and resource counters.
+  const std::string status_name =
+      status.ok() ? "OK" : StatusCodeName(status.code());
   {
     qlog::QueryRecord record;
     record.session_id = session != nullptr ? session->id : 0;
-    record.trace_id = ctx.trace_id;
-    record.sql = sql;
-    record.status =
-        result.ok() ? "OK" : StatusCodeName(result.status().code());
-    record.cache_hit = cache_hit;
+    record.trace_id = st.ctx_.trace_id;
+    record.sql = st.sql_;
+    record.status = status_name;
+    record.cache_hit = st.cache_hit_;
     record.wall_us = elapsed_us;
     record.simd_isa = exec::simd::ActiveIsaName();
     if (trace != nullptr) {
@@ -355,37 +407,73 @@ Result<Table> QueryService::Run(const std::string& sql,
     elog::EventLog& events = elog::EventLog::Global();
     if (events.enabled()) {
       events.Emit(LogLevel::kWarning, "slow_query",
-                  {{"sql", sql},
+                  {{"sql", st.sql_},
                    {"elapsed_ms", std::to_string(elapsed_us / 1000)},
-                   {"status", result.ok() ? "OK"
-                                          : StatusCodeName(
-                                                result.status().code())},
+                   {"status", status_name},
                    {"spans", trace->ToString()}},
-                  ctx.trace_id);
+                  st.ctx_.trace_id);
     } else {
       MOSAIC_LOG(Warning) << "slow query (" << elapsed_us / 1000 << " ms): "
-                          << sql << "\n"
+                          << st.sql_ << "\n"
                           << trace->ToString();
     }
   }
-
-  if (result.ok() && explain && trace != nullptr) {
-    // All spans are closed by now (RunInternal returned), so the
-    // rendered tree accounts for the full pipeline.
-    return exec::TraceToTable(*trace);
-  }
-  return result;
 }
 
-Result<Table> QueryService::RunInternal(const std::string& sql,
-                                        trace::QueryTrace* trace,
-                                        const RequestContext& ctx,
-                                        bool* is_read, bool* explain,
-                                        int* cache_hit) {
+void QueryService::Prepare(PendingStatement* st, trace::QueryTrace* trace,
+                           uint32_t parent) {
+  st->stage_ = PendingStatement::Stage::kPrepared;
+  // Parse once: the AST classifies the statement and is then handed
+  // to the engine for execution (ExecuteParsed).
+  {
+    trace::ScopedSpan span(trace, parent, "parse");
+    auto parsed = sql::ParseStatement(st->sql_);
+    if (!parsed.ok()) {
+      st->status_ = parsed.status();
+      return;
+    }
+    st->stmt_ = std::move(parsed).value();
+  }
+  st->explain_ = st->stmt_.Is<sql::SelectStmt>() &&
+                 st->stmt_.As<sql::SelectStmt>().explain_analyze;
+  // §7 "Multiple Samples" mode rebuilds the union scratch sample
+  // lazily inside SELECT, so reads stop being read-only.
+  st->is_read_ = ClassifyStatement(st->stmt_) == StatementClass::kRead &&
+                 !db_.union_samples();
+  if (!st->is_read_) return;
+  trace::ScopedSpan span(trace, parent, "canonicalize");
+  if (auto canon = CanonicalizeSql(st->sql_); canon.ok()) {
+    st->cache_key_ = std::move(*canon);
+  }
+}
+
+std::shared_ptr<const Table> QueryService::Probe(PendingStatement* st,
+                                                 trace::QueryTrace* trace,
+                                                 uint32_t parent) {
+  st->stage_ = PendingStatement::Stage::kProbed;
+  // EXPLAIN ANALYZE never consults the cache — its answer is this
+  // execution's timings (StampFor also reports it uncacheable).
+  if (st->cache_key_.empty() || st->explain_) return nullptr;
+  // Stamped lookup under the shared lock: the stamp pins which catalog
+  // version and weight epoch the entry must have been computed under.
+  trace::ScopedSpan span(trace, parent, "cache_lookup");
+  st->stamp_ = db_.StampFor(st->stmt_);
+  if (!st->stamp_.cacheable) return nullptr;
+  AppendStamp(st->stamp_, &st->cache_key_);
+  auto cached = result_cache_.Get(st->cache_key_);
+  st->cache_hit_ = cached ? 1 : 0;
+  span.Note(cached ? "hit" : "miss");
+  trace::NoteCacheHit(trace, cached.has_value());
+  return cached ? std::move(*cached) : nullptr;
+}
+
+Result<std::shared_ptr<const Table>> QueryService::RunInternal(
+    PendingStatement* st, trace::QueryTrace* trace) {
   trace::ScopedSpan stmt_span(trace, trace::kNoParent, "statement");
   // Surface the caller's trace context on the statement span so a
   // remote EXPLAIN ANALYZE (or span collector) can stitch the
   // cross-process edge: the client sees its own trace_id come back.
+  const RequestContext& ctx = st->ctx_;
   if (trace != nullptr && ctx.trace_id != 0) {
     stmt_span.Note(StrFormat("trace_id=%016llx",
                              static_cast<unsigned long long>(ctx.trace_id)));
@@ -395,101 +483,60 @@ Result<Table> QueryService::RunInternal(const std::string& sql,
           static_cast<unsigned long long>(ctx.parent_span_id)));
     }
   }
-
-  // Parse once: the AST classifies the statement and is then handed
-  // to the engine for execution (ExecuteParsed).
-  sql::Statement stmt;
-  {
-    trace::ScopedSpan span(trace, stmt_span.id(), "parse");
-    auto parsed = sql::ParseStatement(sql);
-    if (!parsed.ok()) return parsed.status();
-    stmt = std::move(parsed).value();
+  if (st->stage_ == PendingStatement::Stage::kNew) {
+    Prepare(st, trace, stmt_span.id());
   }
-  *explain = stmt.Is<sql::SelectStmt>() &&
-             stmt.As<sql::SelectStmt>().explain_analyze;
+  if (!st->status_.ok()) return st->status_;
 
-  // §7 "Multiple Samples" mode rebuilds the union scratch sample
-  // lazily inside SELECT, so reads stop being read-only.
-  bool treat_as_read = ClassifyStatement(stmt) == StatementClass::kRead &&
-                       !db_.union_samples();
-
-  if (treat_as_read) {
-    *is_read = true;
-    reads_->Inc();
-    std::string canonical;
-    {
-      trace::ScopedSpan span(trace, stmt_span.id(), "canonicalize");
-      if (auto canon = CanonicalizeSql(sql); canon.ok()) {
-        canonical = std::move(*canon);
-      }
-    }
+  if (st->is_read_) {
     ReaderLock read_lock(catalog_mu_, std::defer_lock);
     {
       trace::ScopedSpan span(trace, stmt_span.id(), "lock_wait");
       read_lock.Lock();
     }
-    // Stamped lookup under the shared lock: the stamp pins which
-    // catalog version and weight epoch the entry must have been
-    // computed under. EXPLAIN ANALYZE never consults the cache — its
-    // answer is this execution's timings (StampFor also reports it
-    // uncacheable).
-    core::Database::CacheStamp stamp;
-    if (!canonical.empty() && !*explain) {
-      trace::ScopedSpan span(trace, stmt_span.id(), "cache_lookup");
-      stamp = db_.StampFor(stmt);
-      if (stamp.cacheable) {
-        if (auto cached = result_cache_.Get(ComposeCacheKey(canonical,
-                                                            stamp))) {
-          span.Note("hit");
-          *cache_hit = 1;
-          trace::NoteCacheHit(trace, true);
-          return Table(**cached);
-        }
-        span.Note("miss");
-        *cache_hit = 0;
-        trace::NoteCacheHit(trace, false);
-      }
+    if (st->stage_ != PendingStatement::Stage::kProbed) {
+      if (auto hit = Probe(st, trace, stmt_span.id())) return hit;
     }
     Result<Table> result = [&]() -> Result<Table> {
       trace::ScopedSpan span(trace, stmt_span.id(), "execute");
-      return db_.ExecuteParsed(&stmt, trace, span.id());
+      return db_.ExecuteParsed(&st->stmt_, trace, span.id());
     }();
-    if (!result.ok()) return result;
-    if (stamp.cacheable) {
+    if (!result.ok()) return result.status();
+    auto table = std::make_shared<const Table>(std::move(result).value());
+    if (st->stamp_.cacheable) {
       trace::ScopedSpan span(trace, stmt_span.id(), "cache_store");
-      // Keyed under the lookup stamp, never a re-read one: an entry
-      // can only be hit by statements that stamped the same (catalog
-      // version, epoch), i.e. that raced the same publications this
-      // execution did, and for those the pinned answer is a
-      // linearizable outcome. Re-stamping after execution could
-      // attribute the answer to an epoch published concurrently by an
-      // unrelated refit, serving it to strictly-later statements that
-      // would compute something else. The one cost: a SEMI-OPEN
-      // statement caches under its pre-refit epoch, so its first
-      // re-run at the post-refit epoch misses — but that re-run's
-      // refit no-op-skips (fit signatures, core/database.cc) and its
-      // Put then lands on the settled epoch, where every further
-      // repeat hits.
-      result_cache_.Put(ComposeCacheKey(canonical, stamp),
-                        std::make_shared<const Table>(result.value()));
+      // Keyed under the probe's stamp, never a re-read one, even when
+      // the probe ran in an earlier hold of the lock (TryServeCached):
+      // an entry can only be hit by statements that stamped the same
+      // (catalog version, epoch), i.e. that raced the same
+      // publications this execution did, and for those the pinned
+      // answer is a linearizable outcome. A write in between makes
+      // the key unreachable, since every later stamp carries the new
+      // version. Re-stamping after execution could attribute the
+      // answer to an epoch published concurrently by an unrelated
+      // refit, serving it to strictly-later statements that would
+      // compute something else. The one cost: a SEMI-OPEN statement
+      // caches under its pre-refit epoch, so its first re-run at the
+      // post-refit epoch misses — but that re-run's refit no-op-skips
+      // (fit signatures, core/database.cc) and its Put then lands on
+      // the settled epoch, where every further repeat hits.
+      result_cache_.Put(st->cache_key_, table);
     }
-    return result;
+    return table;
   }
 
-  writes_->Inc();
   WriterLock write_lock(catalog_mu_, std::defer_lock);
   {
     trace::ScopedSpan span(trace, stmt_span.id(), "lock_wait");
     write_lock.Lock();
   }
-  Result<Table> result = [&]() -> Result<Table> {
-    trace::ScopedSpan span(trace, stmt_span.id(), "execute");
-    return db_.ExecuteParsed(&stmt, trace, span.id());
-  }();
+  trace::ScopedSpan span(trace, stmt_span.id(), "execute");
   // No cache flush: the write bumped the catalog version (or
   // published a weight epoch), so every entry it could have staled is
   // now unreachable by key. Unrelated entries keep their hits.
-  return result;
+  MOSAIC_ASSIGN_OR_RETURN(Table out,
+                          db_.ExecuteParsed(&st->stmt_, trace, span.id()));
+  return std::make_shared<const Table>(std::move(out));
 }
 
 void QueryService::InvalidateCaches() {

@@ -10,6 +10,14 @@
 //     disturbing readers pinned to the previous one. Writers (DDL,
 //     DML, UPDATE) take the lock exclusively, serializing catalog
 //     mutations.
+//   - Every statement runs the same four stages (PendingStatement):
+//     prepare (parse, classify, canonicalize), probe (stamp and
+//     result-cache lookup under the shared lock), execute, and record
+//     (latency, counters, `system.queries`, the session's count).
+//     Session::TryServeCached runs the first two on the caller's
+//     thread without ever blocking — the TCP server's poll thread
+//     answers cache hits that way — and SubmitAsync resumes a
+//     statement at the stage it reached, so nothing runs twice.
 //   - A second, dedicated generation pool is handed to the Database
 //     for parallel OPEN-query sample generation. Keeping the two
 //     pools separate means a request task blocking on generation
@@ -37,6 +45,7 @@
 #define MOSAIC_SERVICE_QUERY_SERVICE_H_
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <future>
 #include <map>
@@ -52,6 +61,7 @@
 #include "common/trace.h"
 #include "core/database.h"
 #include "service/sql_canonical.h"
+#include "sql/ast.h"
 #include "storage/durable/engine.h"
 #include "storage/table.h"
 
@@ -135,6 +145,36 @@ struct RequestContext {
   bool sampled = false;
 };
 
+/// One statement on its way through the service's stages (see the
+/// file comment). Callers only construct it; the service advances it,
+/// and a statement handed to SubmitAsync resumes at the stage it
+/// reached.
+class PendingStatement {
+ public:
+  explicit PendingStatement(std::string sql,
+                            RequestContext ctx = RequestContext())
+      : sql_(std::move(sql)), ctx_(ctx) {}
+
+ private:
+  friend class QueryService;
+  enum class Stage { kNew, kPrepared, kProbed };
+
+  std::string sql_;
+  RequestContext ctx_;
+  Stage stage_ = Stage::kNew;
+  Status status_;  ///< the parse failure, once prepared
+  sql::Statement stmt_;
+  bool is_read_ = false;
+  bool explain_ = false;
+  /// The canonical SQL, then (once probed) the stamped result-cache
+  /// key; empty when the lexer rejected the SQL.
+  std::string cache_key_;
+  core::Database::CacheStamp stamp_;
+  int cache_hit_ = -1;  ///< -1 not looked up, 0 miss, 1 hit
+  /// Time spent in stages run before the request pool took over.
+  std::chrono::steady_clock::duration elapsed_{};
+};
+
 /// A lightweight client handle. Sessions share the service's catalog
 /// and caches but keep their own submission counters; handles are
 /// cheap to copy and safe to use from several threads.
@@ -149,18 +189,25 @@ class Session {
   /// Enqueue one statement on the request pool.
   std::future<Result<Table>> Submit(const std::string& sql);
 
-  /// Enqueue one statement on the request pool and deliver the result
-  /// to `done` on the worker that executed it (instead of a future).
-  /// The callback form lets event-driven callers — the TCP server's
-  /// poll loop — avoid parking a thread per in-flight statement. The
-  /// callback must not block on other request-pool work.
-  void SubmitAsync(std::string sql,
-                   std::function<void(Result<Table>)> done);
+  /// Answer `*statement` from the result cache without ever blocking
+  /// (the TCP server calls this on its poll thread). On a hit the
+  /// statement is recorded like any other and the cached table is
+  /// returned shared, not copied. Otherwise returns null and leaves
+  /// the statement as far as it got, for SubmitAsync to finish. Only
+  /// an untraced, unsampled SELECT or SHOW outside union-samples mode
+  /// is probed, and only when the catalog lock's shared side is free
+  /// right now: anything else falls through untouched.
+  std::shared_ptr<const Table> TryServeCached(PendingStatement* statement);
 
-  /// SubmitAsync under a caller-supplied trace context (the network
-  /// server's QUERY/BATCH dispatch path).
-  void SubmitAsync(std::string sql, RequestContext ctx,
-                   std::function<void(Result<Table>)> done);
+  /// Finish `statement` on the request pool and deliver the result to
+  /// `done` on the worker that ran it (instead of a future), shared
+  /// with the result cache rather than copied. The
+  /// callback form lets event-driven callers — the TCP server's poll
+  /// loop — avoid parking a thread per in-flight statement. The
+  /// callback must not block on other request-pool work.
+  void SubmitAsync(
+      PendingStatement statement,
+      std::function<void(Result<std::shared_ptr<const Table>>)> done);
 
   /// Fan a batch out across the request pool, one future per
   /// statement, in input order.
@@ -168,6 +215,8 @@ class Session {
       const std::vector<std::string>& sqls);
 
   uint64_t id() const;
+  /// Statements this session has run to completion, failed ones
+  /// included.
   uint64_t queries_submitted() const;
 
  private:
@@ -246,17 +295,43 @@ class QueryService {
 
  private:
   friend class Session;
+  /// Test-only access to the catalog lock (tests/test_net_e2e.cc).
+  friend class QueryServiceTestPeer;
 
-  [[nodiscard]] Result<Table> Run(const std::string& sql, Session::State* session,
-                    const RequestContext& ctx = RequestContext());
+  using Clock = std::chrono::steady_clock;
 
-  /// Run's parse/classify/lock/cache/execute pipeline. Failure
-  /// accounting (queries_failed) and latency recording live in Run —
-  /// the single exit point — so every error path counts exactly once.
-  [[nodiscard]] Result<Table> RunInternal(const std::string& sql,
-                            trace::QueryTrace* trace,
-                            const RequestContext& ctx, bool* is_read,
-                            bool* explain, int* cache_hit);
+  /// Run `*st` to the end from the stage it reached, then record it.
+  /// The answer may be shared with the result cache.
+  [[nodiscard]] Result<std::shared_ptr<const Table>> Run(
+      PendingStatement* st, Session::State* session);
+
+  /// The prepare, probe and execute stages, each skipped when `*st`
+  /// already passed it. Failures and latency are accounted in Record,
+  /// which Run calls exactly once for whatever this returns.
+  [[nodiscard]] Result<std::shared_ptr<const Table>> RunInternal(
+      PendingStatement* st, trace::QueryTrace* trace);
+
+  /// Stage 1: parse, classify and (reads only) canonicalize.
+  void Prepare(PendingStatement* st, trace::QueryTrace* trace,
+               uint32_t parent);
+
+  /// Stage 2: stamp the statement and look it up in the result cache;
+  /// the cached table on a hit, null otherwise.
+  std::shared_ptr<const Table> Probe(PendingStatement* st,
+                                     trace::QueryTrace* trace,
+                                     uint32_t parent)
+      REQUIRES_SHARED(catalog_mu_);
+
+  /// Session::TryServeCached.
+  std::shared_ptr<const Table> TryServeCached(PendingStatement* st,
+                                              Session::State* session);
+
+  /// Stage 4, the single accounting point: latency histograms,
+  /// statement counters, the `system.queries` record, the session's
+  /// count and the slow-query log.
+  void Record(const PendingStatement& st, Session::State* session,
+              trace::QueryTrace* trace, Clock::time_point start,
+              const Status& status);
 
   /// Register the service-backed system tables (`system.sessions`,
   /// `system.snapshots`) on the owned database.

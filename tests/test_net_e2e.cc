@@ -9,6 +9,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -18,6 +19,7 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -25,11 +27,25 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/query_log.h"
+#include "common/synchronization.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "service/query_service.h"
 
 namespace mosaic {
+namespace service {
+
+/// Reaches the catalog lock, so a test can play a writer holding it.
+class QueryServiceTestPeer {
+ public:
+  static SharedMutex& CatalogMutex(QueryService* service) {
+    return service->catalog_mu_;
+  }
+};
+
+}  // namespace service
+
 namespace net {
 namespace {
 
@@ -585,6 +601,235 @@ TEST_F(NetE2ETest, LegacyClientWithoutTraceTailStillServed) {
     EXPECT_FALSE(torn->ok());
   }
   ::close(fd);
+}
+
+// ---------------------------------------------------------------------------
+// Pipelining: inline cache hits, pooled misses, one reply order
+// ---------------------------------------------------------------------------
+
+/// A raw connection past the HELLO handshake, reading with one frame
+/// reader so pipelined replies are never dropped between calls.
+class RawSession {
+ public:
+  explicit RawSession(uint16_t port) : fd_(RawConnect(port)) {
+    RawSend(fd_, EncodeFrame(MessageType::kHello,
+                             EncodeHelloRequest({kProtocolVersion, "raw"})));
+    auto hello = Next();
+    ok_ = hello.ok() && hello->type == MessageType::kHelloOk;
+  }
+  ~RawSession() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  bool ok() const { return fd_ >= 0 && ok_; }
+
+  /// Every statement as its own QUERY frame, all in one send.
+  void SendQueries(const std::vector<std::string>& sqls) {
+    std::string bytes;
+    for (const std::string& sql : sqls) {
+      bytes += EncodeFrame(MessageType::kQuery, EncodeQueryRequest(sql));
+    }
+    RawSend(fd_, bytes);
+  }
+
+  Result<Frame> Next() {
+    char buf[4096];
+    while (true) {
+      Frame frame;
+      auto got = reader_.Next(&frame);
+      if (!got.ok()) return got.status();
+      if (*got) return frame;
+      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+      if (n <= 0) return Status::IOError("eof");
+      reader_.Feed(buf, static_cast<size_t>(n));
+    }
+  }
+
+  /// Whether any reply byte is waiting right now.
+  bool ReplyWaiting() {
+    pollfd p{fd_, POLLIN, 0};
+    return reader_.buffered() > 0 || ::poll(&p, 1, 0) > 0;
+  }
+
+ private:
+  int fd_;
+  bool ok_ = false;
+  FrameReader reader_;
+};
+
+/// The RESULT payload a server sends for `result`.
+std::string ResultPayload(const Result<Table>& result) {
+  QueryOutcome outcome;
+  if (result.ok()) {
+    outcome.table = *result;
+  } else {
+    outcome.status = result.status();
+  }
+  return EncodeResultReply(outcome);
+}
+
+TEST_F(NetE2ETest, PipelineDepthIsBoundedPerFrameNotPerWakeup) {
+  ServerOptions opts;
+  opts.max_inflight_per_connection = 4;
+  StartServer(opts);
+  RawSession raw(server_->port());
+  ASSERT_TRUE(raw.ok());
+  // 64 distinct statements, so every one misses the result cache and
+  // waits on the request pool.
+  constexpr int kFrames = 64;
+  std::vector<std::string> sqls;
+  for (int i = 0; i < kFrames; ++i) {
+    sqls.push_back("SELECT CLOSED COUNT(*) AS c" + std::to_string(i) +
+                   " FROM Things");
+  }
+  raw.SendQueries(sqls);
+  for (int i = 0; i < kFrames; ++i) {
+    auto frame = raw.Next();
+    ASSERT_TRUE(frame.ok()) << i << ": " << frame.status().ToString();
+    ASSERT_EQ(frame->type, MessageType::kResult);
+    auto outcome = DecodeResultReply(frame->payload);
+    ASSERT_TRUE(outcome.ok());
+    ASSERT_TRUE(outcome->ok()) << outcome->status.ToString();
+    EXPECT_EQ(outcome->table.schema().columns()[0].name,
+              "c" + std::to_string(i));
+  }
+  EXPECT_LE(server_->stats().inflight_highwater, 4u);
+  EXPECT_GE(server_->stats().inflight_highwater, 1u);
+}
+
+TEST_F(NetE2ETest, PipelinedHitsAndMissesKeepOrderAndAccounting) {
+  const std::string hit =
+      "SELECT CLOSED color, COUNT(*) AS c FROM Things GROUP BY color";
+  const std::string semi_open = "SELECT SEMI-OPEN COUNT(*) AS c FROM Things";
+  const std::string closed = "SELECT CLOSED COUNT(*) AS c FROM Things";
+  // The warm-up, then [cold SEMI-OPEN miss, hit, hit, CLOSED miss, hit].
+  const std::vector<std::string> stream = {hit,  semi_open, hit,
+                                           hit, closed,    hit};
+  const std::vector<std::string> pipelined(stream.begin() + 1, stream.end());
+
+  // The same stream through Session::Execute on an identical service:
+  // the reference bytes and the reference counts.
+  std::vector<std::string> expected;
+  service::ServiceStats ref_delta;
+  uint64_t ref_submitted = 0;
+  {
+    service::ServiceOptions opts;
+    opts.num_request_threads = 4;
+    opts.num_generation_threads = 2;
+    service::QueryService reference(opts);
+    SetUpTinyWorld(reference.database());
+    const service::ServiceStats before = reference.Stats();
+    service::Session session = reference.OpenSession();
+    for (const std::string& sql : stream) {
+      expected.push_back(ResultPayload(session.Execute(sql)));
+    }
+    const service::ServiceStats after = reference.Stats();
+    ref_delta.queries_total = after.queries_total - before.queries_total;
+    ref_delta.reads = after.reads - before.reads;
+    ref_delta.result_cache.hits =
+        after.result_cache.hits - before.result_cache.hits;
+    ref_delta.result_cache.misses =
+        after.result_cache.misses - before.result_cache.misses;
+    ref_submitted = session.queries_submitted();
+  }
+
+  // Session ids restart with every service; the query log is global.
+  qlog::QueryLog::Global().ResetForTesting();
+  StartServer();
+  const service::ServiceStats before = service_->Stats();
+  RawSession raw(server_->port());
+  ASSERT_TRUE(raw.ok());
+  raw.SendQueries({hit});
+  auto warm = raw.Next();
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(warm->payload, expected[0]);
+  raw.SendQueries(pipelined);
+  for (size_t i = 0; i < pipelined.size(); ++i) {
+    auto frame = raw.Next();
+    ASSERT_TRUE(frame.ok()) << i << ": " << frame.status().ToString();
+    ASSERT_EQ(frame->type, MessageType::kResult);
+    EXPECT_EQ(frame->payload, expected[i + 1]) << pipelined[i];
+  }
+  const service::ServiceStats after = service_->Stats();
+
+  // Every cacheable statement is exactly one hit or one miss: a miss
+  // probed off the pool is not looked up again there.
+  EXPECT_EQ(after.result_cache.hits - before.result_cache.hits, 3u);
+  EXPECT_EQ(after.result_cache.misses - before.result_cache.misses, 3u);
+  EXPECT_EQ(after.result_cache.hits - before.result_cache.hits,
+            ref_delta.result_cache.hits);
+  EXPECT_EQ(after.result_cache.misses - before.result_cache.misses,
+            ref_delta.result_cache.misses);
+  EXPECT_EQ(after.queries_total - before.queries_total,
+            ref_delta.queries_total);
+  EXPECT_EQ(after.reads - before.reads, ref_delta.reads);
+  EXPECT_EQ(ref_delta.queries_total, stream.size());
+
+  // One system.queries record per statement, each with its cache
+  // outcome; read through the engine so the reads move no counter.
+  auto sessions = service_->database()->Execute(
+      "SELECT session_id, queries_submitted FROM system.sessions");
+  ASSERT_TRUE(sessions.ok()) << sessions.status().ToString();
+  ASSERT_EQ(sessions->num_rows(), 1u);
+  const int64_t session_id = sessions->GetValue(0, 0).AsInt64();
+  EXPECT_EQ(static_cast<uint64_t>(sessions->GetValue(0, 1).AsInt64()),
+            ref_submitted);
+  auto log = service_->database()->Execute(
+      "SELECT sql, cache_hit FROM system.queries WHERE span = 'statement' "
+      "AND session_id = " +
+      std::to_string(session_id));
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  std::map<std::string, std::multiset<int64_t>> outcomes;
+  for (size_t r = 0; r < log->num_rows(); ++r) {
+    outcomes[log->GetValue(r, 0).AsString()].insert(
+        log->GetValue(r, 1).AsInt64());
+  }
+  const std::map<std::string, std::multiset<int64_t>> want = {
+      {hit, {0, 1, 1, 1}}, {semi_open, {0}}, {closed, {0}}};
+  EXPECT_EQ(outcomes, want);
+}
+
+TEST_F(NetE2ETest, WriterHoldingTheCatalogLockDoesNotStallThePollThread) {
+  StartServer();
+  const std::string sql = "SELECT CLOSED COUNT(*) AS c FROM Things";
+  // Warm the result cache in process, leaving the server's pipeline
+  // high-water mark at zero.
+  auto before_write = service_->Execute(sql);
+  ASSERT_TRUE(before_write.ok());
+  ASSERT_EQ(before_write->GetValue(0, 0).AsInt64(), 8);
+  ASSERT_EQ(server_->stats().inflight_highwater, 0u);
+
+  RawSession reader(server_->port());
+  ASSERT_TRUE(reader.ok());
+  Client observer = Connect();
+  {
+    WriterLock writer(
+        service::QueryServiceTestPeer::CatalogMutex(service_.get()));
+    // A cache hit while a writer holds the lock: the poll thread may
+    // not wait for it, so the statement goes to the pool and waits
+    // there. STATS round trips keep completing meanwhile.
+    reader.SendQueries({sql});
+    bool pooled = false;
+    for (int i = 0; i < 100000 && !pooled; ++i) {
+      auto stats = observer.Stats();
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      pooled = stats->inflight_highwater >= 1;
+    }
+    ASSERT_TRUE(pooled);
+    EXPECT_FALSE(reader.ReplyWaiting());
+    // The write this lock holder exists for: one more sample row.
+    ASSERT_TRUE(service_->database()
+                    ->Execute("INSERT INTO RedSample VALUES ('red','L')")
+                    .ok());
+  }
+  auto frame = reader.Next();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  ASSERT_EQ(frame->type, MessageType::kResult);
+  auto after_write = service_->Execute(sql);
+  ASSERT_TRUE(after_write.ok());
+  EXPECT_EQ(after_write->GetValue(0, 0).AsInt64(), 9);
+  EXPECT_EQ(frame->payload, ResultPayload(after_write));
+  ASSERT_TRUE(observer.Close().ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -4,26 +4,18 @@
 // shapes of the paper's workload — filter + weighted aggregate
 // (the §5.3 rewrite), grouped aggregation, and ORDER BY ... LIMIT.
 //
-// Also times the morsel-parallel path (exec/morsel.h) against the
-// single-threaded batch path at several morsel sizes, on a pool sized
-// to the hardware — morsel results are bit-identical by construction,
-// so the interesting number is the ratio.
-//
-// Emits BENCH_executor.json and BENCH_morsel.json into the working
-// directory (see scripts/bench_exec.sh). Row count defaults to 1M;
+// Emits BENCH_executor.json into the working directory (see
+// scripts/bench_exec.sh). Row count defaults to 1M;
 // override with MOSAIC_BENCH_ROWS for quick local runs.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/metrics.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "oracle/row_oracle.h"
 #include "sql/parser.h"
@@ -137,77 +129,6 @@ BenchResult RunBench(const Table& t, const std::string& name,
   return res;
 }
 
-struct MorselBenchResult {
-  std::string name;
-  size_t morsel_size = 0;
-  size_t threads = 1;
-  double batch_ms = 0.0;
-  double morsel_ms = 0.0;
-  /// Per-rep morsel-path latencies.
-  metrics::HistogramSnapshot latency;
-  double ratio() const { return morsel_ms > 0.0 ? batch_ms / morsel_ms : 0.0; }
-};
-
-/// Time the morsel path against the single-threaded batch path for
-/// one query; results are checked bit-identical (the fuzzer's
-/// guarantee, re-asserted here on the benchmark data). `pool` null =
-/// the 1-thread morsel configuration (partition/merge overhead only).
-MorselBenchResult RunMorselBench(const Table& t, const std::string& name,
-                                 const std::string& sql, size_t morsel_size,
-                                 ThreadPool* pool, int reps) {
-  auto parsed = Unwrap(sql::ParseStatement(sql), "parse");
-  const auto& stmt = parsed.As<sql::SelectStmt>();
-  MorselBenchResult res;
-  res.name = name;
-  res.morsel_size = morsel_size;
-  res.threads = pool != nullptr ? pool->num_threads() + 1 : 1;
-
-  exec::ExecOptions batch_opts;
-  batch_opts.weight_column = "weight";
-  exec::ExecOptions morsel_opts = batch_opts;
-  morsel_opts.morsels.morsel_size = morsel_size;
-  morsel_opts.morsels.pool = pool;
-
-  // Interleave the two paths rep by rep so both take their best from
-  // the same machine state (frequency scaling and cache residency
-  // drift across a run on small hosts).
-  Table batch_out, morsel_out;
-  metrics::Histogram hist;
-  res.batch_ms = 1e300;
-  res.morsel_ms = 1e300;
-  for (int i = 0; i < reps; ++i) {
-    res.batch_ms =
-        std::min(res.batch_ms, RunTimedOpts(t, stmt, batch_opts, 1, &batch_out));
-    res.morsel_ms = std::min(
-        res.morsel_ms,
-        RunTimedOpts(t, stmt, morsel_opts, 1, &morsel_out, &hist));
-  }
-  res.latency = hist.Snapshot();
-
-  if (batch_out.num_rows() != morsel_out.num_rows() ||
-      batch_out.num_columns() != morsel_out.num_columns()) {
-    std::fprintf(stderr, "BENCH FATAL: %s batch/morsel shape mismatch\n",
-                 name.c_str());
-    std::exit(1);
-  }
-  for (size_t r = 0; r < batch_out.num_rows(); ++r) {
-    for (size_t c = 0; c < batch_out.num_columns(); ++c) {
-      if (!(batch_out.GetValue(r, c) == morsel_out.GetValue(r, c))) {
-        std::fprintf(stderr,
-                     "BENCH FATAL: %s batch/morsel value mismatch at "
-                     "(%zu, %zu)\n",
-                     name.c_str(), r, c);
-        std::exit(1);
-      }
-    }
-  }
-  std::printf("%-14s morsel=%-7zu threads=%zu  batch %8.2f ms   "
-              "morsel %8.2f ms   ratio %5.2fx\n",
-              name.c_str(), morsel_size, res.threads, res.batch_ms,
-              res.morsel_ms, res.ratio());
-  return res;
-}
-
 }  // namespace
 }  // namespace bench
 }  // namespace mosaic
@@ -246,7 +167,7 @@ int main() {
     return 1;
   }
   std::fprintf(json, "{\n  \"rows\": %zu,\n", rows);
-  PrintHostJson(json, /*morsel_threads=*/1);
+  PrintHostJson(json, 1);
   std::fprintf(json, "  \"benches\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];
@@ -260,64 +181,5 @@ int main() {
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
   std::printf("wrote BENCH_executor.json\n");
-
-  // --- Morsel-parallel configurations -----------------------------------
-  // Pool size defaults to the hardware; MOSAIC_BENCH_THREADS overrides
-  // it so the bench script can record an explicit multi-threaded leg
-  // (MOSAIC_MORSELS is taken: it sets the engine-wide morsel size).
-  size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  if (const char* env = std::getenv("MOSAIC_BENCH_THREADS")) {
-    hw = std::max<size_t>(1, static_cast<size_t>(std::atoll(env)));
-  }
-  ThreadPool pool(hw);
-  std::printf("morsel pool: %zu worker(s) + caller\n", pool.num_threads());
-  const size_t morsel_sizes[] = {16384, 65536};
-  const char* queries[][2] = {
-      {"filter_agg",
-       "SELECT COUNT(*), SUM(delay), AVG(delay) FROM t "
-       "WHERE dist BETWEEN 500 AND 1500 AND carrier IN ('AA', 'WN')"},
-      {"group_by",
-       "SELECT carrier, COUNT(*), SUM(delay), AVG(dist) FROM t "
-       "WHERE dist > 250 GROUP BY carrier ORDER BY carrier"},
-      {"order_limit",
-       "SELECT dist, delay FROM t WHERE delay > 0 "
-       "ORDER BY dist DESC LIMIT 100"},
-  };
-  std::vector<MorselBenchResult> morsel_results;
-  for (const auto& q : queries) {
-    for (size_t ms : morsel_sizes) {
-      // 1-thread configuration first (no pool: the acceptance bar is
-      // that partition/merge overhead stays within noise), then the
-      // pooled configuration.
-      morsel_results.push_back(
-          RunMorselBench(t, q[0], q[1], ms, nullptr, /*reps=*/5));
-      morsel_results.push_back(
-          RunMorselBench(t, q[0], q[1], ms, &pool, /*reps=*/5));
-    }
-  }
-
-  std::FILE* mjson = std::fopen("BENCH_morsel.json", "w");
-  if (mjson == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_morsel.json\n");
-    return 1;
-  }
-  std::fprintf(mjson, "{\n  \"rows\": %zu,\n  \"pool_threads\": %zu,\n",
-               rows, pool.num_threads());
-  PrintHostJson(mjson, pool.num_threads() + 1);
-  std::fprintf(mjson, "  \"benches\": [\n");
-  for (size_t i = 0; i < morsel_results.size(); ++i) {
-    const MorselBenchResult& r = morsel_results[i];
-    std::fprintf(mjson,
-                 "    {\"name\": \"%s\", \"morsel_size\": %zu, "
-                 "\"threads\": %zu, \"batch_ms\": %.3f, "
-                 "\"morsel_ms\": %.3f, \"speedup\": %.2f, ",
-                 r.name.c_str(), r.morsel_size, r.threads, r.batch_ms,
-                 r.morsel_ms, r.ratio());
-    PrintLatencyJson(mjson, r.latency);
-    std::fprintf(mjson, "}%s\n", i + 1 < morsel_results.size() ? "," : "");
-  }
-  std::fprintf(mjson, "  ]\n}\n");
-  std::fclose(mjson);
-  std::printf("wrote BENCH_morsel.json\n");
   return 0;
 }

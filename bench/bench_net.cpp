@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(json, "{\n");
-  bench::PrintHostJson(json, /*morsel_threads=*/0);
+  bench::PrintHostJson(json, 0);
   std::fprintf(json,
                "  \"cpus_allowed\": %d,\n  \"clients\": %zu,\n"
                "  \"queries_per_client\": %zu,\n  \"benches\": [\n",

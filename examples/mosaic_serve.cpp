@@ -11,7 +11,6 @@
 //     --request-threads=N      request pool size          (default 4)
 //     --generation-threads=N   OPEN generation pool size  (default 4)
 //     --max-connections=N      concurrent connection cap  (default 64)
-//     --morsels=N              intra-query morsel size    (default off)
 //     --metrics-port=N         serve Prometheus text on
 //                              http://HOST:N/metrics (default off;
 //                              0 = ephemeral, port printed at startup)
@@ -121,7 +120,6 @@ int main(int argc, char** argv) {
   std::string port_file;
   std::string log_json_path;
   uint64_t log_json_max_bytes = elog::EventLog::kDefaultMaxBytes;
-  uint64_t morsel_size = 0;
   uint64_t snapshot_interval_s = 300;
   bool demo_world = false;
   bool metrics_enabled = false;
@@ -146,8 +144,6 @@ int main(int argc, char** argv) {
       service_opts.num_generation_threads = n;
     } else if (NumericFlag(arg, "max-connections", &n)) {
       server_opts.max_connections = n;
-    } else if (NumericFlag(arg, "morsels", &n)) {
-      morsel_size = n;
     } else if (NumericFlag(arg, "metrics-port", &n)) {
       if (n > 65535) {
         std::fprintf(stderr,
@@ -180,7 +176,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  service_opts.morsel_size = static_cast<size_t>(morsel_size);
 
   // Open the structured event sink before the service exists so
   // recovery events from the durable engine land in it too.

@@ -11,7 +11,7 @@ silently-vanished benchmark is visible in the log).
 
 Every latency_us summary on both sides is paired by a stable key —
 the file basename, the bench entry's "name", and any scalar shape
-fields that distinguish repeated names (morsel_size, threads, ...).
+fields that distinguish repeated names (threads, clients, ...).
 For each pair the chosen metric (default p50; p95/p99 are printed for
 context but too noisy near bucket edges to gate on) is diffed, and the
 run fails with exit code 1 if any pair regresses by more than
@@ -27,7 +27,7 @@ import sys
 
 BENCH_PREFIX = "BENCH_"
 # Scalar fields that identify a bench entry when "name" repeats.
-SHAPE_FIELDS = ("morsel_size", "threads", "clients", "rows")
+SHAPE_FIELDS = ("threads", "clients", "rows")
 
 
 def collect_summaries(path, base):

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Build (Release) and run the executor benchmark, leaving
-# BENCH_executor.json and BENCH_morsel.json in the repository root.
+# BENCH_executor.json in the repository root.
 # Usage:
 #   scripts/bench_exec.sh [rows]
 # rows defaults to 1000000 (the acceptance-criteria scale).
@@ -17,17 +17,3 @@ MOSAIC_BENCH_ROWS="${ROWS}" ./build-release/bench_executor
 
 echo "--- BENCH_executor.json ---"
 cat BENCH_executor.json
-echo "--- BENCH_morsel.json ---"
-cat BENCH_morsel.json
-
-# Multi-threaded morsel leg: rerun the morsel comparison with an
-# explicit pool size so hosts whose default is one thread still record
-# a parallel data point (the JSON's host block says which is which).
-THREADS="${MOSAIC_BENCH_THREADS:-4}"
-if [[ "${THREADS}" -gt 1 ]]; then
-  MOSAIC_BENCH_ROWS="${ROWS}" MOSAIC_BENCH_THREADS="${THREADS}" \
-    ./build-release/bench_executor
-  mv BENCH_morsel.json "BENCH_morsel_t${THREADS}.json"
-  echo "--- BENCH_morsel_t${THREADS}.json ---"
-  cat "BENCH_morsel_t${THREADS}.json"
-fi

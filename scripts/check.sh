@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: configure, build, and run the test suite in Release
-# mode (plain and morsel-parallel), again under AddressSanitizer
-# (MOSAIC_SANITIZE=address), and a ThreadSanitizer pass over the
-# concurrency-sensitive tests (the query service routes reads through
-# the shared-lock batch executor and morsels fan intra-query work onto
-# the shared request pool, so the TSan leg is not optional). A static
+# mode, again under AddressSanitizer (MOSAIC_SANITIZE=address), and a
+# ThreadSanitizer pass over the concurrency-sensitive tests (the query
+# service runs concurrent statements through the shared-lock batch
+# executor on its request pool, so the TSan leg is not optional). A static
 # leg (lint gate + Clang thread-safety analysis + clang-tidy) runs
 # first when the tooling is present. Pass "fast" as $1 to skip the
 # static and TSan legs for quick local iterations.
@@ -246,14 +245,6 @@ cmake --build build-perfbench -j "${JOBS}" --target perfbench \
   perfbench_selftest
 ./build-perfbench/perfbench_selftest
 
-# Morsel leg: every suite again with morsel-split batch execution
-# (MOSAIC_MORSELS sets the engine-wide morsel size; results must be
-# bit-identical, so every existing assertion doubles as a parity
-# check).
-echo "=== Release + MOSAIC_MORSELS=4: ctest ==="
-MOSAIC_MORSELS=4 ctest --test-dir build-release --output-on-failure \
-  -j "${JOBS}"
-
 # Tracing must never change results: run the cross-path SQL parity
 # fuzzer and the service suite with per-query tracing forced on, so
 # every parity assertion doubles as a traced-vs-untraced check. The
@@ -265,9 +256,6 @@ MOSAIC_MORSELS=4 ctest --test-dir build-release --output-on-failure \
 echo "=== Release + MOSAIC_TRACE=1: traced parity ==="
 MOSAIC_TRACE=1 ctest --test-dir build-release --output-on-failure \
   -R 'test_(sql_fuzz|service|net_e2e|system_tables)'
-echo "=== Release + MOSAIC_TRACE=1 + MOSAIC_MORSELS=4: traced parity ==="
-MOSAIC_TRACE=1 MOSAIC_MORSELS=4 ctest --test-dir build-release \
-  --output-on-failure -R 'test_(sql_fuzz|service|net_e2e|system_tables)'
 
 # Scalar-parity leg: the SIMD kernels must be bit-identical to the
 # scalar reference end to end, not just per kernel. MOSAIC_SIMD=0
@@ -295,14 +283,6 @@ cmake --build build-ubsan -j "${JOBS}" --target \
 UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-ubsan \
   --output-on-failure \
   -R 'test_(simd_kernels|exec_parity|executor|sql_fuzz|durable|durable_recovery|ipf|marginal|reweight)'
-# Again with small morsels: split filtering compacts survivors in place
-# across per-morsel offsets, and split group keys remap local ids
-# through per-morsel tables, so index arithmetic there must stay
-# UB-free at odd morsel boundaries too.
-echo "=== UBSan + MOSAIC_MORSELS=3: executor tests ==="
-MOSAIC_MORSELS=3 UBSAN_OPTIONS=halt_on_error=1 ctest \
-  --test-dir build-ubsan --output-on-failure \
-  -R 'test_(executor|exec_parity)'
 
 # Bench JSON smoke: the bench binaries must emit parseable JSON with
 # the latency histogram fields (BENCH_*.json feeds dashboards; a
@@ -317,7 +297,6 @@ echo "=== Release: bench JSON smoke ==="
   python3 - <<'EOF'
 import json, sys
 for name, want_latency in [("BENCH_executor.json", True),
-                           ("BENCH_morsel.json", True),
                            ("BENCH_net.json", True),
                            ("BENCH_durable.json", False)]:
     with open(name) as f:
@@ -363,9 +342,9 @@ run_crash_recovery "ASan" build-asan
 if [[ "${1:-}" != "fast" ]]; then
   # TSan pass over the threaded subsystem tests (the full suite under
   # TSan is slow; these are the tests that exercise concurrency —
-  # concurrent reads through the batch executor, morsel fan-out on the
-  # shared request pool, and the cross-path SQL fuzzer's parallel
-  # morsel runs).
+  # the thread pool, concurrent reads through the batch executor on
+  # the shared request pool, readers racing writers, and parallel
+  # OPEN generation).
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DMOSAIC_SANITIZE=thread
   cmake --build build-tsan -j "${JOBS}" --target \
@@ -374,11 +353,9 @@ if [[ "${1:-}" != "fast" ]]; then
     test_system_tables test_event_log
   ctest --test-dir build-tsan --output-on-failure \
     -R 'test_(thread_pool|lru_cache|service|sql_fuzz|net_e2e|weight_epochs|metrics_registry|system_tables|event_log)'
-  # And once more with engine-wide morsels on (so every service-level
-  # query also fans intra-query morsels across the request pool) plus
-  # tracing forced on, racing the query-log ring and the system-table
-  # readers against traced execution.
-  MOSAIC_MORSELS=4 MOSAIC_TRACE=1 ctest --test-dir build-tsan \
+  # And once more with tracing forced on, racing the query-log ring
+  # and the system-table readers against traced execution.
+  MOSAIC_TRACE=1 ctest --test-dir build-tsan \
     --output-on-failure \
     -R 'test_(thread_pool|lru_cache|service|sql_fuzz|net_e2e|weight_epochs|metrics_registry|system_tables|event_log)'
 fi

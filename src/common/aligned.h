@@ -3,7 +3,7 @@
 // Column payloads, selection vectors, and batch outputs are read by
 // the vector kernels in exec/simd.h; starting every such allocation on
 // a cache-line boundary means a full-width load at a span head never
-// straddles lines (morsel slices still start mid-buffer — the kernels
+// straddles lines (block offsets still start mid-buffer — the kernels
 // use unaligned loads and only the base allocation is guaranteed).
 #ifndef MOSAIC_COMMON_ALIGNED_H_
 #define MOSAIC_COMMON_ALIGNED_H_

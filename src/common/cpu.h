@@ -27,9 +27,9 @@ SimdIsa DetectBestSimdIsa();
 /// True when `isa` can run on this CPU.
 bool CpuSupports(SimdIsa isa);
 
-/// Hardware threads (>= 1) — recorded in bench JSON so a 1.0x morsel
-/// "speedup" on a 1-core container is attributable from the file
-/// alone.
+/// Hardware threads (>= 1) — recorded in bench JSON so a flat
+/// thread-scaling figure on a 1-core host is attributable from the
+/// file alone.
 size_t HardwareThreads();
 
 }  // namespace mosaic

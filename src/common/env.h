@@ -1,8 +1,8 @@
-// Hardened environment-variable parsing for Mosaic's numeric knobs
-// (MOSAIC_MORSELS and friends). A mistyped value used to be silently
-// ignored or, worse, silently truncated by atoll; these helpers warn
-// once on stderr and fall back to "unset" so a bad knob can never
-// half-configure the engine.
+// Hardened environment-variable parsing for Mosaic's knobs
+// (MOSAIC_SLOW_QUERY_MS, MOSAIC_TRACE and friends). A mistyped value
+// used to be silently ignored or, worse, silently truncated by atoll;
+// these helpers warn once on stderr and fall back to "unset" so a bad
+// knob can never half-configure the engine.
 #ifndef MOSAIC_COMMON_ENV_H_
 #define MOSAIC_COMMON_ENV_H_
 

@@ -1,6 +1,6 @@
 // The query log: a process-wide bounded ring of per-query resource
 // records. Every statement the service runs — traced or not — rolls
-// its wall/CPU time, row/morsel/epoch tallies, cache outcome, SIMD
+// its wall/CPU time, row/epoch tallies, cache outcome, SIMD
 // ISA, and (when traced) the full span tree into one QueryRecord and
 // appends it here. `system.queries` is a snapshot of this ring
 // rendered as a table, so the introspection surface is plain SQL.
@@ -51,7 +51,6 @@ struct QueryRecord {
   uint64_t cpu_ns = 0;     ///< thread CPU of the statement span
   uint64_t rows_scanned = 0;
   uint64_t rows_produced = 0;
-  uint64_t morsels = 0;
   uint64_t epoch_pins = 0;
   std::string simd_isa;
   std::vector<RecordSpan> spans;  ///< empty when the query was untraced

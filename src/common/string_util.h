@@ -40,7 +40,7 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// must fit uint64. Rejects empty input, signs, trailing garbage, and
 /// overflow — the shared parser behind numeric environment knobs
 /// (common/env.h) and the server binaries' flag parsing, so a typo'd
-/// `MOSAIC_MORSELS=1e6` or `--port=80x` fails loudly instead of
+/// `MOSAIC_SLOW_QUERY_MS=1e6` or `--port=80x` fails loudly instead of
 /// silently misconfiguring.
 [[nodiscard]] Result<uint64_t> ParseUint64(std::string_view s);
 

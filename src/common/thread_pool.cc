@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace mosaic {
 
@@ -39,41 +38,6 @@ void ThreadPool::Wait() {
   while (scheduled_ != 0) all_done_.Wait(lock);
 }
 
-bool ThreadPool::TryRunOne() {
-  std::function<void()> task;
-  {
-    MutexLock lock(mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  task();
-  {
-    MutexLock lock(mu_);
-    --scheduled_;
-    if (scheduled_ == 0) all_done_.NotifyAll();
-  }
-  return true;
-}
-
-void ThreadPool::HelpUntil(const std::function<bool()>& ready) {
-  while (!ready()) {
-    if (TryRunOne()) continue;
-    // Queue empty and not ready: the awaited task is running on
-    // another worker. Sleep until new work is queued (we might help
-    // with it) or a short timeout re-checks `ready` — the awaited
-    // completion has no dedicated signal.
-    MutexLock lock(mu_);
-    if (!queue_.empty()) continue;
-    wake_worker_.WaitFor(lock, std::chrono::milliseconds(1));
-  }
-  // While waiting we may have consumed a Submit's notify_one that was
-  // meant for an idle worker; if work is still queued as we leave,
-  // pass the baton on so no task is stranded behind our exit.
-  MutexLock lock(mu_);
-  if (!queue_.empty()) wake_worker_.NotifyOne();
-}
-
 void ThreadPool::Shutdown() {
   {
     MutexLock lock(mu_);
@@ -87,11 +51,6 @@ void ThreadPool::Shutdown() {
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
-}
-
-size_t ThreadPool::pending() const {
-  MutexLock lock(mu_);
-  return scheduled_;
 }
 
 }  // namespace mosaic

@@ -2,21 +2,17 @@
 // and get std::futures back; the destructor drains the queue and
 // joins the workers (graceful shutdown).
 //
-// Used by the query service for request fan-out, by the Database for
-// parallel OPEN-query sample generation, and by the morsel executor
-// for intra-query parallelism. Nested blocking — a pool task waiting
-// on futures served by the *same* pool — can deadlock once every
-// worker blocks. Two escape hatches exist:
-//   - the service keeps two pools (requests vs generation), so a
-//     request task blocking on generation futures always has workers
-//     to serve it;
-//   - TryRunOne()/HelpUntil() are the generic run-inline fallback for
-//     a task that must wait on sibling work in its *own* pool: queued
-//     tasks run inline while waiting, so progress never depends on a
-//     free worker. No production path currently needs them — the
-//     morsel driver avoids blocking on queued work altogether via its
-//     claim loop (exec/morsel.h) — but any future nested wait must go
-//     through them rather than a bare future.get().
+// Two pools of this kind serve the query service
+// (service/query_service.h):
+//   - the request pool runs whole statements, one statement per
+//     task, fanned out from sessions and the network server;
+//   - the generation pool produces an OPEN query's generated samples
+//     in parallel (core::Database::set_generation_pool).
+// They are two pools because a request task blocks on the futures of
+// its generation tasks. Were those queued on the request pool, every
+// worker could end up waiting on work queued behind itself, and the
+// pool would deadlock. A task must never block on futures served by
+// its own pool.
 #ifndef MOSAIC_COMMON_THREAD_POOL_H_
 #define MOSAIC_COMMON_THREAD_POOL_H_
 
@@ -70,33 +66,16 @@ class ThreadPool {
   /// Blocks until every task submitted so far has finished.
   void Wait();
 
-  /// Pop one queued task and run it on the calling thread; returns
-  /// false when the queue is empty. The run-inline fallback for tasks
-  /// that would otherwise block on work stuck behind them in the
-  /// queue (safe to call from inside a pool task).
-  bool TryRunOne();
-
-  /// Block until `ready()` returns true, draining queued tasks on the
-  /// calling thread while waiting. Unlike waiting on a future, this
-  /// cannot deadlock when called from a pool task: the work being
-  /// waited for is either running on another worker (and will
-  /// finish) or still queued (and gets run here inline). `ready` is
-  /// called with no pool lock held and must be thread-safe.
-  void HelpUntil(const std::function<bool()>& ready);
-
   /// Stop accepting new tasks, finish the queue, join the workers.
   /// Idempotent; also called by the destructor.
   void Shutdown();
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Tasks submitted but not yet finished (queued + running).
-  size_t pending() const;
-
  private:
   void WorkerLoop();
 
-  mutable Mutex mu_;
+  Mutex mu_;
   /// Serializes concurrent Shutdown() callers over the join loop.
   Mutex join_mu_;
   CondVar wake_worker_;

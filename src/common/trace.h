@@ -4,10 +4,10 @@
 // (EXPLAIN ANALYZE).
 //
 // Threading model. Spans name their parent explicitly (Begin takes a
-// parent id) instead of keeping an implicit per-thread stack: morsel
-// workers and generation-pool threads record spans for the same query
-// from several threads at once, so "current span" is ambiguous — the
-// call site always knows its parent and captures the id into worker
+// parent id) instead of keeping an implicit per-thread stack: an OPEN
+// query's generation-pool tasks record spans for the same query from
+// several threads at once, so "current span" is ambiguous — the call
+// site always knows its parent and captures the id into worker
 // lambdas. One mutex guards the span vector; it is only ever touched
 // when tracing is on.
 //
@@ -56,13 +56,12 @@ inline constexpr uint32_t kNoParent = 0;
 uint64_t ThreadCpuNs();
 
 /// Per-query resource tallies, accumulated alongside the spans. All
-/// counters are relaxed atomics: morsel workers bump them from many
-/// threads, and exact interleaving does not matter — only the final
-/// totals, read after the query completes, do.
+/// counters are relaxed atomics: generation-pool tasks bump them from
+/// several threads, and exact interleaving does not matter — only the
+/// final totals, read after the query completes, do.
 struct ResourceCounters {
   std::atomic<uint64_t> rows_scanned{0};   ///< rows examined by WHERE
   std::atomic<uint64_t> rows_produced{0};  ///< rows in the result
-  std::atomic<uint64_t> morsels{0};        ///< morsel tasks executed
   std::atomic<uint64_t> epoch_pins{0};     ///< weight epochs pinned
   /// -1 unknown (not a cacheable read), 0 miss, 1 hit.
   std::atomic<int> cache_hit{-1};
@@ -83,7 +82,7 @@ class QueryTrace {
   uint64_t trace_id() const { return trace_id_; }
 
   /// Resource tallies for the whole query (thread-safe to bump from
-  /// morsel workers; see ResourceCounters).
+  /// generation-pool tasks; see ResourceCounters).
   ResourceCounters& counters() { return counters_; }
   const ResourceCounters& counters() const { return counters_; }
 
@@ -141,15 +140,6 @@ inline void CountRowsScanned(QueryTrace* trace, uint64_t n) {
 inline void CountRowsProduced(QueryTrace* trace, uint64_t n) {
   if (trace != nullptr)
     trace->counters().rows_produced.fetch_add(n, std::memory_order_relaxed);
-}
-/// Bulk variant for fan-out sites where the task count is known up
-/// front. Call it once outside the per-morsel lambda: an atomic RMW
-/// inside a hot lambda body (even behind a null check) pessimizes the
-/// surrounding loop's codegen, which showed up as ~5% on the group-by
-/// batch bench.
-inline void CountMorsels(QueryTrace* trace, uint64_t n) {
-  if (trace != nullptr)
-    trace->counters().morsels.fetch_add(n, std::memory_order_relaxed);
 }
 inline void CountEpochPin(QueryTrace* trace) {
   if (trace != nullptr)

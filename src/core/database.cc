@@ -8,7 +8,6 @@
 #include <set>
 #include <sstream>
 
-#include "common/env.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/query_log.h"
@@ -157,14 +156,6 @@ Database::Database()
   open_.mswg.steps_per_epoch = 30;
   open_.mswg.batch_size = 256;
   open_.mswg.projections_per_step = 16;
-  // MOSAIC_MORSELS=<rows> turns on morsel-split batch execution
-  // engine-wide (CI runs every suite this way; see scripts/check.sh).
-  // Parallelism still requires a pool — set_morsel_pool, which the
-  // query service wires to its request pool. Garbage or overflowing
-  // values warn and leave morsels disabled (common/env.h).
-  if (auto size = EnvSize("MOSAIC_MORSELS"); size.has_value() && *size > 0) {
-    morsel_size_ = *size;
-  }
   // The six system tables always resolve: queries and metrics read
   // the live process-wide stores, weight_epochs this catalog's
   // samples; sessions/connections/snapshots are empty schema stubs
@@ -239,17 +230,10 @@ Result<Table> Database::ExecuteSystemSelect(const sql::SelectStmt& stmt,
                 " rows=" + std::to_string(snapshot.num_rows()));
     }
   }
-  exec::ExecOptions opts = BatchExecOptions();
+  exec::ExecOptions opts;
   opts.trace = trace;
   opts.trace_parent = trace_parent;
   return exec::ExecuteSelect(snapshot, stmt, opts);
-}
-
-exec::ExecOptions Database::BatchExecOptions() const {
-  exec::ExecOptions opts;
-  opts.morsels.morsel_size = morsel_size_;
-  opts.morsels.pool = morsel_pool_;
-  return opts;
 }
 
 Result<Table> Database::Execute(const std::string& sql) {
@@ -357,7 +341,7 @@ Result<Table> Database::ExecuteSelect(const sql::SelectStmt& stmt,
           "' is an auxiliary table");
     }
     MOSAIC_ASSIGN_OR_RETURN(Table* table, catalog_.GetTable(stmt.from));
-    exec::ExecOptions opts = BatchExecOptions();
+    exec::ExecOptions opts;
     opts.trace = trace;
     opts.trace_parent = trace_parent;
     return exec::ExecuteSelect(*table, stmt, opts);
@@ -388,7 +372,7 @@ Result<Table> Database::ExecuteSelect(const sql::SelectStmt& stmt,
     }
     MOSAIC_ASSIGN_OR_RETURN(TableView view,
                             MakeWeightedView(sample->data, epoch->weights));
-    exec::ExecOptions opts = BatchExecOptions();
+    exec::ExecOptions opts;
     opts.trace = trace;
     opts.trace_parent = trace_parent;
     return exec::ExecuteSelect(view, SelectionVector::All(view.num_rows()),
@@ -520,7 +504,7 @@ Result<Table> Database::ExecutePopulationQuery(const sql::SelectStmt& stmt,
       TableView view(sample->data);
       MOSAIC_ASSIGN_OR_RETURN(SelectionVector sel,
                               PopulationSelection(view, *population));
-      exec::ExecOptions opts = BatchExecOptions();
+      exec::ExecOptions opts;
       opts.trace = trace;
       opts.trace_parent = trace_parent;
       return exec::ExecuteSelect(view, std::move(sel), stmt, opts);
@@ -549,7 +533,7 @@ Result<Table> Database::ExecutePopulationQuery(const sql::SelectStmt& stmt,
                               MakeWeightedView(sample->data, epoch->weights));
       MOSAIC_ASSIGN_OR_RETURN(SelectionVector sel,
                               PopulationSelection(view, *population));
-      exec::ExecOptions opts = BatchExecOptions();
+      exec::ExecOptions opts;
       opts.weight_column = kWeightColumn;
       opts.trace = trace;
       opts.trace_parent = trace_parent;
@@ -589,7 +573,7 @@ Result<Table> Database::ExecutePopulationQuery(const sql::SelectStmt& stmt,
                                   MakeWeightedView(gen.data, gen.weights));
           MOSAIC_ASSIGN_OR_RETURN(SelectionVector sel,
                                   SelectWhere(view, model.restrict_predicate));
-          exec::ExecOptions opts = BatchExecOptions();
+          exec::ExecOptions opts;
           opts.weight_column = kWeightColumn;
           opts.trace = trace;
           opts.trace_parent = gen_span.id();

@@ -283,31 +283,8 @@ class Database {
   /// pool must not be one whose tasks block on this Database (the
   /// query service dedicates a generation pool).
   void set_generation_pool(ThreadPool* pool) { gen_pool_ = pool; }
-  ThreadPool* generation_pool() const { return gen_pool_; }
-
-  /// Morsel-parallel execution for every visibility level: when
-  /// `morsel_size` > 0, SELECTs split their selection into morsels of
-  /// that many rows and run them on the executing thread plus the
-  /// morsel pool's idle workers (below), merging in deterministic
-  /// morsel order — bit-identical to the unsplit run at every size
-  /// and thread count. 0 runs each SELECT as one morsel. Also enabled
-  /// by MOSAIC_MORSELS=<size> in the environment.
-  void set_morsel_options(size_t morsel_size) { morsel_size_ = morsel_size; }
-  size_t morsel_size() const { return morsel_size_; }
-
-  /// Pool supplying the extra intra-query workers. Safe to share with
-  /// a pool that also runs whole queries (the service's request
-  /// pool): the morsel driver claims work without ever blocking on
-  /// pool capacity, so saturation cannot deadlock (exec/morsel.h).
-  /// Null runs morsels on the executing thread only.
-  void set_morsel_pool(ThreadPool* pool) { morsel_pool_ = pool; }
-  ThreadPool* morsel_pool() const { return morsel_pool_; }
 
  private:
-  /// ExecOptions carrying this engine's morsel configuration — the
-  /// base every SELECT builds on.
-  exec::ExecOptions BatchExecOptions() const;
-
   [[nodiscard]] Result<Table> ExecuteStatement(sql::Statement* stmt,
                                  trace::QueryTrace* trace = nullptr,
                                  uint32_t trace_parent = 0);
@@ -468,8 +445,6 @@ class Database {
   /// cycle budget without converging.
   metrics::Counter* ipf_plateaued_ = nullptr;
   ThreadPool* gen_pool_ = nullptr;
-  ThreadPool* morsel_pool_ = nullptr;
-  size_t morsel_size_ = 0;
   bool union_samples_ = false;
   /// Write-ahead-logging hook; null when running without durability.
   DurabilitySink* durability_ = nullptr;

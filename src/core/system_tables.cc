@@ -25,7 +25,6 @@ namespace {
            {"cpu_us", DataType::kInt64},
            {"rows_scanned", DataType::kInt64},
            {"rows_produced", DataType::kInt64},
-           {"morsels", DataType::kInt64},
            {"epoch_pins", DataType::kInt64},
            {"simd_isa", DataType::kString},
            {"span", DataType::kString},
@@ -65,7 +64,6 @@ std::string TraceIdHex(uint64_t trace_id) {
            Value(static_cast<int64_t>(rec.cpu_ns / 1000)),
            Value(static_cast<int64_t>(rec.rows_scanned)),
            Value(static_cast<int64_t>(rec.rows_produced)),
-           Value(static_cast<int64_t>(rec.morsels)),
            Value(static_cast<int64_t>(rec.epoch_pins)), Value(rec.simd_isa),
            Value(span), Value(span_id), Value(parent_id), Value(start_us),
            Value(duration_us), Value(span_cpu_us), Value(detail)});

@@ -1,9 +1,8 @@
 // Builders for the `system.*` introspection tables. Each builder
 // materializes a point-in-time snapshot of live engine state as a
 // plain Table; the planner (core::Database::ExecuteSelect) then runs
-// the ordinary executor (split into morsels or not) over a zero-copy
-// view of it, so system tables get WHERE/GROUP BY/ORDER BY — and
-// cross-path bit-identity — for free.
+// the ordinary executor over a zero-copy view of it, so system tables
+// get WHERE/GROUP BY/ORDER BY for free.
 //
 // The builders for state that lives above core (service sessions, net
 // connections, durable snapshots) are registered at startup via

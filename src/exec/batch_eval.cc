@@ -106,8 +106,7 @@ bool IsNumericSpan(const ColumnSpan& span) {
 /// String column vs string literal: resolve the literal through the
 /// dictionary once, then compare codes (Eq/Ne) or a per-code truth
 /// table (ordering ops) — no per-row decoding. All comparison kernels
-/// write into a caller-provided mask so each morsel can aim them
-/// straight at its range of the shared output (no splice copy).
+/// write into a caller-provided mask.
 void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
                      sql::BinaryOp op, SelectionSlice rows,
                      uint8_t* mask) {
@@ -467,6 +466,11 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
   return out;
 }
 
+namespace {
+
+/// Size `out` for `n` results of `expr` (type, payload vector, and —
+/// for string column refs — the shared dictionary), without
+/// evaluating anything. Errors on untyped expressions.
 [[nodiscard]] Status PrepareBatchVec(const BoundExpr& expr, const TableView& view,
                        size_t n, BatchVec* out) {
   out->type = expr.type;
@@ -496,19 +500,21 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
   }
 }
 
+/// Evaluate into a prepared `out` (PrepareBatchVec), whose type must
+/// match the expression.
 [[nodiscard]] Status EvalBatchInto(const BoundExpr& expr, const TableView& view,
-                     SelectionSlice rows, BatchVec* out, size_t offset) {
+                     SelectionSlice rows, BatchVec* out) {
   const size_t n = rows.size();
   if (out->type != expr.type) {
     return Status::Internal("batch output type mismatch");
   }
   switch (expr.type) {
     case DataType::kBool:
-      return EvalMaskInto(expr, view, rows, out->b8.data() + offset);
+      return EvalMaskInto(expr, view, rows, out->b8.data());
     case DataType::kDouble:
-      return EvalDoubleInto(expr, view, rows, out->f64.data() + offset);
+      return EvalDoubleInto(expr, view, rows, out->f64.data());
     case DataType::kInt64: {
-      int64_t* dst = out->i64.data() + offset;
+      int64_t* dst = out->i64.data();
       switch (expr.kind) {
         case BoundExpr::Kind::kLiteral: {
           const int64_t v = expr.literal.AsInt64();
@@ -521,8 +527,7 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
           return Status::OK();
         }
         case BoundExpr::Kind::kUnary: {
-          MOSAIC_RETURN_IF_ERROR(
-              EvalBatchInto(*expr.child, view, rows, out, offset));
+          MOSAIC_RETURN_IF_ERROR(EvalBatchInto(*expr.child, view, rows, out));
           for (size_t i = 0; i < n; ++i) dst[i] = -dst[i];
           return Status::OK();
         }
@@ -547,13 +552,13 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
           if (out->dict != span.dict) {
             return Status::Internal("batch output dictionary mismatch");
           }
-          int32_t* dst = out->codes.data() + offset;
+          int32_t* dst = out->codes.data();
           simd::ActiveKernels().gather_i32(span.codes, rows.data(), n, dst);
           return Status::OK();
         }
         case BoundExpr::Kind::kLiteral: {
           const std::string& v = expr.literal.AsString();
-          for (size_t i = 0; i < n; ++i) out->strs[offset + i] = v;
+          for (size_t i = 0; i < n; ++i) out->strs[i] = v;
           return Status::OK();
         }
         default:
@@ -565,11 +570,13 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
   }
 }
 
+}  // namespace
+
 [[nodiscard]] Result<BatchVec> EvalBatch(const BoundExpr& expr, const TableView& view,
                            SelectionSlice rows) {
   BatchVec out;
   MOSAIC_RETURN_IF_ERROR(PrepareBatchVec(expr, view, rows.size(), &out));
-  MOSAIC_RETURN_IF_ERROR(EvalBatchInto(expr, view, rows, &out, 0));
+  MOSAIC_RETURN_IF_ERROR(EvalBatchInto(expr, view, rows, &out));
   return out;
 }
 
@@ -578,6 +585,9 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
   return FilterView(view, predicate, SelectionVector::All(view.num_rows()));
 }
 
+namespace {
+
+/// The conjuncts of `predicate`'s AND spine, left to right.
 std::vector<const BoundExpr*> FlattenConjuncts(const BoundExpr& predicate) {
   std::vector<const BoundExpr*> conjuncts;
   std::vector<const BoundExpr*> stack{&predicate};
@@ -596,6 +606,10 @@ std::vector<const BoundExpr*> FlattenConjuncts(const BoundExpr& predicate) {
   return conjuncts;
 }
 
+/// Refine rows[0, n) in place through `conjuncts`: each conjunct only
+/// runs on the survivors of the ones before it (row-oracle
+/// short-circuit parity). Survivors keep their order in rows[0, kept);
+/// returns kept.
 [[nodiscard]] Result<size_t> RefineRows(
     const TableView& view, const std::vector<const BoundExpr*>& conjuncts,
     uint32_t* rows, size_t n) {
@@ -609,6 +623,8 @@ std::vector<const BoundExpr*> FlattenConjuncts(const BoundExpr& predicate) {
   }
   return n;
 }
+
+}  // namespace
 
 [[nodiscard]] Result<SelectionVector> FilterView(const TableView& view,
                                    const BoundExpr& predicate,

@@ -86,11 +86,9 @@ struct BatchVec {
                                       const TableView& view,
                                       SelectionSlice rows);
 
-/// Offset-writing form: the final kernel writes truth values straight
-/// into dst[0..rows.size()), which the executor points at each
-/// morsel's disjoint range of a shared preallocated output — no
-/// per-morsel result vector, no splice copy afterwards. `dst` must
-/// hold rows.size() bytes.
+/// Writing form of EvalMask: the final kernel writes truth values
+/// straight into dst[0..rows.size()), which must hold rows.size()
+/// bytes.
 [[nodiscard]] Status EvalMaskInto(const BoundExpr& expr, const TableView& view,
                     SelectionSlice rows, uint8_t* dst);
 
@@ -101,29 +99,14 @@ struct BatchVec {
                                             const TableView& view,
                                             SelectionSlice rows);
 
-/// Offset-writing form of EvalDoubleBatch; `dst` must hold
-/// rows.size() doubles.
+/// Writing form of EvalDoubleBatch; `dst` must hold rows.size()
+/// doubles.
 [[nodiscard]] Status EvalDoubleInto(const BoundExpr& expr, const TableView& view,
                       SelectionSlice rows, double* dst);
 
 /// Evaluate an expression over `rows` into its statically typed batch.
 [[nodiscard]] Result<BatchVec> EvalBatch(const BoundExpr& expr, const TableView& view,
                            SelectionSlice rows);
-
-/// Size `out` for `n` results of `expr` (type, payload vector, and —
-/// for string column refs — the shared dictionary), without
-/// evaluating anything. The executor prepares one output this way,
-/// then each morsel fills its range via EvalBatchInto. Errors on
-/// untyped expressions, like EvalBatch.
-[[nodiscard]] Status PrepareBatchVec(const BoundExpr& expr, const TableView& view,
-                       size_t n, BatchVec* out);
-
-/// Evaluate into `out` at [offset, offset + rows.size()): the
-/// offset-writing form of EvalBatch over a prepared output. The
-/// payload must already be sized (PrepareBatchVec) and `out->type`
-/// must match the expression.
-[[nodiscard]] Status EvalBatchInto(const BoundExpr& expr, const TableView& view,
-                     SelectionSlice rows, BatchVec* out, size_t offset);
 
 /// Rows of `view` where the bound boolean predicate holds. Conjuncts
 /// refine the selection left to right, so the right side of an AND is
@@ -132,22 +115,11 @@ struct BatchVec {
                                    const BoundExpr& predicate);
 
 /// As above, but refines an existing selection (e.g. a population
-/// restriction) instead of starting from all rows.
+/// restriction, or the executor's WHERE and HAVING) instead of
+/// starting from all rows.
 [[nodiscard]] Result<SelectionVector> FilterView(const TableView& view,
                                    const BoundExpr& predicate,
                                    SelectionVector base);
-
-/// The conjuncts of `predicate`'s AND spine, left to right.
-std::vector<const BoundExpr*> FlattenConjuncts(const BoundExpr& predicate);
-
-/// Refine rows[0, n) in place through `conjuncts`: each conjunct only
-/// runs on the survivors of the ones before it (row-oracle
-/// short-circuit parity). Survivors keep their order in rows[0, kept);
-/// returns kept. Disjoint ranges of one buffer may be refined
-/// concurrently, which is how the executor filters per morsel.
-[[nodiscard]] Result<size_t> RefineRows(
-    const TableView& view, const std::vector<const BoundExpr*>& conjuncts,
-    uint32_t* rows, size_t n);
 
 /// Bind `predicate` against the view's schema and filter.
 [[nodiscard]] Result<SelectionVector> SelectRows(const TableView& view,

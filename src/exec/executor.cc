@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <iterator>
 #include <limits>
 #include <numeric>
@@ -150,33 +149,22 @@ void GatherNumKey(const ColumnSpan& span, const uint32_t* rows, size_t n,
   }
 }
 
-/// Sort key over `rows`, each morsel gathering its disjoint range
-/// (dictionary ranks are computed once, up front).
-SortKeyCol MakeSortKey(const ColumnSpan& span, SelectionSlice rows, bool desc,
-                       const MorselDriver& driver) {
+/// Sort key over `rows`: string columns map each code to its
+/// dictionary rank, numeric columns gather as doubles.
+SortKeyCol MakeSortKey(const ColumnSpan& span, SelectionSlice rows,
+                       bool desc) {
   const size_t n = rows.size();
   SortKeyCol key;
   key.desc = desc;
   key.is_string = span.type == DataType::kString;
-  std::vector<int32_t> ranks;
   if (key.is_string) {
-    ranks = DictionaryRanks(*span.dict);
+    const std::vector<int32_t> ranks = DictionaryRanks(*span.dict);
     key.rank.resize(n);
+    for (size_t i = 0; i < n; ++i) key.rank[i] = ranks[span.codes[rows[i]]];
   } else {
     key.num.resize(n);
+    GatherNumKey(span, rows.data(), n, key.num.data());
   }
-  (void)driver.Run(driver.NumMorsels(n), [&](size_t m) {
-    auto [begin, end] = driver.Range(n, m);
-    if (key.is_string) {
-      for (size_t i = begin; i < end; ++i) {
-        key.rank[i] = ranks[span.codes[rows[i]]];
-      }
-    } else {
-      GatherNumKey(span, rows.data() + begin, end - begin,
-                   key.num.data() + begin);
-    }
-    return Status::OK();
-  });
   return key;
 }
 
@@ -287,7 +275,7 @@ std::optional<size_t> LimitOf(const sql::SelectStmt& stmt) {
                                  "' not in result set");
       }
       keys.push_back(MakeSortKey(ColumnSpan::FromColumn(out->column(*idx)),
-                                 identity, o.descending, MorselDriver()));
+                                 identity, o.descending));
     }
     std::vector<uint32_t> perm =
         SortPermutation(keys, out->num_rows(), limit, used_topn);
@@ -382,7 +370,7 @@ struct GroupKeyCol {
 class GroupIdIndex {
  public:
   /// Sized for up to `max_keys` keys without growing, capped at the
-  /// default capacity (so small per-morsel builds stay small).
+  /// default capacity (so small builds stay small).
   explicit GroupIdIndex(size_t max_keys) {
     size_t cap = kMinCap;
     while (cap < kInitialCap && cap * 3 < max_keys * 4) cap *= 2;
@@ -479,9 +467,9 @@ void AssignFirstSeenIds(const uint64_t* keys, size_t n, uint32_t* ids,
 /// std::map<Value> comparator (Value compares all numerics as doubles,
 /// merging int64 keys that collide beyond 2^53).
 void BuildNumericGroupIds(const ColumnSpan& span, SelectionSlice rows,
-                          GroupIdIndex* index, uint32_t* codes,
-                          std::vector<double>* vals) {
+                          uint32_t* codes, std::vector<double>* vals) {
   const simd::KernelTable& k = simd::ActiveKernels();
+  GroupIdIndex index(rows.size());
   AlignedVector<double> block(kGroupHashBlock);
   AlignedVector<uint64_t> hashes(kGroupHashBlock);
   for (size_t base = 0; base < rows.size(); base += kGroupHashBlock) {
@@ -495,7 +483,7 @@ void BuildNumericGroupIds(const ColumnSpan& span, SelectionSlice rows,
     for (size_t i = 0; i < m; ++i) {
       const double v = block[i];
       bool inserted = false;
-      codes[base + i] = index->InsertOrGet(
+      codes[base + i] = index.InsertOrGet(
           simd::CanonicalF64Bits(v), hashes[i], !std::isnan(v),
           static_cast<uint32_t>(vals->size()), &inserted);
       if (inserted) vals->push_back(v);
@@ -503,87 +491,31 @@ void BuildNumericGroupIds(const ColumnSpan& span, SelectionSlice rows,
   }
 }
 
-/// Dense per-column group codes over `rows`, one body per morsel.
-/// String and bool codes are pure gathers. Int64/double keys run the
-/// two-pass first-seen build on each morsel's slice: morsel 0 builds
-/// straight into the key and the global index, and each later morsel
-/// builds a local table whose ids are then remapped, in morsel order,
-/// through the global index. A key first seen in morsel m occurs in
-/// no earlier morsel, so the merged ids are exactly the
-/// whole-selection build's; with one morsel there is nothing to remap.
-GroupKeyCol MakeGroupKey(const ColumnSpan& span, SelectionSlice rows,
-                         const MorselDriver& driver) {
+/// Dense per-column group codes over `rows`. String and bool codes
+/// are pure gathers; int64/double keys run the two-pass first-seen
+/// build.
+GroupKeyCol MakeGroupKey(const ColumnSpan& span, SelectionSlice rows) {
   const size_t n = rows.size();
-  const size_t num_morsels = driver.NumMorsels(n);
   GroupKeyCol key;
   key.codes.resize(n);
   switch (span.type) {
-    case DataType::kString: {
+    case DataType::kString:
       key.card = std::max<uint64_t>(1, span.dict->size());
-      (void)driver.Run(num_morsels, [&](size_t m) {
-        auto [begin, end] = driver.Range(n, m);
-        for (size_t i = begin; i < end; ++i) {
-          key.codes[i] = static_cast<uint32_t>(span.codes[rows[i]]);
-        }
-        return Status::OK();
-      });
-      break;
-    }
-    case DataType::kBool: {
-      key.card = 2;
-      (void)driver.Run(num_morsels, [&](size_t m) {
-        auto [begin, end] = driver.Range(n, m);
-        for (size_t i = begin; i < end; ++i) {
-          key.codes[i] = span.b8[rows[i]] != 0 ? 1 : 0;
-        }
-        return Status::OK();
-      });
-      break;
-    }
-    case DataType::kInt64:
-    case DataType::kDouble: {
-      GroupIdIndex global(driver.Range(n, 0).second);
-      // First-seen values of morsels 1.. (morsel 0 builds into `key`).
-      std::vector<std::vector<double>> later(num_morsels - 1);
-      (void)driver.Run(num_morsels, [&](size_t m) {
-        auto [begin, end] = driver.Range(n, m);
-        const SelectionSlice slice = rows.Subslice(begin, end - begin);
-        if (m == 0) {
-          BuildNumericGroupIds(span, slice, &global, key.codes.data(),
-                               &key.vals);
-        } else {
-          GroupIdIndex local(end - begin);
-          BuildNumericGroupIds(span, slice, &local, key.codes.data() + begin,
-                               &later[m - 1]);
-        }
-        return Status::OK();
-      });
-      // Local ids -> global ids, in morsel order (each local table is
-      // in first-seen order within its morsel).
-      std::vector<std::vector<uint32_t>> remap(later.size());
-      for (size_t l = 0; l < later.size(); ++l) {
-        remap[l].resize(later[l].size());
-        for (size_t j = 0; j < later[l].size(); ++j) {
-          const double v = later[l][j];
-          const uint64_t bits = simd::CanonicalF64Bits(v);
-          bool inserted = false;
-          remap[l][j] = global.InsertOrGet(
-              bits, simd::HashU64(bits), !std::isnan(v),
-              static_cast<uint32_t>(key.vals.size()), &inserted);
-          if (inserted) key.vals.push_back(v);
-        }
+      for (size_t i = 0; i < n; ++i) {
+        key.codes[i] = static_cast<uint32_t>(span.codes[rows[i]]);
       }
-      (void)driver.Run(num_morsels, [&](size_t m) {
-        if (m == 0) return Status::OK();
-        auto [begin, end] = driver.Range(n, m);
-        for (size_t i = begin; i < end; ++i) {
-          key.codes[i] = remap[m - 1][key.codes[i]];
-        }
-        return Status::OK();
-      });
+      break;
+    case DataType::kBool:
+      key.card = 2;
+      for (size_t i = 0; i < n; ++i) {
+        key.codes[i] = span.b8[rows[i]] != 0 ? 1 : 0;
+      }
+      break;
+    case DataType::kInt64:
+    case DataType::kDouble:
+      BuildNumericGroupIds(span, rows, key.codes.data(), &key.vals);
       key.card = std::max<uint64_t>(1, key.vals.size());
       break;
-    }
     default:
       break;
   }
@@ -753,104 +685,20 @@ ColumnSpan SpanOf(BatchVec* batch) {
   return Status::Internal("unreachable aggregate func");
 }
 
-// ---------------------------------------------------------------------------
-// Per-morsel pipeline steps (exec/morsel.h)
-//
-// Each step is one per-morsel body plus an in-order merge. Morsel 0
-// writes straight into the final output, so with morsels off (one
-// morsel covering the whole selection) the merge has nothing to do.
-// Every per-row value depends only on its own row, so the
-// concatenation of per-morsel outputs in morsel order is exactly the
-// whole-selection result.
-// ---------------------------------------------------------------------------
-
-/// WHERE refinement: each morsel refines its own range of the
-/// selection buffer in place, then a serial pass moves each later
-/// morsel's survivors down over the gaps. Per-morsel spans and the
-/// morsel count are only recorded when the driver actually splits.
-[[nodiscard]] Status FilterSelection(const TableView& view,
-                                     const BoundExpr& pred,
-                                     const MorselDriver& driver,
-                                     SelectionVector* sel,
-                                     trace::QueryTrace* trace,
-                                     uint32_t trace_parent) {
-  const std::vector<const BoundExpr*> conjuncts = FlattenConjuncts(pred);
-  AlignedVector<uint32_t>& rows = *sel->mutable_rows();
-  const size_t n = rows.size();
-  const size_t num_morsels = driver.NumMorsels(n);
-  trace::QueryTrace* morsel_trace = num_morsels > 1 ? trace : nullptr;
-  // Bulk: keep the counter RMW out of the lambda.
-  trace::CountMorsels(morsel_trace, num_morsels);
-  size_t kept = 0;  // morsel 0's survivors, already in place
-  std::vector<size_t> later_kept(num_morsels - 1);
-  MOSAIC_RETURN_IF_ERROR(driver.Run(num_morsels, [&](size_t m) -> Status {
-    // One span per claimed morsel: its wall time covers claim-to-done
-    // on whichever pool thread ran it, so a trace shows how the
-    // claim loop spread work across workers.
-    const std::string name =
-        morsel_trace != nullptr ? "morsel " + std::to_string(m) : "";
-    trace::ScopedSpan span(morsel_trace, trace_parent, name.c_str());
-    auto [begin, end] = driver.Range(n, m);
-    MOSAIC_ASSIGN_OR_RETURN(
-        size_t survivors,
-        RefineRows(view, conjuncts, rows.data() + begin, end - begin));
-    (m == 0 ? kept : later_kept[m - 1]) = survivors;
-    if (morsel_trace != nullptr) {
-      span.Note("rows=" + std::to_string(end - begin) +
-                " kept=" + std::to_string(survivors));
-    }
-    return Status::OK();
-  }));
-  for (size_t m = 1; m < num_morsels; ++m) {
-    std::memmove(rows.data() + kept, rows.data() + driver.Range(n, m).first,
-                 later_kept[m - 1] * sizeof(uint32_t));
-    kept += later_kept[m - 1];
-  }
-  rows.resize(kept);
-  return Status::OK();
-}
-
-/// Expression evaluation into one prepared output: each morsel's
-/// final kernel writes straight into its disjoint range
-/// (EvalBatchInto), so there is no per-morsel result and no splice
-/// copy. With one morsel this is exactly EvalBatch.
-[[nodiscard]] Result<BatchVec> EvalSelection(const BoundExpr& expr,
-                                             const TableView& view,
-                                             const SelectionVector& sel,
-                                             const MorselDriver& driver) {
-  const size_t n = sel.size();
-  BatchVec out;
-  MOSAIC_RETURN_IF_ERROR(PrepareBatchVec(expr, view, n, &out));
-  MOSAIC_RETURN_IF_ERROR(driver.Run(driver.NumMorsels(n), [&](size_t m) {
-    auto [begin, end] = driver.Range(n, m);
-    return EvalBatchInto(expr, view, sel.Slice(begin, end - begin), &out,
-                         begin);
-  }));
-  return out;
-}
-
-/// Per-tuple weight gather, each morsel writing its disjoint range of
-/// the preallocated output.
+/// Per-tuple weight gather over the selection.
 [[nodiscard]] Result<std::vector<double>> GatherWeights(
-    const ColumnSpan& wspan, const SelectionVector& sel,
-    const MorselDriver& driver) {
+    const ColumnSpan& wspan, const SelectionVector& sel) {
   const AlignedVector<uint32_t>& rows = sel.rows();
   const size_t n = rows.size();
   std::vector<double> w(n);
-  MOSAIC_RETURN_IF_ERROR(
-      driver.Run(driver.NumMorsels(n), [&](size_t m) -> Status {
-        auto [begin, end] = driver.Range(n, m);
-        if (wspan.type == DataType::kDouble) {
-          // The managed weight column is always a double span.
-          simd::ActiveKernels().gather_f64(wspan.f64, rows.data() + begin,
-                                           end - begin, w.data() + begin);
-        } else {
-          for (size_t i = begin; i < end; ++i) {
-            MOSAIC_ASSIGN_OR_RETURN(w[i], wspan.GetDouble(rows[i]));
-          }
-        }
-        return Status::OK();
-      }));
+  if (wspan.type == DataType::kDouble) {
+    // The managed weight column is always a double span.
+    simd::ActiveKernels().gather_f64(wspan.f64, rows.data(), n, w.data());
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      MOSAIC_ASSIGN_OR_RETURN(w[i], wspan.GetDouble(rows[i]));
+    }
+  }
   return w;
 }
 
@@ -860,7 +708,6 @@ ColumnSpan SpanOf(BatchVec* batch) {
                                                const sql::SelectStmt& stmt,
                                                const ExecOptions& opts) {
   const Schema& schema = view.schema();
-  const MorselDriver morsels(opts.morsels);
   const bool weighted = !opts.weight_column.empty();
   std::optional<size_t> weight_idx;
   if (weighted) {
@@ -886,8 +733,7 @@ ColumnSpan SpanOf(BatchVec* batch) {
       return Status::TypeError("WHERE predicate must be boolean, got " +
                                std::string(DataTypeName(pred->type)));
     }
-    MOSAIC_RETURN_IF_ERROR(FilterSelection(view, *pred, morsels, &sel,
-                                           opts.trace, span.id()));
+    MOSAIC_ASSIGN_OR_RETURN(sel, FilterView(view, *pred, std::move(sel)));
     if (opts.trace != nullptr) {
       span.Note("rows=" + std::to_string(rows_in) + " kept=" +
                 std::to_string(sel.size()) + " isa=" +
@@ -979,7 +825,7 @@ ColumnSpan SpanOf(BatchVec* batch) {
         std::vector<SortKeyCol> keys;
         for (size_t ki = 0; ki < stmt.order_by.size(); ++ki) {
           keys.push_back(MakeSortKey(view.column(order_src[ki]), sel.rows(),
-                                     stmt.order_by[ki].descending, morsels));
+                                     stmt.order_by[ki].descending));
         }
         bool topn = false;
         std::vector<uint32_t> perm =
@@ -1004,7 +850,7 @@ ColumnSpan SpanOf(BatchVec* batch) {
       trace::ScopedSpan span(opts.trace, opts.trace_parent, "materialize");
       for (const auto& item : bound_items) {
         MOSAIC_ASSIGN_OR_RETURN(BatchVec batch,
-                                EvalSelection(*item, view, sel, morsels));
+                                EvalBatch(*item, view, sel.rows()));
         MOSAIC_ASSIGN_OR_RETURN(Column col,
                                 ColumnFromBatch(std::move(batch)));
         columns.push_back(std::move(col));
@@ -1052,29 +898,22 @@ ColumnSpan SpanOf(BatchVec* batch) {
   if (!plan.group_cols.empty()) {
     key_cols.reserve(plan.group_cols.size());
     for (size_t c : plan.group_cols) {
-      key_cols.push_back(MakeGroupKey(view.column(c), sel.rows(), morsels));
+      key_cols.push_back(MakeGroupKey(view.column(c), sel.rows()));
     }
     // Mixed-radix packing through the widen / mul-add kernels, one
-    // morsel-parallel pass per run of columns [begin, end); `extend`
-    // keeps the ids already in `packed` as the leading digit. Each
-    // morsel covers its disjoint range, so the concatenation equals
-    // the serial loop.
+    // pass per run of columns [begin, end); `extend` keeps the ids
+    // already in `packed` as the leading digit.
     AlignedVector<uint64_t> packed(n);
     auto pack_run = [&](size_t begin, size_t end, bool extend) {
-      (void)morsels.Run(morsels.NumMorsels(n), [&](size_t m) {
-        auto [lo, hi] = morsels.Range(n, m);
-        const simd::KernelTable& k = simd::ActiveKernels();
-        size_t c = begin;
-        if (!extend) {
-          k.widen_u32_u64(key_cols[c++].codes.data() + lo, hi - lo,
-                          packed.data() + lo);
-        }
-        for (; c < end; ++c) {
-          k.pack_mul_add(packed.data() + lo, key_cols[c].codes.data() + lo,
-                         key_cols[c].card, hi - lo);
-        }
-        return Status::OK();
-      });
+      const simd::KernelTable& k = simd::ActiveKernels();
+      size_t c = begin;
+      if (!extend) {
+        k.widen_u32_u64(key_cols[c++].codes.data(), n, packed.data());
+      }
+      for (; c < end; ++c) {
+        k.pack_mul_add(packed.data(), key_cols[c].codes.data(),
+                       key_cols[c].card, n);
+      }
     };
     // Narrow keys (code-space product <= 2^62) pack in one run. When
     // the next column would pass that, the packed prefix is densified
@@ -1132,57 +971,18 @@ ColumnSpan SpanOf(BatchVec* batch) {
 
   // --- Accumulate: tight loops over the selection --------------------------
   //
-  // The per-row work (weight gather, aggregate-argument evaluation)
-  // and the exact aggregates (COUNT, MIN, MAX — integer adds and
-  // order-exact comparisons) run per morsel. For the aggregates,
-  // morsel 0 accumulates straight into the final arrays and each later
-  // morsel into a num_groups-sized partial, merged in morsel order.
-  // Floating-point sums are the exception: addition is not
-  // associative, so merging per-morsel partial sums would make the
-  // rounding depend on the morsel size. They reduce serially in
-  // selection order over per-row values computed per morsel, which
-  // keeps every morsel configuration bit-identical.
+  // Every sum reduces serially in selection order, so the rounding of
+  // each floating-point sum is that of the row oracle's loop.
   std::vector<double> w;
   if (weighted) {
-    MOSAIC_ASSIGN_OR_RETURN(
-        w, GatherWeights(view.column(*weight_idx), sel, morsels));
+    MOSAIC_ASSIGN_OR_RETURN(w, GatherWeights(view.column(*weight_idx), sel));
   }
-  // Partials cost one num_groups-sized array per later morsel; when
-  // that would dwarf the selection itself, the aggregates run as one
-  // morsel instead.
-  const MorselDriver one_morsel;
-  const MorselDriver& agg_driver =
-      static_cast<uint64_t>(morsels.NumMorsels(n)) * num_groups <=
-              std::max<uint64_t>(4096, 8 * n)
-          ? morsels
-          : one_morsel;
-  const size_t num_agg_morsels = agg_driver.NumMorsels(n);
   // sum_w / count are identical across specs (accumulated in the same
   // row order), so compute them once.
   std::vector<double> sum_w(num_groups, 0.0);
   std::vector<int64_t> count_n(num_groups, 0);
-  {
-    // Morsel accounting happens in bulk out here, NOT inside the
-    // lambda: an atomic RMW next to the counting loop wrecks its
-    // codegen (measured ~5% on the group_by bench).
-    if (num_agg_morsels > 1) trace::CountMorsels(opts.trace, num_agg_morsels);
-    std::vector<std::vector<int64_t>> later(num_agg_morsels - 1);
-    (void)agg_driver.Run(num_agg_morsels, [&](size_t m) {
-      auto [begin, end] = agg_driver.Range(n, m);
-      int64_t* counts = count_n.data();
-      if (m > 0) {
-        later[m - 1].assign(num_groups, 0);
-        counts = later[m - 1].data();
-      }
-      for (size_t i = begin; i < end; ++i) counts[gid[i]] += 1;
-      return Status::OK();
-    });
-    for (const std::vector<int64_t>& part : later) {
-      for (size_t g = 0; g < num_groups; ++g) count_n[g] += part[g];
-    }
-  }
+  for (size_t i = 0; i < n; ++i) count_n[gid[i]] += 1;
   if (weighted) {
-    // Ordered serial reduction (see block comment above).
     for (size_t i = 0; i < n; ++i) sum_w[gid[i]] += w[i];
   } else {
     // Sequentially accumulating 1.0 per row yields exactly the
@@ -1202,16 +1002,13 @@ ColumnSpan SpanOf(BatchVec* batch) {
     const AggSpec& spec = plan.specs[a];
     if (spec.is_star || spec.arg == nullptr) continue;
     MOSAIC_ASSIGN_OR_RETURN(arg_batches[a],
-                            EvalSelection(*spec.arg, view, sel, morsels));
+                            EvalBatch(*spec.arg, view, sel.rows()));
     if (spec.func == sql::AggFunc::kSum || spec.func == sql::AggFunc::kAvg) {
       AlignedVector<double> x_scratch;
       MOSAIC_ASSIGN_OR_RETURN(const double* x,
                               BatchDoubles(arg_batches[a], &x_scratch));
       auto& acc = sum_wx[a];
       acc.assign(num_groups, 0.0);
-      // Ordered serial reduction (see block comment above); the
-      // per-row products w[i] * x[i] are exact inputs evaluated per
-      // morsel above.
       if (weighted) {
         for (size_t i = 0; i < n; ++i) acc[gid[i]] += w[i] * x[i];
       } else {
@@ -1220,52 +1017,21 @@ ColumnSpan SpanOf(BatchVec* batch) {
     }
     if (spec.func == sql::AggFunc::kMin ||
         spec.func == sql::AggFunc::kMax) {
+      // Argmin/argmax positions; the strict comparisons keep the
+      // first-seen winner among equals.
       const BatchVec& batch = arg_batches[a];
       auto& mins = min_pos[a];
       auto& maxs = max_pos[a];
       mins.assign(num_groups, -1);
       maxs.assign(num_groups, -1);
-      // Argmin/argmax per morsel; later morsels' partials merge in
-      // morsel order with the same strict comparisons, so the
-      // first-seen winner among equals is preserved.
-      std::vector<std::vector<int64_t>> later_min(num_agg_morsels - 1);
-      std::vector<std::vector<int64_t>> later_max(num_agg_morsels - 1);
-      (void)agg_driver.Run(num_agg_morsels, [&](size_t m) {
-        auto [begin, end] = agg_driver.Range(n, m);
-        int64_t* lmin = mins.data();
-        int64_t* lmax = maxs.data();
-        if (m > 0) {
-          later_min[m - 1].assign(num_groups, -1);
-          later_max[m - 1].assign(num_groups, -1);
-          lmin = later_min[m - 1].data();
-          lmax = later_max[m - 1].data();
+      for (size_t i = 0; i < n; ++i) {
+        int64_t& mn = mins[gid[i]];
+        int64_t& mx = maxs[gid[i]];
+        if (mn < 0 || BatchLess(batch, i, static_cast<size_t>(mn))) {
+          mn = static_cast<int64_t>(i);
         }
-        for (size_t i = begin; i < end; ++i) {
-          int64_t& mn = lmin[gid[i]];
-          int64_t& mx = lmax[gid[i]];
-          if (mn < 0 || BatchLess(batch, i, static_cast<size_t>(mn))) {
-            mn = static_cast<int64_t>(i);
-          }
-          if (mx < 0 || BatchLess(batch, static_cast<size_t>(mx), i)) {
-            mx = static_cast<int64_t>(i);
-          }
-        }
-        return Status::OK();
-      });
-      for (size_t p = 0; p < later_min.size(); ++p) {
-        for (size_t g = 0; g < num_groups; ++g) {
-          const int64_t pmin = later_min[p][g];
-          const int64_t pmax = later_max[p][g];
-          if (pmin >= 0 &&
-              (mins[g] < 0 || BatchLess(batch, static_cast<size_t>(pmin),
-                                        static_cast<size_t>(mins[g])))) {
-            mins[g] = pmin;
-          }
-          if (pmax >= 0 &&
-              (maxs[g] < 0 || BatchLess(batch, static_cast<size_t>(maxs[g]),
-                                        static_cast<size_t>(pmax)))) {
-            maxs[g] = pmax;
-          }
+        if (mx < 0 || BatchLess(batch, static_cast<size_t>(mx), i)) {
+          mx = static_cast<int64_t>(i);
         }
       }
     }
@@ -1290,8 +1056,7 @@ ColumnSpan SpanOf(BatchVec* batch) {
   if (num_groups > 1) {
     std::vector<SortKeyCol> keys;
     for (size_t c : plan.key_cols) {
-      keys.push_back(
-          MakeSortKey(view.column(c), first_rows, false, one_morsel));
+      keys.push_back(MakeSortKey(view.column(c), first_rows, false));
     }
     order = SortPermutation(keys, num_groups, std::nullopt);
   }
@@ -1299,7 +1064,6 @@ ColumnSpan SpanOf(BatchVec* batch) {
   for (size_t i = 0; i < first_rows.size(); ++i) {
     sorted_first[i] = first_rows[order[i]];
   }
-  const SelectionVector key_rows(std::move(sorted_first));
   std::vector<BatchVec> group_batches;
   group_batches.reserve(plan.group_schema.num_columns());
   for (size_t c : plan.key_cols) {
@@ -1307,8 +1071,7 @@ ColumnSpan SpanOf(BatchVec* batch) {
     ref.kind = BoundExpr::Kind::kColumnRef;
     ref.column_index = c;
     ref.type = schema.column(c).type;
-    MOSAIC_ASSIGN_OR_RETURN(BatchVec key,
-                            EvalSelection(ref, view, key_rows, one_morsel));
+    MOSAIC_ASSIGN_OR_RETURN(BatchVec key, EvalBatch(ref, view, sorted_first));
     group_batches.push_back(std::move(key));
   }
   for (size_t a = 0; a < num_specs; ++a) {
@@ -1329,14 +1092,14 @@ ColumnSpan SpanOf(BatchVec* batch) {
   // WHERE and a projection run over a source view.
   SelectionVector kept = SelectionVector::All(num_groups);
   if (plan.having != nullptr) {
-    MOSAIC_RETURN_IF_ERROR(FilterSelection(groups, *plan.having, one_morsel,
-                                           &kept, nullptr, 0));
+    MOSAIC_ASSIGN_OR_RETURN(kept,
+                            FilterView(groups, *plan.having, std::move(kept)));
   }
   std::vector<Column> columns;
   columns.reserve(plan.items.size());
   for (const auto& item : plan.items) {
     MOSAIC_ASSIGN_OR_RETURN(BatchVec batch,
-                            EvalSelection(*item, groups, kept, one_morsel));
+                            EvalBatch(*item, groups, kept.rows()));
     MOSAIC_ASSIGN_OR_RETURN(Column col, ColumnFromBatch(std::move(batch)));
     columns.push_back(std::move(col));
   }

@@ -23,12 +23,9 @@
 // in tight loops and finalize in bulk into one typed group table, over
 // which HAVING and the SELECT items run through the same batch
 // evaluator as any projection. ORDER BY sorts precomputed typed keys
-// (partial_sort when LIMIT is present). Every step is a per-morsel body
-// plus an in-order merge (exec/morsel.h): with ExecOptions::morsels off
-// the selection is one morsel and nothing merges; with it on, the
-// selection splits into fixed-size morsels run on a shared thread
-// pool, bit-identical at every morsel size and thread count (enforced
-// by tests/test_sql_fuzz.cc).
+// (partial_sort when LIMIT is present). A statement runs start to
+// finish on its calling thread; parallelism is across statements (the
+// query service's request pool) and across OPEN generations.
 //
 // A test-only row-at-a-time interpreter (tests/oracle/row_oracle.h)
 // checks this pipeline bit for bit (tests/test_exec_parity.cc,
@@ -48,7 +45,6 @@
 #include "common/status.h"
 #include "common/trace.h"
 #include "exec/expr_eval.h"
-#include "exec/morsel.h"
 #include "sql/ast.h"
 #include "storage/table.h"
 #include "storage/table_view.h"
@@ -60,17 +56,8 @@ struct ExecOptions {
   /// Name of the weight column in the source table; empty = every
   /// tuple has weight 1 (plain SQL).
   std::string weight_column;
-  /// Morsel split of the batch pipeline: when morsels.morsel_size > 0
-  /// the selection vector is split into morsels whose WHERE kernels,
-  /// expression evaluation, and exact aggregate partials run per
-  /// morsel (on morsels.pool when set) and merge in deterministic
-  /// morsel order; 0 runs the selection as one morsel. Results are
-  /// bit-identical at every morsel size and thread count; float sums
-  /// reduce serially in selection order to keep the rounding
-  /// independent of the split (see exec/morsel.h).
-  MorselOptions morsels;
   /// Per-query trace to record execution spans (filter, aggregate,
-  /// sort, materialize, per-morsel work) into; null = tracing off,
+  /// sort, materialize) into; null = tracing off,
   /// and the instrumented paths cost two branches and no clock read.
   /// Tracing never changes results — enforced by the fuzzer's traced
   /// leg (scripts/check.sh).

@@ -24,7 +24,7 @@
 //    (rows[n-1]-rows[0]+1 == n) and switch to linear loads.
 //  - Mask bytes are strictly 0 or 1 — producers guarantee it and the
 //    branchless consumers (compact_rows) rely on it.
-//  - Output buffers may be unaligned (morsel offsets land anywhere);
+//  - Output buffers may be unaligned (block offsets land anywhere);
 //    kernels use unaligned stores. Allocation *bases* of column /
 //    selection storage are 64-byte aligned (common/aligned.h) so
 //    full-width loads at span heads never straddle a cache line.

@@ -97,11 +97,6 @@ QueryService::QueryService(ServiceOptions options)
       request_pool_(options.num_request_threads),
       result_cache_("mosaic_result_cache", options.result_cache_capacity) {
   db_.set_model_cache_capacity(options.model_cache_capacity);
-  // Intra-query morsels share the request pool (deadlock-free by the
-  // morsel driver's claim-loop design). The engine may already have a
-  // morsel size from MOSAIC_MORSELS; explicit options override it.
-  if (options.morsel_size > 0) db_.set_morsel_options(options.morsel_size);
-  db_.set_morsel_pool(&request_pool_);
   if (options.num_generation_threads > 0) {
     generation_pool_ =
         std::make_unique<ThreadPool>(options.num_generation_threads);
@@ -384,7 +379,6 @@ void QueryService::Record(const PendingStatement& st, Session::State* session,
       const trace::ResourceCounters& c = trace->counters();
       record.rows_scanned = c.rows_scanned.load(std::memory_order_relaxed);
       record.rows_produced = c.rows_produced.load(std::memory_order_relaxed);
-      record.morsels = c.morsels.load(std::memory_order_relaxed);
       record.epoch_pins = c.epoch_pins.load(std::memory_order_relaxed);
       std::vector<trace::Span> spans = trace->Spans();
       record.spans.reserve(spans.size());
@@ -392,8 +386,8 @@ void QueryService::Record(const PendingStatement& st, Session::State* session,
         record.spans.push_back({s.id, s.parent, s.name, s.start_us,
                                 s.duration_us(), s.cpu_ns, s.note});
         // The root "statement" span's thread-CPU time is the
-        // statement's own CPU cost (children nest inside it; morsel
-        // work on other threads is not included).
+        // statement's own CPU cost (children nest inside it; OPEN
+        // generation work on other threads is not included).
         if (s.parent == trace::kNoParent && record.cpu_ns == 0) {
           record.cpu_ns = s.cpu_ns;
         }

@@ -22,13 +22,10 @@
 //     for parallel OPEN-query sample generation. Keeping the two
 //     pools separate means a request task blocking on generation
 //     futures can never deadlock the pool serving it.
-//   - The request pool doubles as the intra-query morsel pool
-//     (ServiceOptions::morsel_size / MOSAIC_MORSELS): a query splits
-//     its batch pipeline into morsels that idle request workers help
-//     execute. Safe to share because the morsel driver claims work
-//     from an atomic counter and never blocks on queued pool work
-//     (exec/morsel.h) — a saturated pool just runs each query's
-//     morsels on its own thread.
+//   - One statement runs on one thread: the executor never splits a
+//     SELECT across workers, so parallelism is across statements (the
+//     request pool) and across an OPEN query's generated samples (the
+//     generation pool).
 //
 // Caching
 //   - Model cache: the Database's bounded LRU of trained generators
@@ -78,13 +75,6 @@ struct ServiceOptions {
   size_t result_cache_capacity = 256;
   /// Trained-generator cache bound, applied to the owned Database.
   size_t model_cache_capacity = 16;
-  /// Rows per intra-query morsel for batch-path SELECTs; 0 leaves
-  /// morsel execution to the MOSAIC_MORSELS environment knob (unset:
-  /// disabled). Morsels run on the request pool, which is shared
-  /// between inter-query and intra-query work — the morsel driver
-  /// never blocks on queued pool work, so the sharing cannot deadlock
-  /// (exec/morsel.h). Results are bit-identical at every setting.
-  size_t morsel_size = 0;
   /// Trace every statement (parse, cache, execute, per-phase executor
   /// spans). Results are bit-identical traced or not; the cost is the
   /// span bookkeeping. Also enabled by MOSAIC_TRACE=1. EXPLAIN

@@ -54,18 +54,6 @@ ColumnSpan ColumnSpan::FromDoubles(const double* data, size_t n) {
   return span;
 }
 
-ColumnSpan ColumnSpan::Slice(size_t begin, size_t count) const {
-  if (begin > size) begin = size;
-  if (count > size - begin) count = size - begin;
-  ColumnSpan span = *this;
-  span.size = count;
-  if (span.i64 != nullptr) span.i64 += begin;
-  if (span.f64 != nullptr) span.f64 += begin;
-  if (span.b8 != nullptr) span.b8 += begin;
-  if (span.codes != nullptr) span.codes += begin;
-  return span;
-}
-
 SelectionVector SelectionVector::All(size_t n) {
   AlignedVector<uint32_t> rows(n);
   for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(i);
@@ -102,19 +90,6 @@ Status TableView::AddDoubleSpan(const std::string& name, const double* data,
 
 Value TableView::GetValue(size_t row, size_t col) const {
   return spans_[col].GetValue(row);
-}
-
-TableView TableView::Slice(size_t begin, size_t count) const {
-  if (begin > num_rows_) begin = num_rows_;
-  if (count > num_rows_ - begin) count = num_rows_ - begin;
-  TableView out;
-  out.schema_ = schema_;
-  out.num_rows_ = count;
-  out.spans_.reserve(spans_.size());
-  for (const ColumnSpan& span : spans_) {
-    out.spans_.push_back(span.Slice(begin, count));
-  }
-  return out;
 }
 
 Table TableView::Materialize(const SelectionVector& sel) const {

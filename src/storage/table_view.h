@@ -48,25 +48,19 @@ struct ColumnSpan {
 
   static ColumnSpan FromColumn(const Column& column);
   static ColumnSpan FromDoubles(const double* data, size_t n);
-
-  /// Zero-copy sub-span over rows [begin, begin+count); `begin` past
-  /// the end or a `count` overshooting it clamp to the span bounds
-  /// (so an empty or tail morsel is well-formed without caller
-  /// arithmetic). Slice-of-slice composes.
-  ColumnSpan Slice(size_t begin, size_t count) const;
 };
 
-/// Non-owning view of a contiguous run of selected row ids — the unit
-/// of work a morsel executes. Converts implicitly from a selection's
-/// row vector so the batch kernels accept whole selections and morsel
-/// slices through one signature. The owner must outlive the slice.
+/// Non-owning view of a contiguous run of selected row ids. Converts
+/// implicitly from a selection's row vector (std or aligned) so the
+/// batch kernels take either through one signature. The owner must
+/// outlive the slice.
 class SelectionSlice {
  public:
   SelectionSlice() = default;
   SelectionSlice(const uint32_t* data, size_t size)
       : data_(data), size_(size) {}
   // NOLINTNEXTLINE(google-explicit-constructor): implicit by design
-  // so selections and morsel slices share one kernel signature.
+  // so every row list shares one kernel signature.
   SelectionSlice(const std::vector<uint32_t>& rows)
       : data_(rows.data()), size_(rows.size()) {}
   // NOLINTNEXTLINE(google-explicit-constructor): same implicit-accept
@@ -80,14 +74,6 @@ class SelectionSlice {
   const uint32_t* data() const { return data_; }
   const uint32_t* begin() const { return data_; }
   const uint32_t* end() const { return data_ + size_; }
-
-  /// Slice-of-slice with the same clamping rules as
-  /// SelectionVector::Slice.
-  SelectionSlice Subslice(size_t begin, size_t count) const {
-    if (begin > size_) begin = size_;
-    if (count > size_ - begin) count = size_ - begin;
-    return SelectionSlice(data_ + begin, count);
-  }
 
  private:
   const uint32_t* data_ = nullptr;
@@ -116,17 +102,6 @@ class SelectionVector {
 
   const AlignedVector<uint32_t>& rows() const { return rows_; }
   AlignedVector<uint32_t>* mutable_rows() { return &rows_; }
-
-  /// Zero-copy view of positions [begin, begin+count) — the morsel
-  /// executors slice the selection this way instead of copying row
-  /// ids. Out-of-range begin/count clamp (empty and tail morsels).
-  /// The SelectionVector must outlive the slice and not be resized
-  /// while slices are live.
-  SelectionSlice Slice(size_t begin, size_t count) const {
-    if (begin > rows_.size()) begin = rows_.size();
-    if (count > rows_.size() - begin) count = rows_.size() - begin;
-    return SelectionSlice(rows_.data() + begin, count);
-  }
 
  private:
   AlignedVector<uint32_t> rows_;
@@ -161,11 +136,6 @@ class TableView {
 
   /// Boxed value at (row, col) — boundary/debug use.
   Value GetValue(size_t row, size_t col) const;
-
-  /// Zero-copy view of rows [begin, begin+count): every span is
-  /// sliced in place (same clamping as ColumnSpan::Slice), external
-  /// spans included. Row r of the slice is row begin+r of this view.
-  TableView Slice(size_t begin, size_t count) const;
 
   /// Materialize the selected rows into a Table (used when a consumer
   /// genuinely needs an owning Table, e.g. IPF training input).

@@ -78,7 +78,7 @@ void SpecializeStringPredicates(const exec::BoundExpr& expr,
                                           bool skip_order = false);
 
 /// Execute `stmt` against `source` one row at a time. Honors
-/// `opts.weight_column` (the §5.3 rewrite); ignores morsels and trace.
+/// `opts.weight_column` (the §5.3 rewrite); ignores the trace.
 [[nodiscard]] Result<Table> ExecuteSelectRow(const Table& source,
                                              const sql::SelectStmt& stmt,
                                              const exec::ExecOptions& opts);

@@ -488,52 +488,6 @@ TEST(Database, DropIfExistsTolerant) {
   EXPECT_FALSE(db.Execute("DROP TABLE nope").ok());
 }
 
-TEST_F(TinyWorld, MorselAndBatchExecutionBitIdentical) {
-  // The same database answers every visibility level identically when
-  // the final executor step runs as one morsel and split into
-  // single-row morsels (routing, weight pinning and population
-  // restriction are shared). The row oracle checks that executor step
-  // on engine-shaped view + selection inputs in test_exec_parity and
-  // test_sql_fuzz.
-  const std::vector<std::string> queries = {
-      "SELECT * FROM RedSample",
-      "SELECT color, size, weight FROM RedSample ORDER BY size LIMIT 3",
-      "SELECT CLOSED color, COUNT(*) AS c FROM Things GROUP BY color",
-      "SELECT SEMI-OPEN size, COUNT(*) AS c FROM Things GROUP BY size "
-      "ORDER BY size",
-      "SELECT SEMI-OPEN COUNT(*) AS c FROM Things WHERE size = 'S'",
-      "SELECT SEMI-OPEN AVG(weight) AS aw FROM RedSample",  // rejected
-      "SELECT AVG(weight) AS aw, MIN(size) AS ms FROM RedSample",
-      "UPDATE RedSample SET weight = weight * 2 WHERE size = 'S'",
-      "SELECT weight FROM RedSample ORDER BY weight DESC LIMIT 4",
-  };
-  for (const auto& sql : queries) {
-    db_.set_morsel_options(1);
-    auto morsel_res = db_.Execute(sql);
-    db_.set_morsel_options(0);
-    auto batch_res = db_.Execute(sql);
-    ASSERT_EQ(morsel_res.ok(), batch_res.ok())
-        << sql << "\n morsel: " << morsel_res.status().ToString()
-        << "\n batch: " << batch_res.status().ToString();
-    if (!morsel_res.ok()) continue;
-    ASSERT_TRUE(morsel_res->schema() == batch_res->schema()) << sql;
-    ASSERT_EQ(morsel_res->num_rows(), batch_res->num_rows()) << sql;
-    for (size_t r = 0; r < morsel_res->num_rows(); ++r) {
-      for (size_t c = 0; c < morsel_res->num_columns(); ++c) {
-        Value a = morsel_res->GetValue(r, c);
-        Value b = batch_res->GetValue(r, c);
-        ASSERT_EQ(a.type(), b.type()) << sql;
-        ASSERT_TRUE(a == b) << sql << " at (" << r << "," << c
-                            << "): " << a.ToString() << " vs "
-                            << b.ToString();
-        if (a.type() == DataType::kDouble) {
-          ASSERT_EQ(a.AsDouble(), b.AsDouble()) << sql;  // bit-exact
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace core
 }  // namespace mosaic

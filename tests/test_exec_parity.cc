@@ -4,9 +4,8 @@
 // SELECTs combining WHERE, GROUP BY, HAVING (string MIN/MAX and
 // arithmetic over aggregates included), ORDER BY, and LIMIT — weighted
 // and unweighted, over whole tables and over engine-shaped views (an
-// external weight span plus a selection vector). The batch leg honors
-// MOSAIC_MORSELS, and a fixed table pins the morsel merges (filter
-// compaction, group-key remap) against the unsplit run.
+// external weight span plus a selection vector). A fixed table pins
+// the numeric group-key edge cases (2^53 twins, NaN, -0.0).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,10 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "common/env.h"
 #include "common/rng.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "oracle/row_oracle.h"
 #include "sql/parser.h"
@@ -429,7 +426,6 @@ TEST_P(ExecParity, RandomQueriesBitIdentical) {
     const auto& stmt = parsed->As<sql::SelectStmt>();
     ExecOptions opts;
     if (rel.has_weight) opts.weight_column = "w";
-    opts.morsels.morsel_size = EnvSize("MOSAIC_MORSELS").value_or(0);
     if (ExpectSameOutcome(oracle::ExecuteSelectRow(rel.table, stmt, opts),
                           ExecuteSelect(rel.table, stmt, opts), sql)) {
       ++oks;
@@ -485,7 +481,7 @@ TEST(ExecParity, WeightedAggregateRewrite) {
 // columns of 8192 distinct strings each span 8192^5 = 2^65 codes. The
 // batch path densifies the packed prefix into first-seen ids and keeps
 // packing, so it answers the plan itself and still matches the row
-// oracle bit for bit, with and without morsels.
+// oracle bit for bit.
 TEST(ExecParity, WideGroupKeysStayOnBatchPath) {
   constexpr int64_t kRows = 8192;
   const std::vector<std::string> cols = {"a", "b", "c", "d", "e"};
@@ -520,22 +516,18 @@ TEST(ExecParity, WideGroupKeysStayOnBatchPath) {
         oracle::ExecuteSelectRow(t, stmt->As<sql::SelectStmt>(), row_opts);
     ASSERT_TRUE(row_res.ok()) << row_res.status().ToString();
     ASSERT_EQ(row_res->num_rows(), static_cast<size_t>(kRows));
-    for (size_t morsel_size : {size_t{0}, size_t{1000}}) {
-      trace::QueryTrace trace;
-      ExecOptions batch_opts;
-      batch_opts.weight_column = "w";
-      batch_opts.morsels.morsel_size = morsel_size;
-      batch_opts.trace = &trace;
-      auto batch_res =
-          ExecuteSelect(t, stmt->As<sql::SelectStmt>(), batch_opts);
-      ASSERT_TRUE(batch_res.ok()) << batch_res.status().ToString();
-      ExpectTablesIdentical(*row_res, *batch_res, sql);
-      bool aggregated = false;
-      for (const trace::Span& span : trace.Spans()) {
-        if (span.name == "aggregate") aggregated = true;
-      }
-      EXPECT_TRUE(aggregated) << sql << " morsel=" << morsel_size;
+    trace::QueryTrace trace;
+    ExecOptions batch_opts;
+    batch_opts.weight_column = "w";
+    batch_opts.trace = &trace;
+    auto batch_res = ExecuteSelect(t, stmt->As<sql::SelectStmt>(), batch_opts);
+    ASSERT_TRUE(batch_res.ok()) << batch_res.status().ToString();
+    ExpectTablesIdentical(*row_res, *batch_res, sql);
+    bool aggregated = false;
+    for (const trace::Span& span : trace.Spans()) {
+      if (span.name == "aggregate") aggregated = true;
     }
+    EXPECT_TRUE(aggregated) << sql;
   }
 }
 
@@ -564,17 +556,15 @@ void ExpectTablesBitIdentical(const Table& want, const Table& got,
   }
 }
 
-// A fixed 24-row table whose layout lands on the morsel merges:
-//  - WHERE k >= 0 AND s != 'drop' drops rows 6..13 (whole middle
-//    morsels at sizes 1, 3 and 7) plus row 4, and keeps every row of
-//    the outer morsels;
+// A fixed 24-row table of numeric group-key edge cases:
+//  - WHERE k >= 0 AND s != 'drop' drops rows 6..13 plus row 4;
 //  - i holds 2^53 + 1 (row 2) and 2^53 (rows 3 and 22), equal through
 //    double, so they form one group decoded as the first-seen
-//    2^53 + 1 — with the twins in later morsels at sizes 1, 3 and 7;
+//    2^53 + 1;
 //  - d holds NaN in rows 1, 14 and 19 (each its own group) and -0.0
 //    / 0.0 (one group);
-//  - i = 7, s = 'late' and d = 99.5 are first seen in the last morsels.
-Table MorselMergeTable() {
+//  - i = 7, s = 'late' and d = 99.5 are first seen in the last rows.
+Table GroupKeyEdgeTable() {
   Schema s;
   EXPECT_TRUE(s.AddColumn({"k", DataType::kInt64}).ok());
   EXPECT_TRUE(s.AddColumn({"i", DataType::kInt64}).ok());
@@ -606,61 +596,39 @@ Table MorselMergeTable() {
   return t;
 }
 
-TEST(ExecParity, MorselMergesMatchTheUnsplitRun) {
-  const Table t = MorselMergeTable();
+TEST(ExecParity, NumericGroupKeyEdgeCases) {
+  const Table t = GroupKeyEdgeTable();
   const std::string where = " FROM t WHERE k >= 0 AND s != 'drop'";
-  struct Case {
-    std::string sql;
-    bool oracle;  // false when NaN keys make the row oracle's map moot
-  };
-  const std::vector<Case> cases = {
-      {"SELECT i, COUNT(*) AS c, SUM(x) AS sx, MIN(s) AS lo, MAX(s) AS hi" +
-           where + " GROUP BY i",
-       true},
-      {"SELECT s, i, AVG(x) AS ax, MIN(k) AS mk" + where +
-           " AND x < 5.5 GROUP BY s, i ORDER BY s",
-       true},
-      {"SELECT i, s, x" + where + " ORDER BY i DESC LIMIT 9", true},
-      {"SELECT d, COUNT(*) AS c, MIN(i) AS lo, MAX(i) AS hi" + where +
-           " GROUP BY d",
-       false},
-      {"SELECT d, i, s" + where, false},
-  };
-  ThreadPool pool(3);
-  for (const Case& c : cases) {
-    auto parsed = sql::ParseStatement(c.sql);
-    ASSERT_TRUE(parsed.ok()) << c.sql;
+  const std::string by_i_sql =
+      "SELECT i, COUNT(*) AS c, SUM(x) AS sx, MIN(s) AS lo, MAX(s) AS hi" +
+      where + " GROUP BY i";
+  // NaN keys make the row oracle's map moot, so this one is checked
+  // by its answer only.
+  const std::string by_d_sql =
+      "SELECT d, COUNT(*) AS c, MIN(i) AS lo, MAX(i) AS hi" + where +
+      " GROUP BY d";
+  for (const std::string& sql :
+       {by_i_sql,
+        "SELECT s, i, AVG(x) AS ax, MIN(k) AS mk" + where +
+            " AND x < 5.5 GROUP BY s, i ORDER BY s",
+        "SELECT i, s, x" + where + " ORDER BY i DESC LIMIT 9"}) {
+    auto parsed = sql::ParseStatement(sql);
+    ASSERT_TRUE(parsed.ok()) << sql;
     const auto& stmt = parsed->As<sql::SelectStmt>();
     ExecOptions opts;
     opts.weight_column = "w";
-    auto unsplit = ExecuteSelect(t, stmt, opts);
-    ASSERT_TRUE(unsplit.ok()) << c.sql << ": " << unsplit.status().ToString();
-    if (c.oracle) {
-      auto row = oracle::ExecuteSelectRow(t, stmt, opts);
-      ASSERT_TRUE(row.ok()) << c.sql << ": " << row.status().ToString();
-      ExpectTablesBitIdentical(*row, *unsplit, "row oracle: " + c.sql);
-    }
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      for (size_t morsel_size : {size_t{1}, size_t{3}, size_t{7},
-                                 t.num_rows() + 1}) {
-        ExecOptions split = opts;
-        split.morsels.morsel_size = morsel_size;
-        split.morsels.pool = p;
-        auto got = ExecuteSelect(t, stmt, split);
-        ASSERT_TRUE(got.ok()) << c.sql << ": " << got.status().ToString();
-        ExpectTablesBitIdentical(
-            *unsplit, *got,
-            "morsel=" + std::to_string(morsel_size) +
-                (p != nullptr ? " pool: " : ": ") + c.sql);
-      }
-    }
+    auto batch = ExecuteSelect(t, stmt, opts);
+    ASSERT_TRUE(batch.ok()) << sql << ": " << batch.status().ToString();
+    auto row = oracle::ExecuteSelectRow(t, stmt, opts);
+    ASSERT_TRUE(row.ok()) << sql << ": " << row.status().ToString();
+    ExpectTablesBitIdentical(*row, *batch, "row oracle: " + sql);
   }
 
-  // The merged answers themselves: the 2^53 twins are one group
-  // decoded as the first-seen 2^53 + 1, the late key has its group,
-  // and every surviving NaN is a group of its own.
+  // The answers themselves: the 2^53 twins are one group decoded as
+  // the first-seen 2^53 + 1, the late key has its group, and every
+  // surviving NaN is a group of its own.
   auto by_i = ExecuteSelect(
-      t, sql::ParseStatement(cases[0].sql)->As<sql::SelectStmt>(),
+      t, sql::ParseStatement(by_i_sql)->As<sql::SelectStmt>(),
       ExecOptions{});
   ASSERT_TRUE(by_i.ok());
   bool saw_first_twin = false, saw_late = false;
@@ -676,8 +644,7 @@ TEST(ExecParity, MorselMergesMatchTheUnsplitRun) {
   EXPECT_TRUE(saw_first_twin);
   EXPECT_TRUE(saw_late);
   auto by_d = ExecuteSelect(
-      t, sql::ParseStatement(cases[3].sql)->As<sql::SelectStmt>(),
-      ExecOptions{});
+      t, sql::ParseStatement(by_d_sql)->As<sql::SelectStmt>(), ExecOptions{});
   ASSERT_TRUE(by_d.ok());
   size_t nan_groups = 0;
   for (size_t r = 0; r < by_d->num_rows(); ++r) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/env.h"
 #include "oracle/row_oracle.h"
 #include "sql/parser.h"
 
@@ -33,9 +32,6 @@ Result<Table> RunQuery(const Table& t, const std::string& query,
   EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
   ExecOptions opts;
   opts.weight_column = weight_col;
-  // MOSAIC_MORSELS splits these queries like it splits the engine's,
-  // so every expectation below doubles as a morsel-merge check.
-  opts.morsels.morsel_size = EnvSize("MOSAIC_MORSELS").value_or(0);
   return ExecuteSelect(t, stmt->As<sql::SelectStmt>(), opts);
 }
 
@@ -450,6 +446,279 @@ TEST(Executor, GroupByTraceShowsAggregatePhases) {
   }
   EXPECT_EQ(phases,
             (std::vector<std::string>{"group_keys", "accumulate", "emit"}));
+}
+
+// ---------------------------------------------------------------------------
+// Golden cases for BindAggregate. The row oracle binds through the
+// same function, so a binder bug would not show as a parity failure;
+// these pin what the binder produces on their own.
+// ---------------------------------------------------------------------------
+
+/// g string, i int64, d double, s string, b bool, w double (weights).
+/// Group A is rows 0, 1, 3; group B is row 2.
+Table TypedMini() {
+  Schema s;
+  EXPECT_TRUE(s.AddColumn({"g", DataType::kString}).ok());
+  EXPECT_TRUE(s.AddColumn({"i", DataType::kInt64}).ok());
+  EXPECT_TRUE(s.AddColumn({"d", DataType::kDouble}).ok());
+  EXPECT_TRUE(s.AddColumn({"s", DataType::kString}).ok());
+  EXPECT_TRUE(s.AddColumn({"b", DataType::kBool}).ok());
+  EXPECT_TRUE(s.AddColumn({"w", DataType::kDouble}).ok());
+  Table t(s);
+  auto add = [&](const char* g, int64_t i, double d, const char* str,
+                 bool b, double w) {
+    EXPECT_TRUE(
+        t.AppendRow({Value(g), Value(i), Value(d), Value(str), Value(b),
+                     Value(w)})
+            .ok());
+  };
+  add("A", 3, 1.5, "m", true, 2.0);
+  add("A", -1, 0.25, "c", false, 1.0);
+  add("B", 7, -2.0, "x", true, 0.5);
+  add("A", 5, 4.0, "a", true, 4.0);
+  return t;
+}
+
+Result<AggregatePlan> Bind(const Table& t, const std::string& query,
+                           bool weighted) {
+  auto stmt = sql::ParseStatement(query);
+  EXPECT_TRUE(stmt.ok()) << query << ": " << stmt.status().ToString();
+  return BindAggregate(t.schema(), stmt->As<sql::SelectStmt>(), weighted);
+}
+
+/// Column index of a bound column reference (fails the test otherwise).
+size_t RefSlot(const BoundExpr& e) {
+  EXPECT_EQ(e.kind, BoundExpr::Kind::kColumnRef);
+  return e.column_index;
+}
+
+TEST(BindAggregate, OutputTypeByFunctionArgumentAndWeighting) {
+  const Table t = TypedMini();
+  struct Case {
+    std::string agg;
+    DataType unweighted;
+    DataType weighted;
+  };
+  const std::vector<Case> cases = {
+      {"COUNT(*)", DataType::kInt64, DataType::kDouble},
+      {"COUNT(i)", DataType::kInt64, DataType::kDouble},
+      {"COUNT(s)", DataType::kInt64, DataType::kDouble},
+      {"SUM(i)", DataType::kDouble, DataType::kDouble},
+      {"SUM(d)", DataType::kDouble, DataType::kDouble},
+      {"SUM(b)", DataType::kDouble, DataType::kDouble},
+      {"SUM(s)", DataType::kDouble, DataType::kDouble},
+      {"AVG(i)", DataType::kDouble, DataType::kDouble},
+      {"AVG(b)", DataType::kDouble, DataType::kDouble},
+      {"MIN(i)", DataType::kInt64, DataType::kInt64},
+      {"MAX(d)", DataType::kDouble, DataType::kDouble},
+      {"MIN(s)", DataType::kString, DataType::kString},
+      {"MAX(b)", DataType::kBool, DataType::kBool},
+  };
+  for (const Case& c : cases) {
+    for (bool weighted : {false, true}) {
+      const DataType want = weighted ? c.weighted : c.unweighted;
+      auto plan = Bind(t, "SELECT " + c.agg + " FROM t", weighted);
+      ASSERT_TRUE(plan.ok()) << c.agg << ": " << plan.status().ToString();
+      ASSERT_EQ(plan->specs.size(), 1u) << c.agg;
+      const AggSpec& spec = plan->specs[0];
+      EXPECT_EQ(spec.rendering, c.agg);
+      EXPECT_EQ(spec.is_star, c.agg == "COUNT(*)") << c.agg;
+      EXPECT_EQ(spec.arg == nullptr, spec.is_star) << c.agg;
+      EXPECT_EQ(AggOutputType(spec, weighted), want) << c.agg;
+      // A global aggregate has no key slots: the aggregate is slot 0,
+      // and the item is a plain reference to it.
+      ASSERT_EQ(plan->group_schema.num_columns(), 1u) << c.agg;
+      EXPECT_EQ(plan->group_schema.column(0).name, "$agg0");
+      EXPECT_EQ(plan->group_schema.column(0).type, want) << c.agg;
+      ASSERT_EQ(plan->items.size(), 1u);
+      EXPECT_EQ(RefSlot(*plan->items[0]), 0u) << c.agg;
+      EXPECT_EQ(plan->out_schema.column(0).type, want) << c.agg;
+      EXPECT_EQ(plan->out_schema.column(0).name, c.agg);
+    }
+  }
+}
+
+TEST(BindAggregate, GroupSchemaSlotLayout) {
+  const Table t = TypedMini();
+  auto plan = Bind(t,
+                   "SELECT g, SUM(d) AS sd, COUNT(*) + 1 AS c1, MIN(s) "
+                   "FROM t GROUP BY g, b HAVING COUNT(*) > 1 AND MAX(i) > 0",
+                   /*weighted=*/true);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->group_cols, (std::vector<size_t>{0, 4}));
+  EXPECT_EQ(plan->key_cols, (std::vector<size_t>{0, 4}));
+  // Keys first (source names and types), then one slot per distinct
+  // aggregate in first-mention order: items left to right, then HAVING.
+  const Schema& gs = plan->group_schema;
+  ASSERT_EQ(gs.num_columns(), 6u);
+  const std::vector<std::pair<std::string, DataType>> want = {
+      {"g", DataType::kString},    {"b", DataType::kBool},
+      {"$agg0", DataType::kDouble}, {"$agg1", DataType::kDouble},
+      {"$agg2", DataType::kString}, {"$agg3", DataType::kInt64}};
+  for (size_t c = 0; c < want.size(); ++c) {
+    EXPECT_EQ(gs.column(c).name, want[c].first) << c;
+    EXPECT_EQ(gs.column(c).type, want[c].second) << c;
+  }
+  ASSERT_EQ(plan->specs.size(), 4u);
+  EXPECT_EQ(plan->specs[0].rendering, "SUM(d)");
+  EXPECT_EQ(plan->specs[1].rendering, "COUNT(*)");
+  EXPECT_EQ(plan->specs[2].rendering, "MIN(s)");
+  EXPECT_EQ(plan->specs[3].rendering, "MAX(i)");
+  // Aggregate arguments bind against the source schema.
+  EXPECT_EQ(RefSlot(*plan->specs[0].arg), 2u);
+  EXPECT_EQ(RefSlot(*plan->specs[2].arg), 3u);
+  EXPECT_EQ(RefSlot(*plan->specs[3].arg), 1u);
+  // Items bind against the group schema.
+  ASSERT_EQ(plan->items.size(), 4u);
+  EXPECT_EQ(RefSlot(*plan->items[0]), 0u);
+  EXPECT_EQ(RefSlot(*plan->items[1]), 2u);
+  ASSERT_EQ(plan->items[2]->kind, BoundExpr::Kind::kBinary);
+  EXPECT_EQ(RefSlot(*plan->items[2]->left), 3u);
+  EXPECT_EQ(plan->items[2]->type, DataType::kDouble);
+  EXPECT_EQ(RefSlot(*plan->items[3]), 4u);
+  // HAVING reuses COUNT(*)'s slot and adds MAX(i)'s.
+  ASSERT_NE(plan->having, nullptr);
+  ASSERT_EQ(plan->having->kind, BoundExpr::Kind::kBinary);
+  EXPECT_EQ(RefSlot(*plan->having->left->left), 3u);
+  EXPECT_EQ(RefSlot(*plan->having->right->left), 5u);
+  const Schema& out = plan->out_schema;
+  ASSERT_EQ(out.num_columns(), 4u);
+  EXPECT_EQ(out.column(0).name, "g");
+  EXPECT_EQ(out.column(1).name, "sd");
+  EXPECT_EQ(out.column(2).name, "c1");
+  EXPECT_EQ(out.column(3).name, "MIN(s)");
+  EXPECT_EQ(out.column(3).type, DataType::kString);
+}
+
+TEST(BindAggregate, RepeatedGroupByColumnIsOneKeySlot) {
+  const Table t = TypedMini();
+  auto plan = Bind(t, "SELECT g, COUNT(*) FROM t GROUP BY g, i, g",
+                   /*weighted=*/false);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->group_cols, (std::vector<size_t>{0, 1, 0}));
+  EXPECT_EQ(plan->key_cols, (std::vector<size_t>{0, 1}));
+  ASSERT_EQ(plan->group_schema.num_columns(), 3u);
+  EXPECT_EQ(plan->group_schema.column(2).type, DataType::kInt64);
+  EXPECT_EQ(RefSlot(*plan->items[1]), 2u);
+
+  // Executing it groups as GROUP BY g, i would.
+  Table r = MustRun(t, "SELECT g, COUNT(*) AS c FROM t GROUP BY g, i, g");
+  Table once = MustRun(t, "SELECT g, COUNT(*) AS c FROM t GROUP BY g, i");
+  ASSERT_EQ(r.num_rows(), 4u);
+  ASSERT_EQ(once.num_rows(), r.num_rows());
+  for (size_t row = 0; row < r.num_rows(); ++row) {
+    EXPECT_EQ(r.GetValue(row, 0).AsString(), once.GetValue(row, 0).AsString());
+    EXPECT_EQ(r.GetValue(row, 1).AsInt64(), 1);
+  }
+}
+
+TEST(BindAggregate, AggregateOnlyInHavingGetsASlotButNoColumn) {
+  const Table t = TypedMini();
+  auto plan = Bind(t, "SELECT g FROM t GROUP BY g HAVING AVG(d) > 1.0",
+                   /*weighted=*/true);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->specs.size(), 1u);
+  EXPECT_EQ(plan->specs[0].rendering, "AVG(d)");
+  ASSERT_EQ(plan->group_schema.num_columns(), 2u);
+  EXPECT_EQ(plan->group_schema.column(1).type, DataType::kDouble);
+  ASSERT_EQ(plan->out_schema.num_columns(), 1u);
+  EXPECT_EQ(plan->out_schema.column(0).name, "g");
+  EXPECT_EQ(RefSlot(*plan->having->left), 1u);
+
+  // Weighted AVG(d): A = 19.25 / 7 = 2.75, B = -2.0, so only A stays.
+  Table r = MustRun(t, "SELECT g FROM t GROUP BY g HAVING AVG(d) > 1.0", "w");
+  ASSERT_EQ(r.num_rows(), 1u);
+  EXPECT_EQ(r.num_columns(), 1u);
+  EXPECT_EQ(r.GetValue(0, 0).AsString(), "A");
+}
+
+TEST(BindAggregate, BindErrors) {
+  const Table t = TypedMini();
+  EXPECT_EQ(Bind(t, "SELECT SUM(MAX(i)) FROM t", false).status().code(),
+            StatusCode::kBindError);
+  EXPECT_EQ(Bind(t, "SELECT i, COUNT(*) FROM t GROUP BY g", false)
+                .status()
+                .code(),
+            StatusCode::kBindError);
+  EXPECT_EQ(Bind(t, "SELECT COUNT(*) FROM t GROUP BY nope", false)
+                .status()
+                .code(),
+            StatusCode::kBindError);
+  EXPECT_EQ(Bind(t, "SELECT g FROM t GROUP BY g HAVING COUNT(*)", false)
+                .status()
+                .code(),
+            StatusCode::kTypeError);
+}
+
+// Hand-computed answers of every aggregate over every argument type,
+// weighted and unweighted, grouped by g (rows: A then B).
+TEST(BindAggregate, GoldenAnswersByTypeAndWeighting) {
+  const Table t = TypedMini();
+  struct Case {
+    std::string agg;
+    bool weighted;
+    Value a;
+    Value b;
+  };
+  const std::vector<Case> cases = {
+      {"COUNT(*)", false, Value(int64_t{3}), Value(int64_t{1})},
+      {"COUNT(d)", false, Value(int64_t{3}), Value(int64_t{1})},
+      {"COUNT(*)", true, Value(7.0), Value(0.5)},
+      {"COUNT(s)", true, Value(7.0), Value(0.5)},
+      {"SUM(i)", false, Value(7.0), Value(7.0)},
+      {"SUM(i)", true, Value(25.0), Value(3.5)},
+      {"SUM(d)", false, Value(5.75), Value(-2.0)},
+      {"SUM(d)", true, Value(19.25), Value(-1.0)},
+      {"SUM(b)", false, Value(2.0), Value(1.0)},
+      {"SUM(b)", true, Value(6.0), Value(0.5)},
+      {"AVG(i)", false, Value(7.0 / 3.0), Value(7.0)},
+      {"AVG(i)", true, Value(25.0 / 7.0), Value(7.0)},
+      {"AVG(d)", false, Value(5.75 / 3.0), Value(-2.0)},
+      {"AVG(d)", true, Value(2.75), Value(-2.0)},
+      {"AVG(b)", true, Value(6.0 / 7.0), Value(1.0)},
+      {"MIN(i)", false, Value(int64_t{-1}), Value(int64_t{7})},
+      {"MAX(i)", true, Value(int64_t{5}), Value(int64_t{7})},
+      {"MIN(d)", true, Value(0.25), Value(-2.0)},
+      {"MAX(d)", false, Value(4.0), Value(-2.0)},
+      {"MIN(s)", true, Value("a"), Value("x")},
+      {"MAX(s)", false, Value("m"), Value("x")},
+      {"MIN(b)", false, Value(false), Value(true)},
+      {"MAX(b)", true, Value(true), Value(true)},
+  };
+  for (const Case& c : cases) {
+    const std::string query =
+        "SELECT g, " + c.agg + " AS v FROM t GROUP BY g ORDER BY g";
+    const std::string what = query + (c.weighted ? " [weighted]" : "");
+    Table r = MustRun(t, query, c.weighted ? "w" : "");
+    ASSERT_EQ(r.num_rows(), 2u) << what;
+    EXPECT_EQ(r.schema().column(1).type, c.a.type()) << what;
+    for (size_t row = 0; row < 2; ++row) {
+      const Value& want = row == 0 ? c.a : c.b;
+      const Value got = r.GetValue(row, 1);
+      ASSERT_EQ(got.type(), want.type()) << what;
+      switch (want.type()) {
+        case DataType::kInt64:
+          EXPECT_EQ(got.AsInt64(), want.AsInt64()) << what;
+          break;
+        case DataType::kDouble:
+          // Exact: each golden value is the same sequence of IEEE
+          // operations the executor performs.
+          EXPECT_EQ(got.AsDouble(), want.AsDouble()) << what;
+          break;
+        case DataType::kString:
+          EXPECT_EQ(got.AsString(), want.AsString()) << what;
+          break;
+        case DataType::kBool:
+          EXPECT_EQ(got.AsBool(), want.AsBool()) << what;
+          break;
+        default:
+          ADD_FAILURE() << what;
+      }
+    }
+  }
+  // SUM over a string binds (as DOUBLE) but fails at execution.
+  EXPECT_FALSE(RunQuery(t, "SELECT SUM(s) FROM t").ok());
+  EXPECT_FALSE(RunQuery(t, "SELECT g, AVG(s) FROM t GROUP BY g", "w").ok());
 }
 
 }  // namespace

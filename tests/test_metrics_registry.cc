@@ -289,8 +289,8 @@ TEST(QueryTrace, ScopedSpanIsNullSafeAndRecordsNotes) {
 }
 
 TEST(QueryTrace, ConcurrentSpansFromWorkerThreads) {
-  // Morsel and generation pool threads record spans against an
-  // explicit parent concurrently; the trace must stay consistent.
+  // Generation-pool threads record spans against an explicit parent
+  // concurrently; the trace must stay consistent.
   trace::QueryTrace t;
   const uint32_t root = t.Begin(trace::kNoParent, "root");
   constexpr int kThreads = 8;
@@ -298,7 +298,7 @@ TEST(QueryTrace, ConcurrentSpansFromWorkerThreads) {
   for (int i = 0; i < kThreads; ++i) {
     workers.emplace_back([&t, root] {
       for (int k = 0; k < 200; ++k) {
-        trace::ScopedSpan span(&t, root, "morsel");
+        trace::ScopedSpan span(&t, root, "generate");
       }
     });
   }

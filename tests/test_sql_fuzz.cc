@@ -1,9 +1,7 @@
 // Cross-path SQL parity fuzzer: randomized queries must be
-// bit-identical across the execution paths — the test-only row oracle
-// (tests/oracle/row_oracle.h), batch (vectorized single-threaded), and
-// morsel (batch split into fixed-size morsels on a shared thread pool)
-// — at several morsel sizes including degenerate ones (1, a prime that
-// leaves tail morsels, larger than the table). Two layers:
+// bit-identical between the test-only row oracle
+// (tests/oracle/row_oracle.h) and the vectorized batch executor, traced
+// and untraced. Two layers:
 //
 //   - executor-level: random schemas/tables/SELECTs straight through
 //     exec::ExecuteSelect, weighted and unweighted, over whole tables
@@ -12,10 +10,9 @@
 //   - engine-level: a fixed Mosaic world (a GP and a derived
 //     population) queried at every visibility level (CLOSED /
 //     SEMI-OPEN / OPEN, plus direct sample and auxiliary-table access)
-//     through Database instances that differ only in morsel split and
-//     tracing. Routing is shared, so the oracle leg lives at the
-//     executor level, fed the same view + selection shape the engine
-//     hands the executor.
+//     through Database instances that differ only in tracing. Routing
+//     is shared, so the oracle leg lives at the executor level, fed
+//     the same view + selection shape the engine hands the executor.
 //
 // Queries that fail must fail identically (same status string) on
 // every path.
@@ -27,7 +24,6 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "core/database.h"
 #include "exec/executor.h"
 #include "oracle/row_oracle.h"
@@ -38,11 +34,6 @@
 namespace mosaic {
 namespace exec {
 namespace {
-
-/// Morsel sizes every query is checked at: single-row morsels, a
-/// prime that produces a ragged tail, a typical cache-sized morsel,
-/// and one larger than any test table (single-morsel execution).
-constexpr size_t kMorselSizes[] = {1, 7, 1024, size_t{1} << 20};
 
 constexpr const char* kStrings[] = {"aa", "bb", "cc", "dd", "ee", "zz"};
 
@@ -107,8 +98,7 @@ RandomRelation MakeRelation(Rng* rng) {
     EXPECT_TRUE(schema.AddColumn({"w", DataType::kDouble}).ok());
   }
   rel.table = Table(schema);
-  // 0..150 rows: covers empty tables, tables below/above each tested
-  // morsel size, and ragged final morsels.
+  // 0..150 rows, empty tables included.
   size_t rows = rng->UniformInt(uint64_t{151});
   for (size_t r = 0; r < rows; ++r) {
     std::vector<Value> row;
@@ -426,8 +416,7 @@ void ExpectSameOutcome(const Result<Table>& want, const Result<Table>& got,
 /// Runs one statement on every path and checks bit-identity (or
 /// identical failure). Returns true if the query executed OK.
 bool CheckExecutorParity(const RandomRelation& rel,
-                         const EngineShaped& engine, const std::string& sql,
-                         ThreadPool* pool) {
+                         const EngineShaped& engine, const std::string& sql) {
   auto parsed = sql::ParseStatement(sql);
   EXPECT_TRUE(parsed.ok()) << sql << ": " << parsed.status().ToString();
   if (!parsed.ok()) return false;
@@ -441,8 +430,7 @@ bool CheckExecutorParity(const RandomRelation& rel,
   ExpectSameOutcome(row_res, batch_res, "batch: " + sql);
 
   // Engine-shaped inputs: the batch path runs on the view + selection
-  // directly (unsplit and at every morsel size below), the oracle on
-  // their materialization.
+  // directly, the oracle on their materialization.
   ExecOptions view_opts = batch_opts;
   view_opts.weight_column = "w";
   auto view_row_res =
@@ -470,26 +458,10 @@ bool CheckExecutorParity(const RandomRelation& rel,
           << sql;
     }
   }
-
-  for (size_t morsel_size : kMorselSizes) {
-    const std::string tag = "morsel=" + std::to_string(morsel_size) + ": ";
-    ExecOptions morsel_opts = batch_opts;
-    morsel_opts.morsels.morsel_size = morsel_size;
-    morsel_opts.morsels.pool = pool;
-    ExpectSameOutcome(row_res, ExecuteSelect(table, stmt, morsel_opts),
-                      tag + sql);
-    ExecOptions view_morsel_opts = morsel_opts;
-    view_morsel_opts.weight_column = "w";
-    ExpectSameOutcome(
-        view_row_res,
-        ExecuteSelect(engine.view, engine.sel, stmt, view_morsel_opts),
-        tag + "view+selection: " + sql);
-  }
   return row_res.ok();
 }
 
 TEST(SqlFuzz, ExecutorPathsBitIdentical) {
-  ThreadPool pool(3);
   size_t oks = 0;
   size_t total = 0;
   for (uint64_t seed = 0; seed < 8; ++seed) {
@@ -501,14 +473,14 @@ TEST(SqlFuzz, ExecutorPathsBitIdentical) {
     for (int q = 0; q < 40; ++q) {
       std::string sql = RandomQuery(&rng, rel);
       ++total;
-      if (CheckExecutorParity(rel, engine, sql, &pool)) {
+      if (CheckExecutorParity(rel, engine, sql)) {
         ++oks;
       }
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
   // The acceptance bar: at least 200 random queries executed OK and
-  // bit-identical on every path at every morsel size.
+  // bit-identical on every path.
   EXPECT_GE(oks, 200u) << "only " << oks << "/" << total
                        << " generated queries executed";
 }
@@ -709,15 +681,11 @@ std::string RandomWorldQuery(Rng* rng, int* open_queries) {
 }
 
 TEST(SqlFuzz, VisibilityLevelsBitIdenticalAcrossPaths) {
-  ThreadPool pool(3);
   core::Database batch_db;
-  core::Database morsel_db;
   core::Database traced_db;
   SetUpFuzzWorld(&batch_db);
-  SetUpFuzzWorld(&morsel_db);
   SetUpFuzzWorld(&traced_db);
   if (::testing::Test::HasFatalFailure()) return;
-  morsel_db.set_morsel_pool(&pool);
 
   Rng rng(77);
   int open_queries = 0;
@@ -725,14 +693,7 @@ TEST(SqlFuzz, VisibilityLevelsBitIdenticalAcrossPaths) {
   constexpr int kQueries = 90;
   for (int q = 0; q < kQueries; ++q) {
     const std::string sql = RandomWorldQuery(&rng, &open_queries);
-    // Cycle the morsel size so the engine-level sweep covers every
-    // degenerate split as well.
-    const size_t morsel_size =
-        kMorselSizes[q % (sizeof(kMorselSizes) / sizeof(kMorselSizes[0]))];
-    morsel_db.set_morsel_options(morsel_size);
-
     auto batch_res = batch_db.Execute(sql);
-    auto morsel_res = morsel_db.Execute(sql);
     // Trace-enabled leg: the engine with a live QueryTrace collecting
     // spans (weight pins, training, executor phases) must stay
     // bit-identical to the untraced batch engine.
@@ -746,23 +707,13 @@ TEST(SqlFuzz, VisibilityLevelsBitIdenticalAcrossPaths) {
     ASSERT_EQ(batch_res.ok(), traced_res.ok())
         << sql << "\n batch: " << batch_res.status().ToString()
         << "\n traced: " << traced_res.status().ToString();
-    if (batch_res.ok()) {
-      ExpectTablesIdentical(*batch_res, *traced_res, "traced: " + sql);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-    ASSERT_EQ(batch_res.ok(), morsel_res.ok())
-        << sql << " [morsel=" << morsel_size << "]\n batch: "
-        << batch_res.status().ToString()
-        << "\n morsel: " << morsel_res.status().ToString();
     if (!batch_res.ok()) {
-      EXPECT_EQ(batch_res.status().ToString(), morsel_res.status().ToString())
+      EXPECT_EQ(batch_res.status().ToString(), traced_res.status().ToString())
           << sql;
       continue;
     }
     ++oks;
-    ExpectTablesIdentical(
-        *batch_res, *morsel_res,
-        "morsel=" + std::to_string(morsel_size) + ": " + sql);
+    ExpectTablesIdentical(*batch_res, *traced_res, "traced: " + sql);
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_GT(open_queries, 0);

@@ -1,5 +1,5 @@
 // Queryable system tables (`system.*`): resolution in the planner,
-// three-path execution parity over a frozen query-log ring, service
+// row-oracle parity over a frozen query-log ring, service
 // integration (every statement leaves a record), and the bounded
 // ring's wraparound semantics.
 #include "core/system_tables.h"
@@ -14,7 +14,9 @@
 
 #include "common/query_log.h"
 #include "core/database.h"
+#include "oracle/row_oracle.h"
 #include "service/query_service.h"
+#include "sql/parser.h"
 
 namespace mosaic {
 namespace {
@@ -38,7 +40,6 @@ void SeedQueryLog() {
   traced.cpu_ns = 1500000;
   traced.rows_scanned = 100;
   traced.rows_produced = 1;
-  traced.morsels = 4;
   traced.epoch_pins = 1;
   traced.simd_isa = "scalar";
   traced.spans.push_back({1, 0, "statement", 0, 1800, 1500000, ""});
@@ -205,10 +206,10 @@ TEST(SystemTables, WeightEpochsShowsEachSamplesFit) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch vs morsel execution parity over a frozen ring
+// Row oracle vs batch execution over a frozen ring
 // ---------------------------------------------------------------------------
 
-TEST(SystemTables, ExecPathsAgreeBitForBit) {
+TEST(SystemTables, OracleAndBatchAgreeBitForBit) {
   SeedQueryLog();
   const std::vector<std::string> queries = {
       "SELECT * FROM system.queries",
@@ -220,16 +221,19 @@ TEST(SystemTables, ExecPathsAgreeBitForBit) {
       "GROUP BY sql ORDER BY total DESC LIMIT 2",
       "SELECT span FROM system.queries WHERE cpu_us >= 1 ORDER BY span",
   };
+  auto snapshot = core::BuildQueriesTable(QueryLog::Global());
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   for (const std::string& sql : queries) {
-    Database batch_db;
-    auto batch = batch_db.Execute(sql);
+    Database db;
+    auto batch = db.Execute(sql);
     ASSERT_TRUE(batch.ok()) << sql << " -> " << batch.status().ToString();
 
-    Database morsel_db;
-    morsel_db.set_morsel_options(2);
-    auto morsel = morsel_db.Execute(sql);
-    ASSERT_TRUE(morsel.ok()) << sql << " -> " << morsel.status().ToString();
-    EXPECT_TRUE(TablesEqual(*batch, *morsel)) << "morsel path: " << sql;
+    auto stmt = sql::ParseStatement(sql);
+    ASSERT_TRUE(stmt.ok()) << sql;
+    auto row = oracle::ExecuteSelectRow(*snapshot,
+                                        stmt->As<sql::SelectStmt>(), {});
+    ASSERT_TRUE(row.ok()) << sql << " -> " << row.status().ToString();
+    EXPECT_TRUE(TablesEqual(*row, *batch)) << "row oracle: " << sql;
   }
 }
 
@@ -320,53 +324,6 @@ TEST(SystemTablesService, EveryStatementLeavesARecord) {
     }
   }
   EXPECT_TRUE(found);
-}
-
-// Split bookkeeping — per-morsel spans and the morsels counter — is
-// recorded only when a query actually splits; the unsplit run (one
-// morsel covering the selection) leaves none behind.
-TEST(SystemTablesService, MorselSpansOnlyWhenTheQuerySplits) {
-  const std::string sql =
-      "SELECT tag, COUNT(*) AS c FROM Nums WHERE n >= 2 GROUP BY tag";
-  for (size_t morsel_size : {size_t{0}, size_t{2}}) {
-    QueryLog::Global().ResetForTesting();
-    service::ServiceOptions opts;
-    opts.trace_queries = true;
-    opts.num_request_threads = 2;
-    opts.num_generation_threads = 0;
-    service::QueryService service(opts);
-    // Set explicitly, so MOSAIC_MORSELS cannot split the 0 case.
-    service.database()->set_morsel_options(morsel_size);
-    auto session = service.OpenSession();
-    ASSERT_TRUE(
-        session.Execute("CREATE TABLE Nums (n INT, tag VARCHAR)").ok());
-    ASSERT_TRUE(session
-                    .Execute("INSERT INTO Nums VALUES (1,'a'), (2,'b'), "
-                             "(3,'a'), (4,'b'), (5,'a'), (6,'c')")
-                    .ok());
-    ASSERT_TRUE(session.Execute(sql).ok());
-
-    auto log = session.Execute(
-        "SELECT span, morsels FROM system.queries WHERE sql = '" + sql + "'");
-    ASSERT_TRUE(log.ok()) << log.status().ToString();
-    ASSERT_GT(log->num_rows(), 1u) << "statement was not traced";
-    size_t morsel_spans = 0;
-    for (size_t r = 0; r < log->num_rows(); ++r) {
-      if (log->GetValue(r, 0).AsString().rfind("morsel ", 0) == 0) {
-        ++morsel_spans;
-      }
-      if (morsel_size == 0) {
-        EXPECT_EQ(log->GetValue(r, 1).AsInt64(), 0);
-      } else {
-        EXPECT_GT(log->GetValue(r, 1).AsInt64(), 0);
-      }
-    }
-    if (morsel_size == 0) {
-      EXPECT_EQ(morsel_spans, 0u);
-    } else {
-      EXPECT_EQ(morsel_spans, 3u);  // 6 rows in morsels of 2 at WHERE
-    }
-  }
 }
 
 TEST(SystemTablesService, SystemQueriesIsNeverServedFromTheResultCache) {

@@ -1,6 +1,6 @@
-// Zero-copy slicing boundaries for the morsel executor:
-// SelectionVector/SelectionSlice, ColumnSpan, and TableView slices —
-// empty morsels, ragged tail morsels, slice-of-slice, and clamping.
+// Zero-copy columnar views: SelectionSlice over a selection's row
+// vector, ColumnSpan over every payload type, and TableView with an
+// external weight span, read directly and materialized.
 #include "storage/table_view.h"
 
 #include <gtest/gtest.h>
@@ -29,51 +29,6 @@ Table MakeTable(size_t rows) {
   return t;
 }
 
-TEST(SelectionSlice, WholeAndSubslices) {
-  SelectionVector sel(std::vector<uint32_t>{4, 8, 15, 16, 23, 42});
-  SelectionSlice all = sel.Slice(0, sel.size());
-  ASSERT_EQ(all.size(), 6u);
-  EXPECT_EQ(all[0], 4u);
-  EXPECT_EQ(all[5], 42u);
-  // Interior morsel.
-  SelectionSlice mid = sel.Slice(2, 2);
-  ASSERT_EQ(mid.size(), 2u);
-  EXPECT_EQ(mid[0], 15u);
-  EXPECT_EQ(mid[1], 16u);
-  // Zero-copy: the slice aliases the vector's storage.
-  EXPECT_EQ(mid.data(), sel.rows().data() + 2);
-}
-
-TEST(SelectionSlice, TailMorselClamps) {
-  SelectionVector sel(std::vector<uint32_t>{1, 2, 3, 4, 5});
-  // Morsel size 2 over 5 rows: the last morsel covers one row.
-  SelectionSlice tail = sel.Slice(4, 2);
-  ASSERT_EQ(tail.size(), 1u);
-  EXPECT_EQ(tail[0], 5u);
-}
-
-TEST(SelectionSlice, EmptyMorselPastTheEnd) {
-  SelectionVector sel(std::vector<uint32_t>{1, 2, 3});
-  SelectionSlice empty = sel.Slice(3, 7);
-  EXPECT_TRUE(empty.empty());
-  SelectionSlice way_past = sel.Slice(100, 5);
-  EXPECT_TRUE(way_past.empty());
-  SelectionVector none;
-  EXPECT_TRUE(none.Slice(0, 1).empty());
-}
-
-TEST(SelectionSlice, SliceOfSlice) {
-  SelectionVector sel(std::vector<uint32_t>{10, 11, 12, 13, 14, 15});
-  SelectionSlice outer = sel.Slice(1, 4);  // 11..14
-  SelectionSlice inner = outer.Subslice(2, 2);  // 13, 14
-  ASSERT_EQ(inner.size(), 2u);
-  EXPECT_EQ(inner[0], 13u);
-  EXPECT_EQ(inner[1], 14u);
-  // Clamping composes.
-  EXPECT_EQ(outer.Subslice(3, 10).size(), 1u);
-  EXPECT_TRUE(outer.Subslice(4, 1).empty());
-}
-
 TEST(SelectionSlice, ConvertsFromVector) {
   std::vector<uint32_t> rows{7, 9};
   SelectionSlice s = rows;
@@ -82,74 +37,66 @@ TEST(SelectionSlice, ConvertsFromVector) {
   EXPECT_EQ(s.data(), rows.data());
 }
 
-TEST(ColumnSpanSlice, OffsetsEveryPayload) {
+TEST(SelectionSlice, AliasesASelectionsRows) {
+  SelectionVector sel(std::vector<uint32_t>{4, 8, 15, 16, 23, 42});
+  SelectionSlice all = sel.rows();
+  ASSERT_EQ(all.size(), 6u);
+  EXPECT_EQ(all[0], 4u);
+  EXPECT_EQ(all[5], 42u);
+  EXPECT_EQ(all.data(), sel.rows().data());
+  EXPECT_TRUE(SelectionSlice(SelectionVector().rows()).empty());
+}
+
+TEST(ColumnSpan, ReadsEveryPayload) {
   Table t = MakeTable(10);
   TableView view(t);
+  ASSERT_EQ(view.num_columns(), 4u);
   for (size_t c = 0; c < view.num_columns(); ++c) {
     const ColumnSpan& span = view.column(c);
-    ColumnSpan mid = span.Slice(3, 4);
-    ASSERT_EQ(mid.size, 4u);
-    for (size_t r = 0; r < mid.size; ++r) {
-      EXPECT_TRUE(mid.GetValue(r) == span.GetValue(3 + r))
+    ASSERT_EQ(span.size, 10u);
+    for (size_t r = 0; r < span.size; ++r) {
+      EXPECT_TRUE(span.GetValue(r) == t.GetValue(r, c))
           << "col " << c << " row " << r;
     }
-    // Tail clamp and empty slice.
-    EXPECT_EQ(span.Slice(8, 100).size, 2u);
-    EXPECT_EQ(span.Slice(10, 1).size, 0u);
-    EXPECT_EQ(span.Slice(99, 1).size, 0u);
-    // Slice-of-slice.
-    ColumnSpan inner = mid.Slice(1, 2);
-    ASSERT_EQ(inner.size, 2u);
-    EXPECT_TRUE(inner.GetValue(0) == span.GetValue(4));
-    EXPECT_TRUE(inner.GetValue(1) == span.GetValue(5));
   }
 }
 
-TEST(ColumnSpanSlice, StringSliceSharesDictionary) {
+TEST(ColumnSpan, StringSpanSharesDictionary) {
   Table t = MakeTable(6);
   TableView view(t);
   const ColumnSpan& span = view.column(2);
-  ColumnSpan sliced = span.Slice(2, 3);
-  EXPECT_EQ(sliced.dict.get(), span.dict.get());
-  EXPECT_EQ(sliced.GetValue(0).AsString(), span.GetValue(2).AsString());
+  EXPECT_EQ(span.dict.get(), t.column(2).shared_dictionary().get());
+  EXPECT_EQ(span.GetValue(4).AsString(), "y");
+  EXPECT_FALSE(span.GetDouble(0).ok());
 }
 
-TEST(TableViewSlice, WithExternalWeightSpan) {
+TEST(TableView, ExternalWeightSpan) {
   Table t = MakeTable(9);
   std::vector<double> weights(9);
   for (size_t i = 0; i < 9; ++i) weights[i] = 0.1 * static_cast<double>(i);
   TableView view(t);
   ASSERT_TRUE(view.AddDoubleSpan("w", weights.data(), weights.size()).ok());
-
-  TableView mid = view.Slice(4, 3);
-  ASSERT_EQ(mid.num_rows(), 3u);
-  ASSERT_EQ(mid.num_columns(), view.num_columns());
-  EXPECT_TRUE(mid.schema() == view.schema());
-  for (size_t r = 0; r < 3; ++r) {
-    for (size_t c = 0; c < mid.num_columns(); ++c) {
-      EXPECT_TRUE(mid.GetValue(r, c) == view.GetValue(4 + r, c));
-    }
-  }
-  // The external span sliced too.
-  EXPECT_DOUBLE_EQ(mid.GetValue(0, 4).AsDouble(), 0.4);
-
-  // Tail morsel and empty slice.
-  EXPECT_EQ(view.Slice(7, 100).num_rows(), 2u);
-  EXPECT_EQ(view.Slice(9, 2).num_rows(), 0u);
-  // Slice-of-slice.
-  TableView inner = mid.Slice(2, 5);
-  ASSERT_EQ(inner.num_rows(), 1u);
-  EXPECT_TRUE(inner.GetValue(0, 0) == view.GetValue(6, 0));
+  ASSERT_EQ(view.num_columns(), 5u);
+  EXPECT_DOUBLE_EQ(view.GetValue(4, 4).AsDouble(), 0.4);
+  // Zero-copy: the span reads the caller's vector.
+  EXPECT_EQ(view.column(4).f64, weights.data());
+  // A size mismatch or a duplicate name is rejected.
+  EXPECT_FALSE(view.AddDoubleSpan("w2", weights.data(), 8).ok());
+  EXPECT_FALSE(view.AddDoubleSpan("w", weights.data(), 9).ok());
 }
 
-TEST(TableViewSlice, MaterializeFromSlice) {
+TEST(TableView, MaterializeSelectedRows) {
   Table t = MakeTable(12);
+  std::vector<double> weights(12, 2.0);
   TableView view(t);
-  TableView tail = view.Slice(10, 5);
-  Table out = tail.Materialize(SelectionVector::All(tail.num_rows()));
+  ASSERT_TRUE(view.AddDoubleSpan("w", weights.data(), weights.size()).ok());
+  Table out = view.Materialize(SelectionVector(std::vector<uint32_t>{10, 3}));
   ASSERT_EQ(out.num_rows(), 2u);
+  ASSERT_EQ(out.num_columns(), 5u);
   EXPECT_EQ(out.GetValue(0, 0).AsInt64(), 10);
-  EXPECT_EQ(out.GetValue(1, 0).AsInt64(), 11);
+  EXPECT_EQ(out.GetValue(1, 0).AsInt64(), 3);
+  EXPECT_EQ(out.GetValue(0, 2).AsString(), "y");
+  EXPECT_DOUBLE_EQ(out.GetValue(1, 4).AsDouble(), 2.0);
 }
 
 }  // namespace

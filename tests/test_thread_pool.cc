@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -79,109 +78,6 @@ TEST(ThreadPool, AtLeastOneWorkerEvenWhenAskedForZero) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_threads(), 1u);
   EXPECT_EQ(pool.Submit([] { return 7; }).get(), 7);
-}
-
-TEST(ThreadPool, TryRunOneDrainsQueueInline) {
-  ThreadPool pool(1);
-  // Park the single worker so submissions pile up. Wait until the
-  // worker actually started the parking task — otherwise this thread
-  // could pop it via TryRunOne and block on the gate itself.
-  std::promise<void> release;
-  std::shared_future<void> gate(release.get_future());
-  std::promise<void> started;
-  auto parked = pool.Submit([gate, &started] {
-    started.set_value();
-    gate.wait();
-  });
-  started.get_future().wait();
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 5; ++i) {
-    pool.Submit([&ran] { ++ran; });
-  }
-  // Drain the queue from this thread while the worker is blocked.
-  int drained = 0;
-  while (pool.TryRunOne()) ++drained;
-  EXPECT_EQ(drained, 5);
-  EXPECT_EQ(ran.load(), 5);
-  EXPECT_FALSE(pool.TryRunOne());  // empty queue
-  release.set_value();
-  parked.get();
-}
-
-// The morsel-deadlock regression: on a single-worker pool, a task
-// that submits a subtask and blocks on its future would deadlock (the
-// only worker is the one waiting). HelpUntil runs the queued subtask
-// inline instead.
-TEST(ThreadPool, NestedSubmitDoesNotDeadlockOnSingleWorker) {
-  ThreadPool pool(1);
-  auto outer = pool.Submit([&pool] {
-    auto inner = pool.Submit([] { return 41; });
-    pool.HelpUntil([&inner] {
-      return inner.wait_for(std::chrono::seconds(0)) ==
-             std::future_status::ready;
-    });
-    return inner.get() + 1;
-  });
-  EXPECT_EQ(outer.get(), 42);
-}
-
-TEST(ThreadPool, DeeplyNestedSubmitsComplete) {
-  ThreadPool pool(1);
-  // Each level submits the next and helps until it resolves; without
-  // the inline fallback any depth > 0 would wedge a 1-thread pool.
-  std::function<int(int)> spawn = [&pool, &spawn](int depth) -> int {
-    if (depth == 0) return 0;
-    auto child = pool.Submit([&spawn, depth] { return spawn(depth - 1); });
-    pool.HelpUntil([&child] {
-      return child.wait_for(std::chrono::seconds(0)) ==
-             std::future_status::ready;
-    });
-    return child.get() + 1;
-  };
-  auto root = pool.Submit([&spawn] { return spawn(6); });
-  pool.HelpUntil([&root] {
-    return root.wait_for(std::chrono::seconds(0)) ==
-           std::future_status::ready;
-  });
-  EXPECT_EQ(root.get(), 6);
-}
-
-// HelpUntil must not strand queued work when it exits: it may have
-// consumed a Submit's notify_one meant for an idle worker, so leaving
-// with a non-empty queue has to re-notify (lost-wakeup regression).
-TEST(ThreadPool, HelpUntilLeavesNoQueuedWorkStranded) {
-  ThreadPool pool(2);
-  std::promise<void> release;
-  std::shared_future<void> gate(release.get_future());
-  std::promise<void> s1, s2;
-  auto f1 = pool.Submit([gate, &s1] {
-    s1.set_value();
-    gate.wait();
-  });
-  auto f2 = pool.Submit([gate, &s2] {
-    s2.set_value();
-    gate.wait();
-  });
-  s1.get_future().wait();
-  s2.get_future().wait();
-  // Both workers are parked; anything submitted now only runs via
-  // helping or a post-exit wakeup.
-  std::atomic<int> ran{0};
-  std::atomic<bool> ready{false};
-  std::thread submitter([&pool, &ran, &ready, &release] {
-    for (int i = 0; i < 8; ++i) {
-      pool.Submit([&ran] { ++ran; });
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    ready.store(true);
-    release.set_value();
-  });
-  pool.HelpUntil([&ready] { return ready.load(); });
-  submitter.join();
-  f1.get();
-  f2.get();
-  pool.Wait();  // must not hang even if HelpUntil exited with work queued
-  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ThreadPool, ShutdownWithPendingWorkDrainsEverything) {

@@ -4,9 +4,8 @@
 // readers racing a stream of SEMI-OPEN refits and weight UPDATEs must
 // each observe a result bit-identical to *some* serialized weight
 // epoch, never a torn mix of two. scripts/check.sh runs this suite
-// under TSan and again with MOSAIC_MORSELS=4, so epoch pinning is
-// proven on the batch and morsel paths; the row-path oracle shares
-// their pin-and-view route, so it needs no leg of its own.
+// under TSan; the row-path oracle shares the executor's pin-and-view
+// route, so it needs no leg of its own.
 #include "core/weights.h"
 
 #include <gtest/gtest.h>

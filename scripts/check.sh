@@ -267,22 +267,24 @@ echo "=== Release + MOSAIC_SIMD=0: scalar kernel parity ==="
 MOSAIC_SIMD=0 ctest --test-dir build-release --output-on-failure \
   -R 'test_(sql_fuzz|exec_parity|simd_kernels)'
 
-# UBSan leg over the executor tests, the durable storage suites and
-# the reweighting kernels: the SIMD layer leans on casts, bit tricks,
-# and alignment assumptions, the storage engine adds mmap'd column
-# reads and byte-level (de)serialization on top, and IPF and
-# Marginal::CellIds index arrays with raw dictionary codes and cell
-# ids; undefined-behavior findings there must fail CI even when the
-# answers happen to come out right.
+# UBSan leg over the executor tests, the binary codec and durable
+# storage suites and the reweighting kernels: the SIMD layer leans on
+# casts, bit tricks, and alignment assumptions, the codec and storage
+# engine add mmap'd column reads and byte-level (de)serialization on
+# top, and IPF and Marginal::CellIds index arrays with raw dictionary
+# codes and cell ids; undefined-behavior findings there must fail CI
+# even when the answers happen to come out right. (`codec` in the
+# filter also selects test_codec_golden.)
 echo "=== UBSan: executor + kernel + storage + reweight tests ==="
 cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DMOSAIC_SANITIZE=undefined
 cmake --build build-ubsan -j "${JOBS}" --target \
   test_simd_kernels test_exec_parity test_executor test_sql_fuzz \
-  test_durable test_durable_recovery test_ipf test_marginal test_reweight
+  test_codec test_codec_golden test_durable test_durable_recovery \
+  test_ipf test_marginal test_reweight
 UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-ubsan \
   --output-on-failure \
-  -R 'test_(simd_kernels|exec_parity|executor|sql_fuzz|durable|durable_recovery|ipf|marginal|reweight)'
+  -R 'test_(simd_kernels|exec_parity|executor|sql_fuzz|codec|durable|durable_recovery|ipf|marginal|reweight)'
 
 # Bench JSON smoke: the bench binaries must emit parseable JSON with
 # the latency histogram fields (BENCH_*.json feeds dashboards; a

@@ -9,10 +9,12 @@ Enforces conventions the compilers cannot (portably) check:
                       compilers that honour the class-level attribute.
   naked-new           No naked `new` / `delete` outside smart-pointer
                       wrapping: ownership must be visible in the type.
-  wire-pointer-arith  The wire decoders (src/net/protocol.cc,
-                      src/storage/durable/serde.cc) must not do raw
-                      pointer arithmetic on payload bytes; reads go
-                      through the bounds-checked cursor helpers.
+  wire-pointer-arith  The payload decoders (the shared codec
+                      src/storage/codec.cc and the files decoding
+                      through it: net/protocol.cc and the durable
+                      serde, WAL, snapshot and engine files) must not
+                      do raw pointer arithmetic on payload bytes;
+                      reads go through the bounds-checked ByteReader.
   errno-no-syscall    `errno` may only be read in a statement block
                       that also issues a syscall: errno is only
                       meaningful immediately after a failing call.
@@ -51,7 +53,14 @@ RULES = (
 # Files whose payload decoding is subject to wire-pointer-arith. Paths
 # are matched by suffix so the rule follows the files if the tree is
 # scanned from elsewhere (fixture tests pass their own roots).
-WIRE_FILES = ("net/protocol.cc", "storage/durable/serde.cc")
+WIRE_FILES = (
+    "storage/codec.cc",
+    "net/protocol.cc",
+    "storage/durable/serde.cc",
+    "storage/durable/wal.cc",
+    "storage/durable/snapshot.cc",
+    "storage/durable/engine.cc",
+)
 
 # Tokens that set errno: the syscalls and libc wrappers this codebase
 # actually issues. Reading errno with none of these in the same brace

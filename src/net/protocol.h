@@ -28,16 +28,15 @@
 //   Requests may be pipelined; the server answers in request order.
 //
 // Encoding
-//   Integers are little-endian fixed width; doubles are IEEE-754 bit
-//   patterns in a uint64; strings are a uint32 length plus raw bytes;
-//   bools are one byte. Result tables travel columnar: schema, row
-//   count, then per-column payloads — string columns ship their
-//   dictionary once plus int32 codes, so a 1M-row categorical column
-//   costs 4 bytes/row, not a string each. Every decoder is
-//   bounds-checked and returns Status on truncated, oversized, or
-//   malformed input; decoding never reads past the payload and never
-//   trusts a declared size it has not verified against the bytes
-//   actually present (tests/test_net_protocol.cc fuzzes this).
+//   Payloads use the binary codec in storage/codec.h, the same one the
+//   WAL and snapshot formats use: little-endian fixed-width integers,
+//   u32-length-prefixed strings, and columnar result tables (string
+//   columns ship their dictionary once plus int32 codes). Every
+//   decoder is bounds-checked and returns Status on truncated,
+//   oversized, or malformed input; decoding never reads past the
+//   payload and never trusts a declared size it has not verified
+//   against the bytes actually present (tests/test_net_protocol.cc and
+//   tests/test_codec.cc fuzz this).
 #ifndef MOSAIC_NET_PROTOCOL_H_
 #define MOSAIC_NET_PROTOCOL_H_
 
@@ -49,8 +48,8 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
+#include "storage/codec.h"
 #include "storage/table.h"
-#include "storage/value.h"
 
 namespace mosaic {
 namespace net {
@@ -134,69 +133,19 @@ class FrameReader {
 };
 
 // ---------------------------------------------------------------------------
-// Primitive encoding
+// Object codecs (Value, Schema and Table live in storage/codec.h)
 // ---------------------------------------------------------------------------
 
-/// Append-only payload builder.
-class WireWriter {
- public:
-  void PutU8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void PutBool(bool v) { PutU8(v ? 1 : 0); }
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
-  void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
-  void PutDouble(double v);
-  /// uint32 length + raw bytes.
-  void PutString(std::string_view s);
-
-  const std::string& buffer() const { return out_; }
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-/// Bounds-checked payload reader over a non-owning byte view.
-class WireReader {
- public:
-  explicit WireReader(std::string_view data) : data_(data) {}
-
-  [[nodiscard]] Result<uint8_t> ReadU8();
-  [[nodiscard]] Result<bool> ReadBool();
-  [[nodiscard]] Result<uint32_t> ReadU32();
-  [[nodiscard]] Result<uint64_t> ReadU64();
-  [[nodiscard]] Result<int64_t> ReadI64();
-  [[nodiscard]] Result<double> ReadDouble();
-  /// Rejects declared lengths exceeding the bytes actually present.
-  [[nodiscard]] Result<std::string> ReadString();
-
-  size_t remaining() const { return data_.size() - pos_; }
-  bool AtEnd() const { return remaining() == 0; }
-
- private:
-  [[nodiscard]] Status Need(size_t n, const char* what);
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Mosaic object codecs
-// ---------------------------------------------------------------------------
-
-/// Scalar Value: one type tag byte + payload; NULL is the tag alone.
-void EncodeValue(const Value& v, WireWriter* w);
-[[nodiscard]] Result<Value> DecodeValue(WireReader* r);
+/// Wire-side names for the shared codec, kept for callers outside
+/// src/ that encode result tables through net:: (perfbench sizes
+/// RESULT payloads this way). Code in src/ uses the codec's own names.
+using WireWriter = ByteWriter;
+using ::mosaic::EncodeTable;
 
 /// Status: code byte + message string. (Decode uses an out-parameter
 /// because Result<Status> would be ill-formed.)
-void EncodeStatus(const Status& s, WireWriter* w);
-[[nodiscard]] Status DecodeStatus(WireReader* r, Status* out);
-
-/// Columnar table codec (schema, row count, column payloads; string
-/// columns as dictionary + codes).
-void EncodeTable(const Table& t, WireWriter* w);
-[[nodiscard]] Result<Table> DecodeTable(WireReader* r);
+void EncodeStatus(const Status& s, ByteWriter* w);
+[[nodiscard]] Status DecodeStatus(ByteReader* r, Status* out);
 
 /// Outcome of one statement as it travels the wire: `table` is
 /// meaningful iff `status.ok()`.
@@ -207,13 +156,13 @@ struct QueryOutcome {
   bool ok() const { return status.ok(); }
 };
 
-void EncodeQueryOutcome(const QueryOutcome& o, WireWriter* w);
+void EncodeQueryOutcome(const QueryOutcome& o, ByteWriter* w);
 /// The same bytes from a status and a table the caller keeps (read
 /// only when `status.ok()`), so a server can send a shared cached
 /// table without copying it.
 void EncodeQueryOutcome(const Status& status, const Table& table,
-                        WireWriter* w);
-[[nodiscard]] Result<QueryOutcome> DecodeQueryOutcome(WireReader* r);
+                        ByteWriter* w);
+[[nodiscard]] Result<QueryOutcome> DecodeQueryOutcome(ByteReader* r);
 
 // ---------------------------------------------------------------------------
 // Messages

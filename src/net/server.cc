@@ -51,7 +51,7 @@ std::string EncodeReply(MessageType type, const std::vector<Answer>& answers) {
   static const Table kNoTable;
   const bool batch = type == MessageType::kBatchResult;
   auto encode = [&](const Status* override_status) {
-    WireWriter w;
+    ByteWriter w;
     if (batch) w.PutU32(static_cast<uint32_t>(answers.size()));
     for (const Answer& a : answers) {
       const Status& status =

@@ -211,10 +211,10 @@ Result<RecoveryInfo> StorageEngine::Recover(core::Database* db) {
 
 Status StorageEngine::ApplyWalRecord(core::Database* db,
                                      const WalRecord& record) {
-  ByteReader in(record.body.data(), record.body.size());
+  ByteReader in(record.body);
   switch (record.type) {
     case WalRecordType::kCreateTable: {
-      MOSAIC_ASSIGN_OR_RETURN(std::string name, in.String());
+      MOSAIC_ASSIGN_OR_RETURN(std::string name, in.ReadString());
       MOSAIC_ASSIGN_OR_RETURN(Table table, DecodeTable(&in));
       return db->catalog()->AddTable(name, std::move(table));
     }
@@ -227,15 +227,15 @@ Status StorageEngine::ApplyWalRecord(core::Database* db,
       return db->catalog()->AddSample(std::move(s));
     }
     case WalRecordType::kRegisterMarginal: {
-      MOSAIC_ASSIGN_OR_RETURN(std::string population, in.String());
-      MOSAIC_ASSIGN_OR_RETURN(std::string metadata_name, in.String());
+      MOSAIC_ASSIGN_OR_RETURN(std::string population, in.ReadString());
+      MOSAIC_ASSIGN_OR_RETURN(std::string metadata_name, in.ReadString());
       MOSAIC_ASSIGN_OR_RETURN(stats::Marginal marginal, DecodeMarginal(&in));
       return db->RegisterMarginal(population, metadata_name,
                                   std::move(marginal));
     }
     case WalRecordType::kDrop: {
-      MOSAIC_ASSIGN_OR_RETURN(uint8_t target, in.U8());
-      MOSAIC_ASSIGN_OR_RETURN(std::string name, in.String());
+      MOSAIC_ASSIGN_OR_RETURN(uint8_t target, in.ReadU8());
+      MOSAIC_ASSIGN_OR_RETURN(std::string name, in.ReadString());
       switch (static_cast<sql::DropStmt::Target>(target)) {
         case sql::DropStmt::Target::kTable:
           return db->catalog()->DropTable(name);
@@ -249,20 +249,20 @@ Status StorageEngine::ApplyWalRecord(core::Database* db,
       return Status::InvalidArgument("wal: bad drop target");
     }
     case WalRecordType::kTableAppend: {
-      MOSAIC_ASSIGN_OR_RETURN(std::string name, in.String());
+      MOSAIC_ASSIGN_OR_RETURN(std::string name, in.ReadString());
       MOSAIC_ASSIGN_OR_RETURN(Table suffix, DecodeTable(&in));
       MOSAIC_ASSIGN_OR_RETURN(Table * table, db->catalog()->GetTable(name));
       return table->Concat(suffix);
     }
     case WalRecordType::kTableReplace: {
-      MOSAIC_ASSIGN_OR_RETURN(std::string name, in.String());
+      MOSAIC_ASSIGN_OR_RETURN(std::string name, in.ReadString());
       MOSAIC_ASSIGN_OR_RETURN(Table replacement, DecodeTable(&in));
       MOSAIC_ASSIGN_OR_RETURN(Table * table, db->catalog()->GetTable(name));
       *table = std::move(replacement);
       return Status::OK();
     }
     case WalRecordType::kSampleIngest: {
-      MOSAIC_ASSIGN_OR_RETURN(std::string name, in.String());
+      MOSAIC_ASSIGN_OR_RETURN(std::string name, in.ReadString());
       MOSAIC_ASSIGN_OR_RETURN(Table suffix, DecodeTable(&in));
       MOSAIC_ASSIGN_OR_RETURN(core::WeightEpoch epoch, DecodeWeightEpoch(&in));
       MOSAIC_ASSIGN_OR_RETURN(core::SampleInfo * sample,
@@ -271,7 +271,7 @@ Status StorageEngine::ApplyWalRecord(core::Database* db,
       return db->RestoreSampleEpoch(name, std::move(epoch));
     }
     case WalRecordType::kPublishEpoch: {
-      MOSAIC_ASSIGN_OR_RETURN(std::string name, in.String());
+      MOSAIC_ASSIGN_OR_RETURN(std::string name, in.ReadString());
       MOSAIC_ASSIGN_OR_RETURN(core::WeightEpoch epoch, DecodeWeightEpoch(&in));
       return db->RestoreSampleEpoch(name, std::move(epoch));
     }
@@ -365,75 +365,75 @@ Status StorageEngine::GarbageCollect(uint64_t keep_seq) {
 
 Status StorageEngine::LogCreateTable(const std::string& name,
                                      const Table& table) {
-  std::string body;
-  PutString(&body, name);
-  EncodeTable(&body, table);
-  return AppendRecord(WalRecordType::kCreateTable, std::move(body));
+  ByteWriter body;
+  body.PutString(name);
+  EncodeTable(table, &body);
+  return AppendRecord(WalRecordType::kCreateTable, body.Take());
 }
 
 Status StorageEngine::LogCreatePopulation(
     const core::PopulationInfo& population) {
-  std::string body;
-  EncodePopulation(&body, population);
-  return AppendRecord(WalRecordType::kCreatePopulation, std::move(body));
+  ByteWriter body;
+  EncodePopulation(population, &body);
+  return AppendRecord(WalRecordType::kCreatePopulation, body.Take());
 }
 
 Status StorageEngine::LogCreateSample(const core::SampleInfo& sample) {
-  std::string body;
-  EncodeSampleHeader(&body, sample);
-  return AppendRecord(WalRecordType::kCreateSample, std::move(body));
+  ByteWriter body;
+  EncodeSampleHeader(sample, &body);
+  return AppendRecord(WalRecordType::kCreateSample, body.Take());
 }
 
 Status StorageEngine::LogRegisterMarginal(const std::string& population,
                                           const std::string& metadata_name,
                                           const stats::Marginal& marginal) {
-  std::string body;
-  PutString(&body, population);
-  PutString(&body, metadata_name);
-  EncodeMarginal(&body, marginal);
-  return AppendRecord(WalRecordType::kRegisterMarginal, std::move(body));
+  ByteWriter body;
+  body.PutString(population);
+  body.PutString(metadata_name);
+  EncodeMarginal(marginal, &body);
+  return AppendRecord(WalRecordType::kRegisterMarginal, body.Take());
 }
 
 Status StorageEngine::LogDrop(sql::DropStmt::Target target,
                               const std::string& name) {
-  std::string body;
-  PutU8(&body, static_cast<uint8_t>(target));
-  PutString(&body, name);
-  return AppendRecord(WalRecordType::kDrop, std::move(body));
+  ByteWriter body;
+  body.PutU8(static_cast<uint8_t>(target));
+  body.PutString(name);
+  return AppendRecord(WalRecordType::kDrop, body.Take());
 }
 
 Status StorageEngine::LogTableAppend(const std::string& name,
                                      const Table& suffix) {
-  std::string body;
-  PutString(&body, name);
-  EncodeTable(&body, suffix);
-  return AppendRecord(WalRecordType::kTableAppend, std::move(body));
+  ByteWriter body;
+  body.PutString(name);
+  EncodeTable(suffix, &body);
+  return AppendRecord(WalRecordType::kTableAppend, body.Take());
 }
 
 Status StorageEngine::LogTableReplace(const std::string& name,
                                       const Table& table) {
-  std::string body;
-  PutString(&body, name);
-  EncodeTable(&body, table);
-  return AppendRecord(WalRecordType::kTableReplace, std::move(body));
+  ByteWriter body;
+  body.PutString(name);
+  EncodeTable(table, &body);
+  return AppendRecord(WalRecordType::kTableReplace, body.Take());
 }
 
 Status StorageEngine::LogSampleIngest(const std::string& name,
                                       const Table& suffix,
                                       const core::WeightEpoch& epoch) {
-  std::string body;
-  PutString(&body, name);
-  EncodeTable(&body, suffix);
-  EncodeWeightEpoch(&body, epoch);
-  return AppendRecord(WalRecordType::kSampleIngest, std::move(body));
+  ByteWriter body;
+  body.PutString(name);
+  EncodeTable(suffix, &body);
+  EncodeWeightEpoch(epoch, &body);
+  return AppendRecord(WalRecordType::kSampleIngest, body.Take());
 }
 
 Status StorageEngine::LogPublishEpoch(const std::string& name,
                                       const core::WeightEpoch& epoch) {
-  std::string body;
-  PutString(&body, name);
-  EncodeWeightEpoch(&body, epoch);
-  return AppendRecord(WalRecordType::kPublishEpoch, std::move(body));
+  ByteWriter body;
+  body.PutString(name);
+  EncodeWeightEpoch(epoch, &body);
+  return AppendRecord(WalRecordType::kPublishEpoch, body.Take());
 }
 
 }  // namespace durable

@@ -111,6 +111,11 @@ class StorageEngine : public core::DurabilitySink {
   const std::string& data_dir() const { return data_dir_; }
   const RecoveryInfo& recovery_info() const { return recovery_info_; }
 
+  /// Recovery's replay step: decode one WAL record's body and apply it
+  /// to `db`. A malformed body is an InvalidArgument, never a crash.
+  [[nodiscard]] static Status ApplyWalRecord(core::Database* db,
+                                             const WalRecord& record);
+
   // --- core::DurabilitySink ---
   [[nodiscard]] Status LogCreateTable(const std::string& name, const Table& table) override;
   [[nodiscard]] Status LogCreatePopulation(const core::PopulationInfo& population) override;
@@ -137,8 +142,6 @@ class StorageEngine : public core::DurabilitySink {
   /// Serialize versions from the attached database and append under
   /// the WAL mutex. Every sink method funnels here.
   [[nodiscard]] Status AppendRecord(WalRecordType type, std::string body);
-
-  [[nodiscard]] Status ApplyWalRecord(core::Database* db, const WalRecord& record);
 
   /// Delete snapshots and WALs with seq < `keep_seq` (post-commit GC).
   [[nodiscard]] Status GarbageCollect(uint64_t keep_seq);

@@ -1,12 +1,7 @@
 #include "storage/durable/serde.h"
 
-#include <cstring>
 #include <utility>
 #include <vector>
-
-#include "common/aligned.h"
-#include "storage/column.h"
-#include "storage/dictionary.h"
 
 namespace mosaic {
 namespace durable {
@@ -17,475 +12,213 @@ namespace {
 // inputs should never hit this, so tripping it means a format bug.
 constexpr int kMaxExprDepth = 256;
 
-[[nodiscard]] Status Truncated(const char* what) {
-  return Status::InvalidArgument(std::string("serde: truncated ") + what);
-}
-
-/// memcpy with the zero-length case allowed (an empty AlignedVector's
-/// data() is null, which plain memcpy declares UB even for n == 0).
-void CopyBytes(void* dst, const void* src, size_t n) {
-  if (n != 0) std::memcpy(dst, src, n);
-}
-
 }  // namespace
-
-// --- primitives ---
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  out->append(buf, 8);
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  PutU64(out, bits);
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-void PutBytes(std::string* out, const void* data, size_t n) {
-  out->append(static_cast<const char*>(data), n);
-}
-
-Result<const uint8_t*> ByteReader::Raw(size_t n) {
-  if (remaining() < n) return Truncated("bytes");
-  // lint:allow wire-pointer-arith: the cursor primitive itself; the
-  // remaining() check above bounds every byte handed out.
-  const uint8_t* p = data_ + pos_;
-  pos_ += n;
-  return p;
-}
-
-Result<uint8_t> ByteReader::U8() {
-  if (remaining() < 1) return Truncated("u8");
-  return data_[pos_++];
-}
-
-Result<uint32_t> ByteReader::U32() {
-  if (remaining() < 4) return Truncated("u32");
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-Result<uint64_t> ByteReader::U64() {
-  if (remaining() < 8) return Truncated("u64");
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-  }
-  pos_ += 8;
-  return v;
-}
-
-Result<int64_t> ByteReader::I64() {
-  MOSAIC_ASSIGN_OR_RETURN(uint64_t v, U64());
-  return static_cast<int64_t>(v);
-}
-
-Result<double> ByteReader::F64() {
-  MOSAIC_ASSIGN_OR_RETURN(uint64_t bits, U64());
-  double v;
-  std::memcpy(&v, &bits, 8);
-  return v;
-}
-
-Result<std::string> ByteReader::String() {
-  MOSAIC_ASSIGN_OR_RETURN(uint32_t n, U32());
-  if (remaining() < n) return Truncated("string");
-  // lint:allow wire-pointer-arith: cursor primitive, bounds-checked by
-  // the remaining() test on the line above.
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-  pos_ += n;
-  return s;
-}
-
-// --- Value ---
-
-void EncodeValue(std::string* out, const Value& v) {
-  PutU8(out, static_cast<uint8_t>(v.type()));
-  switch (v.type()) {
-    case DataType::kNull:
-      break;
-    case DataType::kInt64:
-      PutI64(out, v.AsInt64());
-      break;
-    case DataType::kDouble:
-      PutF64(out, v.AsDouble());
-      break;
-    case DataType::kString:
-      PutString(out, v.AsString());
-      break;
-    case DataType::kBool:
-      PutU8(out, v.AsBool() ? 1 : 0);
-      break;
-  }
-}
-
-[[nodiscard]] Result<Value> DecodeValue(ByteReader* in) {
-  MOSAIC_ASSIGN_OR_RETURN(uint8_t tag, in->U8());
-  switch (static_cast<DataType>(tag)) {
-    case DataType::kNull:
-      return Value::Null();
-    case DataType::kInt64: {
-      MOSAIC_ASSIGN_OR_RETURN(int64_t v, in->I64());
-      return Value(v);
-    }
-    case DataType::kDouble: {
-      MOSAIC_ASSIGN_OR_RETURN(double v, in->F64());
-      return Value(v);
-    }
-    case DataType::kString: {
-      MOSAIC_ASSIGN_OR_RETURN(std::string v, in->String());
-      return Value(std::move(v));
-    }
-    case DataType::kBool: {
-      MOSAIC_ASSIGN_OR_RETURN(uint8_t v, in->U8());
-      return Value(v != 0);
-    }
-  }
-  return Status::InvalidArgument("serde: bad value tag " +
-                                 std::to_string(tag));
-}
-
-// --- Schema ---
-
-void EncodeSchema(std::string* out, const Schema& s) {
-  PutU32(out, static_cast<uint32_t>(s.num_columns()));
-  for (const ColumnDef& col : s.columns()) {
-    PutString(out, col.name);
-    PutU8(out, static_cast<uint8_t>(col.type));
-  }
-}
-
-[[nodiscard]] Result<Schema> DecodeSchema(ByteReader* in) {
-  MOSAIC_ASSIGN_OR_RETURN(uint32_t n, in->U32());
-  std::vector<ColumnDef> cols;
-  cols.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    ColumnDef def;
-    MOSAIC_ASSIGN_OR_RETURN(def.name, in->String());
-    MOSAIC_ASSIGN_OR_RETURN(uint8_t type, in->U8());
-    if (type > static_cast<uint8_t>(DataType::kBool)) {
-      return Status::InvalidArgument("serde: bad column type tag");
-    }
-    def.type = static_cast<DataType>(type);
-    cols.push_back(std::move(def));
-  }
-  return Schema(std::move(cols));
-}
-
-// --- Table ---
-
-void EncodeTable(std::string* out, const Table& t) {
-  EncodeSchema(out, t.schema());
-  PutU64(out, t.num_rows());
-  const size_t rows = t.num_rows();
-  for (size_t c = 0; c < t.num_columns(); ++c) {
-    const Column& col = t.column(c);
-    switch (col.type()) {
-      case DataType::kInt64:
-        PutBytes(out, col.raw_int64(), rows * sizeof(int64_t));
-        break;
-      case DataType::kDouble:
-        PutBytes(out, col.raw_double(), rows * sizeof(double));
-        break;
-      case DataType::kBool:
-        PutBytes(out, col.raw_bool(), rows * sizeof(uint8_t));
-        break;
-      case DataType::kString: {
-        const Dictionary& dict = col.dictionary();
-        PutU32(out, static_cast<uint32_t>(dict.size()));
-        for (const std::string& v : dict.values()) PutString(out, v);
-        PutBytes(out, col.raw_codes(), rows * sizeof(int32_t));
-        break;
-      }
-      case DataType::kNull:
-        break;  // unreachable: columns are always concretely typed
-    }
-  }
-}
-
-[[nodiscard]] Result<Table> DecodeTable(ByteReader* in) {
-  MOSAIC_ASSIGN_OR_RETURN(Schema schema, DecodeSchema(in));
-  MOSAIC_ASSIGN_OR_RETURN(uint64_t rows64, in->U64());
-  const size_t rows = static_cast<size_t>(rows64);
-  std::vector<Column> columns;
-  columns.reserve(schema.num_columns());
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    switch (schema.column(c).type) {
-      case DataType::kInt64: {
-        MOSAIC_ASSIGN_OR_RETURN(const uint8_t* raw,
-                                in->Raw(rows * sizeof(int64_t)));
-        AlignedVector<int64_t> values(rows);
-        CopyBytes(values.data(), raw, rows * sizeof(int64_t));
-        columns.push_back(Column::FromInt64(std::move(values)));
-        break;
-      }
-      case DataType::kDouble: {
-        MOSAIC_ASSIGN_OR_RETURN(const uint8_t* raw,
-                                in->Raw(rows * sizeof(double)));
-        AlignedVector<double> values(rows);
-        CopyBytes(values.data(), raw, rows * sizeof(double));
-        columns.push_back(Column::FromDouble(std::move(values)));
-        break;
-      }
-      case DataType::kBool: {
-        MOSAIC_ASSIGN_OR_RETURN(const uint8_t* raw,
-                                in->Raw(rows * sizeof(uint8_t)));
-        AlignedVector<uint8_t> values(rows);
-        CopyBytes(values.data(), raw, rows * sizeof(uint8_t));
-        columns.push_back(Column::FromBool(std::move(values)));
-        break;
-      }
-      case DataType::kString: {
-        MOSAIC_ASSIGN_OR_RETURN(uint32_t dict_size, in->U32());
-        auto dict = std::make_shared<Dictionary>();
-        for (uint32_t i = 0; i < dict_size; ++i) {
-          MOSAIC_ASSIGN_OR_RETURN(std::string v, in->String());
-          dict->GetOrInsert(v);
-        }
-        MOSAIC_ASSIGN_OR_RETURN(const uint8_t* raw,
-                                in->Raw(rows * sizeof(int32_t)));
-        AlignedVector<int32_t> codes(rows);
-        CopyBytes(codes.data(), raw, rows * sizeof(int32_t));
-        for (const int32_t code : codes) {
-          if (code < 0 || static_cast<size_t>(code) >= dict->size()) {
-            return Status::InvalidArgument(
-                "serde: dictionary code out of range");
-          }
-        }
-        columns.push_back(Column::FromCodes(std::move(dict), std::move(codes)));
-        break;
-      }
-      case DataType::kNull:
-        return Status::InvalidArgument("serde: NULL-typed column");
-    }
-  }
-  return Table(std::move(schema), std::move(columns), rows);
-}
 
 // --- Expr ---
 
-void EncodeExpr(std::string* out, const sql::Expr* e) {
+void EncodeExpr(const sql::Expr* e, ByteWriter* w) {
   if (e == nullptr) {
-    PutU8(out, 0);
+    w->PutU8(0);
     return;
   }
-  PutU8(out, 1);
-  PutU8(out, static_cast<uint8_t>(e->kind));
-  EncodeValue(out, e->literal);
-  PutString(out, e->column);
-  PutU8(out, static_cast<uint8_t>(e->unary_op));
-  PutU8(out, static_cast<uint8_t>(e->binary_op));
-  EncodeExpr(out, e->child.get());
-  EncodeExpr(out, e->left.get());
-  EncodeExpr(out, e->right.get());
-  EncodeExpr(out, e->between_lo.get());
-  EncodeExpr(out, e->between_hi.get());
-  PutU32(out, static_cast<uint32_t>(e->in_list.size()));
-  for (const Value& v : e->in_list) EncodeValue(out, v);
-  PutU8(out, static_cast<uint8_t>(e->agg_func));
-  PutU8(out, e->agg_is_star ? 1 : 0);
+  w->PutU8(1);
+  w->PutU8(static_cast<uint8_t>(e->kind));
+  EncodeValue(e->literal, w);
+  w->PutString(e->column);
+  w->PutU8(static_cast<uint8_t>(e->unary_op));
+  w->PutU8(static_cast<uint8_t>(e->binary_op));
+  EncodeExpr(e->child.get(), w);
+  EncodeExpr(e->left.get(), w);
+  EncodeExpr(e->right.get(), w);
+  EncodeExpr(e->between_lo.get(), w);
+  EncodeExpr(e->between_hi.get(), w);
+  w->PutU32(static_cast<uint32_t>(e->in_list.size()));
+  for (const Value& v : e->in_list) EncodeValue(v, w);
+  w->PutU8(static_cast<uint8_t>(e->agg_func));
+  w->PutU8(e->agg_is_star ? 1 : 0);
 }
 
 namespace {
 
-[[nodiscard]] Result<sql::ExprPtr> DecodeExprDepth(ByteReader* in, int depth) {
+[[nodiscard]] Result<sql::ExprPtr> DecodeExprDepth(ByteReader* r, int depth) {
   if (depth > kMaxExprDepth) {
     return Status::InvalidArgument("serde: expression nesting too deep");
   }
-  MOSAIC_ASSIGN_OR_RETURN(uint8_t present, in->U8());
+  MOSAIC_ASSIGN_OR_RETURN(uint8_t present, r->ReadU8());
   if (present == 0) return sql::ExprPtr();
   auto e = std::make_unique<sql::Expr>();
-  MOSAIC_ASSIGN_OR_RETURN(uint8_t kind, in->U8());
+  MOSAIC_ASSIGN_OR_RETURN(uint8_t kind, r->ReadU8());
   if (kind > static_cast<uint8_t>(sql::Expr::Kind::kAggregate)) {
     return Status::InvalidArgument("serde: bad expr kind");
   }
   e->kind = static_cast<sql::Expr::Kind>(kind);
-  MOSAIC_ASSIGN_OR_RETURN(e->literal, DecodeValue(in));
-  MOSAIC_ASSIGN_OR_RETURN(e->column, in->String());
-  MOSAIC_ASSIGN_OR_RETURN(uint8_t uop, in->U8());
+  MOSAIC_ASSIGN_OR_RETURN(e->literal, DecodeValue(r));
+  MOSAIC_ASSIGN_OR_RETURN(e->column, r->ReadString());
+  MOSAIC_ASSIGN_OR_RETURN(uint8_t uop, r->ReadU8());
   e->unary_op = static_cast<sql::UnaryOp>(uop);
-  MOSAIC_ASSIGN_OR_RETURN(uint8_t bop, in->U8());
+  MOSAIC_ASSIGN_OR_RETURN(uint8_t bop, r->ReadU8());
   e->binary_op = static_cast<sql::BinaryOp>(bop);
-  MOSAIC_ASSIGN_OR_RETURN(e->child, DecodeExprDepth(in, depth + 1));
-  MOSAIC_ASSIGN_OR_RETURN(e->left, DecodeExprDepth(in, depth + 1));
-  MOSAIC_ASSIGN_OR_RETURN(e->right, DecodeExprDepth(in, depth + 1));
-  MOSAIC_ASSIGN_OR_RETURN(e->between_lo, DecodeExprDepth(in, depth + 1));
-  MOSAIC_ASSIGN_OR_RETURN(e->between_hi, DecodeExprDepth(in, depth + 1));
-  MOSAIC_ASSIGN_OR_RETURN(uint32_t n_in, in->U32());
+  MOSAIC_ASSIGN_OR_RETURN(e->child, DecodeExprDepth(r, depth + 1));
+  MOSAIC_ASSIGN_OR_RETURN(e->left, DecodeExprDepth(r, depth + 1));
+  MOSAIC_ASSIGN_OR_RETURN(e->right, DecodeExprDepth(r, depth + 1));
+  MOSAIC_ASSIGN_OR_RETURN(e->between_lo, DecodeExprDepth(r, depth + 1));
+  MOSAIC_ASSIGN_OR_RETURN(e->between_hi, DecodeExprDepth(r, depth + 1));
+  MOSAIC_ASSIGN_OR_RETURN(uint32_t n_in, r->ReadU32());
+  MOSAIC_RETURN_IF_ERROR(r->CheckCount(n_in, 1, "IN-list value"));
   e->in_list.reserve(n_in);
   for (uint32_t i = 0; i < n_in; ++i) {
-    MOSAIC_ASSIGN_OR_RETURN(Value v, DecodeValue(in));
+    MOSAIC_ASSIGN_OR_RETURN(Value v, DecodeValue(r));
     e->in_list.push_back(std::move(v));
   }
-  MOSAIC_ASSIGN_OR_RETURN(uint8_t agg, in->U8());
+  MOSAIC_ASSIGN_OR_RETURN(uint8_t agg, r->ReadU8());
   e->agg_func = static_cast<sql::AggFunc>(agg);
-  MOSAIC_ASSIGN_OR_RETURN(uint8_t star, in->U8());
+  MOSAIC_ASSIGN_OR_RETURN(uint8_t star, r->ReadU8());
   e->agg_is_star = star != 0;
   return sql::ExprPtr(std::move(e));
 }
 
 }  // namespace
 
-[[nodiscard]] Result<sql::ExprPtr> DecodeExpr(ByteReader* in) {
-  return DecodeExprDepth(in, 0);
+[[nodiscard]] Result<sql::ExprPtr> DecodeExpr(ByteReader* r) {
+  return DecodeExprDepth(r, 0);
 }
 
 // --- MechanismSpec ---
 
-void EncodeMechanism(std::string* out, const sql::MechanismSpec& m) {
-  PutU8(out, static_cast<uint8_t>(m.type));
-  PutString(out, m.stratify_attr);
-  PutF64(out, m.percent);
+void EncodeMechanism(const sql::MechanismSpec& m, ByteWriter* w) {
+  w->PutU8(static_cast<uint8_t>(m.type));
+  w->PutString(m.stratify_attr);
+  w->PutDouble(m.percent);
 }
 
-[[nodiscard]] Result<sql::MechanismSpec> DecodeMechanism(ByteReader* in) {
+[[nodiscard]] Result<sql::MechanismSpec> DecodeMechanism(ByteReader* r) {
   sql::MechanismSpec m;
-  MOSAIC_ASSIGN_OR_RETURN(uint8_t type, in->U8());
+  MOSAIC_ASSIGN_OR_RETURN(uint8_t type, r->ReadU8());
   if (type > static_cast<uint8_t>(sql::MechanismSpec::Type::kStratified)) {
     return Status::InvalidArgument("serde: bad mechanism type");
   }
   m.type = static_cast<sql::MechanismSpec::Type>(type);
-  MOSAIC_ASSIGN_OR_RETURN(m.stratify_attr, in->String());
-  MOSAIC_ASSIGN_OR_RETURN(m.percent, in->F64());
+  MOSAIC_ASSIGN_OR_RETURN(m.stratify_attr, r->ReadString());
+  MOSAIC_ASSIGN_OR_RETURN(m.percent, r->ReadDouble());
   return m;
 }
 
 // --- Marginal ---
 
-void EncodeMarginal(std::string* out, const stats::Marginal& m) {
-  PutU32(out, static_cast<uint32_t>(m.arity()));
+void EncodeMarginal(const stats::Marginal& m, ByteWriter* w) {
+  w->PutU32(static_cast<uint32_t>(m.arity()));
   for (size_t i = 0; i < m.arity(); ++i) {
     const stats::AttributeBinning& b = m.binning(i);
-    PutString(out, b.attr());
-    PutU8(out, b.is_categorical() ? 1 : 0);
+    w->PutString(b.attr());
+    w->PutU8(b.is_categorical() ? 1 : 0);
     if (b.is_categorical()) {
-      PutU32(out, static_cast<uint32_t>(b.categories().size()));
-      for (const Value& v : b.categories()) EncodeValue(out, v);
+      w->PutU32(static_cast<uint32_t>(b.categories().size()));
+      for (const Value& v : b.categories()) EncodeValue(v, w);
     } else {
-      PutF64(out, b.lo());
-      PutF64(out, b.hi());
-      PutU64(out, b.num_bins());
+      w->PutDouble(b.lo());
+      w->PutDouble(b.hi());
+      w->PutU64(b.num_bins());
     }
   }
-  PutU64(out, m.counts().size());
-  for (const double c : m.counts()) PutF64(out, c);
+  w->PutU64(m.counts().size());
+  w->PutBytes(m.counts().data(), m.counts().size() * sizeof(double));
 }
 
-[[nodiscard]] Result<stats::Marginal> DecodeMarginal(ByteReader* in) {
-  MOSAIC_ASSIGN_OR_RETURN(uint32_t arity, in->U32());
+[[nodiscard]] Result<stats::Marginal> DecodeMarginal(ByteReader* r) {
+  MOSAIC_ASSIGN_OR_RETURN(uint32_t arity, r->ReadU32());
+  // An attribute is at least an empty name, its flag and an empty
+  // category list.
+  MOSAIC_RETURN_IF_ERROR(r->CheckCount(arity, 9, "marginal attribute"));
   std::vector<stats::AttributeBinning> attrs;
   attrs.reserve(arity);
   for (uint32_t i = 0; i < arity; ++i) {
-    MOSAIC_ASSIGN_OR_RETURN(std::string attr, in->String());
-    MOSAIC_ASSIGN_OR_RETURN(uint8_t categorical, in->U8());
+    MOSAIC_ASSIGN_OR_RETURN(std::string attr, r->ReadString());
+    MOSAIC_ASSIGN_OR_RETURN(uint8_t categorical, r->ReadU8());
     if (categorical != 0) {
-      MOSAIC_ASSIGN_OR_RETURN(uint32_t n, in->U32());
+      MOSAIC_ASSIGN_OR_RETURN(uint32_t n, r->ReadU32());
+      MOSAIC_RETURN_IF_ERROR(r->CheckCount(n, 1, "category"));
       std::vector<Value> categories;
       categories.reserve(n);
       for (uint32_t k = 0; k < n; ++k) {
-        MOSAIC_ASSIGN_OR_RETURN(Value v, DecodeValue(in));
+        MOSAIC_ASSIGN_OR_RETURN(Value v, DecodeValue(r));
         categories.push_back(std::move(v));
       }
       attrs.push_back(stats::AttributeBinning::Categorical(
           std::move(attr), std::move(categories)));
     } else {
-      MOSAIC_ASSIGN_OR_RETURN(double lo, in->F64());
-      MOSAIC_ASSIGN_OR_RETURN(double hi, in->F64());
-      MOSAIC_ASSIGN_OR_RETURN(uint64_t bins, in->U64());
+      MOSAIC_ASSIGN_OR_RETURN(double lo, r->ReadDouble());
+      MOSAIC_ASSIGN_OR_RETURN(double hi, r->ReadDouble());
+      MOSAIC_ASSIGN_OR_RETURN(uint64_t bins, r->ReadU64());
+      if (!(hi > lo) || bins == 0) {
+        return Status::InvalidArgument("serde: bad continuous binning");
+      }
       attrs.push_back(stats::AttributeBinning::Continuous(
           std::move(attr), lo, hi, static_cast<size_t>(bins)));
     }
   }
-  MOSAIC_ASSIGN_OR_RETURN(uint64_t n_counts, in->U64());
-  std::vector<double> counts;
-  counts.reserve(static_cast<size_t>(n_counts));
-  for (uint64_t i = 0; i < n_counts; ++i) {
-    MOSAIC_ASSIGN_OR_RETURN(double c, in->F64());
-    counts.push_back(c);
-  }
+  MOSAIC_ASSIGN_OR_RETURN(uint64_t n_counts, r->ReadU64());
+  MOSAIC_RETURN_IF_ERROR(r->CheckCount(n_counts, sizeof(double), "count"));
+  std::vector<double> counts(static_cast<size_t>(n_counts));
+  MOSAIC_RETURN_IF_ERROR(
+      r->ReadBytes(counts.data(), counts.size() * sizeof(double)));
   return stats::Marginal::FromCounts(std::move(attrs), std::move(counts));
 }
 
 // --- WeightEpoch ---
 
-void EncodeWeightEpoch(std::string* out, const core::WeightEpoch& e) {
-  PutU64(out, e.id);
-  PutU64(out, e.weights.size());
-  PutBytes(out, e.weights.data(), e.weights.size() * sizeof(double));
-  PutString(out, e.fit_signature);
-  PutF64(out, e.fit_error);
-  PutF64(out, e.fit_uncovered);
-  PutU8(out, e.fit_converged ? 1 : 0);
+void EncodeWeightEpoch(const core::WeightEpoch& e, ByteWriter* w) {
+  w->PutU64(e.id);
+  w->PutU64(e.weights.size());
+  w->PutBytes(e.weights.data(), e.weights.size() * sizeof(double));
+  w->PutString(e.fit_signature);
+  w->PutDouble(e.fit_error);
+  w->PutDouble(e.fit_uncovered);
+  w->PutU8(e.fit_converged ? 1 : 0);
 }
 
-[[nodiscard]] Result<core::WeightEpoch> DecodeWeightEpoch(ByteReader* in) {
+[[nodiscard]] Result<core::WeightEpoch> DecodeWeightEpoch(ByteReader* r) {
   core::WeightEpoch e;
-  MOSAIC_ASSIGN_OR_RETURN(e.id, in->U64());
-  MOSAIC_ASSIGN_OR_RETURN(uint64_t n, in->U64());
-  MOSAIC_ASSIGN_OR_RETURN(const uint8_t* raw,
-                          in->Raw(static_cast<size_t>(n) * sizeof(double)));
+  MOSAIC_ASSIGN_OR_RETURN(e.id, r->ReadU64());
+  MOSAIC_ASSIGN_OR_RETURN(uint64_t n, r->ReadU64());
+  MOSAIC_RETURN_IF_ERROR(r->CheckCount(n, sizeof(double), "weight"));
   e.weights.resize(static_cast<size_t>(n));
-  CopyBytes(e.weights.data(), raw, static_cast<size_t>(n) * sizeof(double));
-  MOSAIC_ASSIGN_OR_RETURN(e.fit_signature, in->String());
-  MOSAIC_ASSIGN_OR_RETURN(e.fit_error, in->F64());
-  MOSAIC_ASSIGN_OR_RETURN(e.fit_uncovered, in->F64());
-  MOSAIC_ASSIGN_OR_RETURN(uint8_t converged, in->U8());
+  MOSAIC_RETURN_IF_ERROR(
+      r->ReadBytes(e.weights.data(), e.weights.size() * sizeof(double)));
+  MOSAIC_ASSIGN_OR_RETURN(e.fit_signature, r->ReadString());
+  MOSAIC_ASSIGN_OR_RETURN(e.fit_error, r->ReadDouble());
+  MOSAIC_ASSIGN_OR_RETURN(e.fit_uncovered, r->ReadDouble());
+  MOSAIC_ASSIGN_OR_RETURN(uint8_t converged, r->ReadU8());
   e.fit_converged = converged != 0;
   return e;
 }
 
 // --- PopulationInfo ---
 
-void EncodePopulation(std::string* out, const core::PopulationInfo& p) {
-  PutString(out, p.name);
-  PutU8(out, p.global ? 1 : 0);
-  EncodeSchema(out, p.schema);
-  PutString(out, p.parent);
-  EncodeExpr(out, p.predicate.get());
-  PutU32(out, static_cast<uint32_t>(p.marginals.size()));
+void EncodePopulation(const core::PopulationInfo& p, ByteWriter* w) {
+  w->PutString(p.name);
+  w->PutU8(p.global ? 1 : 0);
+  EncodeSchema(p.schema, w);
+  w->PutString(p.parent);
+  EncodeExpr(p.predicate.get(), w);
+  w->PutU32(static_cast<uint32_t>(p.marginals.size()));
   for (size_t i = 0; i < p.marginals.size(); ++i) {
-    PutString(out, p.metadata_names[i]);
-    EncodeMarginal(out, p.marginals[i]);
+    w->PutString(p.metadata_names[i]);
+    EncodeMarginal(p.marginals[i], w);
   }
 }
 
-[[nodiscard]] Result<core::PopulationInfo> DecodePopulation(ByteReader* in) {
+[[nodiscard]] Result<core::PopulationInfo> DecodePopulation(ByteReader* r) {
   core::PopulationInfo p;
-  MOSAIC_ASSIGN_OR_RETURN(p.name, in->String());
-  MOSAIC_ASSIGN_OR_RETURN(uint8_t global, in->U8());
+  MOSAIC_ASSIGN_OR_RETURN(p.name, r->ReadString());
+  MOSAIC_ASSIGN_OR_RETURN(uint8_t global, r->ReadU8());
   p.global = global != 0;
-  MOSAIC_ASSIGN_OR_RETURN(p.schema, DecodeSchema(in));
-  MOSAIC_ASSIGN_OR_RETURN(p.parent, in->String());
-  MOSAIC_ASSIGN_OR_RETURN(p.predicate, DecodeExpr(in));
-  MOSAIC_ASSIGN_OR_RETURN(uint32_t n_meta, in->U32());
+  MOSAIC_ASSIGN_OR_RETURN(p.schema, DecodeSchema(r));
+  MOSAIC_ASSIGN_OR_RETURN(p.parent, r->ReadString());
+  MOSAIC_ASSIGN_OR_RETURN(p.predicate, DecodeExpr(r));
+  MOSAIC_ASSIGN_OR_RETURN(uint32_t n_meta, r->ReadU32());
   for (uint32_t i = 0; i < n_meta; ++i) {
-    MOSAIC_ASSIGN_OR_RETURN(std::string name, in->String());
-    MOSAIC_ASSIGN_OR_RETURN(stats::Marginal m, DecodeMarginal(in));
+    MOSAIC_ASSIGN_OR_RETURN(std::string name, r->ReadString());
+    MOSAIC_ASSIGN_OR_RETURN(stats::Marginal m, DecodeMarginal(r));
     p.metadata_names.push_back(std::move(name));
     p.marginals.push_back(std::move(m));
   }
@@ -494,22 +227,22 @@ void EncodePopulation(std::string* out, const core::PopulationInfo& p) {
 
 // --- SampleInfo header ---
 
-void EncodeSampleHeader(std::string* out, const core::SampleInfo& s) {
-  PutString(out, s.name);
-  PutString(out, s.population);
-  EncodeSchema(out, s.schema);
-  EncodeMechanism(out, s.mechanism);
-  EncodeExpr(out, s.predicate.get());
+void EncodeSampleHeader(const core::SampleInfo& s, ByteWriter* w) {
+  w->PutString(s.name);
+  w->PutString(s.population);
+  EncodeSchema(s.schema, w);
+  EncodeMechanism(s.mechanism, w);
+  EncodeExpr(s.predicate.get(), w);
 }
 
-[[nodiscard]] Result<core::SampleInfo> DecodeSampleHeader(ByteReader* in) {
+[[nodiscard]] Result<core::SampleInfo> DecodeSampleHeader(ByteReader* r) {
   core::SampleInfo s;
-  MOSAIC_ASSIGN_OR_RETURN(s.name, in->String());
-  MOSAIC_ASSIGN_OR_RETURN(s.population, in->String());
-  MOSAIC_ASSIGN_OR_RETURN(s.schema, DecodeSchema(in));
+  MOSAIC_ASSIGN_OR_RETURN(s.name, r->ReadString());
+  MOSAIC_ASSIGN_OR_RETURN(s.population, r->ReadString());
+  MOSAIC_ASSIGN_OR_RETURN(s.schema, DecodeSchema(r));
   s.data = Table(s.schema);
-  MOSAIC_ASSIGN_OR_RETURN(s.mechanism, DecodeMechanism(in));
-  MOSAIC_ASSIGN_OR_RETURN(s.predicate, DecodeExpr(in));
+  MOSAIC_ASSIGN_OR_RETURN(s.mechanism, DecodeMechanism(r));
+  MOSAIC_ASSIGN_OR_RETURN(s.predicate, DecodeExpr(r));
   return s;
 }
 

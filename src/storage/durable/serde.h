@@ -1,93 +1,44 @@
 // Binary serialization of the engine's state objects for the WAL and
-// snapshot formats. Little-endian fixed-width integers, IEEE-754
-// doubles, u32-length-prefixed strings. Encoders append to a
-// std::string buffer (which the framing layer length-prefixes and
-// CRCs); decoders read through a bounds-checked ByteReader and fail
-// with InvalidArgument on any truncation or malformed tag — they never
-// read past the buffer.
+// snapshot formats, on top of the shared codec (storage/codec.h):
+// tables, values and schemas use its encodings, and everything here
+// writes through a ByteWriter and reads through a bounds-checked
+// ByteReader. Decoders fail with InvalidArgument on any truncation,
+// malformed tag or count the input cannot hold — they never read past
+// the buffer and never allocate on an unchecked count.
 #ifndef MOSAIC_STORAGE_DURABLE_SERDE_H_
 #define MOSAIC_STORAGE_DURABLE_SERDE_H_
-
-#include <cstdint>
-#include <string>
 
 #include "common/status.h"
 #include "core/catalog.h"
 #include "core/weights.h"
 #include "sql/ast.h"
 #include "stats/marginal.h"
-#include "storage/table.h"
+#include "storage/codec.h"
 
 namespace mosaic {
 namespace durable {
 
-// --- primitive encoders (append to *out) ---
-
-void PutU8(std::string* out, uint8_t v);
-void PutU32(std::string* out, uint32_t v);
-void PutU64(std::string* out, uint64_t v);
-void PutI64(std::string* out, int64_t v);
-void PutF64(std::string* out, double v);
-void PutString(std::string* out, const std::string& s);
-void PutBytes(std::string* out, const void* data, size_t n);
-
-/// Bounds-checked sequential reader over a byte buffer.
-class ByteReader {
- public:
-  ByteReader(const void* data, size_t size)
-      : data_(static_cast<const uint8_t*>(data)), size_(size) {}
-
-  size_t pos() const { return pos_; }
-  size_t remaining() const { return size_ - pos_; }
-  /// Pointer to the current position (for zero-copy reads); advances
-  /// by `n`. Errors if fewer than `n` bytes remain.
-  [[nodiscard]] Result<const uint8_t*> Raw(size_t n);
-
-  [[nodiscard]] Result<uint8_t> U8();
-  [[nodiscard]] Result<uint32_t> U32();
-  [[nodiscard]] Result<uint64_t> U64();
-  [[nodiscard]] Result<int64_t> I64();
-  [[nodiscard]] Result<double> F64();
-  [[nodiscard]] Result<std::string> String();
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
-// --- state-object serde ---
-
-void EncodeValue(std::string* out, const Value& v);
-[[nodiscard]] Result<Value> DecodeValue(ByteReader* in);
-
-void EncodeSchema(std::string* out, const Schema& s);
-[[nodiscard]] Result<Schema> DecodeSchema(ByteReader* in);
-
-void EncodeTable(std::string* out, const Table& t);
-[[nodiscard]] Result<Table> DecodeTable(ByteReader* in);
-
 /// `e` may be null (encoded as an absence marker).
-void EncodeExpr(std::string* out, const sql::Expr* e);
+void EncodeExpr(const sql::Expr* e, ByteWriter* w);
 /// May return a null ExprPtr.
-[[nodiscard]] Result<sql::ExprPtr> DecodeExpr(ByteReader* in);
+[[nodiscard]] Result<sql::ExprPtr> DecodeExpr(ByteReader* r);
 
-void EncodeMechanism(std::string* out, const sql::MechanismSpec& m);
-[[nodiscard]] Result<sql::MechanismSpec> DecodeMechanism(ByteReader* in);
+void EncodeMechanism(const sql::MechanismSpec& m, ByteWriter* w);
+[[nodiscard]] Result<sql::MechanismSpec> DecodeMechanism(ByteReader* r);
 
-void EncodeMarginal(std::string* out, const stats::Marginal& m);
-[[nodiscard]] Result<stats::Marginal> DecodeMarginal(ByteReader* in);
+void EncodeMarginal(const stats::Marginal& m, ByteWriter* w);
+[[nodiscard]] Result<stats::Marginal> DecodeMarginal(ByteReader* r);
 
-void EncodeWeightEpoch(std::string* out, const core::WeightEpoch& e);
-[[nodiscard]] Result<core::WeightEpoch> DecodeWeightEpoch(ByteReader* in);
+void EncodeWeightEpoch(const core::WeightEpoch& e, ByteWriter* w);
+[[nodiscard]] Result<core::WeightEpoch> DecodeWeightEpoch(ByteReader* r);
 
-void EncodePopulation(std::string* out, const core::PopulationInfo& p);
-[[nodiscard]] Result<core::PopulationInfo> DecodePopulation(ByteReader* in);
+void EncodePopulation(const core::PopulationInfo& p, ByteWriter* w);
+[[nodiscard]] Result<core::PopulationInfo> DecodePopulation(ByteReader* r);
 
 /// Sample header only: name, population, schema, mechanism, predicate.
 /// The decoded SampleInfo has empty data and a default WeightStore.
-void EncodeSampleHeader(std::string* out, const core::SampleInfo& s);
-[[nodiscard]] Result<core::SampleInfo> DecodeSampleHeader(ByteReader* in);
+void EncodeSampleHeader(const core::SampleInfo& s, ByteWriter* w);
+[[nodiscard]] Result<core::SampleInfo> DecodeSampleHeader(ByteReader* r);
 
 }  // namespace durable
 }  // namespace mosaic

@@ -29,12 +29,6 @@ constexpr uint8_t kEndSeg = 0xFF;
 
 size_t Align64(size_t off) { return (off + 63) & ~static_cast<size_t>(63); }
 
-/// memcpy with the zero-length case allowed (an empty AlignedVector's
-/// data() is null, which plain memcpy declares UB even for n == 0).
-void CopyBytes(void* dst, const void* src, size_t n) {
-  if (n != 0) std::memcpy(dst, src, n);
-}
-
 size_t TypeWidth(DataType type) {
   switch (type) {
     case DataType::kInt64:
@@ -67,12 +61,12 @@ const uint8_t* ColumnRaw(const Column& col) {
   return nullptr;
 }
 
-void AppendSegment(std::string* image, uint8_t type,
+void AppendSegment(ByteWriter* image, uint8_t type,
                    const std::string& payload) {
-  PutU8(image, type);
-  PutU32(image, static_cast<uint32_t>(payload.size()));
-  PutU32(image, Crc32(payload.data(), payload.size()));
-  image->append(payload);
+  image->PutU8(type);
+  image->PutU32(static_cast<uint32_t>(payload.size()));
+  image->PutU32(Crc32(payload.data(), payload.size()));
+  image->PutBytes(payload.data(), payload.size());
 }
 
 /// Everything Parse() extracts without touching section B bytes; the
@@ -119,13 +113,13 @@ struct Parsed {
   Parsed parsed;
   {
     ByteReader header(data + 8, kHeaderFieldsSize);
-    MOSAIC_ASSIGN_OR_RETURN(uint32_t format, header.U32());
+    MOSAIC_ASSIGN_OR_RETURN(uint32_t format, header.ReadU32());
     if (format != kFormatVersion) {
       return Corrupt("unsupported format version " + std::to_string(format));
     }
-    MOSAIC_ASSIGN_OR_RETURN(parsed.next_wal_seq, header.U64());
-    MOSAIC_ASSIGN_OR_RETURN(parsed.catalog_version, header.U64());
-    MOSAIC_ASSIGN_OR_RETURN(parsed.metadata_version, header.U64());
+    MOSAIC_ASSIGN_OR_RETURN(parsed.next_wal_seq, header.ReadU64());
+    MOSAIC_ASSIGN_OR_RETURN(parsed.catalog_version, header.ReadU64());
+    MOSAIC_ASSIGN_OR_RETURN(parsed.metadata_version, header.ReadU64());
   }
 
   // Section A: framed segments until kEnd.
@@ -150,7 +144,7 @@ struct Parsed {
         done = true;
         break;
       case kTableSeg: {
-        MOSAIC_ASSIGN_OR_RETURN(std::string name, in.String());
+        MOSAIC_ASSIGN_OR_RETURN(std::string name, in.ReadString());
         MOSAIC_ASSIGN_OR_RETURN(Table table, DecodeTable(&in));
         parsed.tables.emplace_back(std::move(name), std::move(table));
         break;
@@ -164,31 +158,29 @@ struct Parsed {
         ParsedSample sample;
         MOSAIC_ASSIGN_OR_RETURN(sample.header, DecodeSampleHeader(&in));
         MOSAIC_ASSIGN_OR_RETURN(sample.epoch, DecodeWeightEpoch(&in));
-        MOSAIC_ASSIGN_OR_RETURN(uint64_t rows, in.U64());
+        MOSAIC_ASSIGN_OR_RETURN(uint64_t rows, in.ReadU64());
         sample.num_rows = static_cast<size_t>(rows);
-        MOSAIC_ASSIGN_OR_RETURN(uint32_t ncols, in.U32());
+        MOSAIC_ASSIGN_OR_RETURN(uint32_t ncols, in.ReadU32());
         if (ncols != sample.header.schema.num_columns()) {
           return Corrupt("sample column count does not match schema");
         }
         for (uint32_t c = 0; c < ncols; ++c) {
           ParsedSample::Col col;
-          MOSAIC_ASSIGN_OR_RETURN(uint8_t dtype, in.U8());
+          MOSAIC_ASSIGN_OR_RETURN(uint8_t dtype, in.ReadU8());
           col.type = static_cast<DataType>(dtype);
           if (col.type != sample.header.schema.column(c).type) {
             return Corrupt("sample column type does not match schema");
           }
           if (col.type == DataType::kString) {
-            MOSAIC_ASSIGN_OR_RETURN(uint32_t dict_size, in.U32());
-            col.dict = std::make_shared<Dictionary>();
-            for (uint32_t k = 0; k < dict_size; ++k) {
-              MOSAIC_ASSIGN_OR_RETURN(std::string v, in.String());
-              col.dict->GetOrInsert(v);
-            }
+            MOSAIC_ASSIGN_OR_RETURN(col.dict, DecodeDictionary(&in));
           }
-          MOSAIC_ASSIGN_OR_RETURN(uint64_t bytes, in.U64());
-          MOSAIC_ASSIGN_OR_RETURN(col.crc, in.U32());
+          MOSAIC_ASSIGN_OR_RETURN(uint64_t bytes, in.ReadU64());
+          MOSAIC_ASSIGN_OR_RETURN(col.crc, in.ReadU32());
           col.bytes = static_cast<size_t>(bytes);
-          if (col.bytes != sample.num_rows * TypeWidth(col.type)) {
+          // Division, not rows * width: a hostile row count must not
+          // wrap the product into agreement.
+          const size_t width = TypeWidth(col.type);
+          if (col.bytes % width != 0 || col.bytes / width != sample.num_rows) {
             return Corrupt("sample column byte size does not match row count");
           }
           sample.cols.push_back(std::move(col));
@@ -206,7 +198,9 @@ struct Parsed {
   for (ParsedSample& sample : parsed.samples) {
     for (ParsedSample::Col& col : sample.cols) {
       off = Align64(off);
-      if (off + col.bytes > size) return Corrupt("truncated column data");
+      if (off > size || col.bytes > size - off) {
+        return Corrupt("truncated column data");
+      }
       col.data = data + off;
       if (Crc32(col.data, col.bytes) != col.crc) {
         return Corrupt("column data CRC mismatch for sample " +
@@ -234,28 +228,23 @@ struct Parsed {
   return parsed;
 }
 
+/// Copy of a validated column section as `rows` values of T.
+template <typename T>
+AlignedVector<T> CopyColumn(const ParsedSample::Col& col, size_t rows) {
+  const auto* values = reinterpret_cast<const T*>(col.data);
+  return AlignedVector<T>(values, values + rows);
+}
+
 Column MaterializeColumn(const ParsedSample::Col& col, size_t rows) {
   switch (col.type) {
-    case DataType::kInt64: {
-      AlignedVector<int64_t> values(rows);
-      CopyBytes(values.data(), col.data, col.bytes);
-      return Column::FromInt64(std::move(values));
-    }
-    case DataType::kDouble: {
-      AlignedVector<double> values(rows);
-      CopyBytes(values.data(), col.data, col.bytes);
-      return Column::FromDouble(std::move(values));
-    }
-    case DataType::kBool: {
-      AlignedVector<uint8_t> values(rows);
-      CopyBytes(values.data(), col.data, col.bytes);
-      return Column::FromBool(std::move(values));
-    }
-    default: {
-      AlignedVector<int32_t> codes(rows);
-      CopyBytes(codes.data(), col.data, col.bytes);
-      return Column::FromCodes(col.dict, std::move(codes));
-    }
+    case DataType::kInt64:
+      return Column::FromInt64(CopyColumn<int64_t>(col, rows));
+    case DataType::kDouble:
+      return Column::FromDouble(CopyColumn<double>(col, rows));
+    case DataType::kBool:
+      return Column::FromBool(CopyColumn<uint8_t>(col, rows));
+    default:
+      return Column::FromCodes(col.dict, CopyColumn<int32_t>(col, rows));
   }
 }
 
@@ -314,31 +303,31 @@ std::string SnapshotFileName(uint64_t seq) {
 [[nodiscard]] Result<std::string> BuildSnapshotImage(core::Database* db,
                                        uint64_t next_wal_seq) {
   core::Catalog* catalog = db->catalog();
-  std::string image;
-  image.append(kSnapMagic, sizeof(kSnapMagic));
+  ByteWriter image;
+  image.PutBytes(kSnapMagic, sizeof(kSnapMagic));
   {
-    std::string header;
-    PutU32(&header, kFormatVersion);
-    PutU64(&header, next_wal_seq);
-    PutU64(&header, db->catalog_version());
-    PutU64(&header, db->metadata_version());
-    image.append(header);
-    PutU32(&image, Crc32(header.data(), header.size()));
+    ByteWriter header;
+    header.PutU32(kFormatVersion);
+    header.PutU64(next_wal_seq);
+    header.PutU64(db->catalog_version());
+    header.PutU64(db->metadata_version());
+    image.PutBytes(header.buffer().data(), header.size());
+    image.PutU32(Crc32(header.buffer().data(), header.size()));
   }
 
   for (const std::string& name : catalog->TableNames()) {
     MOSAIC_ASSIGN_OR_RETURN(Table * table, catalog->GetTable(name));
-    std::string payload;
-    PutString(&payload, name);
-    EncodeTable(&payload, *table);
-    AppendSegment(&image, kTableSeg, payload);
+    ByteWriter payload;
+    payload.PutString(name);
+    EncodeTable(*table, &payload);
+    AppendSegment(&image, kTableSeg, payload.buffer());
   }
   for (const std::string& name : catalog->PopulationNames()) {
     MOSAIC_ASSIGN_OR_RETURN(core::PopulationInfo * population,
                             catalog->GetPopulation(name));
-    std::string payload;
-    EncodePopulation(&payload, *population);
-    AppendSegment(&image, kPopulationSeg, payload);
+    ByteWriter payload;
+    EncodePopulation(*population, &payload);
+    AppendSegment(&image, kPopulationSeg, payload.buffer());
   }
 
   struct PendingColumn {
@@ -351,34 +340,33 @@ std::string SnapshotFileName(uint64_t seq) {
                             catalog->GetSample(name));
     const core::WeightEpochPtr epoch = sample->weights.Pin();
     const size_t rows = sample->data.num_rows();
-    std::string payload;
-    EncodeSampleHeader(&payload, *sample);
-    EncodeWeightEpoch(&payload, *epoch);
-    PutU64(&payload, rows);
-    PutU32(&payload, static_cast<uint32_t>(sample->data.num_columns()));
+    ByteWriter payload;
+    EncodeSampleHeader(*sample, &payload);
+    EncodeWeightEpoch(*epoch, &payload);
+    payload.PutU64(rows);
+    payload.PutU32(static_cast<uint32_t>(sample->data.num_columns()));
     for (size_t c = 0; c < sample->data.num_columns(); ++c) {
       const Column& col = sample->data.column(c);
-      PutU8(&payload, static_cast<uint8_t>(col.type()));
+      payload.PutU8(static_cast<uint8_t>(col.type()));
       if (col.type() == DataType::kString) {
-        const Dictionary& dict = col.dictionary();
-        PutU32(&payload, static_cast<uint32_t>(dict.size()));
-        for (const std::string& v : dict.values()) PutString(&payload, v);
+        EncodeDictionary(col.dictionary(), &payload);
       }
       const size_t bytes = rows * TypeWidth(col.type());
       const uint8_t* raw = ColumnRaw(col);
-      PutU64(&payload, bytes);
-      PutU32(&payload, Crc32(raw, bytes));
+      payload.PutU64(bytes);
+      payload.PutU32(Crc32(raw, bytes));
       section_b.push_back({raw, bytes});
     }
-    AppendSegment(&image, kSampleSeg, payload);
+    AppendSegment(&image, kSampleSeg, payload.buffer());
   }
   AppendSegment(&image, kEndSeg, std::string());
 
+  static constexpr char kZeros[64] = {};
   for (const PendingColumn& col : section_b) {
-    image.resize(Align64(image.size()), '\0');
-    image.append(reinterpret_cast<const char*>(col.data), col.bytes);
+    image.PutBytes(kZeros, Align64(image.size()) - image.size());
+    image.PutBytes(col.data, col.bytes);
   }
-  return image;
+  return image.Take();
 }
 
 [[nodiscard]] Result<SnapshotState> LoadSnapshot(const std::string& path) {

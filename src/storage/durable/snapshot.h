@@ -17,6 +17,10 @@
 //              array (int64/double/bool data or int32 dictionary
 //              codes) at the next 64-byte-aligned file offset.
 //
+// Every field and column array is in the byte order of the shared
+// codec (storage/codec.h, little-endian, asserted there), so a mapped
+// column is directly the host's own array.
+//
 // Section B offsets are never stored: writer and reader both walk the
 // same deterministic layout. Because the offsets are 64-byte aligned
 // and an mmap base is page-aligned, a mapped column array is 64-byte

@@ -7,9 +7,9 @@
 #include <cstdio>
 #include <cstring>
 
+#include "storage/codec.h"
 #include "storage/durable/crc32.h"
 #include "storage/durable/io.h"
-#include "storage/durable/serde.h"
 
 namespace mosaic {
 namespace durable {
@@ -26,27 +26,19 @@ constexpr uint32_t kMaxRecordLen = 1u << 30;
 // u8 type + u64 catalog_version + u64 metadata_version
 constexpr size_t kPayloadHeaderSize = 1 + 8 + 8;
 
-/// Little-endian u32 into already-allocated bytes (PutU32's layout).
-void StoreU32(char* dst, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    dst[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-}
-
 [[nodiscard]] Result<WalRecord> DecodePayload(const uint8_t* data, size_t size) {
   ByteReader in(data, size);
   WalRecord record;
-  MOSAIC_ASSIGN_OR_RETURN(uint8_t type, in.U8());
+  MOSAIC_ASSIGN_OR_RETURN(uint8_t type, in.ReadU8());
   if (type < static_cast<uint8_t>(WalRecordType::kCreateTable) ||
       type > static_cast<uint8_t>(WalRecordType::kPublishEpoch)) {
     return Status::InvalidArgument("wal: unknown record type " +
                                    std::to_string(type));
   }
   record.type = static_cast<WalRecordType>(type);
-  MOSAIC_ASSIGN_OR_RETURN(record.catalog_version, in.U64());
-  MOSAIC_ASSIGN_OR_RETURN(record.metadata_version, in.U64());
-  record.body.assign(reinterpret_cast<const char*>(data) + in.pos(),
-                     size - in.pos());
+  MOSAIC_ASSIGN_OR_RETURN(record.catalog_version, in.ReadU64());
+  MOSAIC_ASSIGN_OR_RETURN(record.metadata_version, in.ReadU64());
+  record.body = std::string(in.rest());
   return record;
 }
 
@@ -106,9 +98,10 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Create(const std::string& path,
                            std::strerror(errno));
   }
   std::unique_ptr<WalWriter> writer(new WalWriter(fd, seq, path));
-  std::string header(kWalMagic, sizeof(kWalMagic));
-  PutU64(&header, seq);
-  Status st = WriteFull(fd, header.data(), header.size());
+  ByteWriter header;
+  header.PutBytes(kWalMagic, sizeof(kWalMagic));
+  header.PutU64(seq);
+  Status st = WriteFull(fd, header.buffer().data(), header.size());
   if (st.ok()) st = SyncFd(fd);
   if (st.ok()) st = SyncDirOf(path);  // make the new file name durable
   if (!st.ok()) return st;
@@ -137,18 +130,20 @@ Result<std::unique_ptr<WalWriter>> WalWriter::OpenForAppend(
 Status WalWriter::Append(const WalRecord& record, bool sync) {
   // One buffer: reserve the frame header, encode the payload after it,
   // then fill in its length and CRC.
-  std::string frame;
-  frame.reserve(kFrameSize + kPayloadHeaderSize + record.body.size());
-  frame.resize(kFrameSize);
-  PutU8(&frame, static_cast<uint8_t>(record.type));
-  PutU64(&frame, record.catalog_version);
-  PutU64(&frame, record.metadata_version);
-  frame.append(record.body);
-  const size_t len = frame.size() - kFrameSize;
-  StoreU32(&frame[0], static_cast<uint32_t>(len));
-  StoreU32(&frame[4], Crc32(frame.data() + kFrameSize, len));
-  MOSAIC_RETURN_IF_ERROR(WriteFull(fd_, frame.data(), frame.size()));
-  bytes_written_ += frame.size();
+  ByteWriter w;
+  w.Reserve(kFrameSize + kPayloadHeaderSize + record.body.size());
+  w.PutU32(0);  // len
+  w.PutU32(0);  // crc
+  w.PutU8(static_cast<uint8_t>(record.type));
+  w.PutU64(record.catalog_version);
+  w.PutU64(record.metadata_version);
+  w.PutBytes(record.body.data(), record.body.size());
+  const std::string_view payload =
+      std::string_view(w.buffer()).substr(kFrameSize);
+  w.PatchU32(0, static_cast<uint32_t>(payload.size()));
+  w.PatchU32(4, Crc32(payload.data(), payload.size()));
+  MOSAIC_RETURN_IF_ERROR(WriteFull(fd_, w.buffer().data(), w.size()));
+  bytes_written_ += w.size();
   if (sync) MOSAIC_RETURN_IF_ERROR(SyncFd(fd_));
   return Status::OK();
 }
@@ -169,7 +164,7 @@ Status WalWriter::Sync() { return SyncFd(fd_); }
   WalReadResult result;
   {
     ByteReader header(data + sizeof(kWalMagic), 8);
-    MOSAIC_ASSIGN_OR_RETURN(result.seq, header.U64());
+    MOSAIC_ASSIGN_OR_RETURN(result.seq, header.ReadU64());
   }
 
   size_t off = kHeaderSize;

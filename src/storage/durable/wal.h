@@ -6,7 +6,8 @@
 //   u32 payload_len | u32 crc32(payload) | payload
 //
 // where the payload is `u8 type | u64 catalog_version |
-// u64 metadata_version | body`. The versions are the database's
+// u64 metadata_version | body`, all in the shared codec's byte order
+// (storage/codec.h). The versions are the database's
 // counters *after* the operation committed, so replay restores the
 // exact stamps (the fit-signature machinery embeds metadata_version;
 // exact restoration is what makes post-restart refits no-op).

@@ -34,24 +34,24 @@ inline std::string MakeTempDir() {
 /// current weight epoch with its fit provenance. Two databases with
 /// equal fingerprints are indistinguishable to every query path.
 inline std::string StateFingerprint(core::Database* db) {
-  std::string out;
+  ByteWriter out;
   core::Catalog* cat = db->catalog();
-  PutU64(&out, db->catalog_version());
-  PutU64(&out, db->metadata_version());
+  out.PutU64(db->catalog_version());
+  out.PutU64(db->metadata_version());
   for (const std::string& name : cat->TableNames()) {
-    PutString(&out, name);
-    EncodeTable(&out, **cat->GetTable(name));
+    out.PutString(name);
+    EncodeTable(**cat->GetTable(name), &out);
   }
   for (const std::string& name : cat->PopulationNames()) {
-    EncodePopulation(&out, **cat->GetPopulation(name));
+    EncodePopulation(**cat->GetPopulation(name), &out);
   }
   for (const std::string& name : cat->SampleNames()) {
     core::SampleInfo* sample = *cat->GetSample(name);
-    EncodeSampleHeader(&out, *sample);
-    EncodeTable(&out, sample->data);
-    EncodeWeightEpoch(&out, *sample->weights.Pin());
+    EncodeSampleHeader(*sample, &out);
+    EncodeTable(sample->data, &out);
+    EncodeWeightEpoch(*sample->weights.Pin(), &out);
   }
-  return out;
+  return out.Take();
 }
 
 }  // namespace testutil

@@ -5,9 +5,13 @@
 // tests/test_durable_recovery.cc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/database.h"
@@ -15,6 +19,7 @@
 #include "sql/parser.h"
 #include "stats/marginal.h"
 #include "storage/durable/crc32.h"
+#include "storage/durable/engine.h"
 #include "storage/durable/io.h"
 #include "storage/durable/serde.h"
 #include "storage/durable/snapshot.h"
@@ -114,69 +119,6 @@ TEST(Crc32, MatchesByteLoopOverOneMiB) {
 // Serde round-trips
 // ---------------------------------------------------------------------------
 
-Table MixedTable() {
-  Schema schema;
-  EXPECT_TRUE(schema.AddColumn(ColumnDef{"i", DataType::kInt64}).ok());
-  EXPECT_TRUE(schema.AddColumn(ColumnDef{"d", DataType::kDouble}).ok());
-  EXPECT_TRUE(schema.AddColumn(ColumnDef{"s", DataType::kString}).ok());
-  EXPECT_TRUE(schema.AddColumn(ColumnDef{"b", DataType::kBool}).ok());
-  Table t(schema);
-  EXPECT_TRUE(
-      t.AppendRow({Value(int64_t{42}), Value(3.25), Value(std::string("x")),
-                   Value(true)})
-          .ok());
-  EXPECT_TRUE(t.AppendRow({Value(int64_t{-7}), Value(-0.5),
-                           Value(std::string("hello, world")), Value(false)})
-                  .ok());
-  EXPECT_TRUE(
-      t.AppendRow({Value(int64_t{0}), Value(1e300), Value(std::string("x")),
-                   Value(true)})
-          .ok());
-  return t;
-}
-
-TEST(Serde, TableRoundTripIsBitExact) {
-  Table original = MixedTable();
-  std::string buf;
-  EncodeTable(&buf, original);
-  ByteReader in(buf.data(), buf.size());
-  auto decoded = DecodeTable(&in);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  std::string a, b;
-  EncodeTable(&a, original);
-  EncodeTable(&b, *decoded);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(decoded->num_rows(), original.num_rows());
-  for (size_t r = 0; r < original.num_rows(); ++r) {
-    for (size_t c = 0; c < original.num_columns(); ++c) {
-      EXPECT_EQ(decoded->GetValue(r, c).ToString(),
-                original.GetValue(r, c).ToString());
-    }
-  }
-}
-
-TEST(Serde, EmptyTableRoundTrips) {
-  Schema schema;
-  ASSERT_TRUE(schema.AddColumn(ColumnDef{"v", DataType::kDouble}).ok());
-  Table original(schema);
-  std::string buf;
-  EncodeTable(&buf, original);
-  ByteReader in(buf.data(), buf.size());
-  auto decoded = DecodeTable(&in);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->num_rows(), 0u);
-  EXPECT_EQ(decoded->num_columns(), 1u);
-}
-
-TEST(Serde, TruncatedTableFailsLoudly) {
-  std::string buf;
-  EncodeTable(&buf, MixedTable());
-  for (size_t len : {size_t{0}, size_t{1}, buf.size() / 2, buf.size() - 1}) {
-    ByteReader in(buf.data(), len);
-    EXPECT_FALSE(DecodeTable(&in).ok()) << "prefix length " << len;
-  }
-}
-
 TEST(Serde, ExprRoundTrips) {
   auto parsed = sql::ParseStatement(
       "SELECT * FROM t WHERE (a > 3 AND b = 'x') OR c BETWEEN 1 AND 5 OR "
@@ -184,20 +126,20 @@ TEST(Serde, ExprRoundTrips) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const sql::Expr* where = parsed->As<sql::SelectStmt>().where.get();
   ASSERT_NE(where, nullptr);
-  std::string buf;
-  EncodeExpr(&buf, where);
-  ByteReader in(buf.data(), buf.size());
+  ByteWriter buf;
+  EncodeExpr(where, &buf);
+  ByteReader in(buf.buffer());
   auto decoded = DecodeExpr(&in);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_NE(decoded->get(), nullptr);
-  std::string again;
-  EncodeExpr(&again, decoded->get());
-  EXPECT_EQ(buf, again);
+  ByteWriter again;
+  EncodeExpr(decoded->get(), &again);
+  EXPECT_EQ(buf.buffer(), again.buffer());
 
   // Null expressions (absent predicates) survive too.
-  std::string null_buf;
-  EncodeExpr(&null_buf, nullptr);
-  ByteReader null_in(null_buf.data(), null_buf.size());
+  ByteWriter null_buf;
+  EncodeExpr(nullptr, &null_buf);
+  ByteReader null_in(null_buf.buffer());
   auto null_decoded = DecodeExpr(&null_in);
   ASSERT_TRUE(null_decoded.ok());
   EXPECT_EQ(null_decoded->get(), nullptr);
@@ -215,14 +157,14 @@ TEST(Serde, MarginalRoundTrips) {
       std::move(attrs),
       std::vector<double>{10, 20, 30, 40, 1, 2, 3, 4, 5, 6, 7, 8});
   ASSERT_TRUE(marginal.ok()) << marginal.status().ToString();
-  std::string buf;
-  EncodeMarginal(&buf, *marginal);
-  ByteReader in(buf.data(), buf.size());
+  ByteWriter buf;
+  EncodeMarginal(*marginal, &buf);
+  ByteReader in(buf.buffer());
   auto decoded = DecodeMarginal(&in);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  std::string again;
-  EncodeMarginal(&again, *decoded);
-  EXPECT_EQ(buf, again);
+  ByteWriter again;
+  EncodeMarginal(*decoded, &again);
+  EXPECT_EQ(buf.buffer(), again.buffer());
   EXPECT_EQ(decoded->arity(), 2u);
   EXPECT_EQ(decoded->counts(), marginal->counts());
 }
@@ -235,9 +177,9 @@ TEST(Serde, WeightEpochKeepsFitProvenance) {
   epoch.fit_error = 1e-7;
   epoch.fit_uncovered = 0.25;
   epoch.fit_converged = true;
-  std::string buf;
-  EncodeWeightEpoch(&buf, epoch);
-  ByteReader in(buf.data(), buf.size());
+  ByteWriter buf;
+  EncodeWeightEpoch(epoch, &buf);
+  ByteReader in(buf.buffer());
   auto decoded = DecodeWeightEpoch(&in);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->id, epoch.id);
@@ -246,6 +188,90 @@ TEST(Serde, WeightEpochKeepsFitProvenance) {
   EXPECT_EQ(decoded->fit_error, epoch.fit_error);
   EXPECT_EQ(decoded->fit_uncovered, epoch.fit_uncovered);
   EXPECT_EQ(decoded->fit_converged, epoch.fit_converged);
+}
+
+// Counts the bytes behind them cannot hold: each decoder must answer
+// InvalidArgument before sizing anything from them (2^61 doubles is
+// what wraps `n * sizeof(double)` to 0).
+TEST(Serde, HostileCountsReturnInvalidArgument) {
+  constexpr uint64_t kHuge = uint64_t{1} << 61;
+  auto expect_invalid = [](const Status& status, const char* what) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << what << ": " << status.ToString();
+  };
+  {
+    ByteWriter w;
+    w.PutU64(1);      // epoch id
+    w.PutU64(kHuge);  // weight count
+    w.PutDouble(1.0);
+    ByteReader r(w.buffer());
+    expect_invalid(DecodeWeightEpoch(&r).status(), "weight count");
+  }
+  {
+    ByteWriter w;
+    w.PutU32(0xffffffffu);  // marginal attributes
+    w.PutString("a");
+    ByteReader r(w.buffer());
+    expect_invalid(DecodeMarginal(&r).status(), "marginal attributes");
+  }
+  {
+    ByteWriter w;
+    w.PutU32(1);
+    w.PutString("a");
+    w.PutU8(1);             // categorical
+    w.PutU32(0xffffffffu);  // categories
+    EncodeValue(Value(int64_t{1}), &w);
+    ByteReader r(w.buffer());
+    expect_invalid(DecodeMarginal(&r).status(), "categories");
+  }
+  {
+    ByteWriter w;
+    w.PutU32(1);
+    w.PutString("a");
+    w.PutU8(1);
+    w.PutU32(1);
+    EncodeValue(Value(int64_t{1}), &w);
+    w.PutU64(kHuge);  // counts
+    w.PutDouble(1.0);
+    ByteReader r(w.buffer());
+    expect_invalid(DecodeMarginal(&r).status(), "marginal counts");
+  }
+  {
+    ByteWriter w;
+    w.PutU8(1);  // present
+    w.PutU8(0);  // kind
+    EncodeValue(Value::Null(), &w);
+    w.PutString("");
+    w.PutU8(0);  // unary op
+    w.PutU8(0);  // binary op
+    for (int child = 0; child < 5; ++child) w.PutU8(0);  // absent
+    w.PutU32(0xffffffffu);  // IN-list length
+    w.PutU8(0);
+    w.PutU8(0);
+    ByteReader r(w.buffer());
+    expect_invalid(DecodeExpr(&r).status(), "IN list");
+  }
+}
+
+TEST(Serde, ContinuousBinningMustBeNonEmpty) {
+  // lo >= hi or zero bins cannot form a binning; decoding must say so
+  // rather than build one.
+  for (const auto& [lo, hi, bins] :
+       {std::tuple<double, double, uint64_t>{1.0, 1.0, 4},
+        std::tuple<double, double, uint64_t>{2.0, 1.0, 4},
+        std::tuple<double, double, uint64_t>{0.0, 1.0, 0}}) {
+    ByteWriter w;
+    w.PutU32(1);
+    w.PutString("age");
+    w.PutU8(0);  // continuous
+    w.PutDouble(lo);
+    w.PutDouble(hi);
+    w.PutU64(bins);
+    w.PutU64(bins);
+    for (uint64_t i = 0; i < bins; ++i) w.PutDouble(1.0);
+    ByteReader r(w.buffer());
+    EXPECT_FALSE(DecodeMarginal(&r).ok()) << lo << " " << hi << " " << bins;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -309,8 +335,8 @@ TEST(Wal, FrameCrcMatchesByteLoopOverPayload) {
   ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
   // 16-byte file header, then u32 len | u32 crc | payload.
   ByteReader frame(bytes->data() + 16, 8);
-  auto len = frame.U32();
-  auto crc = frame.U32();
+  auto len = frame.ReadU32();
+  auto crc = frame.ReadU32();
   ASSERT_TRUE(len.ok() && crc.ok());
   ASSERT_EQ(bytes->size(), 16 + 8 + *len);
   EXPECT_EQ(*len, 1 + 8 + 8 + body.size());
@@ -497,10 +523,10 @@ TEST(Snapshot, BuildLoadRoundTripsWholeState) {
   EXPECT_EQ(sample.epoch.weights, live_epoch->weights);
   EXPECT_EQ(sample.epoch.fit_signature, live_epoch->fit_signature);
 
-  std::string a, b;
-  EncodeTable(&a, sample.info.data);
-  EncodeTable(&b, live->data);
-  EXPECT_EQ(a, b);
+  ByteWriter a, b;
+  EncodeTable(sample.info.data, &a);
+  EncodeTable(live->data, &b);
+  EXPECT_EQ(a.buffer(), b.buffer());
 }
 
 TEST(Snapshot, CorruptHeaderOrSegmentFailsLoudly) {
@@ -593,6 +619,160 @@ TEST(Snapshot, FileNamesRoundTrip) {
   ASSERT_TRUE(seq.ok());
   EXPECT_EQ(*seq, 7u);
   EXPECT_FALSE(ParseSnapshotFileName("wal-000007.log").ok());
+}
+
+// ---------------------------------------------------------------------------
+// Randomized fuzz: mutated durable payloads through every decoder
+// ---------------------------------------------------------------------------
+
+/// Truncate, flip one byte, or flip up to eight (the wire fuzz's
+/// mutations).
+std::string Mutate(std::mt19937* rng, std::string s) {
+  if (s.empty()) return s;
+  const int op = static_cast<int>((*rng)() % 3);
+  if (op == 0) {
+    s.resize((*rng)() % s.size());
+  } else if (op == 1) {
+    s[(*rng)() % s.size()] = static_cast<char>((*rng)());
+  } else {
+    for (int i = 0; i < 8 && !s.empty(); ++i) {
+      s[(*rng)() % s.size()] = static_cast<char>((*rng)());
+    }
+  }
+  return s;
+}
+
+TEST(SerdeFuzz, MutatedStateObjectsNeverCrash) {
+  core::Database db;
+  BuildSmallWorld(&db);
+  core::PopulationInfo* population = *db.catalog()->GetPopulation("People");
+  core::SampleInfo* sample = *db.catalog()->GetSample("Panel");
+  auto parsed = sql::ParseStatement(
+      "SELECT * FROM t WHERE (a > 3 AND b = 'x') OR c BETWEEN 1 AND 5 OR "
+      "d IN ('p', 2, 3.5, TRUE) OR NOT e");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_FALSE(population->marginals.empty());
+
+  ByteWriter expr, marginal, epoch, pop, header;
+  EncodeExpr(parsed->As<sql::SelectStmt>().where.get(), &expr);
+  EncodeMarginal(population->marginals[0], &marginal);
+  EncodeWeightEpoch(*sample->weights.Pin(), &epoch);
+  EncodePopulation(*population, &pop);
+  EncodeSampleHeader(*sample, &header);
+
+  std::mt19937 rng(20261018);
+  for (int trial = 0; trial < 500; ++trial) {
+    // Outcomes don't matter (a mutation can stay valid); each decoder
+    // must terminate with a value or a Status.
+    const std::string e = Mutate(&rng, expr.buffer());
+    ByteReader er(e);
+    (void)DecodeExpr(&er);
+    const std::string m = Mutate(&rng, marginal.buffer());
+    ByteReader mr(m);
+    (void)DecodeMarginal(&mr);
+    const std::string w = Mutate(&rng, epoch.buffer());
+    ByteReader wr(w);
+    (void)DecodeWeightEpoch(&wr);
+    const std::string p = Mutate(&rng, pop.buffer());
+    ByteReader pr(p);
+    (void)DecodePopulation(&pr);
+    const std::string h = Mutate(&rng, header.buffer());
+    ByteReader hr(h);
+    (void)DecodeSampleHeader(&hr);
+  }
+}
+
+TEST(SerdeFuzz, MutatedWalRecordBodiesNeverCrashRecovery) {
+  // Log a world that writes every record type, then replay mutated
+  // copies of each record.
+  const std::string dir = MakeTempDir();
+  ASSERT_FALSE(dir.empty());
+  {
+    core::Database db;
+    auto engine = StorageEngine::Open(dir);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE((*engine)->Recover(&db).ok());
+    BuildSmallWorld(&db);
+    for (const char* sql :
+         {"CREATE TABLE Doomed (x INT)", "DROP TABLE Doomed",
+          "UPDATE EmailReport SET cnt = 551 WHERE email = 'gmail'"}) {
+      auto r = db.Execute(sql);
+      ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    }
+  }
+  auto wal = ReadWal(dir + "/" + WalFileName(1));
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  for (uint8_t type = static_cast<uint8_t>(WalRecordType::kCreateTable);
+       type <= static_cast<uint8_t>(WalRecordType::kPublishEpoch); ++type) {
+    EXPECT_TRUE(std::any_of(wal->records.begin(), wal->records.end(),
+                            [type](const WalRecord& r) {
+                              return static_cast<uint8_t>(r.type) == type;
+                            }))
+        << "no WAL record of type " << int{type};
+  }
+
+  // Each mutated record is replayed on top of the unmutated records
+  // before it, as recovery would, so decoded-but-odd payloads meet
+  // the catalog state they name.
+  std::mt19937 rng(777);
+  for (size_t i = 0; i < wal->records.size(); ++i) {
+    for (int trial = 0; trial < 100; ++trial) {
+      core::Database db;
+      for (size_t k = 0; k < i; ++k) {
+        ASSERT_TRUE(StorageEngine::ApplyWalRecord(&db, wal->records[k]).ok());
+      }
+      WalRecord record = wal->records[i];
+      record.body = Mutate(&rng, record.body);
+      (void)StorageEngine::ApplyWalRecord(&db, record);
+    }
+  }
+}
+
+TEST(SerdeFuzz, MutatedSnapshotSegmentsNeverCrashLoad) {
+  core::Database db;
+  BuildSmallWorld(&db);
+  auto image = BuildSnapshotImage(&db, 1);
+  ASSERT_TRUE(image.ok());
+  // Section A: 40-byte header, then segments of u8 type | u32 len |
+  // u32 crc | payload up to the end segment.
+  struct Segment {
+    size_t offset;
+    uint32_t len;
+  };
+  std::vector<Segment> segments;
+  size_t off = 40;
+  for (;;) {
+    ASSERT_LE(off + 9, image->size());
+    const uint8_t type = static_cast<uint8_t>((*image)[off]);
+    if (type == 0xFF) break;
+    uint32_t len = 0;
+    std::memcpy(&len, image->data() + off + 1, 4);
+    segments.push_back({off, len});
+    off += 9 + len;
+  }
+  ASSERT_EQ(segments.size(), 4u);  // 2 tables, 1 population, 1 sample
+
+  const std::string dir = MakeTempDir();
+  const std::string path = dir + "/fuzz.snap";
+  std::mt19937 rng(4242);
+  for (int trial = 0; trial < 400; ++trial) {
+    // Mutate one segment's payload and re-seal it with a matching
+    // length and CRC, so the bytes reach the decoders.
+    const Segment& seg = segments[rng() % segments.size()];
+    const std::string payload =
+        Mutate(&rng, image->substr(seg.offset + 9, seg.len));
+    ByteWriter frame;
+    frame.PutU8(static_cast<uint8_t>((*image)[seg.offset]));
+    frame.PutU32(static_cast<uint32_t>(payload.size()));
+    frame.PutU32(Crc32(payload.data(), payload.size()));
+    frame.PutBytes(payload.data(), payload.size());
+    const std::string mutated = image->substr(0, seg.offset) +
+                                frame.buffer() +
+                                image->substr(seg.offset + 9 + seg.len);
+    WriteBytes(path, mutated);
+    (void)LoadSnapshot(path);
+    (void)MappedSnapshot::Open(path);
+  }
 }
 
 }  // namespace

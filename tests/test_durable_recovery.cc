@@ -11,6 +11,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/event_log.h"
@@ -260,6 +261,42 @@ TEST(DurableRecovery, MidLogBitFlipFailsLoudly) {
   auto rec = OpenAndRecover(dir);
   ASSERT_FALSE(rec.ok());
   EXPECT_EQ(rec.status().code(), StatusCode::kIOError);
+}
+
+TEST(DurableRecovery, HostileCountInCrcValidRecordFailsWithStatus) {
+  // A record whose CRC matches but whose body declares 2^61 elements
+  // (so `n * 8` wraps to 0) must fail recovery with a Status, not
+  // throw out of a vector allocation and take the server down.
+  constexpr uint64_t kHuge = uint64_t{1} << 61;
+  ByteWriter epoch_body;
+  epoch_body.PutString("Panel");
+  epoch_body.PutU64(1);      // epoch id
+  epoch_body.PutU64(kHuge);  // weight count
+  epoch_body.PutDouble(1.0);
+  ByteWriter table_body;
+  table_body.PutString("EmailReport");
+  table_body.PutU32(1);
+  table_body.PutString("cnt");
+  table_body.PutU8(static_cast<uint8_t>(DataType::kInt64));
+  table_body.PutU64(kHuge);  // row count
+  table_body.PutI64(550);
+  const std::vector<std::pair<WalRecordType, std::string>> cases = {
+      {WalRecordType::kPublishEpoch, epoch_body.Take()},
+      {WalRecordType::kTableAppend, table_body.Take()},
+  };
+  for (const auto& [type, body] : cases) {
+    const std::string dir = MakeTempDir();
+    auto writer = WalWriter::Create(dir + "/" + WalFileName(1), 1);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    WalRecord record;
+    record.type = type;
+    record.body = body;
+    ASSERT_TRUE((*writer)->Append(record, /*sync=*/true).ok());
+    auto rec = OpenAndRecover(dir);
+    ASSERT_FALSE(rec.ok()) << "record type " << static_cast<int>(type);
+    EXPECT_EQ(rec.status().code(), StatusCode::kInvalidArgument)
+        << rec.status().ToString();
+  }
 }
 
 TEST(DurableRecovery, LeftoverTmpSnapshotIsIgnoredAndCleaned) {

@@ -121,123 +121,21 @@ TEST(FrameReader, SurvivesRandomGarbage) {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive + object codecs
+// Message codecs (Value and Table cases live in tests/test_codec.cc)
 // ---------------------------------------------------------------------------
-
-TEST(WireCodec, ValueRoundTripsEveryTypeIncludingNull) {
-  const std::vector<Value> values = {
-      Value::Null(),        Value(int64_t(-42)), Value(int64_t(0)),
-      Value(3.14159),       Value(-0.0),         Value(std::string("hello")),
-      Value(std::string("")), Value(true),       Value(false),
-  };
-  for (const Value& v : values) {
-    WireWriter w;
-    EncodeValue(v, &w);
-    WireReader r(w.buffer());
-    auto decoded = DecodeValue(&r);
-    ASSERT_TRUE(decoded.ok()) << v.ToString();
-    EXPECT_TRUE(r.AtEnd());
-    EXPECT_EQ(v.type(), decoded->type());
-    if (!v.is_null()) EXPECT_TRUE(v == *decoded) << v.ToString();
-  }
-}
-
-TEST(WireCodec, ValueRejectsUnknownTagAndTruncation) {
-  WireReader bad_tag(std::string_view("\x09", 1));
-  EXPECT_FALSE(DecodeValue(&bad_tag).ok());
-
-  WireWriter w;
-  EncodeValue(Value(std::string("abcdef")), &w);
-  // Truncate at every prefix length: must error, never crash.
-  for (size_t cut = 0; cut < w.buffer().size(); ++cut) {
-    WireReader r(std::string_view(w.buffer().data(), cut));
-    EXPECT_FALSE(DecodeValue(&r).ok()) << "cut=" << cut;
-  }
-}
 
 TEST(WireCodec, StatusRoundTripsAndRejectsUnknownCode) {
   const Status s = Status::ExecutionError("division by zero");
-  WireWriter w;
+  ByteWriter w;
   EncodeStatus(s, &w);
-  WireReader r(w.buffer());
+  ByteReader r(w.buffer());
   Status decoded;
   ASSERT_TRUE(DecodeStatus(&r, &decoded).ok());
   EXPECT_TRUE(s == decoded);
 
-  WireReader bad(std::string_view("\xff\x00\x00\x00\x00", 5));
+  ByteReader bad(std::string_view("\xff\x00\x00\x00\x00", 5));
   Status out;
   EXPECT_FALSE(DecodeStatus(&bad, &out).ok());
-}
-
-TEST(WireCodec, TableRoundTripsAllColumnTypes) {
-  const Table t = MakeSampleTable();
-  WireWriter w;
-  EncodeTable(t, &w);
-  WireReader r(w.buffer());
-  auto decoded = DecodeTable(&r);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(r.AtEnd());
-  ExpectTablesIdentical(t, *decoded);
-}
-
-TEST(WireCodec, TableRoundTripsEmptyAndZeroRowTables) {
-  {
-    WireWriter w;
-    EncodeTable(Table(), &w);
-    WireReader r(w.buffer());
-    auto decoded = DecodeTable(&r);
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded->num_rows(), 0u);
-    EXPECT_EQ(decoded->num_columns(), 0u);
-  }
-  {
-    Table t(Schema({{"s", DataType::kString}, {"x", DataType::kInt64}}));
-    WireWriter w;
-    EncodeTable(t, &w);
-    WireReader r(w.buffer());
-    auto decoded = DecodeTable(&r);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    ExpectTablesIdentical(t, *decoded);
-  }
-}
-
-TEST(WireCodec, TableRejectsHostileDeclaredSizes) {
-  // Row count far beyond the payload must fail before allocating.
-  WireWriter w;
-  w.PutU32(1);
-  w.PutString("c");
-  w.PutU8(static_cast<uint8_t>(DataType::kInt64));
-  w.PutU64(uint64_t(1) << 40);  // a terabyte of rows, no bytes behind it
-  WireReader r(w.buffer());
-  EXPECT_FALSE(DecodeTable(&r).ok());
-
-  // Column count beyond the payload too.
-  WireWriter w2;
-  w2.PutU32(0xffffffffu);
-  WireReader r2(w2.buffer());
-  EXPECT_FALSE(DecodeTable(&r2).ok());
-
-  // Dictionary code out of range.
-  WireWriter w3;
-  w3.PutU32(1);
-  w3.PutString("s");
-  w3.PutU8(static_cast<uint8_t>(DataType::kString));
-  w3.PutU64(1);
-  w3.PutU32(1);      // dict size 1
-  w3.PutString("a");
-  w3.PutU32(7);      // code 7 out of range
-  WireReader r3(w3.buffer());
-  EXPECT_FALSE(DecodeTable(&r3).ok());
-}
-
-TEST(WireCodec, TableTruncationsAlwaysError) {
-  WireWriter w;
-  EncodeTable(MakeSampleTable(), &w);
-  const std::string& full = w.buffer();
-  for (size_t cut = 0; cut < full.size(); ++cut) {
-    WireReader r(std::string_view(full.data(), cut));
-    EXPECT_FALSE(DecodeTable(&r).ok()) << "cut=" << cut;
-  }
 }
 
 TEST(WireCodec, QueryOutcomeRoundTripsBothArms) {
@@ -299,7 +197,7 @@ TEST(WireCodec, MessagesRoundTrip) {
 }
 
 TEST(WireCodec, BatchRequestRejectsHostileCount) {
-  WireWriter w;
+  ByteWriter w;
   w.PutU32(0xfffffff0u);
   EXPECT_FALSE(DecodeBatchRequest(w.buffer()).ok());
 }
@@ -450,7 +348,7 @@ TEST(WireCodec, StatsReplyDecodesMinorZeroPayload) {
   // A minor-0 server's STATS_RESULT: 21 uint64 fields, no histogram
   // section. The decoder must leave the appended fields zero and the
   // histogram list empty rather than demanding the new bytes.
-  WireWriter w;
+  ByteWriter w;
   w.PutU32(21);
   for (uint64_t i = 1; i <= 21; ++i) w.PutU64(i * 10);
   auto decoded = DecodeStatsReply(w.buffer());
@@ -471,7 +369,7 @@ TEST(WireCodec, StatsReplyOldClientIgnoresAppendedTail) {
   // old decoder would have read.
   const StatsSnapshot stats = MakeExtendedStats();
   const std::string payload = EncodeStatsReply(stats);
-  WireReader r(payload);
+  ByteReader r(payload);
   auto count = r.ReadU32();
   ASSERT_TRUE(count.ok());
   ASSERT_GE(*count, 21u);

@@ -265,7 +265,7 @@ MOSAIC_TRACE=1 ctest --test-dir build-release --output-on-failure \
 # (SIMD-batch == oracle) pins SIMD == scalar on whole query plans.
 echo "=== Release + MOSAIC_SIMD=0: scalar kernel parity ==="
 MOSAIC_SIMD=0 ctest --test-dir build-release --output-on-failure \
-  -R 'test_(sql_fuzz|exec_parity|simd_kernels)'
+  -R 'test_(sql_fuzz|exec_parity|simd_kernels|database)'
 
 # UBSan leg over the executor tests, the binary codec and durable
 # storage suites and the reweighting kernels: the SIMD layer leans on
@@ -273,18 +273,20 @@ MOSAIC_SIMD=0 ctest --test-dir build-release --output-on-failure \
 # engine add mmap'd column reads and byte-level (de)serialization on
 # top, and IPF and Marginal::CellIds index arrays with raw dictionary
 # codes and cell ids; undefined-behavior findings there must fail CI
-# even when the answers happen to come out right. (`codec` in the
-# filter also selects test_codec_golden.)
+# even when the answers happen to come out right. The database and
+# selection-type suites ride along because an all-rows selection is
+# built there and read by the kernels as a null row list. (`codec` in
+# the filter also selects test_codec_golden.)
 echo "=== UBSan: executor + kernel + storage + reweight tests ==="
 cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DMOSAIC_SANITIZE=undefined
 cmake --build build-ubsan -j "${JOBS}" --target \
   test_simd_kernels test_exec_parity test_executor test_sql_fuzz \
   test_codec test_codec_golden test_durable test_durable_recovery \
-  test_ipf test_marginal test_reweight
+  test_ipf test_marginal test_reweight test_database test_table_view
 UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-ubsan \
   --output-on-failure \
-  -R 'test_(simd_kernels|exec_parity|executor|sql_fuzz|codec|durable|durable_recovery|ipf|marginal|reweight)'
+  -R 'test_(simd_kernels|exec_parity|executor|sql_fuzz|codec|durable|durable_recovery|ipf|marginal|reweight|database|table_view)'
 
 # Bench JSON smoke: the bench binaries must emit parseable JSON with
 # the latency histogram fields (BENCH_*.json feeds dashboards; a

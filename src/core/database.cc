@@ -1448,7 +1448,7 @@ Status Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
       }
       MOSAIC_ASSIGN_OR_RETURN(auto bound, binder.Bind(*expr));
       MOSAIC_ASSIGN_OR_RETURN(std::vector<double> values,
-                              exec::EvalDoubleBatch(*bound, view, rows.rows()));
+                              exec::EvalDoubleBatch(*bound, view, rows.slice()));
       new_weights.push_back(std::move(values));
     }
     std::vector<double> next = prev->weights;
@@ -1486,7 +1486,7 @@ Status Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
   std::vector<std::pair<size_t, exec::BatchVec>> assigned;
   for (const auto& [idx, bound] : bound_assignments) {
     MOSAIC_ASSIGN_OR_RETURN(exec::BatchVec values,
-                            exec::EvalBatch(*bound, view, rows.rows()));
+                            exec::EvalBatch(*bound, view, rows.slice()));
     assigned.emplace_back(idx, std::move(values));
   }
   // Columns are append-only; rebuild the table with updated cells.

@@ -606,20 +606,22 @@ std::vector<const BoundExpr*> FlattenConjuncts(const BoundExpr& predicate) {
   return conjuncts;
 }
 
-/// Refine rows[0, n) in place through `conjuncts`: each conjunct only
-/// runs on the survivors of the ones before it (row-oracle
-/// short-circuit parity). Survivors keep their order in rows[0, kept);
-/// returns kept.
+/// Keep the rows of in[0, n) — the identity 0..n-1 when `in` is null —
+/// that pass every conjunct, in order, in out[0, kept); returns kept.
+/// Each conjunct only runs on the survivors of the ones before it
+/// (row-oracle short-circuit parity). The first compacts from `in`
+/// into `out`, the rest in place; `out` needs capacity n and may equal
+/// `in`.
 [[nodiscard]] Result<size_t> RefineRows(
     const TableView& view, const std::vector<const BoundExpr*>& conjuncts,
-    uint32_t* rows, size_t n) {
+    const uint32_t* in, size_t n, uint32_t* out) {
   for (const BoundExpr* conjunct : conjuncts) {
     if (n == 0) break;
     MOSAIC_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,
-                            EvalMask(*conjunct, view, SelectionSlice(rows, n)));
-    // In-place branchless compaction (out == rows is part of the
-    // kernel contract).
-    n = simd::ActiveKernels().compact_rows(rows, mask.data(), 1, n, rows);
+                            EvalMask(*conjunct, view, SelectionSlice(in, n)));
+    // Branchless compaction (out == in is part of the kernel contract).
+    n = simd::ActiveKernels().compact_rows(in, mask.data(), 1, n, out);
+    in = out;
   }
   return n;
 }
@@ -629,10 +631,15 @@ std::vector<const BoundExpr*> FlattenConjuncts(const BoundExpr& predicate) {
 [[nodiscard]] Result<SelectionVector> FilterView(const TableView& view,
                                    const BoundExpr& predicate,
                                    SelectionVector base) {
-  AlignedVector<uint32_t> rows = std::move(*base.mutable_rows());
+  // An All selection has no list to refine: its first conjunct runs
+  // over the identity and compacts into a fresh one.
+  const bool all = base.all();
+  const size_t n = base.size();
+  AlignedVector<uint32_t> rows =
+      all ? AlignedVector<uint32_t>(n) : std::move(*base.mutable_rows());
   MOSAIC_ASSIGN_OR_RETURN(
-      size_t kept,
-      RefineRows(view, FlattenConjuncts(predicate), rows.data(), rows.size()));
+      size_t kept, RefineRows(view, FlattenConjuncts(predicate),
+                              all ? nullptr : rows.data(), n, rows.data()));
   rows.resize(kept);
   return SelectionVector(std::move(rows));
 }

@@ -266,8 +266,6 @@ std::optional<size_t> LimitOf(const sql::SelectStmt& stmt) {
   std::optional<size_t> limit = LimitOf(stmt);
   if (!stmt.order_by.empty()) {
     std::vector<SortKeyCol> keys;
-    std::vector<uint32_t> identity(out->num_rows());
-    std::iota(identity.begin(), identity.end(), uint32_t{0});
     for (const auto& o : stmt.order_by) {
       auto idx = out->schema().FindColumn(o.column);
       if (!idx) {
@@ -275,7 +273,8 @@ std::optional<size_t> LimitOf(const sql::SelectStmt& stmt) {
                                  "' not in result set");
       }
       keys.push_back(MakeSortKey(ColumnSpan::FromColumn(out->column(*idx)),
-                                 identity, o.descending));
+                                 SelectionSlice(nullptr, out->num_rows()),
+                                 o.descending));
     }
     std::vector<uint32_t> perm =
         SortPermutation(keys, out->num_rows(), limit, used_topn);
@@ -474,10 +473,14 @@ void BuildNumericGroupIds(const ColumnSpan& span, SelectionSlice rows,
   AlignedVector<uint64_t> hashes(kGroupHashBlock);
   for (size_t base = 0; base < rows.size(); base += kGroupHashBlock) {
     const size_t m = std::min(kGroupHashBlock, rows.size() - base);
+    // An identity slice reads block [base, base + m) linearly.
+    const uint32_t* block_rows =
+        rows.data() != nullptr ? rows.data() + base : nullptr;
+    const size_t offset = rows.data() != nullptr ? 0 : base;
     if (span.type == DataType::kInt64) {
-      k.gather_i64_f64(span.i64, rows.data() + base, m, block.data());
+      k.gather_i64_f64(span.i64 + offset, block_rows, m, block.data());
     } else {
-      k.gather_f64(span.f64, rows.data() + base, m, block.data());
+      k.gather_f64(span.f64 + offset, block_rows, m, block.data());
     }
     k.hash_f64(block.data(), m, hashes.data());
     for (size_t i = 0; i < m; ++i) {
@@ -520,39 +523,6 @@ GroupKeyCol MakeGroupKey(const ColumnSpan& span, SelectionSlice rows) {
       break;
   }
   return key;
-}
-
-/// Double view of a typed aggregate-argument batch, matching what the
-/// row oracle obtains via Value::ToDouble (its exact error on string
-/// input included). kDouble aliases the batch payload directly;
-/// kInt64/kBool widen into `scratch`, which must outlive the view.
-[[nodiscard]] Result<const double*> BatchDoubles(const BatchVec& batch,
-                                   AlignedVector<double>* scratch) {
-  switch (batch.type) {
-    case DataType::kInt64:
-      scratch->resize(batch.i64.size());
-      simd::ActiveKernels().widen_i64_f64(batch.i64.data(), batch.i64.size(),
-                                          scratch->data());
-      return static_cast<const double*>(scratch->data());
-    case DataType::kDouble:
-      return batch.f64.data();
-    case DataType::kBool:
-      scratch->resize(batch.b8.size());
-      for (size_t i = 0; i < batch.b8.size(); ++i) {
-        (*scratch)[i] = batch.b8[i] != 0 ? 1.0 : 0.0;
-      }
-      return static_cast<const double*>(scratch->data());
-    case DataType::kString: {
-      if (batch.size() == 0) {
-        scratch->clear();
-        return static_cast<const double*>(scratch->data());
-      }
-      auto err = Value(batch.StringAt(0)).ToDouble();
-      return err.status();
-    }
-    default:
-      return Status::Internal("cannot convert batch to doubles");
-  }
 }
 
 /// Strict `a < b` over batch positions with Value semantics (numeric
@@ -685,21 +655,217 @@ ColumnSpan SpanOf(BatchVec* batch) {
   return Status::Internal("unreachable aggregate func");
 }
 
-/// Per-tuple weight gather over the selection.
-[[nodiscard]] Result<std::vector<double>> GatherWeights(
-    const ColumnSpan& wspan, const SelectionVector& sel) {
-  const AlignedVector<uint32_t>& rows = sel.rows();
-  const size_t n = rows.size();
-  std::vector<double> w(n);
-  if (wspan.type == DataType::kDouble) {
-    // The managed weight column is always a double span.
-    simd::ActiveKernels().gather_f64(wspan.f64, rows.data(), n, w.data());
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      MOSAIC_ASSIGN_OR_RETURN(w[i], wspan.GetDouble(rows[i]));
+/// Numeric input of the accumulate pass, read in place: a column's
+/// span indexed by row id, or an evaluated batch's indexed by
+/// selection position.
+struct NumericIn {
+  ColumnSpan span;
+  bool by_row = false;
+
+  /// Values at selection positions [base, base + m) as doubles,
+  /// widened as Value::ToDouble does: contiguous double storage is
+  /// returned in place, anything else is gathered into `buf`.
+  const double* Values(SelectionSlice rows, size_t base, size_t m,
+                       double* buf) const {
+    const uint32_t* at =
+        by_row && rows.data() != nullptr ? rows.data() + base : nullptr;
+    const size_t first = at != nullptr ? 0 : base;
+    const simd::KernelTable& k = simd::ActiveKernels();
+    switch (span.type) {
+      case DataType::kDouble:
+        if (at == nullptr) return span.f64 + first;
+        k.gather_f64(span.f64, at, m, buf);
+        return buf;
+      case DataType::kInt64:
+        k.gather_i64_f64(span.i64 + first, at, m, buf);
+        return buf;
+      default:
+        k.gather_b8_f64(span.b8 + first, at, m, buf);
+        return buf;
     }
   }
-  return w;
+};
+
+/// An evaluated SUM/AVG argument as accumulate input. A non-empty
+/// string batch fails as the row oracle's Value::ToDouble does on its
+/// first row.
+[[nodiscard]] Result<NumericIn> BatchInput(BatchVec* batch) {
+  if (batch->type == DataType::kString && batch->size() > 0) {
+    return Value(batch->StringAt(0)).ToDouble().status();
+  }
+  return NumericIn{SpanOf(batch), /*by_row=*/false};
+}
+
+/// Per-group results of the accumulate pass.
+struct GroupSums {
+  std::vector<int64_t> count;
+  std::vector<double> sum_w;
+  std::vector<std::vector<double>> sum_x;  ///< per spec; SUM/AVG only
+};
+
+/// Positions per accumulate block: the block's weights and arguments
+/// are gathered by the SIMD kernels into L1-resident buffers.
+constexpr size_t kAccumulateBlock = 512;
+
+/// Adds block positions [0, m) in order: count and Σw when `counts`,
+/// and w·x (x unweighted) into `sum_x` when `x` is set. kGlobal: one
+/// group, whose sums stay in locals, so each add waits on the last add,
+/// never on a store. Out of line because, inlined into
+/// ExecuteSelectBatch, GCC kept neither (a 21k-row AVG ran 2x slower).
+template <bool kGlobal>
+[[gnu::noinline]] void AddBlock(size_t m, const uint32_t* gid,
+                                const double* w, const double* x,
+                                bool counts, GroupSums* out, double* sum_x) {
+  int64_t* count = out->count.data();
+  double* sum_w = out->sum_w.data();
+  double sw = sum_w[0];
+  double sx = x != nullptr ? sum_x[0] : 0.0;
+  for (size_t j = 0; j < m; ++j) {
+    const uint32_t g = kGlobal ? 0 : gid[j];
+    if (counts) {
+      if (!kGlobal) count[g] += 1;
+      if (w != nullptr) (kGlobal ? sw : sum_w[g]) += w[j];
+    }
+    if (x != nullptr) {
+      (kGlobal ? sx : sum_x[g]) += w != nullptr ? w[j] * x[j] : x[j];
+    }
+  }
+  if (kGlobal) {
+    if (counts) {
+      count[0] += static_cast<int64_t>(m);
+      sum_w[0] = sw;
+    }
+    if (x != nullptr) sum_x[0] = sx;
+  }
+}
+
+/// One walk over the selection, in blocks, adding every row into its
+/// group's count, Σw and SUM/AVG sums (out_x[s] reading x[s]); `gid` is
+/// null for a global aggregate. Each sum adds in selection order from
+/// 0.0, as the row oracle's loop does; an unweighted Σw is the count.
+template <bool kGlobal>
+void Accumulate(SelectionSlice rows, const uint32_t* gid, const NumericIn* w,
+                const std::vector<NumericIn>& x,
+                const std::vector<double*>& out_x, GroupSums* out) {
+  alignas(64) double w_buf[kAccumulateBlock];
+  alignas(64) double x_buf[kAccumulateBlock];
+  for (size_t base = 0; base < rows.size(); base += kAccumulateBlock) {
+    const size_t m = std::min(kAccumulateBlock, rows.size() - base);
+    const uint32_t* block_gid = kGlobal ? nullptr : gid + base;
+    const double* wv =
+        w != nullptr ? w->Values(rows, base, m, w_buf) : nullptr;
+    for (size_t s = 0; s < std::max<size_t>(1, x.size()); ++s) {
+      const bool has_x = s < x.size();
+      AddBlock<kGlobal>(m, block_gid, wv,
+                        has_x ? x[s].Values(rows, base, m, x_buf) : nullptr,
+                        s == 0, out, has_x ? out_x[s] : nullptr);
+    }
+  }
+  if (w == nullptr) {
+    for (size_t g = 0; g < out->count.size(); ++g) {
+      out->sum_w[g] = static_cast<double>(out->count[g]);
+    }
+  }
+}
+
+/// First-seen ids through a direct-indexed slot table; code_of(i) is
+/// position i's key code, below `card`.
+template <typename CodeOf>
+void DirectGroupIds(size_t n, uint64_t card, CodeOf code_of, uint32_t* gid,
+                    std::vector<uint32_t>* first) {
+  std::vector<int32_t> slot(card, -1);
+  for (size_t i = 0; i < n; ++i) {
+    int32_t& g = slot[code_of(i)];
+    if (g < 0) {
+      g = static_cast<int32_t>(first->size());
+      first->push_back(static_cast<uint32_t>(i));
+    }
+    gid[i] = static_cast<uint32_t>(g);
+  }
+}
+
+/// Dense first-seen group ids of `rows` under the GROUP BY columns,
+/// into gid[0, rows.size()); `first` receives each group's first
+/// selection position. Returns the index mode for the trace note.
+const char* BuildGroupIds(const TableView& view,
+                          const std::vector<size_t>& group_cols,
+                          SelectionSlice rows, uint32_t* gid,
+                          std::vector<uint32_t>* first) {
+  const size_t n = rows.size();
+  // Flat (direct-indexed) table when the code space is small — both
+  // absolutely and relative to the selection, so a tiny selection over
+  // a huge dictionary does not zero-fill megabytes per query. Two-pass
+  // open hashing otherwise.
+  constexpr uint64_t kDirectTableMax = uint64_t{1} << 20;
+  auto fits_direct = [n](uint64_t card) {
+    return card <= kDirectTableMax &&
+           card <= std::max<uint64_t>(1024, 4 * uint64_t{n});
+  };
+  // One dictionary or bool key: its codes index the slot table as read.
+  if (group_cols.size() == 1) {
+    const ColumnSpan& span = view.column(group_cols[0]);
+    if (span.type == DataType::kBool) {
+      DirectGroupIds(
+          n, 2, [&](size_t i) { return span.b8[rows[i]] != 0 ? 1 : 0; },
+          gid, first);
+      return "direct";
+    }
+    if (span.type == DataType::kString &&
+        fits_direct(std::max<uint64_t>(1, span.dict->size()))) {
+      DirectGroupIds(
+          n, span.dict->size(),
+          [&](size_t i) { return static_cast<size_t>(span.codes[rows[i]]); },
+          gid, first);
+      return "direct";
+    }
+  }
+  std::vector<GroupKeyCol> key_cols;
+  key_cols.reserve(group_cols.size());
+  for (size_t c : group_cols) {
+    key_cols.push_back(MakeGroupKey(view.column(c), rows));
+  }
+  // Mixed-radix packing through the widen / mul-add kernels, one pass
+  // per run of columns [begin, end); `extend` keeps the ids already in
+  // `packed` as the leading digit.
+  AlignedVector<uint64_t> packed(n);
+  auto pack_run = [&](size_t begin, size_t end, bool extend) {
+    const simd::KernelTable& k = simd::ActiveKernels();
+    size_t c = begin;
+    if (!extend) {
+      k.widen_u32_u64(key_cols[c++].codes.data(), n, packed.data());
+    }
+    for (; c < end; ++c) {
+      k.pack_mul_add(packed.data(), key_cols[c].codes.data(),
+                     key_cols[c].card, n);
+    }
+  };
+  // Narrow keys (code-space product <= 2^62) pack in one run. When the
+  // next column would pass that, the packed prefix is densified into
+  // first-seen ids (fewer than 2^32, like every card), so the product
+  // after the next column stays below 2^64 and packing continues
+  // exactly.
+  constexpr uint64_t kPackLimit = uint64_t{1} << 62;
+  uint64_t packed_card = 1;
+  size_t run_begin = 0;
+  for (size_t c = 0; c < key_cols.size(); ++c) {
+    if (packed_card > kPackLimit / key_cols[c].card) {
+      pack_run(run_begin, c, run_begin > 0);
+      std::vector<uint32_t> prefix_first;
+      AssignFirstSeenIds(packed.data(), n, gid, &prefix_first);
+      simd::ActiveKernels().widen_u32_u64(gid, n, packed.data());
+      packed_card = std::max<uint64_t>(1, prefix_first.size());
+      run_begin = c;
+    }
+    packed_card *= key_cols[c].card;
+  }
+  pack_run(run_begin, key_cols.size(), run_begin > 0);
+  if (fits_direct(packed_card)) {
+    DirectGroupIds(
+        n, packed_card, [&](size_t i) { return packed[i]; }, gid, first);
+    return "direct";
+  }
+  AssignFirstSeenIds(packed.data(), n, gid, first);
+  return "two_pass";
 }
 
 /// Vectorized SELECT over a view restricted to `sel`.
@@ -824,7 +990,7 @@ ColumnSpan SpanOf(BatchVec* batch) {
         trace::ScopedSpan span(opts.trace, opts.trace_parent, "sort");
         std::vector<SortKeyCol> keys;
         for (size_t ki = 0; ki < stmt.order_by.size(); ++ki) {
-          keys.push_back(MakeSortKey(view.column(order_src[ki]), sel.rows(),
+          keys.push_back(MakeSortKey(view.column(order_src[ki]), sel.slice(),
                                      stmt.order_by[ki].descending));
         }
         bool topn = false;
@@ -832,7 +998,7 @@ ColumnSpan SpanOf(BatchVec* batch) {
             SortPermutation(keys, sel.size(), eval_limit, &topn);
         AlignedVector<uint32_t> sorted(perm.size());
         for (size_t i = 0; i < perm.size(); ++i) sorted[i] = sel[perm[i]];
-        *sel.mutable_rows() = std::move(sorted);
+        sel = SelectionVector(std::move(sorted));
         presorted = true;
         if (opts.trace != nullptr) {
           span.Note(std::string("sort=") + (topn ? "topn" : "full") +
@@ -841,16 +1007,14 @@ ColumnSpan SpanOf(BatchVec* batch) {
       }
     }
     const bool limit_only = presorted || stmt.order_by.empty();
-    if (limit_only && eval_limit && *eval_limit < sel.size()) {
-      sel.mutable_rows()->resize(*eval_limit);
-    }
+    if (limit_only && eval_limit) sel.Truncate(*eval_limit);
     std::vector<Column> columns;
     columns.reserve(bound_items.size());
     {
       trace::ScopedSpan span(opts.trace, opts.trace_parent, "materialize");
       for (const auto& item : bound_items) {
         MOSAIC_ASSIGN_OR_RETURN(BatchVec batch,
-                                EvalBatch(*item, view, sel.rows()));
+                                EvalBatch(*item, view, sel.slice()));
         MOSAIC_ASSIGN_OR_RETURN(Column col,
                                 ColumnFromBatch(std::move(batch)));
         columns.push_back(std::move(col));
@@ -880,7 +1044,8 @@ ColumnSpan SpanOf(BatchVec* batch) {
   // --- Aggregation path ----------------------------------------------------
   MOSAIC_ASSIGN_OR_RETURN(AggregatePlan plan,
                           BindAggregate(schema, stmt, weighted));
-  const size_t n = sel.size();
+  const SelectionSlice rows = sel.slice();
+  const size_t n = rows.size();
 
   // Covers group-key building, accumulation, and emit; the phases
   // inside are recorded retroactively (AddTimed) so early error
@@ -888,78 +1053,20 @@ ColumnSpan SpanOf(BatchVec* batch) {
   trace::ScopedSpan agg_span(opts.trace, opts.trace_parent, "aggregate");
   uint64_t phase_t0 = opts.trace != nullptr ? opts.trace->NowUs() : 0;
 
-  // --- Group ids: per-column dense codes packed into a uint64 key ----------
-  std::vector<uint32_t> gid(n, 0);
+  // --- Group ids (none for a global aggregate) -----------------------------
+  const bool global = plan.group_cols.empty();
+  std::vector<uint32_t> gid;
   // Selection position of each group's first row; its key is decoded
   // from there.
   std::vector<uint32_t> group_first;
-  std::vector<GroupKeyCol> key_cols;
   const char* idx_mode = "global";
-  if (!plan.group_cols.empty()) {
-    key_cols.reserve(plan.group_cols.size());
-    for (size_t c : plan.group_cols) {
-      key_cols.push_back(MakeGroupKey(view.column(c), sel.rows()));
-    }
-    // Mixed-radix packing through the widen / mul-add kernels, one
-    // pass per run of columns [begin, end); `extend` keeps the ids
-    // already in `packed` as the leading digit.
-    AlignedVector<uint64_t> packed(n);
-    auto pack_run = [&](size_t begin, size_t end, bool extend) {
-      const simd::KernelTable& k = simd::ActiveKernels();
-      size_t c = begin;
-      if (!extend) {
-        k.widen_u32_u64(key_cols[c++].codes.data(), n, packed.data());
-      }
-      for (; c < end; ++c) {
-        k.pack_mul_add(packed.data(), key_cols[c].codes.data(),
-                       key_cols[c].card, n);
-      }
-    };
-    // Narrow keys (code-space product <= 2^62) pack in one run. When
-    // the next column would pass that, the packed prefix is densified
-    // into first-seen ids (fewer than 2^32, like every card), so the
-    // product after the next column stays below 2^64 and packing
-    // continues exactly.
-    constexpr uint64_t kPackLimit = uint64_t{1} << 62;
-    uint64_t packed_card = 1;
-    size_t run_begin = 0;
-    for (size_t c = 0; c < key_cols.size(); ++c) {
-      if (packed_card > kPackLimit / key_cols[c].card) {
-        pack_run(run_begin, c, run_begin > 0);
-        std::vector<uint32_t> prefix_first;
-        AssignFirstSeenIds(packed.data(), n, gid.data(), &prefix_first);
-        simd::ActiveKernels().widen_u32_u64(gid.data(), n, packed.data());
-        packed_card = std::max<uint64_t>(1, prefix_first.size());
-        run_begin = c;
-      }
-      packed_card *= key_cols[c].card;
-    }
-    pack_run(run_begin, key_cols.size(), run_begin > 0);
-    // Flat (direct-indexed) table when the packed code space is
-    // small — both absolutely and relative to the selection, so a
-    // tiny selection over a huge dictionary does not zero-fill
-    // megabytes per query. Two-pass open hashing otherwise. Group ids
-    // are first-seen order.
-    constexpr uint64_t kDirectTableMax = uint64_t{1} << 20;
-    if (packed_card <= kDirectTableMax &&
-        packed_card <= std::max<uint64_t>(1024, 4 * n)) {
-      idx_mode = "direct";
-      std::vector<int32_t> slot(packed_card, -1);
-      for (size_t i = 0; i < n; ++i) {
-        int32_t& g = slot[packed[i]];
-        if (g < 0) {
-          g = static_cast<int32_t>(group_first.size());
-          group_first.push_back(static_cast<uint32_t>(i));
-        }
-        gid[i] = static_cast<uint32_t>(g);
-      }
-    } else {
-      idx_mode = "two_pass";
-      AssignFirstSeenIds(packed.data(), n, gid.data(), &group_first);
-    }
+  if (!global) {
+    gid.resize(n);
+    idx_mode =
+        BuildGroupIds(view, plan.group_cols, rows, gid.data(), &group_first);
   }
   // A global aggregate is one group, even over zero rows.
-  const size_t num_groups = key_cols.empty() ? 1 : group_first.size();
+  const size_t num_groups = global ? 1 : group_first.size();
   if (opts.trace != nullptr) {
     opts.trace->AddTimed(agg_span.id(), "group_keys", phase_t0,
                          opts.trace->NowUs());
@@ -969,70 +1076,73 @@ ColumnSpan SpanOf(BatchVec* batch) {
     phase_t0 = opts.trace->NowUs();
   }
 
-  // --- Accumulate: tight loops over the selection --------------------------
-  //
-  // Every sum reduces serially in selection order, so the rounding of
-  // each floating-point sum is that of the row oracle's loop.
-  std::vector<double> w;
+  // --- Accumulate: one pass over the selection -----------------------------
+  // Weights and numeric column arguments are read in place; any other
+  // argument is evaluated into a batch first. MIN/MAX keep their batch.
+  NumericIn w;
   if (weighted) {
-    MOSAIC_ASSIGN_OR_RETURN(w, GatherWeights(view.column(*weight_idx), sel));
-  }
-  // sum_w / count are identical across specs (accumulated in the same
-  // row order), so compute them once.
-  std::vector<double> sum_w(num_groups, 0.0);
-  std::vector<int64_t> count_n(num_groups, 0);
-  for (size_t i = 0; i < n; ++i) count_n[gid[i]] += 1;
-  if (weighted) {
-    for (size_t i = 0; i < n; ++i) sum_w[gid[i]] += w[i];
-  } else {
-    // Sequentially accumulating 1.0 per row yields exactly the
-    // integer count (counts are far below 2^53), so the exact counts
-    // reproduce the unweighted sum bit for bit.
-    for (size_t g = 0; g < num_groups; ++g) {
-      sum_w[g] = static_cast<double>(count_n[g]);
+    const ColumnSpan& wspan = view.column(*weight_idx);
+    if (wspan.type == DataType::kString && n > 0) {
+      return Status::TypeError("string column has no numeric view");
     }
+    w = NumericIn{wspan, /*by_row=*/true};
   }
-
   const size_t num_specs = plan.specs.size();
-  std::vector<std::vector<double>> sum_wx(num_specs);
-  std::vector<std::vector<int64_t>> min_pos(num_specs);
-  std::vector<std::vector<int64_t>> max_pos(num_specs);
+  GroupSums sums;
+  sums.count.assign(num_groups, 0);
+  sums.sum_w.assign(num_groups, 0.0);
+  sums.sum_x.resize(num_specs);
+  std::vector<NumericIn> sum_in;
+  std::vector<double*> sum_out;
   std::vector<BatchVec> arg_batches(num_specs);
   for (size_t a = 0; a < num_specs; ++a) {
     const AggSpec& spec = plan.specs[a];
     if (spec.is_star || spec.arg == nullptr) continue;
-    MOSAIC_ASSIGN_OR_RETURN(arg_batches[a],
-                            EvalBatch(*spec.arg, view, sel.rows()));
-    if (spec.func == sql::AggFunc::kSum || spec.func == sql::AggFunc::kAvg) {
-      AlignedVector<double> x_scratch;
-      MOSAIC_ASSIGN_OR_RETURN(const double* x,
-                              BatchDoubles(arg_batches[a], &x_scratch));
-      auto& acc = sum_wx[a];
-      acc.assign(num_groups, 0.0);
-      if (weighted) {
-        for (size_t i = 0; i < n; ++i) acc[gid[i]] += w[i] * x[i];
-      } else {
-        for (size_t i = 0; i < n; ++i) acc[gid[i]] += x[i];
-      }
+    const bool is_sum =
+        spec.func == sql::AggFunc::kSum || spec.func == sql::AggFunc::kAvg;
+    const BoundExpr& arg = *spec.arg;
+    if (is_sum && arg.kind == BoundExpr::Kind::kColumnRef &&
+        arg.type != DataType::kString) {
+      sum_in.push_back(NumericIn{view.column(arg.column_index), true});
+    } else {
+      MOSAIC_ASSIGN_OR_RETURN(arg_batches[a], EvalBatch(arg, view, rows));
+      if (!is_sum) continue;
+      MOSAIC_ASSIGN_OR_RETURN(NumericIn in, BatchInput(&arg_batches[a]));
+      sum_in.push_back(in);
     }
-    if (spec.func == sql::AggFunc::kMin ||
-        spec.func == sql::AggFunc::kMax) {
-      // Argmin/argmax positions; the strict comparisons keep the
-      // first-seen winner among equals.
-      const BatchVec& batch = arg_batches[a];
-      auto& mins = min_pos[a];
-      auto& maxs = max_pos[a];
-      mins.assign(num_groups, -1);
-      maxs.assign(num_groups, -1);
-      for (size_t i = 0; i < n; ++i) {
-        int64_t& mn = mins[gid[i]];
-        int64_t& mx = maxs[gid[i]];
-        if (mn < 0 || BatchLess(batch, i, static_cast<size_t>(mn))) {
-          mn = static_cast<int64_t>(i);
-        }
-        if (mx < 0 || BatchLess(batch, static_cast<size_t>(mx), i)) {
-          mx = static_cast<int64_t>(i);
-        }
+    sums.sum_x[a].assign(num_groups, 0.0);
+    sum_out.push_back(sums.sum_x[a].data());
+  }
+  const NumericIn* w_in = weighted ? &w : nullptr;
+  if (global) {
+    Accumulate<true>(rows, nullptr, w_in, sum_in, sum_out, &sums);
+  } else {
+    Accumulate<false>(rows, gid.data(), w_in, sum_in, sum_out, &sums);
+  }
+
+  std::vector<std::vector<int64_t>> min_pos(num_specs);
+  std::vector<std::vector<int64_t>> max_pos(num_specs);
+  for (size_t a = 0; a < num_specs; ++a) {
+    const AggSpec& spec = plan.specs[a];
+    if (spec.func != sql::AggFunc::kMin && spec.func != sql::AggFunc::kMax) {
+      continue;
+    }
+    // Argmin/argmax positions; the strict comparisons keep the
+    // first-seen winner among equals.
+    const BatchVec& batch = arg_batches[a];
+    auto& mins = min_pos[a];
+    auto& maxs = max_pos[a];
+    mins.assign(num_groups, -1);
+    maxs.assign(num_groups, -1);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t g = global ? 0 : gid[i];
+      int64_t& mn = mins[g];
+      int64_t& mx = maxs[g];
+      if (mn < 0 || BatchLess(batch, i, static_cast<size_t>(mn))) {
+        mn = static_cast<int64_t>(i);
+      }
+      if (mx < 0 || BatchLess(batch, static_cast<size_t>(mx), i)) {
+        mx = static_cast<int64_t>(i);
       }
     }
   }
@@ -1049,7 +1159,7 @@ ColumnSpan SpanOf(BatchVec* batch) {
   // finalizes in bulk, so the group table is columns from the start.
   AlignedVector<uint32_t> first_rows(group_first.size());
   for (size_t g = 0; g < group_first.size(); ++g) {
-    first_rows[g] = sel[group_first[g]];
+    first_rows[g] = rows[group_first[g]];
   }
   std::vector<uint32_t> order(num_groups);
   std::iota(order.begin(), order.end(), uint32_t{0});
@@ -1077,8 +1187,9 @@ ColumnSpan SpanOf(BatchVec* batch) {
   for (size_t a = 0; a < num_specs; ++a) {
     MOSAIC_ASSIGN_OR_RETURN(
         BatchVec agg,
-        FinalizeAggregate(plan.specs[a], weighted, order, sum_w, count_n,
-                          sum_wx[a], min_pos[a], max_pos[a], arg_batches[a]));
+        FinalizeAggregate(plan.specs[a], weighted, order, sums.sum_w,
+                          sums.count, sums.sum_x[a], min_pos[a], max_pos[a],
+                          arg_batches[a]));
     group_batches.push_back(std::move(agg));
   }
   std::vector<ColumnSpan> group_spans;
@@ -1099,7 +1210,7 @@ ColumnSpan SpanOf(BatchVec* batch) {
   columns.reserve(plan.items.size());
   for (const auto& item : plan.items) {
     MOSAIC_ASSIGN_OR_RETURN(BatchVec batch,
-                            EvalBatch(*item, groups, kept.rows()));
+                            EvalBatch(*item, groups, kept.slice()));
     MOSAIC_ASSIGN_OR_RETURN(Column col, ColumnFromBatch(std::move(batch)));
     columns.push_back(std::move(col));
   }

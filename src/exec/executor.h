@@ -16,12 +16,14 @@
 //
 // One pipeline, vectorized and columnar over TableView +
 // SelectionVector: WHERE predicates refine selection vectors in typed
-// kernels (dictionary-code compares for strings), GROUP BY is a flat
-// hash aggregation keyed on packed per-column group codes (densified
-// into first-seen ids whenever the packed code space would pass 2^62,
-// so every plan runs here), aggregates accumulate over selected spans
-// in tight loops and finalize in bulk into one typed group table, over
-// which HAVING and the SELECT items run through the same batch
+// kernels (dictionary-code compares for strings; an all-rows selection
+// holds no list, so the first conjunct scans the columns linearly),
+// GROUP BY is a flat hash aggregation keyed on packed per-column group
+// codes (densified into first-seen ids whenever the packed code space
+// would pass 2^62, so every plan runs here), aggregates accumulate in
+// one blocked pass over the selection that reads weights and column
+// arguments in place and finalize in bulk into one typed group table,
+// over which HAVING and the SELECT items run through the same batch
 // evaluator as any projection. ORDER BY sorts precomputed typed keys
 // (partial_sort when LIMIT is present). A statement runs start to
 // finish on its calling thread; parallelism is across statements (the

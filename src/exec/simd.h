@@ -20,8 +20,10 @@
 // Calling conventions shared by all kernels:
 //  - `rows` selects elements base[rows[0..n)]; it is ascending (a
 //    selection vector or a slice of one). nullptr means the identity
-//    selection base[0..n). Kernels detect contiguous runs
-//    (rows[n-1]-rows[0]+1 == n) and switch to linear loads.
+//    selection base[0..n) — how an all-rows selection (and a block of
+//    one, with `base` advanced) reaches them. Kernels detect
+//    contiguous runs (rows[n-1]-rows[0]+1 == n) and switch to linear
+//    loads.
 //  - Mask bytes are strictly 0 or 1 — producers guarantee it and the
 //    branchless consumers (compact_rows) rely on it.
 //  - Output buffers may be unaligned (block offsets land anywhere);
@@ -90,11 +92,13 @@ inline uint64_t CanonicalF64Bits(double v) {
 
 /// True when `rows` denotes a contiguous ascending run (or the
 /// identity). Kernels use this to replace gathers with linear loads.
-/// The endpoint test settles ascending selections in O(1), but a
-/// permuted selection (the executor gathers through ORDER BY-sorted
-/// row lists) can alias it, so a positive endpoint test is verified
-/// element-wise — a branch-free 8-wide loop that vectorizes, and
-/// permutations that pass the endpoint test fail it within a block.
+/// An all-rows selection reaches the kernels as the null identity and
+/// returns at once; an explicit list is settled by the endpoint test
+/// in O(1) when it is not a run. A permuted selection (the executor
+/// gathers through ORDER BY-sorted row lists) can alias that test, so
+/// a positive endpoint test is verified element-wise — a branch-free
+/// 8-wide loop that vectorizes, and permutations that pass the
+/// endpoint test fail it within a block.
 inline bool DenseRows(const uint32_t* rows, size_t n) {
   if (rows == nullptr || n == 0) return true;
   if (static_cast<uint64_t>(rows[n - 1]) - rows[0] + 1 != n) return false;
@@ -168,8 +172,6 @@ struct KernelTable {
   void (*gather_i32)(const int32_t* base, const uint32_t* rows, size_t n,
                      int32_t* out);
 
-  /// out[i] = double(vals[i]) — contiguous int64 -> double widening
-  void (*widen_i64_f64)(const int64_t* vals, size_t n, double* out);
   /// out[i] = uint64(codes[i]) — seeds group-key packing
   void (*widen_u32_u64)(const uint32_t* codes, size_t n, uint64_t* out);
   /// acc[i] = acc[i] * card + codes[i]; card < 2^32 (mixed-radix

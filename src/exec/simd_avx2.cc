@@ -464,12 +464,6 @@ void GatherI64F64(const int64_t* base, const uint32_t* rows, size_t n,
   ref::GatherI64F64(base, rows + main, n - main, out + main);
 }
 
-void WidenI64F64(const int64_t* vals, size_t n, double* out) {
-  const size_t main = n & ~size_t{3};
-  GatherI64F64Loop<true>(vals, nullptr, n, out);
-  ref::WidenI64F64(vals + main, n - main, out + main);
-}
-
 void WidenU32U64(const uint32_t* codes, size_t n, uint64_t* out) {
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -556,7 +550,6 @@ const KernelTable* Avx2KernelsOrNull() {
     t.gather_i64_f64 = &GatherI64F64;
     t.gather_i64 = &GatherI64;
     t.gather_i32 = &GatherI32;
-    t.widen_i64_f64 = &WidenI64F64;
     t.widen_u32_u64 = &WidenU32U64;
     t.pack_mul_add = &PackMulAdd;
     t.hash_u64 = &HashU64Batch;

@@ -42,15 +42,13 @@ inline void StoreMaskBytes8(uint8_t* out, unsigned bits) {
 }
 
 /// Row ids sign-extend through 32-bit SIMD gather indices, so gather
-/// paths require ids below 2^31; the ascending-rows invariant makes
-/// checking the last id sufficient. (Row kernels fall back to scalar
-/// loops above that — tables that large do not fit this engine's
-/// memory model anyway.)
+/// paths require ids below 2^31. Selections may be permuted (ORDER BY
+/// gathers), so the last id is not necessarily the largest: the whole
+/// list is OR-reduced, and any id with the top bit set fails the check.
+/// (Row kernels fall back to scalar loops then — tables that large do
+/// not fit this engine's memory model anyway.)
 inline bool RowsFitGather(const uint32_t* rows, size_t n) {
   if (n == 0 || rows == nullptr) return true;
-  // Selections may be permuted (ORDER BY gathers), so the last element
-  // is not necessarily the max; OR-reduce the whole list instead — any
-  // row id with the top bit set poisons the i32 gather indices.
   uint32_t m = 0;
   for (size_t i = 0; i < n; ++i) m |= rows[i];
   return (m & 0x80000000u) == 0;
@@ -216,10 +214,6 @@ inline void GatherI32(const int32_t* base, const uint32_t* rows, size_t n,
   }
 }
 
-inline void WidenI64F64(const int64_t* vals, size_t n, double* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = static_cast<double>(vals[i]);
-}
-
 inline void WidenU32U64(const uint32_t* codes, size_t n, uint64_t* out) {
   for (size_t i = 0; i < n; ++i) out[i] = codes[i];
 }
@@ -259,7 +253,6 @@ inline KernelTable MakeScalarTable() {
   t.gather_b8_f64 = &ref::GatherB8F64;
   t.gather_i64 = &ref::GatherI64;
   t.gather_i32 = &ref::GatherI32;
-  t.widen_i64_f64 = &ref::WidenI64F64;
   t.widen_u32_u64 = &ref::WidenU32U64;
   t.pack_mul_add = &ref::PackMulAdd;
   t.hash_u64 = &ref::HashU64Batch;

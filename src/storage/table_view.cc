@@ -1,5 +1,6 @@
 #include "storage/table_view.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace mosaic {
@@ -55,9 +56,27 @@ ColumnSpan ColumnSpan::FromDoubles(const double* data, size_t n) {
 }
 
 SelectionVector SelectionVector::All(size_t n) {
-  AlignedVector<uint32_t> rows(n);
-  for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(i);
-  return SelectionVector(std::move(rows));
+  SelectionVector sel;
+  sel.all_ = true;
+  sel.num_all_ = n;
+  return sel;
+}
+
+void SelectionVector::Truncate(size_t n) {
+  if (all_) {
+    num_all_ = std::min(num_all_, n);
+  } else if (n < rows_.size()) {
+    rows_.resize(n);
+  }
+}
+
+AlignedVector<uint32_t>* SelectionVector::mutable_rows() {
+  if (all_) {
+    rows_.resize(num_all_);
+    for (size_t i = 0; i < num_all_; ++i) rows_[i] = static_cast<uint32_t>(i);
+    all_ = false;
+  }
+  return &rows_;
 }
 
 TableView::TableView(const Table& table)

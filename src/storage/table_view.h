@@ -50,10 +50,11 @@ struct ColumnSpan {
   static ColumnSpan FromDoubles(const double* data, size_t n);
 };
 
-/// Non-owning view of a contiguous run of selected row ids. Converts
-/// implicitly from a selection's row vector (std or aligned) so the
-/// batch kernels take either through one signature. The owner must
-/// outlive the slice.
+/// Non-owning view of a run of selected row ids. Converts implicitly
+/// from a row vector (std or aligned) so the batch kernels take either
+/// through one signature. A null `data` with a nonzero size stands for
+/// the identity rows 0..size-1, exactly as the kernels read a null row
+/// list (exec/simd.h). The owner must outlive the slice.
 class SelectionSlice {
  public:
   SelectionSlice() = default;
@@ -70,10 +71,11 @@ class SelectionSlice {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  uint32_t operator[](size_t i) const { return data_[i]; }
+  uint32_t operator[](size_t i) const {
+    return data_ != nullptr ? data_[i] : static_cast<uint32_t>(i);
+  }
+  /// The row list, or null for the identity.
   const uint32_t* data() const { return data_; }
-  const uint32_t* begin() const { return data_; }
-  const uint32_t* end() const { return data_ + size_; }
 
  private:
   const uint32_t* data_ = nullptr;
@@ -82,7 +84,10 @@ class SelectionSlice {
 
 /// Row indices into a view, ascending — the set of rows a predicate
 /// kept. uint32 bounds tables at ~4B rows, which keeps selection
-/// traffic half the size of size_t.
+/// traffic half the size of size_t. A selection of every row (All)
+/// holds no list: its slice is the identity, so the first WHERE kernel
+/// reads the columns linearly and compacts survivors straight into a
+/// fresh list.
 class SelectionVector {
  public:
   SelectionVector() = default;
@@ -93,18 +98,29 @@ class SelectionVector {
   explicit SelectionVector(const std::vector<uint32_t>& rows)
       : rows_(rows.begin(), rows.end()) {}
 
-  /// Dense selection 0..n-1.
+  /// Every row 0..n-1, held implicitly (nothing is allocated).
   static SelectionVector All(size_t n);
 
-  size_t size() const { return rows_.size(); }
-  bool empty() const { return rows_.empty(); }
-  uint32_t operator[](size_t i) const { return rows_[i]; }
+  bool all() const { return all_; }
+  size_t size() const { return all_ ? num_all_ : rows_.size(); }
+  bool empty() const { return size() == 0; }
+  uint32_t operator[](size_t i) const {
+    return all_ ? static_cast<uint32_t>(i) : rows_[i];
+  }
+  /// The rows as a kernel slice (null data for All).
+  SelectionSlice slice() const {
+    return all_ ? SelectionSlice(nullptr, num_all_) : SelectionSlice(rows_);
+  }
+  /// Keep the first min(n, size()) rows.
+  void Truncate(size_t n);
 
-  const AlignedVector<uint32_t>& rows() const { return rows_; }
-  AlignedVector<uint32_t>* mutable_rows() { return &rows_; }
+  /// The explicit row list; an All selection writes it out first.
+  AlignedVector<uint32_t>* mutable_rows();
 
  private:
   AlignedVector<uint32_t> rows_;
+  bool all_ = false;
+  size_t num_all_ = 0;
 };
 
 /// Schema + one span per column. Constructed over a Table, optionally

@@ -656,6 +656,172 @@ TEST(ExecParity, NumericGroupKeyEdgeCases) {
   EXPECT_EQ(nan_groups, 3u);  // rows 1, 14, 19
 }
 
+// A fixed 1,203-row table for the all-rows selection and the one-pass
+// accumulate: more rows than two accumulate blocks, so block
+// boundaries and kernel tails are crossed. Rows carry NaN and -0.0 in
+// the argument x, -0.0 in d, int64 values beyond 2^53 in i, zero
+// weights in w and all-zero weights in wz. (No NaN in filtered
+// columns: the oracle keeps NaN under <=, >= and BETWEEN, the kernels
+// do not.)
+Table AllRowsTable() {
+  Schema s;
+  EXPECT_TRUE(s.AddColumn({"i", DataType::kInt64}).ok());
+  EXPECT_TRUE(s.AddColumn({"a", DataType::kInt64}).ok());
+  EXPECT_TRUE(s.AddColumn({"d", DataType::kDouble}).ok());
+  EXPECT_TRUE(s.AddColumn({"x", DataType::kDouble}).ok());
+  EXPECT_TRUE(s.AddColumn({"s", DataType::kString}).ok());
+  EXPECT_TRUE(s.AddColumn({"b", DataType::kBool}).ok());
+  EXPECT_TRUE(s.AddColumn({"w", DataType::kDouble}).ok());
+  EXPECT_TRUE(s.AddColumn({"wz", DataType::kDouble}).ok());
+  Table t(s);
+  constexpr int64_t kBig = int64_t{1} << 53;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int64_t r = 0; r < 1203; ++r) {
+    int64_t i = r % 11 - 3;
+    if (r % 97 == 5) i = kBig + 1;
+    if (r % 89 == 7) i = kBig;
+    const int64_t a = r % 5;
+    double d = 0.25 * static_cast<double>(r % 9) - 1.0;
+    if (r % 7 == 2) d = -0.0;
+    double x = 0.1 * static_cast<double>(r % 13) - 0.6;
+    if (r == 600) x = nan;
+    if (r % 17 == 4) x = -0.0;
+    const std::string tag = kStrings[(r * 7) % 5];
+    const double w = r % 10 == 0 ? 0.0 : 0.5 + 0.25 * static_cast<double>(r % 6);
+    EXPECT_TRUE(t.AppendRow({Value(i), Value(a), Value(d), Value(x),
+                             Value(tag), Value(r % 3 == 0), Value(w),
+                             Value(0.0)})
+                    .ok());
+  }
+  return t;
+}
+
+/// The oracle's and the batch path's outcomes agree bit for bit:
+/// identical tables (NaN payloads and -0.0 included) or identical
+/// failure statuses.
+void ExpectSameOutcomeBits(const Result<Table>& want,
+                           const Result<Table>& got, const std::string& what) {
+  ASSERT_EQ(want.ok(), got.ok())
+      << what << "\n oracle: " << want.status().ToString()
+      << "\n batch: " << got.status().ToString();
+  if (want.ok()) {
+    ExpectTablesBitIdentical(*want, *got, what);
+  } else {
+    EXPECT_EQ(want.status().ToString(), got.status().ToString()) << what;
+  }
+}
+
+// Global and grouped aggregates over an all-rows selection (no list is
+// built) and over a sparse population selection, with no WHERE and
+// with a WHERE whose first conjunct takes each kernel shape in turn,
+// weighted, unweighted and over all-zero weights: bit-identical to the
+// row oracle, failures included.
+TEST(ExecParity, AllRowsSelectionFirstConjunctShapes) {
+  const Table t = AllRowsTable();
+  const TableView view(t);
+  std::vector<uint32_t> sparse;
+  for (uint32_t r = 0; r < t.num_rows(); ++r) {
+    if (r % 3 != 1 && r % 7 != 3) sparse.push_back(r);
+  }
+  const SelectionVector sparse_sel(sparse);
+  const Table sparse_rows = view.Materialize(sparse_sel);
+  const std::vector<std::string> wheres = {
+      "",
+      " WHERE i > 3",
+      " WHERE d <= 0.5",
+      " WHERE i >= 9007199254740993",
+      " WHERE i BETWEEN -2 AND 4",
+      " WHERE i BETWEEN 2.5 AND 6.5",
+      " WHERE i BETWEEN 9007199254740992 AND 9007199254740993",
+      " WHERE d BETWEEN -0.75 AND 0.6",
+      " WHERE s = 'bb'",
+      " WHERE s != 'bb' AND i < 5",
+      " WHERE s IN ('aa', 'cc', 'nope')",
+      " WHERE s < 'cc'",
+      " WHERE b",
+      " WHERE NOT b AND d > -0.5",
+      " WHERE a = 0 OR 10 / a > 3",
+      " WHERE a != 0 AND 10 / a > 3",
+      " WHERE (i > 3 AND s = 'aa') OR d < 0",
+      " WHERE a + i > 3",
+      " WHERE 1 / (a - a) > 0",
+      " WHERE d > 1000",
+  };
+  const std::vector<std::string> selects = {
+      "SELECT COUNT(*) AS c, SUM(x) AS sx, SUM(i) AS si, SUM(b) AS sb, "
+      "SUM(a + 1) AS se FROM t",
+      "SELECT AVG(x) AS ax, AVG(i) AS ai, AVG(d) AS ad, COUNT(*) AS c FROM t",
+      "SELECT MIN(d) AS lo, MAX(i) AS hi, SUM(d) AS sd FROM t",
+      "SELECT s, COUNT(*) AS c, SUM(x) AS sx, AVG(i) AS ai, SUM(b) AS sb, "
+      "MIN(x) AS lo, MAX(a) AS hi FROM t",
+      "SELECT b, COUNT(*) AS c, AVG(x) AS ax, SUM(a + 1) AS se FROM t",
+      "SELECT s, b, SUM(d) AS sd, AVG(a) AS aa FROM t",
+  };
+  const std::vector<std::string> group_bys = {"", "", "", " GROUP BY s",
+                                              " GROUP BY b",
+                                              " GROUP BY s, b"};
+  size_t oks = 0;
+  for (const std::string& where : wheres) {
+    for (size_t q = 0; q < selects.size(); ++q) {
+      const std::string sql = selects[q] + where + group_bys[q];
+      auto parsed = sql::ParseStatement(sql);
+      ASSERT_TRUE(parsed.ok()) << sql << ": " << parsed.status().ToString();
+      const auto& stmt = parsed->As<sql::SelectStmt>();
+      for (const char* weight : {"", "w", "wz"}) {
+        ExecOptions opts;
+        opts.weight_column = weight;
+        const std::string what = sql + " [weight '" + weight + "']";
+        auto want = oracle::ExecuteSelectRow(t, stmt, opts);
+        if (want.ok()) ++oks;
+        ExpectSameOutcomeBits(want, ExecuteSelect(t, stmt, opts),
+                              "table: " + what);
+        ExpectSameOutcomeBits(
+            want, ExecuteSelect(view, SelectionVector::All(t.num_rows()),
+                                stmt, opts),
+            "all-rows view: " + what);
+        ExpectSameOutcomeBits(
+            oracle::ExecuteSelectRow(sparse_rows, stmt, opts),
+            ExecuteSelect(view, sparse_sel, stmt, opts),
+            "sparse view: " + what);
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(oks, wheres.size() * selects.size());
+}
+
+// An all-false filter leaves the global group empty: COUNT is 0 and
+// AVG fails; all-zero weights make every weighted AVG fail the same
+// way while the weighted COUNT is 0.
+TEST(ExecParity, EmptyAndZeroWeightGlobalGroups) {
+  const Table t = AllRowsTable();
+  auto run = [&](const std::string& sql, const std::string& weight) {
+    ExecOptions opts;
+    opts.weight_column = weight;
+    return ExecuteSelect(t, sql::ParseStatement(sql)->As<sql::SelectStmt>(),
+                         opts);
+  };
+  auto count = run("SELECT COUNT(*) AS c, SUM(x) AS sx FROM t WHERE d > 1000",
+                   "");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->GetValue(0, 0).AsInt64(), 0);
+  EXPECT_EQ(count->GetValue(0, 1).AsDouble(), 0.0);
+  auto avg = run("SELECT AVG(x) FROM t WHERE d > 1000", "w");
+  ASSERT_FALSE(avg.ok());
+  EXPECT_NE(avg.status().ToString().find("AVG over empty/zero-weight group"),
+            std::string::npos)
+      << avg.status().ToString();
+  auto zero = run("SELECT COUNT(*) AS c FROM t", "wz");
+  ASSERT_TRUE(zero.ok()) << zero.status().ToString();
+  EXPECT_EQ(zero->GetValue(0, 0).AsDouble(), 0.0);
+  auto zero_avg = run("SELECT s, AVG(x) FROM t GROUP BY s", "wz");
+  ASSERT_FALSE(zero_avg.ok());
+  EXPECT_NE(
+      zero_avg.status().ToString().find("AVG over empty/zero-weight group"),
+      std::string::npos)
+      << zero_avg.status().ToString();
+}
+
 }  // namespace
 }  // namespace exec
 }  // namespace mosaic

@@ -45,8 +45,8 @@ Result<std::vector<size_t>> Filter(const Table& t,
   auto batch = SelectRows(TableView(t), predicate);
   EXPECT_EQ(rows.status().ToString(), batch.status().ToString());
   if (rows.ok() && batch.ok()) {
-    EXPECT_EQ(*rows, std::vector<size_t>(batch->rows().begin(),
-                                         batch->rows().end()));
+    const AlignedVector<uint32_t>& kept = *batch->mutable_rows();
+    EXPECT_EQ(*rows, std::vector<size_t>(kept.begin(), kept.end()));
   }
   return rows;
 }

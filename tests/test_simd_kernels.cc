@@ -331,13 +331,6 @@ TEST_P(SimdKernelParity, WidenPackHash) {
   for (size_t n : kLengths) {
     Fixture fx(n, 52);
     {
-      std::vector<double> got(n, -1), want(n, -2);
-      T().widen_i64_f64(fx.i64.data(), n, got.data());
-      S().widen_i64_f64(fx.i64.data(), n, want.data());
-      ExpectBytesEq(got, want,
-                    std::string("widen_i64_f64 n=") + std::to_string(n));
-    }
-    {
       std::vector<uint64_t> got(n, 1), want(n, 2);
       T().widen_u32_u64(fx.dense_rows.data(), n, got.data());
       S().widen_u32_u64(fx.dense_rows.data(), n, want.data());

@@ -1,5 +1,6 @@
 // Zero-copy columnar views: SelectionSlice over a selection's row
-// vector, ColumnSpan over every payload type, and TableView with an
+// vector (or the identity), SelectionVector with its list-free All
+// form, ColumnSpan over every payload type, and TableView with an
 // external weight span, read directly and materialized.
 #include "storage/table_view.h"
 
@@ -39,12 +40,60 @@ TEST(SelectionSlice, ConvertsFromVector) {
 
 TEST(SelectionSlice, AliasesASelectionsRows) {
   SelectionVector sel(std::vector<uint32_t>{4, 8, 15, 16, 23, 42});
-  SelectionSlice all = sel.rows();
+  SelectionSlice all = sel.slice();
   ASSERT_EQ(all.size(), 6u);
   EXPECT_EQ(all[0], 4u);
   EXPECT_EQ(all[5], 42u);
-  EXPECT_EQ(all.data(), sel.rows().data());
-  EXPECT_TRUE(SelectionSlice(SelectionVector().rows()).empty());
+  EXPECT_EQ(all.data(), sel.mutable_rows()->data());
+  EXPECT_TRUE(SelectionVector().slice().empty());
+}
+
+TEST(SelectionSlice, NullDataIsTheIdentity) {
+  SelectionSlice all(nullptr, 5);
+  ASSERT_EQ(all.size(), 5u);
+  EXPECT_EQ(all.data(), nullptr);
+  for (uint32_t i = 0; i < 5; ++i) EXPECT_EQ(all[i], i);
+  EXPECT_TRUE(SelectionSlice(nullptr, 0).empty());
+}
+
+TEST(SelectionVector, AllHoldsNoList) {
+  SelectionVector sel = SelectionVector::All(1000);
+  EXPECT_TRUE(sel.all());
+  ASSERT_EQ(sel.size(), 1000u);
+  EXPECT_FALSE(sel.empty());
+  EXPECT_EQ(sel[0], 0u);
+  EXPECT_EQ(sel[999], 999u);
+  SelectionSlice slice = sel.slice();
+  EXPECT_EQ(slice.data(), nullptr);
+  EXPECT_EQ(slice.size(), 1000u);
+  EXPECT_EQ(slice[731], 731u);
+  EXPECT_TRUE(SelectionVector::All(0).empty());
+  EXPECT_FALSE(SelectionVector(std::vector<uint32_t>{1, 2}).all());
+}
+
+TEST(SelectionVector, TruncateKeepsThePrefix) {
+  SelectionVector all = SelectionVector::All(10);
+  all.Truncate(4);
+  EXPECT_TRUE(all.all());
+  EXPECT_EQ(all.size(), 4u);
+  all.Truncate(7);  // never grows
+  EXPECT_EQ(all.size(), 4u);
+  SelectionVector list(std::vector<uint32_t>{3, 5, 8});
+  list.Truncate(2);
+  ASSERT_EQ(list.size(), 2u);
+  EXPECT_EQ(list[1], 5u);
+  list.Truncate(9);
+  EXPECT_EQ(list.size(), 2u);
+}
+
+TEST(SelectionVector, MutableRowsWritesAllOut) {
+  SelectionVector sel = SelectionVector::All(6);
+  AlignedVector<uint32_t>* rows = sel.mutable_rows();
+  EXPECT_EQ(*rows, (AlignedVector<uint32_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_FALSE(sel.all());
+  EXPECT_EQ(sel.slice().data(), rows->data());
+  rows->pop_back();
+  EXPECT_EQ(sel.size(), 5u);
 }
 
 TEST(ColumnSpan, ReadsEveryPayload) {
@@ -83,6 +132,18 @@ TEST(TableView, ExternalWeightSpan) {
   // A size mismatch or a duplicate name is rejected.
   EXPECT_FALSE(view.AddDoubleSpan("w2", weights.data(), 8).ok());
   EXPECT_FALSE(view.AddDoubleSpan("w", weights.data(), 9).ok());
+}
+
+TEST(TableView, MaterializeAllRows) {
+  Table t = MakeTable(7);
+  TableView view(t);
+  Table out = view.Materialize(SelectionVector::All(t.num_rows()));
+  ASSERT_EQ(out.num_rows(), 7u);
+  for (size_t r = 0; r < 7; ++r) {
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      EXPECT_TRUE(out.GetValue(r, c) == t.GetValue(r, c));
+    }
+  }
 }
 
 TEST(TableView, MaterializeSelectedRows) {

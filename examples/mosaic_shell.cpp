@@ -1,7 +1,7 @@
 // Interactive Mosaic SQL shell: type statements terminated by ';',
 // results print as tables. Works both interactively and piped:
 //
-//   echo "CREATE TABLE t (a INT); INSERT INTO t VALUES (1); \
+//   echo "CREATE TABLE t (a INT); INSERT INTO t VALUES (1);
 //         SELECT * FROM t;" | ./mosaic_shell
 //
 // Meta-commands: \h (help), \q (quit). SHOW TABLES / POPULATIONS /

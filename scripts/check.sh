@@ -263,9 +263,10 @@ MOSAIC_TRACE=1 ctest --test-dir build-release --output-on-failure \
 # then run batch vs the test-only row oracle (tests/oracle/), proving
 # scalar-batch == oracle, which together with the default run
 # (SIMD-batch == oracle) pins SIMD == scalar on whole query plans.
+# test_executor's golden answers (BindAggregate.*) run here too.
 echo "=== Release + MOSAIC_SIMD=0: scalar kernel parity ==="
 MOSAIC_SIMD=0 ctest --test-dir build-release --output-on-failure \
-  -R 'test_(sql_fuzz|exec_parity|simd_kernels|database)'
+  -R 'test_(sql_fuzz|exec_parity|simd_kernels|database|executor)'
 
 # UBSan leg over the executor tests, the binary codec and durable
 # storage suites and the reweighting kernels: the SIMD layer leans on

@@ -853,11 +853,9 @@ Result<Database::OpenWorldModel> Database::PrepareOpenWorldModel(
       std::to_string(training.num_rows()) + "|" +
       std::to_string(plan.marginals->size()) + "|" +
       OpenEngineName(open_.engine);
-  if (open_.cache_models) {
-    if (auto cached = model_cache_.Get(cache_key)) {
-      out.model = std::move(*cached);
-      return out;
-    }
+  if (auto cached = model_cache_.Get(cache_key)) {
+    out.model = std::move(*cached);
+    return out;
   }
   // Serialize training per key: concurrent OPEN queries against the
   // same key wait here and find the model cached instead of training
@@ -873,12 +871,10 @@ Result<Database::OpenWorldModel> Database::PrepareOpenWorldModel(
   // guarding a *protocol* (one trainer per key) rather than any named
   // field, so capability annotations have nothing to attach to.
   std::lock_guard<std::mutex> train_lock(*key_mu);
-  if (open_.cache_models) {
-    // Peek, not Get: the pre-lock Get already counted this lookup.
-    if (auto cached = model_cache_.Peek(cache_key)) {
-      out.model = std::move(*cached);
-      return out;
-    }
+  // Peek, not Get: the pre-lock Get already counted this lookup.
+  if (auto cached = model_cache_.Peek(cache_key)) {
+    out.model = std::move(*cached);
+    return out;
   }
   GeneratorOptions gen_opts;
   gen_opts.mswg = open_.mswg;
@@ -889,7 +885,7 @@ Result<Database::OpenWorldModel> Database::PrepareOpenWorldModel(
       auto trained, TrainPopulationGenerator(open_.engine, training,
                                              *plan.marginals, gen_opts));
   out.model = std::shared_ptr<PopulationGenerator>(std::move(trained));
-  if (open_.cache_models) model_cache_.Put(cache_key, out.model);
+  model_cache_.Put(cache_key, out.model);
   return out;
 }
 
@@ -1134,8 +1130,7 @@ Status Database::ExtendWeightsAfterIngest(SampleInfo* sample,
   // the fresh GP fit signature, so that query then skips its refit
   // entirely. Falls back to a cold full fit inside
   // IncrementalProportionalFit when the warm fit regresses.
-  if (semi_open_.incremental_ingest &&
-      prev->fit_signature.compare(0, 7, "ipf-gp|") == 0) {
+  if (prev->fit_signature.compare(0, 7, "ipf-gp|") == 0) {
     auto gp = catalog_.GlobalPopulation();
     if (gp.ok() && !(*gp)->marginals.empty()) {
       stats::IpfOptions ipf = semi_open_.ipf;

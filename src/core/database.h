@@ -53,17 +53,10 @@ namespace core {
 
 class DurabilitySink;  // core/durability.h
 
+/// SEMI-OPEN settings: the IPF fit that reweights samples (and, on
+/// ingest, warm-starts from a GP-level fit's weights).
 struct SemiOpenOptions {
   stats::IpfOptions ipf;
-  /// On sample ingest, when the previous weight epoch came from a
-  /// GP-level IPF fit (converged or plateaued — marginals that
-  /// conflict on the covered cells keep even cold fits from
-  /// converging), warm-start IPF
-  /// from it (extended with unit weights for the new rows) instead of
-  /// leaving the sample unfitted until the next SEMI-OPEN query
-  /// cold-refits it. Falls back to a cold refit when the warm fit
-  /// regresses (stats/ipf.h knobs).
-  bool incremental_ingest = true;
 };
 
 struct OpenOptions {
@@ -84,10 +77,6 @@ struct OpenOptions {
   /// queries (the paper uses 10; the default keeps ad-hoc SQL cheap).
   size_t num_generated_samples = 1;
   uint64_t generation_seed = 7;
-  /// Reuse a trained generator across queries against the same
-  /// (population, sample) pair. Bound the cache with
-  /// Database::set_model_cache_capacity.
-  bool cache_models = true;
 };
 
 class Database {
@@ -241,7 +230,6 @@ class Database {
   /// relations.
   static bool IsSystemRelation(const std::string& name);
 
-  SemiOpenOptions* mutable_semi_open_options() { return &semi_open_; }
   OpenOptions* mutable_open_options() { return &open_; }
 
   /// §7 "Multiple Samples": when enabled, population queries run over

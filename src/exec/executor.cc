@@ -525,59 +525,6 @@ GroupKeyCol MakeGroupKey(const ColumnSpan& span, SelectionSlice rows) {
   return key;
 }
 
-/// Strict `a < b` over batch positions with Value semantics (numeric
-/// through double, strings lexicographic).
-bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
-  switch (batch.type) {
-    case DataType::kInt64:
-      return static_cast<double>(batch.i64[a]) <
-             static_cast<double>(batch.i64[b]);
-    case DataType::kDouble:
-      return batch.f64[a] < batch.f64[b];
-    case DataType::kBool:
-      return batch.b8[a] < batch.b8[b];
-    case DataType::kString:
-      return batch.StringAt(a) < batch.StringAt(b);
-    default:
-      return false;
-  }
-}
-
-/// Batch positions `pos` of `src`, gathered into a batch of the same
-/// type (string batches keep their dictionary).
-BatchVec GatherBatch(const BatchVec& src, const std::vector<uint32_t>& pos) {
-  BatchVec out;
-  out.type = src.type;
-  out.dict = src.dict;
-  const size_t n = pos.size();
-  switch (src.type) {
-    case DataType::kInt64:
-      out.i64.resize(n);
-      for (size_t i = 0; i < n; ++i) out.i64[i] = src.i64[pos[i]];
-      break;
-    case DataType::kDouble:
-      out.f64.resize(n);
-      for (size_t i = 0; i < n; ++i) out.f64[i] = src.f64[pos[i]];
-      break;
-    case DataType::kBool:
-      out.b8.resize(n);
-      for (size_t i = 0; i < n; ++i) out.b8[i] = src.b8[pos[i]];
-      break;
-    case DataType::kString:
-      if (src.dict != nullptr) {
-        out.codes.resize(n);
-        for (size_t i = 0; i < n; ++i) out.codes[i] = src.codes[pos[i]];
-      } else {
-        out.strs.resize(n);
-        for (size_t i = 0; i < n; ++i) out.strs[i] = src.strs[pos[i]];
-      }
-      break;
-    default:
-      break;
-  }
-  return out;
-}
-
 /// Zero-copy span over a batch, which must outlive it. A string batch
 /// without a dictionary (a broadcast literal) is dictionary-encoded in
 /// place first, since string spans are codes.
@@ -602,65 +549,15 @@ ColumnSpan SpanOf(BatchVec* batch) {
   return span;
 }
 
-/// One aggregate's group-table column, finalized in bulk: entry i is
-/// group order[i], from the accumulated sums/counts and, for MIN/MAX,
-/// the argument batch at the group's winning position.
-[[nodiscard]] Result<BatchVec> FinalizeAggregate(
-    const AggSpec& spec, bool weighted, const std::vector<uint32_t>& order,
-    const std::vector<double>& sum_w, const std::vector<int64_t>& count_n,
-    const std::vector<double>& sum_wx, const std::vector<int64_t>& min_pos,
-    const std::vector<int64_t>& max_pos, const BatchVec& arg) {
-  const size_t n = order.size();
-  BatchVec out;
-  out.type = AggOutputType(spec, weighted);
-  switch (spec.func) {
-    case sql::AggFunc::kCount:
-      if (weighted) {
-        out.f64.resize(n);
-        for (size_t i = 0; i < n; ++i) out.f64[i] = sum_w[order[i]];
-      } else {
-        out.i64.resize(n);
-        for (size_t i = 0; i < n; ++i) out.i64[i] = count_n[order[i]];
-      }
-      return out;
-    case sql::AggFunc::kSum:
-      out.f64.resize(n);
-      for (size_t i = 0; i < n; ++i) out.f64[i] = sum_wx[order[i]];
-      return out;
-    case sql::AggFunc::kAvg:
-      out.f64.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t g = order[i];
-        if (sum_w[g] == 0.0) {
-          return Status::ExecutionError("AVG over empty/zero-weight group");
-        }
-        out.f64[i] = sum_wx[g] / sum_w[g];
-      }
-      return out;
-    case sql::AggFunc::kMin:
-    case sql::AggFunc::kMax: {
-      const bool is_min = spec.func == sql::AggFunc::kMin;
-      const std::vector<int64_t>& pos = is_min ? min_pos : max_pos;
-      std::vector<uint32_t> at(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (pos.empty() || pos[order[i]] < 0) {
-          return Status::ExecutionError(is_min ? "MIN over empty group"
-                                               : "MAX over empty group");
-        }
-        at[i] = static_cast<uint32_t>(pos[order[i]]);
-      }
-      return GatherBatch(arg, at);
-    }
-  }
-  return Status::Internal("unreachable aggregate func");
-}
-
-/// Numeric input of the accumulate pass, read in place: a column's
+/// Input of the accumulate pass, read in place as doubles: a column's
 /// span indexed by row id, or an evaluated batch's indexed by
-/// selection position.
+/// selection position. A string input (MIN/MAX only) reads each
+/// code's dictionary rank, which orders as the strings do.
 struct NumericIn {
   ColumnSpan span;
   bool by_row = false;
+  /// String spans: DictionaryRanks(*span.dict).
+  std::vector<int32_t> rank = {};
 
   /// Values at selection positions [base, base + m) as doubles,
   /// widened as Value::ToDouble does: contiguous double storage is
@@ -678,6 +575,11 @@ struct NumericIn {
         return buf;
       case DataType::kInt64:
         k.gather_i64_f64(span.i64 + first, at, m, buf);
+        return buf;
+      case DataType::kString:
+        for (size_t j = 0; j < m; ++j) {
+          buf[j] = rank[span.codes[at != nullptr ? at[j] : first + j]];
+        }
         return buf;
       default:
         k.gather_b8_f64(span.b8 + first, at, m, buf);
@@ -701,6 +603,10 @@ struct GroupSums {
   std::vector<int64_t> count;
   std::vector<double> sum_w;
   std::vector<std::vector<double>> sum_x;  ///< per spec; SUM/AVG only
+  /// Per spec, MIN/MAX only: each group's winner as read and its
+  /// selection position (-1 while the group has none).
+  std::vector<std::vector<double>> win_x;
+  std::vector<std::vector<int64_t>> win_pos;
 };
 
 /// Positions per accumulate block: the block's weights and arguments
@@ -739,14 +645,68 @@ template <bool kGlobal>
   }
 }
 
+/// Keeps each group's first-seen strict winner over block positions
+/// [0, m), which are selection positions base + j. A NaN never wins a
+/// compare, so a group whose first value is NaN keeps it, as the row
+/// oracle's Value compares do.
+template <bool kGlobal, bool kMin>
+[[gnu::noinline]] void ExtremeBlock(size_t m, size_t base,
+                                    const uint32_t* gid, const double* x,
+                                    double* win_x, int64_t* win_pos) {
+  auto beats = [](double a, double b) { return kMin ? a < b : b < a; };
+  if (!kGlobal) {
+    for (size_t j = 0; j < m; ++j) {
+      const uint32_t g = gid[j];
+      if (win_pos[g] < 0 || beats(x[j], win_x[g])) {
+        win_x[g] = x[j];
+        win_pos[g] = static_cast<int64_t>(base + j);
+      }
+    }
+    return;
+  }
+  size_t j = 0;
+  if (win_pos[0] < 0) {
+    win_x[0] = x[0];
+    win_pos[0] = static_cast<int64_t>(base);
+    j = 1;
+  }
+  // One group: the block's best over four lanes, so no compare waits
+  // on the last, then the first position equal to it, which is where
+  // the serial strict-compare chain would have stopped.
+  double lane[4] = {win_x[0], win_x[0], win_x[0], win_x[0]};
+  for (; j + 4 <= m; j += 4) {
+    for (size_t k = 0; k < 4; ++k) {
+      lane[k] = beats(x[j + k], lane[k]) ? x[j + k] : lane[k];
+    }
+  }
+  for (; j < m; ++j) lane[0] = beats(x[j], lane[0]) ? x[j] : lane[0];
+  double best = lane[0];
+  for (size_t k = 1; k < 4; ++k) best = beats(lane[k], best) ? lane[k] : best;
+  if (!beats(best, win_x[0])) return;
+  size_t at = 0;
+  while (!(x[at] == best)) ++at;
+  win_x[0] = x[at];
+  win_pos[0] = static_cast<int64_t>(base + at);
+}
+
+/// A MIN/MAX argument of the accumulate pass and its spec's winners.
+struct ExtremeIn {
+  NumericIn in;
+  bool is_min;
+  double* win_x;
+  int64_t* win_pos;
+};
+
 /// One walk over the selection, in blocks, adding every row into its
-/// group's count, Σw and SUM/AVG sums (out_x[s] reading x[s]); `gid` is
-/// null for a global aggregate. Each sum adds in selection order from
-/// 0.0, as the row oracle's loop does; an unweighted Σw is the count.
+/// group's count, Σw and SUM/AVG sums (out_x[s] reading x[s]) and its
+/// MIN/MAX winners; `gid` is null for a global aggregate. Each sum adds
+/// in selection order from 0.0, as the row oracle's loop does; an
+/// unweighted Σw is the count.
 template <bool kGlobal>
 void Accumulate(SelectionSlice rows, const uint32_t* gid, const NumericIn* w,
                 const std::vector<NumericIn>& x,
-                const std::vector<double*>& out_x, GroupSums* out) {
+                const std::vector<double*>& out_x,
+                const std::vector<ExtremeIn>& extremes, GroupSums* out) {
   alignas(64) double w_buf[kAccumulateBlock];
   alignas(64) double x_buf[kAccumulateBlock];
   for (size_t base = 0; base < rows.size(); base += kAccumulateBlock) {
@@ -760,12 +720,69 @@ void Accumulate(SelectionSlice rows, const uint32_t* gid, const NumericIn* w,
                         has_x ? x[s].Values(rows, base, m, x_buf) : nullptr,
                         s == 0, out, has_x ? out_x[s] : nullptr);
     }
+    for (const ExtremeIn& e : extremes) {
+      (e.is_min ? ExtremeBlock<kGlobal, true> : ExtremeBlock<kGlobal, false>)(
+          m, base, block_gid, e.in.Values(rows, base, m, x_buf), e.win_x,
+          e.win_pos);
+    }
   }
   if (w == nullptr) {
     for (size_t g = 0; g < out->count.size(); ++g) {
       out->sum_w[g] = static_cast<double>(out->count[g]);
     }
   }
+}
+
+/// Aggregate `a`'s group-table column, finalized in bulk: entry i is
+/// group order[i], from the accumulated sums and counts or, for
+/// MIN/MAX, the argument evaluated at the group's winning row.
+[[nodiscard]] Result<BatchVec> FinalizeAggregate(
+    const AggSpec& spec, size_t a, bool weighted,
+    const std::vector<uint32_t>& order, const GroupSums& sums,
+    const TableView& view, SelectionSlice rows) {
+  const size_t n = order.size();
+  BatchVec out;
+  out.type = AggOutputType(spec, weighted);
+  switch (spec.func) {
+    case sql::AggFunc::kCount:
+      if (weighted) {
+        out.f64.resize(n);
+        for (size_t i = 0; i < n; ++i) out.f64[i] = sums.sum_w[order[i]];
+      } else {
+        out.i64.resize(n);
+        for (size_t i = 0; i < n; ++i) out.i64[i] = sums.count[order[i]];
+      }
+      return out;
+    case sql::AggFunc::kSum:
+      out.f64.resize(n);
+      for (size_t i = 0; i < n; ++i) out.f64[i] = sums.sum_x[a][order[i]];
+      return out;
+    case sql::AggFunc::kAvg:
+      out.f64.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t g = order[i];
+        if (sums.sum_w[g] == 0.0) {
+          return Status::ExecutionError("AVG over empty/zero-weight group");
+        }
+        out.f64[i] = sums.sum_x[a][g] / sums.sum_w[g];
+      }
+      return out;
+    case sql::AggFunc::kMin:
+    case sql::AggFunc::kMax: {
+      const std::vector<int64_t>& pos = sums.win_pos[a];
+      AlignedVector<uint32_t> at(n);
+      for (size_t i = 0; i < n; ++i) {
+        if (pos[order[i]] < 0) {
+          return Status::ExecutionError(spec.func == sql::AggFunc::kMin
+                                            ? "MIN over empty group"
+                                            : "MAX over empty group");
+        }
+        at[i] = rows[static_cast<size_t>(pos[order[i]])];
+      }
+      return EvalBatch(*spec.arg, view, at);
+    }
+  }
+  return Status::Internal("unreachable aggregate func");
 }
 
 /// First-seen ids through a direct-indexed slot table; code_of(i) is
@@ -1077,8 +1094,8 @@ const char* BuildGroupIds(const TableView& view,
   }
 
   // --- Accumulate: one pass over the selection -----------------------------
-  // Weights and numeric column arguments are read in place; any other
-  // argument is evaluated into a batch first. MIN/MAX keep their batch.
+  // Weights and column arguments are read in place; any other argument
+  // is evaluated into a batch first.
   NumericIn w;
   if (weighted) {
     const ColumnSpan& wspan = view.column(*weight_idx);
@@ -1092,8 +1109,11 @@ const char* BuildGroupIds(const TableView& view,
   sums.count.assign(num_groups, 0);
   sums.sum_w.assign(num_groups, 0.0);
   sums.sum_x.resize(num_specs);
+  sums.win_x.resize(num_specs);
+  sums.win_pos.resize(num_specs);
   std::vector<NumericIn> sum_in;
   std::vector<double*> sum_out;
+  std::vector<ExtremeIn> extremes;
   std::vector<BatchVec> arg_batches(num_specs);
   for (size_t a = 0; a < num_specs; ++a) {
     const AggSpec& spec = plan.specs[a];
@@ -1101,50 +1121,40 @@ const char* BuildGroupIds(const TableView& view,
     const bool is_sum =
         spec.func == sql::AggFunc::kSum || spec.func == sql::AggFunc::kAvg;
     const BoundExpr& arg = *spec.arg;
-    if (is_sum && arg.kind == BoundExpr::Kind::kColumnRef &&
-        arg.type != DataType::kString) {
-      sum_in.push_back(NumericIn{view.column(arg.column_index), true});
+    NumericIn in;
+    if (arg.kind == BoundExpr::Kind::kColumnRef &&
+        (!is_sum || arg.type != DataType::kString)) {
+      in = NumericIn{view.column(arg.column_index), /*by_row=*/true};
     } else {
       MOSAIC_ASSIGN_OR_RETURN(arg_batches[a], EvalBatch(arg, view, rows));
-      if (!is_sum) continue;
-      MOSAIC_ASSIGN_OR_RETURN(NumericIn in, BatchInput(&arg_batches[a]));
-      sum_in.push_back(in);
+      if (is_sum) {
+        MOSAIC_ASSIGN_OR_RETURN(in, BatchInput(&arg_batches[a]));
+      } else {
+        in = NumericIn{SpanOf(&arg_batches[a]), /*by_row=*/false};
+      }
     }
-    sums.sum_x[a].assign(num_groups, 0.0);
-    sum_out.push_back(sums.sum_x[a].data());
+    if (is_sum) {
+      sum_in.push_back(std::move(in));
+      sums.sum_x[a].assign(num_groups, 0.0);
+      sum_out.push_back(sums.sum_x[a].data());
+      continue;
+    }
+    if (in.span.type == DataType::kString) {
+      in.rank = DictionaryRanks(*in.span.dict);
+    }
+    sums.win_x[a].assign(num_groups, 0.0);
+    sums.win_pos[a].assign(num_groups, -1);
+    extremes.push_back(ExtremeIn{std::move(in),
+                                 spec.func == sql::AggFunc::kMin,
+                                 sums.win_x[a].data(),
+                                 sums.win_pos[a].data()});
   }
   const NumericIn* w_in = weighted ? &w : nullptr;
   if (global) {
-    Accumulate<true>(rows, nullptr, w_in, sum_in, sum_out, &sums);
+    Accumulate<true>(rows, nullptr, w_in, sum_in, sum_out, extremes, &sums);
   } else {
-    Accumulate<false>(rows, gid.data(), w_in, sum_in, sum_out, &sums);
-  }
-
-  std::vector<std::vector<int64_t>> min_pos(num_specs);
-  std::vector<std::vector<int64_t>> max_pos(num_specs);
-  for (size_t a = 0; a < num_specs; ++a) {
-    const AggSpec& spec = plan.specs[a];
-    if (spec.func != sql::AggFunc::kMin && spec.func != sql::AggFunc::kMax) {
-      continue;
-    }
-    // Argmin/argmax positions; the strict comparisons keep the
-    // first-seen winner among equals.
-    const BatchVec& batch = arg_batches[a];
-    auto& mins = min_pos[a];
-    auto& maxs = max_pos[a];
-    mins.assign(num_groups, -1);
-    maxs.assign(num_groups, -1);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t g = global ? 0 : gid[i];
-      int64_t& mn = mins[g];
-      int64_t& mx = maxs[g];
-      if (mn < 0 || BatchLess(batch, i, static_cast<size_t>(mn))) {
-        mn = static_cast<int64_t>(i);
-      }
-      if (mx < 0 || BatchLess(batch, static_cast<size_t>(mx), i)) {
-        mx = static_cast<int64_t>(i);
-      }
-    }
+    Accumulate<false>(rows, gid.data(), w_in, sum_in, sum_out, extremes,
+                      &sums);
   }
 
   if (opts.trace != nullptr) {
@@ -1187,9 +1197,8 @@ const char* BuildGroupIds(const TableView& view,
   for (size_t a = 0; a < num_specs; ++a) {
     MOSAIC_ASSIGN_OR_RETURN(
         BatchVec agg,
-        FinalizeAggregate(plan.specs[a], weighted, order, sums.sum_w,
-                          sums.count, sums.sum_x[a], min_pos[a], max_pos[a],
-                          arg_batches[a]));
+        FinalizeAggregate(plan.specs[a], a, weighted, order, sums, view,
+                          rows));
     group_batches.push_back(std::move(agg));
   }
   std::vector<ColumnSpan> group_spans;
@@ -1279,21 +1288,6 @@ DataType AggOutputType(const AggSpec& spec, bool weighted) {
     }
   }
   return plan;
-}
-
-[[nodiscard]] Result<double> TotalWeight(const Table& table,
-                           const std::string& weight_column) {
-  if (weight_column.empty()) {
-    return static_cast<double>(table.num_rows());
-  }
-  MOSAIC_ASSIGN_OR_RETURN(const Column* col,
-                          table.ColumnByName(weight_column));
-  double total = 0.0;
-  for (size_t r = 0; r < col->size(); ++r) {
-    MOSAIC_ASSIGN_OR_RETURN(double w, col->GetDouble(r));
-    total += w;
-  }
-  return total;
 }
 
 namespace {

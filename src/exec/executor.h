@@ -20,14 +20,15 @@
 // holds no list, so the first conjunct scans the columns linearly),
 // GROUP BY is a flat hash aggregation keyed on packed per-column group
 // codes (densified into first-seen ids whenever the packed code space
-// would pass 2^62, so every plan runs here), aggregates accumulate in
-// one blocked pass over the selection that reads weights and column
-// arguments in place and finalize in bulk into one typed group table,
-// over which HAVING and the SELECT items run through the same batch
-// evaluator as any projection. ORDER BY sorts precomputed typed keys
-// (partial_sort when LIMIT is present). A statement runs start to
-// finish on its calling thread; parallelism is across statements (the
-// query service's request pool) and across OPEN generations.
+// would pass 2^62, so every plan runs here), aggregates (MIN/MAX
+// included) accumulate in one blocked pass over the selection that
+// reads weights and column arguments in place and finalize in bulk
+// into one typed group table, over which HAVING and the SELECT items
+// run through the same batch evaluator as any projection. ORDER BY
+// sorts precomputed typed keys (partial_sort when LIMIT is present). A
+// statement runs start to finish on its calling thread; parallelism is
+// across statements (the query service's request pool) and across OPEN
+// generations.
 //
 // A test-only row-at-a-time interpreter (tests/oracle/row_oracle.h)
 // checks this pipeline bit for bit (tests/test_exec_parity.cc,
@@ -123,11 +124,6 @@ struct AggregatePlan {
 [[nodiscard]] Result<AggregatePlan> BindAggregate(const Schema& source,
                                                   const sql::SelectStmt& stmt,
                                                   bool weighted);
-
-/// Total weight of the table (sum of the weight column, or row count
-/// when `weight_column` is empty).
-[[nodiscard]] Result<double> TotalWeight(const Table& table,
-                           const std::string& weight_column);
 
 }  // namespace exec
 }  // namespace mosaic

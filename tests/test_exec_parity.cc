@@ -684,7 +684,8 @@ Table AllRowsTable() {
     double d = 0.25 * static_cast<double>(r % 9) - 1.0;
     if (r % 7 == 2) d = -0.0;
     double x = 0.1 * static_cast<double>(r % 13) - 0.6;
-    if (r == 600) x = nan;
+    // Row 1 opens the b = false group, so its MIN/MAX(x) stay NaN.
+    if (r == 1 || r == 600) x = nan;
     if (r % 17 == 4) x = -0.0;
     const std::string tag = kStrings[(r * 7) % 5];
     const double w = r % 10 == 0 ? 0.0 : 0.5 + 0.25 * static_cast<double>(r % 6);
@@ -756,10 +757,15 @@ TEST(ExecParity, AllRowsSelectionFirstConjunctShapes) {
       "MIN(x) AS lo, MAX(a) AS hi FROM t",
       "SELECT b, COUNT(*) AS c, AVG(x) AS ax, SUM(a + 1) AS se FROM t",
       "SELECT s, b, SUM(d) AS sd, AVG(a) AS aa FROM t",
+      "SELECT b, MIN(s) AS ls, MAX(s) AS hs, MIN(b) AS lb, MAX(b) AS hb, "
+      "MIN(a + 1) AS le, MAX(a + 1) AS he, MIN(x) AS lx, MAX(x) AS hx, "
+      "MIN('zz') AS ll, MAX(10 / a) AS hd FROM t",
+      "SELECT MIN(s) AS ls, MAX(s) AS hs, MIN(b) AS lb, MAX(a + 1) AS he, "
+      "MIN(x) AS lx, MAX(x) AS hx, MAX('zz') AS hl FROM t",
   };
-  const std::vector<std::string> group_bys = {"", "", "", " GROUP BY s",
-                                              " GROUP BY b",
-                                              " GROUP BY s, b"};
+  const std::vector<std::string> group_bys = {
+      "", "", "", " GROUP BY s", " GROUP BY b", " GROUP BY s, b",
+      " GROUP BY b", ""};
   size_t oks = 0;
   for (const std::string& where : wheres) {
     for (size_t q = 0; q < selects.size(); ++q) {

@@ -241,13 +241,6 @@ TEST(Executor, OrderByUnknownColumnRejected) {
   EXPECT_FALSE(RunQuery(t, "SELECT carrier, dist FROM t ORDER BY nope").ok());
 }
 
-TEST(Executor, TotalWeight) {
-  Table t = FlightsMini();
-  EXPECT_DOUBLE_EQ(*TotalWeight(t, ""), 5.0);
-  EXPECT_DOUBLE_EQ(*TotalWeight(t, "weight"), 18.0);
-  EXPECT_FALSE(TotalWeight(t, "nope").ok());
-}
-
 TEST(Executor, WeightedEquivalentToReplication) {
   // A weighted sample with integer weights must answer exactly like
   // the table with rows physically replicated weight times.

@@ -88,7 +88,9 @@ TEST(LruCache, ConcurrentMixedOperationsStayConsistent) {
           cache.Erase(key);
         } else {
           auto v = cache.Get(key);
-          if (v.has_value()) EXPECT_EQ(*v, key * 2);
+          if (v.has_value()) {
+            EXPECT_EQ(*v, key * 2);
+          }
         }
       }
     });

@@ -19,11 +19,11 @@
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "common/string_util.h"
-#include "core/generator.h"
 #include "core/mswg.h"
 #include "data/flights.h"
 #include "data/spiral.h"
-#include "stats/bayes_net.h"
+#include "research/bayes_net.h"
+#include "research/generator.h"
 #include "stats/ipf.h"
 
 using namespace mosaic;

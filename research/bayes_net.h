@@ -7,8 +7,8 @@
 // tree-structured BN) fitted to the weighted sample, usable both for
 // direct COUNT inference and as an *explicit* generative model to
 // contrast with the implicit M-SWG in the ablation benches.
-#ifndef MOSAIC_STATS_BAYES_NET_H_
-#define MOSAIC_STATS_BAYES_NET_H_
+#ifndef MOSAIC_RESEARCH_BAYES_NET_H_
+#define MOSAIC_RESEARCH_BAYES_NET_H_
 
 #include <string>
 #include <vector>
@@ -90,4 +90,4 @@ class ChowLiuTree {
 }  // namespace stats
 }  // namespace mosaic
 
-#endif  // MOSAIC_STATS_BAYES_NET_H_
+#endif  // MOSAIC_RESEARCH_BAYES_NET_H_

@@ -1,6 +1,6 @@
-#include "core/generator.h"
+#include "research/generator.h"
 
-#include "stats/bayes_net.h"
+#include "research/bayes_net.h"
 
 namespace mosaic {
 namespace core {

@@ -13,10 +13,11 @@
 //   kKde      — the §7 nonparametric alternative: IPF debiasing, then
 //               a weighted mixed-data kernel density estimator.
 //
-// The Database's OPEN queries select the engine via
-// OpenOptions::engine; bench_ablation compares them head to head.
-#ifndef MOSAIC_CORE_GENERATOR_H_
-#define MOSAIC_CORE_GENERATOR_H_
+// The Database answers OPEN queries with M-SWG alone; this research
+// library (linked by tests and benches only) keeps all three behind
+// one interface so bench_ablation can compare them head to head.
+#ifndef MOSAIC_RESEARCH_GENERATOR_H_
+#define MOSAIC_RESEARCH_GENERATOR_H_
 
 #include <memory>
 #include <string>
@@ -25,9 +26,9 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/mswg.h"
-#include "stats/bayes_net.h"
+#include "research/bayes_net.h"
+#include "research/kde.h"
 #include "stats/ipf.h"
-#include "stats/kde.h"
 #include "storage/table.h"
 
 namespace mosaic {
@@ -73,4 +74,4 @@ struct GeneratorOptions {
 }  // namespace core
 }  // namespace mosaic
 
-#endif  // MOSAIC_CORE_GENERATOR_H_
+#endif  // MOSAIC_RESEARCH_GENERATOR_H_

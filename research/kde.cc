@@ -1,4 +1,4 @@
-#include "stats/kde.h"
+#include "research/kde.h"
 
 #include <algorithm>
 #include <cmath>

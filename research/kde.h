@@ -10,8 +10,8 @@
 // with a Gaussian kernel (per-attribute Silverman bandwidth) and
 // resamples each categorical attribute with an Aitchison–Aitken-style
 // kernel (keep with probability 1-λ_c, else uniform over the domain).
-#ifndef MOSAIC_STATS_KDE_H_
-#define MOSAIC_STATS_KDE_H_
+#ifndef MOSAIC_RESEARCH_KDE_H_
+#define MOSAIC_RESEARCH_KDE_H_
 
 #include <vector>
 
@@ -59,4 +59,4 @@ class MixedKde {
 }  // namespace stats
 }  // namespace mosaic
 
-#endif  // MOSAIC_STATS_KDE_H_
+#endif  // MOSAIC_RESEARCH_KDE_H_

@@ -1,4 +1,4 @@
-#include "stats/metrics.h"
+#include "research/metrics.h"
 
 #include <algorithm>
 #include <cmath>

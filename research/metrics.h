@@ -1,8 +1,8 @@
 // Distribution-comparison metrics used by the evaluation harnesses
 // and tests to judge generated data against ground truth, beyond the
 // Wasserstein/L1 measures the training itself optimizes.
-#ifndef MOSAIC_STATS_METRICS_H_
-#define MOSAIC_STATS_METRICS_H_
+#ifndef MOSAIC_RESEARCH_METRICS_H_
+#define MOSAIC_RESEARCH_METRICS_H_
 
 #include <vector>
 
@@ -36,4 +36,4 @@ namespace stats {
 }  // namespace stats
 }  // namespace mosaic
 
-#endif  // MOSAIC_STATS_METRICS_H_
+#endif  // MOSAIC_RESEARCH_METRICS_H_

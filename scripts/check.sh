@@ -271,7 +271,7 @@ MOSAIC_SIMD=0 ctest --test-dir build-release --output-on-failure \
 # UBSan leg over the executor tests, the binary codec and durable
 # storage suites and the reweighting kernels: the SIMD layer leans on
 # casts, bit tricks, and alignment assumptions, the codec and storage
-# engine add mmap'd column reads and byte-level (de)serialization on
+# engine add raw column-array copies and byte-level (de)serialization on
 # top, and IPF and Marginal::CellIds index arrays with raw dictionary
 # codes and cell ids; undefined-behavior findings there must fail CI
 # even when the answers happen to come out right. The database and

@@ -25,6 +25,10 @@ Enforces conventions the compilers cannot (portably) check:
                       test-only row oracle (`oracle/...`) or mention
                       `use_row_path`, the switch that would route
                       queries to it.
+  research-in-src     Production code under src/ must not include the
+                      test- and bench-only research library
+                      (`research/...`: the alternative OPEN engines and
+                      distribution metrics).
 
 Suppression: append `// lint:allow <rule>: <justification>` to the
 offending line (or place it alone on the line above). The justification
@@ -48,6 +52,7 @@ RULES = (
     "errno-no-syscall",
     "bare-nolint",
     "oracle-in-src",
+    "research-in-src",
 )
 
 # Files whose payload decoding is subject to wire-pointer-arith. Paths
@@ -292,6 +297,20 @@ def check_oracle_in_src(path, lines, findings):
             findings.add(path, i + 1, "oracle-in-src", message)
 
 
+RESEARCH_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*["<]research/')
+
+
+def check_research_in_src(path, lines, findings):
+    if "src" not in Path(path).parts:
+        return
+    for i, line in enumerate(lines):
+        if not RESEARCH_INCLUDE_RE.match(line):
+            continue
+        if not allowed(lines, i, "research-in-src", findings, path):
+            findings.add(path, i + 1, "research-in-src",
+                         "src/ must not include the research library")
+
+
 def lint_file(path, findings):
     try:
         text = Path(path).read_text()
@@ -305,6 +324,7 @@ def lint_file(path, findings):
     check_errno(path, lines, findings)
     check_bare_nolint(path, lines, findings)
     check_oracle_in_src(path, lines, findings)
+    check_research_in_src(path, lines, findings)
 
 
 def collect(paths):

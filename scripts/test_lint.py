@@ -99,6 +99,20 @@ def main():
             "oracle include + use_row_path in src/ must give 2 "
             "oracle-in-src findings (got %s)" % findings)
 
+    # --- src/ may not reach the research library -------------------
+    with tempfile.TemporaryDirectory() as td:
+        leak = Path(td) / "src" / "core" / "leak.cc"
+        leak.parent.mkdir(parents=True)
+        leak.write_text(
+            '#include "research/generator.h"\n'
+            "#include <research/kde.h>\n")
+        rc, findings = run_lint(leak)
+        failures += expect(rc == 1, "research leak into src/ must exit 1")
+        failures += expect(
+            Counter(findings) == Counter({("leak.cc", "research-in-src"): 2}),
+            "two research includes in src/ must give 2 research-in-src "
+            "findings (got %s)" % findings)
+
     # --- the real tree is clean (the repo invariant itself) ---------
     rc, findings = run_lint(ROOT / "src")
     failures += expect(

@@ -851,8 +851,7 @@ Result<Database::OpenWorldModel> Database::PrepareOpenWorldModel(
   std::string cache_key =
       ToLower(population_name) + "|" + ToLower(sample->name) + "|" +
       std::to_string(training.num_rows()) + "|" +
-      std::to_string(plan.marginals->size()) + "|" +
-      OpenEngineName(open_.engine);
+      std::to_string(plan.marginals->size());
   if (auto cached = model_cache_.Get(cache_key)) {
     out.model = std::move(*cached);
     return out;
@@ -876,15 +875,9 @@ Result<Database::OpenWorldModel> Database::PrepareOpenWorldModel(
     out.model = std::move(*cached);
     return out;
   }
-  GeneratorOptions gen_opts;
-  gen_opts.mswg = open_.mswg;
-  gen_opts.ipf = open_.ipf;
-  gen_opts.bayes_net = open_.bayes_net;
-  gen_opts.kde = open_.kde;
   MOSAIC_ASSIGN_OR_RETURN(
-      auto trained, TrainPopulationGenerator(open_.engine, training,
-                                             *plan.marginals, gen_opts));
-  out.model = std::shared_ptr<PopulationGenerator>(std::move(trained));
+      auto trained, Mswg::Train(training, *plan.marginals, open_.mswg));
+  out.model = std::shared_ptr<const Mswg>(std::move(trained));
   model_cache_.Put(cache_key, out.model);
   return out;
 }
@@ -1192,6 +1185,12 @@ Status Database::IngestSample(const std::string& sample_name,
     src_col_of_dst[c] = *src;
   }
   if (ingest.ok()) ingest = sample->data.AppendColumns(rows, src_col_of_dst);
+  return FinishSampleAppend(sample, prev, rows_before, ingest);
+}
+
+Status Database::FinishSampleAppend(SampleInfo* sample,
+                                    const WeightEpochPtr& prev,
+                                    size_t rows_before, Status appended) {
   // A failed row still leaves the earlier rows appended, so the
   // version bump and the weight-epoch extension must run regardless —
   // otherwise stale stamped cache entries keep matching and the
@@ -1207,29 +1206,35 @@ Status Database::IngestSample(const std::string& sample_name,
     Status log = durability_->LogSampleIngest(
         sample->name, TailRows(sample->data, rows_before),
         *sample->weights.Pin());
-    if (ingest.ok() && extend.ok() && !log.ok()) return log;
+    if (appended.ok() && extend.ok() && !log.ok()) return log;
   }
-  return ingest.ok() ? extend : ingest;
+  return appended.ok() ? extend : appended;
+}
+
+Status Database::FinishTableAppend(const std::string& name,
+                                   const Table& table, size_t rows_before,
+                                   Status appended) {
+  // Bump even when a later row failed: the earlier rows landed, and
+  // stamped cache entries for this table are stale either way.
+  BumpCatalogVersion();
+  if (durability_ != nullptr && table.num_rows() > rows_before) {
+    Status log =
+        durability_->LogTableAppend(name, TailRows(table, rows_before));
+    if (appended.ok() && !log.ok()) return log;
+  }
+  return appended;
 }
 
 Status Database::ExecuteInsert(const sql::InsertStmt& stmt) {
   if (catalog_.HasTable(stmt.table)) {
     MOSAIC_ASSIGN_OR_RETURN(Table* table, catalog_.GetTable(stmt.table));
-    // Bump even when a later row fails: the earlier rows landed, and
-    // stamped cache entries for this table are stale either way.
     const size_t rows_before = table->num_rows();
     Status insert = Status::OK();
     for (const auto& row : stmt.rows) {
       insert = table->AppendRow(row);
       if (!insert.ok()) break;
     }
-    BumpCatalogVersion();
-    if (durability_ != nullptr && table->num_rows() > rows_before) {
-      Status log = durability_->LogTableAppend(
-          stmt.table, TailRows(*table, rows_before));
-      if (insert.ok() && !log.ok()) return log;
-    }
-    return insert;
+    return FinishTableAppend(stmt.table, *table, rows_before, insert);
   }
   if (catalog_.HasSample(stmt.table)) {
     MOSAIC_ASSIGN_OR_RETURN(SampleInfo* sample,
@@ -1241,18 +1246,7 @@ Status Database::ExecuteInsert(const sql::InsertStmt& stmt) {
       insert = sample->data.AppendRow(row);
       if (!insert.ok()) break;
     }
-    // As in IngestSample: keep version, model cache, and weight-epoch
-    // length consistent with whatever actually landed.
-    BumpCatalogVersion();
-    InvalidateModelCache();
-    Status extend = ExtendWeightsAfterIngest(sample, prev);
-    if (durability_ != nullptr && sample->data.num_rows() > rows_before) {
-      Status log = durability_->LogSampleIngest(
-          sample->name, TailRows(sample->data, rows_before),
-          *sample->weights.Pin());
-      if (insert.ok() && extend.ok() && !log.ok()) return log;
-    }
-    return insert.ok() ? extend : insert;
+    return FinishSampleAppend(sample, prev, rows_before, insert);
   }
   return Status::NotFound("no table or sample named '" + stmt.table + "'");
 }
@@ -1266,16 +1260,10 @@ Status Database::ExecuteCopy(const sql::CopyStmt& stmt) {
     buf << in.rdbuf();
     MOSAIC_ASSIGN_OR_RETURN(Table loaded,
                             ReadCsv(buf.str(), table->schema()));
-    // Bump even on a failed Concat — it may have partially applied.
+    // A failed Concat may have partially applied.
     const size_t rows_before = table->num_rows();
     Status concat = table->Concat(loaded);
-    BumpCatalogVersion();
-    if (durability_ != nullptr && table->num_rows() > rows_before) {
-      Status log = durability_->LogTableAppend(
-          stmt.table, TailRows(*table, rows_before));
-      if (concat.ok() && !log.ok()) return log;
-    }
-    return concat;
+    return FinishTableAppend(stmt.table, *table, rows_before, concat);
   }
   if (catalog_.HasSample(stmt.table)) {
     MOSAIC_ASSIGN_OR_RETURN(SampleInfo* sample,

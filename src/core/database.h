@@ -37,7 +37,6 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/catalog.h"
-#include "core/generator.h"
 #include "core/mswg.h"
 #include "sql/ast.h"
 #include "stats/ipf.h"
@@ -60,15 +59,8 @@ struct SemiOpenOptions {
 };
 
 struct OpenOptions {
-  /// Which generative model answers OPEN queries (§4.2: "any
-  /// generative model can be plugged in").
-  OpenEngine engine = OpenEngine::kMswg;
+  /// The M-SWG (§5) that OPEN queries train and generate from.
   MswgOptions mswg;
-  /// Debias-first engines (kBayesNet, kKde) run IPF with these
-  /// settings before modelling.
-  stats::IpfOptions ipf;
-  stats::BayesNetOptions bayes_net;
-  stats::KdeOptions kde;
   /// Rows to generate; 0 = same as the sample size (the paper's
   /// setting: "we generate 10 samples with the same number of rows as
   /// the original sample").
@@ -348,6 +340,24 @@ class Database {
   [[nodiscard]] Status ExtendWeightsAfterIngest(SampleInfo* sample,
                                   const WeightEpochPtr& prev);
 
+  /// The tail every sample append shares (IngestSample, INSERT):
+  /// after rows from `rows_before` on landed — all of them, or those
+  /// before a failed one (`appended` not OK) — bump the catalog
+  /// version, drop cached models, publish the extended weight epoch
+  /// from `prev`, and log the landed rows with that epoch. Returns
+  /// the first failure of append, extension and log, in that order.
+  [[nodiscard]] Status FinishSampleAppend(SampleInfo* sample,
+                                          const WeightEpochPtr& prev,
+                                          size_t rows_before,
+                                          Status appended);
+
+  /// The same tail for an auxiliary table (INSERT, COPY): bump the
+  /// catalog version and log the landed rows under `name`.
+  [[nodiscard]] Status FinishTableAppend(const std::string& name,
+                                         const Table& table,
+                                         size_t rows_before,
+                                         Status appended);
+
   void BumpCatalogVersion() {
     catalog_version_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -374,7 +384,7 @@ class Database {
   /// turn it into weighted open-world tables without touching the
   /// catalog again — the unit of work handed to generation threads.
   struct OpenWorldModel {
-    std::shared_ptr<PopulationGenerator> model;
+    std::shared_ptr<const Mswg> model;
     double population_size = 0.0;
     /// Row count used when the caller passes rows == 0 (the paper's
     /// "same number of rows as the original sample").
@@ -406,7 +416,7 @@ class Database {
   Catalog catalog_;
   SemiOpenOptions semi_open_;
   OpenOptions open_;
-  LruCache<std::string, std::shared_ptr<PopulationGenerator>> model_cache_;
+  LruCache<std::string, std::shared_ptr<const Mswg>> model_cache_;
   /// Per-cache-key training locks: concurrent OPEN queries on the
   /// same key train once instead of racing, while different keys
   /// train independently. train_mu_ only guards the lock map itself

@@ -81,11 +81,5 @@ std::vector<double> Matrix::Row(size_t r) const {
                              data_.begin() + (r + 1) * cols_);
 }
 
-double Matrix::FrobeniusNorm() const {
-  double acc = 0.0;
-  for (double x : data_) acc += x * x;
-  return std::sqrt(acc);
-}
-
 }  // namespace nn
 }  // namespace mosaic

@@ -59,9 +59,6 @@ class Matrix {
   /// One row as a vector copy.
   std::vector<double> Row(size_t r) const;
 
-  /// L2 norm of all entries.
-  double FrobeniusNorm() const;
-
  private:
   size_t rows_ = 0, cols_ = 0;
   std::vector<double> data_;

@@ -5,7 +5,6 @@
 #include "common/string_util.h"
 #include "sql/ast.h"
 #include "sql/lexer.h"
-#include "sql/parser.h"
 #include "storage/value.h"
 
 namespace mosaic {
@@ -91,11 +90,6 @@ StatementClass ClassifyStatement(const sql::Statement& stmt) {
     return StatementClass::kRead;
   }
   return StatementClass::kWrite;
-}
-
-[[nodiscard]] Result<StatementClass> ClassifySql(const std::string& sql) {
-  MOSAIC_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
-  return ClassifyStatement(stmt);
 }
 
 }  // namespace service

@@ -36,10 +36,6 @@ enum class StatementClass {
 /// SEMI-OPEN (epoch publication synchronizes itself; see above).
 StatementClass ClassifyStatement(const sql::Statement& stmt);
 
-/// Parse and classify one statement. Parse failures are returned
-/// verbatim so the caller can surface them without re-parsing.
-[[nodiscard]] Result<StatementClass> ClassifySql(const std::string& sql);
-
 }  // namespace service
 }  // namespace mosaic
 

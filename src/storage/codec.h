@@ -36,8 +36,8 @@
 namespace mosaic {
 
 // Multi-byte fields are written and read with memcpy: whole column
-// arrays as one copy, the snapshot's column sections served straight
-// from the mapped file, and the WAL and snapshot frame length/CRC
+// arrays as one copy, the snapshot's column sections copied straight
+// out of the file bytes, and the WAL and snapshot frame length/CRC
 // fields. All of that is the little-endian layout only on a
 // little-endian host.
 static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,

@@ -8,6 +8,7 @@
 
 #include "common/event_log.h"
 #include "core/database.h"
+#include "storage/durable/io.h"
 #include "storage/durable/serde.h"
 #include "storage/durable/snapshot.h"
 

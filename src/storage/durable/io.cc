@@ -2,7 +2,6 @@
 
 #include <dirent.h>
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -177,53 +176,6 @@ bool FileExists(const std::string& path) {
     return Status::IOError(Errno("unlink", path));
   }
   return Status::OK();
-}
-
-MappedFile::~MappedFile() {
-  if (data_ != nullptr) {
-    ::munmap(const_cast<uint8_t*>(data_), size_);
-  }
-}
-
-MappedFile::MappedFile(MappedFile&& other) noexcept
-    : data_(other.data_), size_(other.size_) {
-  other.data_ = nullptr;
-  other.size_ = 0;
-}
-
-MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
-  if (this != &other) {
-    if (data_ != nullptr) ::munmap(const_cast<uint8_t*>(data_), size_);
-    data_ = other.data_;
-    size_ = other.size_;
-    other.data_ = nullptr;
-    other.size_ = 0;
-  }
-  return *this;
-}
-
-Result<MappedFile> MappedFile::Open(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return Status::IOError(Errno("open", path));
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    const Status err = Status::IOError(Errno("fstat", path));
-    ::close(fd);
-    return err;
-  }
-  MappedFile mapped;
-  mapped.size_ = static_cast<size_t>(st.st_size);
-  if (mapped.size_ > 0) {
-    void* base = ::mmap(nullptr, mapped.size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (base == MAP_FAILED) {
-      const Status err = Status::IOError(Errno("mmap", path));
-      ::close(fd);
-      return err;
-    }
-    mapped.data_ = static_cast<const uint8_t*>(base);
-  }
-  ::close(fd);  // the mapping keeps the file alive
-  return mapped;
 }
 
 }  // namespace durable

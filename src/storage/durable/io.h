@@ -1,9 +1,9 @@
 // Crash-safe POSIX file primitives shared by the WAL and snapshot
 // code: EINTR-safe full reads/writes, fsync of files and directories,
-// atomic publish via write-to-temp + rename, and a read-only mmap
-// wrapper. Every durability guarantee the engine makes reduces to the
-// discipline in this file: data is fsync'd before it is referenced,
-// and files become visible only through rename(2).
+// and atomic publish via write-to-temp + rename. Every durability
+// guarantee the engine makes reduces to the discipline in this file:
+// data is fsync'd before it is referenced, and files become visible
+// only through rename(2).
 #ifndef MOSAIC_STORAGE_DURABLE_IO_H_
 #define MOSAIC_STORAGE_DURABLE_IO_H_
 
@@ -50,28 +50,6 @@ bool FileExists(const std::string& path);
 
 /// Delete a file; OK if it does not exist.
 [[nodiscard]] Status RemoveFile(const std::string& path);
-
-/// Read-only memory mapping of a whole file. Movable, not copyable;
-/// unmaps on destruction. The mapping base is page-aligned, so any
-/// 64-byte-aligned file offset is also 64-byte aligned in memory.
-class MappedFile {
- public:
-  MappedFile() = default;
-  ~MappedFile();
-  MappedFile(MappedFile&& other) noexcept;
-  MappedFile& operator=(MappedFile&& other) noexcept;
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-
-  [[nodiscard]] static Result<MappedFile> Open(const std::string& path);
-
-  const uint8_t* data() const { return data_; }
-  size_t size() const { return size_; }
-
- private:
-  const uint8_t* data_ = nullptr;
-  size_t size_ = 0;
-};
 
 }  // namespace durable
 }  // namespace mosaic

@@ -8,6 +8,7 @@
 #include "storage/column.h"
 #include "storage/dictionary.h"
 #include "storage/durable/crc32.h"
+#include "storage/durable/io.h"
 #include "storage/durable/serde.h"
 
 namespace mosaic {
@@ -248,30 +249,6 @@ Column MaterializeColumn(const ParsedSample::Col& col, size_t rows) {
   }
 }
 
-ColumnSpan SpanOf(const ParsedSample::Col& col, size_t rows) {
-  ColumnSpan span;
-  span.type = col.type;
-  span.size = rows;
-  switch (col.type) {
-    case DataType::kInt64:
-      span.i64 = reinterpret_cast<const int64_t*>(col.data);
-      break;
-    case DataType::kDouble:
-      span.f64 = reinterpret_cast<const double*>(col.data);
-      break;
-    case DataType::kBool:
-      span.b8 = col.data;
-      break;
-    case DataType::kString:
-      span.codes = reinterpret_cast<const int32_t*>(col.data);
-      span.dict = col.dict;
-      break;
-    case DataType::kNull:
-      break;
-  }
-  return span;
-}
-
 }  // namespace
 
 std::string SnapshotFileName(uint64_t seq) {
@@ -395,56 +372,6 @@ std::string SnapshotFileName(uint64_t seq) {
     state.samples.push_back(std::move(out));
   }
   return state;
-}
-
-Result<std::unique_ptr<MappedSnapshot>> MappedSnapshot::Open(
-    const std::string& path) {
-  MOSAIC_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
-  MOSAIC_ASSIGN_OR_RETURN(Parsed parsed, Parse(file.data(), file.size()));
-  auto snapshot = std::unique_ptr<MappedSnapshot>(new MappedSnapshot());
-  snapshot->file_ = std::move(file);  // parsed pointers stay valid: the
-                                      // mapping address does not move
-  snapshot->next_wal_seq_ = parsed.next_wal_seq;
-  snapshot->catalog_version_ = parsed.catalog_version;
-  snapshot->metadata_version_ = parsed.metadata_version;
-  for (ParsedSample& sample : parsed.samples) {
-    MappedSample mapped;
-    mapped.epoch = std::move(sample.epoch);
-    mapped.num_rows = sample.num_rows;
-    for (const ParsedSample::Col& col : sample.cols) {
-      mapped.spans.push_back(SpanOf(col, sample.num_rows));
-    }
-    mapped.header = std::move(sample.header);
-    snapshot->samples_.push_back(std::move(mapped));
-  }
-  return snapshot;
-}
-
-std::vector<std::string> MappedSnapshot::sample_names() const {
-  std::vector<std::string> names;
-  names.reserve(samples_.size());
-  for (const MappedSample& sample : samples_) {
-    names.push_back(sample.header.name);
-  }
-  return names;
-}
-
-Result<TableView> MappedSnapshot::SampleView(const std::string& name) const {
-  for (const MappedSample& sample : samples_) {
-    if (sample.header.name == name) {
-      return TableView::FromSpans(sample.header.schema, sample.spans,
-                                  sample.num_rows);
-    }
-  }
-  return Status::NotFound("snapshot has no sample " + name);
-}
-
-Result<const core::WeightEpoch*> MappedSnapshot::SampleEpoch(
-    const std::string& name) const {
-  for (const MappedSample& sample : samples_) {
-    if (sample.header.name == name) return &sample.epoch;
-  }
-  return Status::NotFound("snapshot has no sample " + name);
 }
 
 }  // namespace durable

@@ -18,15 +18,12 @@
 //              codes) at the next 64-byte-aligned file offset.
 //
 // Every field and column array is in the byte order of the shared
-// codec (storage/codec.h, little-endian, asserted there), so a mapped
-// column is directly the host's own array.
+// codec (storage/codec.h, little-endian, asserted there), so a column
+// section is directly the host's own array and loads with one copy.
 //
 // Section B offsets are never stored: writer and reader both walk the
-// same deterministic layout. Because the offsets are 64-byte aligned
-// and an mmap base is page-aligned, a mapped column array is 64-byte
-// aligned in memory — exactly what the SIMD kernels require of a
-// ColumnSpan — so MappedSnapshot serves zero-copy TableViews of
-// samples larger than RAM.
+// same deterministic layout. The 64-byte alignment is part of the
+// format: existing snapshot files carry it, so it stays.
 //
 // Snapshots are published atomically (write .tmp, fsync, rename,
 // fsync dir). Readers treat any validation failure as a hard error:
@@ -37,7 +34,6 @@
 #define MOSAIC_STORAGE_DURABLE_SNAPSHOT_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,9 +41,7 @@
 #include "common/status.h"
 #include "core/catalog.h"
 #include "core/weights.h"
-#include "storage/durable/io.h"
 #include "storage/table.h"
-#include "storage/table_view.h"
 
 namespace mosaic {
 namespace core {
@@ -83,44 +77,6 @@ struct SnapshotState {
 
 /// Read + validate + materialize a snapshot file into RAM.
 [[nodiscard]] Result<SnapshotState> LoadSnapshot(const std::string& path);
-
-/// Zero-copy access to a snapshot's sample columns through mmap.
-/// Catalog objects (schemas, marginals, dictionaries, weight epochs)
-/// are decoded into RAM; sample column arrays stay in the mapping and
-/// are served as ColumnSpans. The MappedSnapshot must outlive every
-/// TableView it hands out.
-class MappedSnapshot {
- public:
-  [[nodiscard]] static Result<std::unique_ptr<MappedSnapshot>> Open(
-      const std::string& path);
-
-  uint64_t next_wal_seq() const { return next_wal_seq_; }
-  uint64_t catalog_version() const { return catalog_version_; }
-  uint64_t metadata_version() const { return metadata_version_; }
-
-  std::vector<std::string> sample_names() const;
-
-  /// Zero-copy view of a sample's columns (no weight column attached;
-  /// callers add one from epoch() via TableView::AddDoubleSpan).
-  [[nodiscard]] Result<TableView> SampleView(const std::string& name) const;
-
-  /// The sample's weight epoch as captured (decoded into RAM).
-  [[nodiscard]] Result<const core::WeightEpoch*> SampleEpoch(const std::string& name) const;
-
- private:
-  struct MappedSample {
-    core::SampleInfo header;  ///< data empty; schema/mechanism/etc.
-    core::WeightEpoch epoch;
-    size_t num_rows = 0;
-    std::vector<ColumnSpan> spans;
-  };
-
-  MappedFile file_;
-  uint64_t next_wal_seq_ = 1;
-  uint64_t catalog_version_ = 1;
-  uint64_t metadata_version_ = 1;
-  std::vector<MappedSample> samples_;
-};
 
 }  // namespace durable
 }  // namespace mosaic

@@ -131,8 +131,8 @@ class TableView {
   TableView() = default;
   explicit TableView(const Table& table);
 
-  /// Assemble a view from pre-built spans (the mmap'd-snapshot path:
-  /// spans point into a durable::MappedSnapshot instead of a Table).
+  /// Assemble a view from pre-built spans (the executor's group-key
+  /// output, or spans that point into storage other than a Table).
   /// Span count must match the schema; the span storage must outlive
   /// the view.
   static TableView FromSpans(Schema schema, std::vector<ColumnSpan> spans,

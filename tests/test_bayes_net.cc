@@ -1,4 +1,4 @@
-#include "stats/bayes_net.h"
+#include "research/bayes_net.h"
 
 #include <gtest/gtest.h>
 

@@ -108,6 +108,11 @@ TEST_F(TinyWorld, OpenQueryGeneratesMissingColor) {
   ASSERT_EQ(r.num_rows(), 2u);
   EXPECT_EQ(r.GetValue(0, 0).AsString(), "blue");
   EXPECT_GT(r.GetValue(0, 1).AsDouble(), 5.0);
+  // §5.3's uniform weights scale the generated rows to the population
+  // size, so the generated counts sum to the marginals' total (100).
+  const double total =
+      r.GetValue(0, 1).AsDouble() + r.GetValue(1, 1).AsDouble();
+  EXPECT_NEAR(total, 100.0, 1.0);
 }
 
 TEST_F(TinyWorld, UpdateSampleWeights) {

@@ -1,6 +1,5 @@
 // Durable storage formats (storage/durable): CRC, serde round-trips,
-// WAL framing + torn-tail policy, snapshot build/load, and the
-// mmap'd zero-copy snapshot view (SIMD-grade alignment included).
+// WAL framing + torn-tail policy, and snapshot build/load.
 // Crash-recovery end-to-end scenarios live in
 // tests/test_durable_recovery.cc.
 #include <gtest/gtest.h>
@@ -571,48 +570,6 @@ TEST(Snapshot, CorruptHeaderOrSegmentFailsLoudly) {
   }
 }
 
-TEST(Snapshot, MappedViewServesAlignedBitIdenticalColumns) {
-  core::Database db;
-  BuildSmallWorld(&db);
-  auto image = BuildSnapshotImage(&db, 1);
-  ASSERT_TRUE(image.ok());
-  const std::string dir = MakeTempDir();
-  const std::string path = dir + "/" + SnapshotFileName(1);
-  ASSERT_TRUE(AtomicWriteFile(path, *image).ok());
-
-  auto mapped = MappedSnapshot::Open(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ASSERT_EQ((*mapped)->sample_names().size(), 1u);
-  EXPECT_EQ((*mapped)->sample_names()[0], "Panel");
-
-  auto view = (*mapped)->SampleView("Panel");
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  core::SampleInfo* live = *db.catalog()->GetSample("Panel");
-  ASSERT_EQ(view->num_rows(), live->data.num_rows());
-  ASSERT_EQ(view->num_columns(), live->data.num_columns());
-  for (size_t c = 0; c < view->num_columns(); ++c) {
-    const ColumnSpan& span = view->column(c);
-    // The mmap path must hand the SIMD kernels the same 64-byte
-    // alignment AlignedVector guarantees.
-    const void* base = span.type == DataType::kString
-                           ? static_cast<const void*>(span.codes)
-                           : (span.type == DataType::kInt64
-                                  ? static_cast<const void*>(span.i64)
-                                  : (span.type == DataType::kDouble
-                                         ? static_cast<const void*>(span.f64)
-                                         : static_cast<const void*>(span.b8)));
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(base) % 64, 0u) << "column " << c;
-    for (size_t r = 0; r < view->num_rows(); ++r) {
-      EXPECT_EQ(view->GetValue(r, c).ToString(),
-                live->data.GetValue(r, c).ToString());
-    }
-  }
-
-  auto epoch = (*mapped)->SampleEpoch("Panel");
-  ASSERT_TRUE(epoch.ok());
-  EXPECT_EQ((*epoch)->weights, live->weights.Pin()->weights);
-}
-
 TEST(Snapshot, FileNamesRoundTrip) {
   EXPECT_EQ(SnapshotFileName(7), "snapshot-000007.snap");
   auto seq = ParseSnapshotFileName("snapshot-000007.snap");
@@ -771,7 +728,6 @@ TEST(SerdeFuzz, MutatedSnapshotSegmentsNeverCrashLoad) {
                                 image->substr(seg.offset + 9 + seg.len);
     WriteBytes(path, mutated);
     (void)LoadSnapshot(path);
-    (void)MappedSnapshot::Open(path);
   }
 }
 

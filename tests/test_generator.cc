@@ -2,11 +2,9 @@
 // (sample, marginals) and generate schema-correct tuples whose
 // distribution respects the marginals better than the raw biased
 // sample.
-#include "core/generator.h"
+#include "research/generator.h"
 
 #include <gtest/gtest.h>
-
-#include "core/database.h"
 
 namespace mosaic {
 namespace core {
@@ -111,45 +109,6 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, EngineContract,
                            }
                            return out;
                          });
-
-TEST(DatabaseOpenEngine, SwitchingEnginesWorksThroughSql) {
-  // Same TinyWorld-style setup as test_database, with the OPEN engine
-  // switched to the Bayesian network and then the KDE.
-  Database db;
-  auto ok = [&](const std::string& sql) {
-    auto r = db.Execute(sql);
-    ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
-  };
-  ok("CREATE GLOBAL POPULATION Things (color VARCHAR, size VARCHAR)");
-  ok("CREATE TABLE ColorReport (color VARCHAR, cnt INT)");
-  ok("INSERT INTO ColorReport VALUES ('red', 60), ('blue', 40)");
-  ok("CREATE METADATA Things_M1 AS (SELECT color, cnt FROM ColorReport)");
-  ok("CREATE SAMPLE S AS (SELECT * FROM Things WHERE color = 'red')");
-  ok("INSERT INTO S VALUES ('red','a'), ('red','a'), ('red','b'), "
-     "('red','b'), ('red','a')");
-  auto* opts = db.mutable_open_options();
-  opts->generated_rows = 500;
-  opts->mswg.epochs = 6;
-  opts->mswg.steps_per_epoch = 15;
-  opts->mswg.batch_size = 64;
-
-  for (OpenEngine engine :
-       {OpenEngine::kBayesNet, OpenEngine::kKde, OpenEngine::kMswg}) {
-    opts->engine = engine;
-    auto r = db.Execute(
-        "SELECT OPEN color, COUNT(*) AS c FROM Things GROUP BY color");
-    ASSERT_TRUE(r.ok()) << OpenEngineName(engine) << ": "
-                        << r.status().ToString();
-    EXPECT_GE(r->num_rows(), 1u);
-    // The total generated mass equals the population size for every
-    // engine.
-    double total = 0.0;
-    for (size_t row = 0; row < r->num_rows(); ++row) {
-      total += r->GetValue(row, 1).AsDouble();
-    }
-    EXPECT_NEAR(total, 100.0, 1.0) << OpenEngineName(engine);
-  }
-}
 
 TEST(BinaryEncoding, MswgTrainsAndDecodesWithBinaryCategoricals) {
   World world = MakeWorld();

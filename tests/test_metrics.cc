@@ -1,4 +1,4 @@
-#include "stats/metrics.h"
+#include "research/metrics.h"
 
 #include <gtest/gtest.h>
 

@@ -10,6 +10,7 @@
 
 #include "common/metrics.h"
 #include "service/sql_canonical.h"
+#include "sql/parser.h"
 
 namespace mosaic {
 namespace service {
@@ -92,9 +93,9 @@ TEST(SqlCanonical, PreservesStringLiteralCase) {
 
 TEST(SqlCanonical, ClassifiesReadsAndWrites) {
   auto read_class = [](const std::string& sql) {
-    auto c = ClassifySql(sql);
-    EXPECT_TRUE(c.ok()) << sql;
-    return c.ok() && *c == StatementClass::kRead;
+    auto stmt = sql::ParseStatement(sql);
+    EXPECT_TRUE(stmt.ok()) << sql;
+    return stmt.ok() && ClassifyStatement(*stmt) == StatementClass::kRead;
   };
   EXPECT_TRUE(read_class("SELECT * FROM t"));
   EXPECT_TRUE(read_class("SELECT CLOSED COUNT(*) FROM p"));

@@ -148,10 +148,14 @@ FitNumbers BenchStatsLayer(size_t rows, size_t ingest_rows,
     Check(grown.AppendRow(batch.GetRow(r)), "grow");
   }
 
+  // The regress threshold the ingest path sets: twice the outgoing
+  // fit's error, plus the tolerance.
+  const double threshold =
+      2.0 * cold.max_l1_error + stats::IpfOptions().tolerance;
   std::vector<double> warm_weights;
   start = Clock::now();
   auto warm = Unwrap(stats::IncrementalProportionalFit(
-                         grown, marginals, fitted, &warm_weights),
+                         grown, marginals, fitted, threshold, &warm_weights),
                      "incremental fit");
   out.incremental_ms = MsSince(start);
   out.incremental_iterations = warm.iterations;

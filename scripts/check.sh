@@ -231,7 +231,10 @@ if [[ "${1:-}" != "fast" ]]; then
   run_static
 fi
 
-run_suite "Release" build-release -DCMAKE_BUILD_TYPE=Release
+# Warnings are errors in the Release build, where GCC's -O3 inlining
+# surfaces the most diagnostics.
+run_suite "Release" build-release -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS=-Werror
 run_server_e2e "Release" build-release
 run_crash_recovery "Release" build-release
 

@@ -647,7 +647,7 @@ Result<stats::IpfReport> Database::ReweightForPopulation(
 }
 
 std::string Database::GpIpfFitSignature(size_t rows) const {
-  const stats::IpfOptions& ipf = semi_open_.ipf;
+  const stats::IpfOptions ipf;
   return "ipf-gp|n=" + std::to_string(rows) +
          "|mv=" + std::to_string(metadata_version_.load()) +
          "|it=" + std::to_string(ipf.max_iterations) +
@@ -657,7 +657,7 @@ std::string Database::GpIpfFitSignature(size_t rows) const {
 
 std::string Database::PopulationIpfFitSignature(
     const PopulationInfo& population, size_t rows) const {
-  const stats::IpfOptions& ipf = semi_open_.ipf;
+  const stats::IpfOptions ipf;
   return "ipf-pop|" + ToLower(population.name) + "|n=" +
          std::to_string(rows) +
          "|mv=" + std::to_string(metadata_version_.load()) +
@@ -778,7 +778,7 @@ Result<WeightEpochPtr> Database::ReweightAndPin(
     MOSAIC_ASSIGN_OR_RETURN(
         *report,
         stats::IterativeProportionalFit(sample->data, *plan.marginals,
-                                        &weights, semi_open_.ipf));
+                                        &weights));
     CountIpfFit(*report);
     return PublishWeights(
         sample, std::move(weights),
@@ -802,7 +802,7 @@ Result<WeightEpochPtr> Database::ReweightAndPin(
   MOSAIC_ASSIGN_OR_RETURN(
       *report,
       stats::IterativeProportionalFit(restricted, *plan.marginals,
-                                      &restricted_weights, semi_open_.ipf));
+                                      &restricted_weights));
   // Map restricted weights back to the full sample.
   std::vector<double> full(rows, 0.0);
   if (population->predicate == nullptr) {
@@ -1126,19 +1126,16 @@ Status Database::ExtendWeightsAfterIngest(SampleInfo* sample,
   if (prev->fit_signature.compare(0, 7, "ipf-gp|") == 0) {
     auto gp = catalog_.GlobalPopulation();
     if (gp.ok() && !(*gp)->marginals.empty()) {
-      stats::IpfOptions ipf = semi_open_.ipf;
-      if (ipf.incremental_regress_threshold <= 0.0) {
-        // Default acceptance: the warm fit may plateau no worse than
-        // twice the outgoing epoch's error (plus tolerance) — where
-        // the marginals conflict on the sample's covered cells, cold
-        // fits cannot converge either, so requiring convergence would
-        // reject warm fits exactly where a cold refit is no better.
-        ipf.incremental_regress_threshold =
-            2.0 * prev->fit_error + ipf.tolerance;
-      }
+      // Acceptance: the warm fit may plateau no worse than twice the
+      // outgoing epoch's error (plus tolerance) — where the marginals
+      // conflict on the sample's covered cells, cold fits cannot
+      // converge either, so requiring convergence would reject warm
+      // fits exactly where a cold refit is no better.
+      const stats::IpfOptions ipf;
       std::vector<double> fitted;
       auto fit = stats::IncrementalProportionalFit(
-          sample->data, (*gp)->marginals, prev->weights, &fitted, ipf);
+          sample->data, (*gp)->marginals, prev->weights,
+          2.0 * prev->fit_error + ipf.tolerance, &fitted, ipf);
       if (fit.ok()) {
         CountIpfFit(*fit);
         if (!fit->fell_back_to_cold) {

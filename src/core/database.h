@@ -52,12 +52,6 @@ namespace core {
 
 class DurabilitySink;  // core/durability.h
 
-/// SEMI-OPEN settings: the IPF fit that reweights samples (and, on
-/// ingest, warm-starts from a GP-level fit's weights).
-struct SemiOpenOptions {
-  stats::IpfOptions ipf;
-};
-
 struct OpenOptions {
   /// The M-SWG (§5) that OPEN queries train and generate from.
   MswgOptions mswg;
@@ -414,7 +408,6 @@ class Database {
                                          size_t rows, uint64_t seed) const;
 
   Catalog catalog_;
-  SemiOpenOptions semi_open_;
   OpenOptions open_;
   LruCache<std::string, std::shared_ptr<const Mswg>> model_cache_;
   /// Per-cache-key training locks: concurrent OPEN queries on the

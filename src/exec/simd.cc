@@ -21,9 +21,8 @@ const KernelTable* BestAvailable() {
 }
 
 /// Resolve MOSAIC_SIMD once. Values: unset/""/"1"/"auto" = best
-/// available; "0"/"off"/"scalar" = scalar; "avx2" = AVX2 (falling
-/// back to auto with a warning when it is not available on this
-/// build/CPU).
+/// available; "0"/"off"/"scalar" = scalar. Anything else warns and
+/// falls back to auto.
 const KernelTable* Resolve() {
   const char* env = std::getenv("MOSAIC_SIMD");
   if (env == nullptr || env[0] == '\0' || std::strcmp(env, "1") == 0 ||
@@ -34,18 +33,9 @@ const KernelTable* Resolve() {
       std::strcmp(env, "scalar") == 0) {
     return &ScalarKernels();
   }
-  if (std::strcmp(env, "avx2") == 0) {
-    const KernelTable* t = KernelsFor(SimdIsa::kAvx2);
-    if (t != nullptr) return t;
-    std::fprintf(stderr,
-                 "mosaic: MOSAIC_SIMD=%s not available on this build/CPU; "
-                 "using auto\n",
-                 env);
-    return BestAvailable();
-  }
   std::fprintf(stderr,
                "mosaic: unknown MOSAIC_SIMD value '%s' "
-               "(want 0|scalar|avx2|auto); using auto\n",
+               "(want 0|scalar|auto); using auto\n",
                env);
   return BestAvailable();
 }

@@ -9,6 +9,13 @@
 // table is chosen once at startup from CPU detection (common/cpu.h)
 // and the MOSAIC_SIMD override.
 //
+// Each table is its own translation unit with its own ISA flags, both
+// pinned at -O3. The scalar table is the one reference body per
+// kernel (simd_internal.h, internal linkage) compiled for the
+// baseline ISA. The AVX2 table copies it and overrides entries with
+// either a hand-written intrinsic kernel, kept only where it beats
+// the compiler, or the AVX2 file's own compile of the reference body.
+//
 // Parity contract: the scalar table defines the semantics, and every
 // wider implementation must be BIT-IDENTICAL to it on every input —
 // including NaN comparisons (IEEE: only != holds), -0.0 (== 0.0), and
@@ -50,26 +57,6 @@ namespace simd {
 /// Comparison predicate with scalar-double semantics (NaN: only kNe).
 enum class CmpOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 
-/// Reference comparison — the single definition of predicate
-/// semantics every kernel (scalar and vector) must reproduce.
-inline bool CmpApply(CmpOp op, double l, double r) {
-  switch (op) {
-    case CmpOp::kEq:
-      return l == r;
-    case CmpOp::kNe:
-      return l != r;
-    case CmpOp::kLt:
-      return l < r;
-    case CmpOp::kLe:
-      return l <= r;
-    case CmpOp::kGt:
-      return l > r;
-    case CmpOp::kGe:
-      return l >= r;
-  }
-  return false;
-}
-
 /// Mixing hash for packed group keys. Scalar definition; hash_u64 /
 /// hash_f64 kernels must produce these exact values so a group table
 /// built with SIMD hashing probes identically to a scalar build.
@@ -88,33 +75,6 @@ inline uint64_t CanonicalF64Bits(double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
-}
-
-/// True when `rows` denotes a contiguous ascending run (or the
-/// identity). Kernels use this to replace gathers with linear loads.
-/// An all-rows selection reaches the kernels as the null identity and
-/// returns at once; an explicit list is settled by the endpoint test
-/// in O(1) when it is not a run. A permuted selection (the executor
-/// gathers through ORDER BY-sorted row lists) can alias that test, so
-/// a positive endpoint test is verified element-wise — a branch-free
-/// 8-wide loop that vectorizes, and permutations that pass the
-/// endpoint test fail it within a block.
-inline bool DenseRows(const uint32_t* rows, size_t n) {
-  if (rows == nullptr || n == 0) return true;
-  if (static_cast<uint64_t>(rows[n - 1]) - rows[0] + 1 != n) return false;
-  const uint32_t r0 = rows[0];
-  size_t i = 1;
-  for (; i + 8 <= n; i += 8) {
-    uint32_t d = 0;
-    for (size_t j = 0; j < 8; ++j) {
-      d |= rows[i + j] ^ (r0 + static_cast<uint32_t>(i + j));
-    }
-    if (d != 0) return false;
-  }
-  for (; i < n; ++i) {
-    if (rows[i] != r0 + static_cast<uint32_t>(i)) return false;
-  }
-  return true;
 }
 
 /// One instruction-set's implementation of every executor kernel.
@@ -186,14 +146,16 @@ struct KernelTable {
 };
 
 /// The always-available scalar table (also the parity reference).
-const KernelTable& ScalarKernels();
+/// noexcept: the AVX2 table copies it in a static initializer, which
+/// would otherwise need the C++ exception personality, a weak symbol.
+const KernelTable& ScalarKernels() noexcept;
 
 /// Table for a specific level, or nullptr when that level was not
 /// compiled in or cannot run on this CPU.
 const KernelTable* KernelsFor(SimdIsa isa);
 
 /// The table the executor uses: best compiled+supported level, unless
-/// MOSAIC_SIMD overrides (0/off/scalar, avx2, or auto).
+/// MOSAIC_SIMD=0 (or off/scalar) forces the scalar table.
 /// Resolved once, cached for the process.
 const KernelTable& ActiveKernels();
 

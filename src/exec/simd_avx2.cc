@@ -1,10 +1,16 @@
-// AVX2 kernel table: 4x f64 / 8x i32 lanes, hardware gathers, and
-// LUT-driven left-packing compaction. Compiled with -mavx2 -mbmi2 on
-// x86-64 (per-file flags in CMakeLists.txt); every kernel is
-// bit-identical to the scalar reference, including NaN predicates
-// (ordered/unordered compare immediates chosen to match C semantics)
-// and int64->double conversion (exact in-range fast path, scalar
-// convert per 4-lane block otherwise).
+// AVX2 kernel table: the scalar table, with every entry but two
+// overridden by either a hand-written kernel (4x f64 / 8x i32 lanes,
+// hardware gathers, LUT-driven left-packing compaction) or this
+// file's own -mavx2 -O3 compile of the scalar reference body, which
+// GCC and Clang vectorize. An intrinsic kernel, or a branch of one,
+// stays only where it measured at least 1.2x faster than that compile
+// on a selection shape the executor sends (README, "SIMD execution").
+// Compiled with -mavx2 -mbmi2 -O3 on x86-64 (per-file flags in
+// CMakeLists.txt); every kernel is bit-identical to the scalar
+// reference, including NaN predicates (ordered/unordered compare
+// immediates chosen to match C semantics) and int64->double
+// conversion (exact in-range fast path, scalar convert per 4-lane
+// block otherwise).
 #include "exec/simd_internal.h"
 
 #if defined(__AVX2__)
@@ -93,14 +99,6 @@ inline __m256i LoadI64(const int64_t* base, const uint32_t* rows, size_t i) {
   }
   return _mm256_i32gather_epi64(
       reinterpret_cast<const long long*>(base), LoadRows4(rows, i), 8);
-}
-
-template <bool Dense>
-inline __m256i LoadI32(const int32_t* base, const uint32_t* rows, size_t i) {
-  if (Dense) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + i));
-  }
-  return _mm256_i32gather_epi32(base, LoadRows8(rows, i), 4);
 }
 
 // --- comparison loops ------------------------------------------------------
@@ -266,42 +264,37 @@ void MaskBetweenF64(const double* base, const uint32_t* rows, size_t n,
   ref::MaskBetweenF64(base, rows + main, n - main, lo, hi, out + main);
 }
 
-template <bool Dense>
-void BetweenI64Loop(const int64_t* base, const uint32_t* rows, size_t n,
-                    double lo, double hi, uint8_t* out) {
+void BetweenI64Loop(const int64_t* base, size_t n, double lo, double hi,
+                    uint8_t* out) {
   const __m256d vlo = _mm256_set1_pd(lo);
   const __m256d vhi = _mm256_set1_pd(hi);
   for (size_t i = 0; i + 4 <= n; i += 4) {
-    const __m256d v = CvtI64F64(LoadI64<Dense>(base, rows, i));
+    const __m256d v = CvtI64F64(LoadI64<true>(base, nullptr, i));
     const __m256d m = _mm256_and_pd(_mm256_cmp_pd(v, vlo, _CMP_GE_OQ),
                                     _mm256_cmp_pd(v, vhi, _CMP_LE_OQ));
     StoreMaskBytes4(out + i, _mm256_movemask_pd(m));
   }
 }
 
+/// Linear loads only: over a gathered row list the compiled reference
+/// is at least as fast.
 void MaskBetweenI64(const int64_t* base, const uint32_t* rows, size_t n,
                     double lo, double hi, uint8_t* out) {
-  const size_t main = n & ~size_t{3};
-  if (DenseRows(rows, n)) {
-    const int64_t* b = base + (rows != nullptr && n > 0 ? rows[0] : 0);
-    BetweenI64Loop<true>(b, nullptr, n, lo, hi, out);
-    ref::MaskBetweenI64(b + main, nullptr, n - main, lo, hi, out + main);
-    return;
-  }
-  if (!RowsFitGather(rows, n)) {
+  if (!DenseRows(rows, n)) {
     ref::MaskBetweenI64(base, rows, n, lo, hi, out);
     return;
   }
-  BetweenI64Loop<false>(base, rows, n, lo, hi, out);
-  ref::MaskBetweenI64(base, rows + main, n - main, lo, hi, out + main);
+  const size_t main = n & ~size_t{3};
+  const int64_t* b = base + (rows != nullptr && n > 0 ? rows[0] : 0);
+  BetweenI64Loop(b, n, lo, hi, out);
+  ref::MaskBetweenI64(b + main, nullptr, n - main, lo, hi, out + main);
 }
 
-template <bool Dense>
-void CmpCodesLoop(const int32_t* base, const uint32_t* rows, size_t n,
-                  int32_t code, unsigned flip, uint8_t* out) {
+void CmpCodesGatherLoop(const int32_t* base, const uint32_t* rows, size_t n,
+                        int32_t code, unsigned flip, uint8_t* out) {
   const __m256i vcode = _mm256_set1_epi32(code);
   for (size_t i = 0; i + 8 <= n; i += 8) {
-    const __m256i v = LoadI32<Dense>(base, rows, i);
+    const __m256i v = _mm256_i32gather_epi32(base, LoadRows8(rows, i), 4);
     const unsigned bits =
         static_cast<unsigned>(_mm256_movemask_ps(
             _mm256_castsi256_ps(_mm256_cmpeq_epi32(v, vcode)))) ^
@@ -310,22 +303,21 @@ void CmpCodesLoop(const int32_t* base, const uint32_t* rows, size_t n,
   }
 }
 
+/// Gathers only: a contiguous run is the compiled reference's linear
+/// loop, which the compiler vectorizes as well as by hand.
 void MaskCmpCodes(const int32_t* base, const uint32_t* rows, size_t n,
                   int32_t code, bool want_eq, uint8_t* out) {
-  const size_t main = n & ~size_t{7};
-  const unsigned flip = want_eq ? 0u : 0xFFu;
   if (DenseRows(rows, n)) {
     const int32_t* b = base + (rows != nullptr && n > 0 ? rows[0] : 0);
-    CmpCodesLoop<true>(b, nullptr, n, code, flip, out);
-    ref::MaskCmpCodes(b + main, nullptr, n - main, code, want_eq,
-                      out + main);
+    ref::MaskCmpCodes(b, nullptr, n, code, want_eq, out);
     return;
   }
   if (!RowsFitGather(rows, n)) {
     ref::MaskCmpCodes(base, rows, n, code, want_eq, out);
     return;
   }
-  CmpCodesLoop<false>(base, rows, n, code, flip, out);
+  const size_t main = n & ~size_t{7};
+  CmpCodesGatherLoop(base, rows, n, code, want_eq ? 0u : 0xFFu, out);
   ref::MaskCmpCodes(base, rows + main, n - main, code, want_eq, out + main);
 }
 
@@ -342,19 +334,6 @@ void MaskInF64(const double* vals, size_t n, const double* items, size_t k,
     StoreMaskBytes4(out + i, _mm256_movemask_pd(acc));
   }
   ref::MaskInF64(vals + i, n - i, items, k, out + i);
-}
-
-void MaskNot(uint8_t* mask, size_t n) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i one = _mm256_set1_epi8(1);
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    __m256i* p = reinterpret_cast<__m256i*>(mask + i);
-    const __m256i v = _mm256_loadu_si256(p);
-    _mm256_storeu_si256(
-        p, _mm256_and_si256(_mm256_cmpeq_epi8(v, zero), one));
-  }
-  ref::MaskNot(mask + i, n - i);
 }
 
 size_t CompactRows(const uint32_t* rows, const uint8_t* mask, uint8_t want,
@@ -386,40 +365,6 @@ size_t CompactRows(const uint32_t* rows, const uint8_t* mask, uint8_t want,
     k += (mask[i] == want);
   }
   return k;
-}
-
-void GatherF64(const double* base, const uint32_t* rows, size_t n,
-               double* out) {
-  const bool dense = DenseRows(rows, n);
-  if (dense || !RowsFitGather(rows, n)) {
-    ref::GatherF64(rows != nullptr && n > 0 && dense ? base + rows[0] : base,
-              dense ? nullptr : rows, n, out);
-    return;
-  }
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i,
-                     _mm256_i32gather_pd(base, LoadRows4(rows, i), 8));
-  }
-  for (; i < n; ++i) out[i] = base[rows[i]];
-}
-
-void GatherI64(const int64_t* base, const uint32_t* rows, size_t n,
-               int64_t* out) {
-  const bool dense = DenseRows(rows, n);
-  if (dense || !RowsFitGather(rows, n)) {
-    ref::GatherI64(rows != nullptr && n > 0 && dense ? base + rows[0] : base,
-              dense ? nullptr : rows, n, out);
-    return;
-  }
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm256_i32gather_epi64(reinterpret_cast<const long long*>(base),
-                               LoadRows4(rows, i), 8));
-  }
-  for (; i < n; ++i) out[i] = base[rows[i]];
 }
 
 void GatherI32(const int32_t* base, const uint32_t* rows, size_t n,
@@ -464,79 +409,16 @@ void GatherI64F64(const int64_t* base, const uint32_t* rows, size_t n,
   ref::GatherI64F64(base, rows + main, n - main, out + main);
 }
 
-void WidenU32U64(const uint32_t* codes, size_t n, uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_cvtepu32_epi64(LoadRows4(codes, i)));
-  }
-  for (; i < n; ++i) out[i] = codes[i];
-}
-
-void PackMulAdd(uint64_t* acc, const uint32_t* codes, uint64_t card,
-                size_t n) {
-  // 64x32 multiply from two 32x32 halves (card < 2^32).
-  const __m256i vcard = _mm256_set1_epi64x(static_cast<long long>(card));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    const __m256i lo = _mm256_mul_epu32(a, vcard);
-    const __m256i hi = _mm256_mul_epu32(_mm256_srli_epi64(a, 32), vcard);
-    const __m256i prod = _mm256_add_epi64(lo, _mm256_slli_epi64(hi, 32));
-    const __m256i c = _mm256_cvtepu32_epi64(LoadRows4(codes, i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                        _mm256_add_epi64(prod, c));
-  }
-  for (; i < n; ++i) acc[i] = acc[i] * card + codes[i];
-}
-
-inline __m256i HashVec(__m256i x) {
-  constexpr uint64_t kC = 0x9E3779B97F4A7C15ull;
-  const __m256i clo =
-      _mm256_set1_epi64x(static_cast<long long>(kC & 0xffffffffull));
-  const __m256i chi = _mm256_set1_epi64x(static_cast<long long>(kC >> 32));
-  x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 33));
-  // 64-bit mullo by constant: lo*Clo + ((lo*Chi + hi*Clo) << 32).
-  const __m256i lo = _mm256_mul_epu32(x, clo);
-  const __m256i mid =
-      _mm256_add_epi64(_mm256_mul_epu32(x, chi),
-                       _mm256_mul_epu32(_mm256_srli_epi64(x, 32), clo));
-  x = _mm256_add_epi64(lo, _mm256_slli_epi64(mid, 32));
-  return _mm256_xor_si256(x, _mm256_srli_epi64(x, 29));
-}
-
-void HashU64Batch(const uint64_t* keys, size_t n, uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i k =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), HashVec(k));
-  }
-  ref::HashU64Batch(keys + i, n - i, out + i);
-}
-
-void HashF64Batch(const double* vals, size_t n, uint64_t* out) {
-  const __m256d zero = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(vals + i);
-    // Canonicalize: lanes equal to 0.0 (that includes -0.0; NaN
-    // compares false and keeps its bits) hash as bit pattern 0.
-    const __m256d is_zero = _mm256_cmp_pd(v, zero, _CMP_EQ_OQ);
-    const __m256i bits = _mm256_andnot_si256(_mm256_castpd_si256(is_zero),
-                                             _mm256_castpd_si256(v));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), HashVec(bits));
-  }
-  ref::HashF64Batch(vals + i, n - i, out + i);
-}
-
 }  // namespace
 
 const KernelTable* Avx2KernelsOrNull() {
   static const KernelTable table = [] {
-    KernelTable t = MakeScalarTable();
+    // mask_table_codes and gather_b8_f64 keep the baseline entries:
+    // byte-granular lookups have no AVX2 gather form worth the setup,
+    // and this file's compile of MaskTableCodes measured slower.
+    KernelTable t = ScalarKernels();
     t.isa = SimdIsa::kAvx2;
+    // Hand-written kernels.
     t.mask_cmp_f64 = &MaskCmpF64;
     t.mask_cmp_i64 = &MaskCmpI64;
     t.mask_cmp_f64_pair = &MaskCmpF64Pair;
@@ -544,18 +426,17 @@ const KernelTable* Avx2KernelsOrNull() {
     t.mask_between_i64 = &MaskBetweenI64;
     t.mask_cmp_codes = &MaskCmpCodes;
     t.mask_in_f64 = &MaskInF64;
-    t.mask_not = &MaskNot;
     t.compact_rows = &CompactRows;
-    t.gather_f64 = &GatherF64;
     t.gather_i64_f64 = &GatherI64F64;
-    t.gather_i64 = &GatherI64;
     t.gather_i32 = &GatherI32;
-    t.widen_u32_u64 = &WidenU32U64;
-    t.pack_mul_add = &PackMulAdd;
-    t.hash_u64 = &HashU64Batch;
-    t.hash_f64 = &HashF64Batch;
-    // mask_table_codes / gather_b8_f64 stay scalar: byte-granular
-    // table lookups have no AVX2 gather form worth the setup.
+    // The reference bodies, compiled here for AVX2.
+    t.mask_not = &ref::MaskNot;
+    t.gather_f64 = &ref::GatherF64;
+    t.gather_i64 = &ref::GatherI64;
+    t.widen_u32_u64 = &ref::WidenU32U64;
+    t.pack_mul_add = &ref::PackMulAdd;
+    t.hash_u64 = &ref::HashU64Batch;
+    t.hash_f64 = &ref::HashF64Batch;
     return t;
   }();
   return &table;

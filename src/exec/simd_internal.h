@@ -1,5 +1,13 @@
 // Shared internals for the per-ISA kernel translation units. Not part
 // of the public simd.h surface.
+//
+// Everything below the table getters has internal linkage (an unnamed
+// namespace): each kernel file compiles its own private copy with its
+// own ISA flags. An `inline` function with external linkage would be
+// emitted as a weak symbol by every file that does not inline it, and
+// the linker would keep one copy for all of them — possibly the one
+// compiled with -mavx2, which then runs behind the scalar table. The
+// simd_avx2_linkage ctest keeps simd_avx2.cc free of such symbols.
 #ifndef MOSAIC_EXEC_SIMD_INTERNAL_H_
 #define MOSAIC_EXEC_SIMD_INTERNAL_H_
 
@@ -18,6 +26,55 @@ namespace internal {
 /// (so ISA-specific compile flags stay per-file). A getter returns
 /// nullptr when its level is not compiled for this target.
 const KernelTable* Avx2KernelsOrNull();
+
+namespace {
+
+/// Reference comparison — the single definition of predicate
+/// semantics every kernel (scalar and vector) must reproduce.
+inline bool CmpApply(CmpOp op, double l, double r) {
+  switch (op) {
+    case CmpOp::kEq:
+      return l == r;
+    case CmpOp::kNe:
+      return l != r;
+    case CmpOp::kLt:
+      return l < r;
+    case CmpOp::kLe:
+      return l <= r;
+    case CmpOp::kGt:
+      return l > r;
+    case CmpOp::kGe:
+      return l >= r;
+  }
+  return false;
+}
+
+/// True when `rows` denotes a contiguous ascending run (or the
+/// identity). Kernels use this to replace gathers with linear loads.
+/// An all-rows selection reaches the kernels as the null identity and
+/// returns at once; an explicit list is settled by the endpoint test
+/// in O(1) when it is not a run. A permuted selection (the executor
+/// gathers through ORDER BY-sorted row lists) can alias that test, so
+/// a positive endpoint test is verified element-wise — a branch-free
+/// 8-wide loop that vectorizes, and permutations that pass the
+/// endpoint test fail it within a block.
+inline bool DenseRows(const uint32_t* rows, size_t n) {
+  if (rows == nullptr || n == 0) return true;
+  if (static_cast<uint64_t>(rows[n - 1]) - rows[0] + 1 != n) return false;
+  const uint32_t r0 = rows[0];
+  size_t i = 1;
+  for (; i + 8 <= n; i += 8) {
+    uint32_t d = 0;
+    for (size_t j = 0; j < 8; ++j) {
+      d |= rows[i + j] ^ (r0 + static_cast<uint32_t>(i + j));
+    }
+    if (d != 0) return false;
+  }
+  for (; i < n; ++i) {
+    if (rows[i] != r0 + static_cast<uint32_t>(i)) return false;
+  }
+  return true;
+}
 
 /// Spread the low 4 bits of `bits` into 4 bytes (0/1 each) at `out`.
 /// Single multiply: bit j lands on byte j's LSB with no carry
@@ -54,8 +111,10 @@ inline bool RowsFitGather(const uint32_t* rows, size_t n) {
   return (m & 0x80000000u) == 0;
 }
 
-/// Scalar reference bodies, shared verbatim by the scalar table and
-/// by wider tables for the kernels they do not accelerate.
+/// Scalar reference bodies: the whole scalar table, and the tails and
+/// fallbacks of the hand-written kernels. A wider table that has no
+/// intrinsic kernel for an entry points it at its own compile of the
+/// body here, so the compiler vectorizes it for that ISA.
 namespace ref {
 
 inline void MaskCmpF64(const double* base, const uint32_t* rows, size_t n,
@@ -233,32 +292,7 @@ inline void HashF64Batch(const double* vals, size_t n, uint64_t* out) {
 
 }  // namespace ref
 
-/// A table with every entry pointing at the scalar reference —
-/// wider ISAs copy this and overwrite what they accelerate.
-inline KernelTable MakeScalarTable() {
-  KernelTable t;
-  t.isa = SimdIsa::kScalar;
-  t.mask_cmp_f64 = &ref::MaskCmpF64;
-  t.mask_cmp_i64 = &ref::MaskCmpI64;
-  t.mask_cmp_f64_pair = &ref::MaskCmpF64Pair;
-  t.mask_between_f64 = &ref::MaskBetweenF64;
-  t.mask_between_i64 = &ref::MaskBetweenI64;
-  t.mask_cmp_codes = &ref::MaskCmpCodes;
-  t.mask_table_codes = &ref::MaskTableCodes;
-  t.mask_in_f64 = &ref::MaskInF64;
-  t.mask_not = &ref::MaskNot;
-  t.compact_rows = &ref::CompactRows;
-  t.gather_f64 = &ref::GatherF64;
-  t.gather_i64_f64 = &ref::GatherI64F64;
-  t.gather_b8_f64 = &ref::GatherB8F64;
-  t.gather_i64 = &ref::GatherI64;
-  t.gather_i32 = &ref::GatherI32;
-  t.widen_u32_u64 = &ref::WidenU32U64;
-  t.pack_mul_add = &ref::PackMulAdd;
-  t.hash_u64 = &ref::HashU64Batch;
-  t.hash_f64 = &ref::HashF64Batch;
-  return t;
-}
+}  // namespace
 
 }  // namespace internal
 }  // namespace simd

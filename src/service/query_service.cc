@@ -195,10 +195,12 @@ Result<Table> QueryService::SessionsTable() {
   MutexLock lock(sessions_mu_);
   for (auto it = sessions_.begin(); it != sessions_.end();) {
     if (auto state = it->second.lock()) {
-      MOSAIC_RETURN_IF_ERROR(out.AppendRow(
-          {Value(static_cast<int64_t>(state->id)),
-           Value(static_cast<int64_t>(
-               state->submitted.load(std::memory_order_relaxed)))}));
+      // Named locals, not casts inside the braced list: GCC 12 reports
+      // that list's Value temporaries as maybe-uninitialized strings.
+      const auto id = static_cast<int64_t>(state->id);
+      const auto submitted = static_cast<int64_t>(
+          state->submitted.load(std::memory_order_relaxed));
+      MOSAIC_RETURN_IF_ERROR(out.AppendRow({Value(id), Value(submitted)}));
       ++it;
     } else {
       // All handles gone without CloseSession: drop lazily.

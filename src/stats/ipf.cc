@@ -214,7 +214,7 @@ namespace stats {
 
 [[nodiscard]] Result<IpfReport> IncrementalProportionalFit(
     const Table& sample, const std::vector<Marginal>& marginals,
-    const std::vector<double>& previous_weights,
+    const std::vector<double>& previous_weights, double regress_threshold,
     std::vector<double>* weights, const IpfOptions& options) {
   if (weights == nullptr) {
     return Status::InvalidArgument("weights must be non-null");
@@ -229,25 +229,13 @@ namespace stats {
   // the new rows perturbed to be re-raked.
   std::vector<double> warm(previous_weights);
   warm.resize(sample.num_rows(), 1.0);
-  IpfOptions warm_opts = options;
-  if (options.incremental_max_iterations > 0) {
-    warm_opts.max_iterations = options.incremental_max_iterations;
-  }
   auto warm_result =
-      IterativeProportionalFit(sample, marginals, &warm, warm_opts);
+      IterativeProportionalFit(sample, marginals, &warm, options);
   size_t warm_iterations = 0;
   if (warm_result.ok()) {
     IpfReport report = warm_result.value();
     report.warm_started = true;
-    // With a threshold the warm fit is judged by its exit error alone
-    // — uncovered marginal mass can put a floor under the achievable
-    // error that keeps `converged` false for cold fits too, and a
-    // warm fit plateauing at the same floor is no regression. Without
-    // one, fall back whenever the warm fit failed to converge.
-    bool regressed = options.incremental_regress_threshold > 0.0
-                         ? report.max_l1_error >
-                               options.incremental_regress_threshold
-                         : !report.converged;
+    const bool regressed = report.max_l1_error > regress_threshold;
     if (!regressed) {
       *weights = std::move(warm);
       return report;

@@ -39,17 +39,6 @@ struct IpfOptions {
   /// marginal total — i.e. the weighted sample represents the
   /// population size, not the sample size.
   bool scale_to_population = true;
-  /// Knobs for IncrementalProportionalFit (warm-started refits on
-  /// sample ingest). Cycle budget for the warm attempt; 0 uses
-  /// max_iterations.
-  size_t incremental_max_iterations = 0;
-  /// Fall back to a cold full refit when the warm-started fit exits
-  /// with max_l1_error above this. When set it replaces the converged
-  /// flag as the acceptance test: a fit that never converges (one
-  /// that plateaus above its floors at the cycle budget) can still
-  /// be as good warm as cold. 0 falls back only when the warm fit
-  /// failed to converge.
-  double incremental_regress_threshold = 0.0;
 };
 
 struct IpfReport {
@@ -71,9 +60,9 @@ struct IpfReport {
   /// (the returned weights are cold-seeded anyway when
   /// fell_back_to_cold is also set).
   bool warm_started = false;
-  /// Set when the warm-started fit regressed past the threshold (or
-  /// failed to converge) and a cold full refit ran instead;
-  /// iterations then counts both attempts.
+  /// Set when the warm-started fit regressed past the threshold and a
+  /// cold full refit ran instead; iterations then counts both
+  /// attempts.
   bool fell_back_to_cold = false;
 };
 
@@ -89,13 +78,15 @@ struct IpfReport {
 /// epoch's fitted weights (`previous_weights`, covering the first
 /// rows of `sample`; newly ingested rows start at 1) instead of a
 /// cold all-ones start. Near-fitted seeds converge in a fraction of
-/// the cold cycle count. If the warm attempt fails to converge — or
-/// exits above options.incremental_regress_threshold — the function
-/// falls back to a cold full refit so the result is never worse than
-/// IterativeProportionalFit. `weights` receives the fitted weights.
+/// the cold cycle count. The warm fit is judged by its exit error
+/// alone: when it fails, or exits with max_l1_error above
+/// `regress_threshold`, the function falls back to a cold full refit.
+/// Convergence is not the test — uncovered marginal mass can keep a
+/// cold fit from converging too, and a warm fit plateauing at the
+/// same error is no regression. `weights` receives the fitted weights.
 [[nodiscard]] Result<IpfReport> IncrementalProportionalFit(
     const Table& sample, const std::vector<Marginal>& marginals,
-    const std::vector<double>& previous_weights,
+    const std::vector<double>& previous_weights, double regress_threshold,
     std::vector<double>* weights, const IpfOptions& options = {});
 
 }  // namespace stats

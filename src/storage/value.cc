@@ -136,6 +136,8 @@ bool IsNumeric(DataType t) {
 }
 }  // namespace
 
+Value& Value::operator=(Value&& other) noexcept = default;
+
 bool Value::operator==(const Value& other) const {
   if (is_null() || other.is_null()) return is_null() && other.is_null();
   if (IsNumeric(type_) && IsNumeric(other.type_)) {

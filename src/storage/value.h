@@ -38,6 +38,15 @@ class Value {
       : type_(DataType::kString), data_(std::string(v)) {}
   explicit Value(bool v) : type_(DataType::kBool), data_(v) {}
 
+  Value(const Value&) = default;
+  Value(Value&&) noexcept = default;
+  Value& operator=(const Value&) = default;
+  /// Out of line: inlined into `row[i] = Value(...)`, the variant's
+  /// move-assign visits every alternative of the temporary, and GCC 12
+  /// then reports its never-built string as maybe-uninitialized.
+  Value& operator=(Value&& other) noexcept;
+  ~Value() = default;
+
   static Value Null() { return Value(); }
 
   DataType type() const { return type_; }

@@ -324,24 +324,17 @@ Result<IpfReport> ReferenceIpf(const Table& sample,
 Result<IpfReport> ReferenceIncremental(const Table& sample,
                                        const std::vector<Marginal>& marginals,
                                        const std::vector<double>& previous,
+                                       double regress_threshold,
                                        std::vector<double>* weights,
                                        const IpfOptions& options) {
   std::vector<double> warm(previous);
   warm.resize(sample.num_rows(), 1.0);
-  IpfOptions warm_opts = options;
-  if (options.incremental_max_iterations > 0) {
-    warm_opts.max_iterations = options.incremental_max_iterations;
-  }
-  auto warm_result = ReferenceIpf(sample, marginals, &warm, warm_opts);
+  auto warm_result = ReferenceIpf(sample, marginals, &warm, options);
   size_t warm_iterations = 0;
   if (warm_result.ok()) {
     IpfReport report = *warm_result;
     report.warm_started = true;
-    bool regressed = options.incremental_regress_threshold > 0.0
-                         ? report.max_l1_error >
-                               options.incremental_regress_threshold
-                         : !report.converged;
-    if (!regressed) {
+    if (!(report.max_l1_error > regress_threshold)) {
       *weights = std::move(warm);
       return report;
     }
@@ -552,26 +545,22 @@ TEST_F(IpfKernelParity, WarmRefitAfterAppendingRows) {
   Table grown = Extended(40);
 
   // Accepted warm fit (threshold as the ingest path sets it), then a
-  // threshold no fit reaches (cold fallback), then the convergence
-  // rule with a short warm budget.
-  IpfOptions accept = opts;
-  accept.incremental_regress_threshold =
-      2.0 * first->max_l1_error + opts.tolerance;
-  IpfOptions reject = opts;
-  reject.incremental_regress_threshold = 1e-300;
-  IpfOptions by_convergence = opts;
-  by_convergence.incremental_max_iterations = 5;
-  for (const IpfOptions& o : {accept, reject, by_convergence}) {
+  // threshold no fit reaches (cold fallback).
+  const double accept = 2.0 * first->max_l1_error + opts.tolerance;
+  const double reject = 1e-300;
+  for (const double threshold : {accept, reject}) {
     std::vector<double> w, ref_w;
-    auto got = IncrementalProportionalFit(grown, margs, fitted, &w, o);
-    auto want = ReferenceIncremental(grown, margs, fitted, &ref_w, o);
+    auto got =
+        IncrementalProportionalFit(grown, margs, fitted, threshold, &w, opts);
+    auto want =
+        ReferenceIncremental(grown, margs, fitted, threshold, &ref_w, opts);
     ExpectSameFit(got, w, want, ref_w);
   }
   std::vector<double> w, ref_w;
-  auto got = IncrementalProportionalFit(grown, margs, fitted, &w, accept);
+  auto got = IncrementalProportionalFit(grown, margs, fitted, accept, &w, opts);
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(got->fell_back_to_cold);
-  got = IncrementalProportionalFit(grown, margs, fitted, &w, reject);
+  got = IncrementalProportionalFit(grown, margs, fitted, reject, &w, opts);
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got->fell_back_to_cold);
 }

@@ -130,9 +130,12 @@ TEST(IncrementalIpf, WarmStartConvergesNoSlowerThanCold) {
   Table grown = f.sample;
   ASSERT_TRUE(grown.AppendRow({Value("x"), Value("p")}).ok());
   ASSERT_TRUE(grown.AppendRow({Value("y"), Value("q")}).ok());
+  // The threshold the ingest path sets: twice the outgoing error.
+  const double threshold =
+      2.0 * cold->max_l1_error + stats::IpfOptions().tolerance;
   std::vector<double> warm_weights;
   auto warm = stats::IncrementalProportionalFit(grown, f.marginals, fitted,
-                                                &warm_weights);
+                                                threshold, &warm_weights);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm->warm_started);
   EXPECT_FALSE(warm->fell_back_to_cold);
@@ -156,11 +159,10 @@ TEST(IncrementalIpf, RegressThresholdFallsBackToColdBitIdentically) {
 
   // An impossible regress threshold forces the fallback; the result
   // must be exactly what a cold fit computes.
-  stats::IpfOptions opts;
-  opts.incremental_regress_threshold = 1e-300;
   std::vector<double> warm_weights;
   auto report = stats::IncrementalProportionalFit(grown, f.marginals, fitted,
-                                                  &warm_weights, opts);
+                                                  /*regress_threshold=*/1e-300,
+                                                  &warm_weights);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->fell_back_to_cold);
   std::vector<double> cold_weights(grown.num_rows(), 1.0);

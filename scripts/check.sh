@@ -326,22 +326,6 @@ for name, want_latency in [("BENCH_executor.json", True),
 EOF
 )
 
-# Latency regression gate: diff this run's BENCH_*.json against the
-# saved baseline set and fail on >20% p50 regressions. The first run
-# on a machine seeds the baseline (nothing to compare against yet);
-# refresh it by deleting bench-baseline/ after an intentional perf
-# change. A self-comparison runs either way so the comparator itself
-# is exercised on every CI pass.
-echo "=== Release: bench latency regression gate ==="
-python3 scripts/bench_compare.py build-release build-release
-if [[ -d bench-baseline ]]; then
-  python3 scripts/bench_compare.py bench-baseline build-release
-else
-  mkdir -p bench-baseline
-  cp build-release/BENCH_*.json bench-baseline/
-  echo "bench-baseline/ seeded from this run; gate active on the next run"
-fi
-
 run_suite "ASan" build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DMOSAIC_SANITIZE=address
 run_server_e2e "ASan" build-asan
@@ -366,6 +350,24 @@ if [[ "${1:-}" != "fast" ]]; then
   MOSAIC_TRACE=1 ctest --test-dir build-tsan \
     --output-on-failure \
     -R 'test_(thread_pool|lru_cache|service|sql_fuzz|net_e2e|weight_epochs|metrics_registry|system_tables|event_log)'
+fi
+
+# Latency regression gate: diff this run's BENCH_*.json against the
+# saved baseline set and fail on >20% p50 regressions. The first run
+# on a machine seeds the baseline (nothing to compare against yet);
+# refresh it by deleting bench-baseline/ after an intentional perf
+# change. A self-comparison runs either way so the comparator itself
+# is exercised on every CI pass. The gate runs last, after the
+# sanitizer legs: a failing gate still fails the script, but no longer
+# stops those legs from running.
+echo "=== Release: bench latency regression gate ==="
+python3 scripts/bench_compare.py build-release build-release
+if [[ -d bench-baseline ]]; then
+  python3 scripts/bench_compare.py bench-baseline build-release
+else
+  mkdir -p bench-baseline
+  cp build-release/BENCH_*.json bench-baseline/
+  echo "bench-baseline/ seeded from this run; gate active on the next run"
 fi
 
 echo "All checks passed."

@@ -29,6 +29,12 @@ Enforces conventions the compilers cannot (portably) check:
                       test- and bench-only research library
                       (`research/...`: the alternative OPEN engines and
                       distribution metrics).
+  answer-path-boundary
+                      Each answer path keeps its engine behind its own
+                      module: within src/, only core/open_world.* and
+                      core/mswg.cc include core/mswg.h (OPEN), and only
+                      core/semi_open.* and stats/ include stats/ipf.h
+                      (SEMI-OPEN).
 
 Suppression: append `// lint:allow <rule>: <justification>` to the
 offending line (or place it alone on the line above). The justification
@@ -53,6 +59,7 @@ RULES = (
     "bare-nolint",
     "oracle-in-src",
     "research-in-src",
+    "answer-path-boundary",
 )
 
 # Files whose payload decoding is subject to wire-pointer-arith. Paths
@@ -311,6 +318,38 @@ def check_research_in_src(path, lines, findings):
                          "src/ must not include the research library")
 
 
+# Engine header -> (the src/-relative files, or directory prefixes
+# ending in "/", allowed to include it; the module it belongs to).
+ANSWER_PATH_HEADERS = {
+    "core/mswg.h": (("core/open_world.h", "core/open_world.cc",
+                     "core/mswg.cc"), "OPEN (core/open_world)"),
+    "stats/ipf.h": (("core/semi_open.h", "core/semi_open.cc", "stats/"),
+                    "SEMI-OPEN (core/semi_open)"),
+}
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*["<]([^">]+)[">]')
+
+
+def check_answer_path_boundary(path, lines, findings):
+    parts = Path(path).parts
+    if "src" not in parts:
+        return
+    # Relative to the innermost src/ (fixture trees nest their own).
+    src_at = len(parts) - 1 - parts[::-1].index("src")
+    rel = "/".join(parts[src_at + 1:])
+    for i, line in enumerate(lines):
+        m = INCLUDE_RE.match(line)
+        if m is None or m.group(1) not in ANSWER_PATH_HEADERS:
+            continue
+        allowed_in, module = ANSWER_PATH_HEADERS[m.group(1)]
+        if any(rel == a or (a.endswith("/") and rel.startswith(a))
+               for a in allowed_in):
+            continue
+        if not allowed(lines, i, "answer-path-boundary", findings, path):
+            findings.add(path, i + 1, "answer-path-boundary",
+                         "%s belongs to the %s module; go through it"
+                         % (m.group(1), module))
+
+
 def lint_file(path, findings):
     try:
         text = Path(path).read_text()
@@ -325,6 +364,7 @@ def lint_file(path, findings):
     check_bare_nolint(path, lines, findings)
     check_oracle_in_src(path, lines, findings)
     check_research_in_src(path, lines, findings)
+    check_answer_path_boundary(path, lines, findings)
 
 
 def collect(paths):

@@ -113,6 +113,31 @@ def main():
             "two research includes in src/ must give 2 research-in-src "
             "findings (got %s)" % findings)
 
+    # --- each answer path keeps its engine behind its module --------
+    with tempfile.TemporaryDirectory() as td:
+        src = Path(td) / "src"
+        files = {
+            # Leaks: two engine includes outside their modules.
+            "core/leak.cc": '#include "core/mswg.h"\n'
+                            '#include "stats/ipf.h"\n',
+            # The modules themselves, M-SWG's own source and stats/
+            # may include them.
+            "core/open_world.h": '#include "core/mswg.h"\n',
+            "core/mswg.cc": '#include "core/mswg.h"\n',
+            "core/semi_open.cc": '#include "stats/ipf.h"\n',
+            "stats/marginal.cc": '#include "stats/ipf.h"\n',
+        }
+        for rel, text in files.items():
+            (src / rel).parent.mkdir(parents=True, exist_ok=True)
+            (src / rel).write_text(text)
+        rc, findings = run_lint(src)
+        failures += expect(rc == 1, "answer-path leak must exit 1")
+        failures += expect(
+            Counter(findings) ==
+            Counter({("leak.cc", "answer-path-boundary"): 2}),
+            "engine includes outside their modules must give exactly 2 "
+            "answer-path-boundary findings (got %s)" % findings)
+
     # --- the real tree is clean (the repo invariant itself) ---------
     rc, findings = run_lint(ROOT / "src")
     failures += expect(

@@ -7,7 +7,7 @@
 //   - the request pool runs whole statements, one statement per
 //     task, fanned out from sessions and the network server;
 //   - the generation pool produces an OPEN query's generated samples
-//     in parallel (core::Database::set_generation_pool).
+//     in parallel (core::OpenWorld, core/open_world.h).
 // They are two pools because a request task blocks on the futures of
 // its generation tasks. Were those queued on the request pool, every
 // worker could end up waiting on work queued behind itself, and the

@@ -1,6 +1,8 @@
 #include "core/catalog.h"
 
 #include "common/string_util.h"
+#include "exec/batch_eval.h"
+#include "exec/executor.h"
 
 namespace mosaic {
 namespace core {
@@ -172,6 +174,43 @@ std::vector<std::string> Catalog::TableNames() const {
     out.push_back(key);
   }
   return out;
+}
+
+[[nodiscard]] Result<TableView> MakeWeightedView(
+    const Table& data, const std::vector<double>& weights) {
+  if (data.schema().FindColumn(kWeightColumn)) {
+    return Status::InvalidArgument(
+        "relation already has a 'weight' column; it clashes with Mosaic's "
+        "managed weights");
+  }
+  TableView view(data);
+  MOSAIC_RETURN_IF_ERROR(
+      view.AddDoubleSpan(kWeightColumn, weights.data(), weights.size()));
+  return view;
+}
+
+[[nodiscard]] Result<SelectionVector> SelectWhere(
+    const TableView& view, const sql::Expr* predicate) {
+  if (predicate == nullptr) return SelectionVector::All(view.num_rows());
+  return exec::SelectRows(view, *predicate);
+}
+
+[[nodiscard]] Result<SelectionVector> PopulationSelection(
+    const TableView& view, const PopulationInfo& population) {
+  return SelectWhere(view,
+                     population.global ? nullptr : population.predicate.get());
+}
+
+[[nodiscard]] Result<Table> SelectOver(const TableView& view,
+                                       SelectionVector sel,
+                                       const sql::SelectStmt& stmt,
+                                       bool weighted, trace::QueryTrace* trace,
+                                       uint32_t trace_parent) {
+  exec::ExecOptions opts;
+  if (weighted) opts.weight_column = kWeightColumn;
+  opts.trace = trace;
+  opts.trace_parent = trace_parent;
+  return exec::ExecuteSelect(view, std::move(sel), stmt, opts);
 }
 
 }  // namespace core

@@ -14,8 +14,14 @@
 #include "sql/ast.h"
 #include "stats/marginal.h"
 #include "storage/table.h"
+#include "storage/table_view.h"
 
 namespace mosaic {
+
+namespace trace {
+class QueryTrace;  // common/trace.h
+}  // namespace trace
+
 namespace core {
 
 /// A population relation: a set of tuples that *could* exist but are
@@ -98,6 +104,38 @@ class Catalog {
   std::map<std::string, SampleInfo> samples_;
   std::map<std::string, Table> tables_;
 };
+
+// ---- Reading relations -------------------------------------------------
+//
+// Every read ends the same way, whether of an auxiliary or system
+// table, of a sample, or of a population at any visibility level: a
+// view, a selection of its rows, and the batch executor.
+
+/// Name of the engine-managed weight column of a weighted view.
+inline constexpr char kWeightColumn[] = "weight";
+
+/// A view over `data`'s columns plus a span over the external weight
+/// vector, named kWeightColumn. `weights` must outlive the view.
+[[nodiscard]] Result<TableView> MakeWeightedView(
+    const Table& data, const std::vector<double>& weights);
+
+/// Rows of `view` satisfying `predicate`; every row when it is null.
+[[nodiscard]] Result<SelectionVector> SelectWhere(const TableView& view,
+                                                  const sql::Expr* predicate);
+
+/// Selection of `view`'s rows belonging to the population (all rows
+/// for the GP or a predicate-less population).
+[[nodiscard]] Result<SelectionVector> PopulationSelection(
+    const TableView& view, const PopulationInfo& population);
+
+/// Run `stmt` over the rows of `view` that `sel` selects, weighting
+/// aggregates by the view's kWeightColumn when `weighted`; the
+/// executor records its spans under `trace_parent`.
+[[nodiscard]] Result<Table> SelectOver(const TableView& view,
+                                       SelectionVector sel,
+                                       const sql::SelectStmt& stmt,
+                                       bool weighted, trace::QueryTrace* trace,
+                                       uint32_t trace_parent);
 
 }  // namespace core
 }  // namespace mosaic

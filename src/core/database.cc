@@ -1,15 +1,7 @@
 #include "core/database.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <numeric>
-#include <set>
-#include <sstream>
 
-#include "common/logging.h"
-#include "common/metrics.h"
 #include "common/query_log.h"
 #include "common/string_util.h"
 #include "core/durability.h"
@@ -19,7 +11,6 @@
 #include "exec/expr_eval.h"
 #include "exec/trace_table.h"
 #include "sql/parser.h"
-#include "stats/reweight.h"
 #include "storage/csv.h"
 #include "storage/table_view.h"
 
@@ -27,8 +18,6 @@ namespace mosaic {
 namespace core {
 
 namespace {
-
-constexpr char kWeightColumn[] = "weight";
 
 /// Rows [begin, num_rows) of `table` as an owning table — the suffix
 /// a durability sink logs after an append.
@@ -38,124 +27,38 @@ Table TailRows(const Table& table, size_t begin) {
   return table.Filter(rows);
 }
 
-/// A view over `data`'s columns plus a span over the external weight
-/// vector, named kWeightColumn. `weights` must outlive the view.
-[[nodiscard]] Result<TableView> MakeWeightedView(const Table& data,
-                                   const std::vector<double>& weights) {
-  if (data.schema().FindColumn(kWeightColumn)) {
-    return Status::InvalidArgument(
-        "relation already has a 'weight' column; it clashes with Mosaic's "
-        "managed weights");
+/// The schema of a column list (CREATE TABLE / GLOBAL POPULATION /
+/// SAMPLE).
+[[nodiscard]] Result<Schema> SchemaOf(const std::vector<ColumnDef>& columns) {
+  Schema schema;
+  for (const auto& def : columns) {
+    MOSAIC_RETURN_IF_ERROR(schema.AddColumn(def));
   }
-  TableView view(data);
-  MOSAIC_RETURN_IF_ERROR(
-      view.AddDoubleSpan(kWeightColumn, weights.data(), weights.size()));
-  return view;
+  return schema;
 }
 
-/// Rows of `view` satisfying `predicate`; every row when it is null.
-[[nodiscard]] Result<SelectionVector> SelectWhere(const TableView& view,
-                                                  const sql::Expr* predicate) {
-  if (predicate == nullptr) return SelectionVector::All(view.num_rows());
-  return exec::SelectRows(view, *predicate);
-}
-
-/// Selection of `view`'s rows belonging to the population (all rows
-/// for the GP or a predicate-less population).
-[[nodiscard]] Result<SelectionVector> PopulationSelection(const TableView& view,
-                                            const PopulationInfo& population) {
-  return SelectWhere(view,
-                     population.global ? nullptr : population.predicate.get());
-}
-
-/// Average numeric cells across several per-run result tables,
-/// keeping only group keys "appearing in all answers" — the paper's
-/// §5.3 variance-reduction rule for multi-sample OPEN answers.
-[[nodiscard]] Result<Table> CombineOpenRuns(const std::vector<Table>& runs,
-                              const sql::SelectStmt& stmt) {
-  if (runs.size() == 1) return runs[0];
-  const Schema& schema = runs[0].schema();
-  // Group-key output columns = select items that are bare column refs.
-  std::vector<size_t> key_cols;
-  for (size_t i = 0; i < stmt.items.size(); ++i) {
-    if (stmt.items[i].expr->kind == sql::Expr::Kind::kColumnRef) {
-      key_cols.push_back(i);
+/// The schema a defining SELECT over `source` projects: all of it for
+/// `*`, else the named columns in order. `kind` names the relation
+/// being defined in the error for anything but a bare column.
+[[nodiscard]] Result<Schema> ProjectedSchema(const sql::SelectStmt& sel,
+                                             const Schema& source,
+                                             const std::string& kind) {
+  if (sel.select_star) return source;
+  std::vector<size_t> indices;
+  for (const auto& item : sel.items) {
+    if (item.expr->kind != sql::Expr::Kind::kColumnRef) {
+      return Status::InvalidArgument(
+          kind + " definitions may only project columns");
     }
+    MOSAIC_ASSIGN_OR_RETURN(size_t idx, source.ColumnIndex(item.expr->column));
+    indices.push_back(idx);
   }
-  auto key_of = [&](const Table& t, size_t row) {
-    std::vector<Value> key;
-    key.reserve(key_cols.size());
-    for (size_t c : key_cols) key.push_back(t.GetValue(row, c));
-    return key;
-  };
-  // Count appearances and accumulate sums per key.
-  std::map<std::vector<Value>, size_t> seen;
-  std::map<std::vector<Value>, std::vector<double>> sums;
-  for (const Table& run : runs) {
-    for (size_t r = 0; r < run.num_rows(); ++r) {
-      auto key = key_of(run, r);
-      seen[key] += 1;
-      auto& acc = sums[key];
-      if (acc.empty()) acc.assign(schema.num_columns(), 0.0);
-      for (size_t c = 0; c < schema.num_columns(); ++c) {
-        auto d = run.GetValue(r, c).ToDouble();
-        if (d.ok()) acc[c] += *d;
-      }
-    }
-  }
-  Table out(schema);
-  // Emit in first-run order, keys present in every run only.
-  std::set<std::vector<Value>> emitted;
-  for (size_t r = 0; r < runs[0].num_rows(); ++r) {
-    auto key = key_of(runs[0], r);
-    if (seen[key] < runs.size() || emitted.count(key) > 0) continue;
-    emitted.insert(key);
-    std::vector<Value> row(schema.num_columns());
-    for (size_t c = 0; c < schema.num_columns(); ++c) {
-      bool is_key = std::find(key_cols.begin(), key_cols.end(), c) !=
-                    key_cols.end();
-      if (is_key) {
-        row[c] = runs[0].GetValue(r, c);
-      } else {
-        double avg = sums[key][c] / static_cast<double>(runs.size());
-        if (schema.column(c).type == DataType::kInt64) {
-          row[c] = Value(static_cast<int64_t>(std::llround(avg)));
-        } else {
-          row[c] = Value(avg);
-        }
-      }
-    }
-    MOSAIC_RETURN_IF_ERROR(out.AppendRow(row));
-  }
-  return out;
+  return source.Project(indices);
 }
 
 }  // namespace
 
-Database::Database()
-    : model_cache_("mosaic_model_cache", kDefaultModelCacheCapacity) {
-  auto& registry = metrics::Registry::Global();
-  ipf_cycles_ = registry.GetCounter("mosaic_ipf_cycles_total",
-                                    "IPF raking cycles run by weight refits");
-  ipf_plateaued_ = registry.GetCounter(
-      "mosaic_ipf_plateaued_fits_total",
-      "IPF weight refits that ran out of cycles without converging");
-  weight_epochs_published_ = registry.GetCounter(
-      "mosaic_weight_epochs_published", "Sample weight epochs swapped in");
-  weight_refits_ = registry.GetCounter("mosaic_weight_refits_total",
-                                       "Sample weight computations run");
-  weight_refits_skipped_ = registry.GetCounter(
-      "mosaic_weight_refits_skipped",
-      "Refits skipped because the current epoch already matched");
-  weight_refits_incremental_ = registry.GetCounter(
-      "mosaic_weight_refits_incremental",
-      "Ingest refits warm-started from the previous weights");
-  // Ad-hoc OPEN queries get a lighter training budget than the
-  // benches (which configure their own MswgOptions).
-  open_.mswg.epochs = 15;
-  open_.mswg.steps_per_epoch = 30;
-  open_.mswg.batch_size = 256;
-  open_.mswg.projections_per_step = 16;
+Database::Database() {
   // The six system tables always resolve: queries and metrics read
   // the live process-wide stores, weight_epochs this catalog's
   // samples; sessions/connections/snapshots are empty schema stubs
@@ -181,13 +84,9 @@ void Database::RegisterSystemTable(const std::string& name,
 
 bool Database::IsSystemRelation(const std::string& name) {
   static constexpr char kPrefix[] = "system.";
-  if (name.size() <= sizeof(kPrefix) - 1) return false;
-  for (size_t i = 0; i < sizeof(kPrefix) - 1; ++i) {
-    char c = name[i];
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-    if (c != kPrefix[i]) return false;
-  }
-  return true;
+  return name.size() > sizeof(kPrefix) - 1 &&
+         EqualsIgnoreCase(std::string_view(name).substr(0, sizeof(kPrefix) - 1),
+                          kPrefix);
 }
 
 Result<Table> Database::ExecuteSystemSelect(const sql::SelectStmt& stmt,
@@ -230,10 +129,9 @@ Result<Table> Database::ExecuteSystemSelect(const sql::SelectStmt& stmt,
                 " rows=" + std::to_string(snapshot.num_rows()));
     }
   }
-  exec::ExecOptions opts;
-  opts.trace = trace;
-  opts.trace_parent = trace_parent;
-  return exec::ExecuteSelect(snapshot, stmt, opts);
+  return SelectOver(TableView(snapshot),
+                    SelectionVector::All(snapshot.num_rows()), stmt,
+                    /*weighted=*/false, trace, trace_parent);
 }
 
 Result<Table> Database::Execute(const std::string& sql) {
@@ -280,41 +178,35 @@ Result<Table> Database::ExecuteStatement(sql::Statement* stmt,
   if (stmt->Is<sql::SelectStmt>()) {
     return ExecuteSelect(stmt->As<sql::SelectStmt>(), trace, trace_parent);
   }
-  if (stmt->Is<sql::CreateTableStmt>()) {
-    MOSAIC_RETURN_IF_ERROR(
-        ExecuteCreateTable(stmt->As<sql::CreateTableStmt>()));
+  // DDL and DML answer with an empty table.
+  auto done = [](Status status) -> Result<Table> {
+    MOSAIC_RETURN_IF_ERROR(status);
     return Table();
+  };
+  if (stmt->Is<sql::CreateTableStmt>()) {
+    return done(ExecuteCreateTable(stmt->As<sql::CreateTableStmt>()));
   }
   if (stmt->Is<sql::CreatePopulationStmt>()) {
-    MOSAIC_RETURN_IF_ERROR(
+    return done(
         ExecuteCreatePopulation(&stmt->As<sql::CreatePopulationStmt>()));
-    return Table();
   }
   if (stmt->Is<sql::CreateSampleStmt>()) {
-    MOSAIC_RETURN_IF_ERROR(
-        ExecuteCreateSample(&stmt->As<sql::CreateSampleStmt>()));
-    return Table();
+    return done(ExecuteCreateSample(&stmt->As<sql::CreateSampleStmt>()));
   }
   if (stmt->Is<sql::CreateMetadataStmt>()) {
-    MOSAIC_RETURN_IF_ERROR(
-        ExecuteCreateMetadata(&stmt->As<sql::CreateMetadataStmt>()));
-    return Table();
+    return done(ExecuteCreateMetadata(&stmt->As<sql::CreateMetadataStmt>()));
   }
   if (stmt->Is<sql::InsertStmt>()) {
-    MOSAIC_RETURN_IF_ERROR(ExecuteInsert(stmt->As<sql::InsertStmt>()));
-    return Table();
+    return done(ExecuteInsert(stmt->As<sql::InsertStmt>()));
   }
   if (stmt->Is<sql::CopyStmt>()) {
-    MOSAIC_RETURN_IF_ERROR(ExecuteCopy(stmt->As<sql::CopyStmt>()));
-    return Table();
+    return done(ExecuteCopy(stmt->As<sql::CopyStmt>()));
   }
   if (stmt->Is<sql::DropStmt>()) {
-    MOSAIC_RETURN_IF_ERROR(ExecuteDrop(stmt->As<sql::DropStmt>()));
-    return Table();
+    return done(ExecuteDrop(stmt->As<sql::DropStmt>()));
   }
   if (stmt->Is<sql::UpdateStmt>()) {
-    MOSAIC_RETURN_IF_ERROR(ExecuteUpdate(stmt->As<sql::UpdateStmt>()));
-    return Table();
+    return done(ExecuteUpdate(stmt->As<sql::UpdateStmt>()));
   }
   if (stmt->Is<sql::ShowStmt>()) {
     return ExecuteShow(stmt->As<sql::ShowStmt>());
@@ -341,10 +233,8 @@ Result<Table> Database::ExecuteSelect(const sql::SelectStmt& stmt,
           "' is an auxiliary table");
     }
     MOSAIC_ASSIGN_OR_RETURN(Table* table, catalog_.GetTable(stmt.from));
-    exec::ExecOptions opts;
-    opts.trace = trace;
-    opts.trace_parent = trace_parent;
-    return exec::ExecuteSelect(*table, stmt, opts);
+    return SelectOver(TableView(*table), SelectionVector::All(table->num_rows()),
+                      stmt, /*weighted=*/false, trace, trace_parent);
   }
   if (catalog_.HasSample(stmt.from)) {
     // Direct sample access: plain SQL over the sample tuples. The
@@ -372,11 +262,8 @@ Result<Table> Database::ExecuteSelect(const sql::SelectStmt& stmt,
     }
     MOSAIC_ASSIGN_OR_RETURN(TableView view,
                             MakeWeightedView(sample->data, epoch->weights));
-    exec::ExecOptions opts;
-    opts.trace = trace;
-    opts.trace_parent = trace_parent;
-    return exec::ExecuteSelect(view, SelectionVector::All(view.num_rows()),
-                               stmt, opts);
+    return SelectOver(view, SelectionVector::All(view.num_rows()), stmt,
+                      /*weighted=*/false, trace, trace_parent);
   }
   if (catalog_.HasPopulation(stmt.from)) {
     MOSAIC_ASSIGN_OR_RETURN(PopulationInfo* pop,
@@ -444,244 +331,42 @@ Result<SampleInfo*> Database::ChooseSample(const PopulationInfo& population) {
   return best;
 }
 
-Result<Table> Database::RestrictToPopulation(
-    const Table& sample_data, const PopulationInfo& population) {
-  if (population.global || population.predicate == nullptr) {
-    return sample_data;
-  }
-  // Batch filter + typed gather: one selection pass over spans, one
-  // materialization for consumers that need an owning Table (IPF /
-  // M-SWG training input).
-  TableView view(sample_data);
-  MOSAIC_ASSIGN_OR_RETURN(SelectionVector sel,
-                          exec::SelectRows(view, *population.predicate));
-  return view.Materialize(sel);
-}
-
-Result<Database::DebiasPlan> Database::PlanDebias(
-    PopulationInfo* population) {
-  DebiasPlan plan;
-  if (!population->marginals.empty()) {
-    plan.marginals = &population->marginals;
-    plan.reweight_to_global = false;
-  } else if (!population->global) {
-    MOSAIC_ASSIGN_OR_RETURN(PopulationInfo* gp, catalog_.GlobalPopulation());
-    if (gp->marginals.empty()) {
-      return Status::ExecutionError(
-          "population '" + population->name +
-          "' has no metadata and neither does the global population; "
-          "SEMI-OPEN/OPEN queries need marginals (§4 assumption 3)");
-    }
-    plan.marginals = &gp->marginals;
-    plan.reweight_to_global = true;
-  } else {
-    return Status::ExecutionError(
-        "global population '" + population->name +
-        "' has no metadata; SEMI-OPEN/OPEN queries need marginals "
-        "(§4 assumption 3)");
-  }
-  double total = 0.0;
-  for (const auto& m : *plan.marginals) total += m.total();
-  plan.population_size = total / static_cast<double>(plan.marginals->size());
-  return plan;
-}
-
 Result<Table> Database::ExecutePopulationQuery(const sql::SelectStmt& stmt,
                                                PopulationInfo* population,
                                                trace::QueryTrace* trace,
                                                uint32_t trace_parent) {
-  sql::Visibility vis = stmt.visibility == sql::Visibility::kDefault
-                            ? sql::Visibility::kClosed
-                            : stmt.visibility;
-
-  switch (vis) {
-    case sql::Visibility::kClosed: {
-      // LAV-view answering: the sample tuples that belong to the
-      // population, no debiasing, answered over a zero-copy view of
-      // the sample restricted by a selection vector; no intermediate
-      // Table is materialized.
-      MOSAIC_ASSIGN_OR_RETURN(SampleInfo* sample, ChooseSample(*population));
+  MOSAIC_ASSIGN_OR_RETURN(SampleInfo* sample, ChooseSample(*population));
+  switch (stmt.visibility) {
+    case sql::Visibility::kSemiOpen:
+      return semi_open_.Answer(stmt, *population, sample, WeightLog(sample),
+                               trace, trace_parent);
+    case sql::Visibility::kOpen:
+      return open_world_.Answer(stmt, *population, *sample, trace,
+                                trace_parent);
+    default: {
+      // CLOSED, the default: LAV-view answering over the sample tuples
+      // that belong to the population, with no debiasing, through a
+      // zero-copy view restricted by a selection vector.
       TableView view(sample->data);
       MOSAIC_ASSIGN_OR_RETURN(SelectionVector sel,
                               PopulationSelection(view, *population));
-      exec::ExecOptions opts;
-      opts.trace = trace;
-      opts.trace_parent = trace_parent;
-      return exec::ExecuteSelect(view, std::move(sel), stmt, opts);
+      return SelectOver(view, std::move(sel), stmt, /*weighted=*/false, trace,
+                        trace_parent);
     }
-    case sql::Visibility::kSemiOpen: {
-      MOSAIC_ASSIGN_OR_RETURN(SampleInfo* sample, ChooseSample(*population));
-      // The refit publishes (or no-op reuses) a weight epoch and pins
-      // it; the query answers over exactly that epoch, so a racing
-      // refit for another population over the same sample cannot
-      // inject its weights mid-query. Restrict to the population and
-      // answer over the weighted view (the pinned weights are
-      // attached as an external span — the sample tuples are never
-      // copied).
-      stats::IpfReport report;
-      WeightEpochPtr epoch;
-      {
-        trace::ScopedSpan span(trace, trace_parent, "reweight");
-        MOSAIC_ASSIGN_OR_RETURN(epoch,
-                                ReweightAndPin(population->name, &report));
-        trace::CountEpochPin(trace);
-        if (trace != nullptr) {
-          span.Note("epoch=" + std::to_string(epoch->id));
-        }
-      }
-      MOSAIC_ASSIGN_OR_RETURN(TableView view,
-                              MakeWeightedView(sample->data, epoch->weights));
-      MOSAIC_ASSIGN_OR_RETURN(SelectionVector sel,
-                              PopulationSelection(view, *population));
-      exec::ExecOptions opts;
-      opts.weight_column = kWeightColumn;
-      opts.trace = trace;
-      opts.trace_parent = trace_parent;
-      return exec::ExecuteSelect(view, std::move(sel), stmt, opts);
-    }
-    case sql::Visibility::kOpen: {
-      size_t runs = std::max<size_t>(1, open_.num_generated_samples);
-      // Train (or fetch) the generator once, then produce the
-      // independent generated samples — on the generation pool when
-      // one is attached, sequentially otherwise. Each run k owns seed
-      // generation_seed + k, so both paths are bit-identical.
-      OpenWorldModel model;
-      {
-        trace::ScopedSpan span(trace, trace_parent, "train_or_fetch_model");
-        MOSAIC_ASSIGN_OR_RETURN(model,
-                                PrepareOpenWorldModel(population->name));
-      }
-      auto run_one = [&, this](size_t k) -> Result<Table> {
-        // Exceptions must not escape: pool tasks reference this stack
-        // frame, and an unwinding submitter would leave them dangling.
-        try {
-          // Generation-pool threads record under the query's parent
-          // span by explicit id — there is no per-thread span stack
-          // to inherit (common/trace.h).
-          trace::ScopedSpan gen_span(
-              trace, trace_parent, ("generate " + std::to_string(k)).c_str());
-          // Answer over a weighted view of the raw generated table;
-          // the uniform §5.3 weights are an external span and the
-          // view-restriction predicate (when the query population is
-          // a view over the GP) becomes a selection vector — no
-          // weighted or filtered copy is materialized.
-          MOSAIC_ASSIGN_OR_RETURN(
-              GeneratedSample gen,
-              GenerateSample(model, open_.generated_rows,
-                             open_.generation_seed + k));
-          MOSAIC_ASSIGN_OR_RETURN(TableView view,
-                                  MakeWeightedView(gen.data, gen.weights));
-          MOSAIC_ASSIGN_OR_RETURN(SelectionVector sel,
-                                  SelectWhere(view, model.restrict_predicate));
-          exec::ExecOptions opts;
-          opts.weight_column = kWeightColumn;
-          opts.trace = trace;
-          opts.trace_parent = gen_span.id();
-          return exec::ExecuteSelect(view, std::move(sel), stmt, opts);
-        } catch (const std::exception& e) {
-          return Status::Internal(std::string("open-sample generation "
-                                              "threw: ") +
-                                  e.what());
-        } catch (...) {
-          return Status::Internal("open-sample generation threw");
-        }
-      };
-      std::vector<Table> results;
-      results.reserve(runs);
-      if (gen_pool_ != nullptr && runs > 1) {
-        // The tasks capture this stack frame, so it must not unwind
-        // while they are in flight: all vector capacity is allocated
-        // up front (run_one itself never throws), and the one
-        // remaining throw source — Submit's own allocations — is
-        // guarded by a drain-then-rethrow.
-        std::vector<std::future<Result<Table>>> futures;
-        futures.reserve(runs - 1);
-        std::vector<Result<Table>> rest;
-        rest.reserve(runs - 1);
-        Result<Table> first = Status::Internal("open sample 0 not run");
-        try {
-          for (size_t k = 1; k < runs; ++k) {
-            futures.push_back(gen_pool_->Submit([&run_one, k] {
-              return run_one(k);
-            }));
-          }
-          // Run sample 0 on the submitting thread.
-          first = run_one(0);
-        } catch (...) {
-          for (auto& f : futures) f.wait();
-          throw;
-        }
-        for (auto& f : futures) rest.push_back(f.get());
-        MOSAIC_ASSIGN_OR_RETURN(Table first_table, std::move(first));
-        results.push_back(std::move(first_table));
-        for (auto& r : rest) {
-          MOSAIC_ASSIGN_OR_RETURN(Table t, std::move(r));
-          results.push_back(std::move(t));
-        }
-      } else {
-        for (size_t k = 0; k < runs; ++k) {
-          MOSAIC_ASSIGN_OR_RETURN(Table t, run_one(k));
-          results.push_back(std::move(t));
-        }
-      }
-      trace::ScopedSpan combine_span(trace, trace_parent, "combine_runs");
-      return CombineOpenRuns(results, stmt);
-    }
-    default:
-      return Status::Internal("unexpected visibility");
   }
-}
-
-void Database::CountIpfFit(const stats::IpfReport& report) {
-  weight_refits_->Inc();
-  ipf_cycles_->Inc(report.iterations);
-  // A fit that did not converge ran its whole cycle budget.
-  if (!report.converged) ipf_plateaued_->Inc();
 }
 
 Result<stats::IpfReport> Database::ReweightForPopulation(
     const std::string& population_name) {
+  MOSAIC_ASSIGN_OR_RETURN(PopulationInfo* population,
+                          catalog_.GetPopulation(population_name));
+  MOSAIC_ASSIGN_OR_RETURN(SampleInfo* sample, ChooseSample(*population));
   stats::IpfReport report;
-  MOSAIC_RETURN_IF_ERROR(ReweightAndPin(population_name, &report).status());
+  MOSAIC_RETURN_IF_ERROR(
+      semi_open_
+          .ReweightAndPin(*population, sample, WeightLog(sample), &report)
+          .status());
   return report;
-}
-
-std::string Database::GpIpfFitSignature(size_t rows) const {
-  const stats::IpfOptions ipf;
-  return "ipf-gp|n=" + std::to_string(rows) +
-         "|mv=" + std::to_string(metadata_version_.load()) +
-         "|it=" + std::to_string(ipf.max_iterations) +
-         "|tol=" + FormatDouble(ipf.tolerance, 17) +
-         "|scale=" + (ipf.scale_to_population ? "1" : "0");
-}
-
-std::string Database::PopulationIpfFitSignature(
-    const PopulationInfo& population, size_t rows) const {
-  const stats::IpfOptions ipf;
-  return "ipf-pop|" + ToLower(population.name) + "|n=" +
-         std::to_string(rows) +
-         "|mv=" + std::to_string(metadata_version_.load()) +
-         "|it=" + std::to_string(ipf.max_iterations) +
-         "|tol=" + FormatDouble(ipf.tolerance, 17) +
-         "|scale=" + (ipf.scale_to_population ? "1" : "0");
-}
-
-Result<WeightEpochPtr> Database::PublishWeights(SampleInfo* sample,
-                                                std::vector<double> weights,
-                                                WeightFitInfo fit, bool log) {
-  bool published = false;
-  WeightEpochPtr epoch =
-      sample->weights.Publish(std::move(weights), std::move(fit), &published);
-  if (published) {
-    weight_epochs_published_->Inc();
-    // The union-mode scratch relation is derived state, rebuilt from
-    // the real samples on demand — its publications are not logged.
-    if (log && durability_ != nullptr && sample != &union_scratch_) {
-      MOSAIC_RETURN_IF_ERROR(
-          durability_->LogPublishEpoch(sample->name, *epoch));
-    }
-  }
-  return epoch;
 }
 
 Status Database::RestoreSampleEpoch(const std::string& sample_name,
@@ -692,223 +377,12 @@ Status Database::RestoreSampleEpoch(const std::string& sample_name,
   return Status::OK();
 }
 
-Result<WeightEpochPtr> Database::ReweightAndPin(
-    const std::string& population_name, stats::IpfReport* report) {
-  MOSAIC_ASSIGN_OR_RETURN(PopulationInfo* population,
-                          catalog_.GetPopulation(population_name));
-  MOSAIC_ASSIGN_OR_RETURN(SampleInfo* sample, ChooseSample(*population));
-  const size_t rows = sample->data.num_rows();
-
-  // No-op refit detection: when the current epoch already holds the
-  // output of the exact computation this refit would run (same data
-  // size, marginal set, and IPF options — the fit signature), reuse
-  // it — no IPF cycles, no epoch swap, no cache invalidation.
-  // Convergence is not required: a cold refit is deterministic, so a
-  // matching signature implies it would reproduce these weights,
-  // converged or plateaued alike.
-  auto reuse_if_current = [&](const std::string& sig) -> WeightEpochPtr {
-    WeightEpochPtr cur = sample->weights.Pin();
-    if (cur->weights.size() == rows && cur->fit_signature == sig) {
-      weight_refits_skipped_->Inc();
-      report->converged = cur->fit_converged;
-      report->max_l1_error = cur->fit_error;
-      report->uncovered_target_mass = cur->fit_uncovered;
-      return cur;
-    }
-    return nullptr;
-  };
-
-  // Known mechanism: Horvitz–Thompson, no marginals needed for the
-  // uniform case (§4.1 "when the sampling mechanism is known ... we
-  // use the known mechanism to reweight the sample by the inverse of
-  // its inclusion probability").
-  if (sample->mechanism.type == sql::MechanismSpec::Type::kUniform) {
-    std::string sig = "mech-uniform|p=" +
-                      FormatDouble(sample->mechanism.percent, 17) +
-                      "|n=" + std::to_string(rows);
-    if (WeightEpochPtr cur = reuse_if_current(sig)) return cur;
-    MOSAIC_ASSIGN_OR_RETURN(
-        std::vector<double> weights,
-        stats::UniformMechanismWeights(rows, sample->mechanism.percent));
-    weight_refits_->Inc();
-    report->converged = true;
-    return PublishWeights(sample, std::move(weights),
-                          WeightFitInfo{sig, 0.0, 0.0, true});
-  }
-  if (sample->mechanism.type == sql::MechanismSpec::Type::kStratified) {
-    // Inclusion probability per stratum needs the stratum sizes in
-    // the GP, which come from a 1-D marginal over the stratification
-    // attribute.
-    MOSAIC_ASSIGN_OR_RETURN(PopulationInfo* gp, catalog_.GlobalPopulation());
-    const stats::Marginal* strat_marginal = nullptr;
-    for (const auto& m : gp->marginals) {
-      if (m.arity() == 1 &&
-          EqualsIgnoreCase(m.binning(0).attr(),
-                           sample->mechanism.stratify_attr)) {
-        strat_marginal = &m;
-      }
-    }
-    if (strat_marginal == nullptr) {
-      return Status::ExecutionError(
-          "stratified mechanism on '" + sample->mechanism.stratify_attr +
-          "' needs a 1-D GP marginal over that attribute");
-    }
-    std::string sig = "mech-strat|" + ToLower(sample->mechanism.stratify_attr) +
-                      "|n=" + std::to_string(rows) +
-                      "|mv=" + std::to_string(metadata_version_.load());
-    if (WeightEpochPtr cur = reuse_if_current(sig)) return cur;
-    MOSAIC_ASSIGN_OR_RETURN(
-        std::vector<double> weights,
-        stats::StratifiedMechanismWeights(
-            sample->data, sample->mechanism.stratify_attr, *strat_marginal));
-    weight_refits_->Inc();
-    report->converged = true;
-    return PublishWeights(sample, std::move(weights),
-                          WeightFitInfo{sig, 0.0, 0.0, true});
-  }
-
-  // Unknown mechanism: IPF against the marginals (Fig. 3).
-  MOSAIC_ASSIGN_OR_RETURN(DebiasPlan plan, PlanDebias(population));
-  if (plan.reweight_to_global || population->global) {
-    // Reweight the full sample to the GP; derived populations are
-    // views over the reweighted sample.
-    std::string sig = GpIpfFitSignature(rows);
-    if (WeightEpochPtr cur = reuse_if_current(sig)) return cur;
-    std::vector<double> weights(rows, 1.0);
-    MOSAIC_ASSIGN_OR_RETURN(
-        *report,
-        stats::IterativeProportionalFit(sample->data, *plan.marginals,
-                                        &weights));
-    CountIpfFit(*report);
-    return PublishWeights(
-        sample, std::move(weights),
-        WeightFitInfo{std::move(sig), report->max_l1_error,
-                      report->uncovered_target_mass, report->converged});
-  }
-  // Metadata on the query population itself: reweight the restricted
-  // sample directly (bottom dashed line of Fig. 3). Weights of tuples
-  // outside the population are zeroed — they do not represent any
-  // population tuple.
-  std::string sig = PopulationIpfFitSignature(*population, rows);
-  if (WeightEpochPtr cur = reuse_if_current(sig)) return cur;
-  MOSAIC_ASSIGN_OR_RETURN(Table restricted,
-                          RestrictToPopulation(sample->data, *population));
-  if (restricted.num_rows() == 0) {
-    return Status::ExecutionError(
-        "no sample tuples fall inside population '" + population->name +
-        "'");
-  }
-  std::vector<double> restricted_weights(restricted.num_rows(), 1.0);
-  MOSAIC_ASSIGN_OR_RETURN(
-      *report,
-      stats::IterativeProportionalFit(restricted, *plan.marginals,
-                                      &restricted_weights));
-  // Map restricted weights back to the full sample.
-  std::vector<double> full(rows, 0.0);
-  if (population->predicate == nullptr) {
-    full.assign(restricted_weights.begin(), restricted_weights.end());
-  } else {
-    TableView view(sample->data);
-    MOSAIC_ASSIGN_OR_RETURN(
-        SelectionVector keep,
-        exec::SelectRows(view, *population->predicate));
-    for (size_t i = 0; i < keep.size(); ++i) {
-      full[keep[i]] = restricted_weights[i];
-    }
-  }
-  CountIpfFit(*report);
-  return PublishWeights(
-      sample, std::move(full),
-      WeightFitInfo{std::move(sig), report->max_l1_error,
-                    report->uncovered_target_mass, report->converged});
-}
-
-Result<Database::OpenWorldModel> Database::PrepareOpenWorldModel(
-    const std::string& population_name) {
-  MOSAIC_ASSIGN_OR_RETURN(PopulationInfo* population,
-                          catalog_.GetPopulation(population_name));
-  MOSAIC_ASSIGN_OR_RETURN(SampleInfo* sample, ChooseSample(*population));
-  MOSAIC_ASSIGN_OR_RETURN(DebiasPlan plan, PlanDebias(population));
-
-  // Training data: the restricted sample when the population carries
-  // its own metadata, the full sample when debiasing to the GP.
-  Table training = sample->data;
-  if (!plan.reweight_to_global && !population->global) {
-    MOSAIC_ASSIGN_OR_RETURN(training,
-                            RestrictToPopulation(sample->data, *population));
-  }
-  if (training.num_rows() == 0) {
-    return Status::ExecutionError("no sample tuples to train the M-SWG on");
-  }
-
-  OpenWorldModel out;
-  out.population_size = plan.population_size;
-  out.default_rows = training.num_rows();
-  if (plan.reweight_to_global && population->predicate != nullptr) {
-    out.restrict_predicate = population->predicate.get();
-  }
-
-  std::string cache_key =
-      ToLower(population_name) + "|" + ToLower(sample->name) + "|" +
-      std::to_string(training.num_rows()) + "|" +
-      std::to_string(plan.marginals->size());
-  if (auto cached = model_cache_.Get(cache_key)) {
-    out.model = std::move(*cached);
-    return out;
-  }
-  // Serialize training per key: concurrent OPEN queries against the
-  // same key wait here and find the model cached instead of training
-  // twice; different keys train concurrently.
-  std::shared_ptr<std::mutex> key_mu;
-  {
-    MutexLock map_lock(train_mu_);
-    auto& slot = train_mutexes_[cache_key];
-    if (slot == nullptr) slot = std::make_shared<std::mutex>();
-    key_mu = slot;
-  }
-  // Plain std::mutex on purpose: these locks are per-key and dynamic,
-  // guarding a *protocol* (one trainer per key) rather than any named
-  // field, so capability annotations have nothing to attach to.
-  std::lock_guard<std::mutex> train_lock(*key_mu);
-  // Peek, not Get: the pre-lock Get already counted this lookup.
-  if (auto cached = model_cache_.Peek(cache_key)) {
-    out.model = std::move(*cached);
-    return out;
-  }
-  MOSAIC_ASSIGN_OR_RETURN(
-      auto trained, Mswg::Train(training, *plan.marginals, open_.mswg));
-  out.model = std::shared_ptr<const Mswg>(std::move(trained));
-  model_cache_.Put(cache_key, out.model);
-  return out;
-}
-
-Result<Database::GeneratedSample> Database::GenerateSample(
-    const OpenWorldModel& model, size_t rows, uint64_t seed) const {
-  if (rows == 0) rows = model.default_rows;
-  Rng gen_rng(seed);
-  GeneratedSample out;
-  MOSAIC_ASSIGN_OR_RETURN(out.data, model.model->Generate(rows, &gen_rng));
-  // Uniform reweighting of the generated sample to the population
-  // size (§5.3).
-  out.weights.assign(
-      out.data.num_rows(),
-      model.population_size / static_cast<double>(out.data.num_rows()));
-  return out;
-}
-
 Result<Table> Database::GenerateOpenWorldTable(
     const std::string& population_name, size_t rows, uint64_t seed) {
-  MOSAIC_ASSIGN_OR_RETURN(OpenWorldModel model,
-                          PrepareOpenWorldModel(population_name));
-  MOSAIC_ASSIGN_OR_RETURN(GeneratedSample gen,
-                          GenerateSample(model, rows, seed));
-  MOSAIC_ASSIGN_OR_RETURN(TableView view,
-                          MakeWeightedView(gen.data, gen.weights));
-  // Generated tuples represent the GP; a derived query population
-  // keeps only the rows its predicate selects.
-  MOSAIC_ASSIGN_OR_RETURN(SelectionVector sel,
-                          SelectWhere(view, model.restrict_predicate));
-  return view.Materialize(sel);
+  MOSAIC_ASSIGN_OR_RETURN(PopulationInfo* population,
+                          catalog_.GetPopulation(population_name));
+  MOSAIC_ASSIGN_OR_RETURN(SampleInfo* sample, ChooseSample(*population));
+  return open_world_.GenerateTable(*population, *sample, rows, seed);
 }
 
 // ---------------------------------------------------------------------------
@@ -919,18 +393,8 @@ Status Database::ExecuteCreateTable(const sql::CreateTableStmt& stmt) {
   if (stmt.columns.empty()) {
     return Status::InvalidArgument("CREATE TABLE needs a column list");
   }
-  Schema schema;
-  for (const auto& def : stmt.columns) {
-    MOSAIC_RETURN_IF_ERROR(schema.AddColumn(def));
-  }
-  MOSAIC_RETURN_IF_ERROR(
-      catalog_.AddTable(stmt.name, Table(std::move(schema))));
-  BumpCatalogVersion();
-  if (durability_ != nullptr) {
-    MOSAIC_ASSIGN_OR_RETURN(Table* created, catalog_.GetTable(stmt.name));
-    MOSAIC_RETURN_IF_ERROR(durability_->LogCreateTable(stmt.name, *created));
-  }
-  return Status::OK();
+  MOSAIC_ASSIGN_OR_RETURN(Schema schema, SchemaOf(stmt.columns));
+  return CreateTable(stmt.name, Table(std::move(schema)));
 }
 
 Status Database::CreateTable(const std::string& name, Table table) {
@@ -952,54 +416,30 @@ Status Database::ExecuteCreatePopulation(sql::CreatePopulationStmt* stmt) {
       return Status::InvalidArgument(
           "a global population needs a column list");
     }
-    Schema schema;
-    for (const auto& def : stmt->columns) {
-      MOSAIC_RETURN_IF_ERROR(schema.AddColumn(def));
-    }
-    info.schema = std::move(schema);
-    MOSAIC_RETURN_IF_ERROR(catalog_.AddPopulation(std::move(info)));
-    BumpCatalogVersion();
-    if (durability_ != nullptr) {
-      MOSAIC_ASSIGN_OR_RETURN(PopulationInfo* created,
-                              catalog_.GetPopulation(stmt->name));
-      MOSAIC_RETURN_IF_ERROR(durability_->LogCreatePopulation(*created));
-    }
-    return Status::OK();
-  }
-  // Derived population: defined by a SELECT over the GP (§3.1 "the
-  // population must be defined with a SELECT statement over a global
-  // population").
-  if (stmt->as_select == nullptr) {
-    return Status::InvalidArgument(
-        "non-global populations must be defined AS (SELECT ... FROM "
-        "<global population> ...)");
-  }
-  sql::SelectStmt* sel = stmt->as_select.get();
-  MOSAIC_ASSIGN_OR_RETURN(PopulationInfo* parent,
-                          catalog_.GetPopulation(sel->from));
-  if (!parent->global) {
-    return Status::InvalidArgument(
-        "populations must be defined over the global population, and '" +
-        sel->from + "' is not global");
-  }
-  info.parent = parent->name;
-  if (sel->select_star) {
-    info.schema = parent->schema;
+    MOSAIC_ASSIGN_OR_RETURN(info.schema, SchemaOf(stmt->columns));
   } else {
-    std::vector<size_t> indices;
-    for (const auto& item : sel->items) {
-      if (item.expr->kind != sql::Expr::Kind::kColumnRef) {
-        return Status::InvalidArgument(
-            "population definitions may only project columns");
-      }
-      MOSAIC_ASSIGN_OR_RETURN(size_t idx,
-                              parent->schema.ColumnIndex(item.expr->column));
-      indices.push_back(idx);
+    // Derived population: defined by a SELECT over the GP (§3.1 "the
+    // population must be defined with a SELECT statement over a global
+    // population").
+    if (stmt->as_select == nullptr) {
+      return Status::InvalidArgument(
+          "non-global populations must be defined AS (SELECT ... FROM "
+          "<global population> ...)");
     }
-    info.schema = parent->schema.Project(indices);
-  }
-  if (sel->where != nullptr) {
-    info.predicate = sel->where->Clone();
+    sql::SelectStmt* sel = stmt->as_select.get();
+    MOSAIC_ASSIGN_OR_RETURN(PopulationInfo* parent,
+                            catalog_.GetPopulation(sel->from));
+    if (!parent->global) {
+      return Status::InvalidArgument(
+          "populations must be defined over the global population, and '" +
+          sel->from + "' is not global");
+    }
+    info.parent = parent->name;
+    MOSAIC_ASSIGN_OR_RETURN(info.schema,
+                            ProjectedSchema(*sel, parent->schema, "population"));
+    if (sel->where != nullptr) {
+      info.predicate = sel->where->Clone();
+    }
   }
   MOSAIC_RETURN_IF_ERROR(catalog_.AddPopulation(std::move(info)));
   BumpCatalogVersion();
@@ -1028,25 +468,10 @@ Status Database::ExecuteCreateSample(sql::CreateSampleStmt* stmt) {
   info.name = stmt->name;
   info.population = pop->name;
   if (!stmt->columns.empty()) {
-    Schema schema;
-    for (const auto& def : stmt->columns) {
-      MOSAIC_RETURN_IF_ERROR(schema.AddColumn(def));
-    }
-    info.schema = std::move(schema);
-  } else if (sel->select_star) {
-    info.schema = pop->schema;
+    MOSAIC_ASSIGN_OR_RETURN(info.schema, SchemaOf(stmt->columns));
   } else {
-    std::vector<size_t> indices;
-    for (const auto& item : sel->items) {
-      if (item.expr->kind != sql::Expr::Kind::kColumnRef) {
-        return Status::InvalidArgument(
-            "sample definitions may only project columns");
-      }
-      MOSAIC_ASSIGN_OR_RETURN(size_t idx,
-                              pop->schema.ColumnIndex(item.expr->column));
-      indices.push_back(idx);
-    }
-    info.schema = pop->schema.Project(indices);
+    MOSAIC_ASSIGN_OR_RETURN(info.schema,
+                            ProjectedSchema(*sel, pop->schema, "sample"));
   }
   info.data = Table(info.schema);
   if (sel->where != nullptr) {
@@ -1113,56 +538,6 @@ Status Database::RegisterMarginal(const std::string& population,
   return Status::OK();
 }
 
-Status Database::ExtendWeightsAfterIngest(SampleInfo* sample,
-                                          const WeightEpochPtr& prev) {
-  const size_t rows = sample->data.num_rows();
-  // Incremental IPF (ROADMAP: "incremental IPF on sample ingest"):
-  // when the outgoing epoch was a converged GP-level fit, warm-start
-  // the refit from it instead of leaving the sample unfitted for the
-  // next SEMI-OPEN query to cold-refit. The published epoch carries
-  // the fresh GP fit signature, so that query then skips its refit
-  // entirely. Falls back to a cold full fit inside
-  // IncrementalProportionalFit when the warm fit regresses.
-  if (prev->fit_signature.compare(0, 7, "ipf-gp|") == 0) {
-    auto gp = catalog_.GlobalPopulation();
-    if (gp.ok() && !(*gp)->marginals.empty()) {
-      // Acceptance: the warm fit may plateau no worse than twice the
-      // outgoing epoch's error (plus tolerance) — where the marginals
-      // conflict on the sample's covered cells, cold fits cannot
-      // converge either, so requiring convergence would reject warm
-      // fits exactly where a cold refit is no better.
-      const stats::IpfOptions ipf;
-      std::vector<double> fitted;
-      auto fit = stats::IncrementalProportionalFit(
-          sample->data, (*gp)->marginals, prev->weights,
-          2.0 * prev->fit_error + ipf.tolerance, &fitted, ipf);
-      if (fit.ok()) {
-        CountIpfFit(*fit);
-        if (!fit->fell_back_to_cold) {
-          weight_refits_incremental_->Inc();
-        }
-        // log=false: the ingest caller records one combined
-        // rows+epoch WAL record covering this publication.
-        return PublishWeights(sample, std::move(fitted),
-                              WeightFitInfo{GpIpfFitSignature(rows),
-                                            fit->max_l1_error,
-                                            fit->uncovered_target_mass,
-                                            fit->converged},
-                              /*log=*/false)
-            .status();
-      }
-      // A failed fit (e.g. the new rows broke marginal overlap) falls
-      // through to the unfitted extension; the next SEMI-OPEN query
-      // surfaces the error.
-    }
-  }
-  std::vector<double> extended = prev->weights;
-  extended.resize(rows, 1.0);
-  return PublishWeights(sample, std::move(extended), WeightFitInfo(),
-                        /*log=*/false)
-      .status();
-}
-
 Status Database::IngestSample(const std::string& sample_name,
                               const Table& rows) {
   MOSAIC_ASSIGN_OR_RETURN(SampleInfo* sample,
@@ -1195,7 +570,7 @@ Status Database::FinishSampleAppend(SampleInfo* sample,
   // subsequent read of the sample.
   BumpCatalogVersion();
   InvalidateModelCache();
-  Status extend = ExtendWeightsAfterIngest(sample, prev);
+  Status extend = semi_open_.ExtendWeightsAfterIngest(sample, prev);
   // One combined rows+epoch record: replay can never materialize the
   // new rows without the weight epoch that covers them. Logged even
   // after a failed row — whatever landed is committed state.
@@ -1223,14 +598,16 @@ Status Database::FinishTableAppend(const std::string& name,
 }
 
 Status Database::ExecuteInsert(const sql::InsertStmt& stmt) {
+  auto append_rows = [&](Table* table) {
+    for (const auto& row : stmt.rows) {
+      MOSAIC_RETURN_IF_ERROR(table->AppendRow(row));
+    }
+    return Status::OK();
+  };
   if (catalog_.HasTable(stmt.table)) {
     MOSAIC_ASSIGN_OR_RETURN(Table* table, catalog_.GetTable(stmt.table));
     const size_t rows_before = table->num_rows();
-    Status insert = Status::OK();
-    for (const auto& row : stmt.rows) {
-      insert = table->AppendRow(row);
-      if (!insert.ok()) break;
-    }
+    Status insert = append_rows(table);
     return FinishTableAppend(stmt.table, *table, rows_before, insert);
   }
   if (catalog_.HasSample(stmt.table)) {
@@ -1238,11 +615,7 @@ Status Database::ExecuteInsert(const sql::InsertStmt& stmt) {
                             catalog_.GetSample(stmt.table));
     WeightEpochPtr prev = sample->weights.Pin();
     const size_t rows_before = sample->data.num_rows();
-    Status insert = Status::OK();
-    for (const auto& row : stmt.rows) {
-      insert = sample->data.AppendRow(row);
-      if (!insert.ok()) break;
-    }
+    Status insert = append_rows(&sample->data);
     return FinishSampleAppend(sample, prev, rows_before, insert);
   }
   return Status::NotFound("no table or sample named '" + stmt.table + "'");
@@ -1251,12 +624,8 @@ Status Database::ExecuteInsert(const sql::InsertStmt& stmt) {
 Status Database::ExecuteCopy(const sql::CopyStmt& stmt) {
   if (catalog_.HasTable(stmt.table)) {
     MOSAIC_ASSIGN_OR_RETURN(Table* table, catalog_.GetTable(stmt.table));
-    std::ifstream in(stmt.path);
-    if (!in) return Status::IOError("cannot open " + stmt.path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
     MOSAIC_ASSIGN_OR_RETURN(Table loaded,
-                            ReadCsv(buf.str(), table->schema()));
+                            ReadCsvFile(stmt.path, &table->schema()));
     // A failed Concat may have partially applied.
     const size_t rows_before = table->num_rows();
     Status concat = table->Concat(loaded);
@@ -1265,12 +634,8 @@ Status Database::ExecuteCopy(const sql::CopyStmt& stmt) {
   if (catalog_.HasSample(stmt.table)) {
     MOSAIC_ASSIGN_OR_RETURN(SampleInfo* sample,
                             catalog_.GetSample(stmt.table));
-    std::ifstream in(stmt.path);
-    if (!in) return Status::IOError("cannot open " + stmt.path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
     MOSAIC_ASSIGN_OR_RETURN(Table loaded,
-                            ReadCsv(buf.str(), sample->schema));
+                            ReadCsvFile(stmt.path, &sample->schema));
     return IngestSample(stmt.table, loaded);
   }
   return Status::NotFound("no table or sample named '" + stmt.table + "'");
@@ -1309,25 +674,20 @@ Status Database::ExecuteDrop(const sql::DropStmt& stmt) {
 }
 
 Result<Table> Database::ExecuteShow(const sql::ShowStmt& stmt) {
-  Schema schema;
+  // Fixed schemas: their column names are distinct by construction.
   Table out;
   switch (stmt.what) {
     case sql::ShowStmt::What::kTables: {
-      MOSAIC_RETURN_IF_ERROR(
-          schema.AddColumn({"table_name", DataType::kString}));
-      out = Table(schema);
+      out = Table(Schema({{"table_name", DataType::kString}}));
       for (const auto& name : catalog_.TableNames()) {
         MOSAIC_RETURN_IF_ERROR(out.AppendRow({Value(name)}));
       }
       return out;
     }
     case sql::ShowStmt::What::kPopulations: {
-      MOSAIC_RETURN_IF_ERROR(
-          schema.AddColumn({"population_name", DataType::kString}));
-      MOSAIC_RETURN_IF_ERROR(schema.AddColumn({"global", DataType::kBool}));
-      MOSAIC_RETURN_IF_ERROR(
-          schema.AddColumn({"num_metadata", DataType::kInt64}));
-      out = Table(schema);
+      out = Table(Schema({{"population_name", DataType::kString},
+                          {"global", DataType::kBool},
+                          {"num_metadata", DataType::kInt64}}));
       for (const auto& name : catalog_.PopulationNames()) {
         MOSAIC_ASSIGN_OR_RETURN(PopulationInfo * pop,
                                 catalog_.GetPopulation(name));
@@ -1338,15 +698,10 @@ Result<Table> Database::ExecuteShow(const sql::ShowStmt& stmt) {
       return out;
     }
     case sql::ShowStmt::What::kSamples: {
-      MOSAIC_RETURN_IF_ERROR(
-          schema.AddColumn({"sample_name", DataType::kString}));
-      MOSAIC_RETURN_IF_ERROR(
-          schema.AddColumn({"population", DataType::kString}));
-      MOSAIC_RETURN_IF_ERROR(
-          schema.AddColumn({"num_tuples", DataType::kInt64}));
-      MOSAIC_RETURN_IF_ERROR(
-          schema.AddColumn({"mechanism", DataType::kString}));
-      out = Table(schema);
+      out = Table(Schema({{"sample_name", DataType::kString},
+                          {"population", DataType::kString},
+                          {"num_tuples", DataType::kInt64},
+                          {"mechanism", DataType::kString}}));
       for (const auto& name : catalog_.SampleNames()) {
         MOSAIC_ASSIGN_OR_RETURN(SampleInfo * sample,
                                 catalog_.GetSample(name));
@@ -1367,15 +722,10 @@ Result<Table> Database::ExecuteShow(const sql::ShowStmt& stmt) {
       return out;
     }
     case sql::ShowStmt::What::kMetadata: {
-      MOSAIC_RETURN_IF_ERROR(
-          schema.AddColumn({"metadata_name", DataType::kString}));
-      MOSAIC_RETURN_IF_ERROR(
-          schema.AddColumn({"population", DataType::kString}));
-      MOSAIC_RETURN_IF_ERROR(
-          schema.AddColumn({"attributes", DataType::kString}));
-      MOSAIC_RETURN_IF_ERROR(
-          schema.AddColumn({"total_count", DataType::kDouble}));
-      out = Table(schema);
+      out = Table(Schema({{"metadata_name", DataType::kString},
+                          {"population", DataType::kString},
+                          {"attributes", DataType::kString},
+                          {"total_count", DataType::kDouble}}));
       for (const auto& pop_name : catalog_.PopulationNames()) {
         MOSAIC_ASSIGN_OR_RETURN(PopulationInfo * pop,
                                 catalog_.GetPopulation(pop_name));
@@ -1415,10 +765,8 @@ Status Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
     // written into the copy in row order.
     MOSAIC_ASSIGN_OR_RETURN(TableView view,
                             MakeWeightedView(sample->data, prev->weights));
-    SelectionVector rows = SelectionVector::All(view.num_rows());
-    if (stmt.where != nullptr) {
-      MOSAIC_ASSIGN_OR_RETURN(rows, exec::SelectRows(view, *stmt.where));
-    }
+    MOSAIC_ASSIGN_OR_RETURN(SelectionVector rows,
+                            SelectWhere(view, stmt.where.get()));
     exec::Binder binder(&view.schema());
     std::vector<std::vector<double>> new_weights;
     for (const auto& [col_name, expr] : stmt.assignments) {
@@ -1440,7 +788,9 @@ Status Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
         next[rows[i]] = values[i];
       }
     }
-    return PublishWeights(sample, std::move(next)).status();
+    return semi_open_
+        .PublishWeights(sample, std::move(next), WeightFitInfo(), durability_)
+        .status();
   }
   if (!catalog_.HasTable(stmt.table)) {
     return Status::NotFound("no table or sample named '" + stmt.table + "'");
@@ -1451,10 +801,8 @@ Status Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
   // rows against the pre-update table, so a failing expression leaves
   // the table untouched.
   const TableView view(*table);
-  SelectionVector rows = SelectionVector::All(view.num_rows());
-  if (stmt.where != nullptr) {
-    MOSAIC_ASSIGN_OR_RETURN(rows, exec::SelectRows(view, *stmt.where));
-  }
+  MOSAIC_ASSIGN_OR_RETURN(SelectionVector rows,
+                          SelectWhere(view, stmt.where.get()));
   exec::Binder binder(&table->schema());
   std::vector<std::pair<size_t, exec::BoundExprPtr>> bound_assignments;
   for (const auto& [col_name, expr] : stmt.assignments) {
@@ -1495,7 +843,7 @@ Status Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
 }
 
 // ---------------------------------------------------------------------------
-// Cache stamps and weight counters
+// Cache stamps
 // ---------------------------------------------------------------------------
 
 Database::CacheStamp Database::StampFor(const sql::Statement& stmt) {
@@ -1551,15 +899,6 @@ Database::CacheStamp Database::StampFor(const sql::Statement& stmt) {
   }
   // Unknown relation: the query will fail; nothing worth caching.
   return stamp;
-}
-
-Database::WeightCounters Database::WeightCountersSnapshot() const {
-  WeightCounters c;
-  c.epochs_published = weight_epochs_published_->Value();
-  c.refits_total = weight_refits_->Value();
-  c.refits_skipped = weight_refits_skipped_->Value();
-  c.refits_incremental = weight_refits_incremental_->Value();
-  return c;
 }
 
 }  // namespace core

@@ -1,75 +1,40 @@
 // The Mosaic database facade: parses and executes Mosaic SQL end to
-// end, routing population queries through the three visibility levels
-// of §3.3/§4:
+// end. It owns the catalog, DDL/DML, the system tables, cache stamps
+// and the durability hooks, and routes population queries by the
+// visibility levels of §3.3/§4:
 //
 //   CLOSED    — answer directly over the sample (the LAV-view path);
-//               no reweighting, no generated tuples.
-//   SEMI-OPEN — reweight the sample: Horvitz–Thompson when the
-//               mechanism is known (§4.1), IPF against the marginals
-//               otherwise. Fitted weights are published as the
-//               sample's next immutable weight epoch (§3.2 weight
-//               metadata; core/weights.h), so concurrent readers
-//               keep the epoch they pinned.
-//   OPEN      — additionally generate missing tuples with the M-SWG
-//               (§5) and answer over the weighted generated
-//               population.
-//
-// Fig. 3's two reweighting paths are both implemented: metadata on
-// the query population reweights the restricted sample directly; with
-// only GP metadata the engine reweights to the GP and treats the
-// query population as a view over the reweighted sample.
+//               no reweighting, no generated tuples. Answered here.
+//   SEMI-OPEN — reweight the sample to the metadata and answer over
+//               the weighted tuples (core/semi_open.h).
+//   OPEN      — generate the missing tuples with the M-SWG (§5) and
+//               answer over the weighted generated population
+//               (core/open_world.h).
 #ifndef MOSAIC_CORE_DATABASE_H_
 #define MOSAIC_CORE_DATABASE_H_
 
 #include <atomic>
 #include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/lru_cache.h"
-#include "common/metrics.h"
 #include "common/status.h"
 #include "common/synchronization.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/catalog.h"
-#include "core/mswg.h"
+#include "core/open_world.h"
+#include "core/semi_open.h"
 #include "sql/ast.h"
-#include "stats/ipf.h"
 #include "storage/table.h"
 
 namespace mosaic {
-
-namespace exec {
-struct ExecOptions;  // exec/executor.h — only named by value here
-}  // namespace exec
-
 namespace core {
 
 class DurabilitySink;  // core/durability.h
 
-struct OpenOptions {
-  /// The M-SWG (§5) that OPEN queries train and generate from.
-  MswgOptions mswg;
-  /// Rows to generate; 0 = same as the sample size (the paper's
-  /// setting: "we generate 10 samples with the same number of rows as
-  /// the original sample").
-  size_t generated_rows = 0;
-  /// Independent generated samples to average over for aggregate
-  /// queries (the paper uses 10; the default keeps ad-hoc SQL cheap).
-  size_t num_generated_samples = 1;
-  uint64_t generation_seed = 7;
-};
-
 class Database {
  public:
-  /// Default bound on the trained-generator LRU cache (entries).
-  static constexpr size_t kDefaultModelCacheCapacity = 16;
-
   Database();
 
   /// Parse and execute one statement. SELECTs return their result
@@ -110,15 +75,9 @@ class Database {
                           const std::string& metadata_name,
                           stats::Marginal marginal);
 
-  /// Compute SEMI-OPEN weights for `population`'s chosen sample and
-  /// publish them as the sample's next weight epoch. Returns the IPF
-  /// report (or a synthetic one for known mechanisms). Refits whose
-  /// fit signature matches the current epoch (same debias path, data
-  /// size, metadata version and options — converged or plateaued
-  /// alike, since the rerun would reproduce the same fit) are no-ops:
-  /// nothing is recomputed or republished, so concurrent identical
-  /// refits collapse to one epoch. Thread-safe against concurrent
-  /// readers — they keep the epoch they pinned.
+  /// Refit SEMI-OPEN weights for `population`'s chosen sample
+  /// (SemiOpen::ReweightAndPin). Returns the IPF report, or a synthetic
+  /// one for known mechanisms.
   [[nodiscard]] Result<stats::IpfReport> ReweightForPopulation(
       const std::string& population);
 
@@ -172,20 +131,13 @@ class Database {
   /// provenance intact) on the named sample. Never runs a fit.
   [[nodiscard]] Status RestoreSampleEpoch(const std::string& sample, WeightEpoch epoch);
 
-  /// Aggregate counters over the versioned weight stores, per process
-  /// (the registry's `mosaic_weight_*` counters).
-  struct WeightCounters {
-    uint64_t epochs_published = 0;   ///< new epochs swapped in
-    uint64_t refits_total = 0;       ///< reweight computations run
-    uint64_t refits_skipped = 0;     ///< no-op refits (signature hit)
-    uint64_t refits_incremental = 0; ///< warm-started ingest refits
-  };
-  WeightCounters WeightCountersSnapshot() const;
+  using WeightCounters = SemiOpen::WeightCounters;
+  WeightCounters WeightCountersSnapshot() const {
+    return semi_open_.Counters();
+  }
 
-  /// Train (or fetch the cached) M-SWG for the population and
-  /// generate one weighted open-world table: `rows` generated tuples,
-  /// each carrying weight population_size / rows in column "weight",
-  /// keeping only the rows a derived population's predicate selects.
+  /// One weighted open-world table of the population
+  /// (OpenWorld::GenerateTable).
   [[nodiscard]] Result<Table> GenerateOpenWorldTable(const std::string& population,
                                        size_t rows, uint64_t seed);
 
@@ -216,7 +168,17 @@ class Database {
   /// relations.
   static bool IsSystemRelation(const std::string& name);
 
-  OpenOptions* mutable_open_options() { return &open_; }
+  // ---- OPEN serving: forwarded to core::OpenWorld (core/open_world.h) --
+
+  OpenOptions* mutable_open_options() { return open_world_.mutable_options(); }
+  void InvalidateModelCache() { open_world_.InvalidateModelCache(); }
+  void set_model_cache_capacity(size_t capacity) {
+    open_world_.set_model_cache_capacity(capacity);
+  }
+  CacheStats ModelCacheStats() const { return open_world_.ModelCacheStats(); }
+  void set_generation_pool(ThreadPool* pool) {
+    open_world_.set_generation_pool(pool);
+  }
 
   /// §7 "Multiple Samples": when enabled, population queries run over
   /// the UNION of all same-schema samples of the GP instead of the
@@ -231,32 +193,6 @@ class Database {
     BumpCatalogVersion();
   }
   bool union_samples() const { return union_samples_; }
-
-  /// Drop all cached trained generators (e.g. after new metadata).
-  /// Thread-safe: may be called while OPEN queries are in flight;
-  /// they keep their shared_ptr to the model they already fetched.
-  void InvalidateModelCache() {
-    model_cache_.Clear();
-    MutexLock lock(train_mu_);
-    train_mutexes_.clear();
-  }
-
-  /// Re-bound the trained-generator LRU cache, evicting as needed.
-  void set_model_cache_capacity(size_t capacity) {
-    model_cache_.set_capacity(capacity);
-  }
-
-  /// Hit/miss/eviction counters of the trained-generator cache (the
-  /// per-process `mosaic_model_cache_*` metrics) and its capacity.
-  CacheStats ModelCacheStats() const { return model_cache_.Stats(); }
-
-  /// When set, the `num_generated_samples` independent OPEN-query
-  /// samples are generated on this pool instead of sequentially.
-  /// Seeds are threaded per sample index (generation_seed + k), so
-  /// parallel answers are bit-identical to the sequential path. The
-  /// pool must not be one whose tasks block on this Database (the
-  /// query service dedicates a generation pool).
-  void set_generation_pool(ThreadPool* pool) { gen_pool_ = pool; }
 
  private:
   [[nodiscard]] Result<Table> ExecuteStatement(sql::Statement* stmt,
@@ -290,49 +226,12 @@ class Database {
   /// the population's GP with the most rows.
   [[nodiscard]] Result<SampleInfo*> ChooseSample(const PopulationInfo& population);
 
-  /// ReweightForPopulation's engine: refits (or no-op skips) and
-  /// returns the epoch holding the fitted weights, pinned — the
-  /// SEMI-OPEN query path answers over exactly this epoch even if a
-  /// concurrent refit for another population publishes over it.
-  [[nodiscard]] Result<WeightEpochPtr> ReweightAndPin(const std::string& population_name,
-                                        stats::IpfReport* report);
-
-  /// Signatures of the reweighting computations ReweightAndPin can
-  /// run. A matching signature licenses the no-op refit skip: the
-  /// current epoch is already a fit of this exact (data size,
-  /// marginal set, IPF options) — bit-equal to what a cold refit
-  /// would produce when the epoch came from one (cold IPF is
-  /// deterministic), or an accepted warm-started fit of the same
-  /// constraints when it came from ingest-time incremental IPF
-  /// (which shares the GP-level signature by design: reusing the
-  /// incremental fit instead of re-running a cold one is the point).
-  std::string GpIpfFitSignature(size_t rows) const;
-  std::string PopulationIpfFitSignature(const PopulationInfo& population,
-                                        size_t rows) const;
-
-  /// Publish `weights` as `sample`'s next epoch, counting an actual
-  /// swap in the weight counters (a value-identical publication is a
-  /// no-op and counts nothing). When a durability sink is attached
-  /// and `log` is true, an actual swap is WAL-logged (ingest-time
-  /// publications pass log=false — their caller logs one combined
-  /// rows+epoch record instead); a logging failure surfaces as the
-  /// error of the Result, with the epoch already published in memory.
-  [[nodiscard]] Result<WeightEpochPtr> PublishWeights(SampleInfo* sample,
-                                        std::vector<double> weights,
-                                        WeightFitInfo fit = WeightFitInfo(),
-                                        bool log = true);
-
-  /// Count a finished IPF refit in the metrics registry: the refit
-  /// itself, its cycles, and whether it plateaued (ran out of cycles
-  /// unconverged).
-  void CountIpfFit(const stats::IpfReport& report);
-
-  /// After rows were appended to `sample`, publish the follow-up
-  /// weight epoch: a warm-started incremental IPF when the previous
-  /// epoch `prev` came from a GP-level fit (and the knob is on),
-  /// otherwise `prev`'s weights extended with unit weights.
-  [[nodiscard]] Status ExtendWeightsAfterIngest(SampleInfo* sample,
-                                  const WeightEpochPtr& prev);
+  /// Where a weight publication on `sample` is logged: the
+  /// durability sink, except for the union-mode scratch relation,
+  /// which is derived state rebuilt from the real samples on demand.
+  DurabilitySink* WeightLog(const SampleInfo* sample) const {
+    return sample == &union_scratch_ ? nullptr : durability_;
+  }
 
   /// The tail every sample append shares (IngestSample, INSERT):
   /// after rows from `rows_before` on landed — all of them, or those
@@ -359,83 +258,15 @@ class Database {
     metadata_version_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Sample rows restricted to the population (applies the derived
-  /// population's predicate); identity for the GP itself.
-  [[nodiscard]] Result<Table> RestrictToPopulation(const Table& sample_data,
-                                     const PopulationInfo& population);
-
-  /// Marginals + population size to debias against, following Fig. 3:
-  /// the population's own metadata when present, else the GP's
-  /// (restrict_after_reweight is set in the latter case).
-  struct DebiasPlan {
-    const std::vector<stats::Marginal>* marginals = nullptr;
-    bool reweight_to_global = false;
-    double population_size = 0.0;
-  };
-  [[nodiscard]] Result<DebiasPlan> PlanDebias(PopulationInfo* population);
-
-  /// A trained (or cache-fetched) generator plus everything needed to
-  /// turn it into weighted open-world tables without touching the
-  /// catalog again — the unit of work handed to generation threads.
-  struct OpenWorldModel {
-    std::shared_ptr<const Mswg> model;
-    double population_size = 0.0;
-    /// Row count used when the caller passes rows == 0 (the paper's
-    /// "same number of rows as the original sample").
-    size_t default_rows = 0;
-    /// Non-null when generated tuples represent the GP and the query
-    /// population is a view: filter after generation.
-    const sql::Expr* restrict_predicate = nullptr;
-  };
-
-  /// Fetch the population's generator from the LRU cache or train it.
-  /// Training of a given key happens at most once even under
-  /// concurrent OPEN queries.
-  [[nodiscard]] Result<OpenWorldModel> PrepareOpenWorldModel(
-      const std::string& population_name);
-
-  /// Raw generated tuples plus their uniform §5.3 weights
-  /// (population_size / rows), before weight attachment and
-  /// view-restriction — the single source both the materializing
-  /// (GenerateOpenWorldTable) and zero-copy (OPEN query) consumers
-  /// build on. Const and thread-safe: generation threads share the
-  /// model and differ only in their seed.
-  struct GeneratedSample {
-    Table data;
-    std::vector<double> weights;
-  };
-  [[nodiscard]] Result<GeneratedSample> GenerateSample(const OpenWorldModel& model,
-                                         size_t rows, uint64_t seed) const;
-
   Catalog catalog_;
-  OpenOptions open_;
-  LruCache<std::string, std::shared_ptr<const Mswg>> model_cache_;
-  /// Per-cache-key training locks: concurrent OPEN queries on the
-  /// same key train once instead of racing, while different keys
-  /// train independently. train_mu_ only guards the lock map itself
-  /// (cleared together with the model cache, so it cannot grow
-  /// without bound as ingest changes keys).
-  Mutex train_mu_;
-  std::unordered_map<std::string, std::shared_ptr<std::mutex>>
-      train_mutexes_ GUARDED_BY(train_mu_);
   /// Starts at 1 so a 0-valued stamp can never match a live catalog.
   std::atomic<uint64_t> catalog_version_{1};
   /// Bumped on metadata (marginal) registration/removal; part of fit
   /// signatures so a refit never reuses weights fitted to dropped or
   /// replaced marginals.
   std::atomic<uint64_t> metadata_version_{1};
-  /// Weight-store counts in the registry (see WeightCounters).
-  metrics::Counter* weight_epochs_published_ = nullptr;
-  metrics::Counter* weight_refits_ = nullptr;
-  metrics::Counter* weight_refits_skipped_ = nullptr;
-  metrics::Counter* weight_refits_incremental_ = nullptr;
-  /// mosaic_ipf_cycles_total: raking cycles run by IPF refits (warm
-  /// and cold-fallback attempts both count).
-  metrics::Counter* ipf_cycles_ = nullptr;
-  /// mosaic_ipf_plateaued_fits_total: IPF refits that exited at the
-  /// cycle budget without converging.
-  metrics::Counter* ipf_plateaued_ = nullptr;
-  ThreadPool* gen_pool_ = nullptr;
+  OpenWorld open_world_{&catalog_};
+  SemiOpen semi_open_{&catalog_, &metadata_version_};
   bool union_samples_ = false;
   /// Write-ahead-logging hook; null when running without durability.
   DurabilitySink* durability_ = nullptr;

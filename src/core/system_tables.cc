@@ -5,40 +5,12 @@
 
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "core/semi_open.h"
 
 namespace mosaic {
 namespace core {
 
 namespace {
-
-[[nodiscard]] Result<Schema> QueriesSchema() {
-  Schema schema;
-  for (const auto& [name, type] : std::initializer_list<
-           std::pair<const char*, DataType>>{
-           {"query_id", DataType::kInt64},
-           {"session_id", DataType::kInt64},
-           {"trace_id", DataType::kString},
-           {"sql", DataType::kString},
-           {"status", DataType::kString},
-           {"cache_hit", DataType::kInt64},
-           {"wall_us", DataType::kInt64},
-           {"cpu_us", DataType::kInt64},
-           {"rows_scanned", DataType::kInt64},
-           {"rows_produced", DataType::kInt64},
-           {"epoch_pins", DataType::kInt64},
-           {"simd_isa", DataType::kString},
-           {"span", DataType::kString},
-           {"span_id", DataType::kInt64},
-           {"parent_id", DataType::kInt64},
-           {"start_us", DataType::kInt64},
-           {"duration_us", DataType::kInt64},
-           {"span_cpu_us", DataType::kInt64},
-           {"detail", DataType::kString},
-       }) {
-    MOSAIC_RETURN_IF_ERROR(schema.AddColumn(ColumnDef{name, type}));
-  }
-  return schema;
-}
 
 std::string TraceIdHex(uint64_t trace_id) {
   if (trace_id == 0) return "";
@@ -48,8 +20,27 @@ std::string TraceIdHex(uint64_t trace_id) {
 }  // namespace
 
 [[nodiscard]] Result<Table> BuildQueriesTable(const qlog::QueryLog& log) {
-  MOSAIC_ASSIGN_OR_RETURN(Schema schema, QueriesSchema());
-  Table out(schema);
+  // The system tables' schemas are fixed, with column names distinct by
+  // construction.
+  Table out(Schema({{"query_id", DataType::kInt64},
+                    {"session_id", DataType::kInt64},
+                    {"trace_id", DataType::kString},
+                    {"sql", DataType::kString},
+                    {"status", DataType::kString},
+                    {"cache_hit", DataType::kInt64},
+                    {"wall_us", DataType::kInt64},
+                    {"cpu_us", DataType::kInt64},
+                    {"rows_scanned", DataType::kInt64},
+                    {"rows_produced", DataType::kInt64},
+                    {"epoch_pins", DataType::kInt64},
+                    {"simd_isa", DataType::kString},
+                    {"span", DataType::kString},
+                    {"span_id", DataType::kInt64},
+                    {"parent_id", DataType::kInt64},
+                    {"start_us", DataType::kInt64},
+                    {"duration_us", DataType::kInt64},
+                    {"span_cpu_us", DataType::kInt64},
+                    {"detail", DataType::kString}}));
   for (const qlog::QueryRecord& rec : log.Snapshot()) {
     auto append_span = [&](const std::string& span, int64_t span_id,
                            int64_t parent_id, int64_t start_us,
@@ -88,10 +79,8 @@ std::string TraceIdHex(uint64_t trace_id) {
 }
 
 [[nodiscard]] Result<Table> BuildMetricsTable() {
-  Schema schema;
-  MOSAIC_RETURN_IF_ERROR(schema.AddColumn({"metric", DataType::kString}));
-  MOSAIC_RETURN_IF_ERROR(schema.AddColumn({"value", DataType::kDouble}));
-  Table out(schema);
+  Table out(
+      Schema({{"metric", DataType::kString}, {"value", DataType::kDouble}}));
   auto& registry = metrics::Registry::Global();
   for (const auto& [name, value] : registry.CounterValues()) {
     MOSAIC_RETURN_IF_ERROR(
@@ -117,20 +106,13 @@ std::string TraceIdHex(uint64_t trace_id) {
 }
 
 [[nodiscard]] Result<Table> BuildWeightEpochsTable(Catalog* catalog) {
-  Schema schema;
-  for (const auto& [name, type] : std::initializer_list<
-           std::pair<const char*, DataType>>{
-           {"sample", DataType::kString},
-           {"epoch_id", DataType::kInt64},
-           {"rows", DataType::kInt64},
-           {"fit_kind", DataType::kString},
-           {"fit_error", DataType::kDouble},
-           {"fit_uncovered", DataType::kDouble},
-           {"converged", DataType::kInt64},
-       }) {
-    MOSAIC_RETURN_IF_ERROR(schema.AddColumn(ColumnDef{name, type}));
-  }
-  Table out(schema);
+  Table out(Schema({{"sample", DataType::kString},
+                    {"epoch_id", DataType::kInt64},
+                    {"rows", DataType::kInt64},
+                    {"fit_kind", DataType::kString},
+                    {"fit_error", DataType::kDouble},
+                    {"fit_uncovered", DataType::kDouble},
+                    {"converged", DataType::kInt64}}));
   for (const std::string& name : catalog->SampleNames()) {
     MOSAIC_ASSIGN_OR_RETURN(SampleInfo* sample, catalog->GetSample(name));
     const WeightEpochPtr epoch = sample->weights.Pin();
@@ -138,7 +120,7 @@ std::string TraceIdHex(uint64_t trace_id) {
     MOSAIC_RETURN_IF_ERROR(out.AppendRow(
         {Value(name), Value(static_cast<int64_t>(e.id)),
          Value(static_cast<int64_t>(e.weights.size())),
-         Value(e.fit_signature.substr(0, e.fit_signature.find('|'))),
+         Value(FitKind(e.fit_signature)),
          Value(e.fit_error), Value(e.fit_uncovered),
          Value(static_cast<int64_t>(e.fit_converged ? 1 : 0))}));
   }
@@ -146,30 +128,20 @@ std::string TraceIdHex(uint64_t trace_id) {
 }
 
 [[nodiscard]] Result<Table> EmptySessionsTable() {
-  Schema schema;
-  MOSAIC_RETURN_IF_ERROR(
-      schema.AddColumn({"session_id", DataType::kInt64}));
-  MOSAIC_RETURN_IF_ERROR(
-      schema.AddColumn({"queries_submitted", DataType::kInt64}));
-  return Table(schema);
+  return Table(Schema({{"session_id", DataType::kInt64},
+                       {"queries_submitted", DataType::kInt64}}));
 }
 
 [[nodiscard]] Result<Table> EmptyConnectionsTable() {
-  Schema schema;
-  MOSAIC_RETURN_IF_ERROR(schema.AddColumn({"conn_id", DataType::kInt64}));
-  MOSAIC_RETURN_IF_ERROR(
-      schema.AddColumn({"session_id", DataType::kInt64}));
-  MOSAIC_RETURN_IF_ERROR(schema.AddColumn({"inflight", DataType::kInt64}));
-  return Table(schema);
+  return Table(Schema({{"conn_id", DataType::kInt64},
+                       {"session_id", DataType::kInt64},
+                       {"inflight", DataType::kInt64}}));
 }
 
 [[nodiscard]] Result<Table> EmptySnapshotsTable() {
-  Schema schema;
-  MOSAIC_RETURN_IF_ERROR(schema.AddColumn({"file", DataType::kString}));
-  MOSAIC_RETURN_IF_ERROR(
-      schema.AddColumn({"next_wal_seq", DataType::kInt64}));
-  MOSAIC_RETURN_IF_ERROR(schema.AddColumn({"bytes", DataType::kInt64}));
-  return Table(schema);
+  return Table(Schema({{"file", DataType::kString},
+                       {"next_wal_seq", DataType::kInt64},
+                       {"bytes", DataType::kInt64}}));
 }
 
 }  // namespace core

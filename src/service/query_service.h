@@ -18,7 +18,8 @@
 //     thread without ever blocking — the TCP server's poll thread
 //     answers cache hits that way — and SubmitAsync resumes a
 //     statement at the stage it reached, so nothing runs twice.
-//   - A second, dedicated generation pool is handed to the Database
+//   - A second, dedicated generation pool is handed to the OPEN
+//     module (core::OpenWorld, through Database::set_generation_pool)
 //     for parallel OPEN-query sample generation. Keeping the two
 //     pools separate means a request task blocking on generation
 //     futures can never deadlock the pool serving it.
@@ -28,7 +29,7 @@
 //     generation pool).
 //
 // Caching
-//   - Model cache: the Database's bounded LRU of trained generators
+//   - Model cache: the OPEN module's bounded LRU of trained generators
 //     (shared across sessions; invalidated by metadata changes).
 //   - Result cache: (canonicalized SQL, catalog version, weight
 //     epoch) -> result table, bounded LRU. Only read-class statements

@@ -176,12 +176,14 @@ bool ParsesAsDouble(const std::string& s) {
   return ReadCsv(text, schema);
 }
 
-[[nodiscard]] Result<Table> ReadCsvFile(const std::string& path) {
+[[nodiscard]] Result<Table> ReadCsvFile(const std::string& path,
+                                        const Schema* schema) {
   std::ifstream in(path);
   if (!in) return Status::IOError("cannot open " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  return ReadCsvInferSchema(buf.str());
+  return schema != nullptr ? ReadCsv(buf.str(), *schema)
+                           : ReadCsvInferSchema(buf.str());
 }
 
 namespace {

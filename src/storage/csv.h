@@ -21,8 +21,10 @@ namespace mosaic {
 /// number, else VARCHAR.
 [[nodiscard]] Result<Table> ReadCsvInferSchema(const std::string& text);
 
-/// Load a CSV file from disk with schema inference.
-[[nodiscard]] Result<Table> ReadCsvFile(const std::string& path);
+/// Load a CSV file from disk: parsed against `schema`, or with
+/// schema inference when it is null.
+[[nodiscard]] Result<Table> ReadCsvFile(const std::string& path,
+                                        const Schema* schema = nullptr);
 
 /// Serialize a table to CSV (header + rows). Strings are quoted only
 /// when they contain separators/quotes.

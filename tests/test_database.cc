@@ -165,6 +165,14 @@ TEST_F(TinyWorld, DerivedPopulationOwnMetadataPreferred) {
                   .ok());
   Table r = Must("SELECT SEMI-OPEN COUNT(*) FROM SmallThings");
   EXPECT_NEAR(r.GetValue(0, 0).AsDouble(), 80.0, 1.0);
+  // Fig. 3's bottom path reweights only the population's tuples: the
+  // L-things outside it carry weight zero, and the S-things carry the
+  // whole SEMI-OPEN count.
+  Table outside = Must("SELECT SUM(weight) FROM RedSample WHERE size = 'L'");
+  EXPECT_EQ(outside.GetValue(0, 0).AsDouble(), 0.0);
+  Table inside = Must("SELECT SUM(weight) FROM RedSample WHERE size = 'S'");
+  EXPECT_DOUBLE_EQ(inside.GetValue(0, 0).AsDouble(),
+                   r.GetValue(0, 0).AsDouble());
 }
 
 TEST_F(TinyWorld, VisibilityOnAuxTableRejected) {

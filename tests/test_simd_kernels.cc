@@ -32,7 +32,8 @@ struct Fixture {
   AlignedVector<double> f64;
   AlignedVector<int64_t> i64;
   AlignedVector<int32_t> codes;
-  AlignedVector<uint8_t> b8;
+  AlignedVector<uint8_t> b8;             // masks: strictly 0 or 1 (simd.h)
+  AlignedVector<uint8_t> bools;          // bool column: whole bytes, != 0 true
   AlignedVector<uint32_t> dense_rows;    // contiguous run, offset base
   AlignedVector<uint32_t> sparse_rows;   // ascending, gappy
   size_t base_n = 0;
@@ -60,6 +61,12 @@ struct Fixture {
       i64[i] = (int64_t{1} << 53) + static_cast<int64_t>(i);  // > 2^51 range
     }
     for (size_t i = 2; i < base_n; i += 19) i64[i] = -(int64_t{1} << 62);
+    // Whole random bytes: the bool gather must read any nonzero byte as
+    // true, and a random mix is also what defeats a per-row branch.
+    bools.resize(base_n);
+    for (size_t i = 0; i < base_n; ++i) {
+      bools[i] = static_cast<uint8_t>(rng() & 1 ? rng() : 0);
+    }
     dense_rows.resize(n);
     sparse_rows.resize(n);
     for (size_t i = 0; i < n; ++i) {
@@ -304,10 +311,16 @@ TEST_P(SimdKernelParity, Gathers) {
       }
       {
         std::vector<double> got(n, -1), want(n, -2);
-        T().gather_b8_f64(fx.b8.data(), RowsArg(fx, mode), n, got.data());
-        S().gather_b8_f64(fx.b8.data(), RowsArg(fx, mode), n, want.data());
+        T().gather_b8_f64(fx.bools.data(), RowsArg(fx, mode), n, got.data());
+        S().gather_b8_f64(fx.bools.data(), RowsArg(fx, mode), n, want.data());
         ExpectBytesEq(got, want,
                       std::string("gather_b8_f64 n=") + std::to_string(n));
+        const uint32_t* rows = RowsArg(fx, mode);
+        for (size_t i = 0; i < n; ++i) {
+          const uint8_t byte = fx.bools[rows == nullptr ? i : rows[i]];
+          ASSERT_EQ(want[i], byte != 0 ? 1.0 : 0.0)
+              << "gather_b8_f64 n=" << n << " at [" << i << "]";
+        }
       }
       {
         std::vector<int64_t> got(n, -1), want(n, -2);

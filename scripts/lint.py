@@ -35,6 +35,12 @@ Enforces conventions the compilers cannot (portably) check:
                       core/mswg.cc include core/mswg.h (OPEN), and only
                       core/semi_open.* and stats/ include stats/ipf.h
                       (SEMI-OPEN).
+  lex-once            Within src/service/ and src/net/, no call to
+                      sql::ParseStatement, sql::ParseScript or
+                      CanonicalizeSql: each lexes its text again. The
+                      serving path lexes once (sql::Lex) and hands the
+                      tokens to sql::ParseTokens and
+                      CanonicalizeTokens.
 
 Suppression: append `// lint:allow <rule>: <justification>` to the
 offending line (or place it alone on the line above). The justification
@@ -60,6 +66,7 @@ RULES = (
     "oracle-in-src",
     "research-in-src",
     "answer-path-boundary",
+    "lex-once",
 )
 
 # Files whose payload decoding is subject to wire-pointer-arith. Paths
@@ -350,6 +357,34 @@ def check_answer_path_boundary(path, lines, findings):
                          % (m.group(1), module))
 
 
+# Entry points that lex their text: calls only, so the declaration
+# and definition of CanonicalizeSql (after its `Result<...>` return
+# type) do not count.
+RELEX_RE = re.compile(
+    r"\bsql::(ParseStatement|ParseScript)\s*\(|"
+    r"(?<!>)(?<!>\s)\bCanonicalizeSql\s*\(")
+LEX_ONCE_DIRS = ("service", "net")
+
+
+def check_lex_once(path, lines, findings):
+    parts = Path(path).parts
+    if "src" not in parts:
+        return
+    src_at = len(parts) - 1 - parts[::-1].index("src")
+    if len(parts) < src_at + 3 or parts[src_at + 1] not in LEX_ONCE_DIRS:
+        return
+    for i, line in enumerate(lines):
+        if is_comment(line):
+            continue
+        m = RELEX_RE.search(line.split("//")[0])
+        if m is None or allowed(lines, i, "lex-once", findings, path):
+            continue
+        findings.add(path, i + 1, "lex-once",
+                     "%s lexes the text again; lex once and use "
+                     "sql::ParseTokens / CanonicalizeTokens"
+                     % m.group(0).rstrip("( "))
+
+
 def lint_file(path, findings):
     try:
         text = Path(path).read_text()
@@ -365,6 +400,7 @@ def lint_file(path, findings):
     check_oracle_in_src(path, lines, findings)
     check_research_in_src(path, lines, findings)
     check_answer_path_boundary(path, lines, findings)
+    check_lex_once(path, lines, findings)
 
 
 def collect(paths):

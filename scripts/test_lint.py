@@ -138,6 +138,35 @@ def main():
             "engine includes outside their modules must give exactly 2 "
             "answer-path-boundary findings (got %s)" % findings)
 
+    # --- the serving path lexes each statement once -----------------
+    with tempfile.TemporaryDirectory() as td:
+        src = Path(td) / "src"
+        files = {
+            # Leaks: three re-lexing calls on the service path, one on
+            # the net path.
+            "service/leak.cc":
+                "auto stmt = sql::ParseStatement(st->sql_);\n"
+                "auto script = sql::ParseScript(text);\n"
+                "if (auto key = CanonicalizeSql(sql); key.ok()) {}\n",
+            "net/leak.cc": "auto key = service::CanonicalizeSql(sql);\n",
+            # The wrapper's own declaration and definition, a comment,
+            # and callers outside service/ and net/ are fine.
+            "service/sql_canonical.h":
+                "[[nodiscard]] Result<std::string> "
+                "CanonicalizeSql(const std::string& sql);\n"
+                "// CanonicalizeSql(sql) lexes; prefer the tokens.\n",
+            "core/database.cc": "auto stmt = sql::ParseStatement(sql);\n",
+        }
+        for rel, text in files.items():
+            (src / rel).parent.mkdir(parents=True, exist_ok=True)
+            (src / rel).write_text(text)
+        rc, findings = run_lint(src)
+        failures += expect(rc == 1, "a re-lexing call must exit 1")
+        failures += expect(
+            Counter(findings) == Counter({("leak.cc", "lex-once"): 4}),
+            "re-lexing calls in src/service and src/net must give exactly "
+            "4 lex-once findings (got %s)" % findings)
+
     # --- the real tree is clean (the repo invariant itself) ---------
     rc, findings = run_lint(ROOT / "src")
     failures += expect(

@@ -82,8 +82,8 @@ class LruCache {
   }
 
   /// Like Get, but without touching the hit/miss counters: for the
-  /// re-check in double-checked locking, where the first Get already
-  /// accounted for the lookup.
+  /// re-check in double-checked locking, or to judge the value outside
+  /// the cache's mutex and then count it with RecordLookup.
   std::optional<V> Peek(const K& key) {
     MutexLock lock(mu_);
     auto it = index_.find(key);
@@ -91,6 +91,9 @@ class LruCache {
     order_.splice(order_.begin(), order_, it->second);
     return it->second->second;
   }
+
+  /// Count one lookup that Peek served.
+  void RecordLookup(bool hit) { (hit ? hits_ : misses_)->Inc(); }
 
   /// Insert or overwrite; evicts the least-recently-used entry when
   /// over capacity.

@@ -846,44 +846,57 @@ Status Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
 // Cache stamps
 // ---------------------------------------------------------------------------
 
-Database::CacheStamp Database::StampFor(const sql::Statement& stmt) {
+Database::CacheSubject Database::SubjectOf(const sql::Statement& stmt) {
+  CacheSubject subject;
+  if (stmt.Is<sql::ShowStmt>()) {
+    // SHOW METRICS reads the live metrics registry, which moves on
+    // every query — a cached answer would freeze the counters.
+    if (stmt.As<sql::ShowStmt>().what != sql::ShowStmt::What::kMetrics) {
+      subject.kind = CacheSubject::Kind::kShow;
+    }
+    return subject;
+  }
+  if (!stmt.Is<sql::SelectStmt>()) return subject;
+  const auto& sel = stmt.As<sql::SelectStmt>();
+  // EXPLAIN ANALYZE answers with this execution's span timings;
+  // serving a previous execution's timings would defeat it.
+  if (sel.explain_analyze) return subject;
+  subject.kind = CacheSubject::Kind::kSelect;
+  subject.from = ToLower(sel.from);  // catalog lookups fold case
+  subject.visibility = sel.visibility;
+  return subject;
+}
+
+Database::CacheStamp Database::StampFor(const CacheSubject& subject) {
   CacheStamp stamp;
   stamp.catalog_version = catalog_version();
   // §7 union mode rebuilds scratch state inside SELECT; results are
   // not attributable to a stable (version, epoch) pair.
-  if (union_samples_) return stamp;
-  if (stmt.Is<sql::ShowStmt>()) {
-    // SHOW METRICS reads the live metrics registry, which moves on
-    // every query — a cached answer would freeze the counters.
+  if (union_samples_ || subject.kind != CacheSubject::Kind::kSelect) {
     stamp.cacheable =
-        stmt.As<sql::ShowStmt>().what != sql::ShowStmt::What::kMetrics;
+        !union_samples_ && subject.kind == CacheSubject::Kind::kShow;
     return stamp;
   }
-  if (!stmt.Is<sql::SelectStmt>()) return stamp;
-  const auto& sel = stmt.As<sql::SelectStmt>();
-  // EXPLAIN ANALYZE answers with this execution's span timings;
-  // serving a previous execution's timings would defeat it.
-  if (sel.explain_analyze) return stamp;
   // System tables snapshot live mutable state (query log, registry,
   // sessions) that moves independently of any version counter.
-  if (IsSystemRelation(sel.from)) return stamp;
-  if (catalog_.HasTable(sel.from)) {
+  if (IsSystemRelation(subject.from)) return stamp;
+  if (catalog_.HasTable(subject.from)) {
     stamp.cacheable = true;
     return stamp;
   }
-  if (catalog_.HasSample(sel.from)) {
+  if (catalog_.HasSample(subject.from)) {
     // Direct sample reads expose the managed weight column: the
     // answer belongs to the sample's current epoch.
-    auto sample = catalog_.GetSample(sel.from);
+    auto sample = catalog_.GetSample(subject.from);
     if (!sample.ok()) return stamp;
     stamp.weight_epoch = (*sample)->weights.epoch();
     stamp.cacheable = true;
     return stamp;
   }
-  if (catalog_.HasPopulation(sel.from)) {
-    auto population = catalog_.GetPopulation(sel.from);
+  if (catalog_.HasPopulation(subject.from)) {
+    auto population = catalog_.GetPopulation(subject.from);
     if (!population.ok()) return stamp;
-    if (sel.visibility == sql::Visibility::kSemiOpen) {
+    if (subject.visibility == sql::Visibility::kSemiOpen) {
       // SEMI-OPEN answers over the weights its refit publishes; the
       // epoch tags cached entries so they go stale the moment the
       // weights move on. CLOSED and OPEN population answers never

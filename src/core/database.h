@@ -81,20 +81,38 @@ class Database {
   [[nodiscard]] Result<stats::IpfReport> ReweightForPopulation(
       const std::string& population);
 
-  /// Cache-key stamp for an already-parsed statement: the catalog
+  /// Cache stamp for an already-parsed statement: the catalog
   /// version plus (for statements that read a sample's weights or
   /// data) the sample's current weight epoch. Two executions with
   /// equal canonical SQL and equal stamps return identical results,
-  /// so the service keys its result cache on (SQL, stamp) and never
-  /// has to flush wholesale. `cacheable` is false when the answer
-  /// cannot be attributed to a (catalog version, epoch) pair — e.g.
-  /// §7 union-samples mode.
+  /// so a cached answer stays good exactly while its stamp does and
+  /// the service never has to flush wholesale. `cacheable` is false
+  /// when the answer cannot be attributed to a (catalog version,
+  /// epoch) pair — e.g. §7 union-samples mode.
   struct CacheStamp {
     bool cacheable = false;
     uint64_t catalog_version = 0;
     uint64_t weight_epoch = 0;
+
+    bool operator==(const CacheStamp& o) const {
+      return cacheable == o.cacheable &&
+             catalog_version == o.catalog_version &&
+             weight_epoch == o.weight_epoch;
+    }
   };
-  CacheStamp StampFor(const sql::Statement& stmt);
+  /// What StampFor reads of a statement, kept so a cache hit re-stamps
+  /// without a parse. kNone: not a read, EXPLAIN ANALYZE, SHOW METRICS.
+  struct CacheSubject {
+    enum class Kind { kNone, kShow, kSelect };
+    Kind kind = Kind::kNone;
+    std::string from;  ///< the SELECT's relation, case-folded
+    sql::Visibility visibility = sql::Visibility::kDefault;
+  };
+  static CacheSubject SubjectOf(const sql::Statement& stmt);
+  CacheStamp StampFor(const CacheSubject& subject);
+  CacheStamp StampFor(const sql::Statement& stmt) {
+    return StampFor(SubjectOf(stmt));
+  }
 
   /// Monotonic version of catalog structure + relation data (DDL,
   /// ingest, metadata, aux-table DML). Weight publications do NOT

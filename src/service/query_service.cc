@@ -17,6 +17,7 @@
 #include "core/system_tables.h"
 #include "exec/simd.h"
 #include "exec/trace_table.h"
+#include "sql/lexer.h"
 #include "sql/parser.h"
 
 namespace mosaic {
@@ -252,18 +253,6 @@ std::vector<std::future<Result<Table>>> QueryService::SubmitBatch(
 
 namespace {
 
-/// Result-cache key: canonical SQL tagged with the engine stamp. The
-/// unit separator only ever appears inside quoted string literals of
-/// canonicalized SQL, so the trailing stamp parses unambiguously.
-/// Entries are never flushed wholesale: a write bumps
-/// the catalog version and a refit bumps the sample's weight epoch,
-/// so stale entries simply stop matching and age out of the LRU while
-/// every unaffected entry keeps serving hits.
-void AppendStamp(const core::Database::CacheStamp& stamp, std::string* key) {
-  *key += "\x1f" "v" + std::to_string(stamp.catalog_version) + "w" +
-          std::to_string(stamp.weight_epoch);
-}
-
 /// Whether `keyword` (upper case) is the first token of `sql`: a
 /// pre-parse check, so a leading comment defeats it.
 bool StartsWithKeyword(const std::string& sql, const char* keyword) {
@@ -328,14 +317,25 @@ std::shared_ptr<const Table> QueryService::TryServeCached(
     return nullptr;
   }
   const Clock::time_point start = Clock::now();
-  Prepare(st, nullptr, trace::kNoParent);
+  Lex(st, nullptr, trace::kNoParent);
   auto probe = [this, st]() -> std::shared_ptr<const Table> {
-    if (!st->status_.ok() || !st->is_read_) return nullptr;
+    if (st->cache_key_.empty()) return nullptr;
     // Never wait here: while a writer holds the lock the statement
     // goes to the pool, which waits there instead.
     ReaderLock lock(catalog_mu_, std::defer_lock);
     if (!lock.TryLock()) return nullptr;
-    return Probe(st, nullptr, trace::kNoParent);
+    // A key's entry came from a statement that parses as this one
+    // (sql_canonical.h). Without an entry or a cacheable stamp, the
+    // pool parses, stamps and counts the lookup.
+    auto entry = result_cache_.Peek(st->cache_key_);
+    if (!entry) return nullptr;
+    const core::Database::CacheStamp now = db_.StampFor(entry->subject);
+    if (!now.cacheable) return nullptr;
+    const bool fresh = now == entry->stamp;
+    result_cache_.RecordLookup(fresh);
+    st->cache_hit_ = fresh ? 1 : 0;
+    st->is_read_ = fresh;
+    return fresh ? std::move(entry->table) : nullptr;
   };
   std::shared_ptr<const Table> hit = probe();
   st->elapsed_ = Clock::now() - start;
@@ -416,6 +416,24 @@ void QueryService::Record(const PendingStatement& st, Session::State* session,
   }
 }
 
+void QueryService::Lex(PendingStatement* st, trace::QueryTrace* trace,
+                       uint32_t parent) {
+  st->stage_ = PendingStatement::Stage::kLexed;
+  trace::ScopedSpan span(trace, parent, "lex");
+  auto tokens = sql::Lex(st->sql_);
+  if (!tokens.ok()) {
+    st->status_ = tokens.status();
+    return;
+  }
+  st->tokens_ = std::move(tokens).value();
+  // The parser decides what is a read; this spares INSERTs the key.
+  const sql::Token& first = st->tokens_.front();
+  if (!first.IsKeyword("SELECT") && !first.IsKeyword("SHOW")) return;
+  if (auto canon = CanonicalizeTokens(st->tokens_); canon.ok()) {
+    st->cache_key_ = std::move(*canon);
+  }
+}
+
 void QueryService::Prepare(PendingStatement* st, trace::QueryTrace* trace,
                            uint32_t parent) {
   st->stage_ = PendingStatement::Stage::kPrepared;
@@ -423,44 +441,39 @@ void QueryService::Prepare(PendingStatement* st, trace::QueryTrace* trace,
   // to the engine for execution (ExecuteParsed).
   {
     trace::ScopedSpan span(trace, parent, "parse");
-    auto parsed = sql::ParseStatement(st->sql_);
+    auto parsed = sql::ParseTokens(std::move(st->tokens_));
     if (!parsed.ok()) {
       st->status_ = parsed.status();
       return;
     }
     st->stmt_ = std::move(parsed).value();
   }
-  st->explain_ = st->stmt_.Is<sql::SelectStmt>() &&
-                 st->stmt_.As<sql::SelectStmt>().explain_analyze;
+  st->explain_ = st->stmt_->Is<sql::SelectStmt>() &&
+                 st->stmt_->As<sql::SelectStmt>().explain_analyze;
   // §7 "Multiple Samples" mode rebuilds the union scratch sample
   // lazily inside SELECT, so reads stop being read-only.
-  st->is_read_ = ClassifyStatement(st->stmt_) == StatementClass::kRead &&
+  st->is_read_ = ClassifyStatement(*st->stmt_) == StatementClass::kRead &&
                  !db_.union_samples();
-  if (!st->is_read_) return;
-  trace::ScopedSpan span(trace, parent, "canonicalize");
-  if (auto canon = CanonicalizeSql(st->sql_); canon.ok()) {
-    st->cache_key_ = std::move(*canon);
-  }
 }
 
 std::shared_ptr<const Table> QueryService::Probe(PendingStatement* st,
                                                  trace::QueryTrace* trace,
                                                  uint32_t parent) {
-  st->stage_ = PendingStatement::Stage::kProbed;
   // EXPLAIN ANALYZE never consults the cache — its answer is this
   // execution's timings (StampFor also reports it uncacheable).
   if (st->cache_key_.empty() || st->explain_) return nullptr;
-  // Stamped lookup under the shared lock: the stamp pins which catalog
-  // version and weight epoch the entry must have been computed under.
+  // Stamped under the shared lock, for the lookup and the store; a
+  // lookup TryServeCached already counted (a stale entry) is not redone.
   trace::ScopedSpan span(trace, parent, "cache_lookup");
-  st->stamp_ = db_.StampFor(st->stmt_);
-  if (!st->stamp_.cacheable) return nullptr;
-  AppendStamp(st->stamp_, &st->cache_key_);
-  auto cached = result_cache_.Get(st->cache_key_);
-  st->cache_hit_ = cached ? 1 : 0;
-  span.Note(cached ? "hit" : "miss");
-  trace::NoteCacheHit(trace, cached.has_value());
-  return cached ? std::move(*cached) : nullptr;
+  st->stamp_ = db_.StampFor(*st->stmt_);
+  if (!st->stamp_.cacheable || st->cache_hit_ >= 0) return nullptr;
+  auto entry = result_cache_.Peek(st->cache_key_);
+  const bool hit = entry && entry->stamp == st->stamp_;
+  result_cache_.RecordLookup(hit);
+  st->cache_hit_ = hit ? 1 : 0;
+  span.Note(hit ? "hit" : "miss");
+  trace::NoteCacheHit(trace, hit);
+  return hit ? std::move(entry->table) : nullptr;
 }
 
 Result<std::shared_ptr<const Table>> QueryService::RunInternal(
@@ -480,6 +493,9 @@ Result<std::shared_ptr<const Table>> QueryService::RunInternal(
     }
   }
   if (st->stage_ == PendingStatement::Stage::kNew) {
+    Lex(st, trace, stmt_span.id());
+  }
+  if (st->stage_ == PendingStatement::Stage::kLexed && st->status_.ok()) {
     Prepare(st, trace, stmt_span.id());
   }
   if (!st->status_.ok()) return st->status_;
@@ -490,33 +506,29 @@ Result<std::shared_ptr<const Table>> QueryService::RunInternal(
       trace::ScopedSpan span(trace, stmt_span.id(), "lock_wait");
       read_lock.Lock();
     }
-    if (st->stage_ != PendingStatement::Stage::kProbed) {
-      if (auto hit = Probe(st, trace, stmt_span.id())) return hit;
-    }
+    if (auto hit = Probe(st, trace, stmt_span.id())) return hit;
     Result<Table> result = [&]() -> Result<Table> {
       trace::ScopedSpan span(trace, stmt_span.id(), "execute");
-      return db_.ExecuteParsed(&st->stmt_, trace, span.id());
+      return db_.ExecuteParsed(&*st->stmt_, trace, span.id());
     }();
     if (!result.ok()) return result.status();
     auto table = std::make_shared<const Table>(std::move(result).value());
     if (st->stamp_.cacheable) {
       trace::ScopedSpan span(trace, stmt_span.id(), "cache_store");
-      // Keyed under the probe's stamp, never a re-read one, even when
-      // the probe ran in an earlier hold of the lock (TryServeCached):
-      // an entry can only be hit by statements that stamped the same
-      // (catalog version, epoch), i.e. that raced the same
+      // Stored under the probe's stamp, taken before execution in this
+      // hold of the lock: it is only served to statements that stamp
+      // the same (catalog version, epoch), i.e. that raced the same
       // publications this execution did, and for those the pinned
-      // answer is a linearizable outcome. A write in between makes
-      // the key unreachable, since every later stamp carries the new
-      // version. Re-stamping after execution could attribute the
-      // answer to an epoch published concurrently by an unrelated
-      // refit, serving it to strictly-later statements that would
-      // compute something else. The one cost: a SEMI-OPEN statement
-      // caches under its pre-refit epoch, so its first re-run at the
-      // post-refit epoch misses — but that re-run's refit no-op-skips
-      // (fit signatures, core/database.cc) and its Put then lands on
-      // the settled epoch, where every further repeat hits.
-      result_cache_.Put(st->cache_key_, table);
+      // answer is linearizable. Re-stamping after execution could pin
+      // it to an epoch an unrelated refit published meanwhile. The one
+      // cost: a SEMI-OPEN statement caches under its pre-refit epoch,
+      // so its first re-run misses; that re-run's refit no-op-skips
+      // (fit signatures, core/semi_open.cc) and its answer replaces
+      // the entry at the settled epoch, where every further repeat
+      // hits.
+      result_cache_.Put(st->cache_key_,
+                        {st->stamp_, core::Database::SubjectOf(*st->stmt_),
+                         table});
     }
     return table;
   }
@@ -531,7 +543,7 @@ Result<std::shared_ptr<const Table>> QueryService::RunInternal(
   // published a weight epoch), so every entry it could have staled is
   // now unreachable by key. Unrelated entries keep their hits.
   MOSAIC_ASSIGN_OR_RETURN(Table out,
-                          db_.ExecuteParsed(&st->stmt_, trace, span.id()));
+                          db_.ExecuteParsed(&*st->stmt_, trace, span.id()));
   return std::make_shared<const Table>(std::move(out));
 }
 

@@ -10,14 +10,15 @@
 //     disturbing readers pinned to the previous one. Writers (DDL,
 //     DML, UPDATE) take the lock exclusively, serializing catalog
 //     mutations.
-//   - Every statement runs the same four stages (PendingStatement):
-//     prepare (parse, classify, canonicalize), probe (stamp and
-//     result-cache lookup under the shared lock), execute, and record
-//     (latency, counters, `system.queries`, the session's count).
-//     Session::TryServeCached runs the first two on the caller's
-//     thread without ever blocking — the TCP server's poll thread
-//     answers cache hits that way — and SubmitAsync resumes a
-//     statement at the stage it reached, so nothing runs twice.
+//   - Every statement runs the same stages (PendingStatement): lex
+//     (and key a SELECT or SHOW from the tokens), prepare (parse the
+//     same tokens, classify), probe (stamp and result-cache lookup
+//     under the shared lock), execute, and record (latency, counters,
+//     `system.queries`, the session's count). Session::TryServeCached
+//     lexes and looks up on the caller's thread without ever blocking
+//     or parsing — the TCP server's poll thread answers cache hits
+//     that way — and SubmitAsync resumes a statement at the stage it
+//     reached, so nothing runs twice.
 //   - A second, dedicated generation pool is handed to the OPEN
 //     module (core::OpenWorld, through Database::set_generation_pool)
 //     for parallel OPEN-query sample generation. Keeping the two
@@ -31,14 +32,15 @@
 // Caching
 //   - Model cache: the OPEN module's bounded LRU of trained generators
 //     (shared across sessions; invalidated by metadata changes).
-//   - Result cache: (canonicalized SQL, catalog version, weight
-//     epoch) -> result table, bounded LRU. Only read-class statements
-//     are cached. Nothing is ever flushed wholesale: a write bumps
-//     the catalog version and a SEMI-OPEN refit bumps the sample's
-//     weight epoch, so exactly the stale entries stop matching and
-//     age out while unrelated entries keep serving hits. OPEN answers
-//     are cacheable because generation seeds are deterministic (seed
-//     + sample index).
+//   - Result cache: canonicalized SQL -> {stamp the answer was
+//     computed under, subject, table}, bounded LRU, read-class
+//     statements only. A lookup re-stamps the subject and serves the
+//     entry while the stamp matches. Nothing is ever flushed
+//     wholesale: a write bumps the catalog version and a SEMI-OPEN
+//     refit bumps the sample's weight epoch, so exactly the stale
+//     entries stop matching (the next answer replaces them) while
+//     unrelated entries keep serving hits. OPEN answers are cacheable
+//     because generation seeds are deterministic (seed + sample index).
 #ifndef MOSAIC_SERVICE_QUERY_SERVICE_H_
 #define MOSAIC_SERVICE_QUERY_SERVICE_H_
 
@@ -48,6 +50,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,6 +63,7 @@
 #include "core/database.h"
 #include "service/sql_canonical.h"
 #include "sql/ast.h"
+#include "sql/token.h"
 #include "storage/durable/engine.h"
 #include "storage/table.h"
 
@@ -148,19 +152,20 @@ class PendingStatement {
 
  private:
   friend class QueryService;
-  enum class Stage { kNew, kPrepared, kProbed };
+  enum class Stage { kNew, kLexed, kPrepared };
 
   std::string sql_;
   RequestContext ctx_;
   Stage stage_ = Stage::kNew;
-  Status status_;  ///< the parse failure, once prepared
-  sql::Statement stmt_;
+  Status status_;  ///< the lex or parse failure
+  std::vector<sql::Token> tokens_;  ///< lexed, until the parser takes them
+  std::optional<sql::Statement> stmt_;  ///< none until parsed
   bool is_read_ = false;
   bool explain_ = false;
-  /// The canonical SQL, then (once probed) the stamped result-cache
-  /// key; empty when the lexer rejected the SQL.
+  /// The result-cache key: canonical SQL, built from tokens_ for a
+  /// statement that starts with SELECT or SHOW; empty otherwise.
   std::string cache_key_;
-  core::Database::CacheStamp stamp_;
+  core::Database::CacheStamp stamp_;  ///< a miss's answer is stored under
   int cache_hit_ = -1;  ///< -1 not looked up, 0 miss, 1 hit
   /// Time spent in stages run before the request pool took over.
   std::chrono::steady_clock::duration elapsed_{};
@@ -181,8 +186,8 @@ class Session {
   std::future<Result<Table>> Submit(const std::string& sql);
 
   /// Answer `*statement` from the result cache without ever blocking
-  /// (the TCP server calls this on its poll thread). On a hit the
-  /// statement is recorded like any other and the cached table is
+  /// or parsing (the TCP server calls this on its poll thread). On a
+  /// hit the statement is recorded like any other and the table is
   /// returned shared, not copied. Otherwise returns null and leaves
   /// the statement as far as it got, for SubmitAsync to finish. Only
   /// an untraced, unsampled SELECT or SHOW outside union-samples mode
@@ -296,18 +301,20 @@ class QueryService {
   [[nodiscard]] Result<std::shared_ptr<const Table>> Run(
       PendingStatement* st, Session::State* session);
 
-  /// The prepare, probe and execute stages, each skipped when `*st`
+  /// The lex, prepare, probe and execute stages, each skipped when `*st`
   /// already passed it. Failures and latency are accounted in Record,
   /// which Run calls exactly once for whatever this returns.
   [[nodiscard]] Result<std::shared_ptr<const Table>> RunInternal(
       PendingStatement* st, trace::QueryTrace* trace);
 
-  /// Stage 1: parse, classify and (reads only) canonicalize.
+  /// Stage 1: lex, and key a SELECT or SHOW. Stage 2: parse the same
+  /// tokens and classify.
+  void Lex(PendingStatement* st, trace::QueryTrace* trace, uint32_t parent);
   void Prepare(PendingStatement* st, trace::QueryTrace* trace,
                uint32_t parent);
 
-  /// Stage 2: stamp the statement and look it up in the result cache;
-  /// the cached table on a hit, null otherwise.
+  /// Stage 3: stamp the statement and (unless TryServeCached counted
+  /// its lookup) look it up: the cached table on a hit, else null.
   std::shared_ptr<const Table> Probe(PendingStatement* st,
                                      trace::QueryTrace* trace,
                                      uint32_t parent)
@@ -317,7 +324,7 @@ class QueryService {
   std::shared_ptr<const Table> TryServeCached(PendingStatement* st,
                                               Session::State* session);
 
-  /// Stage 4, the single accounting point: latency histograms,
+  /// Stage 5, the single accounting point: latency histograms,
   /// statement counters, the `system.queries` record, the session's
   /// count and the slow-query log.
   void Record(const PendingStatement& st, Session::State* session,
@@ -355,7 +362,13 @@ class QueryService {
   std::unique_ptr<ThreadPool> generation_pool_;
   /// Readers = read-class statements, writers = catalog mutations.
   SharedMutex catalog_mu_;
-  LruCache<std::string, std::shared_ptr<const Table>> result_cache_;
+  /// An answer and what it was computed under.
+  struct CachedResult {
+    core::Database::CacheStamp stamp;
+    core::Database::CacheSubject subject;
+    std::shared_ptr<const Table> table;
+  };
+  LruCache<std::string, CachedResult> result_cache_;
 
   /// Live session states for `system.sessions`, keyed by id. Weak
   /// pointers: a session whose handles are all gone drops out on the

@@ -37,12 +37,21 @@ const char* PunctText(sql::TokenType type) {
 
 [[nodiscard]] Result<std::string> CanonicalizeSql(const std::string& sql) {
   MOSAIC_ASSIGN_OR_RETURN(auto tokens, sql::Lex(sql));
+  return CanonicalizeTokens(tokens);
+}
+
+[[nodiscard]] Result<std::string> CanonicalizeTokens(
+    const std::vector<sql::Token>& tokens) {
+  // Only trailing ';' go: an inner one makes the parse fail.
+  size_t end = tokens.size();
+  while (end > 0 && (tokens[end - 1].type == sql::TokenType::kEof ||
+                     tokens[end - 1].type == sql::TokenType::kSemicolon)) {
+    --end;
+  }
   std::string out;
-  out.reserve(sql.size());
-  for (const auto& tok : tokens) {
-    if (tok.type == sql::TokenType::kEof) break;
-    // Trailing semicolons don't change the statement.
-    if (tok.type == sql::TokenType::kSemicolon) continue;
+  if (!tokens.empty()) out.reserve(tokens.back().offset + end);
+  for (size_t i = 0; i < end; ++i) {
+    const sql::Token& tok = tokens[i];
     if (!out.empty()) out += ' ';
     switch (tok.type) {
       case sql::TokenType::kIdentifier:
@@ -55,7 +64,8 @@ const char* PunctText(sql::TokenType type) {
         out += std::to_string(tok.int_value);
         break;
       case sql::TokenType::kDoubleLiteral:
-        out += FormatDouble(tok.double_value, 17);
+        // Exact, and always with a '.': `LIMIT 1.0` fails to parse.
+        out += StrFormat("%#.17g", tok.double_value);
         break;
       case sql::TokenType::kStringLiteral: {
         out += '\'';

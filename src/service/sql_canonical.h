@@ -4,19 +4,26 @@
 #define MOSAIC_SERVICE_SQL_CANONICAL_H_
 
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "sql/ast.h"
+#include "sql/token.h"
 
 namespace mosaic {
 namespace service {
 
 /// Canonical cache key for a statement: tokens re-joined with single
 /// spaces, identifiers lower-cased, keywords upper-cased, numeric
-/// literals normalized — so "select  COUNT(*) from T" and
-/// "SELECT count(*) FROM t" share one result-cache entry. Fails on
-/// statements the lexer rejects.
+/// literals normalized, trailing (never inner) ';' dropped — so
+/// "select  COUNT(*) from T ;" and "SELECT count(*) FROM t" share one
+/// result-cache entry, and statements sharing a key parse alike.
+/// Fails on statements the lexer rejects.
 [[nodiscard]] Result<std::string> CanonicalizeSql(const std::string& sql);
+
+/// The same key, from tokens as sql::Lex returns them.
+[[nodiscard]] Result<std::string> CanonicalizeTokens(
+    const std::vector<sql::Token>& tokens);
 
 /// How the service must schedule a statement.
 enum class StatementClass {

@@ -60,8 +60,8 @@ std::string TokenTypeName(TokenType type) {
   return "?";
 }
 
-bool IsReservedKeyword(const std::string& w) {
-  static const std::unordered_set<std::string> kKeywords = {
+bool IsReservedKeyword(std::string_view w) {
+  static const std::unordered_set<std::string_view> kKeywords = {
       // Standard SQL subset
       "SELECT", "FROM", "WHERE", "GROUP", "BY", "ORDER", "ASC", "DESC",
       "LIMIT", "AS", "AND", "OR", "NOT", "IN", "BETWEEN", "INSERT", "INTO",
@@ -83,6 +83,7 @@ bool IsReservedKeyword(const std::string& w) {
   std::vector<Token> tokens;
   size_t i = 0;
   const size_t n = input.size();
+  tokens.reserve(n / 4 + 2);  // ~4 bytes a token, plus kEof
   auto push = [&](TokenType type, std::string text, size_t off) {
     Token t;
     t.type = type;
@@ -108,12 +109,18 @@ bool IsReservedKeyword(const std::string& w) {
                        input[j] == '_')) {
         ++j;
       }
-      std::string word = input.substr(i, j - i);
-      std::string upper = ToUpper(word);
-      if (IsReservedKeyword(upper)) {
-        push(TokenType::kKeyword, upper, start);
+      // Upper-case on the stack; longer words are never keywords.
+      const std::string_view word(input.data() + i, j - i);
+      char upper[16];
+      const bool fits = word.size() <= sizeof(upper);
+      for (size_t k = 0; fits && k < word.size(); ++k) {
+        upper[k] = static_cast<char>(
+            std::toupper(static_cast<unsigned char>(word[k])));
+      }
+      if (fits && IsReservedKeyword({upper, word.size()})) {
+        push(TokenType::kKeyword, std::string(upper, word.size()), start);
       } else {
-        push(TokenType::kIdentifier, word, start);
+        push(TokenType::kIdentifier, std::string(word), start);
       }
       i = j;
       continue;
@@ -138,10 +145,10 @@ bool IsReservedKeyword(const std::string& w) {
           break;
         }
       }
-      std::string num = input.substr(i, j - i);
       Token t;
       t.offset = start;
-      t.text = num;
+      t.text = input.substr(i, j - i);
+      const std::string& num = t.text;
       if (has_dot || has_exp) {
         t.type = TokenType::kDoubleLiteral;
         try {

@@ -4,6 +4,7 @@
 #define MOSAIC_SQL_LEXER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -13,7 +14,7 @@ namespace mosaic {
 namespace sql {
 
 /// True if the upper-cased word is a reserved keyword of the dialect.
-bool IsReservedKeyword(const std::string& upper_word);
+bool IsReservedKeyword(std::string_view upper_word);
 
 /// Tokenize the whole input. The returned vector always ends with an
 /// kEof token. Errors carry the byte offset of the offending char.

@@ -744,7 +744,13 @@ class Parser {
 }  // namespace
 
 [[nodiscard]] Result<Statement> ParseStatement(const std::string& input) {
-  MOSAIC_ASSIGN_OR_RETURN(auto stmts, ParseScript(input));
+  MOSAIC_ASSIGN_OR_RETURN(auto tokens, Lex(input));
+  return ParseTokens(std::move(tokens));
+}
+
+[[nodiscard]] Result<Statement> ParseTokens(std::vector<Token> tokens) {
+  Parser parser(std::move(tokens));
+  MOSAIC_ASSIGN_OR_RETURN(auto stmts, parser.ParseScript());
   if (stmts.empty()) return Status::ParseError("empty statement");
   if (stmts.size() > 1) {
     return Status::ParseError(

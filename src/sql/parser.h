@@ -32,12 +32,17 @@
 
 #include "common/status.h"
 #include "sql/ast.h"
+#include "sql/token.h"
 
 namespace mosaic {
 namespace sql {
 
 /// Parse one statement (trailing ';' allowed).
 [[nodiscard]] Result<Statement> ParseStatement(const std::string& input);
+
+/// The same, over tokens as sql::Lex returns them (ending in kEof), so
+/// a caller that also needs the tokens lexes the text once.
+[[nodiscard]] Result<Statement> ParseTokens(std::vector<Token> tokens);
 
 /// Parse a ';'-separated script.
 [[nodiscard]] Result<std::vector<Statement>> ParseScript(const std::string& input);

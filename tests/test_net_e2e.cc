@@ -789,6 +789,28 @@ TEST_F(NetE2ETest, PipelinedHitsAndMissesKeepOrderAndAccounting) {
   EXPECT_EQ(outcomes, want);
 }
 
+TEST_F(NetE2ETest, RejectedTwinOfACachedStatementFailsOnThePollThreadPath) {
+  StartServer();
+  const std::string cached =
+      "SELECT CLOSED COUNT(*) AS c FROM Things WHERE color = 'red'";
+  const std::string twin =
+      "SELECT CLOSED COUNT(*) AS c FROM Things; WHERE color = 'red'";
+  Client client = Connect();
+  ASSERT_TRUE(client.Query(cached).ok());
+  auto again = client.Query(cached);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->GetValue(0, 0).AsInt64(), 8);
+  ASSERT_EQ(service_->Stats().result_cache.hits, 1u);
+  // The poll thread answers hits without a parse; the twin's inner
+  // ';' keeps it off the cached answer, and the pool rejects it.
+  auto rejected = client.Query(twin);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kParseError)
+      << rejected.status().ToString();
+  EXPECT_EQ(service_->Stats().result_cache.hits, 1u);
+  ASSERT_TRUE(client.Close().ok());
+}
+
 TEST_F(NetE2ETest, WriterHoldingTheCatalogLockDoesNotStallThePollThread) {
   StartServer();
   const std::string sql = "SELECT CLOSED COUNT(*) AS c FROM Things";

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -81,6 +83,97 @@ TEST(SqlCanonical, NormalizesWhitespaceCaseAndSemicolons) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*a, *b);
+}
+
+// A statement the parser rejects must never share a key with one it
+// accepts, or a cache hit would answer it without a parse.
+TEST(SqlCanonical, KeepsInnerSemicolonsAndDropsTrailingOnes) {
+  auto cached = CanonicalizeSql(
+      "SELECT CLOSED COUNT(*) FROM Things WHERE color = 'red'");
+  auto twin = CanonicalizeSql(
+      "SELECT CLOSED COUNT(*) FROM Things; WHERE color = 'red'");
+  auto trailing = CanonicalizeSql(
+      "SELECT CLOSED COUNT(*) FROM Things WHERE color = 'red' ; ;");
+  ASSERT_TRUE(cached.ok());
+  ASSERT_TRUE(twin.ok());
+  ASSERT_TRUE(trailing.ok());
+  EXPECT_EQ(*twin,
+            "SELECT CLOSED COUNT ( * ) FROM things ; WHERE color = 'red'");
+  EXPECT_NE(*cached, *twin);
+  EXPECT_EQ(*cached, *trailing);
+}
+
+TEST(SqlCanonical, DoubleLiteralsAreExactAndNeverSpelledAsIntegers) {
+  auto key = [](const std::string& sql) {
+    auto k = CanonicalizeSql(sql);
+    EXPECT_TRUE(k.ok()) << sql;
+    return k.ok() ? *k : std::string();
+  };
+  // `LIMIT 1.0` is a parse error; `LIMIT 1` is not.
+  EXPECT_EQ(key("SELECT * FROM t LIMIT 1.0"),
+            "SELECT * FROM t LIMIT 1.0000000000000000");
+  EXPECT_NE(key("SELECT * FROM t LIMIT 1"), key("SELECT * FROM t LIMIT 1.0"));
+  EXPECT_EQ(key("SELECT * FROM t WHERE d > 1.50"),
+            key("SELECT * FROM t WHERE d > 15e-1"));
+  EXPECT_NE(key("SELECT * FROM t WHERE d > 1e-20"),
+            key("SELECT * FROM t WHERE d > 2e-20"));
+}
+
+// Byte-for-byte keys of every statement shape the benchmark sends
+// (perfbench/workloads.cc): a key change re-keys every cached answer.
+TEST(SqlCanonical, GoldenKeysOfBenchmarkShapes) {
+  const std::vector<std::pair<std::string, std::string>> golden = {
+      {"SELECT CLOSED AVG(distance) FROM Flights WHERE elapsed_time "
+       "BETWEEN 120 AND 215",
+       "SELECT CLOSED AVG ( distance ) FROM flights WHERE elapsed_time "
+       "BETWEEN 120 AND 215"},
+      {"SELECT CLOSED carrier, COUNT(*) FROM Flights WHERE distance >= 612 "
+       "GROUP BY carrier",
+       "SELECT CLOSED carrier , COUNT ( * ) FROM flights WHERE distance >= "
+       "612 GROUP BY carrier"},
+      {"SELECT CLOSED AVG(taxi_out) FROM Flights WHERE carrier = 'AA' AND "
+       "distance BETWEEN 300 AND 1450",
+       "SELECT CLOSED AVG ( taxi_out ) FROM flights WHERE carrier = 'AA' AND "
+       "distance BETWEEN 300 AND 1450"},
+      {"SELECT CLOSED carrier, AVG(elapsed_time) FROM Flights WHERE taxi_in "
+       "BETWEEN 4 AND 9 GROUP BY carrier",
+       "SELECT CLOSED carrier , AVG ( elapsed_time ) FROM flights WHERE "
+       "taxi_in BETWEEN 4 AND 9 GROUP BY carrier"},
+      {"SELECT SEMI-OPEN AVG(distance) FROM Flights WHERE elapsed_time "
+       "BETWEEN 120 AND 215",
+       "SELECT SEMI - OPEN AVG ( distance ) FROM flights WHERE elapsed_time "
+       "BETWEEN 120 AND 215"},
+      {"SELECT SEMI-OPEN carrier, COUNT(*) FROM Flights WHERE distance >= "
+       "612 GROUP BY carrier",
+       "SELECT SEMI - OPEN carrier , COUNT ( * ) FROM flights WHERE "
+       "distance >= 612 GROUP BY carrier"},
+      {"SELECT SEMI-OPEN AVG(taxi_out) FROM Flights WHERE carrier = 'AA' AND "
+       "distance BETWEEN 300 AND 1450",
+       "SELECT SEMI - OPEN AVG ( taxi_out ) FROM flights WHERE carrier = "
+       "'AA' AND distance BETWEEN 300 AND 1450"},
+      {"SELECT SEMI-OPEN carrier, AVG(elapsed_time) FROM Flights WHERE "
+       "taxi_in BETWEEN 4 AND 9 GROUP BY carrier",
+       "SELECT SEMI - OPEN carrier , AVG ( elapsed_time ) FROM flights WHERE "
+       "taxi_in BETWEEN 4 AND 9 GROUP BY carrier"},
+      {"SELECT OPEN AVG(distance) FROM Flights WHERE elapsed_time > 150 AND "
+       "taxi_out < 30",
+       "SELECT OPEN AVG ( distance ) FROM flights WHERE elapsed_time > 150 "
+       "AND taxi_out < 30"},
+      {"SELECT OPEN COUNT(*) FROM Flights WHERE distance < 2500 AND taxi_in "
+       "> 2",
+       "SELECT OPEN COUNT ( * ) FROM flights WHERE distance < 2500 AND "
+       "taxi_in > 2"},
+      {"SELECT OPEN carrier, AVG(taxi_out) FROM Flights WHERE distance "
+       "BETWEEN 31 AND 4983 GROUP BY carrier",
+       "SELECT OPEN carrier , AVG ( taxi_out ) FROM flights WHERE distance "
+       "BETWEEN 31 AND 4983 GROUP BY carrier"},
+      {"SHOW SAMPLES", "SHOW SAMPLES"},
+  };
+  for (const auto& [sql, want] : golden) {
+    auto key = CanonicalizeSql(sql);
+    ASSERT_TRUE(key.ok()) << sql;
+    EXPECT_EQ(*key, want) << sql;
+  }
 }
 
 TEST(SqlCanonical, PreservesStringLiteralCase) {
@@ -263,6 +356,39 @@ TEST_F(ServiceTest, ResultCacheHitsOnEquivalentSql) {
   EXPECT_EQ(stats.insertions, 1u);
 }
 
+TEST_F(ServiceTest, RejectedStatementNeverGetsACachedAnswer) {
+  const std::string cached =
+      "SELECT CLOSED COUNT(*) FROM Things WHERE color = 'red'";
+  const std::string twin =
+      "SELECT CLOSED COUNT(*) FROM Things; WHERE color = 'red'";
+  ASSERT_TRUE(service_->Execute(cached).ok());
+  ASSERT_TRUE(service_->Execute(cached).ok());
+  ASSERT_EQ(service_->Stats().result_cache.hits, 1u);
+
+  auto executed = service_->Execute(twin);
+  EXPECT_FALSE(executed.ok());
+  EXPECT_EQ(executed.status().code(), StatusCode::kParseError);
+
+  // The hit path builds no AST, so only the key keeps a rejected
+  // statement off the cached answer; the pool then parses it and fails.
+  Session session = service_->OpenSession();
+  auto poll_thread_path = [&](const std::string& sql) {
+    PendingStatement pending(sql);
+    EXPECT_EQ(session.TryServeCached(&pending), nullptr) << sql;
+    std::promise<Status> outcome;
+    session.SubmitAsync(std::move(pending),
+                        [&](Result<std::shared_ptr<const Table>> r) {
+                          outcome.set_value(r.status());
+                        });
+    return outcome.get_future().get().code();
+  };
+  EXPECT_EQ(poll_thread_path(twin), StatusCode::kParseError);
+  ASSERT_TRUE(service_->Execute("SELECT * FROM ColorReport LIMIT 1").ok());
+  EXPECT_EQ(poll_thread_path("SELECT * FROM ColorReport LIMIT 1.0"),
+            StatusCode::kParseError);
+  EXPECT_EQ(service_->Stats().result_cache.hits, 1u);
+}
+
 TEST_F(ServiceTest, WritesMakeCachedResultsUnreachable) {
   auto before = service_->Execute("SELECT CLOSED COUNT(*) AS c FROM Things");
   ASSERT_TRUE(before.ok());
@@ -271,14 +397,15 @@ TEST_F(ServiceTest, WritesMakeCachedResultsUnreachable) {
       service_->Execute("INSERT INTO RedSample VALUES ('red','S')").ok());
   auto after = service_->Execute("SELECT CLOSED COUNT(*) AS c FROM Things");
   ASSERT_TRUE(after.ok());
-  // The INSERT bumped the catalog version, so the pre-insert entry no
-  // longer matches any key: a stale cache would still answer 8.
+  // The INSERT bumped the catalog version, so the pre-insert entry's
+  // stamp no longer matches: a stale cache would still answer 8.
   EXPECT_EQ(after->GetValue(0, 0).AsInt64(), 9);
-  // Nothing was flushed — the stale entry just stopped matching and
-  // a second entry was inserted under the new stamp.
+  // Nothing was flushed — the stale entry stopped matching and the
+  // new answer replaced it in place, under the new stamp.
   CacheStats stats = service_->Stats().result_cache;
   EXPECT_EQ(stats.invalidations, 0u);
-  EXPECT_EQ(stats.insertions, 2u);
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.entries, 1u);
 }
 
 // The headline regression for versioned cache keys: a SEMI-OPEN refit

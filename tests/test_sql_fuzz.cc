@@ -16,8 +16,15 @@
 //
 // Queries that fail must fail identically (same status string) on
 // every path.
+//
+// A third, front-end layer checks that the lex-once entry points
+// (sql::ParseTokens, service::CanonicalizeTokens) agree with their
+// string wrappers, and that respellings sharing a result-cache key
+// parse alike and read the same cache subject.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,6 +34,8 @@
 #include "core/database.h"
 #include "exec/executor.h"
 #include "oracle/row_oracle.h"
+#include "service/sql_canonical.h"
+#include "sql/lexer.h"
 #include "sql/parser.h"
 #include "storage/table.h"
 #include "storage/table_view.h"
@@ -732,6 +741,147 @@ TEST(SqlFuzz, VisibilityLevelsBitIdenticalAcrossPaths) {
   for (size_t r = 0; r < small->num_rows(); ++r) {
     ASSERT_EQ(small->GetValue(r, *size_col).AsString(), "S") << "row " << r;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Front end: one lex serves the parser and the cache key
+// ---------------------------------------------------------------------------
+
+std::string Render(const Result<sql::Statement>& stmt) {
+  if (!stmt.ok()) return stmt.status().ToString();
+  if (stmt->Is<sql::SelectStmt>()) {
+    return stmt->As<sql::SelectStmt>().ToString();
+  }
+  return "statement kind " + std::to_string(stmt->node.index());
+}
+
+/// Apply `edit` to every stretch of `sql` outside string literals.
+std::string OutsideLiterals(const std::string& sql,
+                            const std::function<std::string(char)>& edit) {
+  std::string out;
+  bool quoted = false;
+  for (char c : sql) {
+    if (c == '\'') quoted = !quoted;
+    out += quoted || c == '\'' ? std::string(1, c) : edit(c);
+  }
+  return out;
+}
+
+/// Respellings of `sql` that keep its result-cache key: case,
+/// whitespace, a `--` comment, trailing `;`, `[` for `(`, and `<>`
+/// for `!=` (and back).
+std::vector<std::string> Respellings(const std::string& sql, Rng* rng) {
+  std::vector<std::string> out;
+  out.push_back(OutsideLiterals(sql, [rng](char c) {
+    const auto u = static_cast<unsigned char>(c);
+    if (!rng->Bernoulli(0.5)) return std::string(1, c);
+    return std::string(1, static_cast<char>(std::isupper(u) ? std::tolower(u)
+                                                            : std::toupper(u)));
+  }));
+  out.push_back(OutsideLiterals(sql, [rng](char c) {
+    static const char* kSpaces[] = {" ", "  ", "\n", "\t ", " \r\n"};
+    return c == ' ' ? std::string(kSpaces[rng->UniformInt(uint64_t{5})])
+                    : std::string(1, c);
+  }));
+  out.push_back("-- dashboard tile\n" + sql + " -- trailing note");
+  out.push_back(sql + (rng->Bernoulli(0.5) ? ";" : " ; ;"));
+  out.push_back(OutsideLiterals(sql, [](char c) {
+    return std::string(1, c == '(' ? '[' : c == ')' ? ']' : c);
+  }));
+  std::string ne;
+  for (size_t i = 0; i < sql.size(); ++i) {
+    if (sql.compare(i, 2, "!=") == 0) {
+      ne += "<>";
+      ++i;
+    } else if (sql.compare(i, 2, "<>") == 0) {
+      ne += "!=";
+      ++i;
+    } else {
+      ne += sql[i];
+    }
+  }
+  out.push_back(ne);
+  return out;
+}
+
+/// A generated statement, sometimes broken: an inner `;`, a cut, or a
+/// stray character, so the failing paths are exercised too.
+std::string Mangle(std::string sql, Rng* rng) {
+  const size_t at = rng->UniformInt(uint64_t{sql.size() + 1});
+  switch (rng->UniformInt(uint64_t{6})) {
+    case 0:
+      return sql.insert(at, " ; ");
+    case 1:
+      return sql.substr(0, at);
+    case 2:
+      return sql.insert(at, rng->Bernoulli(0.5) ? "!" : " '");
+    default:
+      return sql;
+  }
+}
+
+TEST(SqlFuzz, LexOnceEntryPointsAgreeAndSharedKeysShareSubjects) {
+  Rng rng(20261020);
+  std::vector<std::string> pool = {
+      "SHOW SAMPLES", "SHOW TABLES", "SHOW METRICS",
+      "EXPLAIN ANALYZE SELECT CLOSED COUNT(*) FROM Things",
+      "INSERT INTO t VALUES (1, 'a'), (2, 'b')",
+      "SELECT * FROM system.queries LIMIT 1.0",
+      "SELECT * FROM t LIMIT 1"};
+  int open_queries = 0;
+  for (int i = 0; i < 150; ++i) {
+    pool.push_back(RandomWorldQuery(&rng, &open_queries));
+  }
+  for (uint64_t seed = 0; seed < 3; ++seed) {
+    RandomRelation rel = MakeRelation(&rng);
+    for (int i = 0; i < 50; ++i) pool.push_back(RandomQuery(&rng, rel));
+  }
+  size_t parsed = 0, rejected = 0, respelled = 0;
+  for (const std::string& original : pool) {
+    const std::string sql = Mangle(original, &rng);
+    auto tokens = sql::Lex(sql);
+    auto via_string = sql::ParseStatement(sql);
+    auto key = service::CanonicalizeSql(sql);
+    if (!tokens.ok()) {
+      ASSERT_FALSE(via_string.ok()) << sql;
+      EXPECT_EQ(via_string.status().ToString(), tokens.status().ToString());
+      ASSERT_FALSE(key.ok()) << sql;
+      continue;
+    }
+    auto canon = service::CanonicalizeTokens(*tokens);
+    ASSERT_TRUE(key.ok() && canon.ok()) << sql;
+    EXPECT_EQ(*canon, *key) << sql;
+    auto via_tokens = sql::ParseTokens(std::move(*tokens));
+    ASSERT_EQ(via_tokens.ok(), via_string.ok()) << sql;
+    EXPECT_EQ(Render(via_tokens), Render(via_string)) << sql;
+    (via_string.ok() ? parsed : rejected) += 1;
+    // A broken statement that keys like its source must fail like it.
+    auto original_key = service::CanonicalizeSql(original);
+    if (original_key.ok() && *original_key == *key) {
+      ASSERT_EQ(sql::ParseStatement(original).ok(), via_string.ok())
+          << original << "\n mangled: " << sql;
+    }
+
+    for (const std::string& variant : Respellings(sql, &rng)) {
+      auto variant_key = service::CanonicalizeSql(variant);
+      ASSERT_TRUE(variant_key.ok()) << variant;
+      ASSERT_EQ(*variant_key, *key) << sql << "\n respelled: " << variant;
+      auto variant_stmt = sql::ParseStatement(variant);
+      ASSERT_EQ(variant_stmt.ok(), via_string.ok())
+          << sql << "\n respelled: " << variant;
+      if (via_string.ok()) {
+        const auto want = core::Database::SubjectOf(*via_string);
+        const auto got = core::Database::SubjectOf(*variant_stmt);
+        EXPECT_TRUE(got.kind == want.kind && got.from == want.from &&
+                    got.visibility == want.visibility)
+            << sql << "\n respelled: " << variant;
+      }
+      ++respelled;
+    }
+  }
+  EXPECT_GE(parsed, 150u);
+  EXPECT_GE(rejected, 50u);
+  EXPECT_GE(respelled, 1200u);
 }
 
 }  // namespace
